@@ -20,12 +20,10 @@ from .errors import (
 )
 from .graded import (
     GradedMatrix,
-    GradedVector,
     SchmidtSpectrum,
     SectorLayout,
     TruncationReport,
     block_svd,
-    graded_matvec,
     merged_truncate,
 )
 from .itebd import (
@@ -62,7 +60,6 @@ from .sampler import (
     enumerate_boundary_pairs,
     sample_alpha,
     sample_spins_and_beta,
-    window_weight,
 )
 from .circuit import (
     BrickworkCircuit,

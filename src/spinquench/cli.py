@@ -26,9 +26,10 @@ from .circuit import (
     lightcone_expectation_sampled,
     lightcone_expectation_sum,
 )
-from .errors import CheckpointError, ConfigError, NumericalError
+from .errors import CheckpointError, ConfigError, NumericalError, check_seed
 from .harness import (
     PROFILES,
+    _fmt,
     extract_peaks,
     read_aggregate_curve,
     read_table,
@@ -38,16 +39,6 @@ from .harness import (
     write_peaks,
 )
 from .itebd import QuenchConfig
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _check_seed(value: int) -> int:
-    if value < 0 or value > 0xFFFFFFFFFFFFFFFF:
-        raise ConfigError(f"seed must be an unsigned 64-bit value, got {value}")
-    return value
 
 
 def _profile(name):
@@ -125,7 +116,7 @@ def _cmd_sample(args) -> int:
         delta_t=prof["delta_t"] if args.delta_t is None else args.delta_t,
         n_max=prof["n_max"] if args.nmax is None else args.nmax,
         n_samples=args.samples,
-        master_seed=_check_seed(args.seed),
+        master_seed=args.seed,
         n_workers=args.workers,
         out=args.out,
     )
@@ -161,7 +152,7 @@ def _cmd_peaks(args) -> int:
 
 
 def _cmd_circuit_demo(args) -> int:
-    rng = np.random.default_rng(_check_seed(args.seed))
+    rng = np.random.default_rng(check_seed(args.seed))
     circuit = BrickworkCircuit.random(args.n, args.depth, rng)
     if args.mode == "direct":
         sys.stdout.write(_fmt(direct_expectation(circuit)) + "\n")

@@ -2,8 +2,11 @@
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, numerical guard failures with 3, and checkpoint/file problems
-with 4. Library code raises; only the CLI translates.
+with 4. Library code raises; only the CLI translates. The validation
+helpers shared by several modules live here too.
 """
+
+import math
 
 
 class SpinQuenchError(Exception):
@@ -12,6 +15,29 @@ class SpinQuenchError(Exception):
 
 class ConfigError(SpinQuenchError):
     """Invalid parameter or inconsistent configuration."""
+
+
+def check_seed(value: int) -> int:
+    """The seed itself if it fits in 64 unsigned bits, else ConfigError."""
+    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
+        raise ConfigError(f"seed must be an unsigned 64-bit value, got {value}")
+    return value
+
+
+def step_count(span: float, step: float, what: str) -> int:
+    """Number of whole steps of size step in span, else ConfigError.
+
+    The span must be a nonnegative integer multiple of the step to
+    within 1e-9 steps; what names the span in the error message.
+    """
+    n_float = span / step
+    n = round(n_float) if math.isfinite(n_float) else -1
+    if abs(n_float - n) > 1e-9 or n < 0:
+        raise ConfigError(
+            f"{what} = {span} is not a nonnegative integer number of "
+            f"steps of {step}"
+        )
+    return n
 
 
 class NumericalError(SpinQuenchError):

@@ -2,8 +2,8 @@
 
 Bond states carry an integer charge: the total spin to the left of the
 bond minus its value in the initial antiferromagnetic configuration,
-counted in units of single spin flips. Vectors and matrices over bond
-spaces are stored as one dense block per charge sector. A matrix with
+counted in units of single spin flips. Matrices and Schmidt spectra
+over bond spaces are stored as one dense block per charge sector. A matrix with
 ``charge_shift`` d maps column sector q + d to row sector q, so each row
 sector pairs with exactly one column sector and blocked operations never
 touch entries forbidden by the selection rule.
@@ -30,43 +30,6 @@ SINGULAR_VALUE_FLOOR = 1e-14
 
 def _sorted_block_dict(blocks):
     return {q: blocks[q] for q in sorted(blocks)}
-
-
-class GradedVector:
-    """A vector over a charged bond space, one dense block per sector."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks):
-        cleaned = {}
-        for q, arr in blocks.items():
-            arr = np.asarray(arr, dtype=complex).reshape(-1)
-            if arr.size:
-                cleaned[int(q)] = arr
-        self.blocks = _sorted_block_dict(cleaned)
-
-    @classmethod
-    def basis_vector(cls, sector_dims, q, index):
-        """Unit vector e_(q, index) in a space with the given sector dims."""
-        if q not in sector_dims or not 0 <= index < sector_dims[q]:
-            raise ValueError(f"no basis state (q={q}, index={index})")
-        arr = np.zeros(sector_dims[q], dtype=complex)
-        arr[index] = 1.0
-        return cls({q: arr})
-
-    @property
-    def charges(self):
-        return list(self.blocks)
-
-    @property
-    def sector_dims(self):
-        return {q: b.size for q, b in self.blocks.items()}
-
-    def norm2(self) -> float:
-        return sum(float(np.vdot(b, b).real) for b in self.blocks.values())
-
-    def scaled(self, factor) -> "GradedVector":
-        return GradedVector({q: b * factor for q, b in self.blocks.items()})
 
 
 class GradedMatrix:
@@ -194,47 +157,6 @@ class SectorLayout:
 
     def position(self, q, index):
         return self.offsets[q] + index
-
-
-def graded_matvec(m: GradedMatrix, v: GradedVector, side: str = "right") -> GradedVector:
-    """Apply a graded matrix to a graded vector.
-
-    side="right" computes m @ v (column vector): a component in sector q
-    comes from v's sector q + charge_shift. side="left" computes v @ m
-    (row vector): sector q of v feeds sector q + charge_shift of the
-    result. Sector dimensions are checked and mismatches rejected.
-    """
-    out = {}
-    if side == "right":
-        for q_row, arr in m.blocks.items():
-            src = v.blocks.get(q_row + m.charge_shift)
-            if src is None:
-                continue
-            if arr.shape[1] != src.size:
-                raise ValueError(
-                    f"sector {q_row + m.charge_shift}: dim {src.size} does not "
-                    f"match matrix columns {arr.shape[1]}"
-                )
-            out[q_row] = arr @ src
-    elif side == "left":
-        for q_row, arr in m.blocks.items():
-            src = v.blocks.get(q_row)
-            if src is None:
-                continue
-            if arr.shape[0] != src.size:
-                raise ValueError(
-                    f"sector {q_row}: dim {src.size} does not match matrix "
-                    f"rows {arr.shape[0]}"
-                )
-            q_col = q_row + m.charge_shift
-            piece = src @ arr
-            if q_col in out:
-                out[q_col] = out[q_col] + piece
-            else:
-                out[q_col] = piece
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return GradedVector(out)
 
 
 class SchmidtSpectrum:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError
+from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 from .sampler import (
     WindowSpec,
@@ -98,7 +98,8 @@ class PeakSeries:
 
 def git_blob_sha1(path) -> str:
     """Content hash of a file, computed the way git hashes a blob."""
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
     h.update(data)
@@ -193,7 +194,7 @@ def sample_one(
     """Draw one boundary pair and measure its evolved window series."""
     seed = (int(master_seed), int(sample_id))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    spec = WindowSpec(l=l, t_init=state.time, seed=master_seed)
+    spec = WindowSpec(l=l)
     alpha = sample_alpha(state, spec, rng)
     samp = sample_spins_and_beta(state, spec, alpha, rng)
     psi = assemble_window_state(state, spec, samp)
@@ -221,14 +222,7 @@ def _chunk_values(args):
 
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
-    n_float = (t_fin - t_init) / delta_t
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9 or n < 0:
-        raise ConfigError(
-            f"t_fin - t_init = {t_fin - t_init} is not a nonnegative integer "
-            f"number of delta_t = {delta_t} steps"
-        )
-    return n + 1
+    return step_count(t_fin - t_init, delta_t, "t_fin - t_init") + 1
 
 
 def run_mc(
@@ -263,7 +257,8 @@ def run_mc(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
         )
     EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-    WindowSpec(l=l, t_init=state.time, seed=master_seed)
+    WindowSpec(l=l)
+    check_seed(master_seed)
     n_points = _grid_size(state.time, t_fin, delta_t)
     horizon = l / spin_wave_velocity(config.delta)
     if t_fin - state.time > horizon:
@@ -282,7 +277,10 @@ def run_mc(
     if len(tasks) <= 1:
         results = [_chunk_values(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # Under fork the pool starts all max_workers processes at the
+        # first submit, so never ask for more than there is work or CPU.
+        n_procs = min(n_workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
             results = list(pool.map(_chunk_values, tasks))
     results.sort(key=lambda r: r[0])
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, step_count
 from .graded import (
     GradedMatrix,
     SchmidtSpectrum,
@@ -76,11 +76,7 @@ class QuenchConfig:
             raise ConfigError(f"k_max must be >= 2, got {self.k_max}")
         if self.t_init < 0.0:
             raise ConfigError("t_init must be >= 0")
-        steps = self.t_init / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ConfigError(
-                f"t_init={self.t_init} is not an integer number of dt={self.dt} steps"
-            )
+        step_count(self.t_init, self.dt, "t_init")
 
 
 @dataclass(frozen=True)
@@ -386,15 +382,7 @@ def evolve_to(
     truncating) the extra half layer; the final step's trailing half
     layer is applied for real so the returned state is the physical one.
     """
-    n_float = (t_end - state.time) / config.dt
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9:
-        raise ConfigError(
-            f"t_end - t = {t_end - state.time} is not an integer number of "
-            f"dt = {config.dt} steps"
-        )
-    if n < 0:
-        raise ConfigError("t_end lies before the state's current time")
+    n = step_count(t_end - state.time, config.dt, "t_end - t")
     if n == 0:
         return state
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError
-from .graded import GradedVector, graded_matvec
 from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState
 from .window import L_MAX, WindowState
 
@@ -53,17 +52,13 @@ BRANCH_FLOOR = 1e-28
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Sampling geometry: window half-width and checkpoint time."""
+    """Sampling geometry: the window spans sites -l..+l."""
 
     l: int
-    t_init: float
-    seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.l <= L_MAX:
             raise ConfigError(f"l must be in [1, {L_MAX}], got {self.l}")
-        if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
-            raise ConfigError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -98,21 +93,42 @@ def boundary_spectrum(state: MPSState, spec: WindowSpec):
     return state.lambda_b if (-spec.l - 1) % 2 != 0 else state.lambda_a
 
 
-def sample_alpha(state: MPSState, spec: WindowSpec, rng) -> tuple:
-    """Draw a left-boundary Schmidt state with probability lambda^2."""
-    spectrum = boundary_spectrum(state, spec)
-    entries = spectrum.entries
-    weights = np.array([w * w for _, w, _ in entries])
+def _basis_row(dims, q, index):
+    """Unit vector e_(q, index) on a bond with the given sector dims."""
+    if q not in dims or not 0 <= index < dims[q]:
+        raise ConfigError(f"no boundary state (q={q}, index={index})")
+    e = np.zeros(dims[q], dtype=complex)
+    e[index] = 1.0
+    return e
+
+
+def _left_step(tensors, shifts, s: int, q, vec):
+    """(charge, row) of vec @ A(s), or None where A(s) has no block at q.
+
+    vec is a row vector in sector q of the bond left of the site; the
+    product lives in sector q + shifts[s] of the bond to its right.
+    """
+    block = tensors[s].block(q)
+    if block is None:
+        return None
+    return q + shifts[s], vec @ block
+
+
+def _draw(weights: np.ndarray, rng) -> int:
+    """Index i drawn with probability weights[i] / sum(weights)."""
     total = weights.sum()
     if not total > 0.0:
-        raise SamplingError("boundary spectrum has no weight")
+        raise SamplingError("cannot draw from weights that sum to zero")
     r = rng.random() * total
-    acc = 0.0
-    for (q, _w, i), w2 in zip(entries, weights):
-        acc += w2
-        if r < acc:
-            return (q, i)
-    q, _w, i = entries[-1]
+    i = int(np.searchsorted(np.cumsum(weights), r, side="right"))
+    return min(i, weights.size - 1)
+
+
+def sample_alpha(state: MPSState, spec: WindowSpec, rng) -> tuple:
+    """Draw a left-boundary Schmidt state with probability lambda^2."""
+    entries = boundary_spectrum(state, spec).entries
+    weights = np.array([w * w for _, w, _ in entries])
+    q, _w, i = entries[_draw(weights, rng)]
     return (q, i)
 
 
@@ -141,38 +157,24 @@ def sample_spins_and_beta(
     prefix; the propagated vector is renormalized after every draw. The
     spins themselves are not returned: only the boundary pair matters.
     """
-    spectrum = boundary_spectrum(state, spec)
-    dims = spectrum.sector_dims
-    q_a, i_a = alpha
-    vec = GradedVector.basis_vector(dims, q_a, i_a)
+    q, vec = alpha[0], _basis_row(boundary_spectrum(state, spec).sector_dims, *alpha)
     trace = []
     for site in range(-spec.l, spec.l + 1):
-        tensors = site_tensors(state, site)
-        cands = [graded_matvec(tensors[s], vec, side="left") for s in (UP, DN)]
-        norms = [c.norm2() for c in cands]
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        cands = [_left_step(tensors, shifts, s, q, vec) for s in (UP, DN)]
+        norms = [0.0 if c is None else float(np.vdot(c[1], c[1]).real) for c in cands]
         p_up, p_dn = _branch_probabilities(norms[UP], norms[DN])
         if rng.random() < p_up:
             pick, p_pick = UP, p_up
         else:
             pick, p_pick = DN, p_dn
         trace.append(p_pick)
-        vec = cands[pick].scaled(1.0 / math.sqrt(norms[pick]))
-    charges = vec.charges
-    if len(charges) != 1:
-        raise SamplingError(
-            f"propagated boundary vector spans {len(charges)} sectors; expected 1"
-        )
-    q_b = charges[0]
-    amps = vec.blocks[q_b]
-    probs = np.abs(amps) ** 2
-    total = probs.sum()
-    if not total > 0.0:
-        raise SamplingError("no weight left for the right boundary draw")
-    r = rng.random() * total
-    i_b = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-    i_b = min(i_b, probs.size - 1)
-    trace.append(float(probs[i_b] / total))
-    return BoundarySample(alpha=(q_a, i_a), beta=(q_b, i_b), log_weight_trace=tuple(trace))
+        q, vec = cands[pick]
+        vec = vec * (1.0 / math.sqrt(norms[pick]))
+    probs = np.abs(vec) ** 2
+    i_b = _draw(probs, rng)
+    trace.append(float(probs[i_b] / probs.sum()))
+    return BoundarySample(alpha=tuple(alpha), beta=(q, i_b), log_weight_trace=tuple(trace))
 
 
 def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):
@@ -183,34 +185,22 @@ def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):
     are None.
     """
     dims = boundary_spectrum(state, spec).sector_dims
-    q_a, i_a = alpha
-    start = GradedVector.basis_vector(dims, q_a, i_a)
-    level = [(q_a, start.blocks[q_a])]
+    level = [(alpha[0], _basis_row(dims, *alpha))]
     for site in range(-spec.l, 1):
-        tensors = site_tensors(state, site)
-        shifts = site_shifts(site)
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
         nxt = [None] * (2 * len(level))
         for p, entry in enumerate(level):
             if entry is None:
                 continue
-            q, arr = entry
             for s, bit in ((UP, 1), (DN, 0)):
-                block = tensors[s].block(q)
-                if block is not None:
-                    nxt[(p << 1) | bit] = (q + shifts[s], arr @ block)
+                nxt[(p << 1) | bit] = _left_step(tensors, shifts, s, *entry)
         level = nxt
     return level
 
 
 def _right_partials(state: MPSState, spec: WindowSpec, beta: tuple):
     """Column vectors A(s_1) ... A(s_l) e_beta for all 2^l suffixes."""
-    q_b, i_b = beta
-    dims = right_boundary_dims(state, spec)
-    if q_b not in dims or not 0 <= i_b < dims[q_b]:
-        raise ConfigError(f"no right boundary state (q={q_b}, index={i_b})")
-    e = np.zeros(dims[q_b], dtype=complex)
-    e[i_b] = 1.0
-    level = [(q_b, e)]
+    level = [(beta[0], _basis_row(right_boundary_dims(state, spec), *beta))]
     for site in range(spec.l, 0, -1):
         tensors = site_tensors(state, site)
         shifts = site_shifts(site)
@@ -258,6 +248,19 @@ def _single_sector(amps: np.ndarray) -> int:
     return int(sectors[0])
 
 
+def _window_state(state: MPSState, spec: WindowSpec, alpha, beta):
+    """(squared norm, WindowState|None) of one boundary pair's raw window.
+
+    The state is None when the raw amplitudes vanish.
+    """
+    amps = _raw_window_amplitudes(state, spec, alpha, beta)
+    norm2 = float(np.vdot(amps, amps).real)
+    if not norm2 > 0.0:
+        return norm2, None
+    amps /= math.sqrt(norm2)
+    return norm2, WindowState(amps, _single_sector(amps))
+
+
 def assemble_window_state(
     state: MPSState, spec: WindowSpec, sample: BoundarySample
 ) -> WindowState:
@@ -268,34 +271,12 @@ def assemble_window_state(
     right one, nonzero only when their middle-bond sectors agree, which
     confines the state to a single total-Sz sector.
     """
-    amps = _raw_window_amplitudes(state, spec, sample.alpha, sample.beta)
-    norm2 = float(np.vdot(amps, amps).real)
-    if not norm2 > 0.0:
+    _norm2, psi = _window_state(state, spec, sample.alpha, sample.beta)
+    if psi is None:
         raise SamplingError(
             f"window state of boundary pair {sample.alpha}, {sample.beta} has zero norm"
         )
-    amps /= math.sqrt(norm2)
-    return WindowState(amps, _single_sector(amps))
-
-
-def window_weight(state: MPSState, spec: WindowSpec, alpha: tuple, beta: tuple):
-    """(weight, WindowState|None) of one boundary pair.
-
-    The weight is lambda_alpha^2 times the squared norm of the raw
-    window amplitudes; pairs with zero weight return None for the
-    state. Summed over all pairs the weights give the norm of the
-    state, i.e. one up to truncation residue.
-    """
-    spectrum = boundary_spectrum(state, spec)
-    q_a, i_a = alpha
-    lam = spectrum.blocks[q_a][i_a]
-    amps = _raw_window_amplitudes(state, spec, alpha, beta)
-    norm2 = float(np.vdot(amps, amps).real)
-    weight = float(lam * lam) * norm2
-    if not norm2 > 0.0:
-        return weight, None
-    amps = amps / math.sqrt(norm2)
-    return weight, WindowState(amps, _single_sector(amps))
+    return psi
 
 
 def right_boundary_dims(state: MPSState, spec: WindowSpec):
@@ -310,16 +291,22 @@ def right_boundary_dims(state: MPSState, spec: WindowSpec):
 def enumerate_boundary_pairs(state: MPSState, spec: WindowSpec):
     """Yield (alpha, beta, weight, WindowState) over all boundary pairs.
 
-    Pairs with zero weight are skipped. Exhaustive, so only sensible at
-    small l and bond dimension; the Monte Carlo path exists precisely
-    because this loop is exponential in the boundary entropy.
+    The weight is lambda_alpha^2 times the squared norm of the raw
+    window amplitudes; summed over all pairs the weights give the norm
+    of the chain state, i.e. one up to truncation residue. Pairs with
+    zero weight are skipped. Exhaustive, so only sensible at small l and
+    bond dimension; the Monte Carlo path exists precisely because this
+    loop is exponential in the boundary entropy.
     """
     spectrum = boundary_spectrum(state, spec)
     right_dims = right_boundary_dims(state, spec)
     for q_a, lam_vals in spectrum.blocks.items():
         for i_a in range(lam_vals.size):
+            lam = lam_vals[i_a]
             for q_b, d_b in sorted(right_dims.items()):
                 for i_b in range(d_b):
-                    weight, psi = window_weight(state, spec, (q_a, i_a), (q_b, i_b))
+                    alpha, beta = (q_a, i_a), (q_b, i_b)
+                    norm2, psi = _window_state(state, spec, alpha, beta)
+                    weight = float(lam * lam) * norm2
                     if psi is not None and weight > 0.0:
-                        yield (q_a, i_a), (q_b, i_b), weight, psi
+                        yield alpha, beta, weight, psi

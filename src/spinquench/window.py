@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import ConfigError, NormDriftError
+from .errors import ConfigError, NormDriftError, step_count
 
 #: Hard validation bound on the window half-width.
 L_MAX = 14
@@ -212,14 +212,7 @@ def evolve_and_measure(
     t_init: float,
 ) -> list:
     """Series of (t, central <Sz>) from t_init to params.t_fin inclusive."""
-    span = params.t_fin - t_init
-    n_float = span / params.delta_t
-    n = round(n_float)
-    if abs(n_float - n) > 1e-9 or n < 0:
-        raise ConfigError(
-            f"(t_fin - t_init) = {span} is not a nonnegative integer number "
-            f"of delta_t = {params.delta_t} steps"
-        )
+    n = step_count(params.t_fin - t_init, params.delta_t, "t_fin - t_init")
     series = [(t_init, sz_center(psi))]
     for j in range(1, n + 1):
         psi = taylor_step(psi, h, params.delta_t, params.n_max)

@@ -128,7 +128,7 @@ def test_criterion_04_division_free_stability(acceptance_log, k16_t1):
 
 def test_criterion_05_sampler_unbiased(acceptance_log, k16_t1):
     state, _config = load_checkpoint(k16_t1["checkpoint"])
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     acc = 0.0
     for _a, _b, weight, psi in enumerate_boundary_pairs(state, spec):
         bit = (np.arange(psi.amplitudes.size) >> spec.l) & 1
@@ -191,7 +191,7 @@ def test_criterion_07_symmetry_economy(acceptance_log, k256_run, k16_t1):
         ok_blocks = ok_blocks and report.largest_block_dim < total_across_spins
 
     small_state, _config = load_checkpoint(k16_t1["checkpoint"])
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     worst = 0.0
     for alpha, beta, _w, psi in enumerate_boundary_pairs(small_state, spec):
         dense = sampler_oracles._dense_window_amplitudes(

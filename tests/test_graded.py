@@ -7,11 +7,9 @@ from spinquench.errors import SvdError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
     GradedMatrix,
-    GradedVector,
     SchmidtSpectrum,
     SectorLayout,
     block_svd,
-    graded_matvec,
     merged_truncate,
 )
 
@@ -56,40 +54,6 @@ def test_dagger_matches_dense():
     assert np.allclose(
         a.dagger().to_dense(cols, rows), a.to_dense(rows, cols).conj().T
     )
-
-
-def test_matvec_both_sides_match_dense():
-    rng = np.random.default_rng(5)
-    m = random_graded(rng, 1, {0: 3, -1: 2})
-    rows = SectorLayout(m.row_dims)
-    cols = SectorLayout(m.col_dims)
-    vec_c = {q: rng.standard_normal(d) + 0j for q, d in m.col_dims.items()}
-    v = GradedVector(vec_c)
-    dense_v = np.zeros(cols.total, dtype=complex)
-    for q, arr in v.blocks.items():
-        dense_v[cols.offset(q) : cols.offset(q) + arr.size] = arr
-    out = graded_matvec(m, v, side="right")
-    dense_out = m.to_dense(rows, cols) @ dense_v
-    for q, arr in out.blocks.items():
-        got = dense_out[rows.offset(q) : rows.offset(q) + arr.size]
-        assert np.allclose(arr, got)
-
-    vec_r = {q: rng.standard_normal(d) + 0j for q, d in m.row_dims.items()}
-    w = GradedVector(vec_r)
-    dense_w = np.zeros(rows.total, dtype=complex)
-    for q, arr in w.blocks.items():
-        dense_w[rows.offset(q) : rows.offset(q) + arr.size] = arr
-    out_l = graded_matvec(m, w, side="left")
-    dense_out_l = dense_w @ m.to_dense(rows, cols)
-    for q, arr in out_l.blocks.items():
-        got = dense_out_l[cols.offset(q) : cols.offset(q) + arr.size]
-        assert np.allclose(arr, got)
-
-
-def test_matvec_dim_mismatch_rejected():
-    m = GradedMatrix(0, {(0, 0): np.eye(2)})
-    with pytest.raises(ValueError):
-        graded_matvec(m, GradedVector({0: np.ones(3)}), side="right")
 
 
 def test_block_svd_matches_dense_svd():
@@ -169,11 +133,3 @@ def test_merged_truncate_kept_is_prefix():
 def test_spectrum_entropy():
     spec = SchmidtSpectrum({0: [np.sqrt(0.5)], 1: [np.sqrt(0.5)]})
     assert spec.entropy() == pytest.approx(np.log(2.0), abs=1e-14)
-
-
-def test_basis_vector_and_norm():
-    v = GradedVector.basis_vector({0: 2, 1: 3}, 1, 2)
-    assert v.norm2() == pytest.approx(1.0)
-    assert v.charges == [1]
-    with pytest.raises(ValueError):
-        GradedVector.basis_vector({0: 2}, 1, 0)

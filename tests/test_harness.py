@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spinquench import harness
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
 from spinquench.harness import (
@@ -91,6 +93,43 @@ def test_run_mc_identical_across_worker_counts(short_run, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch):
+    # a huge --workers must not start a process per requested worker;
+    # the pool is faked so no process is started here at all
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    out1 = tmp_path / "w1.csv"
+    out64 = tmp_path / "w64.csv"
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=1.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=3,
+        master_seed=7,
+    )
+    run_mc(n_workers=1, out=out1, **kw)
+    run_mc(n_workers=64, out=out64, **kw)
+    assert len(sizes) == 1
+    assert 1 <= sizes[0] <= min(3, os.cpu_count() or 1)
+    assert out1.read_bytes() == out64.read_bytes()
+
+
 def test_run_mc_aggregate_matches_two_pass(short_run):
     state, config = load_checkpoint(short_run["checkpoint"])
     h = build_hloc(2, config.delta)
@@ -151,6 +190,8 @@ def test_run_mc_validation(short_run):
         run_mc(l=2, t_fin=1.5, n_workers=1, **common)  # non-integral steps
     with pytest.raises(ConfigError):
         run_mc(l=2, t_fin=2.0, n_workers=1, expected_delta=1.0, **common)
+    with pytest.raises(ConfigError):
+        run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "master_seed": -1})
 
 
 def test_run_mc_warns_outside_horizon(short_run):

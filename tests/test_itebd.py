@@ -69,6 +69,9 @@ def test_config_validation():
         QuenchConfig(k_max=1)
     with pytest.raises(ConfigError):
         QuenchConfig(t_init=0.1, dt=0.0625)  # not a step multiple
+    for t_init in (float("inf"), float("nan")):  # no step count at all
+        with pytest.raises(ConfigError):
+            QuenchConfig(t_init=t_init)
     with pytest.raises(ConfigError):
         evolve_to(neel_init(), 0.1, QuenchConfig(dt=0.0625, k_max=8))
     with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ from spinquench.sampler import (
     BoundarySample,
     WindowSpec,
     _branch_probabilities,
+    _raw_window_amplitudes,
     assemble_window_state,
     boundary_spectrum,
     enumerate_boundary_pairs,
@@ -15,7 +16,6 @@ from spinquench.sampler import (
     sample_alpha,
     sample_spins_and_beta,
     site_tensors,
-    window_weight,
 )
 
 
@@ -29,7 +29,7 @@ def quench_state():
 def test_exhaustive_pair_sum_reproduces_direct_observable(quench_state, l):
     # summing weight * <Sz_0> over every boundary pair must reproduce the
     # infinite-chain observable exactly: the decomposition is an identity
-    spec = WindowSpec(l=l, t_init=1.0)
+    spec = WindowSpec(l=l)
     total_weight = 0.0
     acc = 0.0
     for _alpha, _beta, weight, psi in enumerate_boundary_pairs(quench_state, spec):
@@ -43,16 +43,21 @@ def test_exhaustive_pair_sum_reproduces_direct_observable(quench_state, l):
 
 
 def test_window_weight_matches_assembled_state(quench_state):
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     pairs = list(enumerate_boundary_pairs(quench_state, spec))
     assert pairs
     spectrum = boundary_spectrum(quench_state, spec)
     for alpha, beta, weight, psi in pairs[:10]:
-        w2, psi2 = window_weight(quench_state, spec, alpha, beta)
-        assert w2 == pytest.approx(weight, rel=1e-12)
-        assert np.array_equal(psi.amplitudes, psi2.amplitudes)
-        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+        # the pair weight is lambda_alpha^2 times the raw window norm, and
+        # the enumerated state is the one the sampling path assembles
         lam = spectrum.blocks[alpha[0]][alpha[1]]
+        raw = _raw_window_amplitudes(quench_state, spec, alpha, beta)
+        assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
+        sample = BoundarySample(alpha=alpha, beta=beta, log_weight_trace=())
+        psi2 = assemble_window_state(quench_state, spec, sample)
+        assert np.array_equal(psi.amplitudes, psi2.amplitudes)
+        assert psi.total_sz_sector == psi2.total_sz_sector
+        assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
         assert weight <= lam * lam * (1.0 + 1e-12)
 
 
@@ -116,7 +121,7 @@ def _dense_window_amplitudes(state, spec, alpha, beta):
 def test_blocked_assembly_matches_dense_route(quench_state):
     # same window, two assembly routes: per-sector blocks versus one dense
     # matrix per site with the grading forgotten
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     spectrum = boundary_spectrum(quench_state, spec)
     checked = 0
     for alpha, beta, weight, psi in enumerate_boundary_pairs(quench_state, spec):
@@ -131,7 +136,7 @@ def test_blocked_assembly_matches_dense_route(quench_state):
 
 
 def test_sampling_is_deterministic_per_seed(quench_state):
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(1234)
@@ -145,20 +150,24 @@ def test_sampling_is_deterministic_per_seed(quench_state):
 
 
 def test_sampled_pairs_have_positive_weight(quench_state):
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
+    # enumeration yields exactly the pairs of positive weight
+    weights = {
+        (alpha, beta): weight
+        for alpha, beta, weight, _psi in enumerate_boundary_pairs(quench_state, spec)
+    }
     rng = np.random.default_rng(5)
     for _ in range(20):
         alpha = sample_alpha(quench_state, spec, rng)
         sample = sample_spins_and_beta(quench_state, spec, alpha, rng)
         assert len(sample.log_weight_trace) == 2 * spec.l + 2
         assert all(0.0 < p <= 1.0 for p in sample.log_weight_trace)
-        weight, psi = window_weight(quench_state, spec, sample.alpha, sample.beta)
-        assert weight > 0.0
-        assert psi is not None
+        assert weights[(sample.alpha, sample.beta)] > 0.0
+        assemble_window_state(quench_state, spec, sample)
 
 
 def test_window_states_live_in_one_sector(quench_state):
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     sectors = set()
     for _alpha, _beta, _w, psi in enumerate_boundary_pairs(quench_state, spec):
         n_up = np.bitwise_count(
@@ -174,17 +183,15 @@ def test_window_states_live_in_one_sector(quench_state):
 
 def test_boundary_spectrum_follows_sublattice_parity(quench_state):
     # bond between -l-1 and -l carries the lambda of site -l-1's sublattice
-    assert boundary_spectrum(quench_state, WindowSpec(l=2, t_init=1.0)) is quench_state.lambda_b
-    assert boundary_spectrum(quench_state, WindowSpec(l=1, t_init=1.0)) is quench_state.lambda_a
+    assert boundary_spectrum(quench_state, WindowSpec(l=2)) is quench_state.lambda_b
+    assert boundary_spectrum(quench_state, WindowSpec(l=1)) is quench_state.lambda_a
 
 
 def test_window_spec_validation():
     with pytest.raises(ConfigError):
-        WindowSpec(l=0, t_init=1.0)
+        WindowSpec(l=0)
     with pytest.raises(ConfigError):
-        WindowSpec(l=99, t_init=1.0)
-    with pytest.raises(ConfigError):
-        WindowSpec(l=2, t_init=1.0, seed=-1)
+        WindowSpec(l=99)
 
 
 def test_branch_probabilities():
@@ -199,7 +206,7 @@ def test_branch_probabilities():
 
 
 def test_unknown_right_boundary_index_rejected(quench_state):
-    spec = WindowSpec(l=2, t_init=1.0)
+    spec = WindowSpec(l=2)
     dims = right_boundary_dims(quench_state, spec)
     q = max(dims)
     bad = BoundarySample(
@@ -207,3 +214,14 @@ def test_unknown_right_boundary_index_rejected(quench_state):
     )
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, bad)
+    # an out-of-range left boundary index is a configuration error too,
+    # on the assembly path and on the spin walk alike
+    left = boundary_spectrum(quench_state, spec).sector_dims
+    q = max(left)
+    bad = BoundarySample(
+        alpha=(q, left[q] + 7), beta=(0, 0), log_weight_trace=()
+    )
+    with pytest.raises(ConfigError):
+        assemble_window_state(quench_state, spec, bad)
+    with pytest.raises(ConfigError):
+        sample_spins_and_beta(quench_state, spec, bad.alpha, np.random.default_rng(0))
