@@ -145,6 +145,16 @@ def _sz_at(psi: np.ndarray, n_qubits: int, i: int) -> float:
     return p_up - 0.5
 
 
+def _input_bits(circuit: BrickworkCircuit, bits):
+    """The given input bits, checked against the width, or the Neel bits."""
+    n = circuit.n_qubits
+    if bits is None:
+        return neel_bits(n)
+    if len(bits) != n:
+        raise ConfigError(f"expected {n} bits, got {len(bits)}")
+    return bits
+
+
 def direct_expectation(circuit: BrickworkCircuit, bits=None) -> float:
     """Central <Sz> after the full circuit, by dense statevector."""
     n = circuit.n_qubits
@@ -152,11 +162,7 @@ def direct_expectation(circuit: BrickworkCircuit, bits=None) -> float:
         raise ConfigError(
             f"direct route limited to {DIRECT_QUBIT_LIMIT} qubits, got {n}"
         )
-    if bits is None:
-        bits = neel_bits(n)
-    if len(bits) != n:
-        raise ConfigError(f"expected {n} bits, got {len(bits)}")
-    psi = product_state(bits)
+    psi = product_state(_input_bits(circuit, bits))
     for layer in circuit.layers:
         for i, u in layer:
             psi = apply_gate(psi, n, i, u)
@@ -235,21 +241,26 @@ def _half_state(circuit, gates, bits, lo, hi) -> np.ndarray:
     return psi
 
 
-def _boundary_matrices(circuit, regions, bits):
-    """Left rows and right columns over outside-window configurations.
+def _boundary_matrices(circuit, bits):
+    """Regions, boundary matrices and boundary weights of a circuit.
 
     The left half evolves under the left gates and is reshaped with the
     qubits below w_lo as the row index; row alpha is the unnormalized
     window-side state paired with outside configuration alpha. The
     right half is reshaped with the qubits above w_hi as the column
-    index.
+    index. The weights lw and rw are the squared norms of those rows
+    and columns. Returns (regions, lmat, rmat, lw, rw).
     """
+    bits = _input_bits(circuit, bits)
+    regions = build_regions(circuit)
     n, m = circuit.n_qubits, circuit.measured
     lmat = _half_state(circuit, regions.left, bits, 0, m - 1)
     lmat = lmat.reshape(1 << regions.w_lo, 1 << (m - regions.w_lo))
     rmat = _half_state(circuit, regions.right, bits, m, n - 1)
     rmat = rmat.reshape(1 << (regions.w_hi + 1 - m), 1 << (n - 1 - regions.w_hi))
-    return lmat, rmat
+    lw = np.einsum("ab,ab->a", lmat.conj(), lmat).real
+    rw = np.einsum("ab,ab->b", rmat.conj(), rmat).real
+    return regions, lmat, rmat, lw, rw
 
 
 def _window_value(circuit, regions, lvec, rvec) -> float:
@@ -265,15 +276,7 @@ def _window_value(circuit, regions, lvec, rvec) -> float:
 
 def lightcone_expectation_sum(circuit: BrickworkCircuit, bits=None) -> float:
     """Exact central <Sz> as a weighted sum over boundary configurations."""
-    n = circuit.n_qubits
-    if bits is None:
-        bits = neel_bits(n)
-    if len(bits) != n:
-        raise ConfigError(f"expected {n} bits, got {len(bits)}")
-    regions = build_regions(circuit)
-    lmat, rmat = _boundary_matrices(circuit, regions, bits)
-    lw = np.einsum("ab,ab->a", lmat.conj(), lmat).real
-    rw = np.einsum("ab,ab->b", rmat.conj(), rmat).real
+    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
     total = 0.0
     for alpha in np.nonzero(lw > 0.0)[0]:
         for beta in np.nonzero(rw > 0.0)[0]:
@@ -293,13 +296,7 @@ def lightcone_expectation_sampled(
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    n = circuit.n_qubits
-    if bits is None:
-        bits = neel_bits(n)
-    regions = build_regions(circuit)
-    lmat, rmat = _boundary_matrices(circuit, regions, bits)
-    lw = np.einsum("ab,ab->a", lmat.conj(), lmat).real
-    rw = np.einsum("ab,ab->b", rmat.conj(), rmat).real
+    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
     alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())
     betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
     cache = {}

@@ -15,6 +15,7 @@ unblocked decomposition would keep.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +166,9 @@ class SchmidtSpectrum:
     The merged view interleaves all sectors into one globally ordered
     list; ties order by distance of the charge from zero, then by the
     more negative charge, then by position, so every consumer sees the
-    same deterministic ranking.
+    same deterministic ranking. A spectrum is not modified after
+    construction, so the ranking is built once, on first use.
     """
-
-    __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         cleaned = {}
@@ -190,16 +190,23 @@ class SchmidtSpectrum:
     def total_weight(self) -> float:
         return sum(float(v @ v) for v in self.blocks.values())
 
-    @property
+    @functools.cached_property
     def entries(self):
-        """Merged list of (charge, value, index-within-sector), ranked."""
+        """Merged tuple of (charge, value, index-within-sector), ranked."""
         merged = [
             (q, float(w), i)
             for q, vals in self.blocks.items()
             for i, w in enumerate(vals)
         ]
         merged.sort(key=lambda e: (-e[1], abs(e[0]), e[0], e[2]))
-        return merged
+        return tuple(merged)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Squared values in the order of entries; read-only."""
+        weights = np.array([w * w for _, w, _ in self.entries])
+        weights.flags.writeable = False
+        return weights
 
     def entropy(self) -> float:
         """Von Neumann entropy -sum p ln p with p the squared values."""

@@ -3,15 +3,15 @@
 Phase one runs the infinite-chain evolution to a chosen time and writes
 a checkpoint plus a per-step observable curve. Phase two distributes
 independent boundary samples over a process pool, evolves each sampled
-window, and streams the results into a mean/stderr curve on the fixed
+window, and reduces the results to a mean/stderr curve on the fixed
 grid t_init + k * delta_t.
 
 Determinism contract: each sample's generator is seeded by
 (master_seed, sample_id) alone, samples are assigned to workers in
-static contiguous blocks, and the reduction consumes them in ascending
-sample_id order, so the output files are byte-identical for any worker
-count. Output metadata deliberately excludes worker counts and
-timestamps.
+static contiguous blocks, and the reduction runs over all value rows
+stacked in ascending sample_id order, so the output files are
+byte-identical for any worker count. Output metadata deliberately
+excludes worker counts and timestamps.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -218,7 +218,7 @@ def _chunk_values(args):
     for k, sid in enumerate(range(start, stop)):
         rec = sample_one(state, h, l, t_fin, delta_t, n_max, master_seed, sid)
         rows[k] = [v for _t, v in rec.series]
-    return start, rows
+    return rows
 
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
@@ -240,8 +240,8 @@ def run_mc(
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
     The checkpoint is referenced by path so each worker process loads
-    it independently. Aggregation is a single Welford pass over value
-    rows in ascending sample_id order.
+    it independently. Aggregation is a two-pass mean and standard error
+    over all value rows, stacked in ascending sample_id order.
     """
     state, config = load_checkpoint(checkpoint)
     if expected_delta is not None and abs(config.delta - expected_delta) > 1e-12:
@@ -260,13 +260,19 @@ def run_mc(
     WindowSpec(l=l)
     check_seed(master_seed)
     n_points = _grid_size(state.time, t_fin, delta_t)
-    horizon = l / spin_wave_velocity(config.delta)
-    if t_fin - state.time > horizon:
+    if abs(config.delta) > 1.0:
         warnings.warn(
-            f"t_fin - t_init = {t_fin - state.time:.4f} exceeds the window "
-            f"horizon l/v = {horizon:.4f}; late grid points are unreliable",
+            "no spin-wave velocity at |delta| > 1; the window horizon is unknown",
             stacklevel=2,
         )
+    else:
+        horizon = l / spin_wave_velocity(config.delta)
+        if t_fin - state.time > horizon:
+            warnings.warn(
+                f"t_fin - t_init = {t_fin - state.time:.4f} exceeds the window "
+                f"horizon l/v = {horizon:.4f}; late grid points are unreliable",
+                stacklevel=2,
+            )
 
     bounds = [n_samples * j // n_workers for j in range(n_workers + 1)]
     tasks = [
@@ -282,26 +288,17 @@ def run_mc(
         n_procs = min(n_workers, len(tasks), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
             results = list(pool.map(_chunk_values, tasks))
-    results.sort(key=lambda r: r[0])
-
-    mean = np.zeros(n_points)
-    m2 = np.zeros(n_points)
-    count = 0
-    for _start, rows in results:
-        for row in rows:
-            count += 1
-            delta = row - mean
-            mean += delta / count
-            m2 += delta * (row - mean)
-    if count != n_samples:
-        raise ConfigError(f"aggregated {count} samples, expected {n_samples}")
-    if count > 1:
-        stderr = np.sqrt(m2 / (count - 1) / count)
+    values = np.concatenate(results)
+    if values.shape[0] != n_samples:
+        raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
+    mean = values.mean(axis=0)
+    if n_samples > 1:
+        stderr = values.std(axis=0, ddof=1) / math.sqrt(n_samples)
     else:
         stderr = np.full(n_points, np.nan)
 
     times = state.time + delta_t * np.arange(n_points)
-    curve = AggregateCurve(times=times, mean=mean, stderr=stderr, n_samples=count)
+    curve = AggregateCurve(times=times, mean=mean, stderr=stderr, n_samples=n_samples)
     if out is not None:
         meta = {
             "checkpoint": git_blob_sha1(checkpoint),
@@ -323,17 +320,6 @@ def run_mc(
         ]
         write_table(out, meta, header, rows_out)
     return curve
-
-
-def aggregate_reference(rows):
-    """Two-pass mean/stderr, for cross-checking the streamed aggregate."""
-    rows = np.asarray(rows, dtype=float)
-    mean = rows.mean(axis=0)
-    if rows.shape[0] > 1:
-        stderr = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])
-    else:
-        stderr = np.full(rows.shape[1], np.nan)
-    return mean, stderr
 
 
 def extract_peaks(curve: AggregateCurve) -> PeakSeries:

@@ -16,13 +16,15 @@ next spin is the squared norm of the corresponding candidate vector
 divided by the sum over both spins. Right-normalization of everything
 beyond the sampled prefix is what makes these conditionals exact.
 
-The full window state for a sampled (alpha, beta) pair is assembled by
+The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
 -l..0 and all 2^l right partial products over sites 1..l are built by
 binary-tree extension (one matrix-vector product per node), and every
-amplitude is a single inner product across the central bond. This
-costs O(l 2^l k^2) + O(2^(2l+1) k) and never the naive
-O(2^(2l) k^2).
+amplitude is an inner product across the central bond. The partials
+that share a central-bond charge meet in one matrix product, whose
+entries are exactly the amplitudes of the window's total-Sz sector.
+This costs O(l 2^l k^2) + O(D k) for a sector of dimension D and never
+the naive O(2^(2l) k^2).
 
 An alternative formulation propagates a density operator on the window
 through the completely positive map defined by the site matrices and
@@ -30,7 +32,7 @@ samples from its diagonal, which avoids boundary vectors altogether;
 it costs an extra factor of the bond dimension per site and offers no
 statistical advantage here, so it is documented but not implemented.
 
-Window configurations are indexed with site -l as the most significant
+Window configurations are coded with site -l as the most significant
 bit and up = 1, matching the window evolver's basis.
 """
 
@@ -43,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, SamplingError
 from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState
-from .window import L_MAX, WindowState
+from .window import L_MAX, WindowState, _sector_basis
 
 #: A candidate branch whose squared norm falls below this times its
 #: sibling's is treated as an exact zero of the conditional.
@@ -126,9 +128,8 @@ def _draw(weights: np.ndarray, rng) -> int:
 
 def sample_alpha(state: MPSState, spec: WindowSpec, rng) -> tuple:
     """Draw a left-boundary Schmidt state with probability lambda^2."""
-    entries = boundary_spectrum(state, spec).entries
-    weights = np.array([w * w for _, w, _ in entries])
-    q, _w, i = entries[_draw(weights, rng)]
+    spectrum = boundary_spectrum(state, spec)
+    q, _w, i = spectrum.entries[_draw(spectrum.weights, rng)]
     return (q, i)
 
 
@@ -218,34 +219,43 @@ def _right_partials(state: MPSState, spec: WindowSpec, beta: tuple):
     return level
 
 
+def _by_charge(partials):
+    """{charge: (codes, stacked rows)} of the live partial products."""
+    groups = {}
+    for code, entry in enumerate(partials):
+        if entry is not None:
+            codes, rows = groups.setdefault(entry[0], ([], []))
+            codes.append(code)
+            rows.append(entry[1])
+    return {q: (np.array(codes), np.stack(rows)) for q, (codes, rows) in groups.items()}
+
+
 def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta):
-    """Unnormalized window amplitudes of one boundary pair."""
-    lefts = _left_partials(state, spec, alpha)
-    rights = _right_partials(state, spec, beta)
+    """(n_up, unnormalized sector amplitudes) of one boundary pair.
+
+    Crossing an A site (even) shifts the bond charge by bit - 1 and a B
+    site by bit, so every configuration the pair reaches has
+    n_up = q_beta - q_alpha + (number of A sites) up spins.
+    """
     l = spec.l
-    amps = np.zeros(1 << (2 * l + 1), dtype=complex)
-    for cl, left in enumerate(lefts):
-        if left is None:
+    lefts = _by_charge(_left_partials(state, spec, alpha))
+    rights = _by_charge(_right_partials(state, spec, beta))
+    n_up = beta[0] - alpha[0] + sum(1 for s in range(-l, l + 1) if s % 2 == 0)
+    basis = _sector_basis(2 * l + 1, n_up)
+    amps = np.zeros(basis.size, dtype=complex)
+    for q, (cl, lmat) in lefts.items():
+        if q not in rights:
             continue
-        ql, lvec = left
-        base = cl << l
-        for cr, right in enumerate(rights):
-            if right is None:
-                continue
-            qr, rvec = right
-            if ql == qr:
-                amps[base | cr] = lvec @ rvec
-    return amps
-
-
-def _single_sector(amps: np.ndarray) -> int:
-    n_up_all = np.bitwise_count(np.arange(amps.size, dtype=np.int64))
-    sectors = np.unique(n_up_all[np.abs(amps) > 0.0])
-    if sectors.size != 1:
-        raise SamplingError(
-            f"window state spans {sectors.size} total-Sz sectors; expected 1"
-        )
-    return int(sectors[0])
+        cr, rmat = rights[q]
+        codes = ((cl[:, None] << l) | cr[None, :]).ravel()
+        pos = np.searchsorted(basis, codes)
+        if basis.size == 0 or not np.array_equal(basis.take(pos, mode="clip"), codes):
+            raise SamplingError(
+                f"window of boundary pair {alpha}, {beta} leaves its "
+                f"{n_up}-up-spin sector"
+            )
+        amps[pos] = (lmat @ rmat.T).ravel()
+    return n_up, amps
 
 
 def _window_state(state: MPSState, spec: WindowSpec, alpha, beta):
@@ -253,12 +263,12 @@ def _window_state(state: MPSState, spec: WindowSpec, alpha, beta):
 
     The state is None when the raw amplitudes vanish.
     """
-    amps = _raw_window_amplitudes(state, spec, alpha, beta)
+    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta)
     norm2 = float(np.vdot(amps, amps).real)
     if not norm2 > 0.0:
         return norm2, None
     amps /= math.sqrt(norm2)
-    return norm2, WindowState(amps, _single_sector(amps))
+    return norm2, WindowState(amps, 2 * spec.l + 1, n_up)
 
 
 def assemble_window_state(
@@ -269,7 +279,8 @@ def assemble_window_state(
     Meets in the middle at the bond between sites 0 and 1: each window
     amplitude is the inner product of a left partial product with a
     right one, nonzero only when their middle-bond sectors agree, which
-    confines the state to a single total-Sz sector.
+    confines the state to the total-Sz sector fixed by the boundary
+    charges.
     """
     _norm2, psi = _window_state(state, spec, sample.alpha, sample.beta)
     if psi is None:

@@ -2,8 +2,9 @@
 
 A window of 2l+1 sites around the origin is evolved with the
 open-boundary Hamiltonian H = sum_i SxSx + SySy + delta SzSz restricted
-to the window bonds. States live in a single total-Sz sector, so the
-sparse matrix is built and applied on the sector basis only.
+to the window bonds. The Hamiltonian conserves total Sz, so a window
+state is stored on the basis of its one total-Sz sector, and the sparse
+matrix is built and applied on that basis only.
 
 The propagator is a plain truncated Taylor series of exp(-i H dt),
 renormalized after each step with the pre-renormalization norm drift
@@ -13,11 +14,13 @@ independent oracle for the rest of the package.
 
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
-an index's binary digits left to right.
+an integer's binary digits left to right. A sector basis lists the
+configurations with a given number of up spins in ascending order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,23 +39,30 @@ NORM_DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WindowState:
-    """Dense state on a window, supported on one total-Sz sector.
+    """State on a window of n_sites sites, stored on one total-Sz sector.
 
     total_sz_sector counts the up spins in the window (total Sz is
-    n_up - n_sites/2). norm_drift records the pre-renormalization
-    drift of the Taylor step that produced this state.
+    n_up - n_sites/2), and amplitudes[j] belongs to configuration
+    basis[j]. norm_drift records the pre-renormalization drift of the
+    Taylor step that produced this state.
     """
 
     amplitudes: np.ndarray
+    n_sites: int
     total_sz_sector: int
     norm_drift: float = 0.0
 
+    def __post_init__(self):
+        n, n_up = self.n_sites, self.total_sz_sector
+        if not 0 <= n_up <= n or np.shape(self.amplitudes) != (math.comb(n, n_up),):
+            raise ConfigError(
+                f"{np.size(self.amplitudes)} amplitudes do not fit the "
+                f"{n_up}-up-spin sector of {n} sites"
+            )
+
     @property
-    def n_sites(self) -> int:
-        n = int(round(math.log2(self.amplitudes.size)))
-        if 1 << n != self.amplitudes.size:
-            raise ConfigError("window amplitude length is not a power of two")
-        return n
+    def basis(self) -> np.ndarray:
+        return _sector_basis(self.n_sites, self.total_sz_sector)
 
     @property
     def l(self) -> int:
@@ -77,9 +87,13 @@ class EvolverParams:
             raise ConfigError(f"n_max must be >= 4, got {self.n_max}")
 
 
+@functools.cache
 def _sector_basis(n_sites: int, n_up: int) -> np.ndarray:
+    """Ascending configurations with n_up up spins; shared and read-only."""
     states = np.arange(1 << n_sites, dtype=np.int64)
-    return states[np.bitwise_count(states) == n_up]
+    basis = states[np.bitwise_count(states) == n_up]
+    basis.flags.writeable = False
+    return basis
 
 
 def _site_bits(basis: np.ndarray, n_sites: int, site: int) -> np.ndarray:
@@ -126,24 +140,16 @@ class SparseWindowHamiltonian:
         self.l = int(l)
         self.delta = float(delta)
         self.n_sites = 2 * self.l + 1
-        self.dimension = 1 << self.n_sites
         self._sectors: dict = {}
 
     def sector(self, n_up: int):
-        """(basis indices, csr matrix) of the n_up-up-spins sector."""
+        """(read-only shared basis, csr matrix) of the n_up-up-spins sector."""
         if not 0 <= n_up <= self.n_sites:
             raise ConfigError(f"n_up must be in [0, {self.n_sites}], got {n_up}")
         if n_up not in self._sectors:
             basis = _sector_basis(self.n_sites, n_up)
             self._sectors[n_up] = (basis, _chain_hamiltonian(self.n_sites, self.delta, basis))
         return self._sectors[n_up]
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense full-space matrix, for small-window tests only."""
-        if self.n_sites > 12:
-            raise ConfigError("dense form only supported for n_sites <= 12")
-        basis = np.arange(self.dimension, dtype=np.int64)
-        return _chain_hamiltonian(self.n_sites, self.delta, basis).toarray()
 
 
 def build_hloc(l: int, delta: float) -> SparseWindowHamiltonian:
@@ -154,7 +160,7 @@ def build_hloc(l: int, delta: float) -> SparseWindowHamiltonian:
 def sz_center(psi: WindowState) -> float:
     """<Sz> of the central window site."""
     n = psi.n_sites
-    bit = _site_bits(np.arange(psi.amplitudes.size, dtype=np.int64), n, n // 2)
+    bit = _site_bits(psi.basis, n, n // 2)
     p = np.abs(psi.amplitudes) ** 2
     return float(p @ (bit - 0.5))
 
@@ -178,16 +184,8 @@ def taylor_step(
         raise ConfigError(
             f"state on {psi.n_sites} sites but Hamiltonian on {h.n_sites}"
         )
-    basis, h_sec = h.sector(psi.total_sz_sector)
-    v = psi.amplitudes[basis]
-    outside = np.ones(psi.amplitudes.size, dtype=bool)
-    outside[basis] = False
-    stray = psi.amplitudes[outside]
-    if float(np.vdot(stray, stray).real) > 1e-20:
-        raise ConfigError(
-            "state has support outside its declared total-Sz sector"
-        )
-    acc = v.astype(complex)
+    _basis, h_sec = h.sector(psi.total_sz_sector)
+    acc = psi.amplitudes.astype(complex)
     term = acc
     for order in range(1, n_max + 1):
         term = h_sec @ term
@@ -200,9 +198,7 @@ def taylor_step(
             f"Taylor step norm drifted by {drift:.3e} (tolerance {NORM_DRIFT_TOL:g}); "
             f"increase n_max or decrease delta_t"
         )
-    out = np.zeros_like(psi.amplitudes)
-    out[basis] = acc / norm
-    return WindowState(out, psi.total_sz_sector, norm_drift=drift)
+    return WindowState(acc / norm, psi.n_sites, psi.total_sz_sector, norm_drift=drift)
 
 
 def evolve_and_measure(

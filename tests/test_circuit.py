@@ -169,3 +169,11 @@ def test_validation_errors():
         product_state((0, 2, 0))
     with pytest.raises(ConfigError):
         direct_expectation(BrickworkCircuit.random(22, 1, np.random.default_rng(0)))
+    # input bits of the wrong length, on every estimator
+    small = BrickworkCircuit.random(4, 2, np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        direct_expectation(small, bits=(0, 1, 0))
+    with pytest.raises(ConfigError):
+        lightcone_expectation_sum(small, bits=(0, 1, 0))
+    with pytest.raises(ConfigError):
+        lightcone_expectation_sampled(small, 10, np.random.default_rng(0), bits=(0, 1, 0))

@@ -123,6 +123,40 @@ def test_profile_fills_defaults(tmp_path):
     assert meta["delta"] == 0.5
 
 
+def test_sample_beyond_planar_regime(tmp_path):
+    # at |delta| > 1 there is no spin-wave velocity: sampling still runs
+    # and warns that the horizon is unknown
+    chk = tmp_path / "gapped.mpsc1"
+    rc = main(
+        [
+            "itebd",
+            "--profile", "desk-small",
+            "--delta", "2.0",
+            "--t-end", "1.0",
+            "--out-checkpoint", str(chk),
+            "--out-curve", str(tmp_path / "gapped.csv"),
+        ]
+    )
+    assert rc == 0
+    out = tmp_path / "gapped_mc.csv"
+    with pytest.warns(UserWarning, match="horizon is unknown"):
+        rc = main(
+            [
+                "sample",
+                "--profile", "desk-small",
+                "--checkpoint", str(chk),
+                "--t-fin", "2.0",
+                "--samples", "20",
+                "--out", str(out),
+            ]
+        )
+    assert rc == 0
+    meta, curve = read_aggregate_curve(out)
+    assert meta["delta"] == 2.0
+    assert curve.n_samples == 20
+    assert np.all(np.abs(curve.mean) <= 0.5)
+
+
 def test_circuit_demo_direct_equals_sum(capsys):
     rc = main(["circuit-demo", "--n", "6", "--depth", "4", "--seed", "9", "--mode", "direct"])
     assert rc == 0

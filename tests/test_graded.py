@@ -106,6 +106,16 @@ def test_merged_truncate_hand_case():
     assert new.total_weight == pytest.approx(1.0, abs=1e-14)
 
 
+def test_spectrum_ranking_is_built_once():
+    spec = SchmidtSpectrum({0: [0.5, 0.3], 1: [0.5, 0.2], -1: [0.3]})
+    assert spec.entries == (
+        (0, 0.5, 0), (1, 0.5, 0), (0, 0.3, 1), (-1, 0.3, 0), (1, 0.2, 1)
+    )
+    assert spec.entries is spec.entries
+    assert np.array_equal(spec.weights, [w * w for _q, w, _i in spec.entries])
+    assert not spec.weights.flags.writeable
+
+
 def test_merged_truncate_floor_drops_roundoff():
     spec = SchmidtSpectrum({0: [1.0, 0.5 * SINGULAR_VALUE_FLOOR]})
     new, report = merged_truncate(spec, 5)

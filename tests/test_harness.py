@@ -11,7 +11,6 @@ from spinquench.harness import (
     PROFILES,
     AggregateCurve,
     PeakSeries,
-    aggregate_reference,
     extract_peaks,
     git_blob_sha1,
     read_aggregate_curve,
@@ -138,7 +137,10 @@ def test_run_mc_aggregate_matches_two_pass(short_run):
     for sid in range(40):
         rec = sample_one(state, h, 2, t_fin, 1.0 / 3.0, 20, 7, sid)
         rows.append([v for _t, v in rec.series])
-    mean_ref, stderr_ref = aggregate_reference(rows)
+    rows = np.array(rows)
+    mean_ref = rows.sum(axis=0) / rows.shape[0]
+    var_ref = ((rows - mean_ref) ** 2).sum(axis=0) / (rows.shape[0] - 1)
+    stderr_ref = np.sqrt(var_ref / rows.shape[0])
     curve = run_mc(
         checkpoint=short_run["checkpoint"],
         l=2,

@@ -33,8 +33,9 @@ def test_exhaustive_pair_sum_reproduces_direct_observable(quench_state, l):
     total_weight = 0.0
     acc = 0.0
     for _alpha, _beta, weight, psi in enumerate_boundary_pairs(quench_state, spec):
-        bit = (np.arange(psi.amplitudes.size) >> l) & 1
-        sz0 = float(np.abs(psi.amplitudes) ** 2 @ (bit - 0.5))
+        amps = full_amplitudes(psi)
+        bit = (np.arange(amps.size) >> l) & 1
+        sz0 = float(np.abs(amps) ** 2 @ (bit - 0.5))
         acc += weight * sz0
         total_weight += weight
     direct = expect_sz(quench_state, "A")
@@ -51,7 +52,8 @@ def test_window_weight_matches_assembled_state(quench_state):
         # the pair weight is lambda_alpha^2 times the raw window norm, and
         # the enumerated state is the one the sampling path assembles
         lam = spectrum.blocks[alpha[0]][alpha[1]]
-        raw = _raw_window_amplitudes(quench_state, spec, alpha, beta)
+        n_up, raw = _raw_window_amplitudes(quench_state, spec, alpha, beta)
+        assert n_up == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
         sample = BoundarySample(alpha=alpha, beta=beta, log_weight_trace=())
         psi2 = assemble_window_state(quench_state, spec, sample)
@@ -118,6 +120,13 @@ def _dense_window_amplitudes(state, spec, alpha, beta):
     return amps
 
 
+def full_amplitudes(psi):
+    """A sector-stored window state scattered into the full 2^n space."""
+    amps = np.zeros(1 << psi.n_sites, dtype=complex)
+    amps[psi.basis] = psi.amplitudes
+    return amps
+
+
 def test_blocked_assembly_matches_dense_route(quench_state):
     # same window, two assembly routes: per-sector blocks versus one dense
     # matrix per site with the grading forgotten
@@ -130,7 +139,7 @@ def test_blocked_assembly_matches_dense_route(quench_state):
         dense_weight = float(lam * lam) * float(np.vdot(dense, dense).real)
         assert abs(dense_weight - weight) < 1e-10
         dense_psi = dense / np.linalg.norm(dense)
-        assert np.max(np.abs(dense_psi - psi.amplitudes)) < 1e-10
+        assert np.max(np.abs(dense_psi - full_amplitudes(psi))) < 1e-10
         checked += 1
     assert checked > 10
 
@@ -167,18 +176,19 @@ def test_sampled_pairs_have_positive_weight(quench_state):
 
 
 def test_window_states_live_in_one_sector(quench_state):
-    spec = WindowSpec(l=2)
-    sectors = set()
-    for _alpha, _beta, _w, psi in enumerate_boundary_pairs(quench_state, spec):
-        n_up = np.bitwise_count(
-            np.arange(psi.amplitudes.size, dtype=np.int64)
-        )
-        support = np.unique(n_up[np.abs(psi.amplitudes) > 0])
-        assert support.size == 1
-        assert support[0] == psi.total_sz_sector
-        sectors.add(psi.total_sz_sector)
-    # different boundary pairs do reach different sectors
-    assert len(sectors) > 1
+    # the dense route, which knows nothing of charges, must put all of a
+    # pair's weight in the sector the blocked route stores the state on
+    for l in (1, 2):
+        spec = WindowSpec(l=l)
+        sectors = set()
+        for alpha, beta, _w, psi in enumerate_boundary_pairs(quench_state, spec):
+            dense = _dense_window_amplitudes(quench_state, spec, alpha, beta)
+            n_up = np.bitwise_count(np.arange(dense.size, dtype=np.int64))
+            support = np.unique(n_up[np.abs(dense) > 0])
+            assert support.tolist() == [psi.total_sz_sector]
+            sectors.add(psi.total_sz_sector)
+        # different boundary pairs do reach different sectors
+        assert len(sectors) > 1
 
 
 def test_boundary_spectrum_follows_sublattice_parity(quench_state):

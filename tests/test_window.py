@@ -9,6 +9,7 @@ from spinquench.window import (
     EvolverParams,
     L_MAX,
     WindowState,
+    _chain_hamiltonian,
     alternating_config,
     build_hloc,
     dense_reference_evolve,
@@ -44,12 +45,18 @@ def kron_chain_hamiltonian(n_sites: int, delta: float) -> np.ndarray:
     return h
 
 
+def to_matrix(h) -> np.ndarray:
+    """Dense full-space matrix of a window Hamiltonian."""
+    basis = np.arange(1 << h.n_sites, dtype=np.int64)
+    return _chain_hamiltonian(h.n_sites, h.delta, basis).toarray()
+
+
 @pytest.mark.parametrize("l,delta", [(1, 0.5), (2, 0.5), (2, 1.3), (2, 0.0)])
 def test_hamiltonian_matches_kron_oracle(l, delta):
     h = build_hloc(l, delta)
     n = 2 * l + 1
     full = kron_chain_hamiltonian(n, delta)
-    assert np.allclose(h.to_matrix(), full, atol=1e-13)
+    assert np.allclose(to_matrix(h), full, atol=1e-13)
     for n_up in range(n + 1):
         basis, h_sec = h.sector(n_up)
         assert basis.size == math.comb(n, n_up)
@@ -59,28 +66,36 @@ def test_hamiltonian_matches_kron_oracle(l, delta):
 def test_sector_bases_partition_full_space():
     h = build_hloc(2, 0.5)
     sizes = [h.sector(k)[0].size for k in range(h.n_sites + 1)]
-    assert sum(sizes) == h.dimension
+    assert sum(sizes) == 2**h.n_sites
+
+
+def test_sector_basis_is_shared_and_read_only():
+    h = build_hloc(2, 0.5)
+    basis, _h_sec = h.sector(2)
+    psi = WindowState(np.zeros(basis.size, dtype=complex), h.n_sites, 2)
+    assert psi.basis is basis
+    assert not basis.flags.writeable
+    with pytest.raises(ValueError):
+        basis[0] = 0
 
 
 def _random_sector_state(l, n_up, seed):
     rng = np.random.default_rng(seed)
     n = 2 * l + 1
-    states = np.arange(2**n)
-    basis = states[np.bitwise_count(states) == n_up]
-    amps = np.zeros(2**n, dtype=complex)
-    amps[basis] = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    amps /= np.linalg.norm(amps)
-    return WindowState(amps, n_up)
+    dim = math.comb(n, n_up)
+    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return WindowState(amps / np.linalg.norm(amps), n, n_up)
 
 
 def test_taylor_step_matches_exponential():
     l, n_up = 2, 3
     psi = _random_sector_state(l, n_up, seed=7)
     h = build_hloc(l, 0.5)
-    basis, h_sec = h.sector(n_up)
-    expected = expm_multiply(-1j * (1.0 / 3.0) * h_sec, psi.amplitudes[basis])
+    _basis, h_sec = h.sector(n_up)
+    expected = expm_multiply(-1j * (1.0 / 3.0) * h_sec, psi.amplitudes)
     stepped = taylor_step(psi, h, 1.0 / 3.0, 20)
-    assert np.max(np.abs(stepped.amplitudes[basis] - expected)) < 1e-12
+    assert np.max(np.abs(stepped.amplitudes - expected)) < 1e-12
+    assert abs(np.linalg.norm(stepped.amplitudes) - 1.0) < 1e-14
     assert stepped.norm_drift < 1e-9
     assert stepped.total_sz_sector == n_up
 
@@ -92,22 +107,17 @@ def test_taylor_step_rejects_diverged_series():
         taylor_step(psi, h, 5.0, 4)
 
 
-def test_taylor_step_rejects_out_of_sector_state():
-    psi = _random_sector_state(2, 2, seed=5)
-    amps = psi.amplitudes.copy()
-    amps[0] = 0.3  # all-down basis state, wrong sector
-    bad = WindowState(amps / np.linalg.norm(amps), 2)
-    h = build_hloc(2, 0.5)
+def test_window_state_rejects_length_mismatch():
+    # amplitudes must match the declared sector: C(5, 2) = 10 on 5 sites
+    amps = _random_sector_state(2, 2, seed=5).amplitudes
     with pytest.raises(ConfigError):
-        taylor_step(bad, h, 0.1, 20)
-
-
-def test_taylor_step_accepts_exactly_supported_state():
-    # a state with exact zeros outside its sector must not be rejected
-    psi = _random_sector_state(1, 1, seed=11)
-    h = build_hloc(1, 0.5)
-    out = taylor_step(psi, h, 0.25, 20)
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-14
+        WindowState(amps[:-1], 5, 2)
+    with pytest.raises(ConfigError):
+        WindowState(np.zeros(32, dtype=complex), 5, 2)  # full-space vector
+    with pytest.raises(ConfigError):
+        WindowState(amps, 5, 1)  # C(5, 1) = 5
+    with pytest.raises(ConfigError):
+        WindowState(np.zeros(1, dtype=complex), 5, 6)
 
 
 def test_evolve_and_measure_grid_inclusive():
@@ -178,9 +188,9 @@ def test_window_size_limits():
 
 
 def test_sz_center_on_product_state():
-    amps = np.zeros(8, dtype=complex)
-    amps[0b010] = 1.0  # down, up, down
-    psi = WindowState(amps, 1)
+    amps = np.array([0.0, 1.0, 0.0], dtype=complex)
+    psi = WindowState(amps, 3, 1)
+    assert list(psi.basis) == [0b001, 0b010, 0b100]  # down, up, down at 1
     assert sz_center(psi) == pytest.approx(0.5)
     assert psi.n_sites == 3
     assert psi.l == 1
