@@ -13,6 +13,15 @@ stacked in ascending sample_id order, so the output files are
 byte-identical for any worker count. Output metadata deliberately
 excludes worker counts and timestamps.
 
+Within a block, a boundary pair drawn again reuses the series measured
+the first time it was drawn. Every sample still draws alpha and walks
+its spins, so each generator consumes exactly the draws it would
+without reuse; only assembly and propagation are skipped. The series
+is a deterministic function of the pair, the checkpoint state, the
+window Hamiltonian and the time grid, all fixed for a block, so a
+reused series is bit-for-bit the one a fresh evolution would give and
+the output stays the same for any worker count.
+
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
 precision.
@@ -120,21 +129,37 @@ def write_table(path, meta: dict, header, rows):
 
 
 def read_table(path):
-    """(metadata, columns) of a CSV written by write_table."""
+    """(metadata, columns) of a CSV written by write_table.
+
+    Every column is parsed as float except n_samples, which is an
+    integer count. A row whose field count differs from the header's,
+    or a field that does not parse, raises ConfigError naming the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ConfigError(f"{path}: missing '#' metadata line")
         meta = json.loads(first[1:])
         header = fh.readline().strip().split(",")
+        parsers = [int if name == "n_samples" else float for name in header]
         cols = {name: [] for name in header}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             line = line.strip()
             if not line:
                 continue
-            for name, tok in zip(header, line.split(",")):
-                cols[name].append(float(tok))
-    return meta, {name: np.array(vals) for name, vals in cols.items()}
+            fields = line.split(",")
+            if len(fields) != len(header):
+                raise ConfigError(
+                    f"{path}:{lineno}: {len(fields)} fields, header has {len(header)}"
+                )
+            try:
+                for name, parse, tok in zip(header, parsers, fields):
+                    cols[name].append(parse(tok))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    return meta, {
+        name: np.array(cols[name], dtype=parse) for name, parse in zip(header, parsers)
+    }
 
 
 def read_aggregate_curve(path) -> tuple:
@@ -190,21 +215,35 @@ def sample_one(
     n_max: int,
     master_seed: int,
     sample_id: int,
+    series_by_pair: dict | None = None,
 ) -> SampleRecord:
-    """Draw one boundary pair and measure its evolved window series."""
+    """Draw one boundary pair and measure its evolved window series.
+
+    series_by_pair, when given, maps each (alpha, beta) pair already
+    measured with this state, h, l and time grid to its series. A pair
+    found there skips window assembly and propagation and returns the
+    stored series, which is bit-for-bit what they would compute; a new
+    pair is measured and added. The alpha draw and the spin walk run
+    either way, so the sample's generator stream does not change.
+    """
     seed = (int(master_seed), int(sample_id))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     spec = WindowSpec(l=l)
     alpha = sample_alpha(state, spec, rng)
     samp = sample_spins_and_beta(state, spec, alpha, rng)
-    psi = assemble_window_state(state, spec, samp)
-    params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-    series = evolve_and_measure(psi, h, params, t_init=state.time)
+    pair = (samp.alpha, samp.beta)
+    series = None if series_by_pair is None else series_by_pair.get(pair)
+    if series is None:
+        psi = assemble_window_state(state, spec, samp)
+        params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
+        series = tuple(evolve_and_measure(psi, h, params, t_init=state.time))
+        if series_by_pair is not None:
+            series_by_pair[pair] = series
     return SampleRecord(
         sample_id=sample_id,
         alpha=samp.alpha,
         beta=samp.beta,
-        series=tuple(series),
+        series=series,
         worker_seed=seed,
     )
 
@@ -215,8 +254,11 @@ def _chunk_values(args):
     state, _config = load_checkpoint(path)
     h = build_hloc(l, _config.delta)
     rows = np.empty((stop - start, _grid_size(state.time, t_fin, delta_t)))
+    series_by_pair = {}
     for k, sid in enumerate(range(start, stop)):
-        rec = sample_one(state, h, l, t_fin, delta_t, n_max, master_seed, sid)
+        rec = sample_one(
+            state, h, l, t_fin, delta_t, n_max, master_seed, sid, series_by_pair
+        )
         rows[k] = [v for _t, v in rec.series]
     return rows
 

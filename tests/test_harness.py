@@ -23,6 +23,7 @@ from spinquench.harness import (
     write_table,
 )
 from spinquench.itebd import QuenchConfig, expect_sz
+from spinquench.sampler import WindowSpec, sample_alpha, sample_spins_and_beta
 from spinquench.window import build_hloc
 
 
@@ -35,6 +36,31 @@ def short_run(tmp_path_factory):
     rc = run_itebd(config, chk, curve)
     assert rc == 0
     return {"config": config, "checkpoint": chk, "curve": curve}
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run run_mc's worker blocks in this process; returns the pool sizes.
+
+    No process is started, so tests can count calls inside the blocks.
+    """
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    return sizes
 
 
 def test_run_itebd_curve_layout(short_run):
@@ -75,9 +101,33 @@ def test_write_read_table_round_trip(tmp_path):
     assert np.array_equal(cols["v"], [-0.25, 0.125])
 
 
-def test_run_mc_identical_across_worker_counts(short_run, tmp_path):
-    out1 = tmp_path / "w1.csv"
-    out2 = tmp_path / "w2.csv"
+def test_read_table_parses_n_samples_as_int(tmp_path):
+    path = tmp_path / "n.csv"
+    write_table(path, {}, ("t", "n_samples"), [("1.0", "40000"), ("2.0", "40000")])
+    _meta, cols = read_table(path)
+    assert cols["n_samples"].dtype.kind == "i"
+    assert cols["n_samples"].tolist() == [40000, 40000]
+    assert cols["t"].dtype == np.float64
+    write_table(path, {}, ("t", "n_samples"), [("1.0", "1.5")])
+    with pytest.raises(ConfigError, match=r"n\.csv:3:"):
+        read_table(path)
+
+
+@pytest.mark.parametrize(
+    "bad_row", [("2.0", "0.1"), ("2.0", "0.1", "0.01", "5", "9")], ids=["short", "long"]
+)
+def test_read_table_rejects_ragged_rows(tmp_path, bad_row):
+    # a row that does not match the header must not shift or drop fields
+    path = tmp_path / "ragged.csv"
+    rows = [("1.0", "0.2", "0.01", "5"), bad_row, ("3.0", "0.3", "0.01", "5")]
+    write_table(path, {}, ("t", "mean_sz0", "stderr", "n_samples"), rows)
+    with pytest.raises(ConfigError, match=rf"ragged\.csv:4: {len(bad_row)} fields"):
+        read_table(path)
+    with pytest.raises(ConfigError, match=r"ragged\.csv:4:"):
+        read_aggregate_curve(path)
+
+
+def test_run_mc_identical_across_worker_counts(short_run, tmp_path, in_process_pool):
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -87,30 +137,64 @@ def test_run_mc_identical_across_worker_counts(short_run, tmp_path):
         n_samples=60,
         master_seed=7,
     )
-    run_mc(n_workers=1, out=out1, **kw)
-    run_mc(n_workers=2, out=out2, **kw)
-    assert out1.read_bytes() == out2.read_bytes()
+    outs = []
+    for workers in (1, 2, 3):
+        outs.append(tmp_path / f"w{workers}.csv")
+        run_mc(n_workers=workers, out=outs[-1], **kw)
+    assert len(in_process_pool) == 2
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    _meta, cols = read_table(outs[0])
+    assert cols["n_samples"].tolist() == [60] * 3
 
 
-def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch):
+def _drawn_pairs(state, l, master_seed, sample_ids):
+    """(alpha, beta) of each sample, drawn as sample_one draws them."""
+    pairs = []
+    for sid in sample_ids:
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, sid)))
+        spec = WindowSpec(l=l)
+        alpha = sample_alpha(state, spec, rng)
+        samp = sample_spins_and_beta(state, spec, alpha, rng)
+        pairs.append((samp.alpha, samp.beta))
+    return pairs
+
+
+def test_run_mc_evolves_each_pair_once_per_block(
+    short_run, monkeypatch, in_process_pool
+):
+    calls = []
+    evolve = harness.evolve_and_measure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evolve_and_measure", counted)
+    state, _config = load_checkpoint(short_run["checkpoint"])
+    n = 60
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=1.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=n,
+        master_seed=7,
+    )
+    pairs = _drawn_pairs(state, 2, 7, range(n))
+    assert len(set(pairs)) < n  # some pair repeats, so reuse is exercised
+    run_mc(n_workers=1, **kw)
+    assert len(calls) == len(set(pairs))
+    # with three blocks each block keeps its own pairs
+    calls.clear()
+    run_mc(n_workers=3, **kw)
+    blocks = [pairs[:20], pairs[20:40], pairs[40:]]
+    assert len(calls) == sum(len(set(b)) for b in blocks)
+
+
+def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
     # a huge --workers must not start a process per requested worker;
     # the pool is faked so no process is started here at all
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
     out1 = tmp_path / "w1.csv"
     out64 = tmp_path / "w64.csv"
     kw = dict(
@@ -124,12 +208,13 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch):
     )
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
-    assert len(sizes) == 1
-    assert 1 <= sizes[0] <= min(3, os.cpu_count() or 1)
+    assert len(in_process_pool) == 1
+    assert 1 <= in_process_pool[0] <= min(3, os.cpu_count() or 1)
     assert out1.read_bytes() == out64.read_bytes()
 
 
 def test_run_mc_aggregate_matches_two_pass(short_run):
+    # the reference evolves every sample afresh, without reuse
     state, config = load_checkpoint(short_run["checkpoint"])
     h = build_hloc(2, config.delta)
     t_fin = 1.0 + 2.0 / 3.0
@@ -138,9 +223,10 @@ def test_run_mc_aggregate_matches_two_pass(short_run):
         rec = sample_one(state, h, 2, t_fin, 1.0 / 3.0, 20, 7, sid)
         rows.append([v for _t, v in rec.series])
     rows = np.array(rows)
+    assert len(set(_drawn_pairs(state, 2, 7, range(40)))) < 40
     mean_ref = rows.sum(axis=0) / rows.shape[0]
     var_ref = ((rows - mean_ref) ** 2).sum(axis=0) / (rows.shape[0] - 1)
-    stderr_ref = np.sqrt(var_ref / rows.shape[0])
+    stderr_ref = np.sqrt(var_ref) / math.sqrt(rows.shape[0])
     curve = run_mc(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -151,8 +237,8 @@ def test_run_mc_aggregate_matches_two_pass(short_run):
         master_seed=7,
         n_workers=1,
     )
-    assert np.max(np.abs(curve.mean - mean_ref)) < 1e-12
-    assert np.max(np.abs(curve.stderr - stderr_ref)) < 1e-12
+    assert np.array_equal(curve.mean, mean_ref)
+    assert np.array_equal(curve.stderr, stderr_ref)
     assert curve.n_samples == 40
     assert np.allclose(curve.times, state.time + np.arange(3) / 3.0)
 
