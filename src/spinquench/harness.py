@@ -13,14 +13,22 @@ stacked in ascending sample_id order, so the output files are
 byte-identical for any worker count. Output metadata deliberately
 excludes worker counts and timestamps.
 
-Within a block, a boundary pair drawn again reuses the series measured
-the first time it was drawn. Every sample still draws alpha and walks
-its spins, so each generator consumes exactly the draws it would
-without reuse; only assembly and propagation are skipped. The series
-is a deterministic function of the pair, the checkpoint state, the
-window Hamiltonian and the time grid, all fixed for a block, so a
-reused series is bit-for-bit the one a fresh evolution would give and
-the output stays the same for any worker count.
+A worker block runs in two phases. The draw phase walks every sample
+in sample_id order, each with its own generator, through one WalkMemo
+per block: a repeated (alpha, spin prefix) reuses the conditionals
+computed the first time, which are the same bits a fresh walk would
+compute, and the memo may be cleared at any sample without changing a
+draw, so every generator consumes exactly the uniforms it would alone.
+The propagate phase assembles each distinct boundary pair once, groups
+the pairs by total-Sz sector and evolves each group as row stacks of
+at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
+Taylor order. Stacking is exact too: every column of that product
+accumulates in the order of a single matrix-vector product, and norms,
+the drift guard and <Sz> are taken row by row, so a pair's series does
+not depend on which pairs share its stack. A pair's series depends
+only on the pair, the checkpoint state, the window Hamiltonian and the
+time grid, so how samples are split into blocks changes how often a
+window is evolved, never a byte of the output.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -43,14 +51,17 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 from .sampler import (
+    BoundarySample,
+    WalkMemo,
     WindowSpec,
     assemble_window_state,
+    pair_sector,
     sample_alpha,
     sample_spins_and_beta,
 )
 from .window import (
     EvolverParams,
-    SparseWindowHamiltonian,
+    WindowState,
     build_hloc,
     evolve_and_measure,
     spin_wave_velocity,
@@ -68,16 +79,8 @@ PROFILES = {
                    "delta_t": 1.0 / 3.0, "n_max": 20},
 }
 
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One boundary sample and its measured window series."""
-
-    sample_id: int
-    alpha: tuple
-    beta: tuple
-    series: tuple
-    worker_seed: tuple
+#: Most amplitudes (rows x sector dimension) one propagated stack holds.
+STACK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -208,59 +211,52 @@ def run_itebd(config: QuenchConfig, out_checkpoint, out_curve) -> int:
 
 def sample_one(
     state: MPSState,
-    h: SparseWindowHamiltonian,
-    l: int,
-    t_fin: float,
-    delta_t: float,
-    n_max: int,
+    spec: WindowSpec,
     master_seed: int,
     sample_id: int,
-    series_by_pair: dict | None = None,
-) -> SampleRecord:
-    """Draw one boundary pair and measure its evolved window series.
+    memo: WalkMemo | None = None,
+) -> BoundarySample:
+    """Draw one sample's boundary pair with its own generator.
 
-    series_by_pair, when given, maps each (alpha, beta) pair already
-    measured with this state, h, l and time grid to its series. A pair
-    found there skips window assembly and propagation and returns the
-    stored series, which is bit-for-bit what they would compute; a new
-    pair is measured and added. The alpha draw and the spin walk run
-    either way, so the sample's generator stream does not change.
+    The generator is seeded by (master_seed, sample_id). memo, a
+    WalkMemo of the same state and window, is shared by the samples of
+    a block; it never changes the pair drawn.
     """
     seed = (int(master_seed), int(sample_id))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    spec = WindowSpec(l=l)
-    alpha = sample_alpha(state, spec, rng)
-    samp = sample_spins_and_beta(state, spec, alpha, rng)
-    pair = (samp.alpha, samp.beta)
-    series = None if series_by_pair is None else series_by_pair.get(pair)
-    if series is None:
-        psi = assemble_window_state(state, spec, samp)
-        params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-        series = tuple(evolve_and_measure(psi, h, params, t_init=state.time))
-        if series_by_pair is not None:
-            series_by_pair[pair] = series
-    return SampleRecord(
-        sample_id=sample_id,
-        alpha=samp.alpha,
-        beta=samp.beta,
-        series=series,
-        worker_seed=seed,
-    )
+    alpha = sample_alpha(state, spec, rng, memo)
+    return sample_spins_and_beta(state, spec, alpha, rng, memo)
+
+
+def _series_by_pair(state, spec, h, params, pairs):
+    """{pair: series row} of distinct pairs, evolved as per-sector stacks."""
+    by_sector = {}
+    for pair in pairs:
+        by_sector.setdefault(pair_sector(spec, pair.alpha, pair.beta), []).append(pair)
+    series = {}
+    for n_up, group in by_sector.items():
+        height = max(1, STACK_ENTRIES // math.comb(2 * spec.l + 1, n_up))
+        for lo in range(0, len(group), height):
+            chunk = group[lo:lo + height]
+            rows = [assemble_window_state(state, spec, p).amplitudes for p in chunk]
+            stack = WindowState(np.stack(rows), 2 * spec.l + 1, n_up)
+            values = evolve_and_measure(stack, h, params, t_init=state.time)
+            columns = np.array([v for _t, v in values]).T
+            series.update(zip(chunk, columns))
+    return series
 
 
 def _chunk_values(args):
     """Worker body: value rows for a contiguous block of sample ids."""
     path, l, t_fin, delta_t, n_max, master_seed, start, stop = args
-    state, _config = load_checkpoint(path)
-    h = build_hloc(l, _config.delta)
-    rows = np.empty((stop - start, _grid_size(state.time, t_fin, delta_t)))
-    series_by_pair = {}
-    for k, sid in enumerate(range(start, stop)):
-        rec = sample_one(
-            state, h, l, t_fin, delta_t, n_max, master_seed, sid, series_by_pair
-        )
-        rows[k] = [v for _t, v in rec.series]
-    return rows
+    state, config = load_checkpoint(path)
+    spec = WindowSpec(l=l)
+    memo = WalkMemo(state, spec)
+    pairs = [sample_one(state, spec, master_seed, sid, memo) for sid in range(start, stop)]
+    params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
+    h = build_hloc(l, config.delta)
+    series = _series_by_pair(state, spec, h, params, dict.fromkeys(pairs))
+    return np.array([series[p] for p in pairs])
 
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:

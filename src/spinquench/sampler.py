@@ -16,6 +16,15 @@ next spin is the squared norm of the corresponding candidate vector
 divided by the sum over both spins. Right-normalization of everything
 beyond the sampled prefix is what makes these conditionals exact.
 
+A WalkMemo keeps the alpha CDF and, per (alpha, spin prefix) reached,
+the candidate rows and conditional of the next site or the beta CDF at
+the end of the window, so a walk that repeats a prefix looks it up
+instead of recomputing it. Each entry is a deterministic function of
+the chain state, the window and its key, so a memoized draw consumes
+the same uniforms and returns the same pair as a fresh walk, and
+clearing the memo, which happens whenever it outgrows WALK_MEMO_BYTES,
+never changes a draw.
+
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
 -l..0 and all 2^l right partial products over sites 1..l are built by
@@ -51,6 +60,9 @@ from .window import L_MAX, WindowState, _sector_basis
 #: sibling's is treated as an exact zero of the conditional.
 BRANCH_FLOOR = 1e-28
 
+#: Bytes of candidate rows and CDFs a WalkMemo holds before it starts over.
+WALK_MEMO_BYTES = 1 << 25
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -65,16 +77,13 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """One sampled boundary pair with its conditional-probability trace.
+    """One sampled boundary pair.
 
-    alpha and beta are (sector charge, index-within-sector) pairs. The
-    trace holds the conditional probability of every drawn spin followed
-    by that of beta; it is diagnostic only and never feeds estimates.
+    alpha and beta are (sector charge, index-within-sector) pairs.
     """
 
     alpha: tuple
     beta: tuple
-    log_weight_trace: tuple
 
 
 def site_tensors(state: MPSState, site: int):
@@ -116,20 +125,31 @@ def _left_step(tensors, shifts, s: int, q, vec):
     return q + shifts[s], vec @ block
 
 
-def _draw(weights: np.ndarray, rng) -> int:
-    """Index i drawn with probability weights[i] / sum(weights)."""
+def _cdf(weights: np.ndarray):
+    """(total, cumulative sums) of nonnegative weights, for _draw."""
     total = weights.sum()
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
-    r = rng.random() * total
-    i = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-    return min(i, weights.size - 1)
+    return total, np.cumsum(weights)
 
 
-def sample_alpha(state: MPSState, spec: WindowSpec, rng) -> tuple:
-    """Draw a left-boundary Schmidt state with probability lambda^2."""
-    spectrum = boundary_spectrum(state, spec)
-    q, _w, i = spectrum.entries[_draw(spectrum.weights, rng)]
+def _draw(cdf, rng) -> int:
+    """Index i drawn with probability weights[i] / sum(weights).
+
+    cdf is _cdf(weights); one uniform is consumed.
+    """
+    total, cums = cdf
+    i = int(np.searchsorted(cums, rng.random() * total, side="right"))
+    return min(i, cums.size - 1)
+
+
+def sample_alpha(state: MPSState, spec: WindowSpec, rng, memo=None) -> tuple:
+    """Draw a left-boundary Schmidt state with probability lambda^2.
+
+    memo, a WalkMemo of the same state and window, supplies the CDF.
+    """
+    memo = _memo_for(state, spec, memo)
+    q, _w, i = memo.spectrum.entries[_draw(memo.alpha_cdf, rng)]
     return (q, i)
 
 
@@ -148,8 +168,79 @@ def _branch_probabilities(w_up: float, w_dn: float):
     return w_up / tot, w_dn / tot
 
 
+class _Node:
+    """A walk prefix: the next site's p_up and candidate rows, and children."""
+
+    __slots__ = ("p_up", "cands", "norms", "kids")
+
+    def __init__(self, p_up, cands, norms):
+        self.p_up, self.cands, self.norms = p_up, cands, norms
+        self.kids = [None, None]
+
+
+class WalkMemo:
+    """Memoized boundary draws for one chain state and window geometry.
+
+    The walk is a trie keyed by alpha and then by each drawn spin; a
+    node is built on first visit exactly as a fresh walk computes it.
+    """
+
+    def __init__(self, state: MPSState, spec: WindowSpec):
+        self.state, self.spec = state, spec
+        self.spectrum = boundary_spectrum(state, spec)
+        self.alpha_cdf = _cdf(self.spectrum.weights)
+        self.clear()
+
+    def clear(self):
+        """Drop every memoized prefix."""
+        self._roots = {}
+        self.n_bytes = 0
+
+    def walk(self, alpha: tuple, rng) -> BoundarySample:
+        """The spin walk from alpha and the beta draw at its end."""
+        if self.n_bytes > WALK_MEMO_BYTES:
+            self.clear()
+        alpha = tuple(alpha)
+        node = self._roots.get(alpha)
+        if node is None:
+            row = _basis_row(self.spectrum.sector_dims, *alpha)
+            node = self._roots[alpha] = self._node(alpha[0], row, 0)
+        for depth in range(1, 2 * self.spec.l + 2):
+            pick = UP if rng.random() < node.p_up else DN
+            kid = node.kids[pick]
+            if kid is None:
+                q, vec = node.cands[pick]
+                vec = vec * (1.0 / math.sqrt(node.norms[pick]))
+                kid = node.kids[pick] = self._node(q, vec, depth)
+            node = kid
+        q, beta_cdf = node
+        return BoundarySample(alpha=alpha, beta=(q, _draw(beta_cdf, rng)))
+
+    def _node(self, q, vec, depth):
+        """The node after `depth` spins, or (q, beta CDF) past the last site."""
+        if depth == 2 * self.spec.l + 1:
+            cdf = _cdf(np.abs(vec) ** 2)
+            self.n_bytes += cdf[1].nbytes
+            return q, cdf
+        site = depth - self.spec.l
+        tensors, shifts = site_tensors(self.state, site), site_shifts(site)
+        cands = [_left_step(tensors, shifts, s, q, vec) for s in (UP, DN)]
+        norms = [0.0 if c is None else float(np.vdot(c[1], c[1]).real) for c in cands]
+        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+        self.n_bytes += sum(c[1].nbytes for c in cands if c is not None)
+        return _Node(p_up, cands, norms)
+
+
+def _memo_for(state: MPSState, spec: WindowSpec, memo):
+    if memo is None:
+        return WalkMemo(state, spec)
+    if memo.state is not state or memo.spec != spec:
+        raise ConfigError("the walk memo belongs to another state or window")
+    return memo
+
+
 def sample_spins_and_beta(
-    state: MPSState, spec: WindowSpec, alpha: tuple, rng
+    state: MPSState, spec: WindowSpec, alpha: tuple, rng, memo=None
 ) -> BoundarySample:
     """Chain-sample the window spins, then the right boundary state.
 
@@ -157,25 +248,10 @@ def sample_spins_and_beta(
     site's spin is drawn from the exact conditional given the full
     prefix; the propagated vector is renormalized after every draw. The
     spins themselves are not returned: only the boundary pair matters.
+    memo, a WalkMemo of the same state and window, supplies every
+    conditional already computed for this alpha and prefix.
     """
-    q, vec = alpha[0], _basis_row(boundary_spectrum(state, spec).sector_dims, *alpha)
-    trace = []
-    for site in range(-spec.l, spec.l + 1):
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
-        cands = [_left_step(tensors, shifts, s, q, vec) for s in (UP, DN)]
-        norms = [0.0 if c is None else float(np.vdot(c[1], c[1]).real) for c in cands]
-        p_up, p_dn = _branch_probabilities(norms[UP], norms[DN])
-        if rng.random() < p_up:
-            pick, p_pick = UP, p_up
-        else:
-            pick, p_pick = DN, p_dn
-        trace.append(p_pick)
-        q, vec = cands[pick]
-        vec = vec * (1.0 / math.sqrt(norms[pick]))
-    probs = np.abs(vec) ** 2
-    i_b = _draw(probs, rng)
-    trace.append(float(probs[i_b] / probs.sum()))
-    return BoundarySample(alpha=tuple(alpha), beta=(q, i_b), log_weight_trace=tuple(trace))
+    return _memo_for(state, spec, memo).walk(alpha, rng)
 
 
 def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):
@@ -230,17 +306,21 @@ def _by_charge(partials):
     return {q: (np.array(codes), np.stack(rows)) for q, (codes, rows) in groups.items()}
 
 
-def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta):
-    """(n_up, unnormalized sector amplitudes) of one boundary pair.
+def pair_sector(spec: WindowSpec, alpha, beta) -> int:
+    """Up-spin count of every window configuration a boundary pair reaches.
 
     Crossing an A site (even) shifts the bond charge by bit - 1 and a B
-    site by bit, so every configuration the pair reaches has
-    n_up = q_beta - q_alpha + (number of A sites) up spins.
+    site by bit, so n_up = q_beta - q_alpha + (number of A sites).
     """
+    return beta[0] - alpha[0] + sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
+
+
+def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta):
+    """(n_up, unnormalized sector amplitudes) of one boundary pair."""
     l = spec.l
     lefts = _by_charge(_left_partials(state, spec, alpha))
     rights = _by_charge(_right_partials(state, spec, beta))
-    n_up = beta[0] - alpha[0] + sum(1 for s in range(-l, l + 1) if s % 2 == 0)
+    n_up = pair_sector(spec, alpha, beta)
     basis = _sector_basis(2 * l + 1, n_up)
     amps = np.zeros(basis.size, dtype=complex)
     for q, (cl, lmat) in lefts.items():

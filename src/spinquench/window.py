@@ -8,9 +8,16 @@ matrix is built and applied on that basis only.
 
 The propagator is a plain truncated Taylor series of exp(-i H dt),
 renormalized after each step with the pre-renormalization norm drift
-checked against a hard guard. A dense reference evolver (scipy sparse
-exponential applied to the full sector vector) doubles as the
-independent oracle for the rest of the package.
+checked against a hard guard. It runs on a stack of states that share
+one sector, one sparse-times-dense product per Taylor order; a single
+state is a stack of one. Each column of that product is accumulated in
+the order a single matrix-vector product uses, and norms and <Sz> are
+reduced row by row, so a state evolves to the same bits whatever else
+shares its stack.
+
+A dense reference evolver (scipy sparse exponential applied to the full
+sector vector) doubles as the independent oracle for the rest of the
+package.
 
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
@@ -43,20 +50,20 @@ class WindowState:
 
     total_sz_sector counts the up spins in the window (total Sz is
     n_up - n_sites/2), and amplitudes[j] belongs to configuration
-    basis[j]. norm_drift records the pre-renormalization drift of the
-    Taylor step that produced this state.
+    basis[j]. Amplitudes of shape (B, D) hold a stack of B states on the
+    same sector, one per row.
     """
 
     amplitudes: np.ndarray
     n_sites: int
     total_sz_sector: int
-    norm_drift: float = 0.0
 
     def __post_init__(self):
         n, n_up = self.n_sites, self.total_sz_sector
-        if not 0 <= n_up <= n or np.shape(self.amplitudes) != (math.comb(n, n_up),):
+        shape = np.shape(self.amplitudes)
+        if not 0 <= n_up <= n or len(shape) not in (1, 2) or shape[-1] != math.comb(n, n_up):
             raise ConfigError(
-                f"{np.size(self.amplitudes)} amplitudes do not fit the "
+                f"amplitudes of shape {shape} do not fit the "
                 f"{n_up}-up-spin sector of {n} sites"
             )
 
@@ -157,12 +164,14 @@ def build_hloc(l: int, delta: float) -> SparseWindowHamiltonian:
     return SparseWindowHamiltonian(l, delta)
 
 
-def sz_center(psi: WindowState) -> float:
-    """<Sz> of the central window site."""
+def sz_center(psi: WindowState):
+    """<Sz> of the central window site; for a stack, an array of one per row."""
     n = psi.n_sites
-    bit = _site_bits(psi.basis, n, n // 2)
+    sign = _site_bits(psi.basis, n, n // 2) - 0.5
     p = np.abs(psi.amplitudes) ** 2
-    return float(p @ (bit - 0.5))
+    if p.ndim == 1:
+        return float(p @ sign)
+    return np.array([row @ sign for row in p])
 
 
 def taylor_step(
@@ -173,10 +182,11 @@ def taylor_step(
 ) -> WindowState:
     """One step of exp(-i H delta_t) by truncated Taylor series.
 
-    The series runs to order n_max on the state's total-Sz sector and
-    the result is renormalized; if the norm drifted by more than
-    NORM_DRIFT_TOL beforehand the step is rejected, since that means
-    the series was nowhere near converged.
+    The series runs to order n_max on the total-Sz sector of the state,
+    or of every row of a stack at once, and each row is renormalized; if
+    any row's norm drifted by more than NORM_DRIFT_TOL beforehand the
+    step is rejected, since that means the series was nowhere near
+    converged.
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
@@ -185,20 +195,25 @@ def taylor_step(
             f"state on {psi.n_sites} sites but Hamiltonian on {h.n_sites}"
         )
     _basis, h_sec = h.sector(psi.total_sz_sector)
-    acc = psi.amplitudes.astype(complex)
+    shape = psi.amplitudes.shape
+    # One column per state, so each Taylor order is one CSR x dense product.
+    acc = psi.amplitudes.reshape(-1, shape[-1]).T.astype(complex, order="C")
     term = acc
     for order in range(1, n_max + 1):
         term = h_sec @ term
         term = term * (-1j * delta_t / order)
         acc = acc + term
-    norm = float(np.linalg.norm(acc))
-    drift = abs(norm - 1.0)
-    if drift > NORM_DRIFT_TOL:
-        raise NormDriftError(
-            f"Taylor step norm drifted by {drift:.3e} (tolerance {NORM_DRIFT_TOL:g}); "
-            f"increase n_max or decrease delta_t"
-        )
-    return WindowState(acc / norm, psi.n_sites, psi.total_sz_sector, norm_drift=drift)
+    rows = acc.T.copy()
+    for row in rows:
+        norm = float(np.linalg.norm(row))
+        drift = abs(norm - 1.0)
+        if drift > NORM_DRIFT_TOL:
+            raise NormDriftError(
+                f"Taylor step norm drifted by {drift:.3e} (tolerance {NORM_DRIFT_TOL:g}); "
+                f"increase n_max or decrease delta_t"
+            )
+        row /= norm
+    return WindowState(rows.reshape(shape), psi.n_sites, psi.total_sz_sector)
 
 
 def evolve_and_measure(
@@ -207,7 +222,10 @@ def evolve_and_measure(
     params: EvolverParams,
     t_init: float,
 ) -> list:
-    """Series of (t, central <Sz>) from t_init to params.t_fin inclusive."""
+    """Series of (t, central <Sz>) from t_init to params.t_fin inclusive.
+
+    For a stack each <Sz> is an array with one entry per row.
+    """
     n = step_count(params.t_fin - t_init, params.delta_t, "t_fin - t_init")
     series = [(t_init, sz_center(psi))]
     for j in range(1, n + 1):

@@ -17,14 +17,18 @@ from spinquench.harness import (
     read_table,
     run_itebd,
     run_mc,
-    sample_one,
     shift_correction,
     write_peaks,
     write_table,
 )
 from spinquench.itebd import QuenchConfig, expect_sz
-from spinquench.sampler import WindowSpec, sample_alpha, sample_spins_and_beta
-from spinquench.window import build_hloc
+from spinquench.sampler import (
+    WindowSpec,
+    assemble_window_state,
+    sample_alpha,
+    sample_spins_and_beta,
+)
+from spinquench.window import EvolverParams, build_hloc, evolve_and_measure
 
 
 @pytest.fixture(scope="module")
@@ -147,49 +151,70 @@ def test_run_mc_identical_across_worker_counts(short_run, tmp_path, in_process_p
     assert cols["n_samples"].tolist() == [60] * 3
 
 
-def _drawn_pairs(state, l, master_seed, sample_ids):
-    """(alpha, beta) of each sample, drawn as sample_one draws them."""
-    pairs = []
+def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
+    """(pairs, value rows) sampled one by one, with no reuse and no stacking."""
+    state, config = load_checkpoint(checkpoint)
+    spec = WindowSpec(l=l)
+    h = build_hloc(l, config.delta)
+    params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, t_fin=t_fin)
+    pairs, rows = [], []
     for sid in sample_ids:
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, sid)))
-        spec = WindowSpec(l=l)
         alpha = sample_alpha(state, spec, rng)
         samp = sample_spins_and_beta(state, spec, alpha, rng)
+        psi = assemble_window_state(state, spec, samp)
         pairs.append((samp.alpha, samp.beta))
-    return pairs
+        rows.append([v for _t, v in evolve_and_measure(psi, h, params, state.time)])
+    return pairs, np.array(rows)
 
 
 def test_run_mc_evolves_each_pair_once_per_block(
     short_run, monkeypatch, in_process_pool
 ):
-    calls = []
-    evolve = harness.evolve_and_measure
+    assembled, propagated, blocks = [], [], []
+    assemble, evolve, chunk = (
+        harness.assemble_window_state, harness.evolve_and_measure, harness._chunk_values
+    )
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return evolve(*args, **kwargs)
+    def counted_assemble(state, spec, sample):
+        assembled[-1].append((sample.alpha, sample.beta))
+        return assemble(state, spec, sample)
 
-    monkeypatch.setattr(harness, "evolve_and_measure", counted)
-    state, _config = load_checkpoint(short_run["checkpoint"])
-    n = 60
+    def counted_evolve(psi, *args, **kwargs):
+        propagated[-1] += psi.amplitudes.shape[0]
+        return evolve(psi, *args, **kwargs)
+
+    def recorded_chunk(args):
+        assembled.append([])
+        propagated.append(0)
+        blocks.append(chunk(args))
+        return blocks[-1]
+
+    monkeypatch.setattr(harness, "assemble_window_state", counted_assemble)
+    monkeypatch.setattr(harness, "evolve_and_measure", counted_evolve)
+    monkeypatch.setattr(harness, "_chunk_values", recorded_chunk)
+    n, t_fin = 60, 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
-        t_fin=1.0 + 2.0 / 3.0,
+        t_fin=t_fin,
         delta_t=1.0 / 3.0,
         n_max=20,
         n_samples=n,
         master_seed=7,
     )
-    pairs = _drawn_pairs(state, 2, 7, range(n))
+    pairs, rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, range(n))
     assert len(set(pairs)) < n  # some pair repeats, so reuse is exercised
-    run_mc(n_workers=1, **kw)
-    assert len(calls) == len(set(pairs))
-    # with three blocks each block keeps its own pairs
-    calls.clear()
-    run_mc(n_workers=3, **kw)
-    blocks = [pairs[:20], pairs[20:40], pairs[40:]]
-    assert len(calls) == sum(len(set(b)) for b in blocks)
+    for workers, bounds in ((1, (0, n)), (3, (0, 20, 40, n))):
+        for log in (assembled, propagated, blocks):
+            log.clear()
+        run_mc(n_workers=workers, **kw)
+        # every distinct pair of a block is assembled and evolved once
+        for got, count, lo, hi in zip(assembled, propagated, bounds[:-1], bounds[1:]):
+            assert sorted(got) == sorted(set(pairs[lo:hi]))
+            assert count == len(got)
+        # and the block rows are bit-for-bit the sample-by-sample rows
+        assert np.array_equal(np.concatenate(blocks), rows)
 
 
 def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
@@ -215,15 +240,10 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
 
 def test_run_mc_aggregate_matches_two_pass(short_run):
     # the reference evolves every sample afresh, without reuse
-    state, config = load_checkpoint(short_run["checkpoint"])
-    h = build_hloc(2, config.delta)
+    state, _config = load_checkpoint(short_run["checkpoint"])
     t_fin = 1.0 + 2.0 / 3.0
-    rows = []
-    for sid in range(40):
-        rec = sample_one(state, h, 2, t_fin, 1.0 / 3.0, 20, 7, sid)
-        rows.append([v for _t, v in rec.series])
-    rows = np.array(rows)
-    assert len(set(_drawn_pairs(state, 2, 7, range(40)))) < 40
+    pairs, rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, range(40))
+    assert len(set(pairs)) < 40
     mean_ref = rows.sum(axis=0) / rows.shape[0]
     var_ref = ((rows - mean_ref) ** 2).sum(axis=0) / (rows.shape[0] - 1)
     stderr_ref = np.sqrt(var_ref) / math.sqrt(rows.shape[0])

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from spinquench import sampler
+from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
 from spinquench.graded import SectorLayout
 from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
+    WalkMemo,
     WindowSpec,
     _branch_probabilities,
     _raw_window_amplitudes,
@@ -15,6 +20,7 @@ from spinquench.sampler import (
     right_boundary_dims,
     sample_alpha,
     sample_spins_and_beta,
+    site_shifts,
     site_tensors,
 )
 
@@ -55,7 +61,7 @@ def test_window_weight_matches_assembled_state(quench_state):
         n_up, raw = _raw_window_amplitudes(quench_state, spec, alpha, beta)
         assert n_up == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
-        sample = BoundarySample(alpha=alpha, beta=beta, log_weight_trace=())
+        sample = BoundarySample(alpha=alpha, beta=beta)
         psi2 = assemble_window_state(quench_state, spec, sample)
         assert np.array_equal(psi.amplitudes, psi2.amplitudes)
         assert psi.total_sz_sector == psi2.total_sz_sector
@@ -169,10 +175,78 @@ def test_sampled_pairs_have_positive_weight(quench_state):
     for _ in range(20):
         alpha = sample_alpha(quench_state, spec, rng)
         sample = sample_spins_and_beta(quench_state, spec, alpha, rng)
-        assert len(sample.log_weight_trace) == 2 * spec.l + 2
-        assert all(0.0 < p <= 1.0 for p in sample.log_weight_trace)
         assert weights[(sample.alpha, sample.beta)] > 0.0
         assemble_window_state(quench_state, spec, sample)
+
+
+def _fresh_walk(state, spec, rng):
+    """(alpha, beta) drawn with no memo: every conditional computed anew."""
+    spectrum = boundary_spectrum(state, spec)
+    r = rng.random() * spectrum.weights.sum()
+    k = int(np.searchsorted(np.cumsum(spectrum.weights), r, side="right"))
+    q, _w, i = spectrum.entries[min(k, spectrum.weights.size - 1)]
+    alpha = (q, i)
+    vec = np.zeros(spectrum.sector_dims[q], dtype=complex)
+    vec[i] = 1.0
+    for site in range(-spec.l, spec.l + 1):
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        cands, norms = {}, {}
+        for s in (UP, DN):
+            block = tensors[s].block(q)
+            cands[s] = None if block is None else (q + shifts[s], vec @ block)
+            norms[s] = 0.0 if block is None else float(np.vdot(cands[s][1], cands[s][1]).real)
+        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+        pick = UP if rng.random() < p_up else DN
+        q, vec = cands[pick]
+        vec = vec * (1.0 / math.sqrt(norms[pick]))
+    probs = np.abs(vec) ** 2
+    r = rng.random() * probs.sum()
+    k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
+    return alpha, (q, min(k, probs.size - 1))
+
+
+@pytest.fixture(scope="module")
+def k128_state(k128_t2):
+    state, _config = load_checkpoint(k128_t2["checkpoint"])
+    return state
+
+
+@pytest.mark.parametrize("clearing", ["kept", "cleared-once", "small-budget"])
+@pytest.mark.parametrize("l", [2, 4])
+def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch, l, clearing):
+    # a block's draws through one memo are the pairs a memo-free walk
+    # returns, also when the memo is dropped part-way through the block
+    state = quench_state if l == 2 else k128_state
+    spec = WindowSpec(l=l)
+    if clearing == "small-budget":
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 10)
+    memo = WalkMemo(state, spec)
+    distinct, resets = set(), 0
+    for sid in range(500):
+        before = memo.n_bytes
+        if clearing == "cleared-once" and sid == 250:
+            memo.clear()
+        seed = np.random.SeedSequence((11, sid))
+        rng = np.random.default_rng(seed)
+        alpha = sample_alpha(state, spec, rng, memo)
+        got = sample_spins_and_beta(state, spec, alpha, rng, memo)
+        assert (got.alpha, got.beta) == _fresh_walk(state, spec, np.random.default_rng(seed))
+        distinct.add(got)
+        resets += memo.n_bytes < before
+    assert 1 < len(distinct) < 500  # pairs and prefixes do repeat
+    if clearing == "small-budget":
+        assert resets > 10
+    else:
+        assert resets == (clearing == "cleared-once")
+
+
+def test_walk_memo_belongs_to_one_state_and_window(quench_state):
+    memo = WalkMemo(quench_state, WindowSpec(l=2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ConfigError):
+        sample_alpha(quench_state, WindowSpec(l=1), rng, memo)
+    with pytest.raises(ConfigError):
+        sample_spins_and_beta(quench_state, WindowSpec(l=1), (0, 0), rng, memo)
 
 
 def test_window_states_live_in_one_sector(quench_state):
@@ -219,18 +293,14 @@ def test_unknown_right_boundary_index_rejected(quench_state):
     spec = WindowSpec(l=2)
     dims = right_boundary_dims(quench_state, spec)
     q = max(dims)
-    bad = BoundarySample(
-        alpha=(0, 0), beta=(q, dims[q] + 7), log_weight_trace=()
-    )
+    bad = BoundarySample(alpha=(0, 0), beta=(q, dims[q] + 7))
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, bad)
     # an out-of-range left boundary index is a configuration error too,
     # on the assembly path and on the spin walk alike
     left = boundary_spectrum(quench_state, spec).sector_dims
     q = max(left)
-    bad = BoundarySample(
-        alpha=(q, left[q] + 7), beta=(0, 0), log_weight_trace=()
-    )
+    bad = BoundarySample(alpha=(q, left[q] + 7), beta=(0, 0))
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, bad)
     with pytest.raises(ConfigError):
