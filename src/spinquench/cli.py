@@ -77,7 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=None, help="Taylor order")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="processes for the draw blocks and the window propagation; "
+             "never changes the output",
+    )
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("peaks", help="extract peak heights from a curve")

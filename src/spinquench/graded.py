@@ -121,44 +121,6 @@ class GradedMatrix:
                 out[q] = arr
         return GradedMatrix(self.charge_shift, out)
 
-    def to_dense(self, row_layout=None, col_layout=None):
-        """Densify into an ordinary matrix, forgetting the grading.
-
-        Layouts are SectorLayout instances; when omitted they are built
-        from this matrix's own dims. Used by tests and by the unblocked
-        comparison paths, not by production updates.
-        """
-        row_layout = row_layout or SectorLayout(self.row_dims)
-        col_layout = col_layout or SectorLayout(self.col_dims)
-        dense = np.zeros((row_layout.total, col_layout.total), dtype=complex)
-        for q_row, arr in self.blocks.items():
-            r0 = row_layout.offset(q_row)
-            c0 = col_layout.offset(q_row + self.charge_shift)
-            dense[r0 : r0 + arr.shape[0], c0 : c0 + arr.shape[1]] = arr
-        return dense
-
-
-class SectorLayout:
-    """Fixed ordering of a charged space: sectors ascending by charge."""
-
-    __slots__ = ("charges", "dims", "offsets", "total")
-
-    def __init__(self, sector_dims):
-        self.charges = sorted(sector_dims)
-        self.dims = {q: int(sector_dims[q]) for q in self.charges}
-        self.offsets = {}
-        off = 0
-        for q in self.charges:
-            self.offsets[q] = off
-            off += self.dims[q]
-        self.total = off
-
-    def offset(self, q):
-        return self.offsets[q]
-
-    def position(self, q, index):
-        return self.offsets[q] + index
-
 
 class SchmidtSpectrum:
     """Schmidt values of a bond, grouped by sector, descending within each.

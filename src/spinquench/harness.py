@@ -1,34 +1,38 @@
 """Two-phase experiment driver: evolve, checkpoint, sample, aggregate.
 
 Phase one runs the infinite-chain evolution to a chosen time and writes
-a checkpoint plus a per-step observable curve. Phase two distributes
-independent boundary samples over a process pool, evolves each sampled
-window, and reduces the results to a mean/stderr curve on the fixed
-grid t_init + k * delta_t.
+a checkpoint plus a per-step observable curve. Phase two draws
+independent boundary samples on a process pool, evolves each distinct
+sampled window once, and reduces the results to a mean/stderr curve on
+the fixed grid t_init + k * delta_t.
 
 Determinism contract: each sample's generator is seeded by
-(master_seed, sample_id) alone, samples are assigned to workers in
-static contiguous blocks, and the reduction runs over all value rows
-stacked in ascending sample_id order, so the output files are
+(master_seed, sample_id) alone, and the reduction runs over all value
+rows stacked in ascending sample_id order, so the output files are
 byte-identical for any worker count. Output metadata deliberately
 excludes worker counts and timestamps.
 
-A worker block runs in two phases. The draw phase walks every sample
-in sample_id order, each with its own generator, through one WalkMemo
-per block: a repeated (alpha, spin prefix) reuses the conditionals
-computed the first time, which are the same bits a fresh walk would
-compute, and the memo may be cleared at any sample without changing a
-draw, so every generator consumes exactly the uniforms it would alone.
-The propagate phase assembles each distinct boundary pair once, groups
-the pairs by total-Sz sector and evolves each group as row stacks of
-at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
-Taylor order. Stacking is exact too: every column of that product
-accumulates in the order of a single matrix-vector product, and norms,
-the drift guard and <Sz> are taken row by row, so a pair's series does
-not depend on which pairs share its stack. A pair's series depends
-only on the pair, the checkpoint state, the window Hamiltonian and the
-time grid, so how samples are split into blocks changes how often a
-window is evolved, never a byte of the output.
+A run takes two rounds on one pool, whose initializer loads the
+checkpoint once per process; with one worker both rounds run in this
+process through the same functions. Round one draws the samples in
+static contiguous sample_id blocks, each sample with its own generator,
+through one WalkMemo per block: a repeated (alpha, spin prefix) reuses
+the conditionals computed the first time, which are the same bits a
+fresh walk would compute, and the memo may be cleared at any sample
+without changing a draw, so every generator consumes exactly the
+uniforms it would alone. The parent then keeps the distinct boundary
+pairs of the whole run, in order of first occurrence. Round two evolves
+each of them exactly once: the pairs are grouped by total-Sz sector
+into row stacks of at most STACK_ENTRIES amplitudes, one
+sparse-times-dense product per Taylor order, and the stacks are dealt
+into one share per process. The dedup is exact because a pair's series
+depends only on the pair, the checkpoint state, the window Hamiltonian
+(fixed by h) and the time grid, never on the sample that drew it.
+Stacking is exact too: every column of that product accumulates in the
+order of a single matrix-vector product, and norms, the drift guard and
+<Sz> are taken row by row, so a series does not depend on which pairs
+share its stack or its share. How samples and pairs are split among
+processes changes where the work runs, never a byte of the output.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -37,6 +41,7 @@ precision.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -52,6 +57,7 @@ from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 from .sampler import (
     BoundarySample,
+    PartialCache,
     WalkMemo,
     WindowSpec,
     assemble_window_state,
@@ -61,6 +67,7 @@ from .sampler import (
 )
 from .window import (
     EvolverParams,
+    SparseWindowHamiltonian,
     WindowState,
     build_hloc,
     evolve_and_measure,
@@ -228,35 +235,99 @@ def sample_one(
     return sample_spins_and_beta(state, spec, alpha, rng, memo)
 
 
-def _series_by_pair(state, spec, h, params, pairs):
-    """{pair: series row} of distinct pairs, evolved as per-sector stacks."""
+@dataclass(frozen=True)
+class _Run:
+    """What both rounds of one Monte Carlo run need in every process."""
+
+    state: MPSState
+    spec: WindowSpec
+    h: SparseWindowHamiltonian
+    params: EvolverParams
+
+    @classmethod
+    def of(cls, state, config, l, t_fin, delta_t, n_max):
+        params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
+        return cls(state, WindowSpec(l=l), build_hloc(l, config.delta), params)
+
+
+def _draw_block(run, block):
+    """Round one: the pairs of one contiguous sample_id block, in order."""
+    master_seed, start, stop = block
+    memo = WalkMemo(run.state, run.spec)
+    return [
+        sample_one(run.state, run.spec, master_seed, sid, memo) for sid in range(start, stop)
+    ]
+
+
+def _evolve_share(run, stacks):
+    """Round two: the (rows, points) series of each (n_up, pairs) stack."""
+    cache = PartialCache(run.state, run.spec)
+    out = []
+    for n_up, pairs in stacks:
+        rows = [assemble_window_state(run.state, run.spec, p, cache).amplitudes for p in pairs]
+        stack = WindowState(np.stack(rows), 2 * run.spec.l + 1, n_up)
+        values = evolve_and_measure(stack, run.h, run.params, t_init=run.state.time)
+        out.append(np.array([v for _t, v in values]).T)
+    return out
+
+
+#: The run a pool worker process serves, set once by the pool initializer.
+_WORKER_RUN = None
+
+
+def _init_worker(path, *args):
+    """Pool initializer: load the checkpoint once per worker process."""
+    global _WORKER_RUN
+    _WORKER_RUN = _Run.of(*load_checkpoint(path), *args)
+
+
+def _in_worker(round_fn, item):
+    """round_fn(run, item) in a pool worker, on the run it serves."""
+    return round_fn(_WORKER_RUN, item)
+
+
+def _shares(spec, pairs, n_shares):
+    """The distinct pairs as per-sector stacks, dealt into n_shares lists.
+
+    A stack holds at most STACK_ENTRIES amplitudes. Each stack, largest
+    first, goes to the share with the fewest amplitudes so far.
+    """
     by_sector = {}
     for pair in pairs:
         by_sector.setdefault(pair_sector(spec, pair.alpha, pair.beta), []).append(pair)
-    series = {}
+    stacks = []
     for n_up, group in by_sector.items():
-        height = max(1, STACK_ENTRIES // math.comb(2 * spec.l + 1, n_up))
+        dim = math.comb(2 * spec.l + 1, n_up)
+        height = max(1, STACK_ENTRIES // dim)
         for lo in range(0, len(group), height):
             chunk = group[lo:lo + height]
-            rows = [assemble_window_state(state, spec, p).amplitudes for p in chunk]
-            stack = WindowState(np.stack(rows), 2 * spec.l + 1, n_up)
-            values = evolve_and_measure(stack, h, params, t_init=state.time)
-            columns = np.array([v for _t, v in values]).T
-            series.update(zip(chunk, columns))
-    return series
+            stacks.append((dim * len(chunk), n_up, chunk))
+    shares = [[] for _ in range(n_shares)]
+    loads = [0] * n_shares
+    for size, n_up, chunk in sorted(stacks, key=lambda st: -st[0]):
+        j = loads.index(min(loads))
+        shares[j].append((n_up, chunk))
+        loads[j] += size
+    return [share for share in shares if share]
 
 
-def _chunk_values(args):
-    """Worker body: value rows for a contiguous block of sample ids."""
-    path, l, t_fin, delta_t, n_max, master_seed, start, stop = args
-    state, config = load_checkpoint(path)
-    spec = WindowSpec(l=l)
-    memo = WalkMemo(state, spec)
-    pairs = [sample_one(state, spec, master_seed, sid, memo) for sid in range(start, stop)]
-    params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-    h = build_hloc(l, config.delta)
-    series = _series_by_pair(state, spec, h, params, dict.fromkeys(pairs))
-    return np.array([series[p] for p in pairs])
+def _two_rounds(map_round, spec, blocks, n_shares, n_points):
+    """Value rows of every sample, in sample_id order.
+
+    map_round(round_fn, items) yields round_fn(run, item) for each item,
+    in order, in this process or on a pool. Round one draws the blocks;
+    round two evolves each distinct pair of the whole run once, in
+    n_shares shares.
+    """
+    pairs = [pair for block in map_round(_draw_block, blocks) for pair in block]
+    index = {}
+    ids = [index.setdefault(pair, len(index)) for pair in pairs]
+    shares = _shares(spec, index, n_shares)
+    table = np.empty((len(index), n_points))
+    for share, series in zip(shares, map_round(_evolve_share, shares)):
+        for (_n_up, stack), rows in zip(share, series):
+            table[[index[pair] for pair in stack]] = rows
+    return table[ids]
 
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
@@ -295,7 +366,7 @@ def run_mc(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
         )
     EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-    WindowSpec(l=l)
+    spec = WindowSpec(l=l)
     check_seed(master_seed)
     n_points = _grid_size(state.time, t_fin, delta_t)
     if abs(config.delta) > 1.0:
@@ -313,20 +384,26 @@ def run_mc(
             )
 
     bounds = [n_samples * j // n_workers for j in range(n_workers + 1)]
-    tasks = [
-        (os.fspath(checkpoint), l, t_fin, delta_t, n_max, master_seed, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if len(tasks) <= 1:
-        results = [_chunk_values(t) for t in tasks]
+    blocks = [(master_seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    run_args = (l, t_fin, delta_t, n_max)
+    if len(blocks) == 1:
+        run = _Run.of(state, config, *run_args)
+        values = _two_rounds(
+            lambda fn, items: [fn(run, item) for item in items], spec, blocks, 1, n_points
+        )
     else:
         # Under fork the pool starts all max_workers processes at the
         # first submit, so never ask for more than there is work or CPU.
-        n_procs = min(n_workers, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=n_procs) as pool:
-            results = list(pool.map(_chunk_values, tasks))
-    values = np.concatenate(results)
+        n_procs = min(len(blocks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(
+            max_workers=n_procs,
+            initializer=_init_worker,
+            initargs=(os.fspath(checkpoint), *run_args),
+        ) as pool:
+            values = _two_rounds(
+                lambda fn, items: pool.map(functools.partial(_in_worker, fn), items),
+                spec, blocks, n_procs, n_points,
+            )
     if values.shape[0] != n_samples:
         raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
     mean = values.mean(axis=0)

@@ -113,10 +113,8 @@ class ObserverRecord:
     sz0: float
     sz1: float
     discarded_weight: float
-    cumulative_discarded: float
     entropy_a: float
     entropy_b: float
-    warning: bool = False
 
 
 def neel_init() -> MPSState:
@@ -346,30 +344,11 @@ def expect_pair_observable(state: MPSState, op4: np.ndarray) -> float:
     return float(val.real)
 
 
-def right_normalization_deviation(state: MPSState) -> float:
-    """Max-norm deviation of sum_s A(s) A(s)^dagger from the identity."""
-    worst = 0.0
-    for tensors, bond in ((state.a_a, state.lambda_b), (state.a_b, state.lambda_a)):
-        acc = {}
-        for s in (UP, DN):
-            for q_row, arr in tensors[s].blocks.items():
-                g = arr @ arr.conj().T
-                acc[q_row] = acc.get(q_row, 0.0) + g
-        for q, dim in bond.sector_dims.items():
-            g = acc.get(q)
-            if g is None:
-                worst = max(worst, 1.0)
-                continue
-            worst = max(worst, float(np.max(np.abs(g - np.eye(dim)))))
-    return worst
-
-
 def evolve_to(
     state: MPSState,
     t_end: float,
     config: QuenchConfig,
     observer=None,
-    warn_threshold: float = 1e-6,
 ) -> MPSState:
     """Evolve with second-order splitting to t_end.
 
@@ -402,10 +381,8 @@ def evolve_to(
             sz0=sz0,
             sz1=sz1,
             discarded_weight=cum - prev_cum,
-            cumulative_discarded=cum,
             entropy_a=st.lambda_a.entropy(),
             entropy_b=st.lambda_b.entropy(),
-            warning=cum > warn_threshold,
         )
         prev_cum = cum
         observer(rec)

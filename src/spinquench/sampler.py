@@ -23,7 +23,9 @@ instead of recomputing it. Each entry is a deterministic function of
 the chain state, the window and its key, so a memoized draw consumes
 the same uniforms and returns the same pair as a fresh walk, and
 clearing the memo, which happens whenever it outgrows WALK_MEMO_BYTES,
-never changes a draw.
+never changes a draw. The walk takes its 2l+1 spin uniforms and the
+beta uniform in one call, which yields the same doubles as one call per
+draw.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
@@ -33,7 +35,10 @@ amplitude is an inner product across the central bond. The partials
 that share a central-bond charge meet in one matrix product, whose
 entries are exactly the amplitudes of the window's total-Sz sector.
 This costs O(l 2^l k^2) + O(D k) for a sector of dimension D and never
-the naive O(2^(2l) k^2).
+the naive O(2^(2l) k^2). The left partials depend on alpha alone and
+the right ones on beta alone, so a PartialCache keeps them, grouped by
+charge, for every pair that shares a boundary state; the products that
+meet them are the same either way, so the cache changes no bit.
 
 An alternative formulation propagates a density operator on the window
 through the completely positive map defined by the site matrices and
@@ -48,6 +53,7 @@ bit and up = 1, matching the window evolver's basis.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +66,8 @@ from .window import L_MAX, WindowState, _sector_basis
 #: sibling's is treated as an exact zero of the conditional.
 BRANCH_FLOOR = 1e-28
 
-#: Bytes of candidate rows and CDFs a WalkMemo holds before it starts over.
+#: Bytes of rows and CDFs a WalkMemo or PartialCache holds before it
+#: starts over.
 WALK_MEMO_BYTES = 1 << 25
 
 
@@ -126,21 +133,20 @@ def _left_step(tensors, shifts, s: int, q, vec):
 
 
 def _cdf(weights: np.ndarray):
-    """(total, cumulative sums) of nonnegative weights, for _draw."""
-    total = weights.sum()
+    """(total, cumulative sums as a list) of nonnegative weights, for _draw."""
+    total = float(weights.sum())
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
-    return total, np.cumsum(weights)
+    return total, np.cumsum(weights).tolist()
 
 
-def _draw(cdf, rng) -> int:
+def _draw(cdf, u: float) -> int:
     """Index i drawn with probability weights[i] / sum(weights).
 
-    cdf is _cdf(weights); one uniform is consumed.
+    cdf is _cdf(weights) and u a uniform in [0, 1).
     """
     total, cums = cdf
-    i = int(np.searchsorted(cums, rng.random() * total, side="right"))
-    return min(i, cums.size - 1)
+    return min(bisect_right(cums, u * total), len(cums) - 1)
 
 
 def sample_alpha(state: MPSState, spec: WindowSpec, rng, memo=None) -> tuple:
@@ -148,8 +154,8 @@ def sample_alpha(state: MPSState, spec: WindowSpec, rng, memo=None) -> tuple:
 
     memo, a WalkMemo of the same state and window, supplies the CDF.
     """
-    memo = _memo_for(state, spec, memo)
-    q, _w, i = memo.spectrum.entries[_draw(memo.alpha_cdf, rng)]
+    memo = _owned(WalkMemo, state, spec, memo)
+    q, _w, i = memo.spectrum.entries[_draw(memo.alpha_cdf, rng.random())]
     return (q, i)
 
 
@@ -205,8 +211,9 @@ class WalkMemo:
         if node is None:
             row = _basis_row(self.spectrum.sector_dims, *alpha)
             node = self._roots[alpha] = self._node(alpha[0], row, 0)
-        for depth in range(1, 2 * self.spec.l + 2):
-            pick = UP if rng.random() < node.p_up else DN
+        *spins, u_beta = rng.random(2 * self.spec.l + 2).tolist()
+        for depth, u in enumerate(spins, start=1):
+            pick = UP if u < node.p_up else DN
             kid = node.kids[pick]
             if kid is None:
                 q, vec = node.cands[pick]
@@ -214,13 +221,13 @@ class WalkMemo:
                 kid = node.kids[pick] = self._node(q, vec, depth)
             node = kid
         q, beta_cdf = node
-        return BoundarySample(alpha=alpha, beta=(q, _draw(beta_cdf, rng)))
+        return BoundarySample(alpha=alpha, beta=(q, _draw(beta_cdf, u_beta)))
 
     def _node(self, q, vec, depth):
         """The node after `depth` spins, or (q, beta CDF) past the last site."""
         if depth == 2 * self.spec.l + 1:
             cdf = _cdf(np.abs(vec) ** 2)
-            self.n_bytes += cdf[1].nbytes
+            self.n_bytes += 32 * len(cdf[1])  # a float object and its list slot
             return q, cdf
         site = depth - self.spec.l
         tensors, shifts = site_tensors(self.state, site), site_shifts(site)
@@ -231,11 +238,12 @@ class WalkMemo:
         return _Node(p_up, cands, norms)
 
 
-def _memo_for(state: MPSState, spec: WindowSpec, memo):
+def _owned(kind, state: MPSState, spec: WindowSpec, memo):
+    """memo, checked to belong to this state and window, or a new kind()."""
     if memo is None:
-        return WalkMemo(state, spec)
+        return kind(state, spec)
     if memo.state is not state or memo.spec != spec:
-        raise ConfigError("the walk memo belongs to another state or window")
+        raise ConfigError(f"the {kind.__name__} belongs to another state or window")
     return memo
 
 
@@ -251,7 +259,7 @@ def sample_spins_and_beta(
     memo, a WalkMemo of the same state and window, supplies every
     conditional already computed for this alpha and prefix.
     """
-    return _memo_for(state, spec, memo).walk(alpha, rng)
+    return _owned(WalkMemo, state, spec, memo).walk(alpha, rng)
 
 
 def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):
@@ -306,6 +314,41 @@ def _by_charge(partials):
     return {q: (np.array(codes), np.stack(rows)) for q, (codes, rows) in groups.items()}
 
 
+class PartialCache:
+    """Charge-grouped partial products of one state and window.
+
+    Holds _by_charge of the left partials per alpha and of the right
+    partials per beta, built on first use exactly as assembly builds
+    them; it starts over whenever it outgrows WALK_MEMO_BYTES.
+    """
+
+    def __init__(self, state: MPSState, spec: WindowSpec):
+        self.state, self.spec = state, spec
+        self.clear()
+
+    def clear(self):
+        """Drop every cached partial."""
+        self._lefts, self._rights = {}, {}
+        self.n_bytes = 0
+
+    def partials(self, alpha: tuple, beta: tuple):
+        """(left groups of alpha, right groups of beta) for _raw_window_amplitudes."""
+        if self.n_bytes > WALK_MEMO_BYTES:
+            self.clear()
+        lefts = self._lefts.get(alpha)
+        if lefts is None:
+            lefts = self._lefts[alpha] = self._grouped(_left_partials, alpha)
+        rights = self._rights.get(beta)
+        if rights is None:
+            rights = self._rights[beta] = self._grouped(_right_partials, beta)
+        return lefts, rights
+
+    def _grouped(self, partials, boundary):
+        groups = _by_charge(partials(self.state, self.spec, boundary))
+        self.n_bytes += sum(c.nbytes + r.nbytes for c, r in groups.values())
+        return groups
+
+
 def pair_sector(spec: WindowSpec, alpha, beta) -> int:
     """Up-spin count of every window configuration a boundary pair reaches.
 
@@ -315,11 +358,15 @@ def pair_sector(spec: WindowSpec, alpha, beta) -> int:
     return beta[0] - alpha[0] + sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
 
 
-def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta):
-    """(n_up, unnormalized sector amplitudes) of one boundary pair."""
+def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta, cache=None):
+    """(n_up, unnormalized sector amplitudes) of one boundary pair.
+
+    cache, a PartialCache of the same state and window, supplies the
+    partials of alpha and beta already built.
+    """
     l = spec.l
-    lefts = _by_charge(_left_partials(state, spec, alpha))
-    rights = _by_charge(_right_partials(state, spec, beta))
+    cache = _owned(PartialCache, state, spec, cache)
+    lefts, rights = cache.partials(tuple(alpha), tuple(beta))
     n_up = pair_sector(spec, alpha, beta)
     basis = _sector_basis(2 * l + 1, n_up)
     amps = np.zeros(basis.size, dtype=complex)
@@ -338,12 +385,12 @@ def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta):
     return n_up, amps
 
 
-def _window_state(state: MPSState, spec: WindowSpec, alpha, beta):
+def _window_state(state: MPSState, spec: WindowSpec, alpha, beta, cache=None):
     """(squared norm, WindowState|None) of one boundary pair's raw window.
 
     The state is None when the raw amplitudes vanish.
     """
-    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta)
+    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta, cache)
     norm2 = float(np.vdot(amps, amps).real)
     if not norm2 > 0.0:
         return norm2, None
@@ -352,7 +399,7 @@ def _window_state(state: MPSState, spec: WindowSpec, alpha, beta):
 
 
 def assemble_window_state(
-    state: MPSState, spec: WindowSpec, sample: BoundarySample
+    state: MPSState, spec: WindowSpec, sample: BoundarySample, cache=None
 ) -> WindowState:
     """Build the normalized window state of a sampled boundary pair.
 
@@ -360,9 +407,10 @@ def assemble_window_state(
     amplitude is the inner product of a left partial product with a
     right one, nonzero only when their middle-bond sectors agree, which
     confines the state to the total-Sz sector fixed by the boundary
-    charges.
+    charges. cache, a PartialCache of the same state and window, is
+    shared by the pairs assembled together; it never changes a bit.
     """
-    _norm2, psi = _window_state(state, spec, sample.alpha, sample.beta)
+    _norm2, psi = _window_state(state, spec, sample.alpha, sample.beta, cache)
     if psi is None:
         raise SamplingError(
             f"window state of boundary pair {sample.alpha}, {sample.beta} has zero norm"
@@ -391,13 +439,14 @@ def enumerate_boundary_pairs(state: MPSState, spec: WindowSpec):
     """
     spectrum = boundary_spectrum(state, spec)
     right_dims = right_boundary_dims(state, spec)
+    cache = PartialCache(state, spec)
     for q_a, lam_vals in spectrum.blocks.items():
         for i_a in range(lam_vals.size):
             lam = lam_vals[i_a]
             for q_b, d_b in sorted(right_dims.items()):
                 for i_b in range(d_b):
                     alpha, beta = (q_a, i_a), (q_b, i_b)
-                    norm2, psi = _window_state(state, spec, alpha, beta)
+                    norm2, psi = _window_state(state, spec, alpha, beta, cache)
                     weight = float(lam * lam) * norm2
                     if psi is not None and weight > 0.0:
                         yield alpha, beta, weight, psi

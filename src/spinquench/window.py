@@ -15,10 +15,6 @@ the order a single matrix-vector product uses, and norms and <Sz> are
 reduced row by row, so a state evolves to the same bits whatever else
 shares its stack.
 
-A dense reference evolver (scipy sparse exponential applied to the full
-sector vector) doubles as the independent oracle for the rest of the
-package.
-
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
 an integer's binary digits left to right. A sector basis lists the
@@ -33,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ConfigError, NormDriftError, step_count
 
@@ -232,64 +227,6 @@ def evolve_and_measure(
         psi = taylor_step(psi, h, params.delta_t, params.n_max)
         series.append((t_init + j * params.delta_t, sz_center(psi)))
     return series
-
-
-def _parse_config(initial):
-    if isinstance(initial, str):
-        table = {"u": 1, "d": 0, "1": 1, "0": 0}
-        try:
-            return [table[ch] for ch in initial.lower()]
-        except KeyError:
-            raise ConfigError(f"unrecognized spin character in {initial!r}") from None
-    bits = [int(b) for b in initial]
-    if any(b not in (0, 1) for b in bits):
-        raise ConfigError("spin configuration entries must be 0/1 or u/d")
-    return bits
-
-
-def alternating_config(n_sites: int, start_up: bool = True) -> str:
-    """Alternating u/d string of the given length."""
-    a, b = ("u", "d") if start_up else ("d", "u")
-    return "".join(a if j % 2 == 0 else b for j in range(n_sites))
-
-
-def dense_reference_evolve(initial, delta: float, t_grid) -> list:
-    """Reference evolution of a small open chain from a product state.
-
-    Propagates the full sector state vector with scipy's sparse matrix
-    exponential (no Taylor cutoff, no window) and returns a list of
-    (t, per-site <Sz> array) at the requested ascending times, t = 0
-    being the initial product state. Chains up to 20 sites.
-    """
-    bits = _parse_config(initial)
-    n_sites = len(bits)
-    if not 2 <= n_sites <= 20:
-        raise ConfigError(f"chain length must be in [2, 20], got {n_sites}")
-    n_up = sum(bits)
-    basis = _sector_basis(n_sites, n_up)
-    h = _chain_hamiltonian(n_sites, delta, basis)
-    x0 = 0
-    for b in bits:
-        x0 = (x0 << 1) | b
-    pos = int(np.searchsorted(basis, x0))
-    v = np.zeros(basis.size, dtype=complex)
-    v[pos] = 1.0
-    signs = np.stack(
-        [_site_bits(basis, n_sites, j).astype(float) - 0.5 for j in range(n_sites)],
-        axis=1,
-    )
-    out = []
-    t_prev = 0.0
-    for t in t_grid:
-        t = float(t)
-        if t < -1e-12 or t < t_prev - 1e-12:
-            raise ConfigError("t_grid must be ascending and nonnegative")
-        if t > t_prev + 1e-15:
-            v = expm_multiply((-1j * (t - t_prev)) * h, v)
-            t_prev = t
-        p = np.abs(v) ** 2
-        out.append((t, p @ signs))
-    return out
 
 
 def spin_wave_velocity(delta: float) -> float:

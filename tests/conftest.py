@@ -8,9 +8,9 @@ shared; everything else is cheap enough to rebuild per test.
 import numpy as np
 import pytest
 
+from oracles import alternating_config, dense_reference_evolve
 from spinquench.harness import run_itebd
 from spinquench.itebd import QuenchConfig, evolve_to, neel_init
-from spinquench.window import alternating_config, dense_reference_evolve
 
 _ACCEPTANCE_LINES = []
 

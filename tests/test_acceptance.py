@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-import test_sampler as sampler_oracles
+from oracles import dense_window_amplitudes, full_amplitudes, right_normalization_deviation
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.errors import CheckpointChecksumError
 from spinquench.graded import SchmidtSpectrum
@@ -34,7 +34,6 @@ from spinquench.itebd import (
     evolve_to,
     expect_sz,
     neel_init,
-    right_normalization_deviation,
     update_bond,
 )
 from spinquench.sampler import WindowSpec, enumerate_boundary_pairs
@@ -131,7 +130,7 @@ def test_criterion_05_sampler_unbiased(acceptance_log, k16_t1):
     spec = WindowSpec(l=2)
     acc = 0.0
     for _a, _b, weight, psi in enumerate_boundary_pairs(state, spec):
-        amps = sampler_oracles.full_amplitudes(psi)
+        amps = full_amplitudes(psi)
         bit = (np.arange(amps.size) >> spec.l) & 1
         acc += weight * float(np.abs(amps) ** 2 @ (bit - 0.5))
     direct = expect_sz(state, "A")
@@ -195,11 +194,9 @@ def test_criterion_07_symmetry_economy(acceptance_log, k256_run, k16_t1):
     spec = WindowSpec(l=2)
     worst = 0.0
     for alpha, beta, _w, psi in enumerate_boundary_pairs(small_state, spec):
-        dense = sampler_oracles._dense_window_amplitudes(
-            small_state, spec, alpha, beta
-        )
+        dense = dense_window_amplitudes(small_state, spec, alpha, beta)
         dense /= np.linalg.norm(dense)
-        full = sampler_oracles.full_amplitudes(psi)
+        full = full_amplitudes(psi)
         worst = max(worst, float(np.max(np.abs(dense - full))))
     _record(
         acceptance_log, 7, "symmetry-economy",

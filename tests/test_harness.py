@@ -44,15 +44,19 @@ def short_run(tmp_path_factory):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Run run_mc's worker blocks in this process; returns the pool sizes.
+    """Run run_mc's pool rounds in this process; returns the pool sizes.
 
-    No process is started, so tests can count calls inside the blocks.
+    No process is started, so tests can count calls inside the rounds.
+    The initializer runs once, in this process, as a one-process pool
+    would run it.
     """
     sizes = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -168,31 +172,29 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     return pairs, np.array(rows)
 
 
-def test_run_mc_evolves_each_pair_once_per_block(
+def test_run_mc_evolves_each_pair_once_per_run(
     short_run, monkeypatch, in_process_pool
 ):
-    assembled, propagated, blocks = [], [], []
-    assemble, evolve, chunk = (
-        harness.assemble_window_state, harness.evolve_and_measure, harness._chunk_values
+    assembled, propagated, values = [], [], []
+    assemble, evolve, two_rounds = (
+        harness.assemble_window_state, harness.evolve_and_measure, harness._two_rounds
     )
 
-    def counted_assemble(state, spec, sample):
-        assembled[-1].append((sample.alpha, sample.beta))
-        return assemble(state, spec, sample)
+    def counted_assemble(state, spec, sample, cache=None):
+        assembled.append((sample.alpha, sample.beta))
+        return assemble(state, spec, sample, cache)
 
     def counted_evolve(psi, *args, **kwargs):
-        propagated[-1] += psi.amplitudes.shape[0]
+        propagated.append(psi.amplitudes.shape[0])
         return evolve(psi, *args, **kwargs)
 
-    def recorded_chunk(args):
-        assembled.append([])
-        propagated.append(0)
-        blocks.append(chunk(args))
-        return blocks[-1]
+    def recorded_rounds(*args):
+        values.append(two_rounds(*args))
+        return values[-1]
 
     monkeypatch.setattr(harness, "assemble_window_state", counted_assemble)
     monkeypatch.setattr(harness, "evolve_and_measure", counted_evolve)
-    monkeypatch.setattr(harness, "_chunk_values", recorded_chunk)
+    monkeypatch.setattr(harness, "_two_rounds", recorded_rounds)
     n, t_fin = 60, 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -205,16 +207,18 @@ def test_run_mc_evolves_each_pair_once_per_block(
     )
     pairs, rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, range(n))
     assert len(set(pairs)) < n  # some pair repeats, so reuse is exercised
-    for workers, bounds in ((1, (0, n)), (3, (0, 20, 40, n))):
-        for log in (assembled, propagated, blocks):
+    # pairs drawn in different blocks repeat too, so the dedup must span blocks
+    assert set(pairs[:20]) & set(pairs[20:40]) & set(pairs[40:])
+    for workers in (1, 2, 3):
+        for log in (assembled, propagated, values):
             log.clear()
         run_mc(n_workers=workers, **kw)
-        # every distinct pair of a block is assembled and evolved once
-        for got, count, lo, hi in zip(assembled, propagated, bounds[:-1], bounds[1:]):
-            assert sorted(got) == sorted(set(pairs[lo:hi]))
-            assert count == len(got)
-        # and the block rows are bit-for-bit the sample-by-sample rows
-        assert np.array_equal(np.concatenate(blocks), rows)
+        # every distinct pair of the run is assembled and evolved once
+        assert sorted(assembled) == sorted(set(pairs))
+        assert sum(propagated) == len(assembled)
+        # and every sample's row is bit-for-bit its sample-by-sample row
+        assert len(values) == 1
+        assert np.array_equal(values[0], rows)
 
 
 def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from oracles import dense_window_amplitudes, full_amplitudes
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
-from spinquench.graded import SectorLayout
 from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
+    PartialCache,
     WalkMemo,
     WindowSpec,
     _branch_probabilities,
@@ -69,70 +70,6 @@ def test_window_weight_matches_assembled_state(quench_state):
         assert weight <= lam * lam * (1.0 + 1e-12)
 
 
-def _bond_layouts(state, spec):
-    """SectorLayout for every bond from the left boundary to the right."""
-    layouts = {-spec.l: SectorLayout(boundary_spectrum(state, spec).sector_dims)}
-    for site in range(-spec.l, spec.l + 1):
-        tensors = site_tensors(state, site)
-        dims = {}
-        for s in (UP, DN):
-            dims.update(tensors[s].col_dims)
-        layouts[site + 1] = SectorLayout(dims)
-    return layouts
-
-
-def _dense_window_amplitudes(state, spec, alpha, beta):
-    """Window amplitudes via dense matrices, no charge bookkeeping."""
-    l = spec.l
-    layouts = _bond_layouts(state, spec)
-    start = np.zeros(layouts[-l].total, dtype=complex)
-    start[layouts[-l].position(*alpha)] = 1.0
-    lefts = [start]
-    for site in range(-l, 1):
-        tensors = site_tensors(state, site)
-        dense = {
-            s: tensors[s].to_dense(layouts[site], layouts[site + 1]) for s in (UP, DN)
-        }
-        nxt = []
-        for vec in lefts:
-            for bit in (0, 1):  # prefix code appends the new bit at the bottom
-                s = UP if bit else DN
-                nxt.append(vec @ dense[s])
-        # reorder so index c has bit (site - (-l)) ... matches blocked code
-        lefts = [None] * len(nxt)
-        for p, vec in enumerate(nxt):
-            old, bit = divmod(p, 2)
-            lefts[(old << 1) | bit] = vec
-    rights = [None] * (1 << l)
-    end = np.zeros(layouts[l + 1].total, dtype=complex)
-    end[layouts[l + 1].position(*beta)] = 1.0
-    level = [end]
-    for site in range(l, 0, -1):
-        tensors = site_tensors(state, site)
-        dense = {
-            s: tensors[s].to_dense(layouts[site], layouts[site + 1]) for s in (UP, DN)
-        }
-        depth = l - site
-        nxt = [None] * (2 * len(level))
-        for p, vec in enumerate(level):
-            for s, bit in ((UP, 1), (DN, 0)):
-                nxt[(bit << depth) | p] = dense[s] @ vec
-        level = nxt
-    rights = level
-    amps = np.zeros(1 << (2 * l + 1), dtype=complex)
-    for cl, lvec in enumerate(lefts):
-        for cr, rvec in enumerate(rights):
-            amps[(cl << l) | cr] = lvec @ rvec
-    return amps
-
-
-def full_amplitudes(psi):
-    """A sector-stored window state scattered into the full 2^n space."""
-    amps = np.zeros(1 << psi.n_sites, dtype=complex)
-    amps[psi.basis] = psi.amplitudes
-    return amps
-
-
 def test_blocked_assembly_matches_dense_route(quench_state):
     # same window, two assembly routes: per-sector blocks versus one dense
     # matrix per site with the grading forgotten
@@ -140,7 +77,7 @@ def test_blocked_assembly_matches_dense_route(quench_state):
     spectrum = boundary_spectrum(quench_state, spec)
     checked = 0
     for alpha, beta, weight, psi in enumerate_boundary_pairs(quench_state, spec):
-        dense = _dense_window_amplitudes(quench_state, spec, alpha, beta)
+        dense = dense_window_amplitudes(quench_state, spec, alpha, beta)
         lam = spectrum.blocks[alpha[0]][alpha[1]]
         dense_weight = float(lam * lam) * float(np.vdot(dense, dense).real)
         assert abs(dense_weight - weight) < 1e-10
@@ -211,11 +148,14 @@ def k128_state(k128_t2):
     return state
 
 
-@pytest.mark.parametrize("clearing", ["kept", "cleared-once", "small-budget"])
+@pytest.mark.parametrize("clearing", ["kept", "cleared-once", "small-budget", "no-memo"])
 @pytest.mark.parametrize("l", [2, 4])
 def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch, l, clearing):
     # a block's draws through one memo are the pairs a memo-free walk
-    # returns, also when the memo is dropped part-way through the block
+    # returns, also when the memo is dropped part-way through the block;
+    # the walk takes its 2l+1 spin uniforms and the beta uniform in one
+    # rng.random(2l+2) call, and the reference one rng.random() per draw,
+    # so both must also leave the generator in the same state
     state = quench_state if l == 2 else k128_state
     spec = WindowSpec(l=l)
     if clearing == "small-budget":
@@ -228,9 +168,12 @@ def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch,
             memo.clear()
         seed = np.random.SeedSequence((11, sid))
         rng = np.random.default_rng(seed)
-        alpha = sample_alpha(state, spec, rng, memo)
-        got = sample_spins_and_beta(state, spec, alpha, rng, memo)
-        assert (got.alpha, got.beta) == _fresh_walk(state, spec, np.random.default_rng(seed))
+        used = None if clearing == "no-memo" else memo
+        alpha = sample_alpha(state, spec, rng, used)
+        got = sample_spins_and_beta(state, spec, alpha, rng, used)
+        ref = np.random.default_rng(seed)
+        assert (got.alpha, got.beta) == _fresh_walk(state, spec, ref)
+        assert rng.random() == ref.random()
         distinct.add(got)
         resets += memo.n_bytes < before
     assert 1 < len(distinct) < 500  # pairs and prefixes do repeat
@@ -247,6 +190,45 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
         sample_alpha(quench_state, WindowSpec(l=1), rng, memo)
     with pytest.raises(ConfigError):
         sample_spins_and_beta(quench_state, WindowSpec(l=1), (0, 0), rng, memo)
+    cache = PartialCache(quench_state, WindowSpec(l=2))
+    with pytest.raises(ConfigError):
+        assemble_window_state(quench_state, WindowSpec(l=1), BoundarySample((0, 0), (0, 0)), cache)
+
+
+@pytest.mark.parametrize("clearing", ["kept", "cleared-once", "no-budget"])
+@pytest.mark.parametrize("l", [2, 4])
+def test_cached_assembly_matches_cache_free_assembly(
+    quench_state, k128_state, monkeypatch, l, clearing
+):
+    # pairs assembled through one shared PartialCache are bit for bit the
+    # pairs assembled each on its own, also when the cache starts over
+    state = quench_state if l == 2 else k128_state
+    spec = WindowSpec(l=l)
+    if clearing == "no-budget":
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
+    memo = WalkMemo(state, spec)
+    pairs = []
+    for sid in range(300):
+        rng = np.random.default_rng(np.random.SeedSequence((4, sid)))
+        pairs.append(sample_spins_and_beta(state, spec, sample_alpha(state, spec, rng, memo), rng, memo))
+    pairs = list(dict.fromkeys(pairs))
+    alphas = {p.alpha for p in pairs}
+    assert len(alphas) < len(pairs)  # pairs share boundary states
+    cache = PartialCache(state, spec)
+    resets = []
+    clear = cache.clear
+    cache.clear = lambda: (resets.append(1), clear())
+    for j, pair in enumerate(pairs):
+        if clearing == "cleared-once" and j == len(pairs) // 2:
+            cache.clear()
+        got = assemble_window_state(state, spec, pair, cache)
+        ref = assemble_window_state(state, spec, pair)
+        assert got.total_sz_sector == ref.total_sz_sector
+        assert np.array_equal(got.amplitudes, ref.amplitudes)
+    if clearing == "no-budget":
+        assert len(resets) == len(pairs) - 1
+    else:
+        assert len(resets) == (clearing == "cleared-once")
 
 
 def test_window_states_live_in_one_sector(quench_state):
@@ -256,7 +238,7 @@ def test_window_states_live_in_one_sector(quench_state):
         spec = WindowSpec(l=l)
         sectors = set()
         for alpha, beta, _w, psi in enumerate_boundary_pairs(quench_state, spec):
-            dense = _dense_window_amplitudes(quench_state, spec, alpha, beta)
+            dense = dense_window_amplitudes(quench_state, spec, alpha, beta)
             n_up = np.bitwise_count(np.arange(dense.size, dtype=np.int64))
             support = np.unique(n_up[np.abs(dense) > 0])
             assert support.tolist() == [psi.total_sz_sector]

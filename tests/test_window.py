@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from oracles import alternating_config, dense_reference_evolve
 from spinquench.errors import ConfigError, NormDriftError
 from spinquench.window import (
     EvolverParams,
     L_MAX,
     WindowState,
     _chain_hamiltonian,
-    alternating_config,
     build_hloc,
-    dense_reference_evolve,
     evolve_and_measure,
     spin_wave_velocity,
     sz_center,
