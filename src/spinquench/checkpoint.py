@@ -111,12 +111,44 @@ def _read_exact(fh, n, what):
     return data
 
 
+def _int(value, low=None):
+    """A manifest integer, at least low when low is given, else ValueError."""
+    if type(value) is not int or (low is not None and value < low):
+        raise ValueError(f"bad manifest integer {value!r}")
+    return value
+
+
+def _tensor(entry):
+    """(name, charge shift, real, sectors) of a manifest tensor, checked.
+
+    Only the Schmidt spectra are stored real, one column per sector.
+    """
+    name = entry["name"]
+    real = name in ("lambda_A", "lambda_B")
+    sectors = [
+        (
+            _int(sec["q"]),
+            _int(sec["rows"], 0),
+            _int(sec["cols"], 0),
+            _int(sec["byte_offset"], 0),
+        )
+        for sec in entry["sectors"]
+    ]
+    if entry["real"] is not real or (real and any(sec[2] != 1 for sec in sectors)):
+        raise ValueError(f"tensor {name!r} does not match its real flag")
+    return name, _int(entry["charge_shift"]), real, sectors
+
+
 def load_checkpoint(path):
     """Read an MPSC1 file; returns (MPSState, QuenchConfig).
 
-    Raises CheckpointVersionError for a foreign magic or unsupported
-    version, CheckpointChecksumError on CRC mismatch, and
-    CheckpointTruncatedError when the file is shorter than declared.
+    Raises CheckpointVersionError for a foreign magic, an unsupported
+    version, or a manifest with a missing key, a run parameter that is
+    not a number, a charge, size or offset that is not an integer (a
+    size or offset must also be nonnegative), or a real flag that does
+    not fit the tensor. Raises
+    CheckpointChecksumError on CRC mismatch and CheckpointTruncatedError
+    when the file is shorter than declared.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -128,59 +160,57 @@ def load_checkpoint(path):
             manifest = json.loads(_read_exact(fh, manifest_len, "manifest"))
         except json.JSONDecodeError as exc:
             raise CheckpointVersionError(f"{path}: manifest is not valid JSON") from exc
-        if manifest.get("format_version") != FORMAT_VERSION:
+        version = manifest.get("format_version") if isinstance(manifest, dict) else None
+        if version != FORMAT_VERSION:
             raise CheckpointVersionError(
-                f"{path}: format_version {manifest.get('format_version')!r} "
+                f"{path}: format_version {version!r} "
                 f"not supported (expected {FORMAT_VERSION})"
             )
+        # The CRC covers only the payload, so the manifest is checked here.
+        try:
+            params = {k: manifest[k] for k in ("delta", "dt", "t_init")}
+            if any(type(v) not in (int, float) for v in params.values()):
+                raise ValueError(f"run parameters {params} are not numbers")
+            params["k_max"] = _int(manifest["k_max"])
+            tensors = [_tensor(entry) for entry in manifest["tensors"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointVersionError(
+                f"{path}: malformed manifest ({exc!r})"
+            ) from exc
         payload_len = 0
-        for tensor in manifest["tensors"]:
-            for sec in tensor["sectors"]:
-                width = 8 if tensor["real"] else 16
-                payload_len = max(
-                    payload_len, sec["byte_offset"] + sec["rows"] * sec["cols"] * width
-                )
+        for _name, _shift, real, sectors in tensors:
+            width = 8 if real else 16
+            for _q, rows, cols, off in sectors:
+                payload_len = max(payload_len, off + rows * cols * width)
         payload = _read_exact(fh, payload_len, "payload")
         (crc_stored,) = struct.unpack("<I", _read_exact(fh, 4, "checksum"))
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise CheckpointChecksumError(f"{path}: payload checksum mismatch")
 
     parsed = {}
-    for tensor in manifest["tensors"]:
-        name = tensor["name"]
-        blocks = {}
-        for sec in tensor["sectors"]:
-            rows, cols = sec["rows"], sec["cols"]
-            off = sec["byte_offset"]
-            if tensor["real"]:
-                arr = np.frombuffer(
-                    payload, dtype="<f8", count=rows * cols, offset=off
-                ).reshape(rows, cols)
-            else:
-                arr = np.frombuffer(
-                    payload, dtype="<c16", count=rows * cols, offset=off
-                ).reshape(rows, cols)
-            blocks[sec["q"]] = arr.copy()
-        if tensor["real"]:
+    for name, shift, real, sectors in tensors:
+        dtype = "<f8" if real else "<c16"
+        blocks = {
+            q: np.frombuffer(payload, dtype=dtype, count=rows * cols, offset=off)
+            .reshape(rows, cols)
+            .copy()
+            for q, rows, cols, off in sectors
+        }
+        if real:
             parsed[name] = SchmidtSpectrum({q: b[:, 0] for q, b in blocks.items()})
         else:
-            parsed[name] = GradedMatrix(tensor["charge_shift"], blocks)
+            parsed[name] = GradedMatrix(shift, blocks)
 
     missing = [n for n in _TENSOR_NAMES if n not in parsed]
     if missing:
         raise CheckpointVersionError(f"{path}: manifest missing tensors {missing}")
 
-    config = QuenchConfig(
-        delta=manifest["delta"],
-        dt=manifest["dt"],
-        k_max=manifest["k_max"],
-        t_init=manifest["t_init"],
-    )
+    config = QuenchConfig(**params)
     state = MPSState(
         a_a=(parsed["A_A_up"], parsed["A_A_dn"]),
         a_b=(parsed["A_B_up"], parsed["A_B_dn"]),
         lambda_a=parsed["lambda_A"],
         lambda_b=parsed["lambda_B"],
-        time=manifest["t_init"],
+        time=params["t_init"],
     )
     return state, config

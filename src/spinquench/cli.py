@@ -4,8 +4,8 @@ Subcommands map onto the two-phase experiment plus two diagnostics:
 
 * itebd: evolve the infinite chain, write a checkpoint and a curve.
 * sample: Monte Carlo window sampling from a checkpoint.
-* peaks: extract |mean| peaks from a curve, optionally shift-corrected
-  against a reference curve.
+* peaks: extract |mean| peaks from a curve, shift-corrected against a
+  reference curve when one is given.
 * circuit-demo: compare direct, summed and sampled contraction of a
   random brickwork circuit.
 
@@ -41,16 +41,6 @@ from .harness import (
 from .itebd import QuenchConfig
 
 
-def _profile(name):
-    if name is None:
-        return PROFILES["desk"]
-    if name not in PROFILES:
-        raise ConfigError(
-            f"unknown profile {name!r}; choose from {', '.join(sorted(PROFILES))}"
-        )
-    return PROFILES[name]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinquench",
@@ -60,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("itebd", help="evolve the infinite chain and checkpoint")
-    p.add_argument("--profile", choices=sorted(PROFILES), default=None)
+    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--delta", type=float, default=None, help="anisotropy")
     p.add_argument("--dt", type=float, default=None, help="Trotter step")
     p.add_argument("--kmax", type=int, default=None, help="bond dimension cap")
@@ -69,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-curve", required=True)
 
     p = sub.add_parser("sample", help="Monte Carlo window sampling")
-    p.add_argument("--profile", choices=sorted(PROFILES), default=None)
+    p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--l", type=int, default=None, help="window half-width")
     p.add_argument("--t-fin", type=float, required=True)
@@ -86,8 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peaks", help="extract peak heights from a curve")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--reference", default=None, help="trusted early-time curve")
-    p.add_argument("--shift-correct", action="store_true")
+    p.add_argument(
+        "--reference", default=None,
+        help="trusted early-time curve; the peaks are shift-corrected against it",
+    )
     p.add_argument("--overlap-frac", type=float, default=0.25)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
@@ -101,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_itebd(args) -> int:
-    prof = _profile(args.profile)
+    prof = PROFILES[args.profile]
     config = QuenchConfig(
         delta=prof["delta"] if args.delta is None else args.delta,
         dt=prof["dt"] if args.dt is None else args.dt,
@@ -112,7 +104,7 @@ def _cmd_itebd(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    prof = _profile(args.profile)
+    prof = PROFILES[args.profile]
     run_mc(
         args.checkpoint,
         l=prof["l"] if args.l is None else args.l,
@@ -139,9 +131,7 @@ def _reference_columns(path):
 def _cmd_peaks(args) -> int:
     meta, curve = read_aggregate_curve(args.in_path)
     out_meta = {"source": meta.get("checkpoint"), "shift_constant": None}
-    if args.shift_correct:
-        if args.reference is None:
-            raise ConfigError("--shift-correct requires --reference")
+    if args.reference is not None:
         ref_t, ref_v = _reference_columns(args.reference)
         curve = shift_correction(curve, ref_t, ref_v, overlap_frac=args.overlap_frac)
         out_meta["shift_constant"] = curve.shift_constant

@@ -80,12 +80,6 @@ class GradedMatrix:
     def col_dims(self):
         return {q + self.charge_shift: b.shape[1] for q, b in self.blocks.items()}
 
-    def dagger(self) -> "GradedMatrix":
-        out = {}
-        for q_row, arr in self.blocks.items():
-            out[q_row + self.charge_shift] = arr.conj().T
-        return GradedMatrix(-self.charge_shift, out)
-
     def scaled(self, factor) -> "GradedMatrix":
         return GradedMatrix(
             self.charge_shift, {q: b * factor for q, b in self.blocks.items()}
@@ -153,15 +147,19 @@ class SchmidtSpectrum:
         return sum(float(v @ v) for v in self.blocks.values())
 
     @functools.cached_property
+    def _ranked(self):
+        """(charges, values, indices-within-sector) as arrays, ranked."""
+        sizes = [v.size for v in self.blocks.values()]
+        charges = np.repeat(list(self.blocks), sizes).astype(int)
+        values = np.concatenate([np.zeros(0), *self.blocks.values()])
+        index = np.concatenate([np.arange(0), *map(np.arange, sizes)])
+        order = np.lexsort((index, charges, np.abs(charges), -values))
+        return charges[order], values[order], index[order]
+
+    @functools.cached_property
     def entries(self):
         """Merged tuple of (charge, value, index-within-sector), ranked."""
-        merged = [
-            (q, float(w), i)
-            for q, vals in self.blocks.items()
-            for i, w in enumerate(vals)
-        ]
-        merged.sort(key=lambda e: (-e[1], abs(e[0]), e[0], e[2]))
-        return tuple(merged)
+        return tuple(zip(*(a.tolist() for a in self._ranked)))
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -193,15 +191,16 @@ class TruncationReport:
 
 
 def block_svd(theta: GradedMatrix):
-    """Sector-by-sector SVD of a graded matrix.
+    """Sector-by-sector singular values and right factor of a graded matrix.
 
-    Returns (x, spectrum, y) with theta = x * diag(spectrum) * y blockwise.
-    x has charge shift 0, y inherits theta's shift, and the spectrum's
-    sectors are labelled by theta's row charges. The phase of every left
-    singular vector is fixed so its largest-magnitude entry is real and
-    positive, making repeated decompositions reproducible.
+    Returns (spectrum, y) with theta = x * diag(spectrum) * y blockwise,
+    where the left factor x is not kept. y inherits theta's shift and
+    the spectrum's sectors are labelled by theta's row charges. Each row
+    of y carries the phase that makes the largest-magnitude entry of its
+    left singular vector real and positive, so repeated decompositions
+    are reproducible.
     """
-    x_blocks, s_blocks, y_blocks = {}, {}, {}
+    s_blocks, y_blocks = {}, {}
     for q_row, arr in theta.blocks.items():
         try:
             u, s, vh = np.linalg.svd(arr, full_matrices=False)
@@ -210,23 +209,12 @@ def block_svd(theta: GradedMatrix):
                 f"SVD did not converge in sector {q_row} "
                 f"({arr.shape[0]}x{arr.shape[1]})"
             ) from exc
-        # Phase convention: largest-|entry| of each left singular vector
-        # becomes real positive; the compensating phase moves into vh.
-        for j in range(u.shape[1]):
-            k = int(np.argmax(np.abs(u[:, j])))
-            mag = abs(u[k, j])
-            if mag > 0.0:
-                phase = u[k, j] / mag
-                u[:, j] *= phase.conjugate()
-                vh[j, :] *= phase
-        x_blocks[q_row] = u
+        # Columns of u have unit norm, so no lead entry is zero. hypot,
+        # unlike np.abs on complex arrays, rounds as scalar abs() does.
+        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
         s_blocks[q_row] = s
-        y_blocks[q_row] = vh
-    return (
-        GradedMatrix(0, x_blocks),
-        SchmidtSpectrum(s_blocks),
-        GradedMatrix(theta.charge_shift, y_blocks),
-    )
+        y_blocks[q_row] = vh * (lead / np.hypot(lead.real, lead.imag))[:, None]
+    return SchmidtSpectrum(s_blocks), GradedMatrix(theta.charge_shift, y_blocks)
 
 
 def merged_truncate(spectrum: SchmidtSpectrum, k_max: int):
@@ -241,28 +229,21 @@ def merged_truncate(spectrum: SchmidtSpectrum, k_max: int):
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    merged = spectrum.entries
-    if not merged:
+    if not spectrum.blocks:
         raise ValueError("cannot truncate an empty spectrum")
-    floor = merged[0][1] * SINGULAR_VALUE_FLOOR
-    discarded = 0.0
-    survivors = []
-    for q, w, i in merged:
-        if w < floor:
-            discarded += w * w
-        else:
-            survivors.append((q, w, i))
-    kept = survivors[:k_max]
-    for _, w, _ in survivors[k_max:]:
-        discarded += w * w
-    kept_per_sector: dict = {}
-    kept_vals: dict = {}
-    for q, w, _ in kept:
-        kept_per_sector[q] = kept_per_sector.get(q, 0) + 1
-        kept_vals.setdefault(q, []).append(w)
-    new_spec = SchmidtSpectrum(kept_vals).normalized()
+    charges, values, _index = spectrum._ranked
+    n_survive = int(np.count_nonzero(values >= values[0] * SINGULAR_VALUE_FLOOR))
+    n_keep = min(k_max, n_survive)
+    # cumsum adds one value at a time in ranked order, floored values
+    # first, so the weight does not depend on np.sum's pairing.
+    dropped = np.concatenate([values[n_survive:], values[n_keep:n_survive]])
+    discarded = float(np.cumsum(dropped**2)[-1]) if dropped.size else 0.0
+    kept_q, kept_n = np.unique(charges[:n_keep], return_counts=True)
+    kept_per_sector = dict(zip(kept_q.tolist(), kept_n.tolist()))
+    new_spec = SchmidtSpectrum(
+        {q: spectrum.blocks[q][:n] for q, n in kept_per_sector.items()}
+    ).normalized()
     report = TruncationReport(
-        discarded_weight=discarded,
-        kept_per_sector={q: kept_per_sector[q] for q in sorted(kept_per_sector)},
+        discarded_weight=discarded, kept_per_sector=kept_per_sector
     )
     return new_spec, report

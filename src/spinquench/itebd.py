@@ -7,13 +7,14 @@ both bond types, and every amplitude of the wavefunction is a plain
 product of A matrices; no Schmidt value is ever divided out.
 
 A bond update contracts the two-site gate with the neighboring site
-matrices (the C tensor), multiplies the left bond's Schmidt values on
-to form theta, decomposes theta sector by sector, and rebuilds:
+matrices (the C tensor), fuses C into one block per middle-bond charge,
+multiplies the left bond's Schmidt values on to form theta, decomposes
+theta sector by sector, and rebuilds:
 
 * the right tensor from rows of the right singular factor Y, which is
   exactly isometric even after truncation,
-* the left tensor as C Y-dagger, which re-embeds the new Schmidt values
-  without any reciprocal.
+* the left tensor as C Y-dagger, one product per fused block, which
+  re-embeds the new Schmidt values without any reciprocal.
 
 Tiny Schmidt values therefore pass through updates harmlessly, which is
 what lets the bond dimension be pushed hard without the usual blow-up
@@ -184,17 +185,18 @@ def _gate_contraction(gate, left, right, shifts_left, shifts_right):
     return c
 
 
-def _fuse(theta, shifts_left, shifts_right):
-    """Group the four theta matrices into one block per middle charge.
+def _fuse(c, shifts_left, shifts_right):
+    """Group the four C matrices into one block per middle charge.
 
     Rows combine (left spin, left bond sector), columns combine
     (right spin, right bond sector); a row and a column belong to the
     same block exactly when they imply the same middle-bond charge.
-    Returns the fused graded matrix plus the row/column layouts needed
-    to unfuse the singular factors.
+    Returns the fused graded matrix, the row layout that places the
+    left bond's Schmidt values and splits the rebuilt left tensor, and
+    the column layout that splits the right singular factor.
     """
     row_dims, col_dims = {}, {}
-    for (sl, sr), mat in theta.items():
+    for (sl, sr), mat in c.items():
         for (q_row, q_col), arr in mat.items():
             row_dims.setdefault((sl, q_row), arr.shape[0])
             col_dims.setdefault((sr, q_col), arr.shape[1])
@@ -217,7 +219,7 @@ def _fuse(theta, shifts_left, shifts_right):
         dense = np.zeros((off, coff), dtype=complex)
         for sl, q_row, r0, rd in rows:
             for sr, q_col, c0, cd in cols:
-                arr = theta[(sl, sr)].block(q_row)
+                arr = c[(sl, sr)].block(q_row)
                 if arr is not None:
                     dense[r0 : r0 + rd, c0 : c0 + cd] = arr
         fused_blocks[qm] = dense
@@ -237,49 +239,41 @@ def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
     """
     left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
     c = _gate_contraction(gate, left, right, sh_l, sh_r)
+    fused_c, row_layout, col_layout = _fuse(c, sh_l, sh_r)
+    if not fused_c.blocks:
+        raise ConfigError("update produced an empty theta; state is inconsistent")
+    largest_block = max(max(b.shape) for b in fused_c.blocks.values())
 
     theta = {}
-    for key, mat in c.items():
-        blocks = {}
-        for q_row, arr in mat.blocks.items():
+    for qm, block in fused_c.blocks.items():
+        lam_rows = []
+        for _sl, q_row, _r0, rd in row_layout[qm]:
             lam_vals = lam_mult.blocks.get(q_row)
-            if lam_vals is None or lam_vals.size != arr.shape[0]:
+            if lam_vals is None or lam_vals.size != rd:
                 raise ConfigError(
                     f"state inconsistent: bond sector {q_row} has "
                     f"{0 if lam_vals is None else lam_vals.size} Schmidt values "
-                    f"but tensor rows {arr.shape[0]}"
+                    f"but tensor rows {rd}"
                 )
-            blocks[q_row] = arr * lam_vals[:, None]
-        theta[key] = GradedMatrix(mat.charge_shift, blocks)
+            lam_rows.append(lam_vals)
+        theta[qm] = block * np.concatenate(lam_rows)[:, None]
 
-    fused, _row_layout, col_layout = _fuse(theta, sh_l, sh_r)
-    if not fused.blocks:
-        raise ConfigError("update produced an empty theta; state is inconsistent")
-    largest_block = max(max(b.shape) for b in fused.blocks.values())
-
-    _x, spec_raw, y = block_svd(fused)
+    spec_raw, y = block_svd(GradedMatrix(0, theta))
     norm2_before = spec_raw.total_weight
     spec_new, report = merged_truncate(spec_raw, k_max)
     report.largest_block_dim = largest_block
     renorm = math.sqrt(norm2_before - report.discarded_weight)
 
-    right_blocks = {UP: {}, DN: {}}
+    left_blocks, right_blocks = {UP: {}, DN: {}}, {UP: {}, DN: {}}
     for qm, kept in report.kept_per_sector.items():
         vh = y.block(qm)[:kept, :]
         for sr, q_col, c0, cd in col_layout[qm]:
             right_blocks[sr][(qm, q_col)] = vh[:, c0 : c0 + cd]
-    right_new = tuple(
-        GradedMatrix(sh_r[sr], right_blocks[sr]) for sr in (UP, DN)
-    )
-
-    left_new = []
-    for sl in (UP, DN):
-        acc = GradedMatrix(sh_l[sl], {})
-        for sr in (UP, DN):
-            if right_new[sr].blocks and c[(sl, sr)].blocks:
-                acc = acc.add(c[(sl, sr)] @ right_new[sr].dagger())
-        left_new.append(acc.scaled(1.0 / renorm))
-    left_new = tuple(left_new)
+        rebuilt = fused_c.block(qm) @ vh.conj().T * (1.0 / renorm)
+        for sl, q_row, r0, rd in row_layout[qm]:
+            left_blocks[sl][(q_row, qm)] = rebuilt[r0 : r0 + rd]
+    left_new = tuple(GradedMatrix(sh_l[s], left_blocks[s]) for s in (UP, DN))
+    right_new = tuple(GradedMatrix(sh_r[s], right_blocks[s]) for s in (UP, DN))
 
     if which == "AB":
         new_state = dataclasses.replace(
@@ -344,6 +338,11 @@ def expect_pair_observable(state: MPSState, op4: np.ndarray) -> float:
     return float(val.real)
 
 
+def _record(t, sz0, sz1, discarded_weight, state) -> ObserverRecord:
+    entropies = state.lambda_a.entropy(), state.lambda_b.entropy()
+    return ObserverRecord(t, sz0, sz1, discarded_weight, *entropies)
+
+
 def evolve_to(
     state: MPSState,
     t_end: float,
@@ -372,41 +371,34 @@ def evolve_to(
     op_sz1 = uh.conj().T @ SZ_RIGHT @ uh
 
     t0 = state.time
-    cum = prev_cum = 0.0
-
-    def record(t_k, sz0, sz1, st):
-        nonlocal prev_cum
-        rec = ObserverRecord(
-            time=t_k,
-            sz0=sz0,
-            sz1=sz1,
-            discarded_weight=cum - prev_cum,
-            entropy_a=st.lambda_a.entropy(),
-            entropy_b=st.lambda_b.entropy(),
-        )
-        prev_cum = cum
-        observer(rec)
-
     state, rep = update_bond(state, g_half, "AB", config.k_max)
-    cum += rep.discarded_weight
+    step_weight = rep.discarded_weight
     for k in range(1, n + 1):
         state, rep = update_bond(state, g_full, "BA", config.k_max)
-        cum += rep.discarded_weight
+        step_weight += rep.discarded_weight
         t_k = t0 + k * config.dt
         if k < n:
             if observer is not None:
-                record(
-                    t_k,
-                    expect_pair_observable(state, op_sz0),
-                    expect_pair_observable(state, op_sz1),
-                    state,
+                observer(
+                    _record(
+                        t_k,
+                        expect_pair_observable(state, op_sz0),
+                        expect_pair_observable(state, op_sz1),
+                        step_weight,
+                        state,
+                    )
                 )
             state, rep = update_bond(state, g_full, "AB", config.k_max)
-            cum += rep.discarded_weight
+            step_weight = rep.discarded_weight
         else:
             state, rep = update_bond(state, g_half, "AB", config.k_max)
-            cum += rep.discarded_weight
+            step_weight += rep.discarded_weight
             state = dataclasses.replace(state, time=t_end)
             if observer is not None:
-                record(t_k, expect_sz(state, "A"), expect_sz(state, "B"), state)
+                observer(
+                    _record(
+                        t_k, expect_sz(state, "A"), expect_sz(state, "B"),
+                        step_weight, state,
+                    )
+                )
     return state

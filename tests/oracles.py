@@ -7,11 +7,19 @@ series. A test that compares the package against one of these checks
 the structure itself.
 """
 
+import math
+
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
 from spinquench.errors import ConfigError
-from spinquench.itebd import DN, UP
+from spinquench.graded import (
+    SINGULAR_VALUE_FLOOR,
+    GradedMatrix,
+    SchmidtSpectrum,
+    TruncationReport,
+)
+from spinquench.itebd import DN, UP, _fuse, _gate_contraction, _pair_roles
 from spinquench.sampler import boundary_spectrum, site_tensors
 from spinquench.window import _chain_hamiltonian, _sector_basis, _site_bits
 
@@ -191,3 +199,103 @@ def dense_window_amplitudes(state, spec, alpha, beta):
         for cr, rvec in enumerate(rights):
             amps[(cl << l) | cr] = lvec @ rvec
     return amps
+
+
+def block_svd_reference(theta):
+    """(x, spectrum, y) of each sector, the phase fixed column by column.
+
+    The left factor x is kept, and the phase that makes the largest-
+    magnitude entry of each of its columns real and positive is found
+    in a Python loop and moved into the matching row of y.
+    """
+    x_blocks, s_blocks, y_blocks = {}, {}, {}
+    for q_row, arr in theta.blocks.items():
+        u, s, vh = np.linalg.svd(arr, full_matrices=False)
+        for j in range(u.shape[1]):
+            k = int(np.argmax(np.abs(u[:, j])))
+            mag = abs(u[k, j])
+            if mag > 0.0:
+                phase = u[k, j] / mag
+                u[:, j] *= phase.conjugate()
+                vh[j, :] *= phase
+        x_blocks[q_row] = u
+        s_blocks[q_row] = s
+        y_blocks[q_row] = vh
+    return (
+        GradedMatrix(0, x_blocks),
+        SchmidtSpectrum(s_blocks),
+        GradedMatrix(theta.charge_shift, y_blocks),
+    )
+
+
+def merged_truncate_reference(spectrum, k_max):
+    """merged_truncate as a walk over a Python-sorted list of all values."""
+    merged = sorted(
+        (
+            (q, float(w), i)
+            for q, vals in spectrum.blocks.items()
+            for i, w in enumerate(vals)
+        ),
+        key=lambda e: (-e[1], abs(e[0]), e[0], e[2]),
+    )
+    floor = merged[0][1] * SINGULAR_VALUE_FLOOR
+    discarded = 0.0
+    survivors = []
+    for q, w, i in merged:
+        if w < floor:
+            discarded += w * w
+        else:
+            survivors.append((q, w, i))
+    for _, w, _ in survivors[k_max:]:
+        discarded += w * w
+    kept_vals = {}
+    for q, w, _ in survivors[:k_max]:
+        kept_vals.setdefault(q, []).append(w)
+    report = TruncationReport(
+        discarded_weight=discarded,
+        kept_per_sector={q: len(kept_vals[q]) for q in sorted(kept_vals)},
+    )
+    return SchmidtSpectrum(kept_vals).normalized(), report
+
+
+def _dagger(matrix):
+    return GradedMatrix(
+        -matrix.charge_shift,
+        {q + matrix.charge_shift: arr.conj().T for q, arr in matrix.blocks.items()},
+    )
+
+
+def update_bond_reference(state, gate, which, k_max):
+    """update_bond with theta scaled per C block before fusing, the
+    reference SVD and truncation walk, and the left tensor rebuilt as
+    the graded sum over right spins of C(sl, sr) A_right(sr)^dagger.
+
+    Returns (left tensors, right tensors, spectrum, report).
+    """
+    left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
+    c = _gate_contraction(gate, left, right, sh_l, sh_r)
+    theta = {
+        key: GradedMatrix(
+            mat.charge_shift,
+            {q: arr * lam_mult.blocks[q][:, None] for q, arr in mat.blocks.items()},
+        )
+        for key, mat in c.items()
+    }
+    fused, _row_layout, col_layout = _fuse(theta, sh_l, sh_r)
+    _x, spec_raw, y = block_svd_reference(fused)
+    spec_new, report = merged_truncate_reference(spec_raw, k_max)
+    renorm = math.sqrt(spec_raw.total_weight - report.discarded_weight)
+    right_blocks = {UP: {}, DN: {}}
+    for qm, kept in report.kept_per_sector.items():
+        vh = y.block(qm)[:kept, :]
+        for sr, q_col, c0, cd in col_layout[qm]:
+            right_blocks[sr][(qm, q_col)] = vh[:, c0 : c0 + cd]
+    right_new = tuple(GradedMatrix(sh_r[sr], right_blocks[sr]) for sr in (UP, DN))
+    left_new = []
+    for sl in (UP, DN):
+        acc = GradedMatrix(sh_l[sl], {})
+        for sr in (UP, DN):
+            if right_new[sr].blocks and c[(sl, sr)].blocks:
+                acc = acc.add(c[(sl, sr)] @ _dagger(right_new[sr]))
+        left_new.append(acc.scaled(1.0 / renorm))
+    return tuple(left_new), right_new, spec_new, report

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spinquench.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from spinquench.cli import main
 from spinquench.errors import (
     CheckpointChecksumError,
     CheckpointTruncatedError,
@@ -95,11 +96,11 @@ def test_unsupported_version_rejected(tmp_path):
 
 
 def test_garbled_manifest_rejected(tmp_path):
-    blob = b"{not json"
     path = tmp_path / "bad.mpsc1"
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
+    for blob in (b"{not json", b"[1]"):  # not JSON, not a JSON object
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
 
 
 def test_missing_tensor_rejected(tmp_path):
@@ -124,6 +125,70 @@ def test_missing_tensor_rejected(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload + crc)
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(path)
+
+
+def _drop(key):
+    def edit(manifest):
+        del manifest[key]
+
+    return edit
+
+
+def _negative_rows(manifest):
+    manifest["tensors"][0]["sectors"][0]["rows"] = -1
+
+
+def _float_offset(manifest):
+    manifest["tensors"][1]["sectors"][0]["byte_offset"] += 0.5
+
+
+def _text_delta(manifest):
+    manifest["delta"] = "0.5"
+
+
+def _half_charge(manifest):
+    # would load as the neighbouring sector and overwrite it
+    manifest["tensors"][0]["sectors"][0]["q"] += 0.5
+
+
+def _complex_spectrum(manifest):
+    # would read each Schmidt value and the next as one complex entry
+    by_name = {t["name"]: t for t in manifest["tensors"]}
+    by_name["lambda_A"]["real"] = False
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _drop("tensors"), _drop("delta"), _negative_rows, _float_offset,
+        _text_delta, _half_charge, _complex_spectrum,
+    ],
+    ids=[
+        "no-tensors", "no-delta", "negative-rows", "float-offset",
+        "text-delta", "half-charge", "complex-spectrum",
+    ],
+)
+def test_malformed_manifest_rejected(tmp_path, edit):
+    # the CRC covers only the payload, so these files pass it
+    state, config = _small_state()
+    path = tmp_path / "state.mpsc1"
+    save_checkpoint(path, state, config)
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack("<I", raw[8:12])
+    manifest = json.loads(raw[12 : 12 + manifest_len])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    payload_and_crc = raw[12 + manifest_len :]
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload_and_crc)
+    with pytest.raises(CheckpointVersionError):
+        load_checkpoint(path)
+    rc = main(
+        [
+            "sample", "--profile", "desk-small", "--checkpoint", str(path),
+            "--t-fin", "0.5", "--samples", "4", "--out", str(tmp_path / "mc.csv"),
+        ]
+    )
+    assert rc == 4
 
 
 def test_schmidt_spectra_stored_real(tmp_path):

@@ -95,7 +95,6 @@ def test_shift_correct_against_reference(pipeline_dir):
             "peaks",
             "--in", str(pipeline_dir / "mc.csv"),
             "--reference", str(pipeline_dir / "reference.csv"),
-            "--shift-correct",
             "--out", str(out),
         ]
     )

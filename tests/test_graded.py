@@ -11,7 +11,12 @@ from spinquench.graded import (
     block_svd,
     merged_truncate,
 )
-from oracles import SectorLayout, to_dense
+from oracles import (
+    SectorLayout,
+    block_svd_reference,
+    merged_truncate_reference,
+    to_dense,
+)
 
 
 def random_graded(rng, shift, row_dims):
@@ -46,20 +51,11 @@ def test_matmul_matches_dense():
     assert np.allclose(to_dense(ab, rows, cols), dense, atol=1e-13)
 
 
-def test_dagger_matches_dense():
-    rng = np.random.default_rng(4)
-    a = random_graded(rng, -1, {0: 2, 1: 2, 2: 1})
-    rows = SectorLayout(a.row_dims)
-    cols = SectorLayout(a.col_dims)
-    assert np.allclose(
-        to_dense(a.dagger(), cols, rows), to_dense(a, rows, cols).conj().T
-    )
-
-
 def test_block_svd_matches_dense_svd():
     rng = np.random.default_rng(11)
     theta = random_graded(rng, 1, {-1: 3, 0: 4, 1: 2})
-    x, spec, y = block_svd(theta)
+    spec, y = block_svd(theta)
+    assert y.charge_shift == theta.charge_shift
     # singular values of the blocked decomposition, merged, must equal
     # the singular values of the dense block-diagonal embedding
     rows = SectorLayout(theta.row_dims)
@@ -69,22 +65,49 @@ def test_block_svd_matches_dense_svd():
     s_dense = s_dense[s_dense > 1e-13]
     s_block = sorted((w for _q, w, _i in spec.entries), reverse=True)
     assert np.allclose(sorted(s_dense, reverse=True)[: len(s_block)], s_block)
-    # blockwise reconstruction
+    # y has orthonormal rows, theta y^dagger = x diag(spectrum) has the
+    # singular values as column norms, and (theta y^dagger) y = theta
     for q, arr in theta.blocks.items():
-        u = x.block(q)
         vh = y.block(q)
-        rebuilt = (u * spec.blocks[q]) @ vh
-        assert np.allclose(rebuilt, arr, atol=1e-12)
+        assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]), atol=1e-12)
+        xs = arr @ vh.conj().T
+        assert np.allclose(np.linalg.norm(xs, axis=0), spec.blocks[q], atol=1e-12)
+        assert np.allclose(xs @ vh, arr, atol=1e-12)
 
 
 def test_block_svd_phase_gauge():
     rng = np.random.default_rng(12)
     theta = random_graded(rng, 0, {0: 4})
-    x, _spec, _y = block_svd(theta)
-    u = x.block(0)
+    spec, y = block_svd(theta)
+    u = theta.block(0) @ y.block(0).conj().T / spec.blocks[0]
     for col in u.T:
         lead = col[np.argmax(np.abs(col))]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def _complex(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient"])
+def test_block_svd_matches_reference_bit_for_bit(kind):
+    rng = np.random.default_rng(21)
+    blocks = {}
+    for q in (-1, 0, 2):
+        if kind == "tall":
+            blocks[(q, q + 1)] = _complex(rng, 9, 4)
+        elif kind == "wide":
+            blocks[(q, q + 1)] = _complex(rng, 4, 9)
+        else:
+            blocks[(q, q + 1)] = _complex(rng, 7, 2) @ _complex(rng, 2, 6)
+    theta = GradedMatrix(1, blocks)
+    spec, y = block_svd(theta)
+    _x, ref_spec, ref_y = block_svd_reference(theta)
+    assert list(spec.blocks) == list(ref_spec.blocks)
+    assert list(y.blocks) == list(ref_y.blocks)
+    for q in theta.blocks:
+        assert np.array_equal(spec.blocks[q], ref_spec.blocks[q])
+        assert np.array_equal(y.block(q), ref_y.block(q))
 
 
 def test_block_svd_reports_failure():
@@ -138,6 +161,31 @@ def test_merged_truncate_kept_is_prefix():
             assert np.allclose(
                 new.blocks[q], blocks[q][:kept] / np.sqrt(spec.total_weight) / scale
             )
+
+
+@pytest.mark.parametrize("k_max", [1, 3, 10, 25, 40, 200])
+def test_merged_truncate_matches_walk_bit_for_bit(k_max):
+    # exact ties across sectors at several ranks, a floored tail in one
+    # sector and a sector that lies wholly under the floor
+    rng = np.random.default_rng(22)
+    shared = rng.random(6)
+    tiny = SINGULAR_VALUE_FLOOR * rng.random(5)
+    blocks = {
+        -2: np.concatenate([shared, rng.random(4)]),
+        -1: np.concatenate([shared[:3], rng.random(6), tiny[:3]]),
+        0: rng.random(12),
+        1: np.concatenate([shared, [shared[0]], rng.random(3)]),
+        2: np.concatenate([shared[3:], tiny[3:]]),
+        3: tiny[:2],
+    }
+    spec = SchmidtSpectrum(blocks)
+    new, report = merged_truncate(spec, k_max)
+    ref, ref_report = merged_truncate_reference(SchmidtSpectrum(blocks), k_max)
+    assert report.discarded_weight == ref_report.discarded_weight
+    assert report.kept_per_sector == ref_report.kept_per_sector
+    assert list(new.blocks) == list(ref.blocks)
+    for q, vals in ref.blocks.items():
+        assert np.array_equal(new.blocks[q], vals)
 
 
 def test_spectrum_entropy():

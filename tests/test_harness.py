@@ -95,6 +95,17 @@ def test_run_itebd_checkpoint_matches_curve_tail(short_run):
     assert config.k_max == 16
 
 
+def test_run_itebd_is_reproducible(tmp_path):
+    # two runs with the same arguments write the same bytes
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16, t_init=0.5)
+    outputs = []
+    for run in ("a", "b"):
+        chk, curve = tmp_path / f"{run}.mpsc1", tmp_path / f"{run}.csv"
+        assert run_itebd(config, chk, curve) == 0
+        outputs.append((chk.read_bytes(), curve.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_write_read_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     meta = {"b": 2, "a": [1, 2], "name": "x"}

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from scipy.special import j0
 
-from oracles import right_normalization_deviation
+from oracles import right_normalization_deviation, update_bond_reference
 from spinquench.errors import ConfigError
 from spinquench.graded import SchmidtSpectrum
 from spinquench.itebd import (
@@ -148,6 +148,46 @@ def test_update_reports_block_dims():
     _new, report = update_bond(state, gate, "AB", 16)
     total = state.lambda_b.total_dim + state.lambda_a.total_dim
     assert 0 < report.largest_block_dim < total
+
+
+@pytest.mark.parametrize("which", ["AB", "BA"])
+@pytest.mark.parametrize("k_max", [8, 256])
+def test_update_matches_graded_rebuild(which, k_max):
+    # the fused rebuild of the left tensor against the four-way graded
+    # sum: the same spectrum and right tensors bit for bit, the left
+    # tensors equal up to the order of the sums
+    state = evolve_to(neel_init(), 1.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=16))
+    gate = build_gate(0.5, 0.0625)
+    new, report = update_bond(state, gate, which, k_max)
+    ref_left, ref_right, ref_spec, ref_report = update_bond_reference(
+        state, gate, which, k_max
+    )
+    left, right, spec = (
+        (new.a_a, new.a_b, new.lambda_a) if which == "AB"
+        else (new.a_b, new.a_a, new.lambda_b)
+    )
+    assert report.discarded_weight == ref_report.discarded_weight
+    assert report.kept_per_sector == ref_report.kept_per_sector
+    assert list(spec.blocks) == list(ref_spec.blocks)
+    for q, vals in ref_spec.blocks.items():
+        assert np.array_equal(spec.blocks[q], vals)
+    for s in (UP, DN):
+        assert list(right[s].blocks) == list(ref_right[s].blocks)
+        for q, arr in ref_right[s].blocks.items():
+            assert np.array_equal(right[s].blocks[q], arr)
+        assert list(left[s].blocks) == list(ref_left[s].blocks)
+        for q, arr in ref_left[s].blocks.items():
+            assert np.max(np.abs(left[s].blocks[q] - arr)) <= 1e-13
+
+
+def test_update_rejects_schmidt_values_that_miss_the_rows():
+    state = evolve_to(neel_init(), 0.5, QuenchConfig(delta=0.5, dt=0.0625, k_max=16))
+    blocks = dict(state.lambda_b.blocks)
+    q = max(blocks, key=lambda q: blocks[q].size)
+    blocks[q] = blocks[q][:-1]
+    short = dataclasses.replace(state, lambda_b=SchmidtSpectrum(blocks))
+    with pytest.raises(ConfigError, match=f"bond sector {q}"):
+        update_bond(short, build_gate(0.5, 0.0625), "AB", 16)
 
 
 def test_division_free_with_tiny_schmidt_value():
