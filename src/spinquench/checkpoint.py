@@ -31,12 +31,21 @@ from .errors import (
     CheckpointVersionError,
 )
 from .graded import GradedMatrix, SchmidtSpectrum
-from .itebd import DN, UP, MPSState, QuenchConfig
+from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState, QuenchConfig
 
 MAGIC = b"MPSCHKP1"
 FORMAT_VERSION = 1
 
-_TENSOR_NAMES = ("A_A_up", "A_A_dn", "A_B_up", "A_B_dn", "lambda_A", "lambda_B")
+#: The stored tensors in file order, each with the charge shift its name
+#: implies; the spectra are diagonal.
+_TENSOR_SHIFTS = {
+    "A_A_up": SHIFT_A[UP],
+    "A_A_dn": SHIFT_A[DN],
+    "A_B_up": SHIFT_B[UP],
+    "A_B_dn": SHIFT_B[DN],
+    "lambda_A": 0,
+    "lambda_B": 0,
+}
 
 
 def _tensor_table(state: MPSState):
@@ -55,7 +64,7 @@ def save_checkpoint(path, state: MPSState, config: QuenchConfig) -> None:
     tensors = _tensor_table(state)
     manifest_tensors = []
     payload = bytearray()
-    for name in _TENSOR_NAMES:
+    for name in _TENSOR_SHIFTS:
         obj = tensors[name]
         real = isinstance(obj, SchmidtSpectrum)
         sectors = []
@@ -121,9 +130,13 @@ def _int(value, low=None):
 def _tensor(entry):
     """(name, charge shift, real, sectors) of a manifest tensor, checked.
 
-    Only the Schmidt spectra are stored real, one column per sector.
+    Only the Schmidt spectra are stored real, one column per sector, and
+    every tensor must carry the charge shift its name implies.
     """
     name = entry["name"]
+    shift = _int(entry["charge_shift"])
+    if shift != _TENSOR_SHIFTS[name]:
+        raise ValueError(f"tensor {name!r} has charge shift {shift}")
     real = name in ("lambda_A", "lambda_B")
     sectors = [
         (
@@ -136,7 +149,7 @@ def _tensor(entry):
     ]
     if entry["real"] is not real or (real and any(sec[2] != 1 for sec in sectors)):
         raise ValueError(f"tensor {name!r} does not match its real flag")
-    return name, _int(entry["charge_shift"]), real, sectors
+    return name, shift, real, sectors
 
 
 def load_checkpoint(path):
@@ -145,8 +158,9 @@ def load_checkpoint(path):
     Raises CheckpointVersionError for a foreign magic, an unsupported
     version, or a manifest with a missing key, a run parameter that is
     not a number, a charge, size or offset that is not an integer (a
-    size or offset must also be nonnegative), or a real flag that does
-    not fit the tensor. Raises
+    size or offset must also be nonnegative), an unknown tensor name, a
+    charge shift other than the one the name implies, or a real flag
+    that does not fit the tensor. Raises
     CheckpointChecksumError on CRC mismatch and CheckpointTruncatedError
     when the file is shorter than declared.
     """
@@ -201,7 +215,7 @@ def load_checkpoint(path):
         else:
             parsed[name] = GradedMatrix(shift, blocks)
 
-    missing = [n for n in _TENSOR_NAMES if n not in parsed]
+    missing = [n for n in _TENSOR_SHIFTS if n not in parsed]
     if missing:
         raise CheckpointVersionError(f"{path}: manifest missing tensors {missing}")
 

@@ -73,47 +73,8 @@ class GradedMatrix:
             yield (q, q + self.charge_shift), arr
 
     @property
-    def row_dims(self):
-        return {q: b.shape[0] for q, b in self.blocks.items()}
-
-    @property
     def col_dims(self):
         return {q + self.charge_shift: b.shape[1] for q, b in self.blocks.items()}
-
-    def scaled(self, factor) -> "GradedMatrix":
-        return GradedMatrix(
-            self.charge_shift, {q: b * factor for q, b in self.blocks.items()}
-        )
-
-    def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        out = {}
-        for q_row, left in self.blocks.items():
-            right = other.blocks.get(q_row + self.charge_shift)
-            if right is None:
-                continue
-            if left.shape[1] != right.shape[0]:
-                raise ValueError(
-                    f"sector {q_row + self.charge_shift}: inner dims "
-                    f"{left.shape[1]} vs {right.shape[0]}"
-                )
-            out[q_row] = left @ right
-        return GradedMatrix(self.charge_shift + other.charge_shift, out)
-
-    def add(self, other: "GradedMatrix") -> "GradedMatrix":
-        """Blockwise sum; both operands must carry the same shift."""
-        if other.charge_shift != self.charge_shift:
-            raise ValueError("cannot add matrices with different charge shifts")
-        out = dict(self.blocks)
-        for q, arr in other.blocks.items():
-            if q in out:
-                if out[q].shape != arr.shape:
-                    raise ValueError(f"sector {q}: shape mismatch in add")
-                out[q] = out[q] + arr
-            else:
-                out[q] = arr
-        return GradedMatrix(self.charge_shift, out)
 
 
 class SchmidtSpectrum:

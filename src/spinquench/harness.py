@@ -100,13 +100,6 @@ class AggregateCurve:
     n_samples: int
     shift_constant: float = 0.0
 
-    @property
-    def grid(self):
-        return [
-            (float(t), float(m), float(s), self.n_samples)
-            for t, m, s in zip(self.times, self.mean, self.stderr)
-        ]
-
 
 @dataclass(frozen=True)
 class PeakSeries:
@@ -344,7 +337,6 @@ def run_mc(
     master_seed: int,
     n_workers: int,
     out=None,
-    expected_delta=None,
 ) -> AggregateCurve:
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
@@ -353,10 +345,6 @@ def run_mc(
     over all value rows, stacked in ascending sample_id order.
     """
     state, config = load_checkpoint(checkpoint)
-    if expected_delta is not None and abs(config.delta - expected_delta) > 1e-12:
-        raise ConfigError(
-            f"checkpoint was built at delta={config.delta}, expected {expected_delta}"
-        )
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     if n_workers < 1:

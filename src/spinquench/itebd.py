@@ -7,9 +7,9 @@ both bond types, and every amplitude of the wavefunction is a plain
 product of A matrices; no Schmidt value is ever divided out.
 
 A bond update contracts the two-site gate with the neighboring site
-matrices (the C tensor), fuses C into one block per middle-bond charge,
-multiplies the left bond's Schmidt values on to form theta, decomposes
-theta sector by sector, and rebuilds:
+matrices straight into one block per middle-bond charge (the fused C
+tensor), multiplies the left bond's Schmidt values on to form theta,
+decomposes theta sector by sector, and rebuilds:
 
 * the right tensor from rows of the right singular factor Y, which is
   exactly isometric even after truncation,
@@ -19,6 +19,10 @@ theta sector by sector, and rebuilds:
 Tiny Schmidt values therefore pass through updates harmlessly, which is
 what lets the bond dimension be pushed hard without the usual blow-up
 from inverting a near-singular bond.
+
+The interior observations read <Sz> of both sites off the same theta:
+Sz is diagonal in its rows and columns, so each value is a signed sum
+of squared row or column norms.
 
 Charge bookkeeping: a bond state's charge is the number of up spins to
 its left minus the initial count. Crossing a site changes the charge by
@@ -50,14 +54,6 @@ UP, DN = 0, 1
 #: given sublattice, indexed [spin].
 SHIFT_A = (0, -1)
 SHIFT_B = (1, 0)
-
-#: Sz operator on one spin, basis (up, down).
-SZ_1 = np.diag([0.5, -0.5])
-
-#: Sz on the left / right spin of a pair, basis (uu, ud, du, dd).
-SZ_LEFT = np.diag([0.5, 0.5, -0.5, -0.5])
-SZ_RIGHT = np.diag([0.5, -0.5, 0.5, -0.5])
-
 
 @dataclass(frozen=True)
 class QuenchConfig:
@@ -165,90 +161,69 @@ def _pair_roles(state: MPSState, which: str):
     raise ConfigError(f"which must be 'AB' or 'BA', got {which!r}")
 
 
-def _gate_contraction(gate, left, right, shifts_left, shifts_right):
-    """C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b)."""
-    prods = {}
+def _layout(dims, middle):
+    """(spin, bond charge, offset, size) slots grouped by middle charge."""
+    layout = {}
+    for (s, q), d in sorted(dims.items()):
+        slots = layout.setdefault(middle(s, q), [])
+        offset = slots[-1][2] + slots[-1][3] if slots else 0
+        slots.append((s, q, offset, d))
+    return layout
+
+
+def _fused_pair(state: MPSState, gate: TwoSiteGate, which: str):
+    """The gated two-site tensor of a pair, one block per middle charge.
+
+    C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b),
+    each sector product A_left(a) A_right(b) formed once. Rows combine
+    (left spin, left bond sector), columns combine (right spin, right
+    bond sector); a row and a column belong to the same block exactly
+    when they imply the same middle-bond charge. theta is C with its
+    rows scaled by the left bond's Schmidt values.
+
+    Returns (c, theta, row_layout, col_layout): c maps each middle
+    charge to its dense block, theta is the GradedMatrix of the scaled
+    blocks, and the layouts list the (spin, bond charge, offset, size)
+    slots of each block's rows and columns.
+    """
+    left, right, sh_l, sh_r, lam = _pair_roles(state, which)
+    prods = []
     for a in (UP, DN):
         for b in (UP, DN):
-            p = left[a] @ right[b]
-            if p.blocks:
-                prods[(a, b)] = p
-    c = {}
+            for q_row, arr in left[a].blocks.items():
+                arr_r = right[b].blocks.get(q_row + sh_l[a])
+                if arr_r is not None:
+                    prods.append((a, b, q_row, arr @ arr_r))
+    # one summed block per (left spin, row charge, right spin, col charge)
+    terms = {}
     for sl in (UP, DN):
         for sr in (UP, DN):
-            acc = GradedMatrix(shifts_left[sl] + shifts_right[sr], {})
-            for (a, b), p in prods.items():
+            for a, b, q_row, p in prods:
                 coeff = gate.u[2 * sl + sr, 2 * a + b]
                 if coeff != 0.0:
-                    acc = acc.add(p.scaled(coeff))
-            c[(sl, sr)] = acc
-    return c
+                    key = (sl, q_row, sr, q_row + sh_l[a] + sh_r[b])
+                    term = p * coeff
+                    terms[key] = terms[key] + term if key in terms else term
+    if not terms:
+        raise ConfigError("pair produced an empty theta; state is inconsistent")
+    row_layout = _layout(
+        {(sl, q_row): t.shape[0] for (sl, q_row, _sr, _qc), t in terms.items()},
+        lambda sl, q_row: q_row + sh_l[sl],
+    )
+    col_layout = _layout(
+        {(sr, q_col): t.shape[1] for (_sl, _qr, sr, q_col), t in terms.items()},
+        lambda sr, q_col: q_col - sh_r[sr],
+    )
 
-
-def _fuse(c, shifts_left, shifts_right):
-    """Group the four C matrices into one block per middle charge.
-
-    Rows combine (left spin, left bond sector), columns combine
-    (right spin, right bond sector); a row and a column belong to the
-    same block exactly when they imply the same middle-bond charge.
-    Returns the fused graded matrix, the row layout that places the
-    left bond's Schmidt values and splits the rebuilt left tensor, and
-    the column layout that splits the right singular factor.
-    """
-    row_dims, col_dims = {}, {}
-    for (sl, sr), mat in c.items():
-        for (q_row, q_col), arr in mat.items():
-            row_dims.setdefault((sl, q_row), arr.shape[0])
-            col_dims.setdefault((sr, q_col), arr.shape[1])
-    row_groups, col_groups = {}, {}
-    for (sl, q_row), d in sorted(row_dims.items()):
-        row_groups.setdefault(q_row + shifts_left[sl], []).append((sl, q_row, d))
-    for (sr, q_col), d in sorted(col_dims.items()):
-        col_groups.setdefault(q_col - shifts_right[sr], []).append((sr, q_col, d))
-
-    fused_blocks, row_layout, col_layout = {}, {}, {}
-    for qm in sorted(set(row_groups) & set(col_groups)):
-        rows, off = [], 0
-        for sl, q_row, d in row_groups[qm]:
-            rows.append((sl, q_row, off, d))
-            off += d
-        cols, coff = [], 0
-        for sr, q_col, d in col_groups[qm]:
-            cols.append((sr, q_col, coff, d))
-            coff += d
-        dense = np.zeros((off, coff), dtype=complex)
-        for sl, q_row, r0, rd in rows:
-            for sr, q_col, c0, cd in cols:
-                arr = c[(sl, sr)].block(q_row)
-                if arr is not None:
-                    dense[r0 : r0 + rd, c0 : c0 + cd] = arr
-        fused_blocks[qm] = dense
-        row_layout[qm] = rows
-        col_layout[qm] = cols
-    return GradedMatrix(0, fused_blocks), row_layout, col_layout
-
-
-def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
-    """Apply a two-site gate to an AB or BA pair and re-factorize.
-
-    Returns (new_state, report). The untouched bond's Schmidt values are
-    unchanged; the decomposed bond keeps the k_max globally largest
-    values over all charge sectors. The rebuilt left tensor is C times
-    the conjugate of the rebuilt right tensor, so no Schmidt value is
-    inverted anywhere.
-    """
-    left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
-    c = _gate_contraction(gate, left, right, sh_l, sh_r)
-    fused_c, row_layout, col_layout = _fuse(c, sh_l, sh_r)
-    if not fused_c.blocks:
-        raise ConfigError("update produced an empty theta; state is inconsistent")
-    largest_block = max(max(b.shape) for b in fused_c.blocks.values())
-
-    theta = {}
-    for qm, block in fused_c.blocks.items():
+    c, theta = {}, {}
+    for qm in sorted(row_layout):
+        rows, cols = row_layout[qm], col_layout[qm]
+        dense = np.zeros(
+            (rows[-1][2] + rows[-1][3], cols[-1][2] + cols[-1][3]), dtype=complex
+        )
         lam_rows = []
-        for _sl, q_row, _r0, rd in row_layout[qm]:
-            lam_vals = lam_mult.blocks.get(q_row)
+        for sl, q_row, r0, rd in rows:
+            lam_vals = lam.blocks.get(q_row)
             if lam_vals is None or lam_vals.size != rd:
                 raise ConfigError(
                     f"state inconsistent: bond sector {q_row} has "
@@ -256,9 +231,30 @@ def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
                     f"but tensor rows {rd}"
                 )
             lam_rows.append(lam_vals)
-        theta[qm] = block * np.concatenate(lam_rows)[:, None]
+            for sr, q_col, c0, cd in cols:
+                term = terms.get((sl, q_row, sr, q_col))
+                if term is not None:
+                    dense[r0 : r0 + rd, c0 : c0 + cd] = term
+        c[qm] = dense
+        theta[qm] = dense * np.concatenate(lam_rows)[:, None]
+    return c, GradedMatrix(0, theta), row_layout, col_layout
 
-    spec_raw, y = block_svd(GradedMatrix(0, theta))
+
+def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
+    """Apply a two-site gate to an AB or BA pair and re-factorize.
+
+    Decomposes the pair's fused theta (see _fused_pair) and returns
+    (new_state, report). The untouched bond's Schmidt values are
+    unchanged; the decomposed bond keeps the k_max globally largest
+    values over all charge sectors. The rebuilt left tensor is C times
+    the conjugate of the rebuilt right tensor, so no Schmidt value is
+    inverted anywhere.
+    """
+    _left, _right, sh_l, sh_r, _lam = _pair_roles(state, which)
+    c, theta, row_layout, col_layout = _fused_pair(state, gate, which)
+    largest_block = max(max(b.shape) for b in c.values())
+
+    spec_raw, y = block_svd(theta)
     norm2_before = spec_raw.total_weight
     spec_new, report = merged_truncate(spec_raw, k_max)
     report.largest_block_dim = largest_block
@@ -269,7 +265,7 @@ def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
         vh = y.block(qm)[:kept, :]
         for sr, q_col, c0, cd in col_layout[qm]:
             right_blocks[sr][(qm, q_col)] = vh[:, c0 : c0 + cd]
-        rebuilt = fused_c.block(qm) @ vh.conj().T * (1.0 / renorm)
+        rebuilt = c[qm] @ vh.conj().T * (1.0 / renorm)
         for sl, q_row, r0, rd in row_layout[qm]:
             left_blocks[sl][(q_row, qm)] = rebuilt[r0 : r0 + rd]
     left_new = tuple(GradedMatrix(sh_l[s], left_blocks[s]) for s in (UP, DN))
@@ -307,35 +303,25 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
     return val
 
 
-def expect_pair_observable(state: MPSState, op4: np.ndarray) -> float:
-    """<O> for a 4x4 observable on one A-B pair of the unit cell.
+def expect_pair_observable(state: MPSState, gate: TwoSiteGate):
+    """(<Sz> left, <Sz> right) of one A-B pair of the unit cell after gate.
 
-    Contracts the squared Schmidt values of the pair's left bond with
-    the pair transfer matrices: <O> = sum O[t,s] tr(lambda^2 P(s) P(t)^+)
-    with P(s) = A_A(s_left) A_B(s_right).
+    Sz is diagonal in the rows (left spin) and columns (right spin) of
+    the pair's theta, the Schmidt values of its left bond are already in
+    the rows, and everything right of the pair is right-normalized, so
+    each value is a sum of squared row or column norms of theta, signed
+    by the spin of the row or column.
     """
-    lam = state.lambda_b
-    prods = {}
-    for sa in (UP, DN):
-        for sb in (UP, DN):
-            p = state.a_a[sa] @ state.a_b[sb]
-            if p.blocks:
-                prods[(sa, sb)] = p
-    val = 0.0j
-    for (sa, sb), p1 in prods.items():
-        for (ta, tb), p2 in prods.items():
-            coeff = op4[2 * ta + tb, 2 * sa + sb]
-            if coeff == 0.0 or p1.charge_shift != p2.charge_shift:
-                continue
-            acc = 0.0j
-            for q_row, b1 in p1.blocks.items():
-                b2 = p2.blocks.get(q_row)
-                if b2 is None:
-                    continue
-                w2 = lam.blocks[q_row] ** 2
-                acc += np.einsum("i,ij,ij->", w2, b1, b2.conj())
-            val += coeff * acc
-    return float(val.real)
+    _c, theta, row_layout, col_layout = _fused_pair(state, gate, "AB")
+    sz_left = sz_right = 0.0
+    for qm, block in theta.blocks.items():
+        w2 = np.abs(block) ** 2
+        row_w, col_w = w2.sum(axis=1), w2.sum(axis=0)
+        for s, _q, r0, rd in row_layout[qm]:
+            sz_left += (0.5 if s == UP else -0.5) * float(row_w[r0 : r0 + rd].sum())
+        for s, _q, c0, cd in col_layout[qm]:
+            sz_right += (0.5 if s == UP else -0.5) * float(col_w[c0 : c0 + cd].sum())
+    return sz_left, sz_right
 
 
 def _record(t, sz0, sz1, discarded_weight, state) -> ObserverRecord:
@@ -354,8 +340,8 @@ def evolve_to(
     One step is AB(dt/2) BA(dt) AB(dt/2); the trailing and leading half
     layers of consecutive steps are merged into full AB layers. The
     observer, when given, is called after every full step with an
-    ObserverRecord. Interior observations measure the half-layer-
-    conjugated two-site operators on the merged-gauge state, which
+    ObserverRecord. Interior observations read <Sz> off the merged-gauge
+    AB pair with the half-layer gate applied but not decomposed, which
     equals measuring the completed symmetric step without applying (and
     truncating) the extra half layer; the final step's trailing half
     layer is applied for real so the returned state is the physical one.
@@ -366,9 +352,6 @@ def evolve_to(
 
     g_half = build_gate(config.delta, config.dt / 2.0)
     g_full = build_gate(config.delta, config.dt)
-    uh = g_half.u
-    op_sz0 = uh.conj().T @ SZ_LEFT @ uh
-    op_sz1 = uh.conj().T @ SZ_RIGHT @ uh
 
     t0 = state.time
     state, rep = update_bond(state, g_half, "AB", config.k_max)
@@ -379,15 +362,8 @@ def evolve_to(
         t_k = t0 + k * config.dt
         if k < n:
             if observer is not None:
-                observer(
-                    _record(
-                        t_k,
-                        expect_pair_observable(state, op_sz0),
-                        expect_pair_observable(state, op_sz1),
-                        step_weight,
-                        state,
-                    )
-                )
+                sz0, sz1 = expect_pair_observable(state, g_half)
+                observer(_record(t_k, sz0, sz1, step_weight, state))
             state, rep = update_bond(state, g_full, "AB", config.k_max)
             step_weight = rep.discarded_weight
         else:

@@ -19,7 +19,7 @@ from spinquench.graded import (
     SchmidtSpectrum,
     TruncationReport,
 )
-from spinquench.itebd import DN, UP, _fuse, _gate_contraction, _pair_roles
+from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import boundary_spectrum, site_tensors
 from spinquench.window import _chain_hamiltonian, _sector_basis, _site_bits
 
@@ -52,7 +52,9 @@ def to_dense(matrix, row_layout=None, col_layout=None):
     Layouts are SectorLayout instances; when omitted they are built from
     the matrix's own dims.
     """
-    row_layout = row_layout or SectorLayout(matrix.row_dims)
+    row_layout = row_layout or SectorLayout(
+        {q: b.shape[0] for q, b in matrix.blocks.items()}
+    )
     col_layout = col_layout or SectorLayout(matrix.col_dims)
     dense = np.zeros((row_layout.total, col_layout.total), dtype=complex)
     for q_row, arr in matrix.blocks.items():
@@ -265,6 +267,136 @@ def _dagger(matrix):
     )
 
 
+def _matmul(a, b):
+    """Blockwise product of two graded matrices."""
+    out = {}
+    for q_row, arr in a.blocks.items():
+        other = b.blocks.get(q_row + a.charge_shift)
+        if other is not None:
+            out[q_row] = arr @ other
+    return GradedMatrix(a.charge_shift + b.charge_shift, out)
+
+
+def _add(a, b):
+    """Blockwise sum of two graded matrices of the same shift."""
+    if a.charge_shift != b.charge_shift:
+        raise ValueError("cannot add matrices with different charge shifts")
+    out = dict(a.blocks)
+    for q, arr in b.blocks.items():
+        out[q] = out[q] + arr if q in out else arr
+    return GradedMatrix(a.charge_shift, out)
+
+
+def _scaled(matrix, factor):
+    return GradedMatrix(
+        matrix.charge_shift, {q: b * factor for q, b in matrix.blocks.items()}
+    )
+
+
+def _gate_contraction(gate, left, right, shifts_left, shifts_right):
+    """C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b),
+    as four graded matrices summed one scaled product at a time."""
+    prods = {}
+    for a in (UP, DN):
+        for b in (UP, DN):
+            p = _matmul(left[a], right[b])
+            if p.blocks:
+                prods[(a, b)] = p
+    c = {}
+    for sl in (UP, DN):
+        for sr in (UP, DN):
+            acc = GradedMatrix(shifts_left[sl] + shifts_right[sr], {})
+            for (a, b), p in prods.items():
+                coeff = gate.u[2 * sl + sr, 2 * a + b]
+                if coeff != 0.0:
+                    acc = _add(acc, _scaled(p, coeff))
+            c[(sl, sr)] = acc
+    return c
+
+
+def _fuse(c, shifts_left, shifts_right):
+    """The four C matrices grouped into one block per middle charge.
+
+    Returns the fused graded matrix and the row and column layouts,
+    (spin, bond charge, offset, size) per middle charge.
+    """
+    row_dims, col_dims = {}, {}
+    for (sl, sr), mat in c.items():
+        for (q_row, q_col), arr in mat.items():
+            row_dims.setdefault((sl, q_row), arr.shape[0])
+            col_dims.setdefault((sr, q_col), arr.shape[1])
+    row_groups, col_groups = {}, {}
+    for (sl, q_row), d in sorted(row_dims.items()):
+        row_groups.setdefault(q_row + shifts_left[sl], []).append((sl, q_row, d))
+    for (sr, q_col), d in sorted(col_dims.items()):
+        col_groups.setdefault(q_col - shifts_right[sr], []).append((sr, q_col, d))
+
+    fused_blocks, row_layout, col_layout = {}, {}, {}
+    for qm in sorted(set(row_groups) & set(col_groups)):
+        rows, off = [], 0
+        for sl, q_row, d in row_groups[qm]:
+            rows.append((sl, q_row, off, d))
+            off += d
+        cols, coff = [], 0
+        for sr, q_col, d in col_groups[qm]:
+            cols.append((sr, q_col, coff, d))
+            coff += d
+        dense = np.zeros((off, coff), dtype=complex)
+        for sl, q_row, r0, rd in rows:
+            for sr, q_col, c0, cd in cols:
+                arr = c[(sl, sr)].block(q_row)
+                if arr is not None:
+                    dense[r0 : r0 + rd, c0 : c0 + cd] = arr
+        fused_blocks[qm] = dense
+        row_layout[qm] = rows
+        col_layout[qm] = cols
+    return GradedMatrix(0, fused_blocks), row_layout, col_layout
+
+
+def fused_pair_reference(state, gate, which):
+    """(C blocks, theta, row layout, col layout) of a pair, formed as
+    four graded C matrices, fused, then scaled row sector by row sector."""
+    left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
+    fused_c, row_layout, col_layout = _fuse(
+        _gate_contraction(gate, left, right, sh_l, sh_r), sh_l, sh_r
+    )
+    theta = {}
+    for qm, block in fused_c.blocks.items():
+        lam_rows = [lam_mult.blocks[q_row] for _sl, q_row, _r0, _rd in row_layout[qm]]
+        theta[qm] = block * np.concatenate(lam_rows)[:, None]
+    return fused_c.blocks, GradedMatrix(0, theta), row_layout, col_layout
+
+
+def expect_pair_observable_reference(state, op4):
+    """<O> for a 4x4 observable on one A-B pair of the unit cell.
+
+    <O> = sum O[t,s] tr(lambda^2 P(s) P(t)^+) with P(s) = A_A(s_left)
+    A_B(s_right), summed term by term with einsum.
+    """
+    lam = state.lambda_b
+    prods = {}
+    for sa in (UP, DN):
+        for sb in (UP, DN):
+            p = _matmul(state.a_a[sa], state.a_b[sb])
+            if p.blocks:
+                prods[(sa, sb)] = p
+    val = 0.0j
+    for (sa, sb), p1 in prods.items():
+        for (ta, tb), p2 in prods.items():
+            coeff = op4[2 * ta + tb, 2 * sa + sb]
+            if coeff == 0.0 or p1.charge_shift != p2.charge_shift:
+                continue
+            acc = 0.0j
+            for q_row, b1 in p1.blocks.items():
+                b2 = p2.blocks.get(q_row)
+                if b2 is None:
+                    continue
+                w2 = lam.blocks[q_row] ** 2
+                acc += np.einsum("i,ij,ij->", w2, b1, b2.conj())
+            val += coeff * acc
+    return float(val.real)
+
+
 def update_bond_reference(state, gate, which, k_max):
     """update_bond with theta scaled per C block before fusing, the
     reference SVD and truncation walk, and the left tensor rebuilt as
@@ -296,6 +428,6 @@ def update_bond_reference(state, gate, which, k_max):
         acc = GradedMatrix(sh_l[sl], {})
         for sr in (UP, DN):
             if right_new[sr].blocks and c[(sl, sr)].blocks:
-                acc = acc.add(c[(sl, sr)] @ _dagger(right_new[sr]))
-        left_new.append(acc.scaled(1.0 / renorm))
+                acc = _add(acc, _matmul(c[(sl, sr)], _dagger(right_new[sr])))
+        left_new.append(_scaled(acc, 1.0 / renorm))
     return tuple(left_new), right_new, spec_new, report

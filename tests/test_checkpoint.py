@@ -157,15 +157,33 @@ def _complex_spectrum(manifest):
     by_name["lambda_A"]["real"] = False
 
 
+def _shift(name, value):
+    # the sampler and the update use the shift the name implies, so a
+    # different stored one is either ignored or breaks a product later
+    def edit(manifest):
+        by_name = {t["name"]: t for t in manifest["tensors"]}
+        by_name[name]["charge_shift"] = value
+
+    return edit
+
+
+def _unknown_tensor(manifest):
+    manifest["tensors"].append({**manifest["tensors"][0], "name": "A_C_up"})
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         _drop("tensors"), _drop("delta"), _negative_rows, _float_offset,
         _text_delta, _half_charge, _complex_spectrum,
+        _shift("A_B_dn", 1), _shift("A_A_dn", 0), _shift("A_A_up", 3),
+        _shift("A_B_up", -1), _shift("lambda_A", 2), _unknown_tensor,
     ],
     ids=[
         "no-tensors", "no-delta", "negative-rows", "float-offset",
         "text-delta", "half-charge", "complex-spectrum",
+        "shift-A_B_dn", "shift-A_A_dn", "shift-A_A_up", "shift-A_B_up",
+        "shift-lambda_A", "unknown-tensor",
     ],
 )
 def test_malformed_manifest_rejected(tmp_path, edit):

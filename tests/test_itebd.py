@@ -8,13 +8,23 @@ import pytest
 import scipy.linalg
 from scipy.special import j0
 
-from oracles import right_normalization_deviation, update_bond_reference
+from oracles import (
+    SectorLayout,
+    expect_pair_observable_reference,
+    fused_pair_reference,
+    right_normalization_deviation,
+    to_dense,
+    update_bond_reference,
+)
+from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
 from spinquench.graded import SchmidtSpectrum
 from spinquench.itebd import (
     DN,
     UP,
     QuenchConfig,
+    _fused_pair,
+    _pair_roles,
     build_gate,
     evolve_to,
     expect_pair_observable,
@@ -22,6 +32,9 @@ from spinquench.itebd import (
     neel_init,
     update_bond,
 )
+
+SZ_LEFT = np.diag([0.5, 0.5, -0.5, -0.5])
+SZ_RIGHT = np.diag([0.5, -0.5, 0.5, -0.5])
 
 
 def dense_pair_hamiltonian(delta):
@@ -218,13 +231,62 @@ def test_division_free_with_tiny_schmidt_value():
     assert right_normalization_deviation(state) < 1e-6
 
 
+@pytest.mark.parametrize("which", ["AB", "BA"])
+@pytest.mark.parametrize("run", ["k16_t1", "k128_t2"])
+def test_fused_pair_matches_old_route(request, run, which):
+    # the products summed straight into the fused blocks against four
+    # graded C matrices fused afterwards: the same blocks bit for bit
+    state, config = load_checkpoint(request.getfixturevalue(run)["checkpoint"])
+    gate = build_gate(config.delta, config.dt)
+    c, theta, row_layout, col_layout = _fused_pair(state, gate, which)
+    ref_c, ref_theta, ref_rows, ref_cols = fused_pair_reference(state, gate, which)
+    assert (row_layout, col_layout) == (ref_rows, ref_cols)
+    assert list(c) == list(ref_c) == list(theta.blocks) == list(ref_theta.blocks)
+    for qm in ref_c:
+        assert np.array_equal(c[qm], ref_c[qm])
+        assert np.array_equal(theta.blocks[qm], ref_theta.blocks[qm])
+
+    # and C against dense products of the site matrices, the grading forgotten
+    left, right, _sh_l, _sh_r, lam = _pair_roles(state, which)
+    outer = SectorLayout(lam.sector_dims)
+    middle = SectorLayout({**left[UP].col_dims, **left[DN].col_dims})
+    inner = SectorLayout({**right[UP].col_dims, **right[DN].col_dims})
+    dense_l = [to_dense(left[s], outer, middle) for s in (UP, DN)]
+    dense_r = [to_dense(right[s], middle, inner) for s in (UP, DN)]
+    for sl in (UP, DN):
+        for sr in (UP, DN):
+            expected = sum(
+                gate.u[2 * sl + sr, 2 * a + b] * (dense_l[a] @ dense_r[b])
+                for a in (UP, DN)
+                for b in (UP, DN)
+            )
+            got = np.zeros_like(expected)
+            for qm, block in c.items():
+                rows = [row for row in row_layout[qm] if row[0] == sl]
+                cols = [col for col in col_layout[qm] if col[0] == sr]
+                for _s, q_row, r0, rd in rows:
+                    for _s, q_col, c0, cd in cols:
+                        r, k = outer.offset(q_row), inner.offset(q_col)
+                        got[r : r + rd, k : k + cd] = block[r0 : r0 + rd, c0 : c0 + cd]
+            assert np.max(np.abs(got - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("step", [0.0, 0.03125, 0.0625])
+def test_pair_observable_matches_reference(step):
+    # the signed row and column norms of theta against <u+ Sz u> summed
+    # over pairs of transfer matrices, for the identity, half and full gates
+    state = evolve_to(neel_init(), 1.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=32))
+    gate = build_gate(0.5, step)
+    sz0, sz1 = expect_pair_observable(state, gate)
+    u = gate.u
+    ref0 = expect_pair_observable_reference(state, u.conj().T @ SZ_LEFT @ u)
+    ref1 = expect_pair_observable_reference(state, u.conj().T @ SZ_RIGHT @ u)
+    assert abs(sz0 - ref0) < 1e-14
+    assert abs(sz1 - ref1) < 1e-14
+
+
 def test_pair_observable_matches_site_observable():
     state = evolve_to(neel_init(), 1.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=32))
-    sz_left = np.diag([0.5, 0.5, -0.5, -0.5])
-    sz_right = np.diag([0.5, -0.5, 0.5, -0.5])
-    assert expect_pair_observable(state, sz_left) == pytest.approx(
-        expect_sz(state, "A"), abs=1e-12
-    )
-    assert expect_pair_observable(state, sz_right) == pytest.approx(
-        expect_sz(state, "B"), abs=1e-12
-    )
+    sz0, sz1 = expect_pair_observable(state, build_gate(0.5, 0.0))
+    assert sz0 == pytest.approx(expect_sz(state, "A"), abs=1e-12)
+    assert sz1 == pytest.approx(expect_sz(state, "B"), abs=1e-12)

@@ -1,7 +1,7 @@
 """The benchmark's self-check and tracer run against the current program.
 
-perfbench wraps harness, sampler and window functions by name to trace
-them; a refactor that renames or removes one of those names, or stops
+perfbench wraps graded, itebd, checkpoint, harness, sampler and window
+functions by name to trace them; a refactor that renames or removes one of those names, or stops
 calling it by that name, must fail here rather than in the next
 benchmark run.
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import spinquench as sq
 import spinquench.cli  # noqa: F401  (the tracer patches every module)
+from spinquench.itebd import QuenchConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,3 +64,37 @@ def test_tracer_sees_every_sampling_layer(k16_t1):
     ):
         assert calls.get(span, 0) > 0, span
     assert calls["harness.sample_one"] == 200
+
+
+def test_tracer_sees_every_itebd_layer(tmp_path):
+    # four steps to t=0.25 are nine bond updates (a half layer at each
+    # end), three interior measurements and the two single-site ones of
+    # the last step; a per-layer metric of a name that evolve_to stops
+    # calling would otherwise read 0
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(sq, tracer):
+        sq.harness.run_itebd(
+            QuenchConfig(k_max=16, t_init=0.25),
+            tmp_path / "state.mpsc1",
+            tmp_path / "curve.csv",
+        )
+    calls = {name: row[0] for name, row in tracer.aggregate().items()}
+    assert {
+        span: calls.get(span, 0)
+        for span in (
+            "itebd.update_bond",
+            "graded.block_svd",
+            "graded.merged_truncate",
+            "itebd.expect_pair_observable",
+            "itebd.expect_sz",
+            "checkpoint.save_checkpoint",
+        )
+    } == {
+        "itebd.update_bond": 9,
+        "graded.block_svd": 9,
+        "graded.merged_truncate": 9,
+        "itebd.expect_pair_observable": 3,
+        "itebd.expect_sz": 2,
+        "checkpoint.save_checkpoint": 1,
+    }
