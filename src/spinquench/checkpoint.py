@@ -47,6 +47,15 @@ _TENSOR_SHIFTS = {
     "lambda_B": 0,
 }
 
+#: The (left, right) bond spectra of each site tensor: A_A maps the B
+#: bond to the A bond and A_B the A bond to the B bond.
+_BONDS = {
+    "A_A_up": ("lambda_B", "lambda_A"),
+    "A_A_dn": ("lambda_B", "lambda_A"),
+    "A_B_up": ("lambda_A", "lambda_B"),
+    "A_B_dn": ("lambda_A", "lambda_B"),
+}
+
 
 def _tensor_table(state: MPSState):
     return {
@@ -152,6 +161,31 @@ def _tensor(entry):
     return name, shift, real, sectors
 
 
+def _check_bond_dims(tensors):
+    """ValueError unless every site block fits the spectra on its bonds.
+
+    A block of row charge q has as many rows as its left bond has
+    Schmidt values of charge q, and as many columns as its right bond
+    has of charge q + shift.
+    """
+    dims = {
+        name: {q: rows for q, rows, _cols, _off in sectors}
+        for name, _shift, real, sectors in tensors
+        if real
+    }
+    for name, shift, real, sectors in tensors:
+        if real:
+            continue
+        left, right = (dims[bond] for bond in _BONDS[name])
+        for q, rows, cols, _off in sectors:
+            bonds = (left.get(q, 0), right.get(q + shift, 0))
+            if (rows, cols) != bonds:
+                raise ValueError(
+                    f"tensor {name!r} sector {q} is {rows}x{cols}, "
+                    f"its bonds are {bonds[0]}x{bonds[1]}"
+                )
+
+
 def load_checkpoint(path):
     """Read an MPSC1 file; returns (MPSState, QuenchConfig).
 
@@ -159,8 +193,9 @@ def load_checkpoint(path):
     version, or a manifest with a missing key, a run parameter that is
     not a number, a charge, size or offset that is not an integer (a
     size or offset must also be nonnegative), an unknown tensor name, a
-    charge shift other than the one the name implies, or a real flag
-    that does not fit the tensor. Raises
+    charge shift other than the one the name implies, a real flag that
+    does not fit the tensor, or a site block whose rows or columns do
+    not match the Schmidt values on its bonds. Raises
     CheckpointChecksumError on CRC mismatch and CheckpointTruncatedError
     when the file is shorter than declared.
     """
@@ -187,6 +222,7 @@ def load_checkpoint(path):
                 raise ValueError(f"run parameters {params} are not numbers")
             params["k_max"] = _int(manifest["k_max"])
             tensors = [_tensor(entry) for entry in manifest["tensors"]]
+            _check_bond_dims(tensors)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointVersionError(
                 f"{path}: malformed manifest ({exc!r})"

@@ -26,6 +26,14 @@ configurations (alpha, beta) with weight ||L_alpha||^2 ||R_beta||^2,
 and the observable is the weighted sum of pure window expectations
 after applying C then A.
 
+Both window routes evaluate their pairs together: the normalized
+windows of every needed (alpha, beta) pair form one C-contiguous
+(2^w, pairs) stack, and one gate kernel, apply_gate, serves a single
+statevector and such a stack alike. A window of w qubits has 2^w_lo
+alpha and 2^(n-1-w_hi) beta configurations, so the windows of all
+distinct pairs hold at most 2^n amplitudes, never more than the direct
+statevector.
+
 Bit convention: qubit 0 is the most significant bit of a configuration
 index, bit value 0 means spin up, so a two-qubit basis index is
 2 b_left + b_right in the gate basis (up-up, up-down, down-up,
@@ -133,16 +141,19 @@ def neel_bits(n_qubits: int):
     return tuple(i % 2 for i in range(n_qubits))
 
 
-def apply_gate(psi: np.ndarray, n_qubits: int, i: int, u: np.ndarray) -> np.ndarray:
-    """Apply a 4x4 gate to qubits (i, i+1) of a statevector."""
-    shaped = psi.reshape(1 << i, 4, 1 << (n_qubits - i - 2))
-    return np.einsum("st,atb->asb", u, shaped).reshape(psi.size)
+def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
+    """Apply a 4x4 gate to qubits (i, i+1) of a statevector.
+
+    psi may carry a trailing stack axis, (2^n, columns), C-contiguous;
+    the gate acts on every column alike.
+    """
+    return np.matmul(u, psi.reshape(1 << i, 4, -1)).reshape(psi.shape)
 
 
-def _sz_at(psi: np.ndarray, n_qubits: int, i: int) -> float:
-    shaped = psi.reshape(1 << i, 2, 1 << (n_qubits - i - 1))
-    p_up = float(np.vdot(shaped[:, 0, :], shaped[:, 0, :]).real)
-    return p_up - 0.5
+def _sz_at(psi: np.ndarray, i: int) -> np.ndarray:
+    """<Sz> of qubit i, one value per column of a stack (0-d for a state)."""
+    up = psi.reshape(1 << i, 2, -1, *psi.shape[1:])[:, 0]
+    return (up.real**2 + up.imag**2).sum(axis=(0, 1)) - 0.5
 
 
 def _input_bits(circuit: BrickworkCircuit, bits):
@@ -165,8 +176,8 @@ def direct_expectation(circuit: BrickworkCircuit, bits=None) -> float:
     psi = product_state(_input_bits(circuit, bits))
     for layer in circuit.layers:
         for i, u in layer:
-            psi = apply_gate(psi, n, i, u)
-    return _sz_at(psi, n, circuit.measured)
+            psi = apply_gate(psi, i, u)
+    return float(_sz_at(psi, circuit.measured))
 
 
 @dataclass(frozen=True)
@@ -234,10 +245,9 @@ def build_regions(circuit: BrickworkCircuit) -> CircuitRegions:
 
 def _half_state(circuit, gates, bits, lo, hi) -> np.ndarray:
     """Evolve the product state on qubits lo..hi with the given gates."""
-    width = hi - lo + 1
     psi = product_state(bits[lo : hi + 1])
     for t, i in gates:
-        psi = apply_gate(psi, width, i - lo, circuit.gate(t, i))
+        psi = apply_gate(psi, i - lo, circuit.gate(t, i))
     return psi
 
 
@@ -263,26 +273,43 @@ def _boundary_matrices(circuit, bits):
     return regions, lmat, rmat, lw, rw
 
 
-def _window_value(circuit, regions, lvec, rvec) -> float:
-    """<Sz> on the measured qubit of one boundary product window."""
-    w_lo, w_hi = regions.w_lo, regions.w_hi
-    width = w_hi - w_lo + 1
-    psi = np.kron(lvec, rvec)
-    psi = psi / np.linalg.norm(psi)
-    for t, i in regions.core + regions.late:
-        psi = apply_gate(psi, width, i - w_lo, circuit.gate(t, i))
-    return _sz_at(psi, width, circuit.measured - w_lo)
+def _window_values(circuit, regions, lcols, rcols) -> np.ndarray:
+    """<Sz> on the measured qubit of each boundary product window.
+
+    Column p of lcols (the qubits w_lo..m-1) and of rcols (m..w_hi) are
+    the two halves of window p; every column must have a nonzero norm.
+    The normalized windows kron(lcols[:, p], rcols[:, p]) go through the
+    core and late gates as one (2^w, columns) stack, in blocks of at
+    most 2^DIRECT_QUBIT_LIMIT amplitudes (one column if a window is
+    wider). Distinct pairs hold at most 2^n amplitudes together, so up
+    to n = DIRECT_QUBIT_LIMIT the stack is a single block.
+    """
+    w_lo = regions.w_lo
+    width = regions.w_hi - w_lo + 1
+    gates = [(i - w_lo, circuit.gate(t, i)) for t, i in regions.core + regions.late]
+    lcols = lcols / np.linalg.norm(lcols, axis=0)
+    rcols = rcols / np.linalg.norm(rcols, axis=0)
+    n_cols = lcols.shape[1]
+    step = max(1, (1 << DIRECT_QUBIT_LIMIT) >> width)
+    values = np.empty(n_cols)
+    for start in range(0, n_cols, step):
+        cols = slice(start, start + step)
+        lc, rc = lcols[:, cols], rcols[:, cols]
+        psi = np.empty((lc.shape[0], rc.shape[0], lc.shape[1]), dtype=complex)
+        np.multiply(lc[:, None, :], rc[None, :, :], out=psi)
+        psi = psi.reshape(1 << width, -1)
+        for i, u in gates:
+            psi = apply_gate(psi, i, u)
+        values[cols] = _sz_at(psi, circuit.measured - w_lo)
+    return values
 
 
 def lightcone_expectation_sum(circuit: BrickworkCircuit, bits=None) -> float:
     """Exact central <Sz> as a weighted sum over boundary configurations."""
     regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
-    total = 0.0
-    for alpha in np.nonzero(lw > 0.0)[0]:
-        for beta in np.nonzero(rw > 0.0)[0]:
-            val = _window_value(circuit, regions, lmat[alpha], rmat[:, beta])
-            total += lw[alpha] * rw[beta] * val
-    return total
+    alphas, betas = np.nonzero(np.outer(lw > 0.0, rw > 0.0))
+    values = _window_values(circuit, regions, lmat[alphas].T, rmat[:, betas])
+    return float((lw[alphas] * rw[betas]) @ values)
 
 
 def lightcone_expectation_sampled(
@@ -291,21 +318,18 @@ def lightcone_expectation_sampled(
     """Monte Carlo estimate (mean, standard error) of the window sum.
 
     Boundary configurations are drawn independently on the two sides
-    with their exact weights; repeated pairs reuse the cached window
-    value, so the cost is bounded by the number of distinct pairs.
+    with their exact weights. The distinct drawn pairs are evaluated as
+    one stack, so the cost is bounded by the number of distinct pairs,
+    and their windows never hold more amplitudes than the statevector.
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
     alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())
     betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
-    cache = {}
-    vals = np.empty(n_samples)
-    for k, (alpha, beta) in enumerate(zip(alphas, betas)):
-        key = (int(alpha), int(beta))
-        if key not in cache:
-            cache[key] = _window_value(circuit, regions, lmat[alpha], rmat[:, beta])
-        vals[k] = cache[key]
+    keys, inverse = np.unique(alphas * rw.size + betas, return_inverse=True)
+    alpha, beta = np.divmod(keys, rw.size)
+    vals = _window_values(circuit, regions, lmat[alpha].T, rmat[:, beta])[inverse]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("nan")
     return mean, stderr

@@ -3,8 +3,9 @@
 Each oracle forgets a structure the package relies on: dense matrices
 instead of charge blocks, the full 2^n window space instead of one
 total-Sz sector, scipy's sparse exponential instead of the Taylor
-series. A test that compares the package against one of these checks
-the structure itself.
+series, one circuit window at a time instead of a stack of them. A
+test that compares the package against one of these checks the
+structure itself.
 """
 
 import math
@@ -12,6 +13,7 @@ import math
 import numpy as np
 from scipy.sparse.linalg import expm_multiply
 
+from spinquench.circuit import _boundary_matrices
 from spinquench.errors import ConfigError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
@@ -431,3 +433,46 @@ def update_bond_reference(state, gate, which, k_max):
                 acc = _add(acc, _matmul(c[(sl, sr)], _dagger(right_new[sr])))
         left_new.append(_scaled(acc, 1.0 / renorm))
     return tuple(left_new), right_new, spec_new, report
+
+
+def _window_value(circuit, regions, lvec, rvec) -> float:
+    """<Sz> on the measured qubit of one boundary product window."""
+    w_lo = regions.w_lo
+    width = regions.w_hi - w_lo + 1
+    psi = np.kron(lvec, rvec)
+    psi = psi / np.linalg.norm(psi)
+    for t, i in regions.core + regions.late:
+        shaped = psi.reshape(1 << (i - w_lo), 4, -1)
+        psi = np.einsum("st,atb->asb", circuit.gate(t, i), shaped).reshape(psi.size)
+    up = psi.reshape(1 << (circuit.measured - w_lo), 2, -1)[:, 0, :]
+    return float(np.vdot(up, up).real) - 0.5
+
+
+def lightcone_sum_per_pair(circuit, bits=None) -> float:
+    """The boundary sum of circuit.lightcone_expectation_sum, one pair at a time."""
+    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
+    total = 0.0
+    for alpha in np.nonzero(lw > 0.0)[0]:
+        for beta in np.nonzero(rw > 0.0)[0]:
+            val = _window_value(circuit, regions, lmat[alpha], rmat[:, beta])
+            total += lw[alpha] * rw[beta] * val
+    return total
+
+
+def lightcone_sampled_per_pair(circuit, n_samples, rng, bits=None):
+    """circuit.lightcone_expectation_sampled with a per-pair value cache.
+
+    Draws the same configurations from the same rng, so with an equal
+    seed it must give the package's (mean, stderr) up to round-off.
+    """
+    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
+    alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())
+    betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
+    cache = {}
+    vals = np.empty(n_samples)
+    for k, (alpha, beta) in enumerate(zip(alphas, betas)):
+        key = (int(alpha), int(beta))
+        if key not in cache:
+            cache[key] = _window_value(circuit, regions, lmat[alpha], rmat[:, beta])
+        vals[k] = cache[key]
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples))

@@ -167,6 +167,17 @@ def _shift(name, value):
     return edit
 
 
+def _resize(name, axis, step):
+    # the largest sector of a tensor, one row or column more or fewer;
+    # the payload is untouched, so the CRC still passes
+    def edit(manifest):
+        by_name = {t["name"]: t for t in manifest["tensors"]}
+        sector = max(by_name[name]["sectors"], key=lambda s: s["rows"] * s["cols"])
+        sector[axis] += step
+
+    return edit
+
+
 def _unknown_tensor(manifest):
     manifest["tensors"].append({**manifest["tensors"][0], "name": "A_C_up"})
 
@@ -178,12 +189,15 @@ def _unknown_tensor(manifest):
         _text_delta, _half_charge, _complex_spectrum,
         _shift("A_B_dn", 1), _shift("A_A_dn", 0), _shift("A_A_up", 3),
         _shift("A_B_up", -1), _shift("lambda_A", 2), _unknown_tensor,
+        _resize("A_A_up", "rows", -1), _resize("A_B_dn", "cols", 1),
+        _resize("lambda_A", "rows", -1),
     ],
     ids=[
         "no-tensors", "no-delta", "negative-rows", "float-offset",
         "text-delta", "half-charge", "complex-spectrum",
         "shift-A_B_dn", "shift-A_A_dn", "shift-A_A_up", "shift-A_B_up",
         "shift-lambda_A", "unknown-tensor",
+        "rows-A_A_up", "cols-A_B_dn", "rows-lambda_A",
     ],
 )
 def test_malformed_manifest_rejected(tmp_path, edit):

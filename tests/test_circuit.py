@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import lightcone_sampled_per_pair, lightcone_sum_per_pair
+from spinquench import circuit as circuit_module
 from spinquench.errors import ConfigError
 from spinquench.circuit import (
     BrickworkCircuit,
@@ -13,6 +17,11 @@ from spinquench.circuit import (
     neel_bits,
     product_state,
 )
+
+
+def _identity_circuit():
+    layers = [[(i, np.eye(4, dtype=complex)) for i in range(t % 2, 5, 2)] for t in range(4)]
+    return BrickworkCircuit(6, layers)
 
 
 def test_haar_gate_is_unitary_and_deterministic():
@@ -94,12 +103,17 @@ def test_region_structure():
 
 
 def test_identity_circuit_sampling_is_exact():
-    layers = [[(i, np.eye(4, dtype=complex)) for i in range(t % 2, 5, 2)] for t in range(4)]
-    circuit = BrickworkCircuit(6, layers)
-    mean, stderr = lightcone_expectation_sampled(
-        circuit, 50, np.random.default_rng(0)
-    )
+    circuit = _identity_circuit()
+    # the Neel input gives one alpha and one beta of nonzero weight; the
+    # others must not reach the window normalization as 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summed = lightcone_expectation_sum(circuit)
+        mean, stderr = lightcone_expectation_sampled(
+            circuit, 50, np.random.default_rng(0)
+        )
     # the Neel input leaves qubit 3 in the down state
+    assert summed == pytest.approx(-0.5, abs=1e-14)
     assert mean == pytest.approx(-0.5, abs=1e-14)
     assert stderr == pytest.approx(0.0, abs=1e-14)
     assert direct_expectation(circuit) == pytest.approx(-0.5, abs=1e-14)
@@ -146,9 +160,83 @@ def test_apply_gate_embeds_correctly():
     perm = np.zeros((4, 4))
     perm[0, 0] = perm[1, 1] = perm[2, 3] = perm[3, 2] = 1.0
     psi = product_state((0, 1, 0))
-    out = apply_gate(psi, 3, 1, perm.astype(complex))
+    out = apply_gate(psi, 1, perm.astype(complex))
     expected = product_state((0, 1, 1))
     assert np.allclose(out, expected)
+
+
+def test_apply_gate_on_stack_matches_each_column():
+    rng = np.random.default_rng(8)
+    u = haar_gate(rng)
+    stack = rng.standard_normal((1 << 5, 7)) + 1j * rng.standard_normal((1 << 5, 7))
+    for i in range(4):
+        out = apply_gate(stack, i, u)
+        assert out.shape == stack.shape
+        for p in range(stack.shape[1]):
+            column = apply_gate(np.ascontiguousarray(stack[:, p]), i, u)
+            assert np.allclose(out[:, p], column, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n,depth,seed,bits",
+    [
+        (6, 3, 2, None),
+        (8, 5, 4, None),
+        (8, 8, 5, None),
+        (10, 6, 9, None),
+        (6, 3, 42, (0, 0, 0, 1, 1, 1)),
+        (8, 4, 13, (1, 0, 0, 1, 1, 0, 1, 0)),
+        (6, 4, None, None),
+    ],
+    ids=["n6", "n8-d5", "n8-d8", "n10", "bits-n6", "bits-n8", "identity"],
+)
+def test_stacked_estimators_match_per_pair_oracle(n, depth, seed, bits):
+    if seed is None:
+        circuit = _identity_circuit()
+    else:
+        circuit = BrickworkCircuit.random(n, depth, np.random.default_rng(seed))
+    summed = lightcone_expectation_sum(circuit, bits=bits)
+    assert abs(summed - lightcone_sum_per_pair(circuit, bits=bits)) <= 1e-14
+    mean, stderr = lightcone_expectation_sampled(
+        circuit, 3000, np.random.default_rng(21), bits=bits
+    )
+    ref_mean, ref_stderr = lightcone_sampled_per_pair(
+        circuit, 3000, np.random.default_rng(21), bits=bits
+    )
+    assert abs(mean - ref_mean) <= 1e-14
+    assert abs(stderr - ref_stderr) <= 1e-14
+
+
+def test_column_blocks_match_one_block(monkeypatch):
+    circuit = BrickworkCircuit.random(10, 6, np.random.default_rng(31))
+    direct = direct_expectation(circuit)
+    summed = lightcone_expectation_sum(circuit)
+    sampled = lightcone_expectation_sampled(circuit, 2000, np.random.default_rng(4))
+    regions = build_regions(circuit)
+    width = regions.w_hi - regions.w_lo + 1
+    calls = []
+    sz_at = circuit_module._sz_at
+
+    def counted(psi, i):
+        calls.append(psi.shape[1])
+        return sz_at(psi, i)
+
+    monkeypatch.setattr(circuit_module, "_sz_at", counted)
+    # two columns per block, then one (the limit below the window width)
+    for limit in (width + 1, width - 1):
+        monkeypatch.setattr(circuit_module, "DIRECT_QUBIT_LIMIT", limit)
+        calls.clear()
+        blocked = lightcone_expectation_sum(circuit)
+        assert len(calls) > 1 and max(calls) <= max(1, 2 ** (limit - width))
+        assert abs(blocked - summed) <= 1e-14
+        assert abs(blocked - direct) <= 1e-12
+        calls.clear()
+        mean, stderr = lightcone_expectation_sampled(
+            circuit, 2000, np.random.default_rng(4)
+        )
+        assert len(calls) > 1
+        assert abs(mean - sampled[0]) <= 1e-14
+        assert abs(stderr - sampled[1]) <= 1e-14
 
 
 def test_neel_bits():

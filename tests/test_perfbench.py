@@ -1,15 +1,17 @@
 """The benchmark's self-check and tracer run against the current program.
 
-perfbench wraps graded, itebd, checkpoint, harness, sampler and window
-functions by name to trace them; a refactor that renames or removes one of those names, or stops
-calling it by that name, must fail here rather than in the next
-benchmark run.
+perfbench wraps graded, itebd, checkpoint, harness, sampler, window and
+circuit functions by name to trace them; a refactor that renames or
+removes one of those names, or stops calling it by that name, must fail
+here rather than in the next benchmark run.
 """
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import spinquench as sq
 import spinquench.cli  # noqa: F401  (the tracer patches every module)
@@ -98,3 +100,36 @@ def test_tracer_sees_every_itebd_layer(tmp_path):
         "itebd.expect_sz": 2,
         "checkpoint.save_checkpoint": 1,
     }
+
+
+def test_tracer_sees_every_circuit_layer():
+    # the sum and the sampled estimator each split the circuit once; a
+    # refactor that stops calling build_regions by name would leave the
+    # window metrics of circuit-n18 at 0
+    circuit = sq.BrickworkCircuit.random(8, 5, np.random.default_rng(4))
+    regions = sq.circuit.build_regions(circuit)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    with tracing.traced(sq, tracer):
+        sq.circuit.direct_expectation(circuit)
+        sq.circuit.lightcone_expectation_sum(circuit)
+        _mean, stderr = sq.circuit.lightcone_expectation_sampled(
+            circuit, 500, np.random.default_rng(5)
+        )
+    calls = {name: row[0] for name, row in tracer.aggregate().items()}
+    assert {
+        span: calls.get(span, 0)
+        for span in (
+            "circuit.direct_expectation",
+            "circuit.lightcone_expectation_sum",
+            "circuit.lightcone_expectation_sampled",
+            "circuit.build_regions",
+        )
+    } == {
+        "circuit.direct_expectation": 1,
+        "circuit.lightcone_expectation_sum": 1,
+        "circuit.lightcone_expectation_sampled": 1,
+        "circuit.build_regions": 2,
+    }
+    assert tracer.window_qubits == regions.w_hi - regions.w_lo + 1
+    assert tracer.sampled_stderrs == [stderr]
