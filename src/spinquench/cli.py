@@ -69,8 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="processes for the draw blocks and the window propagation; "
-             "never changes the output",
+        help="processes for the window propagation; never changes the output",
     )
     p.add_argument("--out", required=True)
 
@@ -120,7 +119,9 @@ def _cmd_sample(args) -> int:
 
 
 def _reference_columns(path):
-    meta, cols = read_table(path)
+    _meta, cols = read_table(path)
+    if "t" not in cols:
+        raise ConfigError(f"{path}: no t column to use as reference")
     if "mean_sz0" in cols:
         return cols["t"], cols["mean_sz0"]
     if "sz0" in cols:

@@ -2,9 +2,10 @@
 
 Phase one runs the infinite-chain evolution to a chosen time and writes
 a checkpoint plus a per-step observable curve. Phase two draws
-independent boundary samples on a process pool, evolves each distinct
-sampled window once, and reduces the results to a mean/stderr curve on
-the fixed grid t_init + k * delta_t.
+independent boundary samples, evolves each distinct sampled window
+once, on a process pool when there is more than one share of work, and
+reduces the results to a mean/stderr curve on the fixed grid
+t_init + k * delta_t.
 
 Determinism contract: each sample's generator is seeded by
 (master_seed, sample_id) alone, and the reduction runs over all value
@@ -12,27 +13,25 @@ rows stacked in ascending sample_id order, so the output files are
 byte-identical for any worker count. Output metadata deliberately
 excludes worker counts and timestamps.
 
-A run takes two rounds on one pool, whose initializer loads the
-checkpoint once per process; with one worker both rounds run in this
-process through the same functions. Round one draws the samples in
-static contiguous sample_id blocks, each sample with its own generator,
-through one WalkMemo per block: a repeated (alpha, spin prefix) reuses
-the conditionals computed the first time, which are the same bits a
-fresh walk would compute, and the memo may be cleared at any sample
-without changing a draw, so every generator consumes exactly the
-uniforms it would alone. The parent then keeps the distinct boundary
-pairs of the whole run, in order of first occurrence. Round two evolves
-each of them exactly once: the pairs are grouped by total-Sz sector
-into row stacks of at most STACK_ENTRIES amplitudes, one
-sparse-times-dense product per Taylor order, and the stacks are dealt
-into one share per process. The dedup is exact because a pair's series
-depends only on the pair, the checkpoint state, the window Hamiltonian
-(fixed by h) and the time grid, never on the sample that drew it.
-Stacking is exact too: every column of that product accumulates in the
-order of a single matrix-vector product, and norms, the drift guard and
-<Sz> are taken row by row, so a series does not depend on which pairs
-share its stack or its share. How samples and pairs are split among
-processes changes where the work runs, never a byte of the output.
+A run takes two rounds. Round one runs in this process: every sample's
+generator yields its 2l+3 uniforms, and one batched walk over all
+samples, in sample_id order, turns them into boundary pairs (see
+sampler). The walk runs in one process whatever the worker count, so
+the pairs cannot depend on it. The distinct pairs of the run are kept
+in order of first occurrence, and round two evolves each of them
+exactly once: the pairs are grouped by total-Sz sector into row stacks
+of at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
+Taylor order, and the stacks are dealt into at most one share per
+worker and CPU. One share runs in this process; more run on a pool of
+one process per share, whose initializer loads the checkpoint once per
+process. The dedup is exact because a pair's series depends only on
+the pair, the checkpoint state, the window Hamiltonian (fixed by h) and
+the time grid, never on the sample that drew it. Stacking is exact too:
+every column of that product accumulates in the order of a single
+matrix-vector product, and norms, the drift guard and <Sz> are taken
+row by row, so a series does not depend on which pairs share its stack
+or its share. How pairs are split among processes changes where the
+work runs, never a byte of the output.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -41,7 +40,6 @@ precision.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -56,9 +54,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 from .sampler import (
-    BoundarySample,
     PartialCache,
-    WalkMemo,
     WindowSpec,
     assemble_window_state,
     pair_sector,
@@ -135,14 +131,20 @@ def read_table(path):
     """(metadata, columns) of a CSV written by write_table.
 
     Every column is parsed as float except n_samples, which is an
-    integer count. A row whose field count differs from the header's,
-    or a field that does not parse, raises ConfigError naming the line.
+    integer count. A metadata line that is not a JSON object, a row
+    whose field count differs from the header's, or a field that does
+    not parse raises ConfigError naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         if not first.startswith("#"):
             raise ConfigError(f"{path}: missing '#' metadata line")
-        meta = json.loads(first[1:])
+        try:
+            meta = json.loads(first[1:])
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: metadata line is not JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path}: metadata line is not a JSON object")
         header = fh.readline().strip().split(",")
         parsers = [int if name == "n_samples" else float for name in header]
         cols = {name: [] for name in header}
@@ -209,28 +211,19 @@ def run_itebd(config: QuenchConfig, out_checkpoint, out_curve) -> int:
     return 0
 
 
-def sample_one(
-    state: MPSState,
-    spec: WindowSpec,
-    master_seed: int,
-    sample_id: int,
-    memo: WalkMemo | None = None,
-) -> BoundarySample:
-    """Draw one sample's boundary pair with its own generator.
+def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
+    """The n uniforms of one sample, from its own generator.
 
-    The generator is seeded by (master_seed, sample_id). memo, a
-    WalkMemo of the same state and window, is shared by the samples of
-    a block; it never changes the pair drawn.
+    The generator is seeded by (master_seed, sample_id) alone. A walk
+    uses them in order: alpha, the 2l+1 window spins, then beta.
     """
     seed = (int(master_seed), int(sample_id))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    alpha = sample_alpha(state, spec, rng, memo)
-    return sample_spins_and_beta(state, spec, alpha, rng, memo)
+    return np.random.default_rng(np.random.SeedSequence(seed)).random(n)
 
 
 @dataclass(frozen=True)
 class _Run:
-    """What both rounds of one Monte Carlo run need in every process."""
+    """What round two of one Monte Carlo run needs in every process."""
 
     state: MPSState
     spec: WindowSpec
@@ -241,15 +234,6 @@ class _Run:
     def of(cls, state, config, l, t_fin, delta_t, n_max):
         params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
         return cls(state, WindowSpec(l=l), build_hloc(l, config.delta), params)
-
-
-def _draw_block(run, block):
-    """Round one: the pairs of one contiguous sample_id block, in order."""
-    master_seed, start, stop = block
-    memo = WalkMemo(run.state, run.spec)
-    return [
-        sample_one(run.state, run.spec, master_seed, sid, memo) for sid in range(start, stop)
-    ]
 
 
 def _evolve_share(run, stacks):
@@ -274,9 +258,9 @@ def _init_worker(path, *args):
     _WORKER_RUN = _Run.of(*load_checkpoint(path), *args)
 
 
-def _in_worker(round_fn, item):
-    """round_fn(run, item) in a pool worker, on the run it serves."""
-    return round_fn(_WORKER_RUN, item)
+def _evolve_in_worker(stacks):
+    """_evolve_share in a pool worker, on the run it serves."""
+    return _evolve_share(_WORKER_RUN, stacks)
 
 
 def _shares(spec, pairs, n_shares):
@@ -304,20 +288,22 @@ def _shares(spec, pairs, n_shares):
     return [share for share in shares if share]
 
 
-def _two_rounds(map_round, spec, blocks, n_shares, n_points):
+def _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points):
     """Value rows of every sample, in sample_id order.
 
-    map_round(round_fn, items) yields round_fn(run, item) for each item,
-    in order, in this process or on a pool. Round one draws the blocks;
-    round two evolves each distinct pair of the whole run once, in
-    n_shares shares.
+    Round one draws every sample's pair in this process; round two
+    evolves each distinct pair of the whole run once, in at most
+    n_shares shares, through evolve(shares), which returns the series
+    of each share in order.
     """
-    pairs = [pair for block in map_round(_draw_block, blocks) for pair in block]
+    u = np.array([sample_one(master_seed, sid, 2 * spec.l + 3) for sid in range(n_samples)])
+    alphas = sample_alpha(state, spec, u[:, 0])
+    pairs = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
     index = {}
     ids = [index.setdefault(pair, len(index)) for pair in pairs]
     shares = _shares(spec, index, n_shares)
     table = np.empty((len(index), n_points))
-    for share, series in zip(shares, map_round(_evolve_share, shares)):
+    for share, series in zip(shares, evolve(shares)):
         for (_n_up, stack), rows in zip(share, series):
             table[[index[pair] for pair in stack]] = rows
     return table[ids]
@@ -371,27 +357,21 @@ def run_mc(
                 stacklevel=2,
             )
 
-    bounds = [n_samples * j // n_workers for j in range(n_workers + 1)]
-    blocks = [(master_seed, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     run_args = (l, t_fin, delta_t, n_max)
-    if len(blocks) == 1:
-        run = _Run.of(state, config, *run_args)
-        values = _two_rounds(
-            lambda fn, items: [fn(run, item) for item in items], spec, blocks, 1, n_points
-        )
-    else:
-        # Under fork the pool starts all max_workers processes at the
-        # first submit, so never ask for more than there is work or CPU.
-        n_procs = min(len(blocks), os.cpu_count() or 1)
+
+    def evolve(shares):
+        """Round two: one share runs here, more on one process per share."""
+        if len(shares) == 1:
+            return [_evolve_share(_Run.of(state, config, *run_args), shares[0])]
         with ProcessPoolExecutor(
-            max_workers=n_procs,
+            max_workers=len(shares),
             initializer=_init_worker,
             initargs=(os.fspath(checkpoint), *run_args),
         ) as pool:
-            values = _two_rounds(
-                lambda fn, items: pool.map(functools.partial(_in_worker, fn), items),
-                spec, blocks, n_procs, n_points,
-            )
+            return list(pool.map(_evolve_in_worker, shares))
+
+    n_shares = min(n_workers, os.cpu_count() or 1)
+    values = _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points)
     if values.shape[0] != n_samples:
         raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
     mean = values.mean(axis=0)

@@ -16,16 +16,19 @@ next spin is the squared norm of the corresponding candidate vector
 divided by the sum over both spins. Right-normalization of everything
 beyond the sampled prefix is what makes these conditionals exact.
 
-A WalkMemo keeps the alpha CDF and, per (alpha, spin prefix) reached,
-the candidate rows and conditional of the next site or the beta CDF at
-the end of the window, so a walk that repeats a prefix looks it up
-instead of recomputing it. Each entry is a deterministic function of
-the chain state, the window and its key, so a memoized draw consumes
-the same uniforms and returns the same pair as a fresh walk, and
-clearing the memo, which happens whenever it outgrows WALK_MEMO_BYTES,
-never changes a draw. The walk takes its 2l+1 spin uniforms and the
-beta uniform in one call, which yields the same doubles as one call per
-draw.
+The walk runs level by level over all samples of a run at once. At
+each site the distinct (alpha, spin prefix) nodes that samples have
+reached are stacked into one row matrix per bond charge, so both
+candidate rows of every node come from one matrix product per charge
+and spin; each sample then picks its spin by comparing its own uniform
+with its node's conditional. A node's rows are a function of the chain
+state, the window and the node alone, so a sample consumes the same
+uniforms and reaches the same pair as a walk of its own; only the last
+bits of a product may depend on the stack it is computed in, which
+matters for a uniform within rounding of its conditional. Samples are
+walked in contiguous chunks whose node rows fit in WALK_MEMO_BYTES;
+the chunks depend on the state and the sample count, never on how many
+processes a run uses.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
@@ -53,7 +56,6 @@ bit and up = 1, matching the window evolver's basis.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +68,8 @@ from .window import L_MAX, WindowState, _sector_basis
 #: sibling's is treated as an exact zero of the conditional.
 BRANCH_FLOOR = 1e-28
 
-#: Bytes of rows and CDFs a WalkMemo or PartialCache holds before it
-#: starts over.
+#: Bytes of node rows one chunk of the batched walk may hold, and of
+#: partials a PartialCache holds before it starts over.
 WALK_MEMO_BYTES = 1 << 25
 
 
@@ -132,110 +134,129 @@ def _left_step(tensors, shifts, s: int, q, vec):
     return q + shifts[s], vec @ block
 
 
-def _cdf(weights: np.ndarray):
-    """(total, cumulative sums as a list) of nonnegative weights, for _draw."""
+def sample_alpha(state: MPSState, spec: WindowSpec, u) -> np.ndarray:
+    """Draw left-boundary Schmidt states with probability lambda^2.
+
+    u holds one uniform in [0, 1) per sample; the result holds one
+    (sector charge, index-within-sector) row per sample.
+    """
+    spectrum = boundary_spectrum(state, spec)
+    weights = spectrum.weights
     total = float(weights.sum())
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
-    return total, np.cumsum(weights).tolist()
+    k = np.searchsorted(np.cumsum(weights), np.asarray(u) * total, side="right")
+    entries = np.array([(q, i) for q, _w, i in spectrum.entries], dtype=np.int64)
+    return entries[np.minimum(k, weights.size - 1)]
 
 
-def _draw(cdf, u: float) -> int:
-    """Index i drawn with probability weights[i] / sum(weights).
+def _draw_rows(weights: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each r in rows, index i drawn with probability weights[r, i] / sum(weights[r]).
 
-    cdf is _cdf(weights) and u a uniform in [0, 1).
+    u holds one uniform in [0, 1) per entry of rows.
     """
-    total, cums = cdf
-    return min(bisect_right(cums, u * total), len(cums) - 1)
+    totals = weights.sum(axis=1)
+    if not np.all(totals > 0.0):
+        raise SamplingError("cannot draw from weights that sum to zero")
+    cums = np.cumsum(weights, axis=1)
+    k = np.count_nonzero(cums[rows] <= (u * totals[rows])[:, None], axis=1)
+    return np.minimum(k, weights.shape[1] - 1)
 
 
-def sample_alpha(state: MPSState, spec: WindowSpec, rng, memo=None) -> tuple:
-    """Draw a left-boundary Schmidt state with probability lambda^2.
+def _branch_probabilities(w_up, w_dn):
+    """Conditional spin probabilities from candidate squared norms.
 
-    memo, a WalkMemo of the same state and window, supplies the CDF.
+    Takes scalars or arrays of one norm per walk prefix.
     """
-    memo = _owned(WalkMemo, state, spec, memo)
-    q, _w, i = memo.spectrum.entries[_draw(memo.alpha_cdf, rng.random())]
-    return (q, i)
-
-
-def _branch_probabilities(w_up: float, w_dn: float):
-    """Conditional spin probabilities from two candidate squared norms."""
-    big = max(w_up, w_dn)
-    if not big > 0.0:
+    w_up, w_dn = np.asarray(w_up, dtype=float), np.asarray(w_dn, dtype=float)
+    big = np.maximum(w_up, w_dn)
+    if not np.all(big > 0.0):
         raise SamplingError(
             "both spin branches have zero weight; the chain state is inconsistent"
         )
-    if w_up < big * BRANCH_FLOOR:
-        w_up = 0.0
-    if w_dn < big * BRANCH_FLOOR:
-        w_dn = 0.0
+    w_up = np.where(w_up < big * BRANCH_FLOOR, 0.0, w_up)
+    w_dn = np.where(w_dn < big * BRANCH_FLOOR, 0.0, w_dn)
     tot = w_up + w_dn
     return w_up / tot, w_dn / tot
 
 
-class _Node:
-    """A walk prefix: the next site's p_up and candidate rows, and children."""
+def _root_groups(state: MPSState, spec: WindowSpec, roots: np.ndarray):
+    """[(charge, basis rows)] of the distinct alphas, sorted by charge and index."""
+    dims = boundary_spectrum(state, spec).sector_dims
+    groups = []
+    for q in np.unique(roots[:, 0]).tolist():
+        index = roots[roots[:, 0] == q, 1]
+        bad = index[(index < 0) | (index >= dims.get(q, 0))]
+        if bad.size:
+            raise ConfigError(f"no boundary state (q={q}, index={bad[0]})")
+        rows = np.zeros((index.size, dims[q]), dtype=complex)
+        rows[np.arange(index.size), index] = 1.0
+        groups.append((q, rows))
+    return groups
 
-    __slots__ = ("p_up", "cands", "norms", "kids")
 
-    def __init__(self, p_up, cands, norms):
-        self.p_up, self.cands, self.norms = p_up, cands, norms
-        self.kids = [None, None]
+def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.ndarray):
+    """(beta charges, beta indices) of one chunk of samples.
 
-
-class WalkMemo:
-    """Memoized boundary draws for one chain state and window geometry.
-
-    The walk is a trie keyed by alpha and then by each drawn spin; a
-    node is built on first visit exactly as a fresh walk computes it.
+    A node is a distinct (alpha, spin prefix) of the chunk, and its row
+    the propagated, renormalized boundary vector. The nodes of a level
+    are kept as one row matrix per bond charge, numbered group by group;
+    node[j] is the node sample j has reached.
     """
+    roots, node = np.unique(alphas, axis=0, return_inverse=True)
+    node = node.reshape(-1)
+    groups = _root_groups(state, spec, roots)
+    for depth, site in enumerate(range(-spec.l, spec.l + 1)):
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        kids = {}
+        start = 0
+        while groups:  # popped, so a level's rows go once extended
+            q, rows = groups.pop(0)
+            mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
+            at = node[mine] - start
+            start += rows.shape[0]
+            cands, norms = [None, None], np.zeros((2, rows.shape[0]))
+            for s in (UP, DN):
+                block = tensors[s].block(q)
+                if block is not None:
+                    c = cands[s] = rows @ block
+                    norms[s] = np.einsum("ij,ij->i", c.conj(), c).real
+            p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+            spin = np.where(u[mine, depth] < p_up[at], UP, DN)
+            for s in (UP, DN):
+                took = spin == s
+                if took.any():
+                    picked, kid = np.unique(at[took], return_inverse=True)
+                    kid_rows = cands[s][picked] * (1.0 / np.sqrt(norms[s, picked]))[:, None]
+                    kids.setdefault(q + shifts[s], []).append((mine[took], kid, kid_rows))
+        start = 0
+        for q in sorted(kids):
+            parts = kids.pop(q)
+            for samples, kid, kid_rows in parts:
+                node[samples] = start + kid
+                start += kid_rows.shape[0]
+            groups.append((q, np.concatenate([kid_rows for _s, _k, kid_rows in parts])))
+    beta_q = np.empty(node.size, dtype=np.int64)
+    beta_i = np.empty(node.size, dtype=np.int64)
+    start = 0
+    for q, rows in groups:
+        mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
+        beta_q[mine] = q
+        beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - start, u[mine, -1])
+        start += rows.shape[0]
+    return beta_q, beta_i
 
-    def __init__(self, state: MPSState, spec: WindowSpec):
-        self.state, self.spec = state, spec
-        self.spectrum = boundary_spectrum(state, spec)
-        self.alpha_cdf = _cdf(self.spectrum.weights)
-        self.clear()
 
-    def clear(self):
-        """Drop every memoized prefix."""
-        self._roots = {}
-        self.n_bytes = 0
+def _chunk_size(state: MPSState) -> int:
+    """Samples per walk chunk: at most WALK_MEMO_BYTES of node rows.
 
-    def walk(self, alpha: tuple, rng) -> BoundarySample:
-        """The spin walk from alpha and the beta draw at its end."""
-        if self.n_bytes > WALK_MEMO_BYTES:
-            self.clear()
-        alpha = tuple(alpha)
-        node = self._roots.get(alpha)
-        if node is None:
-            row = _basis_row(self.spectrum.sector_dims, *alpha)
-            node = self._roots[alpha] = self._node(alpha[0], row, 0)
-        *spins, u_beta = rng.random(2 * self.spec.l + 2).tolist()
-        for depth, u in enumerate(spins, start=1):
-            pick = UP if u < node.p_up else DN
-            kid = node.kids[pick]
-            if kid is None:
-                q, vec = node.cands[pick]
-                vec = vec * (1.0 / math.sqrt(node.norms[pick]))
-                kid = node.kids[pick] = self._node(q, vec, depth)
-            node = kid
-        q, beta_cdf = node
-        return BoundarySample(alpha=alpha, beta=(q, _draw(beta_cdf, u_beta)))
-
-    def _node(self, q, vec, depth):
-        """The node after `depth` spins, or (q, beta CDF) past the last site."""
-        if depth == 2 * self.spec.l + 1:
-            cdf = _cdf(np.abs(vec) ** 2)
-            self.n_bytes += 32 * len(cdf[1])  # a float object and its list slot
-            return q, cdf
-        site = depth - self.spec.l
-        tensors, shifts = site_tensors(self.state, site), site_shifts(site)
-        cands = [_left_step(tensors, shifts, s, q, vec) for s in (UP, DN)]
-        norms = [0.0 if c is None else float(np.vdot(c[1], c[1]).real) for c in cands]
-        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
-        self.n_bytes += sum(c[1].nbytes for c in cands if c is not None)
-        return _Node(p_up, cands, norms)
+    A level holds at most one node per sample. Its rows, the candidate
+    rows of one charge and the rows of the next level come to at most
+    three rows per sample, none wider than the largest sector of either
+    bond.
+    """
+    widest = max(max(lam.sector_dims.values()) for lam in (state.lambda_a, state.lambda_b))
+    return max(1, WALK_MEMO_BYTES // (3 * 16 * widest))
 
 
 def _owned(kind, state: MPSState, spec: WindowSpec, memo):
@@ -247,19 +268,40 @@ def _owned(kind, state: MPSState, spec: WindowSpec, memo):
     return memo
 
 
-def sample_spins_and_beta(
-    state: MPSState, spec: WindowSpec, alpha: tuple, rng, memo=None
-) -> BoundarySample:
-    """Chain-sample the window spins, then the right boundary state.
+def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
+    """Chain-sample the window spins, then the right boundary state, of every sample.
 
-    Starting from the alpha basis vector on the left boundary bond, each
-    site's spin is drawn from the exact conditional given the full
-    prefix; the propagated vector is renormalized after every draw. The
-    spins themselves are not returned: only the boundary pair matters.
-    memo, a WalkMemo of the same state and window, supplies every
-    conditional already computed for this alpha and prefix.
+    alphas holds one (charge, index) row per sample and u one row of
+    2l+2 uniforms in [0, 1) per sample: one per window spin, site -l
+    first, then one for beta. Starting from the alpha basis vector on
+    the left boundary bond, each site's spin is drawn from the exact
+    conditional given the full prefix; the propagated vector is
+    renormalized after every draw. The walk runs level by level over
+    all samples at once, each distinct prefix computed once, in
+    contiguous chunks of at most _chunk_size samples. The spins
+    themselves are not returned: only the boundary pairs matter, one
+    BoundarySample per sample, in order.
     """
-    return _owned(WalkMemo, state, spec, memo).walk(alpha, rng)
+    alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, 2)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (alphas.shape[0], 2 * spec.l + 2):
+        raise ConfigError(
+            f"need {2 * spec.l + 2} uniforms for each of {alphas.shape[0]} samples, "
+            f"got an array of shape {u.shape}"
+        )
+    if not alphas.size:
+        return []
+    chunk = _chunk_size(state)
+    betas = [
+        _walk_chunk(state, spec, alphas[lo:lo + chunk], u[lo:lo + chunk])
+        for lo in range(0, alphas.shape[0], chunk)
+    ]
+    beta_q = np.concatenate([q for q, _i in betas])
+    beta_i = np.concatenate([i for _q, i in betas])
+    return [
+        BoundarySample(alpha=(qa, ia), beta=(qb, ib))
+        for qa, ia, qb, ib in np.column_stack([alphas, beta_q, beta_i]).tolist()
+    ]
 
 
 def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):

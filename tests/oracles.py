@@ -22,7 +22,12 @@ from spinquench.graded import (
     TruncationReport,
 )
 from spinquench.itebd import DN, UP, _pair_roles
-from spinquench.sampler import boundary_spectrum, site_tensors
+from spinquench.sampler import (
+    _branch_probabilities,
+    boundary_spectrum,
+    site_shifts,
+    site_tensors,
+)
 from spinquench.window import _chain_hamiltonian, _sector_basis, _site_bits
 
 
@@ -203,6 +208,84 @@ def dense_window_amplitudes(state, spec, alpha, beta):
         for cr, rvec in enumerate(rights):
             amps[(cl << l) | cr] = lvec @ rvec
     return amps
+
+
+def _pick(weights, u):
+    """Index drawn with probability weights[i] / sum(weights) by the uniform u."""
+    k = int(np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right"))
+    return min(k, weights.size - 1)
+
+
+def _walk_step(state, site, q, vec):
+    """(candidates, norms) of both spins at a site for the row vec in sector q."""
+    tensors, shifts = site_tensors(state, site), site_shifts(site)
+    cands, norms = {}, {}
+    for s in (UP, DN):
+        block = tensors[s].block(q)
+        cands[s] = None if block is None else (q + shifts[s], vec @ block)
+        norms[s] = 0.0 if block is None else float(np.vdot(cands[s][1], cands[s][1]).real)
+    return cands, norms
+
+
+def fresh_walk(state, spec, rng):
+    """(alpha, beta) drawn with no reuse: every conditional computed anew.
+
+    Takes one rng.random() per draw: alpha, each window spin, beta.
+    """
+    spectrum = boundary_spectrum(state, spec)
+    q, _w, i = spectrum.entries[_pick(spectrum.weights, rng.random())]
+    alpha = (q, i)
+    vec = np.zeros(spectrum.sector_dims[q], dtype=complex)
+    vec[i] = 1.0
+    for site in range(-spec.l, spec.l + 1):
+        cands, norms = _walk_step(state, site, q, vec)
+        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+        pick = UP if rng.random() < p_up else DN
+        q, vec = cands[pick]
+        vec = vec * (1.0 / math.sqrt(norms[pick]))
+    return alpha, (q, _pick(np.abs(vec) ** 2, rng.random()))
+
+
+class TrieWalk:
+    """The boundary walk one sample at a time, through a trie of prefixes.
+
+    A node is built on the first visit to its (alpha, spin prefix),
+    exactly as a fresh walk computes it, and looked up by every later
+    sample that reaches it.
+    """
+
+    def __init__(self, state, spec):
+        self.state, self.spec = state, spec
+        self.spectrum = boundary_spectrum(state, spec)
+        self.roots = {}
+
+    def draw(self, u):
+        """(alpha, beta) of one sample from its 2l+3 uniforms, alpha first."""
+        u_alpha, *spins, u_beta = np.asarray(u).tolist()
+        q, _w, i = self.spectrum.entries[_pick(self.spectrum.weights, u_alpha)]
+        alpha = (q, i)
+        node = self.roots.get(alpha)
+        if node is None:
+            vec = np.zeros(self.spectrum.sector_dims[q], dtype=complex)
+            vec[i] = 1.0
+            node = self.roots[alpha] = self._node(q, vec, 0)
+        for depth, x in enumerate(spins, start=1):
+            p_up, cands, norms, kids = node
+            pick = UP if x < p_up else DN
+            if kids[pick] is None:
+                q, vec = cands[pick]
+                kids[pick] = self._node(q, vec * (1.0 / math.sqrt(norms[pick])), depth)
+            node = kids[pick]
+        q, probs = node
+        return alpha, (q, _pick(probs, u_beta))
+
+    def _node(self, q, vec, depth):
+        """[p_up, candidates, norms, kids] after depth spins, or (q, beta weights)."""
+        if depth == 2 * self.spec.l + 1:
+            return q, np.abs(vec) ** 2
+        cands, norms = _walk_step(self.state, depth - self.spec.l, q, vec)
+        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+        return [p_up, cands, norms, [None, None]]
 
 
 def block_svd_reference(theta):

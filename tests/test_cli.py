@@ -104,6 +104,21 @@ def test_shift_correct_against_reference(pipeline_dir):
     assert abs(meta["shift_constant"]) < 0.1
 
 
+def test_peaks_bad_input_exit_codes(pipeline_dir, tmp_path, capsys):
+    # a reference with no t column, or an input whose metadata line is
+    # not a JSON object, is a configuration error naming the file
+    no_t = tmp_path / "no_t.csv"
+    no_t.write_text("# {}\nmean_sz0\n0.1\n")
+    rc = main(["peaks", "--in", str(pipeline_dir / "mc.csv"), "--reference", str(no_t)])
+    assert rc == 2
+    assert "no_t.csv" in capsys.readouterr().err
+    for name, first in (("not_json.csv", "# {bad"), ("not_object.csv", "# 3")):
+        bad = tmp_path / name
+        bad.write_text(first + "\nt,mean_sz0,stderr,n_samples\n")
+        assert main(["peaks", "--in", str(bad)]) == 2
+        assert name in capsys.readouterr().err
+
+
 def test_profile_fills_defaults(tmp_path):
     chk = tmp_path / "p.mpsc1"
     curve = tmp_path / "p.csv"

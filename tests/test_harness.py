@@ -146,6 +146,16 @@ def test_read_table_rejects_ragged_rows(tmp_path, bad_row):
         read_aggregate_curve(path)
 
 
+@pytest.mark.parametrize("first", ["# {bad\n", "# [1, 2]\n"], ids=["not-json", "not-object"])
+def test_read_table_rejects_bad_metadata(tmp_path, first):
+    path = tmp_path / "meta.csv"
+    path.write_text(first + "t,mean_sz0,stderr,n_samples\n1.0,0.2,0.01,5\n")
+    with pytest.raises(ConfigError, match=r"meta\.csv: metadata"):
+        read_table(path)
+    with pytest.raises(ConfigError, match=r"meta\.csv: metadata"):
+        read_aggregate_curve(path)
+
+
 def test_run_mc_identical_across_worker_counts(short_run, tmp_path, in_process_pool):
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -174,9 +184,8 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, t_fin=t_fin)
     pairs, rows = [], []
     for sid in sample_ids:
-        rng = np.random.default_rng(np.random.SeedSequence((master_seed, sid)))
-        alpha = sample_alpha(state, spec, rng)
-        samp = sample_spins_and_beta(state, spec, alpha, rng)
+        u = harness.sample_one(master_seed, sid, 2 * l + 3)
+        samp, = sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:])
         psi = assemble_window_state(state, spec, samp)
         pairs.append((samp.alpha, samp.beta))
         rows.append([v for _t, v in evolve_and_measure(psi, h, params, state.time)])
@@ -251,6 +260,25 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
     assert len(in_process_pool) == 1
     assert 1 <= in_process_pool[0] <= min(3, os.cpu_count() or 1)
     assert out1.read_bytes() == out64.read_bytes()
+
+
+def test_run_mc_single_share_starts_no_pool(short_run, tmp_path, in_process_pool):
+    # one sample has one distinct pair, which is one share however many
+    # workers are asked for, so round two runs in this process
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=1.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=1,
+        master_seed=7,
+    )
+    outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
+    run_mc(n_workers=1, out=outs[0], **kw)
+    run_mc(n_workers=3, out=outs[1], **kw)
+    assert in_process_pool == []
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_run_mc_aggregate_matches_two_pass(short_run):

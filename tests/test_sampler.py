@@ -1,17 +1,15 @@
-import math
-
 import numpy as np
 import pytest
 
-from oracles import dense_window_amplitudes, full_amplitudes
+from oracles import TrieWalk, dense_window_amplitudes, fresh_walk, full_amplitudes
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
-from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, expect_sz, neel_init
+from spinquench.harness import sample_one
+from spinquench.itebd import QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
     PartialCache,
-    WalkMemo,
     WindowSpec,
     _branch_probabilities,
     _raw_window_amplitudes,
@@ -21,8 +19,6 @@ from spinquench.sampler import (
     right_boundary_dims,
     sample_alpha,
     sample_spins_and_beta,
-    site_shifts,
-    site_tensors,
 )
 
 
@@ -87,18 +83,25 @@ def test_blocked_assembly_matches_dense_route(quench_state):
     assert checked > 10
 
 
+def _draws(state, spec, u):
+    """The batched walk's boundary pairs for rows of 2l+3 uniforms."""
+    return sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0]), u[:, 1:])
+
+
+def _uniforms(master_seed, sample_ids, l):
+    return np.array([sample_one(master_seed, sid, 2 * l + 3) for sid in sample_ids])
+
+
 def test_sampling_is_deterministic_per_seed(quench_state):
     spec = WindowSpec(l=2)
     draws = []
     for _ in range(2):
-        rng = np.random.default_rng(1234)
-        alpha = sample_alpha(quench_state, spec, rng)
-        sample = sample_spins_and_beta(quench_state, spec, alpha, rng)
-        psi = assemble_window_state(quench_state, spec, sample)
-        draws.append((alpha, sample.beta, psi.amplitudes.copy()))
+        u = np.random.default_rng(1234).random((5, 7))
+        pairs = _draws(quench_state, spec, u)
+        psi = assemble_window_state(quench_state, spec, pairs[0])
+        draws.append((pairs, psi.amplitudes.copy()))
     assert draws[0][0] == draws[1][0]
-    assert draws[0][1] == draws[1][1]
-    assert np.array_equal(draws[0][2], draws[1][2])
+    assert np.array_equal(draws[0][1], draws[1][1])
 
 
 def test_sampled_pairs_have_positive_weight(quench_state):
@@ -108,38 +111,9 @@ def test_sampled_pairs_have_positive_weight(quench_state):
         (alpha, beta): weight
         for alpha, beta, weight, _psi in enumerate_boundary_pairs(quench_state, spec)
     }
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        alpha = sample_alpha(quench_state, spec, rng)
-        sample = sample_spins_and_beta(quench_state, spec, alpha, rng)
+    for sample in _draws(quench_state, spec, np.random.default_rng(5).random((20, 7))):
         assert weights[(sample.alpha, sample.beta)] > 0.0
         assemble_window_state(quench_state, spec, sample)
-
-
-def _fresh_walk(state, spec, rng):
-    """(alpha, beta) drawn with no memo: every conditional computed anew."""
-    spectrum = boundary_spectrum(state, spec)
-    r = rng.random() * spectrum.weights.sum()
-    k = int(np.searchsorted(np.cumsum(spectrum.weights), r, side="right"))
-    q, _w, i = spectrum.entries[min(k, spectrum.weights.size - 1)]
-    alpha = (q, i)
-    vec = np.zeros(spectrum.sector_dims[q], dtype=complex)
-    vec[i] = 1.0
-    for site in range(-spec.l, spec.l + 1):
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
-        cands, norms = {}, {}
-        for s in (UP, DN):
-            block = tensors[s].block(q)
-            cands[s] = None if block is None else (q + shifts[s], vec @ block)
-            norms[s] = 0.0 if block is None else float(np.vdot(cands[s][1], cands[s][1]).real)
-        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
-        pick = UP if rng.random() < p_up else DN
-        q, vec = cands[pick]
-        vec = vec * (1.0 / math.sqrt(norms[pick]))
-    probs = np.abs(vec) ** 2
-    r = rng.random() * probs.sum()
-    k = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-    return alpha, (q, min(k, probs.size - 1))
 
 
 @pytest.fixture(scope="module")
@@ -151,45 +125,62 @@ def k128_state(k128_t2):
 @pytest.mark.parametrize("clearing", ["kept", "cleared-once", "small-budget", "no-memo"])
 @pytest.mark.parametrize("l", [2, 4])
 def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch, l, clearing):
-    # a block's draws through one memo are the pairs a memo-free walk
-    # returns, also when the memo is dropped part-way through the block;
-    # the walk takes its 2l+1 spin uniforms and the beta uniform in one
-    # rng.random(2l+2) call, and the reference one rng.random() per draw,
-    # so both must also leave the generator in the same state
+    # the batched walk computes each distinct prefix once per chunk; its
+    # pairs are the ones a walk with no reuse returns, whether the 500
+    # samples go in one call, in two, one at a time or in many small
+    # chunks. sample_one takes the 2l+3 uniforms of a sample in one
+    # call and the reference one rng.random() per draw, so both must
+    # read the same doubles and leave the same stream behind
     state = quench_state if l == 2 else k128_state
     spec = WindowSpec(l=l)
     if clearing == "small-budget":
         monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 10)
-    memo = WalkMemo(state, spec)
-    distinct, resets = set(), 0
-    for sid in range(500):
-        before = memo.n_bytes
-        if clearing == "cleared-once" and sid == 250:
-            memo.clear()
-        seed = np.random.SeedSequence((11, sid))
-        rng = np.random.default_rng(seed)
-        used = None if clearing == "no-memo" else memo
-        alpha = sample_alpha(state, spec, rng, used)
-        got = sample_spins_and_beta(state, spec, alpha, rng, used)
-        ref = np.random.default_rng(seed)
-        assert (got.alpha, got.beta) == _fresh_walk(state, spec, ref)
-        assert rng.random() == ref.random()
-        distinct.add(got)
-        resets += memo.n_bytes < before
-    assert 1 < len(distinct) < 500  # pairs and prefixes do repeat
-    if clearing == "small-budget":
-        assert resets > 10
+        assert sampler._chunk_size(state) * 10 < 500
+    u = _uniforms(11, range(500), l)
+    if clearing == "kept":
+        got = _draws(state, spec, u)
+    elif clearing == "no-memo":
+        got = [pair for row in u for pair in _draws(state, spec, row[None, :])]
     else:
-        assert resets == (clearing == "cleared-once")
+        cut = 250 if clearing == "cleared-once" else 500
+        got = _draws(state, spec, u[:cut]) + _draws(state, spec, u[cut:])
+    for sid, pair in enumerate(got):
+        seed = np.random.SeedSequence((11, sid))
+        ref = np.random.default_rng(seed)
+        assert (pair.alpha, pair.beta) == fresh_walk(state, spec, ref)
+        assert ref.random() == np.random.default_rng(seed).random(2 * l + 4)[-1]
+    assert 1 < len(set(got)) < 500  # pairs and prefixes do repeat
+
+
+@pytest.mark.parametrize("budget", ["default", "small"])
+@pytest.mark.parametrize("l", [2, 4])
+def test_batched_draws_match_trie_oracle(k16_t1, k128_t2, monkeypatch, l, budget):
+    # the level-by-level walk over all samples returns, sample for
+    # sample, the pair of the per-sample trie walk on the same uniforms,
+    # also when a small budget splits the samples into many chunks
+    state, _config = load_checkpoint((k16_t1 if l == 2 else k128_t2)["checkpoint"])
+    spec = WindowSpec(l=l)
+    if budget == "small":
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 14)
+        assert sampler._chunk_size(state) * 5 < 500
+    u = _uniforms(3, range(500), l)
+    got = _draws(state, spec, u)
+    trie = TrieWalk(state, spec)
+    assert [(p.alpha, p.beta) for p in got] == [trie.draw(row) for row in u]
+    assert 1 < len(set(got)) < 500
 
 
 def test_walk_memo_belongs_to_one_state_and_window(quench_state):
-    memo = WalkMemo(quench_state, WindowSpec(l=2))
-    rng = np.random.default_rng(0)
+    # the walk's uniforms are laid out for one window: 2l+2 per sample
+    # and one row per alpha; a PartialCache serves one state and window
+    spec = WindowSpec(l=2)
+    u = np.random.default_rng(0).random((3, 7))
+    alphas = sample_alpha(quench_state, spec, u[:, 0])
     with pytest.raises(ConfigError):
-        sample_alpha(quench_state, WindowSpec(l=1), rng, memo)
+        sample_spins_and_beta(quench_state, WindowSpec(l=1), alphas, u[:, 1:])
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, WindowSpec(l=1), (0, 0), rng, memo)
+        sample_spins_and_beta(quench_state, spec, alphas[:2], u[:, 1:])
+    assert sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:]) == []
     cache = PartialCache(quench_state, WindowSpec(l=2))
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, WindowSpec(l=1), BoundarySample((0, 0), (0, 0)), cache)
@@ -206,12 +197,7 @@ def test_cached_assembly_matches_cache_free_assembly(
     spec = WindowSpec(l=l)
     if clearing == "no-budget":
         monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
-    memo = WalkMemo(state, spec)
-    pairs = []
-    for sid in range(300):
-        rng = np.random.default_rng(np.random.SeedSequence((4, sid)))
-        pairs.append(sample_spins_and_beta(state, spec, sample_alpha(state, spec, rng, memo), rng, memo))
-    pairs = list(dict.fromkeys(pairs))
+    pairs = list(dict.fromkeys(_draws(state, spec, _uniforms(4, range(300), l))))
     alphas = {p.alpha for p in pairs}
     assert len(alphas) < len(pairs)  # pairs share boundary states
     cache = PartialCache(state, spec)
@@ -286,4 +272,4 @@ def test_unknown_right_boundary_index_rejected(quench_state):
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, bad)
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, spec, bad.alpha, np.random.default_rng(0))
+        sample_spins_and_beta(quench_state, spec, [bad.alpha], np.zeros((1, 6)))
