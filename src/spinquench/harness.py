@@ -3,8 +3,8 @@
 Phase one runs the infinite-chain evolution to a chosen time and writes
 a checkpoint plus a per-step observable curve. Phase two draws
 independent boundary samples, evolves each distinct sampled window
-once, on a process pool when there is more than one share of work, and
-reduces the results to a mean/stderr curve on the fixed grid
+once, on a process pool only when that work is large enough to pay for
+one, and reduces the results to a mean/stderr curve on the fixed grid
 t_init + k * delta_t.
 
 Determinism contract: each sample's generator is seeded by
@@ -21,17 +21,20 @@ the pairs cannot depend on it. The distinct pairs of the run are kept
 in order of first occurrence, and round two evolves each of them
 exactly once: the pairs are grouped by total-Sz sector into row stacks
 of at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
-Taylor order, and the stacks are dealt into at most one share per
-worker and CPU. One share runs in this process; more run on a pool of
-one process per share, whose initializer loads the checkpoint once per
-process. The dedup is exact because a pair's series depends only on
-the pair, the checkpoint state, the window Hamiltonian (fixed by h) and
-the time grid, never on the sample that drew it. Stacking is exact too:
-every column of that product accumulates in the order of a single
-matrix-vector product, and norms, the drift guard and <Sz> are taken
-row by row, so a series does not depend on which pairs share its stack
-or its share. How pairs are split among processes changes where the
-work runs, never a byte of the output.
+Taylor order. The worker count is an upper bound: a round whose work
+(stack amplitudes x Taylor orders x grid steps) is below POOL_WORK is
+one share, and otherwise the stacks are dealt into at most one share
+per worker and per CPU this process may run on. One share runs in this
+process; more run on a pool of one process per share, whose
+initializer loads the checkpoint once per process. The dedup is exact
+because a pair's series depends only on the pair, the checkpoint state,
+the window Hamiltonian (fixed by h) and the time grid, never on the
+sample that drew it. Stacking is exact too: every column of that
+product accumulates in the order of a single matrix-vector product, and
+norms, the drift guard and <Sz> are taken row by row, so a series does
+not depend on which pairs share its stack or its share. How pairs are
+split among processes changes where the work runs, never a byte of the
+output.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -84,6 +87,15 @@ PROFILES = {
 
 #: Most amplitudes (rows x sector dimension) one propagated stack holds.
 STACK_ENTRIES = 1 << 21
+
+#: Least round-two work for which the stacks are dealt to a process
+#: pool. Work is the amplitudes of all stacks times Taylor orders times
+#: grid steps: the entries of every sparse-times-dense product the round
+#: makes. Below it, starting and feeding a pool costs more than it saves,
+#: so the whole round runs in this process. On a 2-vCPU Xeon with the
+#: desk checkpoint (k=128, t=4), a 2-process pool lost to one process at
+#: every measured work up to 6.9e6 (l=5) and won from 8.7e6 (l=6) up.
+POOL_WORK = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -263,11 +275,13 @@ def _evolve_in_worker(stacks):
     return _evolve_share(_WORKER_RUN, stacks)
 
 
-def _shares(spec, pairs, n_shares):
-    """The distinct pairs as per-sector stacks, dealt into n_shares lists.
+def _shares(spec, pairs, n_shares, products):
+    """The distinct pairs as per-sector stacks, dealt into <= n_shares lists.
 
-    A stack holds at most STACK_ENTRIES amplitudes. Each stack, largest
-    first, goes to the share with the fewest amplitudes so far.
+    A stack holds at most STACK_ENTRIES amplitudes. If the amplitudes
+    of all stacks times products (Taylor orders x grid steps) fall short
+    of POOL_WORK, every stack goes to one share. Otherwise each stack,
+    largest first, goes to the share with the fewest amplitudes so far.
     """
     by_sector = {}
     for pair in pairs:
@@ -279,6 +293,8 @@ def _shares(spec, pairs, n_shares):
         for lo in range(0, len(group), height):
             chunk = group[lo:lo + height]
             stacks.append((dim * len(chunk), n_up, chunk))
+    if sum(size for size, _n_up, _chunk in stacks) * products < POOL_WORK:
+        n_shares = 1
     shares = [[] for _ in range(n_shares)]
     loads = [0] * n_shares
     for size, n_up, chunk in sorted(stacks, key=lambda st: -st[0]):
@@ -288,7 +304,7 @@ def _shares(spec, pairs, n_shares):
     return [share for share in shares if share]
 
 
-def _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points):
+def _two_rounds(run, master_seed, n_samples, evolve, n_shares, n_points):
     """Value rows of every sample, in sample_id order.
 
     Round one draws every sample's pair in this process; round two
@@ -296,12 +312,13 @@ def _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points)
     n_shares shares, through evolve(shares), which returns the series
     of each share in order.
     """
+    state, spec = run.state, run.spec
     u = np.array([sample_one(master_seed, sid, 2 * spec.l + 3) for sid in range(n_samples)])
     alphas = sample_alpha(state, spec, u[:, 0])
     pairs = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
     index = {}
     ids = [index.setdefault(pair, len(index)) for pair in pairs]
-    shares = _shares(spec, index, n_shares)
+    shares = _shares(spec, index, n_shares, run.params.n_max * (n_points - 1))
     table = np.empty((len(index), n_points))
     for share, series in zip(shares, evolve(shares)):
         for (_n_up, stack), rows in zip(share, series):
@@ -311,6 +328,13 @@ def _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points)
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
     return step_count(t_fin - t_init, delta_t, "t_fin - t_init") + 1
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_mc(
@@ -339,8 +363,8 @@ def run_mc(
         raise ConfigError(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
         )
-    EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
-    spec = WindowSpec(l=l)
+    run_args = (l, t_fin, delta_t, n_max)
+    run = _Run.of(state, config, *run_args)
     check_seed(master_seed)
     n_points = _grid_size(state.time, t_fin, delta_t)
     if abs(config.delta) > 1.0:
@@ -357,12 +381,10 @@ def run_mc(
                 stacklevel=2,
             )
 
-    run_args = (l, t_fin, delta_t, n_max)
-
     def evolve(shares):
         """Round two: one share runs here, more on one process per share."""
         if len(shares) == 1:
-            return [_evolve_share(_Run.of(state, config, *run_args), shares[0])]
+            return [_evolve_share(run, shares[0])]
         with ProcessPoolExecutor(
             max_workers=len(shares),
             initializer=_init_worker,
@@ -370,8 +392,8 @@ def run_mc(
         ) as pool:
             return list(pool.map(_evolve_in_worker, shares))
 
-    n_shares = min(n_workers, os.cpu_count() or 1)
-    values = _two_rounds(state, spec, master_seed, n_samples, evolve, n_shares, n_points)
+    n_shares = min(n_workers, _cpu_count())
+    values = _two_rounds(run, master_seed, n_samples, evolve, n_shares, n_points)
     if values.shape[0] != n_samples:
         raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
     mean = values.mean(axis=0)

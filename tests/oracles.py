@@ -3,7 +3,8 @@
 Each oracle forgets a structure the package relies on: dense matrices
 instead of charge blocks, the full 2^n window space instead of one
 total-Sz sector, scipy's sparse exponential instead of the Taylor
-series, one circuit window at a time instead of a stack of them. A
+series, one circuit window at a time instead of a stack of them, and
+at delta = 0 the exact free-fermion window instead of any sampling. A
 test that compares the package against one of these checks the
 structure itself.
 """
@@ -11,6 +12,7 @@ structure itself.
 import math
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
 from spinquench.circuit import _boundary_matrices
@@ -145,6 +147,33 @@ def dense_reference_evolve(initial, delta: float, t_grid) -> list:
         p = np.abs(v) ** 2
         out.append((t, p @ signs))
     return out
+
+
+def _hopping_propagators(n_sites, times):
+    """exp(-i h t) at each t, for the open chain h = (1/2) sum (|j><j+1| + h.c.)."""
+    e, v = eigh(0.5 * (np.eye(n_sites, k=1) + np.eye(n_sites, k=-1)))
+    return [(v * np.exp(-1j * e * t)) @ v.T for t in times]
+
+
+def free_fermion_window_sz0(l, t_init, times, margin=60):
+    """Exact expectation of the window estimator's <Sz0> at delta = 0.
+
+    At delta = 0 the chain is free fermions with hopping 1/2 (Jordan-
+    Wigner), so the 2l+1 window's state is Gaussian and fixed by its
+    correlations C_ij = <c_i^+ c_j>. C(t_init) = G* C0 G^T on an open
+    chain of 2(l + margin) + 1 sites, with G = exp(-i h t_init) and C0
+    the Neel occupations (site 0 up); its window block C_W is then
+    evolved by the window's own open hopping, g = exp(-i h_W (t - t_init)).
+    Excitations travel at speed 1, so a margin far above t_init keeps
+    the chain's ends from reaching the window.
+    """
+    half = l + margin
+    occupied = (np.arange(2 * half + 1) - half) % 2 == 0
+    g0, = _hopping_propagators(2 * half + 1, [t_init])
+    c = (g0.conj() * occupied) @ g0.T
+    c_w = c[half - l:half + l + 1, half - l:half + l + 1]
+    gs = _hopping_propagators(2 * l + 1, np.asarray(times) - t_init)
+    return np.array([(g.conj() @ c_w @ g.T)[l, l].real - 0.5 for g in gs])
 
 
 def full_amplitudes(psi):

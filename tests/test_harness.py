@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from spinquench.itebd import QuenchConfig, expect_sz
 from spinquench.sampler import (
     WindowSpec,
     assemble_window_state,
+    pair_sector,
     sample_alpha,
     sample_spins_and_beta,
 )
@@ -156,7 +158,10 @@ def test_read_table_rejects_bad_metadata(tmp_path, first):
         read_aggregate_curve(path)
 
 
-def test_run_mc_identical_across_worker_counts(short_run, tmp_path, in_process_pool):
+def test_run_mc_identical_across_worker_counts(
+    short_run, tmp_path, monkeypatch, in_process_pool
+):
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -195,6 +200,7 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
 def test_run_mc_evolves_each_pair_once_per_run(
     short_run, monkeypatch, in_process_pool
 ):
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
     assembled, propagated, values = [], [], []
     assemble, evolve, two_rounds = (
         harness.assemble_window_state, harness.evolve_and_measure, harness._two_rounds
@@ -241,9 +247,16 @@ def test_run_mc_evolves_each_pair_once_per_run(
         assert np.array_equal(values[0], rows)
 
 
-def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool):
     # a huge --workers must not start a process per requested worker;
     # the pool is faked so no process is started here at all
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
     out1 = tmp_path / "w1.csv"
     out64 = tmp_path / "w64.csv"
     kw = dict(
@@ -258,13 +271,105 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, in_process_pool):
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
     assert len(in_process_pool) == 1
-    assert 1 <= in_process_pool[0] <= min(3, os.cpu_count() or 1)
+    assert 1 <= in_process_pool[0] <= min(3, _usable_cpus())
     assert out1.read_bytes() == out64.read_bytes()
 
 
-def test_run_mc_single_share_starts_no_pool(short_run, tmp_path, in_process_pool):
+def test_run_mc_pool_respects_cpu_affinity(short_run, monkeypatch, in_process_pool):
+    # a process pinned to one CPU starts no pool, as under taskset -c 0
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=1.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=60,
+        master_seed=7,
+        n_workers=3,
+    )
+    run_mc(**kw)
+    assert in_process_pool == []
+    # where the OS has no affinity call, the CPU count caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run_mc(**kw)
+    assert in_process_pool == [2]
+
+
+def test_run_mc_below_pool_work_starts_no_pool(
+    short_run, tmp_path, monkeypatch, in_process_pool
+):
+    # a round with less work than POOL_WORK runs in this process at any
+    # --workers and writes the same bytes; CPUs are faked so the pool
+    # could start on any machine
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    t_fin = 1.0 + 2.0 / 3.0
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=t_fin,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=60,
+        master_seed=7,
+    )
+    outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
+    run_mc(n_workers=1, out=outs[0], **kw)
+    run_mc(n_workers=3, out=outs[1], **kw)
+    assert in_process_pool == []
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # the work is every distinct pair's sector dimension times Taylor
+    # orders times grid steps, and a pool starts from POOL_WORK up
+    pairs, _rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, range(60))
+    spec = WindowSpec(l=2)
+    work = 20 * 2 * sum(math.comb(5, pair_sector(spec, a, b)) for a, b in set(pairs))
+    monkeypatch.setattr(harness, "POOL_WORK", work + 1)
+    run_mc(n_workers=3, **kw)
+    assert in_process_pool == []
+    monkeypatch.setattr(harness, "POOL_WORK", work)
+    run_mc(n_workers=3, **kw)
+    assert len(in_process_pool) == 1 and in_process_pool[0] > 1
+
+
+def test_run_mc_real_pool_writes_same_bytes(short_run, tmp_path, monkeypatch):
+    # the one test that starts real worker processes: the pool is forced
+    # by POOL_WORK = 0 and CPUs are faked so it starts on any machine
+    sizes = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+    kw = dict(
+        checkpoint=short_run["checkpoint"],
+        l=2,
+        t_fin=1.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=60,
+        master_seed=7,
+    )
+    outs = []
+    for workers in (1, 2, 3):
+        outs.append(tmp_path / f"w{workers}.csv")
+        run_mc(n_workers=workers, out=outs[-1], **kw)
+    assert sizes == [2, 3]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_run_mc_single_share_starts_no_pool(
+    short_run, tmp_path, monkeypatch, in_process_pool
+):
     # one sample has one distinct pair, which is one share however many
-    # workers are asked for, so round two runs in this process
+    # workers are asked for, so round two runs in this process even
+    # when any work would pay for a pool
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
