@@ -118,14 +118,10 @@ class SchmidtSpectrum:
         return charges[order], values[order], index[order]
 
     @functools.cached_property
-    def entries(self):
-        """Merged tuple of (charge, value, index-within-sector), ranked."""
-        return tuple(zip(*(a.tolist() for a in self._ranked)))
-
-    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Squared values in the order of entries; read-only."""
-        weights = np.array([w * w for _, w, _ in self.entries])
+        """Squared values in the order of _ranked; read-only."""
+        values = self._ranked[1]
+        weights = values * values
         weights.flags.writeable = False
         return weights
 

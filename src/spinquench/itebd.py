@@ -77,15 +77,6 @@ class QuenchConfig:
 
 
 @dataclass(frozen=True)
-class TwoSiteGate:
-    """exp(-i h step) for one bond, h = SxSx + SySy + delta SzSz."""
-
-    u: np.ndarray
-    delta: float
-    step: float
-
-
-@dataclass(frozen=True)
 class MPSState:
     """Two-site unit cell state.
 
@@ -126,12 +117,12 @@ def neel_init() -> MPSState:
     )
 
 
-def build_gate(delta: float, step: float) -> TwoSiteGate:
-    """Closed-form two-site gate.
+def build_gate(delta: float, step: float) -> np.ndarray:
+    """The 4x4 unitary exp(-i h step) of one bond, h = SxSx + SySy + delta SzSz.
 
-    The bond Hamiltonian is block diagonal in the pair basis
-    (uu, ud, du, dd): the corners are delta/4, the central block is
-    -delta/4 on the diagonal with 1/2 hopping. Exponentiating gives
+    Built in closed form: the bond Hamiltonian is block diagonal in the
+    pair basis (uu, ud, du, dd): the corners are delta/4, the central
+    block is -delta/4 on the diagonal with 1/2 hopping. Exponentiating gives
     corner phases exp(-i delta step / 4) and a central rotation
     exp(+i delta step / 4) [[cos, -i sin], [-i sin, cos]] of half the
     step angle. The gate commutes with total pair Sz by construction.
@@ -140,7 +131,7 @@ def build_gate(delta: float, step: float) -> TwoSiteGate:
     centre = np.exp(0.25j * delta * step)
     c = math.cos(step / 2.0)
     s = math.sin(step / 2.0)
-    u = np.array(
+    return np.array(
         [
             [corner, 0.0, 0.0, 0.0],
             [0.0, centre * c, -1j * centre * s, 0.0],
@@ -149,7 +140,6 @@ def build_gate(delta: float, step: float) -> TwoSiteGate:
         ],
         dtype=complex,
     )
-    return TwoSiteGate(u=u, delta=float(delta), step=float(step))
 
 
 def _pair_roles(state: MPSState, which: str):
@@ -171,7 +161,7 @@ def _layout(dims, middle):
     return layout
 
 
-def _fused_pair(state: MPSState, gate: TwoSiteGate, which: str):
+def _fused_pair(state: MPSState, gate: np.ndarray, which: str):
     """The gated two-site tensor of a pair, one block per middle charge.
 
     C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b),
@@ -199,7 +189,7 @@ def _fused_pair(state: MPSState, gate: TwoSiteGate, which: str):
     for sl in (UP, DN):
         for sr in (UP, DN):
             for a, b, q_row, p in prods:
-                coeff = gate.u[2 * sl + sr, 2 * a + b]
+                coeff = gate[2 * sl + sr, 2 * a + b]
                 if coeff != 0.0:
                     key = (sl, q_row, sr, q_row + sh_l[a] + sh_r[b])
                     term = p * coeff
@@ -240,7 +230,7 @@ def _fused_pair(state: MPSState, gate: TwoSiteGate, which: str):
     return c, GradedMatrix(0, theta), row_layout, col_layout
 
 
-def update_bond(state: MPSState, gate: TwoSiteGate, which: str, k_max: int):
+def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     """Apply a two-site gate to an AB or BA pair and re-factorize.
 
     Decomposes the pair's fused theta (see _fused_pair) and returns
@@ -303,7 +293,7 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
     return val
 
 
-def expect_pair_observable(state: MPSState, gate: TwoSiteGate):
+def expect_pair_observable(state: MPSState, gate: np.ndarray):
     """(<Sz> left, <Sz> right) of one A-B pair of the unit cell after gate.
 
     Sz is diagonal in the rows (left spin) and columns (right spin) of

@@ -32,16 +32,19 @@ processes a run uses.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
--l..0 and all 2^l right partial products over sites 1..l are built by
-binary-tree extension (one matrix-vector product per node), and every
-amplitude is an inner product across the central bond. The partials
-that share a central-bond charge meet in one matrix product, whose
-entries are exactly the amplitudes of the window's total-Sz sector.
-This costs O(l 2^l k^2) + O(D k) for a sector of dimension D and never
-the naive O(2^(2l) k^2). The left partials depend on alpha alone and
-the right ones on beta alone, so a PartialCache keeps them, grouped by
-charge, for every pair that shares a boundary state; the products that
-meet them are the same either way, so the cache changes no bit.
+-l..0 and all 2^l right partial products over sites 1..l are grown
+level by level the way the walk grows its nodes, as one row matrix per
+bond charge extended by one matrix product per charge and spin, and
+every amplitude is an inner product across the central bond. The
+partials that share a central-bond charge meet in one matrix product,
+whose entries are exactly the amplitudes of the window's total-Sz
+sector. This costs O(2^l k^2) + O(D k) flops for a sector of dimension
+D, never the naive O(2^(2l) k^2), and takes two matrix products per
+charge and level rather than one matrix-vector product per prefix.
+The left partials depend on alpha alone and the right ones on beta alone,
+so a PartialCache keeps them for every pair that shares a boundary
+state; the products that meet them are the same either way, so the
+cache changes no bit.
 
 An alternative formulation propagates a density operator on the window
 through the completely positive map defined by the site matrices and
@@ -104,34 +107,19 @@ def site_shifts(site: int):
     return SHIFT_A if site % 2 == 0 else SHIFT_B
 
 
+def _bond_spectrum(state: MPSState, site: int):
+    """Schmidt spectrum of the bond right of a site: lambda of its sublattice."""
+    return state.lambda_a if site % 2 == 0 else state.lambda_b
+
+
 def boundary_spectrum(state: MPSState, spec: WindowSpec):
     """Schmidt spectrum of the left boundary bond (between -l-1 and -l).
 
     The bond carries the lambda of site -l-1's sublattice: lambda_B for
-    even l (site -l-1 odd), lambda_A for odd l.
+    even l (site -l-1 odd), lambda_A for odd l. The right boundary bond
+    (between l and l+1) carries the other one.
     """
-    return state.lambda_b if (-spec.l - 1) % 2 != 0 else state.lambda_a
-
-
-def _basis_row(dims, q, index):
-    """Unit vector e_(q, index) on a bond with the given sector dims."""
-    if q not in dims or not 0 <= index < dims[q]:
-        raise ConfigError(f"no boundary state (q={q}, index={index})")
-    e = np.zeros(dims[q], dtype=complex)
-    e[index] = 1.0
-    return e
-
-
-def _left_step(tensors, shifts, s: int, q, vec):
-    """(charge, row) of vec @ A(s), or None where A(s) has no block at q.
-
-    vec is a row vector in sector q of the bond left of the site; the
-    product lives in sector q + shifts[s] of the bond to its right.
-    """
-    block = tensors[s].block(q)
-    if block is None:
-        return None
-    return q + shifts[s], vec @ block
+    return _bond_spectrum(state, -spec.l - 1)
 
 
 def sample_alpha(state: MPSState, spec: WindowSpec, u) -> np.ndarray:
@@ -146,8 +134,8 @@ def sample_alpha(state: MPSState, spec: WindowSpec, u) -> np.ndarray:
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
     k = np.searchsorted(np.cumsum(weights), np.asarray(u) * total, side="right")
-    entries = np.array([(q, i) for q, _w, i in spectrum.entries], dtype=np.int64)
-    return entries[np.minimum(k, weights.size - 1)]
+    charges, _values, index = spectrum._ranked
+    return np.column_stack([charges, index])[np.minimum(k, weights.size - 1)]
 
 
 def _draw_rows(weights: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -180,9 +168,12 @@ def _branch_probabilities(w_up, w_dn):
     return w_up / tot, w_dn / tot
 
 
-def _root_groups(state: MPSState, spec: WindowSpec, roots: np.ndarray):
-    """[(charge, basis rows)] of the distinct alphas, sorted by charge and index."""
-    dims = boundary_spectrum(state, spec).sector_dims
+def _root_groups(dims, roots: np.ndarray):
+    """[(charge, basis rows)] of boundary states on a bond with these sector dims.
+
+    roots holds one (charge, index) row per state; the groups come in
+    ascending charge and keep the order of roots within a charge.
+    """
     groups = []
     for q in np.unique(roots[:, 0]).tolist():
         index = roots[roots[:, 0] == q, 1]
@@ -205,7 +196,7 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     """
     roots, node = np.unique(alphas, axis=0, return_inverse=True)
     node = node.reshape(-1)
-    groups = _root_groups(state, spec, roots)
+    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
         tensors, shifts = site_tensors(state, site), site_shifts(site)
         kids = {}
@@ -304,64 +295,49 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
     ]
 
 
-def _left_partials(state: MPSState, spec: WindowSpec, alpha: tuple):
-    """Row vectors e_alpha A(s_-l) ... A(s_0) for all 2^(l+1) prefixes.
+def _partials(state: MPSState, spec: WindowSpec, boundary: tuple, right: bool):
+    """{charge: (codes, rows)} of one boundary's partial products.
 
-    Entry c of the returned list is the (sector, array) pair for the
-    prefix whose bits (site -l first, up = 1) spell c; dead branches
-    are None.
+    For alpha (right false) the rows are e_alpha A(s_-l) ... A(s_0) over
+    every spin prefix of sites -l..0; for beta they are the columns
+    A(s_1) ... A(s_l) e_beta over every suffix of sites 1..l, stored as
+    rows. Either way they are keyed by their charge on the central bond
+    (between sites 0 and 1), and codes[j] spells the spins of rows[j]
+    with the leftmost site as the most significant bit and up = 1; dead
+    branches are left out. Each level is one product per charge and
+    spin: rows @ A(s) for alpha, rows @ A(s).T for beta.
     """
-    dims = boundary_spectrum(state, spec).sector_dims
-    level = [(alpha[0], _basis_row(dims, *alpha))]
-    for site in range(-spec.l, 1):
+    l = spec.l
+    dims = _bond_spectrum(state, l if right else -l - 1).sector_dims
+    ((q, rows),) = _root_groups(dims, np.array([boundary]))
+    groups = {q: (np.zeros(1, dtype=np.int64), rows)}
+    top, sites = (l, range(l, 0, -1)) if right else (0, range(-l, 1))
+    for site in sites:
         tensors, shifts = site_tensors(state, site), site_shifts(site)
-        nxt = [None] * (2 * len(level))
-        for p, entry in enumerate(level):
-            if entry is None:
-                continue
+        kids = {}
+        for q, (codes, rows) in groups.items():
             for s, bit in ((UP, 1), (DN, 0)):
-                nxt[(p << 1) | bit] = _left_step(tensors, shifts, s, *entry)
-        level = nxt
-    return level
-
-
-def _right_partials(state: MPSState, spec: WindowSpec, beta: tuple):
-    """Column vectors A(s_1) ... A(s_l) e_beta for all 2^l suffixes."""
-    level = [(beta[0], _basis_row(right_boundary_dims(state, spec), *beta))]
-    for site in range(spec.l, 0, -1):
-        tensors = site_tensors(state, site)
-        shifts = site_shifts(site)
-        depth = spec.l - site
-        nxt = [None] * (2 * len(level))
-        for p, entry in enumerate(level):
-            if entry is None:
-                continue
-            q, arr = entry
-            for s, bit in ((UP, 1), (DN, 0)):
-                block = tensors[s].block(q - shifts[s])
+                # A(s) maps row sector q to column sector q + shift; beta's
+                # rows cross it from the right, through its transpose
+                kid = q - shifts[s] if right else q + shifts[s]
+                block = tensors[s].block(kid if right else q)
                 if block is not None:
-                    nxt[(bit << depth) | p] = (q - shifts[s], block @ arr)
-        level = nxt
-    return level
-
-
-def _by_charge(partials):
-    """{charge: (codes, stacked rows)} of the live partial products."""
-    groups = {}
-    for code, entry in enumerate(partials):
-        if entry is not None:
-            codes, rows = groups.setdefault(entry[0], ([], []))
-            codes.append(code)
-            rows.append(entry[1])
-    return {q: (np.array(codes), np.stack(rows)) for q, (codes, rows) in groups.items()}
+                    kid_codes = codes | bit << (top - site) if bit else codes
+                    kid_rows = rows @ (block.T if right else block)
+                    kids.setdefault(kid, []).append((kid_codes, kid_rows))
+        groups = {
+            q: parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            for q, parts in sorted(kids.items())
+        }
+    return groups
 
 
 class PartialCache:
-    """Charge-grouped partial products of one state and window.
+    """Partial products of one state and window, grouped by charge.
 
-    Holds _by_charge of the left partials per alpha and of the right
-    partials per beta, built on first use exactly as assembly builds
-    them; it starts over whenever it outgrows WALK_MEMO_BYTES.
+    Holds _partials of each alpha and of each beta, built on first use
+    exactly as assembly builds them; it starts over whenever it
+    outgrows WALK_MEMO_BYTES.
     """
 
     def __init__(self, state: MPSState, spec: WindowSpec):
@@ -377,17 +353,13 @@ class PartialCache:
         """(left groups of alpha, right groups of beta) for _raw_window_amplitudes."""
         if self.n_bytes > WALK_MEMO_BYTES:
             self.clear()
-        lefts = self._lefts.get(alpha)
-        if lefts is None:
-            lefts = self._lefts[alpha] = self._grouped(_left_partials, alpha)
-        rights = self._rights.get(beta)
-        if rights is None:
-            rights = self._rights[beta] = self._grouped(_right_partials, beta)
-        return lefts, rights
+        return self._built(self._lefts, alpha, False), self._built(self._rights, beta, True)
 
-    def _grouped(self, partials, boundary):
-        groups = _by_charge(partials(self.state, self.spec, boundary))
-        self.n_bytes += sum(c.nbytes + r.nbytes for c, r in groups.values())
+    def _built(self, memo, boundary, right):
+        groups = memo.get(boundary)
+        if groups is None:
+            groups = memo[boundary] = _partials(self.state, self.spec, boundary, right)
+            self.n_bytes += sum(c.nbytes + r.nbytes for c, r in groups.values())
         return groups
 
 
@@ -427,19 +399,6 @@ def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta, cache
     return n_up, amps
 
 
-def _window_state(state: MPSState, spec: WindowSpec, alpha, beta, cache=None):
-    """(squared norm, WindowState|None) of one boundary pair's raw window.
-
-    The state is None when the raw amplitudes vanish.
-    """
-    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta, cache)
-    norm2 = float(np.vdot(amps, amps).real)
-    if not norm2 > 0.0:
-        return norm2, None
-    amps /= math.sqrt(norm2)
-    return norm2, WindowState(amps, 2 * spec.l + 1, n_up)
-
-
 def assemble_window_state(
     state: MPSState, spec: WindowSpec, sample: BoundarySample, cache=None
 ) -> WindowState:
@@ -452,43 +411,11 @@ def assemble_window_state(
     charges. cache, a PartialCache of the same state and window, is
     shared by the pairs assembled together; it never changes a bit.
     """
-    _norm2, psi = _window_state(state, spec, sample.alpha, sample.beta, cache)
-    if psi is None:
+    n_up, amps = _raw_window_amplitudes(state, spec, sample.alpha, sample.beta, cache)
+    norm2 = float(np.vdot(amps, amps).real)
+    if not norm2 > 0.0:
         raise SamplingError(
             f"window state of boundary pair {sample.alpha}, {sample.beta} has zero norm"
         )
-    return psi
-
-
-def right_boundary_dims(state: MPSState, spec: WindowSpec):
-    """Sector dims of the bond between sites l and l+1."""
-    tensors = site_tensors(state, spec.l)
-    dims = {}
-    for s in (UP, DN):
-        dims.update(tensors[s].col_dims)
-    return dims
-
-
-def enumerate_boundary_pairs(state: MPSState, spec: WindowSpec):
-    """Yield (alpha, beta, weight, WindowState) over all boundary pairs.
-
-    The weight is lambda_alpha^2 times the squared norm of the raw
-    window amplitudes; summed over all pairs the weights give the norm
-    of the chain state, i.e. one up to truncation residue. Pairs with
-    zero weight are skipped. Exhaustive, so only sensible at small l and
-    bond dimension; the Monte Carlo path exists precisely because this
-    loop is exponential in the boundary entropy.
-    """
-    spectrum = boundary_spectrum(state, spec)
-    right_dims = right_boundary_dims(state, spec)
-    cache = PartialCache(state, spec)
-    for q_a, lam_vals in spectrum.blocks.items():
-        for i_a in range(lam_vals.size):
-            lam = lam_vals[i_a]
-            for q_b, d_b in sorted(right_dims.items()):
-                for i_b in range(d_b):
-                    alpha, beta = (q_a, i_a), (q_b, i_b)
-                    norm2, psi = _window_state(state, spec, alpha, beta, cache)
-                    weight = float(lam * lam) * norm2
-                    if psi is not None and weight > 0.0:
-                        yield alpha, beta, weight, psi
+    amps /= math.sqrt(norm2)
+    return WindowState(amps, 2 * spec.l + 1, n_up)

@@ -66,13 +66,6 @@ class WindowState:
     def basis(self) -> np.ndarray:
         return _sector_basis(self.n_sites, self.total_sz_sector)
 
-    @property
-    def l(self) -> int:
-        n = self.n_sites
-        if n % 2 == 0:
-            raise ConfigError("window must have an odd number of sites")
-        return (n - 1) // 2
-
 
 @dataclass(frozen=True)
 class EvolverParams:

@@ -4,9 +4,10 @@ Each oracle forgets a structure the package relies on: dense matrices
 instead of charge blocks, the full 2^n window space instead of one
 total-Sz sector, scipy's sparse exponential instead of the Taylor
 series, one circuit window at a time instead of a stack of them, and
-at delta = 0 the exact free-fermion window instead of any sampling. A
-test that compares the package against one of these checks the
-structure itself.
+at delta = 0 the exact free-fermion window instead of any sampling,
+a Python sort instead of the spectrum's ranking, and every boundary
+pair instead of the sampled ones. A test that compares the package
+against one of these checks the structure itself.
 """
 
 import math
@@ -25,12 +26,14 @@ from spinquench.graded import (
 )
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
+    PartialCache,
     _branch_probabilities,
+    _raw_window_amplitudes,
     boundary_spectrum,
     site_shifts,
     site_tensors,
 )
-from spinquench.window import _chain_hamiltonian, _sector_basis, _site_bits
+from spinquench.window import WindowState, _chain_hamiltonian, _sector_basis, _site_bits
 
 
 class SectorLayout:
@@ -239,10 +242,66 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     return amps
 
 
+def enumerate_boundary_pairs(state, spec):
+    """Yield (alpha, beta, weight, WindowState) over all boundary pairs.
+
+    The weight is lambda_alpha^2 times the squared norm of the raw
+    window amplitudes; summed over all pairs the weights give the norm
+    of the chain state, i.e. one up to truncation residue. Pairs with
+    zero weight are skipped. The right boundary states are read off the
+    column sectors of site l's tensors. Exhaustive, so only sensible at
+    small l and bond dimension; the Monte Carlo path exists precisely
+    because this loop is exponential in the boundary entropy.
+    """
+    spectrum = boundary_spectrum(state, spec)
+    tensors = site_tensors(state, spec.l)
+    right_dims = {**tensors[UP].col_dims, **tensors[DN].col_dims}
+    cache = PartialCache(state, spec)
+    for q_a, lam_vals in spectrum.blocks.items():
+        for i_a, lam in enumerate(lam_vals):
+            for q_b, d_b in sorted(right_dims.items()):
+                for i_b in range(d_b):
+                    alpha, beta = (q_a, i_a), (q_b, i_b)
+                    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta, cache)
+                    norm2 = float(np.vdot(amps, amps).real)
+                    weight = float(lam * lam) * norm2
+                    if weight > 0.0:
+                        psi = WindowState(amps / math.sqrt(norm2), 2 * spec.l + 1, n_up)
+                        yield alpha, beta, weight, psi
+
+
+def ranked_entries(spectrum):
+    """[(charge, value, index-within-sector)] of a spectrum by a Python sort.
+
+    Descending value; ties go to the charge nearer zero, then the more
+    negative charge, then the earlier position.
+    """
+    return sorted(
+        (
+            (q, float(w), i)
+            for q, vals in spectrum.blocks.items()
+            for i, w in enumerate(vals)
+        ),
+        key=lambda e: (-e[1], abs(e[0]), e[0], e[2]),
+    )
+
+
 def _pick(weights, u):
     """Index drawn with probability weights[i] / sum(weights) by the uniform u."""
     k = int(np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right"))
     return min(k, weights.size - 1)
+
+
+class _AlphaDraw:
+    """Left boundary states drawn with probability lambda^2 from a Python ranking."""
+
+    def __init__(self, spectrum):
+        self.entries = ranked_entries(spectrum)
+        self.weights = np.array([w * w for _q, w, _i in self.entries])
+
+    def __call__(self, u):
+        q, _w, i = self.entries[_pick(self.weights, u)]
+        return q, i
 
 
 def _walk_step(state, site, q, vec):
@@ -262,8 +321,7 @@ def fresh_walk(state, spec, rng):
     Takes one rng.random() per draw: alpha, each window spin, beta.
     """
     spectrum = boundary_spectrum(state, spec)
-    q, _w, i = spectrum.entries[_pick(spectrum.weights, rng.random())]
-    alpha = (q, i)
+    q, i = alpha = _AlphaDraw(spectrum)(rng.random())
     vec = np.zeros(spectrum.sector_dims[q], dtype=complex)
     vec[i] = 1.0
     for site in range(-spec.l, spec.l + 1):
@@ -286,13 +344,13 @@ class TrieWalk:
     def __init__(self, state, spec):
         self.state, self.spec = state, spec
         self.spectrum = boundary_spectrum(state, spec)
+        self.draw_alpha = _AlphaDraw(self.spectrum)
         self.roots = {}
 
     def draw(self, u):
         """(alpha, beta) of one sample from its 2l+3 uniforms, alpha first."""
         u_alpha, *spins, u_beta = np.asarray(u).tolist()
-        q, _w, i = self.spectrum.entries[_pick(self.spectrum.weights, u_alpha)]
-        alpha = (q, i)
+        q, i = alpha = self.draw_alpha(u_alpha)
         node = self.roots.get(alpha)
         if node is None:
             vec = np.zeros(self.spectrum.sector_dims[q], dtype=complex)
@@ -346,14 +404,7 @@ def block_svd_reference(theta):
 
 def merged_truncate_reference(spectrum, k_max):
     """merged_truncate as a walk over a Python-sorted list of all values."""
-    merged = sorted(
-        (
-            (q, float(w), i)
-            for q, vals in spectrum.blocks.items()
-            for i, w in enumerate(vals)
-        ),
-        key=lambda e: (-e[1], abs(e[0]), e[0], e[2]),
-    )
+    merged = ranked_entries(spectrum)
     floor = merged[0][1] * SINGULAR_VALUE_FLOOR
     discarded = 0.0
     survivors = []
@@ -421,7 +472,7 @@ def _gate_contraction(gate, left, right, shifts_left, shifts_right):
         for sr in (UP, DN):
             acc = GradedMatrix(shifts_left[sl] + shifts_right[sr], {})
             for (a, b), p in prods.items():
-                coeff = gate.u[2 * sl + sr, 2 * a + b]
+                coeff = gate[2 * sl + sr, 2 * a + b]
                 if coeff != 0.0:
                     acc = _add(acc, _scaled(p, coeff))
             c[(sl, sr)] = acc

@@ -16,7 +16,12 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import dense_window_amplitudes, full_amplitudes, right_normalization_deviation
+from oracles import (
+    dense_window_amplitudes,
+    enumerate_boundary_pairs,
+    full_amplitudes,
+    right_normalization_deviation,
+)
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.errors import CheckpointChecksumError
 from spinquench.graded import SchmidtSpectrum
@@ -36,7 +41,7 @@ from spinquench.itebd import (
     neel_init,
     update_bond,
 )
-from spinquench.sampler import WindowSpec, enumerate_boundary_pairs
+from spinquench.sampler import WindowSpec
 from spinquench.window import spin_wave_velocity
 
 

@@ -39,7 +39,7 @@ def test_block_svd_matches_dense_svd():
     dense = to_dense(theta)
     s_dense = np.linalg.svd(dense, compute_uv=False)
     s_dense = s_dense[s_dense > 1e-13]
-    s_block = sorted((w for _q, w, _i in spec.entries), reverse=True)
+    s_block = sorted(spec._ranked[1], reverse=True)
     assert np.allclose(sorted(s_dense, reverse=True)[: len(s_block)], s_block)
     # y has orthonormal rows, theta y^dagger = x diag(spectrum) has the
     # singular values as column norms, and (theta y^dagger) y = theta
@@ -101,17 +101,19 @@ def test_merged_truncate_hand_case():
     assert report.discarded_weight == pytest.approx(0.3**2 + 0.2**2, abs=1e-15)
     kept_raw = np.array([0.5, 0.3, 0.5])
     norm = np.sqrt((kept_raw**2).sum())
-    assert np.allclose(sorted(w for _q, w, _i in new.entries), sorted(kept_raw / norm))
+    assert np.allclose(sorted(new._ranked[1]), sorted(kept_raw / norm))
     assert new.total_weight == pytest.approx(1.0, abs=1e-14)
 
 
 def test_spectrum_ranking_is_built_once():
     spec = SchmidtSpectrum({0: [0.5, 0.3], 1: [0.5, 0.2], -1: [0.3]})
-    assert spec.entries == (
+    charges, values, index = spec._ranked
+    assert list(zip(charges.tolist(), values.tolist(), index.tolist())) == [
         (0, 0.5, 0), (1, 0.5, 0), (0, 0.3, 1), (-1, 0.3, 0), (1, 0.2, 1)
-    )
-    assert spec.entries is spec.entries
-    assert np.array_equal(spec.weights, [w * w for _q, w, _i in spec.entries])
+    ]
+    assert spec._ranked is spec._ranked
+    assert spec.weights is spec.weights
+    assert np.array_equal(spec.weights, [w * w for w in values.tolist()])
     assert not spec.weights.flags.writeable
 
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import TrieWalk, dense_window_amplitudes, fresh_walk, full_amplitudes
+from oracles import (
+    TrieWalk,
+    dense_window_amplitudes,
+    enumerate_boundary_pairs,
+    fresh_walk,
+    full_amplitudes,
+)
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
@@ -15,8 +21,6 @@ from spinquench.sampler import (
     _raw_window_amplitudes,
     assemble_window_state,
     boundary_spectrum,
-    enumerate_boundary_pairs,
-    right_boundary_dims,
     sample_alpha,
     sample_spins_and_beta,
 )
@@ -66,9 +70,12 @@ def test_window_weight_matches_assembled_state(quench_state):
         assert weight <= lam * lam * (1.0 + 1e-12)
 
 
-def test_blocked_assembly_matches_dense_route(quench_state):
+def test_blocked_assembly_matches_dense_route(quench_state, k128_state):
     # same window, two assembly routes: per-sector blocks versus one dense
-    # matrix per site with the grading forgotten
+    # matrix per site with the grading forgotten; every pair of a small
+    # state, then pairs the walk draws on a k=128 state at odd and even
+    # l, where the boundaries sit on different sublattices and several
+    # charges meet at each level
     spec = WindowSpec(l=2)
     spectrum = boundary_spectrum(quench_state, spec)
     checked = 0
@@ -81,6 +88,15 @@ def test_blocked_assembly_matches_dense_route(quench_state):
         assert np.max(np.abs(dense_psi - full_amplitudes(psi))) < 1e-10
         checked += 1
     assert checked > 10
+    for l in (3, 4):
+        spec = WindowSpec(l=l)
+        pairs = set(_draws(k128_state, spec, _uniforms(8, range(1000), l)))
+        assert len(pairs) >= 15
+        for pair in pairs:
+            dense = dense_window_amplitudes(k128_state, spec, pair.alpha, pair.beta)
+            dense_psi = dense / np.linalg.norm(dense)
+            psi = assemble_window_state(k128_state, spec, pair)
+            assert np.max(np.abs(dense_psi - full_amplitudes(psi))) < 1e-10
 
 
 def _draws(state, spec, u):
@@ -237,6 +253,12 @@ def test_boundary_spectrum_follows_sublattice_parity(quench_state):
     # bond between -l-1 and -l carries the lambda of site -l-1's sublattice
     assert boundary_spectrum(quench_state, WindowSpec(l=2)) is quench_state.lambda_b
     assert boundary_spectrum(quench_state, WindowSpec(l=1)) is quench_state.lambda_a
+    # and the bond right of site l the other one, whose sectors are the
+    # column sectors of site l's tensors
+    for l, right in ((2, quench_state.lambda_a), (1, quench_state.lambda_b)):
+        assert sampler._bond_spectrum(quench_state, l) is right
+        tensors = sampler.site_tensors(quench_state, l)
+        assert right.sector_dims == {**tensors[0].col_dims, **tensors[1].col_dims}
 
 
 def test_window_spec_validation():
@@ -259,9 +281,13 @@ def test_branch_probabilities():
 
 def test_unknown_right_boundary_index_rejected(quench_state):
     spec = WindowSpec(l=2)
-    dims = right_boundary_dims(quench_state, spec)
+    dims = quench_state.lambda_a.sector_dims  # the bond right of site 2
     q = max(dims)
     bad = BoundarySample(alpha=(0, 0), beta=(q, dims[q] + 7))
+    with pytest.raises(ConfigError):
+        assemble_window_state(quench_state, spec, bad)
+    # so is a charge the right bond does not carry
+    bad = BoundarySample(alpha=(0, 0), beta=(q + 1, 0))
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, bad)
     # an out-of-range left boundary index is a configuration error too,

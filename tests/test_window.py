@@ -256,4 +256,3 @@ def test_sz_center_on_product_state():
     assert list(psi.basis) == [0b001, 0b010, 0b100]  # down, up, down at 1
     assert sz_center(psi) == pytest.approx(0.5)
     assert psi.n_sites == 3
-    assert psi.l == 1
