@@ -5,9 +5,10 @@ instead of charge blocks, the full 2^n window space instead of one
 total-Sz sector, scipy's sparse exponential instead of the Taylor
 series, one circuit window at a time instead of a stack of them, and
 at delta = 0 the exact free-fermion window instead of any sampling,
-a Python sort instead of the spectrum's ranking, and every boundary
-pair instead of the sampled ones. A test that compares the package
-against one of these checks the structure itself.
+a Python sort instead of the spectrum's ranking, every boundary pair
+instead of the sampled ones, and numpy's own generator per sample
+instead of one stream pass over all samples. A test that compares the
+package against one of these checks the structure itself.
 """
 
 import math
@@ -284,6 +285,11 @@ def ranked_entries(spectrum):
         ),
         key=lambda e: (-e[1], abs(e[0]), e[0], e[2]),
     )
+
+
+def numpy_uniforms(master_seed, sample_id, n):
+    """The n uniforms of one sample from numpy's generator of (master_seed, sample_id)."""
+    return np.random.default_rng(np.random.SeedSequence((master_seed, sample_id))).random(n)
 
 
 def _pick(weights, u):

@@ -5,7 +5,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from spinquench import harness
+from oracles import numpy_uniforms
+from spinquench import harness, sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
 from spinquench.harness import (
@@ -18,6 +19,7 @@ from spinquench.harness import (
     read_table,
     run_itebd,
     run_mc,
+    sample_uniforms,
     shift_correction,
     write_peaks,
     write_table,
@@ -30,7 +32,7 @@ from spinquench.sampler import (
     sample_alpha,
     sample_spins_and_beta,
 )
-from spinquench.window import EvolverParams, build_hloc, evolve_and_measure
+from spinquench.window import L_MAX, EvolverParams, build_hloc, evolve_and_measure
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,24 @@ def test_read_table_rejects_bad_metadata(tmp_path, first):
         read_aggregate_curve(path)
 
 
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_sample_uniforms_match_numpy_streams(k128_t2, master_seed):
+    # numpy's per-sample generator is the stream's only oracle: seeds of
+    # one and two entropy words, ids from 0 past one walk chunk of the
+    # k=128 state and ids with a high 32-bit word, every row length a
+    # window can ask for, and sample_one as a one-row view
+    state, _config = load_checkpoint(k128_t2["checkpoint"])
+    chunk = sampler._chunk_size(state)
+    ids = [*range(0, chunk + 2, 11), chunk, chunk + 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+    n_max = 2 * L_MAX + 3
+    ref = np.array([numpy_uniforms(master_seed, sid, n_max) for sid in ids])
+    for n in range(5, n_max + 1):
+        # numpy's random(n) is the first n doubles of random(n_max)
+        assert np.array_equal(sample_uniforms(master_seed, ids, n), ref[:, :n]), n
+    for row in (0, len(ids) - 1):
+        assert np.array_equal(harness.sample_one(master_seed, ids[row], n_max), ref[row])
+
+
 def test_run_mc_identical_across_worker_counts(
     short_run, tmp_path, monkeypatch, in_process_pool
 ):
@@ -189,7 +209,7 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, t_fin=t_fin)
     pairs, rows = [], []
     for sid in sample_ids:
-        u = harness.sample_one(master_seed, sid, 2 * l + 3)
+        u = numpy_uniforms(master_seed, sid, 2 * l + 3)
         samp, = sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:])
         psi = assemble_window_state(state, spec, samp)
         pairs.append((samp.alpha, samp.beta))

@@ -7,11 +7,11 @@ from oracles import (
     enumerate_boundary_pairs,
     fresh_walk,
     full_amplitudes,
+    numpy_uniforms,
 )
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
-from spinquench.harness import sample_one
 from spinquench.itebd import QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
@@ -105,7 +105,7 @@ def _draws(state, spec, u):
 
 
 def _uniforms(master_seed, sample_ids, l):
-    return np.array([sample_one(master_seed, sid, 2 * l + 3) for sid in sample_ids])
+    return np.array([numpy_uniforms(master_seed, sid, 2 * l + 3) for sid in sample_ids])
 
 
 def test_sampling_is_deterministic_per_seed(quench_state):
@@ -144,8 +144,8 @@ def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch,
     # the batched walk computes each distinct prefix once per chunk; its
     # pairs are the ones a walk with no reuse returns, whether the 500
     # samples go in one call, in two, one at a time or in many small
-    # chunks. sample_one takes the 2l+3 uniforms of a sample in one
-    # call and the reference one rng.random() per draw, so both must
+    # chunks. numpy_uniforms takes the 2l+3 uniforms of a sample in
+    # one call and the reference one rng.random() per draw, so both must
     # read the same doubles and leave the same stream behind
     state = quench_state if l == 2 else k128_state
     spec = WindowSpec(l=l)
