@@ -30,12 +30,16 @@ process; more run on a pool of one process per share, whose
 initializer loads the checkpoint once per process. The dedup is exact
 because a pair's series depends only on the pair, the checkpoint state,
 the window Hamiltonian (fixed by h) and the time grid, never on the
-sample that drew it. Stacking is exact too: every column of that
+sample that drew it. Stacking is exact too. A share's windows are
+assembled by one stack assembler whose batched products make one
+product per boundary state and per pair, exactly the product a pair
+assembled alone makes (see sampler), so a window's amplitudes do not
+depend on what is assembled beside it. Every column of the Taylor
 product accumulates in the order of a single matrix-vector product, and
-norms, the drift guard and <Sz> are taken row by row, so a series does
-not depend on which pairs share its stack or its share. How pairs are
-split among processes changes where the work runs, never a byte of the
-output.
+norms, the drift guard and <Sz> are taken row by row. So a series does
+not depend on which pairs share its stack, its assembly batch or its
+share, and how pairs are split among processes changes where the work
+runs, never a byte of the output.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -57,9 +61,11 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
-from .sampler import (
-    PartialCache,
+# assemble_window_state is not called here; perfbench patches its name in
+# this module as in sampler, so the name stays importable from both.
+from .sampler import (  # noqa: F401
     WindowSpec,
+    assemble_window_stacks,
     assemble_window_state,
     pair_sector,
     sample_alpha,
@@ -68,7 +74,6 @@ from .sampler import (
 from .window import (
     EvolverParams,
     SparseWindowHamiltonian,
-    WindowState,
     build_hloc,
     evolve_and_measure,
     spin_wave_velocity,
@@ -338,11 +343,8 @@ class _Run:
 
 def _evolve_share(run, stacks):
     """Round two: the (rows, points) series of each (n_up, pairs) stack."""
-    cache = PartialCache(run.state, run.spec)
     out = []
-    for n_up, pairs in stacks:
-        rows = [assemble_window_state(run.state, run.spec, p, cache).amplitudes for p in pairs]
-        stack = WindowState(np.stack(rows), 2 * run.spec.l + 1, n_up)
+    for stack in assemble_window_stacks(run.state, run.spec, stacks):
         values = evolve_and_measure(stack, run.h, run.params, t_init=run.state.time)
         out.append(np.array([v for _t, v in values]).T)
     return out

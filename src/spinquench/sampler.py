@@ -33,18 +33,29 @@ processes a run uses.
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
 -l..0 and all 2^l right partial products over sites 1..l are grown
-level by level the way the walk grows its nodes, as one row matrix per
-bond charge extended by one matrix product per charge and spin, and
-every amplitude is an inner product across the central bond. The
-partials that share a central-bond charge meet in one matrix product,
-whose entries are exactly the amplitudes of the window's total-Sz
-sector. This costs O(2^l k^2) + O(D k) flops for a sector of dimension
-D, never the naive O(2^(2l) k^2), and takes two matrix products per
-charge and level rather than one matrix-vector product per prefix.
-The left partials depend on alpha alone and the right ones on beta alone,
-so a PartialCache keeps them for every pair that shares a boundary
-state; the products that meet them are the same either way, so the
-cache changes no bit.
+level by level the way the walk grows its nodes, and every amplitude is
+an inner product across the central bond. The partials that share a
+central-bond charge meet in one matrix product, whose entries are
+exactly the amplitudes of the window's total-Sz sector. This costs
+O(2^l k^2) + O(D k) flops for a sector of dimension D, never the naive
+O(2^(2l) k^2).
+
+Round two assembles whole stacks of pairs at once (assemble_window_stacks)
+on a batch axis. The left partials depend on alpha alone and the right
+ones on beta alone, and every boundary state of one charge has partials
+of the same codes and shapes. So the distinct alphas of a batch of
+pairs are grouped by charge and grown together as one (states, rows,
+k) array, one np.matmul per charge, spin and level; likewise the betas.
+Inside a stack, the pairs of one (q_alpha, q_beta) meet in one np.matmul
+per central-bond charge over their gathered (pairs, rows, k) partials.
+A batched np.matmul makes one product per slice of the batch axis, the
+same product a single state or pair makes alone, so batching never
+changes a bit: a window's amplitudes do not depend on the pairs
+assembled beside it, on how pairs are batched or on the stack they sit
+in. Folding the batch axis into the rows of one 2-D product would
+change them. Batches are consecutive runs of pairs whose partials fit
+in WALK_MEMO_BYTES, and assemble_window_state is the one-pair view of
+the same assembler.
 
 An alternative formulation propagates a density operator on the window
 through the completely positive map defined by the site matrices and
@@ -72,7 +83,7 @@ from .window import L_MAX, WindowState, _sector_basis
 BRANCH_FLOOR = 1e-28
 
 #: Bytes of node rows one chunk of the batched walk may hold, and of
-#: partials a PartialCache holds before it starts over.
+#: partials one batch of window assembly may hold.
 WALK_MEMO_BYTES = 1 << 25
 
 
@@ -238,6 +249,11 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     return beta_q, beta_i
 
 
+def _widest(state: MPSState) -> int:
+    """Largest sector of either bond: the widest a walk row or a partial gets."""
+    return max(max(lam.sector_dims.values()) for lam in (state.lambda_a, state.lambda_b))
+
+
 def _chunk_size(state: MPSState) -> int:
     """Samples per walk chunk: at most WALK_MEMO_BYTES of node rows.
 
@@ -246,17 +262,7 @@ def _chunk_size(state: MPSState) -> int:
     three rows per sample, none wider than the largest sector of either
     bond.
     """
-    widest = max(max(lam.sector_dims.values()) for lam in (state.lambda_a, state.lambda_b))
-    return max(1, WALK_MEMO_BYTES // (3 * 16 * widest))
-
-
-def _owned(kind, state: MPSState, spec: WindowSpec, memo):
-    """memo, checked to belong to this state and window, or a new kind()."""
-    if memo is None:
-        return kind(state, spec)
-    if memo.state is not state or memo.spec != spec:
-        raise ConfigError(f"the {kind.__name__} belongs to another state or window")
-    return memo
+    return max(1, WALK_MEMO_BYTES // (3 * 16 * _widest(state)))
 
 
 def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
@@ -295,72 +301,53 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
     ]
 
 
-def _partials(state: MPSState, spec: WindowSpec, boundary: tuple, right: bool):
-    """{charge: (codes, rows)} of one boundary's partial products.
+def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool):
+    """{root charge: {central charge: (codes, rows)}} of boundary states' partials.
 
-    For alpha (right false) the rows are e_alpha A(s_-l) ... A(s_0) over
-    every spin prefix of sites -l..0; for beta they are the columns
-    A(s_1) ... A(s_l) e_beta over every suffix of sites 1..l, stored as
-    rows. Either way they are keyed by their charge on the central bond
-    (between sites 0 and 1), and codes[j] spells the spins of rows[j]
-    with the leftmost site as the most significant bit and up = 1; dead
-    branches are left out. Each level is one product per charge and
-    spin: rows @ A(s) for alpha, rows @ A(s).T for beta.
+    roots holds distinct (charge, index) rows in ascending order, as
+    np.unique gives them. For alpha (right false) the partials are
+    e_alpha A(s_-l) ... A(s_0) over every spin prefix of sites -l..0;
+    for beta they are the columns A(s_1) ... A(s_l) e_beta over every
+    suffix of sites 1..l, stored as rows. Either way they are keyed by
+    the charge of the root and by their charge on the central bond
+    (between sites 0 and 1), and codes[j] spells the spins of row j with
+    the leftmost site as the most significant bit and up = 1; dead
+    branches are left out. Roots of one charge share every code and
+    shape, so rows[r] holds the partials of the r-th root of that charge,
+    and each level is one np.matmul per charge and spin over that batch
+    axis: rows @ A(s) for alpha, rows @ A(s).T for beta. Each root's
+    slab is its own product, so its bits do not depend on the roots
+    built beside it; stacking the roots' rows into one 2-D product would
+    change them.
     """
     l = spec.l
     dims = _bond_spectrum(state, l if right else -l - 1).sector_dims
-    ((q, rows),) = _root_groups(dims, np.array([boundary]))
-    groups = {q: (np.zeros(1, dtype=np.int64), rows)}
     top, sites = (l, range(l, 0, -1)) if right else (0, range(-l, 1))
-    for site in sites:
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
-        kids = {}
-        for q, (codes, rows) in groups.items():
-            for s, bit in ((UP, 1), (DN, 0)):
-                # A(s) maps row sector q to column sector q + shift; beta's
-                # rows cross it from the right, through its transpose
-                kid = q - shifts[s] if right else q + shifts[s]
-                block = tensors[s].block(kid if right else q)
-                if block is not None:
-                    kid_codes = codes | bit << (top - site) if bit else codes
-                    kid_rows = rows @ (block.T if right else block)
-                    kids.setdefault(kid, []).append((kid_codes, kid_rows))
-        groups = {
-            q: parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-            for q, parts in sorted(kids.items())
-        }
-    return groups
-
-
-class PartialCache:
-    """Partial products of one state and window, grouped by charge.
-
-    Holds _partials of each alpha and of each beta, built on first use
-    exactly as assembly builds them; it starts over whenever it
-    outgrows WALK_MEMO_BYTES.
-    """
-
-    def __init__(self, state: MPSState, spec: WindowSpec):
-        self.state, self.spec = state, spec
-        self.clear()
-
-    def clear(self):
-        """Drop every cached partial."""
-        self._lefts, self._rights = {}, {}
-        self.n_bytes = 0
-
-    def partials(self, alpha: tuple, beta: tuple):
-        """(left groups of alpha, right groups of beta) for _raw_window_amplitudes."""
-        if self.n_bytes > WALK_MEMO_BYTES:
-            self.clear()
-        return self._built(self._lefts, alpha, False), self._built(self._rights, beta, True)
-
-    def _built(self, memo, boundary, right):
-        groups = memo.get(boundary)
-        if groups is None:
-            groups = memo[boundary] = _partials(self.state, self.spec, boundary, right)
-            self.n_bytes += sum(c.nbytes + r.nbytes for c, r in groups.values())
-        return groups
+    out = {}
+    for q0, units in _root_groups(dims, roots):
+        groups = {q0: (np.zeros(1, dtype=np.int64), units.reshape(units.shape[0], 1, -1))}
+        for site in sites:
+            tensors, shifts = site_tensors(state, site), site_shifts(site)
+            kids = {}
+            for q, (codes, rows) in groups.items():
+                for s, bit in ((UP, 1), (DN, 0)):
+                    # A(s) maps row sector q to column sector q + shift; beta's
+                    # rows cross it from the right, through its transpose
+                    kid = q - shifts[s] if right else q + shifts[s]
+                    block = tensors[s].block(kid if right else q)
+                    if block is not None:
+                        kid_codes = codes | bit << (top - site) if bit else codes
+                        kid_rows = np.matmul(rows, block.T if right else block)
+                        kids.setdefault(kid, []).append((kid_codes, kid_rows))
+            groups = {
+                q: parts[0] if len(parts) == 1 else (
+                    np.concatenate([c for c, _r in parts]),
+                    np.concatenate([r for _c, r in parts], axis=1),
+                )
+                for q, parts in sorted(kids.items())
+            }
+        out[q0] = groups
+    return out
 
 
 def pair_sector(spec: WindowSpec, alpha, beta) -> int:
@@ -372,50 +359,138 @@ def pair_sector(spec: WindowSpec, alpha, beta) -> int:
     return beta[0] - alpha[0] + sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
 
 
-def _raw_window_amplitudes(state: MPSState, spec: WindowSpec, alpha, beta, cache=None):
-    """(n_up, unnormalized sector amplitudes) of one boundary pair.
+def _partial_batches(state: MPSState, spec: WindowSpec, pairs: np.ndarray):
+    """Ends of the consecutive batches of pairs whose partials fit WALK_MEMO_BYTES.
 
-    cache, a PartialCache of the same state and window, supplies the
-    partials of alpha and beta already built.
+    pairs holds one (q_alpha, i_alpha, q_beta, i_beta) row per pair. A
+    batch takes pairs in order while its distinct boundary states fit:
+    an alpha has at most 2^(l+1) partial rows and a beta 2^l, each with
+    its code and none wider than the largest sector of either bond. A
+    batch holds at least one pair. The batches depend on the pairs, the
+    state and the window.
     """
-    l = spec.l
-    cache = _owned(PartialCache, state, spec, cache)
-    lefts, rights = cache.partials(tuple(alpha), tuple(beta))
-    n_up = pair_sector(spec, alpha, beta)
-    basis = _sector_basis(2 * l + 1, n_up)
-    amps = np.zeros(basis.size, dtype=complex)
-    for q, (cl, lmat) in lefts.items():
-        if q not in rights:
-            continue
-        cr, rmat = rights[q]
-        codes = ((cl[:, None] << l) | cr[None, :]).ravel()
-        pos = np.searchsorted(basis, codes)
-        if basis.size == 0 or not np.array_equal(basis.take(pos, mode="clip"), codes):
-            raise SamplingError(
-                f"window of boundary pair {alpha}, {beta} leaves its "
-                f"{n_up}-up-spin sector"
-            )
-        amps[pos] = (lmat @ rmat.T).ravel()
-    return n_up, amps
+    row = 16 * _widest(state) + 8
+    cost = {False: row << (spec.l + 1), True: row << spec.l}
+    ends, held, seen = [], 0, set()
+    for j, (qa, ia, qb, ib) in enumerate(pairs.tolist()):
+        states = {(False, qa, ia), (True, qb, ib)}
+        if seen and held + sum(cost[side] for side, _q, _i in states - seen) > WALK_MEMO_BYTES:
+            ends.append(j)
+            held, seen = 0, set()
+        held += sum(cost[side] for side, _q, _i in states - seen)
+        seen |= states
+    return ends + [len(pairs)]
 
 
-def assemble_window_state(
-    state: MPSState, spec: WindowSpec, sample: BoundarySample, cache=None
-) -> WindowState:
+def _slab_positions(roots: np.ndarray, at: np.ndarray):
+    """Position of roots[at] among the roots of its charge (roots as np.unique sorts them)."""
+    return at - np.searchsorted(roots[:, 0], roots[at, 0])
+
+
+def _sector_positions(spec: WindowSpec, n_up: int, left_codes, right_codes, pair):
+    """Sector-basis positions of the configurations two partials' codes meet in."""
+    basis = _sector_basis(2 * spec.l + 1, n_up)
+    codes = ((left_codes[:, None] << spec.l) | right_codes[None, :]).ravel()
+    pos = np.searchsorted(basis, codes)
+    if basis.size == 0 or not np.array_equal(basis.take(pos, mode="clip"), codes):
+        raise SamplingError(
+            f"window of boundary pair {pair.alpha}, {pair.beta} leaves its "
+            f"{n_up}-up-spin sector"
+        )
+    return pos
+
+
+def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positions):
+    """Write the raw amplitudes of a batch of pairs into the rows of their stacks.
+
+    batch holds one (stack, row, q_alpha, i_alpha, q_beta, i_beta) row
+    per pair; begun(j) returns stack j's amplitudes, and positions keeps
+    the sector positions of each (n_up, q_alpha, q_beta, central charge).
+    """
+    alphas, a_at = np.unique(batch[:, 2:4], axis=0, return_inverse=True)
+    betas, b_at = np.unique(batch[:, 4:6], axis=0, return_inverse=True)
+    lefts = _partials(state, spec, alphas, right=False)
+    rights = _partials(state, spec, betas, right=True)
+    a_slab = _slab_positions(alphas, a_at.reshape(-1))
+    b_slab = _slab_positions(betas, b_at.reshape(-1))
+    keys, group = np.unique(batch[:, [0, 2, 4]], axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    for g, (j, qa, qb) in enumerate(keys.tolist()):
+        mine = np.flatnonzero(group == g)
+        n_up, pairs = stacks[j]
+        for q, (cl, lmat) in lefts[qa].items():
+            if q not in rights[qb]:
+                continue
+            cr, rmat = rights[qb][q]
+            if (n_up, qa, qb, q) not in positions:
+                pair = pairs[batch[mine[0], 1]]
+                positions[n_up, qa, qb, q] = _sector_positions(spec, n_up, cl, cr, pair)
+            pos = positions[n_up, qa, qb, q]
+            # the gathered slabs are partials too, so they keep the budget
+            step = max(1, WALK_MEMO_BYTES // (lmat[0].nbytes + rmat[0].nbytes))
+            for at in range(0, mine.size, step):
+                part = mine[at:at + step]
+                meet = np.matmul(lmat[a_slab[part]], rmat[b_slab[part]].transpose(0, 2, 1))
+                begun(j)[batch[part, 1][:, None], pos] = meet.reshape(part.size, -1)
+
+
+def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
+    """Yield the normalized window states of (n_up, pairs) stacks, one stack at a time.
+
+    Each stack's pairs must all reach its n_up-up-spin sector; it is
+    yielded as a WindowState of one amplitude row per pair, in order.
+    Every amplitude is the inner product of a left partial product of
+    alpha with a right one of beta across the central bond, nonzero only
+    when their middle-bond sectors agree. The pairs of all stacks are
+    assembled in consecutive batches (_partial_batches): the partials of
+    a batch's distinct alphas and betas are built once (_partials), and
+    inside a stack the pairs of one (q_alpha, q_beta) meet in one
+    np.matmul per central-bond charge, a product per pair on the batch
+    axis. A pair's amplitudes are thus the products of its own partials,
+    whatever else shares its batch or its stack, and batching never
+    changes a bit. A stack is yielded, each row divided by its norm, once
+    its last pair is assembled.
+    """
+    n_sites = 2 * spec.l + 1
+    rows = [(j, r, *pair.alpha, *pair.beta)
+            for j, (_n_up, pairs) in enumerate(stacks) for r, pair in enumerate(pairs)]
+    rows = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    amps = [None] * len(stacks)
+
+    def begun(j):
+        """The amplitudes of stack j, zero until its pairs are met."""
+        if amps[j] is None:
+            n_up, pairs = stacks[j]
+            amps[j] = np.zeros((len(pairs), _sector_basis(n_sites, n_up).size), dtype=complex)
+        return amps[j]
+
+    positions = {}
+    lo = ready = 0
+    for hi in _partial_batches(state, spec, rows[:, 2:]):
+        _meet_batch(state, spec, stacks, rows[lo:hi], begun, positions)
+        lo = hi
+        done = rows[hi, 0] if hi < rows.shape[0] else len(stacks)
+        for j in range(ready, done):
+            n_up, pairs = stacks[j]
+            for pair, row in zip(pairs, begun(j)):
+                norm2 = float(np.vdot(row, row).real)
+                if not norm2 > 0.0:
+                    raise SamplingError(
+                        f"window state of boundary pair {pair.alpha}, {pair.beta} has zero norm"
+                    )
+                row /= math.sqrt(norm2)
+            yield WindowState(amps[j], n_sites, n_up)
+            amps[j] = None
+        ready = done
+
+
+def assemble_window_state(state: MPSState, spec: WindowSpec, sample: BoundarySample) -> WindowState:
     """Build the normalized window state of a sampled boundary pair.
 
-    Meets in the middle at the bond between sites 0 and 1: each window
-    amplitude is the inner product of a left partial product with a
-    right one, nonzero only when their middle-bond sectors agree, which
-    confines the state to the total-Sz sector fixed by the boundary
-    charges. cache, a PartialCache of the same state and window, is
-    shared by the pairs assembled together; it never changes a bit.
+    The one-row view of assemble_window_stacks: the pair alone, as a
+    stack of one in its own sector, so a pair assembles to the same bits
+    on its own as in any stack.
     """
-    n_up, amps = _raw_window_amplitudes(state, spec, sample.alpha, sample.beta, cache)
-    norm2 = float(np.vdot(amps, amps).real)
-    if not norm2 > 0.0:
-        raise SamplingError(
-            f"window state of boundary pair {sample.alpha}, {sample.beta} has zero norm"
-        )
-    amps /= math.sqrt(norm2)
-    return WindowState(amps, 2 * spec.l + 1, n_up)
+    n_up = pair_sector(spec, sample.alpha, sample.beta)
+    (psi,) = assemble_window_stacks(state, spec, [(n_up, [sample])])
+    return WindowState(psi.amplitudes[0], psi.n_sites, n_up)

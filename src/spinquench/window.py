@@ -15,6 +15,15 @@ the order a single matrix-vector product uses, and norms and <Sz> are
 reduced row by row, so a state evolves to the same bits whatever else
 shares its stack.
 
+The sector Hamiltonian is real, so each Taylor order multiplies it into
+the real view of the complex stack, whose columns are the real and
+imaginary parts of every state side by side. The complex product would
+multiply each real matrix entry a into x + iy as (a + 0i)(x + iy) =
+(ax - 0y) + i(ay + 0x), whose parts are ax and ay up to the sign of a
+zero, which a row sum starting from zero erases, and it sums a row's
+entries in the same order; so the real product gives the same bits
+with half the multiplications.
+
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
 an integer's binary digits left to right. A sector basis lists the
@@ -97,31 +106,36 @@ def _site_bits(basis: np.ndarray, n_sites: int, site: int) -> np.ndarray:
 
 
 def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_matrix:
-    """Open XXZ chain on the given basis (must be closed under hopping)."""
+    """Open XXZ chain on the given basis (must be closed under hopping).
+
+    Built directly in canonical CSR form, with the bits scipy's sum of a
+    hopping and a diagonal part gives: columns ascend within each row, a
+    diagonal entry that sums to exactly zero is left out, and scipy picks
+    the index dtype.
+    """
     dim = basis.size
     bits = np.stack([_site_bits(basis, n_sites, j) for j in range(n_sites)])
     szs = bits.astype(float) - 0.5
     diag = np.zeros(dim)
-    rows, cols, vals = [], [], []
-    idx = np.arange(dim)
     for j in range(n_sites - 1):
         diag += delta * szs[j] * szs[j + 1]
-        differ = bits[j] != bits[j + 1]
-        if not np.any(differ):
-            continue
-        flip = (1 << (n_sites - 1 - j)) | (1 << (n_sites - 2 - j))
-        flipped = basis[differ] ^ flip
-        pos = np.searchsorted(basis, flipped)
-        rows.append(idx[differ])
-        cols.append(pos)
-        vals.append(np.full(pos.size, 0.5))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    h = h + sp.diags(diag)
-    return h.tocsr()
+    # A hop across bond j lowers a configuration whose site j is up and
+    # raises one whose site j+1 is, by less the further right the bond,
+    # so listing a row's entries kind by kind (its lowering hops by bond,
+    # its diagonal, then its raising hops by bond in reverse) lists their
+    # columns in ascending order. Each kind of entry flips a fixed pair
+    # of bits; the diagonal, kind n_sites - 1, flips none.
+    bonds = np.arange(n_sites - 1)
+    flips = (1 << (n_sites - 1 - bonds)) | (1 << (n_sites - 2 - bonds))
+    flips = np.concatenate([flips, [0], flips[::-1]])
+    present = np.concatenate([bits[:-1] > bits[1:], [diag != 0.0], (bits[:-1] < bits[1:])[::-1]])
+    # present.T is (rows, kinds), so its nonzeros come row by row, kind by kind
+    row, kind = np.divmod(np.flatnonzero(present.T), flips.size)
+    indptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
+    indices = np.searchsorted(basis, basis[row] ^ flips[kind])
+    data = np.where(kind == n_sites - 1, diag[row], 0.5)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 class SparseWindowHamiltonian:
@@ -184,11 +198,13 @@ def taylor_step(
         )
     _basis, h_sec = h.sector(psi.total_sz_sector)
     shape = psi.amplitudes.shape
-    # One column per state, so each Taylor order is one CSR x dense product.
+    # One column per state, so each Taylor order is one CSR x dense
+    # product, made on the real view: one real and one imaginary column
+    # per state.
     acc = psi.amplitudes.reshape(-1, shape[-1]).T.astype(complex, order="C")
     term = acc
     for order in range(1, n_max + 1):
-        term = h_sec @ term
+        term = (h_sec @ term.view(float)).view(complex)
         term = term * (-1j * delta_t / order)
         acc = acc + term
     rows = acc.T.copy()

@@ -9,11 +9,17 @@ a Python sort instead of the spectrum's ranking, every boundary pair
 instead of the sampled ones, and numpy's own generator per sample
 instead of one stream pass over all samples. A test that compares the
 package against one of these checks the structure itself.
+
+A few are bit-exact pins instead: earlier, simpler routes of a kernel
+the package now batches or builds another way (scipy's COO route to a
+sector Hamiltonian, the complex Taylor product, window assembly one
+pair at a time). The batched kernel must equal its pin bit for bit.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import eigh
 from scipy.sparse.linalg import expm_multiply
 
@@ -27,14 +33,14 @@ from spinquench.graded import (
 )
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
-    PartialCache,
+    _bond_spectrum,
     _branch_probabilities,
-    _raw_window_amplitudes,
     boundary_spectrum,
+    pair_sector,
     site_shifts,
     site_tensors,
 )
-from spinquench.window import WindowState, _chain_hamiltonian, _sector_basis, _site_bits
+from spinquench.window import WindowState, _sector_basis, _site_bits
 
 
 class SectorLayout:
@@ -128,7 +134,7 @@ def dense_reference_evolve(initial, delta: float, t_grid) -> list:
         raise ConfigError(f"chain length must be in [2, 20], got {n_sites}")
     n_up = sum(bits)
     basis = _sector_basis(n_sites, n_up)
-    h = _chain_hamiltonian(n_sites, delta, basis)
+    h = coo_chain_hamiltonian(n_sites, delta, basis)
     x0 = 0
     for b in bits:
         x0 = (x0 << 1) | b
@@ -243,6 +249,118 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     return amps
 
 
+def coo_chain_hamiltonian(n_sites, delta, basis):
+    """Open XXZ chain on a sector basis by scipy's COO route.
+
+    The hopping entries go through csr_matrix((vals, (rows, cols))) and
+    the diagonal is added as sp.diags, so scipy sorts the columns,
+    drops the diagonal entries that sum to zero and picks the index
+    dtype. Pins the package's direct CSR build bit for bit.
+    """
+    dim = basis.size
+    bits = np.stack([_site_bits(basis, n_sites, j) for j in range(n_sites)])
+    szs = bits.astype(float) - 0.5
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    idx = np.arange(dim)
+    for j in range(n_sites - 1):
+        diag += delta * szs[j] * szs[j + 1]
+        differ = bits[j] != bits[j + 1]
+        if not np.any(differ):
+            continue
+        flip = (1 << (n_sites - 1 - j)) | (1 << (n_sites - 2 - j))
+        pos = np.searchsorted(basis, basis[differ] ^ flip)
+        rows.append(idx[differ])
+        cols.append(pos)
+        vals.append(np.full(pos.size, 0.5))
+    if rows:
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    h = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return (h + sp.diags(diag)).tocsr()
+
+
+def complex_taylor_step(psi, h, delta_t, n_max):
+    """taylor_step with each order's product taken on the complex stack.
+
+    Pins the package's real-view product bit for bit; rows are
+    renormalized as taylor_step renormalizes them, with no drift guard.
+    """
+    _basis, h_sec = h.sector(psi.total_sz_sector)
+    shape = psi.amplitudes.shape
+    acc = psi.amplitudes.reshape(-1, shape[-1]).T.astype(complex, order="C")
+    term = acc
+    for order in range(1, n_max + 1):
+        term = h_sec @ term
+        term = term * (-1j * delta_t / order)
+        acc = acc + term
+    rows = acc.T.copy()
+    for row in rows:
+        row /= float(np.linalg.norm(row))
+    return WindowState(rows.reshape(shape), psi.n_sites, psi.total_sz_sector)
+
+
+def per_pair_partials(state, spec, boundary, right):
+    """{central charge: (codes, rows)} of one boundary state's partials, alone.
+
+    The partials of sampler._partials for a single root, each level a
+    2-D rows @ A(s) (or A(s).T for beta) product per charge and spin.
+    """
+    l = spec.l
+    q, index = boundary
+    dims = _bond_spectrum(state, l if right else -l - 1).sector_dims
+    if not 0 <= index < dims.get(q, 0):
+        raise ConfigError(f"no boundary state (q={q}, index={index})")
+    rows = np.zeros((1, dims[q]), dtype=complex)
+    rows[0, index] = 1.0
+    groups = {q: (np.zeros(1, dtype=np.int64), rows)}
+    top, sites = (l, range(l, 0, -1)) if right else (0, range(-l, 1))
+    for site in sites:
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        kids = {}
+        for q, (codes, rows) in groups.items():
+            for s, bit in ((UP, 1), (DN, 0)):
+                kid = q - shifts[s] if right else q + shifts[s]
+                block = tensors[s].block(kid if right else q)
+                if block is not None:
+                    kid_codes = codes | bit << (top - site) if bit else codes
+                    kids.setdefault(kid, []).append((kid_codes, rows @ (block.T if right else block)))
+        groups = {
+            q: parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+            for q, parts in sorted(kids.items())
+        }
+    return groups
+
+
+def per_pair_window_amplitudes(state, spec, alpha, beta, memo=None):
+    """(n_up, unnormalized sector amplitudes) of one pair, met on its own.
+
+    Each central-bond charge's amplitudes are one 2-D lmat @ rmat.T of
+    the pair's own partials; memo, a dict, keeps partials per boundary.
+    """
+    l = spec.l
+    memo = {} if memo is None else memo
+    for right, b in ((False, tuple(alpha)), (True, tuple(beta))):
+        if (right, b) not in memo:
+            memo[right, b] = per_pair_partials(state, spec, b, right)
+    lefts, rights = memo[False, tuple(alpha)], memo[True, tuple(beta)]
+    n_up = pair_sector(spec, alpha, beta)
+    basis = _sector_basis(2 * l + 1, n_up)
+    amps = np.zeros(basis.size, dtype=complex)
+    for q, (cl, lmat) in lefts.items():
+        if q in rights:
+            cr, rmat = rights[q]
+            codes = ((cl[:, None] << l) | cr[None, :]).ravel()
+            amps[np.searchsorted(basis, codes)] = (lmat @ rmat.T).ravel()
+    return n_up, amps
+
+
+def per_pair_window_state(state, spec, pair):
+    """The normalized window state of one pair, assembled on its own."""
+    n_up, amps = per_pair_window_amplitudes(state, spec, pair.alpha, pair.beta)
+    amps /= math.sqrt(float(np.vdot(amps, amps).real))
+    return WindowState(amps, 2 * spec.l + 1, n_up)
+
+
 def enumerate_boundary_pairs(state, spec):
     """Yield (alpha, beta, weight, WindowState) over all boundary pairs.
 
@@ -257,13 +375,13 @@ def enumerate_boundary_pairs(state, spec):
     spectrum = boundary_spectrum(state, spec)
     tensors = site_tensors(state, spec.l)
     right_dims = {**tensors[UP].col_dims, **tensors[DN].col_dims}
-    cache = PartialCache(state, spec)
+    memo = {}
     for q_a, lam_vals in spectrum.blocks.items():
         for i_a, lam in enumerate(lam_vals):
             for q_b, d_b in sorted(right_dims.items()):
                 for i_b in range(d_b):
                     alpha, beta = (q_a, i_a), (q_b, i_b)
-                    n_up, amps = _raw_window_amplitudes(state, spec, alpha, beta, cache)
+                    n_up, amps = per_pair_window_amplitudes(state, spec, alpha, beta, memo)
                     norm2 = float(np.vdot(amps, amps).real)
                     weight = float(lam * lam) * norm2
                     if weight > 0.0:

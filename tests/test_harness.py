@@ -223,12 +223,13 @@ def test_run_mc_evolves_each_pair_once_per_run(
     monkeypatch.setattr(harness, "POOL_WORK", 0)
     assembled, propagated, values = [], [], []
     assemble, evolve, two_rounds = (
-        harness.assemble_window_state, harness.evolve_and_measure, harness._two_rounds
+        harness.assemble_window_stacks, harness.evolve_and_measure, harness._two_rounds
     )
 
-    def counted_assemble(state, spec, sample, cache=None):
-        assembled.append((sample.alpha, sample.beta))
-        return assemble(state, spec, sample, cache)
+    def counted_assemble(state, spec, stacks):
+        # every row the stack assembler is given, in every share
+        assembled.extend((p.alpha, p.beta) for _n_up, pairs in stacks for p in pairs)
+        return assemble(state, spec, stacks)
 
     def counted_evolve(psi, *args, **kwargs):
         propagated.append(psi.amplitudes.shape[0])
@@ -238,7 +239,7 @@ def test_run_mc_evolves_each_pair_once_per_run(
         values.append(two_rounds(*args))
         return values[-1]
 
-    monkeypatch.setattr(harness, "assemble_window_state", counted_assemble)
+    monkeypatch.setattr(harness, "assemble_window_stacks", counted_assemble)
     monkeypatch.setattr(harness, "evolve_and_measure", counted_evolve)
     monkeypatch.setattr(harness, "_two_rounds", recorded_rounds)
     n, t_fin = 60, 1.0 + 2.0 / 3.0
@@ -381,6 +382,41 @@ def test_run_mc_real_pool_writes_same_bytes(short_run, tmp_path, monkeypatch):
         run_mc(n_workers=workers, out=outs[-1], **kw)
     assert sizes == [2, 3]
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
+    # a partial budget that splits every share into several assembly
+    # batches, on a real pool of 2 and 3 processes (forked, so they keep
+    # the budget), writes the bytes of one batch per run in one process
+    kw = dict(
+        checkpoint=k128_t2["checkpoint"],
+        l=2,
+        t_fin=2.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=200,
+        master_seed=7,
+    )
+    ref = tmp_path / "ref.csv"
+    run_mc(n_workers=1, out=ref, **kw)
+    batches, split = [], sampler._partial_batches
+
+    def counted_split(state, spec, pairs):
+        ends = split(state, spec, pairs)
+        batches.append((len(pairs), len(ends)))
+        return ends
+
+    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 14)
+    monkeypatch.setattr(sampler, "_partial_batches", counted_split)
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}.csv"
+        run_mc(n_workers=workers, out=out, **kw)
+        assert out.read_bytes() == ref.read_bytes()
+    # the one-process run made several batches, neither one nor one per pair
+    ((n_pairs, n_batches),) = batches
+    assert 2 < n_batches < n_pairs
 
 
 def test_run_mc_single_share_starts_no_pool(

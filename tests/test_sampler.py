@@ -8,6 +8,9 @@ from oracles import (
     fresh_walk,
     full_amplitudes,
     numpy_uniforms,
+    per_pair_partials,
+    per_pair_window_amplitudes,
+    per_pair_window_state,
 )
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
@@ -15,12 +18,12 @@ from spinquench.errors import ConfigError, SamplingError
 from spinquench.itebd import QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
-    PartialCache,
     WindowSpec,
     _branch_probabilities,
-    _raw_window_amplitudes,
+    assemble_window_stacks,
     assemble_window_state,
     boundary_spectrum,
+    pair_sector,
     sample_alpha,
     sample_spins_and_beta,
 )
@@ -59,7 +62,7 @@ def test_window_weight_matches_assembled_state(quench_state):
         # the pair weight is lambda_alpha^2 times the raw window norm, and
         # the enumerated state is the one the sampling path assembles
         lam = spectrum.blocks[alpha[0]][alpha[1]]
-        n_up, raw = _raw_window_amplitudes(quench_state, spec, alpha, beta)
+        n_up, raw = per_pair_window_amplitudes(quench_state, spec, alpha, beta)
         assert n_up == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
         sample = BoundarySample(alpha=alpha, beta=beta)
@@ -188,7 +191,7 @@ def test_batched_draws_match_trie_oracle(k16_t1, k128_t2, monkeypatch, l, budget
 
 def test_walk_memo_belongs_to_one_state_and_window(quench_state):
     # the walk's uniforms are laid out for one window: 2l+2 per sample
-    # and one row per alpha; a PartialCache serves one state and window
+    # and one row per alpha
     spec = WindowSpec(l=2)
     u = np.random.default_rng(0).random((3, 7))
     alphas = sample_alpha(quench_state, spec, u[:, 0])
@@ -197,9 +200,18 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
     with pytest.raises(ConfigError):
         sample_spins_and_beta(quench_state, spec, alphas[:2], u[:, 1:])
     assert sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:]) == []
-    cache = PartialCache(quench_state, WindowSpec(l=2))
-    with pytest.raises(ConfigError):
-        assemble_window_state(quench_state, WindowSpec(l=1), BoundarySample((0, 0), (0, 0)), cache)
+
+
+def _sector_stacks(spec, pairs, height):
+    """The pairs as (n_up, pairs) stacks of at most height rows, sector by sector."""
+    by_sector = {}
+    for pair in pairs:
+        by_sector.setdefault(pair_sector(spec, pair.alpha, pair.beta), []).append(pair)
+    return [
+        (n_up, group[lo:lo + height])
+        for n_up, group in by_sector.items()
+        for lo in range(0, len(group), height)
+    ]
 
 
 @pytest.mark.parametrize("clearing", ["kept", "cleared-once", "no-budget"])
@@ -207,30 +219,88 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
 def test_cached_assembly_matches_cache_free_assembly(
     quench_state, k128_state, monkeypatch, l, clearing
 ):
-    # pairs assembled through one shared PartialCache are bit for bit the
-    # pairs assembled each on its own, also when the cache starts over
+    # pairs assembled in stacks, whose boundary states' partials are
+    # built once per batch, are bit for bit the pairs assembled each on
+    # its own: in one batch; when the store starts over once in the
+    # middle of a stack and a 1-byte budget meets each pair on its own;
+    # and with no budget (one pair per batch)
     state = quench_state if l == 2 else k128_state
     spec = WindowSpec(l=l)
-    if clearing == "no-budget":
-        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
+    if clearing != "kept":
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0 if clearing == "no-budget" else 1)
+    split, batches = sampler._partial_batches, []
+
+    def recorded_split(state, spec, pairs):
+        ends = split(state, spec, pairs)
+        if clearing == "cleared-once" and len(pairs) > 1:
+            ends = [len(pairs) // 2 + 1, len(pairs)]
+        batches.append(ends)
+        return ends
+
+    monkeypatch.setattr(sampler, "_partial_batches", recorded_split)
     pairs = list(dict.fromkeys(_draws(state, spec, _uniforms(4, range(300), l))))
-    alphas = {p.alpha for p in pairs}
-    assert len(alphas) < len(pairs)  # pairs share boundary states
-    cache = PartialCache(state, spec)
-    resets = []
-    clear = cache.clear
-    cache.clear = lambda: (resets.append(1), clear())
-    for j, pair in enumerate(pairs):
-        if clearing == "cleared-once" and j == len(pairs) // 2:
-            cache.clear()
-        got = assemble_window_state(state, spec, pair, cache)
-        ref = assemble_window_state(state, spec, pair)
-        assert got.total_sz_sector == ref.total_sz_sector
-        assert np.array_equal(got.amplitudes, ref.amplitudes)
-    if clearing == "no-budget":
-        assert len(resets) == len(pairs) - 1
-    else:
-        assert len(resets) == (clearing == "cleared-once")
+    assert len({p.alpha for p in pairs}) < len(pairs)  # pairs share boundary states
+    stacks = _sector_stacks(spec, pairs, 3)
+    got = list(assemble_window_stacks(state, spec, stacks))
+    assert len(got) == len(stacks)
+    for (n_up, stack), psi in zip(stacks, got):
+        assert psi.total_sz_sector == n_up
+        assert psi.amplitudes.shape[0] == len(stack)
+        for pair, row in zip(stack, psi.amplitudes):
+            alone = assemble_window_state(state, spec, pair)
+            assert alone.total_sz_sector == n_up
+            assert np.array_equal(row, alone.amplitudes)
+    expected = {"kept": 1, "cleared-once": 2, "no-budget": len(pairs)}[clearing]
+    assert len(batches[0]) == expected
+
+
+@pytest.mark.parametrize("budget", ["default", "none"])
+@pytest.mark.parametrize("l", range(1, 8))
+def test_stack_assembly_matches_per_pair_oracle(k128_state, monkeypatch, l, budget):
+    # bit-exact pin: the batch-axis partials and the batched meet give
+    # every walk-drawn pair of the k=128 state the bits of the per-pair
+    # route, partials and meet one pair at a time as 2-D products
+    spec = WindowSpec(l=l)
+    if budget == "none":
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
+    pairs = list(dict.fromkeys(_draws(k128_state, spec, _uniforms(6, range(400), l))))
+    assert len(pairs) > 10
+    stacks = _sector_stacks(spec, pairs, 7)
+    for (n_up, stack), psi in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
+        for pair, row in zip(stack, psi.amplitudes):
+            ref = per_pair_window_state(k128_state, spec, pair)
+            assert ref.total_sz_sector == n_up
+            assert np.array_equal(row, ref.amplitudes), (pair, l)
+    psi = assemble_window_state(k128_state, spec, pairs[0])
+    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, pairs[0]).amplitudes)
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 14, 1 << 16, 1 << 25])
+def test_partial_batches_fit_the_budget(k128_state, monkeypatch, budget):
+    # consecutive batches cover every pair once, and the partials a batch
+    # holds, counted as built, stay within the budget unless the batch is
+    # a single pair
+    monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", budget)
+    spec = WindowSpec(l=3)
+    pairs = list(dict.fromkeys(_draws(k128_state, spec, _uniforms(9, range(300), 3))))
+    rows = np.array([(*p.alpha, *p.beta) for p in pairs])
+    ends = sampler._partial_batches(k128_state, spec, rows)
+    assert ends[-1] == len(pairs) and ends == sorted(set(ends)) and ends[0] > 0
+    lo = 0
+    for hi in ends:
+        held = sum(
+            codes.nbytes + part.nbytes
+            for side, boundaries in ((False, {p.alpha for p in pairs[lo:hi]}),
+                                     (True, {p.beta for p in pairs[lo:hi]}))
+            for b in boundaries
+            for codes, part in per_pair_partials(k128_state, spec, b, side).values()
+        )
+        assert held <= budget or hi - lo == 1
+        lo = hi
+    if budget == 0:
+        assert len(ends) == len(pairs)
+    if budget == 1 << 25:
+        assert len(ends) == 1
 
 
 def test_window_states_live_in_one_sector(quench_state):

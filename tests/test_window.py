@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
-from oracles import alternating_config, dense_reference_evolve
+from oracles import (
+    alternating_config,
+    coo_chain_hamiltonian,
+    complex_taylor_step,
+    dense_reference_evolve,
+)
 from spinquench.errors import ConfigError, NormDriftError
 from spinquench.window import (
     EvolverParams,
     L_MAX,
     WindowState,
     _chain_hamiltonian,
+    _sector_basis,
     build_hloc,
     evolve_and_measure,
     spin_wave_velocity,
@@ -149,6 +155,39 @@ def test_stacked_propagation_matches_stacks_of_one(duplicate):
             assert [(t, np.ravel(v)[0]) for t, v in one] == [(t, v[j]) for t, v in series]
     if duplicate:
         assert np.array_equal(stepped.amplitudes[1], stepped.amplitudes[3])
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.0, -1.3])
+def test_direct_csr_matches_coo_route(delta):
+    # bit-exact pin: the sector Hamiltonian built straight into CSR has
+    # the index pointers, column indices, values and dtypes of scipy's
+    # COO-plus-diagonal route; at delta = 0 it has no diagonal entries
+    for l in range(1, 7):
+        n = 2 * l + 1
+        for n_up in range(n + 1):
+            basis = _sector_basis(n, n_up)
+            got = _chain_hamiltonian(n, delta, basis)
+            ref = coo_chain_hamiltonian(n, delta, basis)
+            assert type(got) is type(ref)
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (l, n_up, field)
+            if delta == 0.0:
+                assert not got.diagonal().any()
+
+
+@pytest.mark.parametrize("l,n_up,height", [(2, 2, 1), (2, 2, 6), (5, 5, 1), (5, 5, 9)])
+def test_real_taylor_product_matches_complex_product(l, n_up, height):
+    # bit-exact pin: the real-view product of each Taylor order gives a
+    # stack, and a stack of one, the bits of the complex product
+    h = build_hloc(l, 0.5)
+    states = [_random_sector_state(l, n_up, seed=s) for s in range(height)]
+    for psi in (_stack(states), states[0]):
+        for _step in range(3):
+            got = taylor_step(psi, h, 1.0 / 3.0, 20)
+            ref = complex_taylor_step(psi, h, 1.0 / 3.0, 20)
+            assert np.array_equal(got.amplitudes, ref.amplitudes)
+            psi = got
 
 
 def test_stack_with_one_diverging_row_is_rejected():
