@@ -17,10 +17,12 @@ Output metadata deliberately excludes worker counts and timestamps.
 A run takes two rounds. Round one runs in this process: one vectorized
 pass draws the 2l+3 uniforms of every sample, and one batched walk
 over all samples, in sample_id order, turns them into boundary pairs
-(see sampler). The walk runs in one process whatever the worker count,
-so the pairs cannot depend on it. The distinct pairs of the run are kept
-in order of first occurrence, and round two evolves each of them
-exactly once: the pairs are grouped by total-Sz sector into row stacks
+(see sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per
+sample. The walk runs in one process whatever the worker count, so the
+pairs cannot depend on it. One np.unique over a packed int64 key per
+row finds the distinct pairs of the run, which are kept in order of
+first occurrence, and round two evolves each of them exactly once: the
+pairs are grouped by total-Sz sector, by a stable sort, into row stacks
 of at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
 Taylor order. The worker count is an upper bound: a round whose work
 (stack amplitudes x Taylor orders x grid steps) is below POOL_WORK is
@@ -67,6 +69,7 @@ from .sampler import (  # noqa: F401
     WindowSpec,
     assemble_window_stacks,
     assemble_window_state,
+    distinct_rows,
     pair_sector,
     sample_alpha,
     sample_spins_and_beta,
@@ -365,24 +368,44 @@ def _evolve_in_worker(stacks):
     return _evolve_share(_WORKER_RUN, stacks)
 
 
+def _first_occurrences(pairs):
+    """(distinct pairs, ids): the distinct rows of pairs in order of first occurrence.
+
+    pairs[j] is distinct[ids[j]], and the ids count up from 0 in the
+    order the pairs first occur, as a dict filled in sample order
+    numbers them.
+    """
+    first, inverse = distinct_rows(pairs)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return pairs[first[order]], rank[inverse]
+
+
 def _shares(spec, pairs, n_shares, products):
     """The distinct pairs as per-sector stacks, dealt into <= n_shares lists.
 
-    A stack holds at most STACK_ENTRIES amplitudes. If the amplitudes
-    of all stacks times products (Taylor orders x grid steps) fall short
-    of POOL_WORK, every stack goes to one share. Otherwise each stack,
-    largest first, goes to the share with the fewest amplitudes so far.
+    pairs holds one (q_alpha, i_alpha, q_beta, i_beta) row per distinct
+    pair, and a stack is an (n_up, ids) of rows of pairs that reach one
+    sector, in pairs order, with the sectors in order of first
+    occurrence. A stack holds at most STACK_ENTRIES amplitudes. If the
+    amplitudes of all stacks times products (Taylor orders x grid steps)
+    fall short of POOL_WORK, every stack goes to one share. Otherwise
+    each stack, largest first, goes to the share with the fewest
+    amplitudes so far.
     """
-    by_sector = {}
-    for pair in pairs:
-        by_sector.setdefault(pair_sector(spec, pair.alpha, pair.beta), []).append(pair)
+    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
+    _n_ups, first, at = np.unique(sectors, return_index=True, return_inverse=True)
+    leader = first[at]  # the first pair of each pair's sector
+    by_sector = np.argsort(leader, kind="stable")
     stacks = []
-    for n_up, group in by_sector.items():
+    for group in np.split(by_sector, np.flatnonzero(np.diff(leader[by_sector])) + 1):
+        n_up = int(sectors[group[0]])
         dim = math.comb(2 * spec.l + 1, n_up)
         height = max(1, STACK_ENTRIES // dim)
-        for lo in range(0, len(group), height):
+        for lo in range(0, group.size, height):
             chunk = group[lo:lo + height]
-            stacks.append((dim * len(chunk), n_up, chunk))
+            stacks.append((dim * chunk.size, n_up, chunk))
     if sum(size for size, _n_up, _chunk in stacks) * products < POOL_WORK:
         n_shares = 1
     shares = [[] for _ in range(n_shares)]
@@ -399,20 +422,20 @@ def _two_rounds(run, master_seed, n_samples, evolve, n_shares, n_points):
 
     Round one draws every sample's pair in this process; round two
     evolves each distinct pair of the whole run once, in at most
-    n_shares shares, through evolve(shares), which returns the series
-    of each share in order.
+    n_shares shares, through evolve(shares), which takes each share as
+    a list of (n_up, pair rows) stacks and returns the series of each
+    share in order.
     """
     state, spec = run.state, run.spec
     u = sample_uniforms(master_seed, np.arange(n_samples), 2 * spec.l + 3)
     alphas = sample_alpha(state, spec, u[:, 0])
-    pairs = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
-    index = {}
-    ids = [index.setdefault(pair, len(index)) for pair in pairs]
-    shares = _shares(spec, index, n_shares, run.params.n_max * (n_points - 1))
-    table = np.empty((len(index), n_points))
-    for share, series in zip(shares, evolve(shares)):
-        for (_n_up, stack), rows in zip(share, series):
-            table[[index[pair] for pair in stack]] = rows
+    pairs, ids = _first_occurrences(sample_spins_and_beta(state, spec, alphas, u[:, 1:]))
+    shares = _shares(spec, pairs, n_shares, run.params.n_max * (n_points - 1))
+    series = evolve([[(n_up, pairs[at]) for n_up, at in share] for share in shares])
+    table = np.empty((len(pairs), n_points))
+    for share, values in zip(shares, series):
+        for (_n_up, at), rows in zip(share, values):
+            table[at] = rows
     return table[ids]
 
 

@@ -20,15 +20,22 @@ The walk runs level by level over all samples of a run at once. At
 each site the distinct (alpha, spin prefix) nodes that samples have
 reached are stacked into one row matrix per bond charge, so both
 candidate rows of every node come from one matrix product per charge
-and spin; each sample then picks its spin by comparing its own uniform
-with its node's conditional. A node's rows are a function of the chain
-state, the window and the node alone, so a sample consumes the same
-uniforms and reaches the same pair as a walk of its own; only the last
-bits of a product may depend on the stack it is computed in, which
-matters for a uniform within rounding of its conditional. Samples are
-walked in contiguous chunks whose node rows fit in WALK_MEMO_BYTES;
-the chunks depend on the state and the sample count, never on how many
-processes a run uses.
+and spin. A level is one pass over the samples: each sample picks its
+spin by comparing its own uniform with its node's conditional, the
+(spin, node) slots some sample picked are marked in one boolean table,
+and those slots become the next level's nodes, numbered by kid charge,
+then UP slots before DN slots, then by parent node. The numbering fixes
+the rows and row order of every product, so it must not change: a
+node's rows are a function of the chain state, the window and the node
+alone, so a sample consumes the same uniforms and reaches the same pair
+as a walk of its own; only the last bits of a product may depend on
+the stack it is computed in, which matters for a uniform within
+rounding of its conditional. Samples are walked in contiguous chunks
+whose node rows fit in WALK_MEMO_BYTES; the chunks depend on the state
+and the sample count, never on how many processes a run uses. The walk
+returns each sample's boundary pair as an int row (q_alpha, i_alpha,
+q_beta, i_beta), and the pairs stay int rows through dedup and stacking
+to the assembler.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
@@ -40,10 +47,10 @@ exactly the amplitudes of the window's total-Sz sector. This costs
 O(2^l k^2) + O(D k) flops for a sector of dimension D, never the naive
 O(2^(2l) k^2).
 
-Round two assembles whole stacks of pairs at once (assemble_window_stacks)
-on a batch axis. The left partials depend on alpha alone and the right
-ones on beta alone, and every boundary state of one charge has partials
-of the same codes and shapes. So the distinct alphas of a batch of
+Round two assembles whole stacks of pair rows at once
+(assemble_window_stacks) on a batch axis. The left partials depend on
+alpha alone and the right ones on beta alone, and every boundary state
+of one charge has partials of the same codes and shapes. So the distinct alphas of a batch of
 pairs are grouped by charge and grown together as one (states, rows,
 k) array, one np.matmul per charge, spin and level; likewise the betas.
 Inside a stack, the pairs of one (q_alpha, q_beta) meet in one np.matmul
@@ -100,9 +107,10 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class BoundarySample:
-    """One sampled boundary pair.
+    """One boundary pair, the argument of the one-pair assemble_window_state.
 
-    alpha and beta are (sector charge, index-within-sector) pairs.
+    alpha and beta are (sector charge, index-within-sector) pairs. Runs
+    keep their pairs as (q_alpha, i_alpha, q_beta, i_beta) int rows.
     """
 
     alpha: tuple
@@ -197,55 +205,77 @@ def _root_groups(dims, roots: np.ndarray):
     return groups
 
 
+def distinct_rows(rows: np.ndarray):
+    """(first, inverse) of the distinct rows of an int array, ascending.
+
+    rows[first] are the distinct rows in lexicographic order, each taken
+    at its first occurrence, and rows[first][inverse] gives rows back.
+    The columns are packed into one int64 key per row, in mixed radix
+    over each column's range, so ranking the keys ranks the rows.
+    """
+    low = rows.min(axis=0)
+    keys = np.ravel_multi_index(tuple((rows - low).T), tuple(rows.max(axis=0) - low + 1))
+    _keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.ndarray):
     """(beta charges, beta indices) of one chunk of samples.
 
     A node is a distinct (alpha, spin prefix) of the chunk, and its row
     the propagated, renormalized boundary vector. The nodes of a level
-    are kept as one row matrix per bond charge, numbered group by group;
-    node[j] is the node sample j has reached.
+    are kept as one row matrix per bond charge, in ascending charge and
+    numbered on from group to group; node[j] is the node sample j has
+    reached. Each level takes one pass over the samples: the
+    conditionals of all nodes come from one product per charge and
+    spin, every sample picks its spin, and the (spin, node) slots some
+    sample chose become the next level's nodes. They are numbered by
+    kid charge, then the UP slots (whose parents have the lower charge)
+    before the DN slots, then by parent, so a group's rows are the
+    same matrix in the same order however the samples are laid out.
     """
-    roots, node = np.unique(alphas, axis=0, return_inverse=True)
-    node = node.reshape(-1)
-    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
+    first, node = distinct_rows(alphas)
+    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, alphas[first])
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
         tensors, shifts = site_tensors(state, site), site_shifts(site)
-        kids = {}
-        start = 0
-        while groups:  # popped, so a level's rows go once extended
-            q, rows = groups.pop(0)
-            mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
-            at = node[mine] - start
-            start += rows.shape[0]
-            cands, norms = [None, None], np.zeros((2, rows.shape[0]))
+        charges = [q for q, _rows in groups]
+        starts = np.cumsum([0] + [rows.shape[0] for _q, rows in groups])
+        cands, norms = [], np.zeros((2, starts[-1]))
+        for lo in starts[:-1]:
+            q, rows = groups.pop(0)  # popped, so a level holds rows or candidates
+            cands.append([None, None])
             for s in (UP, DN):
                 block = tensors[s].block(q)
                 if block is not None:
-                    c = cands[s] = rows @ block
-                    norms[s] = np.einsum("ij,ij->i", c.conj(), c).real
-            p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
-            spin = np.where(u[mine, depth] < p_up[at], UP, DN)
-            for s in (UP, DN):
-                took = spin == s
-                if took.any():
-                    picked, kid = np.unique(at[took], return_inverse=True)
-                    kid_rows = cands[s][picked] * (1.0 / np.sqrt(norms[s, picked]))[:, None]
-                    kids.setdefault(q + shifts[s], []).append((mine[took], kid, kid_rows))
-        start = 0
-        for q in sorted(kids):
-            parts = kids.pop(q)
-            for samples, kid, kid_rows in parts:
-                node[samples] = start + kid
-                start += kid_rows.shape[0]
-            groups.append((q, np.concatenate([kid_rows for _s, _k, kid_rows in parts])))
-    beta_q = np.empty(node.size, dtype=np.int64)
+                    c = cands[-1][s] = rows @ block
+                    norms[s, lo:lo + rows.shape[0]] = np.einsum("ij,ij->i", c.conj(), c).real
+        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+        spin = np.where(u[:, depth] < p_up[node], UP, DN)
+        taken = np.zeros(norms.shape, dtype=bool)
+        taken[spin, node] = True
+        kid = np.zeros(norms.shape, dtype=np.int64)
+        kids, count = {}, 0
+        for kq, s, g in sorted((q + shifts[s], s, g) for g, q in enumerate(charges) for s in (UP, DN)):
+            lo = starts[g]
+            picked = np.flatnonzero(taken[s, lo:starts[g + 1]])
+            if picked.size:
+                kid[s, lo + picked] = np.arange(count, count + picked.size)
+                count += picked.size
+                scale = 1.0 / np.sqrt(norms[s, lo + picked])
+                kids.setdefault(kq, []).append(cands[g][s][picked] * scale[:, None])
+            cands[g][s] = None  # its kids are taken
+        node = kid[spin, node]
+        groups = [
+            (q, parts[0] if len(parts) == 1 else np.concatenate(parts))
+            for q, parts in kids.items()
+        ]
+    starts = np.cumsum([0] + [rows.shape[0] for _q, rows in groups])
+    group = np.searchsorted(starts, node, side="right") - 1
+    beta_q = np.array([q for q, _rows in groups], dtype=np.int64)[group]
     beta_i = np.empty(node.size, dtype=np.int64)
-    start = 0
-    for q, rows in groups:
-        mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
-        beta_q[mine] = q
-        beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - start, u[mine, -1])
-        start += rows.shape[0]
+    for g, (_q, rows) in enumerate(groups):
+        mine = group == g
+        beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - starts[g], u[mine, -1])
     return beta_q, beta_i
 
 
@@ -257,15 +287,16 @@ def _widest(state: MPSState) -> int:
 def _chunk_size(state: MPSState) -> int:
     """Samples per walk chunk: at most WALK_MEMO_BYTES of node rows.
 
-    A level holds at most one node per sample. Its rows, the candidate
-    rows of one charge and the rows of the next level come to at most
-    three rows per sample, none wider than the largest sector of either
-    bond.
+    A level holds at most one node per sample. Its rows are dropped as
+    they are multiplied and each candidate block once the next level's
+    rows are taken from it, so the candidate rows (two per node) and the
+    rows of the next level come to at most three rows per sample, none
+    wider than the largest sector of either bond.
     """
     return max(1, WALK_MEMO_BYTES // (3 * 16 * _widest(state)))
 
 
-def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
+def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> np.ndarray:
     """Chain-sample the window spins, then the right boundary state, of every sample.
 
     alphas holds one (charge, index) row per sample and u one row of
@@ -276,8 +307,9 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
     renormalized after every draw. The walk runs level by level over
     all samples at once, each distinct prefix computed once, in
     contiguous chunks of at most _chunk_size samples. The spins
-    themselves are not returned: only the boundary pairs matter, one
-    BoundarySample per sample, in order.
+    themselves are not returned: only the boundary pairs matter, as an
+    (n, 4) int64 array of (q_alpha, i_alpha, q_beta, i_beta) rows, one
+    per sample, in order; no samples give a (0, 4) array.
     """
     alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, 2)
     u = np.asarray(u, dtype=float)
@@ -287,7 +319,7 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
             f"got an array of shape {u.shape}"
         )
     if not alphas.size:
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     chunk = _chunk_size(state)
     betas = [
         _walk_chunk(state, spec, alphas[lo:lo + chunk], u[lo:lo + chunk])
@@ -295,17 +327,14 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> list:
     ]
     beta_q = np.concatenate([q for q, _i in betas])
     beta_i = np.concatenate([i for _q, i in betas])
-    return [
-        BoundarySample(alpha=(qa, ia), beta=(qb, ib))
-        for qa, ia, qb, ib in np.column_stack([alphas, beta_q, beta_i]).tolist()
-    ]
+    return np.column_stack([alphas, beta_q, beta_i])
 
 
 def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool):
     """{root charge: {central charge: (codes, rows)}} of boundary states' partials.
 
     roots holds distinct (charge, index) rows in ascending order, as
-    np.unique gives them. For alpha (right false) the partials are
+    distinct_rows gives them. For alpha (right false) the partials are
     e_alpha A(s_-l) ... A(s_0) over every spin prefix of sites -l..0;
     for beta they are the columns A(s_1) ... A(s_l) e_beta over every
     suffix of sites 1..l, stored as rows. Either way they are keyed by
@@ -350,13 +379,16 @@ def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool)
     return out
 
 
-def pair_sector(spec: WindowSpec, alpha, beta) -> int:
+def pair_sector(spec: WindowSpec, alpha, beta):
     """Up-spin count of every window configuration a boundary pair reaches.
 
-    Crossing an A site (even) shifts the bond charge by bit - 1 and a B
-    site by bit, so n_up = q_beta - q_alpha + (number of A sites).
+    alpha and beta are (charge, index) pairs, or arrays of them along
+    the last axis, which give an array of counts. Crossing an A site
+    (even) shifts the bond charge by bit - 1 and a B site by bit, so
+    n_up = q_beta - q_alpha + (number of A sites).
     """
-    return beta[0] - alpha[0] + sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
+    n_a = sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
+    return np.asarray(beta)[..., 0] - np.asarray(alpha)[..., 0] + n_a
 
 
 def _partial_batches(state: MPSState, spec: WindowSpec, pairs: np.ndarray):
@@ -383,8 +415,14 @@ def _partial_batches(state: MPSState, spec: WindowSpec, pairs: np.ndarray):
 
 
 def _slab_positions(roots: np.ndarray, at: np.ndarray):
-    """Position of roots[at] among the roots of its charge (roots as np.unique sorts them)."""
+    """Position of roots[at] among the roots of its charge (roots as distinct_rows sorts them)."""
     return at - np.searchsorted(roots[:, 0], roots[at, 0])
+
+
+def _pair_name(pair) -> str:
+    """A (q_alpha, i_alpha, q_beta, i_beta) row as its two boundary states."""
+    qa, ia, qb, ib = np.asarray(pair).tolist()
+    return f"boundary pair {(qa, ia)}, {(qb, ib)}"
 
 
 def _sector_positions(spec: WindowSpec, n_up: int, left_codes, right_codes, pair):
@@ -393,10 +431,7 @@ def _sector_positions(spec: WindowSpec, n_up: int, left_codes, right_codes, pair
     codes = ((left_codes[:, None] << spec.l) | right_codes[None, :]).ravel()
     pos = np.searchsorted(basis, codes)
     if basis.size == 0 or not np.array_equal(basis.take(pos, mode="clip"), codes):
-        raise SamplingError(
-            f"window of boundary pair {pair.alpha}, {pair.beta} leaves its "
-            f"{n_up}-up-spin sector"
-        )
+        raise SamplingError(f"window of {_pair_name(pair)} leaves its {n_up}-up-spin sector")
     return pos
 
 
@@ -407,15 +442,15 @@ def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positio
     per pair; begun(j) returns stack j's amplitudes, and positions keeps
     the sector positions of each (n_up, q_alpha, q_beta, central charge).
     """
-    alphas, a_at = np.unique(batch[:, 2:4], axis=0, return_inverse=True)
-    betas, b_at = np.unique(batch[:, 4:6], axis=0, return_inverse=True)
+    a_first, a_at = distinct_rows(batch[:, 2:4])
+    b_first, b_at = distinct_rows(batch[:, 4:6])
+    alphas, betas = batch[a_first, 2:4], batch[b_first, 4:6]
     lefts = _partials(state, spec, alphas, right=False)
     rights = _partials(state, spec, betas, right=True)
-    a_slab = _slab_positions(alphas, a_at.reshape(-1))
-    b_slab = _slab_positions(betas, b_at.reshape(-1))
-    keys, group = np.unique(batch[:, [0, 2, 4]], axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    for g, (j, qa, qb) in enumerate(keys.tolist()):
+    a_slab = _slab_positions(alphas, a_at)
+    b_slab = _slab_positions(betas, b_at)
+    firsts, group = distinct_rows(batch[:, [0, 2, 4]])
+    for g, (j, qa, qb) in enumerate(batch[firsts][:, [0, 2, 4]].tolist()):
         mine = np.flatnonzero(group == g)
         n_up, pairs = stacks[j]
         for q, (cl, lmat) in lefts[qa].items():
@@ -437,8 +472,10 @@ def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positio
 def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
     """Yield the normalized window states of (n_up, pairs) stacks, one stack at a time.
 
-    Each stack's pairs must all reach its n_up-up-spin sector; it is
-    yielded as a WindowState of one amplitude row per pair, in order.
+    pairs is an (m, 4) int array of (q_alpha, i_alpha, q_beta, i_beta)
+    rows, as sample_spins_and_beta returns them, all reaching the
+    stack's n_up-up-spin sector; the stack is yielded as a WindowState
+    of one amplitude row per pair, in order.
     Every amplitude is the inner product of a left partial product of
     alpha with a right one of beta across the central bond, nonzero only
     when their middle-bond sectors agree. The pairs of all stacks are
@@ -452,9 +489,12 @@ def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
     its last pair is assembled.
     """
     n_sites = 2 * spec.l + 1
-    rows = [(j, r, *pair.alpha, *pair.beta)
-            for j, (_n_up, pairs) in enumerate(stacks) for r, pair in enumerate(pairs)]
-    rows = np.array(rows, dtype=np.int64).reshape(-1, 6)
+    heights = [len(pairs) for _n_up, pairs in stacks]
+    rows = np.column_stack([
+        np.repeat(np.arange(len(stacks)), heights),
+        np.concatenate([np.arange(h) for h in heights]),
+        np.concatenate([pairs for _n_up, pairs in stacks]),
+    ])
     amps = [None] * len(stacks)
 
     def begun(j):
@@ -475,9 +515,7 @@ def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
             for pair, row in zip(pairs, begun(j)):
                 norm2 = float(np.vdot(row, row).real)
                 if not norm2 > 0.0:
-                    raise SamplingError(
-                        f"window state of boundary pair {pair.alpha}, {pair.beta} has zero norm"
-                    )
+                    raise SamplingError(f"window state of {_pair_name(pair)} has zero norm")
                 row /= math.sqrt(norm2)
             yield WindowState(amps[j], n_sites, n_up)
             amps[j] = None
@@ -491,6 +529,7 @@ def assemble_window_state(state: MPSState, spec: WindowSpec, sample: BoundarySam
     stack of one in its own sector, so a pair assembles to the same bits
     on its own as in any stack.
     """
-    n_up = pair_sector(spec, sample.alpha, sample.beta)
-    (psi,) = assemble_window_stacks(state, spec, [(n_up, [sample])])
+    n_up = int(pair_sector(spec, sample.alpha, sample.beta))
+    pairs = np.array([[*sample.alpha, *sample.beta]])
+    (psi,) = assemble_window_stacks(state, spec, [(n_up, pairs)])
     return WindowState(psi.amplitudes[0], psi.n_sites, n_up)

@@ -13,7 +13,9 @@ package against one of these checks the structure itself.
 A few are bit-exact pins instead: earlier, simpler routes of a kernel
 the package now batches or builds another way (scipy's COO route to a
 sector Hamiltonian, the complex Taylor product, window assembly one
-pair at a time). The batched kernel must equal its pin bit for bit.
+pair at a time, the spin walk one charge group and spin at a time, the
+dedup of boundary pairs through a dict). The batched kernel must equal
+its pin bit for bit.
 """
 
 import math
@@ -33,8 +35,11 @@ from spinquench.graded import (
 )
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
+    BoundarySample,
     _bond_spectrum,
     _branch_probabilities,
+    _draw_rows,
+    _root_groups,
     boundary_spectrum,
     pair_sector,
     site_shifts,
@@ -497,6 +502,74 @@ class TrieWalk:
         cands, norms = _walk_step(self.state, depth - self.spec.l, q, vec)
         p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
         return [p_up, cands, norms, [None, None]]
+
+
+def per_group_walk_chunk(state, spec, alphas, u):
+    """sampler._walk_chunk numbering a level's kids group by group.
+
+    Each charge group of a level takes its own pass over the samples
+    that reached it, and each spin its own np.unique of the chosen
+    nodes; the kids of a charge are the parts of its parent groups, in
+    ascending parent charge, UP before DN. Pins the one-pass walk bit
+    for bit: same roots, same rows in the same order, same products.
+    """
+    roots, node = np.unique(alphas, axis=0, return_inverse=True)
+    node = node.reshape(-1)
+    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
+    for depth, site in enumerate(range(-spec.l, spec.l + 1)):
+        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        kids = {}
+        start = 0
+        while groups:
+            q, rows = groups.pop(0)
+            mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
+            at = node[mine] - start
+            start += rows.shape[0]
+            cands, norms = [None, None], np.zeros((2, rows.shape[0]))
+            for s in (UP, DN):
+                block = tensors[s].block(q)
+                if block is not None:
+                    c = cands[s] = rows @ block
+                    norms[s] = np.einsum("ij,ij->i", c.conj(), c).real
+            p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+            spin = np.where(u[mine, depth] < p_up[at], UP, DN)
+            for s in (UP, DN):
+                took = spin == s
+                if took.any():
+                    picked, kid = np.unique(at[took], return_inverse=True)
+                    kid_rows = cands[s][picked] * (1.0 / np.sqrt(norms[s, picked]))[:, None]
+                    kids.setdefault(q + shifts[s], []).append((mine[took], kid, kid_rows))
+        start = 0
+        for q in sorted(kids):
+            parts = kids.pop(q)
+            for samples, kid, kid_rows in parts:
+                node[samples] = start + kid
+                start += kid_rows.shape[0]
+            groups.append((q, np.concatenate([kid_rows for _s, _k, kid_rows in parts])))
+    beta_q = np.empty(node.size, dtype=np.int64)
+    beta_i = np.empty(node.size, dtype=np.int64)
+    start = 0
+    for q, rows in groups:
+        mine = np.flatnonzero((node >= start) & (node < start + rows.shape[0]))
+        beta_q[mine] = q
+        beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - start, u[mine, -1])
+        start += rows.shape[0]
+    return beta_q, beta_i
+
+
+def dict_first_occurrences(pairs):
+    """(distinct BoundarySamples, ids) of (q_alpha, i_alpha, q_beta, i_beta) rows.
+
+    Each row becomes a BoundarySample and a dict numbers them in order
+    of first occurrence: the dedup the package made before it kept
+    pairs as int rows.
+    """
+    index = {}
+    ids = [
+        index.setdefault(BoundarySample(alpha=(qa, ia), beta=(qb, ib)), len(index))
+        for qa, ia, qb, ib in np.asarray(pairs).tolist()
+    ]
+    return list(index), ids
 
 
 def block_svd_reference(theta):

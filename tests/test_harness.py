@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import numpy_uniforms
+from oracles import dict_first_occurrences, numpy_uniforms
 from spinquench import harness, sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
@@ -26,6 +26,7 @@ from spinquench.harness import (
 )
 from spinquench.itebd import QuenchConfig, expect_sz
 from spinquench.sampler import (
+    BoundarySample,
     WindowSpec,
     assemble_window_state,
     pair_sector,
@@ -202,7 +203,10 @@ def test_run_mc_identical_across_worker_counts(
 
 
 def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
-    """(pairs, value rows) sampled one by one, with no reuse and no stacking."""
+    """(pairs, value rows) sampled one by one, with no reuse and no stacking.
+
+    Each pair is a (q_alpha, i_alpha, q_beta, i_beta) tuple.
+    """
     state, config = load_checkpoint(checkpoint)
     spec = WindowSpec(l=l)
     h = build_hloc(l, config.delta)
@@ -210,9 +214,11 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     pairs, rows = [], []
     for sid in sample_ids:
         u = numpy_uniforms(master_seed, sid, 2 * l + 3)
-        samp, = sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:])
-        psi = assemble_window_state(state, spec, samp)
-        pairs.append((samp.alpha, samp.beta))
+        (qa, ia, qb, ib), = sample_spins_and_beta(
+            state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:]
+        ).tolist()
+        psi = assemble_window_state(state, spec, BoundarySample(alpha=(qa, ia), beta=(qb, ib)))
+        pairs.append((qa, ia, qb, ib))
         rows.append([v for _t, v in evolve_and_measure(psi, h, params, state.time)])
     return pairs, np.array(rows)
 
@@ -228,7 +234,7 @@ def test_run_mc_evolves_each_pair_once_per_run(
 
     def counted_assemble(state, spec, stacks):
         # every row the stack assembler is given, in every share
-        assembled.extend((p.alpha, p.beta) for _n_up, pairs in stacks for p in pairs)
+        assembled.extend(tuple(p) for _n_up, pairs in stacks for p in pairs.tolist())
         return assemble(state, spec, stacks)
 
     def counted_evolve(psi, *args, **kwargs):
@@ -266,6 +272,41 @@ def test_run_mc_evolves_each_pair_once_per_run(
         # and every sample's row is bit-for-bit its sample-by-sample row
         assert len(values) == 1
         assert np.array_equal(values[0], rows)
+
+
+@pytest.mark.parametrize("run", ["walk", "one-pair", "all-distinct", "mixed"])
+def test_first_occurrences_match_dict_dedup(k128_t2, run):
+    # the packed-key dedup gives the distinct pairs of a dict filled in
+    # sample order, in the same order and with the same per-sample ids:
+    # on walk-drawn pairs, on samples that all hit one pair, on pairs
+    # that are all distinct, and on pairs with charges of both signs
+    rng = np.random.default_rng(17)
+    if run == "walk":
+        state, _config = load_checkpoint(k128_t2["checkpoint"])
+        spec = WindowSpec(l=4)
+        u = sample_uniforms(7, np.arange(2000), 11)
+        pairs = sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0]), u[:, 1:])
+    elif run == "one-pair":
+        pairs = np.tile(np.array([-1, 3, 2, 0], dtype=np.int64), (500, 1))
+    elif run == "all-distinct":
+        pairs = np.column_stack([
+            rng.integers(-3, 4, 400), rng.permutation(400), rng.integers(-3, 4, 400),
+            rng.integers(0, 5, 400),
+        ])
+    else:
+        pairs = rng.integers(-2, 3, size=(1000, 4))
+    distinct, ids = harness._first_occurrences(pairs)
+    ref, ref_ids = dict_first_occurrences(pairs)
+    assert distinct.dtype == np.int64 and distinct.shape == (len(ref), 4)
+    assert distinct.tolist() == [[*p.alpha, *p.beta] for p in ref]
+    assert ids.tolist() == ref_ids
+    assert np.array_equal(distinct[ids], pairs)
+    if run == "one-pair":
+        assert len(ref) == 1
+    elif run == "all-distinct":
+        assert len(ref) == len(pairs)
+    else:
+        assert 1 < len(ref) < len(pairs)
 
 
 def _usable_cpus():
@@ -345,7 +386,7 @@ def test_run_mc_below_pool_work_starts_no_pool(
     # orders times grid steps, and a pool starts from POOL_WORK up
     pairs, _rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, range(60))
     spec = WindowSpec(l=2)
-    work = 20 * 2 * sum(math.comb(5, pair_sector(spec, a, b)) for a, b in set(pairs))
+    work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p[:2], p[2:])) for p in set(pairs))
     monkeypatch.setattr(harness, "POOL_WORK", work + 1)
     run_mc(n_workers=3, **kw)
     assert in_process_pool == []

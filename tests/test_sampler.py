@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     TrieWalk,
     dense_window_amplitudes,
@@ -8,6 +9,7 @@ from oracles import (
     fresh_walk,
     full_amplitudes,
     numpy_uniforms,
+    per_group_walk_chunk,
     per_pair_partials,
     per_pair_window_amplitudes,
     per_pair_window_state,
@@ -15,6 +17,7 @@ from oracles import (
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
+from spinquench.harness import sample_uniforms
 from spinquench.itebd import QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
@@ -93,18 +96,30 @@ def test_blocked_assembly_matches_dense_route(quench_state, k128_state):
     assert checked > 10
     for l in (3, 4):
         spec = WindowSpec(l=l)
-        pairs = set(_draws(k128_state, spec, _uniforms(8, range(1000), l)))
+        pairs = _distinct(_draws(k128_state, spec, _uniforms(8, range(1000), l)))
         assert len(pairs) >= 15
         for pair in pairs:
-            dense = dense_window_amplitudes(k128_state, spec, pair.alpha, pair.beta)
+            dense = dense_window_amplitudes(k128_state, spec, pair[:2], pair[2:])
             dense_psi = dense / np.linalg.norm(dense)
-            psi = assemble_window_state(k128_state, spec, pair)
+            psi = assemble_window_state(k128_state, spec, _boundary_sample(pair))
             assert np.max(np.abs(dense_psi - full_amplitudes(psi))) < 1e-10
 
 
 def _draws(state, spec, u):
-    """The batched walk's boundary pairs for rows of 2l+3 uniforms."""
+    """The batched walk's (q_alpha, i_alpha, q_beta, i_beta) rows for rows of 2l+3 uniforms."""
     return sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0]), u[:, 1:])
+
+
+def _distinct(rows):
+    """The distinct rows, in order of first occurrence."""
+    _rows, first = np.unique(rows, axis=0, return_index=True)
+    return rows[np.sort(first)]
+
+
+def _boundary_sample(row):
+    """A (q_alpha, i_alpha, q_beta, i_beta) row as assemble_window_state's argument."""
+    qa, ia, qb, ib = row.tolist()
+    return BoundarySample(alpha=(qa, ia), beta=(qb, ib))
 
 
 def _uniforms(master_seed, sample_ids, l):
@@ -117,9 +132,9 @@ def test_sampling_is_deterministic_per_seed(quench_state):
     for _ in range(2):
         u = np.random.default_rng(1234).random((5, 7))
         pairs = _draws(quench_state, spec, u)
-        psi = assemble_window_state(quench_state, spec, pairs[0])
+        psi = assemble_window_state(quench_state, spec, _boundary_sample(pairs[0]))
         draws.append((pairs, psi.amplitudes.copy()))
-    assert draws[0][0] == draws[1][0]
+    assert np.array_equal(draws[0][0], draws[1][0])
     assert np.array_equal(draws[0][1], draws[1][1])
 
 
@@ -130,7 +145,8 @@ def test_sampled_pairs_have_positive_weight(quench_state):
         (alpha, beta): weight
         for alpha, beta, weight, _psi in enumerate_boundary_pairs(quench_state, spec)
     }
-    for sample in _draws(quench_state, spec, np.random.default_rng(5).random((20, 7))):
+    for pair in _draws(quench_state, spec, np.random.default_rng(5).random((20, 7))):
+        sample = _boundary_sample(pair)
         assert weights[(sample.alpha, sample.beta)] > 0.0
         assemble_window_state(quench_state, spec, sample)
 
@@ -159,16 +175,16 @@ def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch,
     if clearing == "kept":
         got = _draws(state, spec, u)
     elif clearing == "no-memo":
-        got = [pair for row in u for pair in _draws(state, spec, row[None, :])]
+        got = np.concatenate([_draws(state, spec, row[None, :]) for row in u])
     else:
         cut = 250 if clearing == "cleared-once" else 500
-        got = _draws(state, spec, u[:cut]) + _draws(state, spec, u[cut:])
-    for sid, pair in enumerate(got):
+        got = np.concatenate([_draws(state, spec, u[:cut]), _draws(state, spec, u[cut:])])
+    for sid, (qa, ia, qb, ib) in enumerate(got.tolist()):
         seed = np.random.SeedSequence((11, sid))
         ref = np.random.default_rng(seed)
-        assert (pair.alpha, pair.beta) == fresh_walk(state, spec, ref)
+        assert ((qa, ia), (qb, ib)) == fresh_walk(state, spec, ref)
         assert ref.random() == np.random.default_rng(seed).random(2 * l + 4)[-1]
-    assert 1 < len(set(got)) < 500  # pairs and prefixes do repeat
+    assert 1 < len(_distinct(got)) < 500  # pairs and prefixes do repeat
 
 
 @pytest.mark.parametrize("budget", ["default", "small"])
@@ -185,8 +201,56 @@ def test_batched_draws_match_trie_oracle(k16_t1, k128_t2, monkeypatch, l, budget
     u = _uniforms(3, range(500), l)
     got = _draws(state, spec, u)
     trie = TrieWalk(state, spec)
-    assert [(p.alpha, p.beta) for p in got] == [trie.draw(row) for row in u]
-    assert 1 < len(set(got)) < 500
+    pairs = [((qa, ia), (qb, ib)) for qa, ia, qb, ib in got.tolist()]
+    assert pairs == [trie.draw(row) for row in u]
+    assert 1 < len(_distinct(got)) < 500
+
+
+@pytest.fixture(scope="module")
+def k128_t3_state(k128_t3):
+    state, _config = load_checkpoint(k128_t3["checkpoint"])
+    return state
+
+
+@pytest.mark.parametrize("budget", ["default", "split"])
+@pytest.mark.parametrize("l", range(1, 8))
+def test_one_pass_walk_matches_per_group_pin(k128_state, k128_t3_state, monkeypatch, l, budget):
+    # bit-exact pin: the one-pass level walk gives every sample the beta
+    # of the walk that numbers kids one charge group and spin at a time,
+    # on 2000 samples of two k=128 states at three seeds each, in one
+    # chunk and in several; the last level's node rows, whose squared
+    # moduli each chunk's beta draws read, match bit for bit and in order
+    spec = WindowSpec(l=l)
+    draw = sampler._draw_rows
+
+    def recorded(log):
+        def draw_rows(weights, rows, u):
+            log.append(weights)
+            return draw(weights, rows, u)
+        return draw_rows
+
+    for state in (k128_state, k128_t3_state):
+        if budget == "split":
+            monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 3 * 16 * sampler._widest(state) * 450)
+            assert 2000 // sampler._chunk_size(state) >= 4
+        for seed in (7, 3, 3 * 2**32 + 5):
+            u = sample_uniforms(seed, np.arange(2000), 2 * l + 3)
+            alphas = sample_alpha(state, spec, u[:, 0])
+            got_rows, want_rows = [], []
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "_draw_rows", recorded(got_rows))
+                got = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "_walk_chunk", per_group_walk_chunk)
+                m.setattr(oracles, "_draw_rows", recorded(want_rows))
+                want = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
+            assert got.dtype == np.int64 and got.shape == (2000, 4)
+            assert np.array_equal(got[:, :2], alphas)
+            assert np.array_equal(got[:, 2], want[:, 2]), (l, seed)
+            assert np.array_equal(got[:, 3], want[:, 3]), (l, seed)
+            assert len(got_rows) == len(want_rows) > 0
+            for mine, theirs in zip(got_rows, want_rows):
+                assert np.array_equal(mine, theirs), (l, seed)
 
 
 def test_walk_memo_belongs_to_one_state_and_window(quench_state):
@@ -199,17 +263,17 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
         sample_spins_and_beta(quench_state, WindowSpec(l=1), alphas, u[:, 1:])
     with pytest.raises(ConfigError):
         sample_spins_and_beta(quench_state, spec, alphas[:2], u[:, 1:])
-    assert sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:]) == []
+    none = sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:])
+    assert none.shape == (0, 4) and none.dtype == np.int64
 
 
 def _sector_stacks(spec, pairs, height):
-    """The pairs as (n_up, pairs) stacks of at most height rows, sector by sector."""
-    by_sector = {}
-    for pair in pairs:
-        by_sector.setdefault(pair_sector(spec, pair.alpha, pair.beta), []).append(pair)
+    """The pair rows as (n_up, rows) stacks of at most height rows, sector by sector."""
+    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
     return [
         (n_up, group[lo:lo + height])
-        for n_up, group in by_sector.items()
+        for n_up in dict.fromkeys(sectors.tolist())
+        for group in [pairs[sectors == n_up]]
         for lo in range(0, len(group), height)
     ]
 
@@ -238,8 +302,8 @@ def test_cached_assembly_matches_cache_free_assembly(
         return ends
 
     monkeypatch.setattr(sampler, "_partial_batches", recorded_split)
-    pairs = list(dict.fromkeys(_draws(state, spec, _uniforms(4, range(300), l))))
-    assert len({p.alpha for p in pairs}) < len(pairs)  # pairs share boundary states
+    pairs = _distinct(_draws(state, spec, _uniforms(4, range(300), l)))
+    assert len(_distinct(pairs[:, :2])) < len(pairs)  # pairs share boundary states
     stacks = _sector_stacks(spec, pairs, 3)
     got = list(assemble_window_stacks(state, spec, stacks))
     assert len(got) == len(stacks)
@@ -247,7 +311,7 @@ def test_cached_assembly_matches_cache_free_assembly(
         assert psi.total_sz_sector == n_up
         assert psi.amplitudes.shape[0] == len(stack)
         for pair, row in zip(stack, psi.amplitudes):
-            alone = assemble_window_state(state, spec, pair)
+            alone = assemble_window_state(state, spec, _boundary_sample(pair))
             assert alone.total_sz_sector == n_up
             assert np.array_equal(row, alone.amplitudes)
     expected = {"kept": 1, "cleared-once": 2, "no-budget": len(pairs)}[clearing]
@@ -263,16 +327,17 @@ def test_stack_assembly_matches_per_pair_oracle(k128_state, monkeypatch, l, budg
     spec = WindowSpec(l=l)
     if budget == "none":
         monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
-    pairs = list(dict.fromkeys(_draws(k128_state, spec, _uniforms(6, range(400), l))))
+    pairs = _distinct(_draws(k128_state, spec, _uniforms(6, range(400), l)))
     assert len(pairs) > 10
     stacks = _sector_stacks(spec, pairs, 7)
     for (n_up, stack), psi in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
         for pair, row in zip(stack, psi.amplitudes):
-            ref = per_pair_window_state(k128_state, spec, pair)
+            ref = per_pair_window_state(k128_state, spec, _boundary_sample(pair))
             assert ref.total_sz_sector == n_up
             assert np.array_equal(row, ref.amplitudes), (pair, l)
-    psi = assemble_window_state(k128_state, spec, pairs[0])
-    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, pairs[0]).amplitudes)
+    first = _boundary_sample(pairs[0])
+    psi = assemble_window_state(k128_state, spec, first)
+    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, first).amplitudes)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 14, 1 << 16, 1 << 25])
@@ -282,17 +347,15 @@ def test_partial_batches_fit_the_budget(k128_state, monkeypatch, budget):
     # a single pair
     monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", budget)
     spec = WindowSpec(l=3)
-    pairs = list(dict.fromkeys(_draws(k128_state, spec, _uniforms(9, range(300), 3))))
-    rows = np.array([(*p.alpha, *p.beta) for p in pairs])
-    ends = sampler._partial_batches(k128_state, spec, rows)
+    pairs = _distinct(_draws(k128_state, spec, _uniforms(9, range(300), 3)))
+    ends = sampler._partial_batches(k128_state, spec, pairs)
     assert ends[-1] == len(pairs) and ends == sorted(set(ends)) and ends[0] > 0
     lo = 0
     for hi in ends:
         held = sum(
             codes.nbytes + part.nbytes
-            for side, boundaries in ((False, {p.alpha for p in pairs[lo:hi]}),
-                                     (True, {p.beta for p in pairs[lo:hi]}))
-            for b in boundaries
+            for side, cols in ((False, slice(0, 2)), (True, slice(2, 4)))
+            for b in map(tuple, _distinct(pairs[lo:hi, cols]).tolist())
             for codes, part in per_pair_partials(k128_state, spec, b, side).values()
         )
         assert held <= budget or hi - lo == 1
