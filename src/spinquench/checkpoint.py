@@ -30,7 +30,7 @@ from .errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
 )
-from .graded import GradedMatrix, SchmidtSpectrum
+from .graded import SchmidtSpectrum, SiteTensor
 from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState, QuenchConfig
 
 MAGIC = b"MPSCHKP1"
@@ -47,6 +47,9 @@ _TENSOR_SHIFTS = {
     "lambda_B": 0,
 }
 
+#: The stored tensors that are Schmidt spectra, stored real.
+_SPECTRA = ("lambda_A", "lambda_B")
+
 #: The (left, right) bond spectra of each site tensor: A_A maps the B
 #: bond to the A bond and A_B the A bond to the B bond.
 _BONDS = {
@@ -58,13 +61,17 @@ _BONDS = {
 
 
 def _tensor_table(state: MPSState):
+    """{name: {row charge: 2-d block}} of the stored tensors.
+
+    Site tensors give their per-spin views, spectra one column each.
+    """
     return {
-        "A_A_up": state.a_a[UP],
-        "A_A_dn": state.a_a[DN],
-        "A_B_up": state.a_b[UP],
-        "A_B_dn": state.a_b[DN],
-        "lambda_A": state.lambda_a,
-        "lambda_B": state.lambda_b,
+        "A_A_up": state.a_a.spin(UP),
+        "A_A_dn": state.a_a.spin(DN),
+        "A_B_up": state.a_b.spin(UP),
+        "A_B_dn": state.a_b.spin(DN),
+        "lambda_A": {q: v.reshape(-1, 1) for q, v in state.lambda_a.blocks.items()},
+        "lambda_B": {q: v.reshape(-1, 1) for q, v in state.lambda_b.blocks.items()},
     }
 
 
@@ -73,21 +80,11 @@ def save_checkpoint(path, state: MPSState, config: QuenchConfig) -> None:
     tensors = _tensor_table(state)
     manifest_tensors = []
     payload = bytearray()
-    for name in _TENSOR_SHIFTS:
-        obj = tensors[name]
-        real = isinstance(obj, SchmidtSpectrum)
+    for name, shift in _TENSOR_SHIFTS.items():
+        real = name in _SPECTRA
         sectors = []
-        if real:
-            items = [((q, q), vals.reshape(-1, 1)) for q, vals in obj.blocks.items()]
-            shift = 0
-        else:
-            items = list(obj.items())
-            shift = obj.charge_shift
-        for (q_row, _q_col), arr in items:
-            if real:
-                raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            else:
-                raw = np.ascontiguousarray(arr, dtype="<c16").tobytes()
+        for q_row, arr in tensors[name].items():
+            raw = np.ascontiguousarray(arr, dtype="<f8" if real else "<c16").tobytes()
             sectors.append(
                 {
                     "q": int(q_row),
@@ -146,7 +143,7 @@ def _tensor(entry):
     shift = _int(entry["charge_shift"])
     if shift != _TENSOR_SHIFTS[name]:
         raise ValueError(f"tensor {name!r} has charge shift {shift}")
-    real = name in ("lambda_A", "lambda_B")
+    real = name in _SPECTRA
     sectors = [
         (
             _int(sec["q"]),
@@ -238,18 +235,17 @@ def load_checkpoint(path):
         raise CheckpointChecksumError(f"{path}: payload checksum mismatch")
 
     parsed = {}
-    for name, shift, real, sectors in tensors:
+    for name, _shift, real, sectors in tensors:
         dtype = "<f8" if real else "<c16"
         blocks = {
             q: np.frombuffer(payload, dtype=dtype, count=rows * cols, offset=off)
             .reshape(rows, cols)
-            .copy()
             for q, rows, cols, off in sectors
         }
         if real:
             parsed[name] = SchmidtSpectrum({q: b[:, 0] for q, b in blocks.items()})
         else:
-            parsed[name] = GradedMatrix(shift, blocks)
+            parsed[name] = blocks
 
     missing = [n for n in _TENSOR_SHIFTS if n not in parsed]
     if missing:
@@ -257,8 +253,8 @@ def load_checkpoint(path):
 
     config = QuenchConfig(**params)
     state = MPSState(
-        a_a=(parsed["A_A_up"], parsed["A_A_dn"]),
-        a_b=(parsed["A_B_up"], parsed["A_B_dn"]),
+        a_a=SiteTensor.from_spins(SHIFT_A, parsed["A_A_up"], parsed["A_A_dn"]),
+        a_b=SiteTensor.from_spins(SHIFT_B, parsed["A_B_up"], parsed["A_B_dn"]),
         lambda_a=parsed["lambda_A"],
         lambda_b=parsed["lambda_B"],
         time=params["t_init"],

@@ -2,11 +2,11 @@
 
 Bond states carry an integer charge: the total spin to the left of the
 bond minus its value in the initial antiferromagnetic configuration,
-counted in units of single spin flips. Matrices and Schmidt spectra
-over bond spaces are stored as one dense block per charge sector. A matrix with
-``charge_shift`` d maps column sector q + d to row sector q, so each row
-sector pairs with exactly one column sector and blocked operations never
-touch entries forbidden by the selection rule.
+counted in units of single spin flips. Site tensors and Schmidt spectra
+over bond spaces are stored as one dense block per charge sector. A
+site matrix A(s) with charge shift d maps column sector q + d to row
+sector q, so each row sector pairs with exactly one column sector and
+blocked operations never touch entries forbidden by the selection rule.
 
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
@@ -22,59 +22,51 @@ import numpy as np
 
 from .errors import SvdError
 
-Charge = int
-
 #: Relative floor under which singular values are treated as round-off
 #: and dropped before any truncation counting.
 SINGULAR_VALUE_FLOOR = 1e-14
 
 
-def _sorted_block_dict(blocks):
-    return {q: blocks[q] for q in sorted(blocks)}
+class SiteTensor:
+    """The (up, down) matrices of one site, one dense block per row charge.
 
-
-class GradedMatrix:
-    """A charge-conserving linear map between bond spaces.
-
-    Blocks are keyed by (row charge, column charge) on input and every
-    key must satisfy col = row + charge_shift; anything else is rejected.
-    Internally one dense block is kept per row charge. Instances are
-    treated as immutable after construction.
+    A(s) maps column sector q + shifts[s] to row sector q. blocks[q] is
+    [A(up) | A(down)] of row charge q, parts[q] their views (None for a
+    spin without columns), dims the hashable slot table (q, rows, up
+    columns, down columns). Instances are treated as immutable.
     """
 
-    __slots__ = ("charge_shift", "blocks")
+    __slots__ = ("shifts", "blocks", "parts", "dims")
 
-    def __init__(self, charge_shift: int, blocks=None):
-        self.charge_shift = int(charge_shift)
-        stored = {}
-        for key, arr in (blocks or {}).items():
-            if isinstance(key, tuple):
-                q_row, q_col = key
-                if q_col != q_row + self.charge_shift:
-                    raise ValueError(
-                        f"block ({q_row}, {q_col}) violates the selection rule "
-                        f"for charge_shift {self.charge_shift}"
-                    )
-            else:
-                q_row = key
-            arr = np.asarray(arr, dtype=complex)
-            if arr.ndim != 2:
-                raise ValueError("graded matrix blocks must be 2d")
-            if arr.size:
-                stored[int(q_row)] = arr
-        self.blocks = _sorted_block_dict(stored)
+    def __init__(self, shifts, blocks, split):
+        """Take complex blocks and their up widths as they are."""
+        self.shifts, self.blocks, self.parts = tuple(shifts), blocks, {}
+        for q, arr in blocks.items():
+            halves = arr[:, : split[q]], arr[:, split[q] :]
+            self.parts[q] = tuple(half if half.shape[1] else None for half in halves)
+        self.dims = tuple((q, b.shape[0], split[q], b.shape[1] - split[q]) for q, b in blocks.items())
 
-    def block(self, q_row):
-        return self.blocks.get(q_row)
+    @classmethod
+    def from_spins(cls, shifts, up, down):
+        """The tensor of {row charge: complex A(s)} dicts of the two spins.
 
-    def items(self):
-        """Yield ((row charge, col charge), block) in sorted row order."""
-        for q, arr in self.blocks.items():
-            yield (q, q + self.charge_shift), arr
+        The matrices are copied into the blocks; empty ones are absent.
+        """
+        blocks, split = {}, {}
+        for q in sorted(up.keys() | down.keys()):
+            a, b = (m[q] if q in m and np.size(m[q]) else None for m in (up, down))
+            if a is not None or b is not None:
+                blocks[q] = np.concatenate([x for x in (a, b) if x is not None], axis=1)
+                split[q] = 0 if a is None else a.shape[1]
+        return cls(shifts, blocks, split)
 
-    @property
-    def col_dims(self):
-        return {q + self.charge_shift: b.shape[1] for q, b in self.blocks.items()}
+    def block(self, s, q):
+        """A(s) of row charge q, a view of the stored block, or None."""
+        return self.parts.get(q, (None, None))[s]
+
+    def spin(self, s):
+        """{row charge: A(s)} of one spin as views, ascending."""
+        return {q: pair[s] for q, pair in self.parts.items() if pair[s] is not None}
 
 
 class SchmidtSpectrum:
@@ -93,7 +85,14 @@ class SchmidtSpectrum:
             vals = np.asarray(vals, dtype=float).reshape(-1)
             if vals.size:
                 cleaned[int(q)] = -np.sort(-vals)
-        self.blocks = _sorted_block_dict(cleaned)
+        self.blocks = {q: cleaned[q] for q in sorted(cleaned)}
+
+    @classmethod
+    def from_sorted(cls, blocks):
+        """A spectrum of nonempty descending sectors in ascending charge, taken as is."""
+        spectrum = cls.__new__(cls)
+        spectrum.blocks = blocks
+        return spectrum
 
     @property
     def sector_dims(self):
@@ -127,15 +126,13 @@ class SchmidtSpectrum:
 
     def entropy(self) -> float:
         """Von Neumann entropy -sum p ln p with p the squared values."""
-        p = np.concatenate([v**2 for v in self.blocks.values()]) if self.blocks else np.array([])
+        p = np.concatenate([np.zeros(0), *(v**2 for v in self.blocks.values())])
         p = p[p > 0.0]
-        if p.size == 0:
-            return 0.0
-        return float(-np.sum(p * np.log(p)))
+        return float(-np.sum(p * np.log(p))) if p.size else 0.0
 
     def normalized(self) -> "SchmidtSpectrum":
         norm = np.sqrt(self.total_weight)
-        return SchmidtSpectrum({q: v / norm for q, v in self.blocks.items()})
+        return SchmidtSpectrum.from_sorted({q: v / norm for q, v in self.blocks.items()})
 
 
 @dataclass
@@ -147,31 +144,33 @@ class TruncationReport:
     largest_block_dim: int = 0
 
 
-def block_svd(theta: GradedMatrix):
-    """Sector-by-sector singular values and right factor of a graded matrix.
+def block_svd(theta):
+    """Sector-by-sector singular values and factors of a blocked matrix.
 
-    Returns (spectrum, y) with theta = x * diag(spectrum) * y blockwise,
-    where the left factor x is not kept. y inherits theta's shift and
-    the spectrum's sectors are labelled by theta's row charges. Each row
-    of y carries the phase that makes the largest-magnitude entry of its
-    left singular vector real and positive, so repeated decompositions
-    are reproducible.
+    theta.blocks maps each charge, ascending, to a 2-d block. Returns
+    (spectrum, factors): block = u diag(spectrum) vh for (u, vh) =
+    factors[charge] as LAPACK gives them; gauged_rows fixes the phases
+    of the rows a caller keeps.
     """
-    s_blocks, y_blocks = {}, {}
+    s_blocks, factors = {}, {}
     for q_row, arr in theta.blocks.items():
         try:
             u, s, vh = np.linalg.svd(arr, full_matrices=False)
         except np.linalg.LinAlgError as exc:
-            raise SvdError(
-                f"SVD did not converge in sector {q_row} "
-                f"({arr.shape[0]}x{arr.shape[1]})"
-            ) from exc
-        # Columns of u have unit norm, so no lead entry is zero. hypot,
-        # unlike np.abs on complex arrays, rounds as scalar abs() does.
-        lead = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        s_blocks[q_row] = s
-        y_blocks[q_row] = vh * (lead / np.hypot(lead.real, lead.imag))[:, None]
-    return SchmidtSpectrum(s_blocks), GradedMatrix(theta.charge_shift, y_blocks)
+            raise SvdError(f"SVD did not converge in sector {q_row} "
+                           f"({arr.shape[0]}x{arr.shape[1]})") from exc
+        s_blocks[q_row], factors[q_row] = s, (u, vh)
+    # LAPACK returns each sector's values descending
+    return SchmidtSpectrum.from_sorted(s_blocks), factors
+
+
+def gauged_rows(u, vh, n):
+    """The first n rows of vh, each phased so that the largest-magnitude
+    entry of its left singular vector (a unit column of u, so nonzero) is
+    real and positive. hypot rounds as scalar abs() does; np.abs does not.
+    """
+    lead = u[np.abs(u[:, :n].T, order="C").argmax(axis=1), np.arange(n)]
+    return vh[:n] * (lead / np.hypot(lead.real, lead.imag))[:, None]
 
 
 def merged_truncate(spectrum: SchmidtSpectrum, k_max: int):
@@ -195,12 +194,11 @@ def merged_truncate(spectrum: SchmidtSpectrum, k_max: int):
     # first, so the weight does not depend on np.sum's pairing.
     dropped = np.concatenate([values[n_survive:], values[n_keep:n_survive]])
     discarded = float(np.cumsum(dropped**2)[-1]) if dropped.size else 0.0
-    kept_q, kept_n = np.unique(charges[:n_keep], return_counts=True)
-    kept_per_sector = dict(zip(kept_q.tolist(), kept_n.tolist()))
-    new_spec = SchmidtSpectrum(
+    low = next(iter(spectrum.blocks))
+    counts = np.bincount(charges[:n_keep] - low).tolist()
+    kept_per_sector = {low + i: n for i, n in enumerate(counts) if n}
+    # a sector's kept values are a prefix of its descending values
+    new_spec = SchmidtSpectrum.from_sorted(
         {q: spectrum.blocks[q][:n] for q, n in kept_per_sector.items()}
     ).normalized()
-    report = TruncationReport(
-        discarded_weight=discarded, kept_per_sector=kept_per_sector
-    )
-    return new_spec, report
+    return new_spec, TruncationReport(discarded, kept_per_sector)

@@ -6,15 +6,17 @@ right-normalized site matrices A(s) together with the Schmidt values of
 both bond types, and every amplitude of the wavefunction is a plain
 product of A matrices; no Schmidt value is ever divided out.
 
-A bond update contracts the two-site gate with the neighboring site
-matrices straight into one block per middle-bond charge (the fused C
-tensor), multiplies the left bond's Schmidt values on to form theta,
-decomposes theta sector by sector, and rebuilds:
-
-* the right tensor from rows of the right singular factor Y, which is
-  exactly isometric even after truncation,
-* the left tensor as C Y-dagger, one product per fused block, which
-  re-embeds the new Schmidt values without any reciprocal.
+Each site is one SiteTensor, the layout the bond update reads and
+writes: one block per left-bond charge, A(up) and A(down) side by side.
+A bond update forms the gate-independent products A_left(a) A_right(b)
+once per state (the pair observable and the update after it share
+them), fills the fused C tensor, one block per middle-bond charge, as a
+plan cached per sector dimensions says, multiplies the left bond's
+Schmidt values on to form theta, decomposes theta sector by sector, and
+rebuilds the right blocks from the kept rows of the right singular
+factor Y, exactly isometric even after truncation, and the left tensor
+as C Y-dagger, which re-embeds the new Schmidt values without any
+reciprocal.
 
 Tiny Schmidt values therefore pass through updates harmlessly, which is
 what lets the bond dimension be pushed hard without the usual blow-up
@@ -34,19 +36,15 @@ B-sublattice shifts are (+1, 0).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .graded import (
-    GradedMatrix,
-    SchmidtSpectrum,
-    TruncationReport,
-    block_svd,
-    merged_truncate,
-)
+from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
 
 UP, DN = 0, 1
 
@@ -80,17 +78,18 @@ class QuenchConfig:
 class MPSState:
     """Two-site unit cell state.
 
-    a_a and a_b hold the (up, down) site matrices of the A and B
-    sublattices; lambda_a and lambda_b are the Schmidt values of the
-    bonds to the right of A-sites and B-sites respectively. Instances
-    are immutable; updates return new states.
+    a_a and a_b hold the site tensors of the A and B sublattices;
+    lambda_a and lambda_b are the Schmidt values of the bonds to the
+    right of A-sites and B-sites respectively. Instances are immutable;
+    updates return new states, which start without _products.
     """
 
-    a_a: tuple
-    a_b: tuple
+    a_a: SiteTensor
+    a_b: SiteTensor
     lambda_a: SchmidtSpectrum
     lambda_b: SchmidtSpectrum
     time: float = 0.0
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,8 @@ def neel_init() -> MPSState:
     """Product state up-down-up-down with site 0 up; all bonds trivial."""
     one = np.ones((1, 1), dtype=complex)
     return MPSState(
-        a_a=(GradedMatrix(SHIFT_A[UP], {(0, 0): one}), GradedMatrix(SHIFT_A[DN], {})),
-        a_b=(GradedMatrix(SHIFT_B[UP], {}), GradedMatrix(SHIFT_B[DN], {(0, 0): one})),
+        a_a=SiteTensor.from_spins(SHIFT_A, {0: one}, {}),
+        a_b=SiteTensor.from_spins(SHIFT_B, {}, {0: one}),
         lambda_a=SchmidtSpectrum({0: [1.0]}),
         lambda_b=SchmidtSpectrum({0: [1.0]}),
         time=0.0,
@@ -143,91 +142,105 @@ def build_gate(delta: float, step: float) -> np.ndarray:
 
 
 def _pair_roles(state: MPSState, which: str):
-    """Left/right tensors, their shift tables, and the multiplier bond."""
+    """Left and right site tensors of a pair, and the multiplier bond."""
     if which == "AB":
-        return state.a_a, state.a_b, SHIFT_A, SHIFT_B, state.lambda_b
+        return state.a_a, state.a_b, state.lambda_b
     if which == "BA":
-        return state.a_b, state.a_a, SHIFT_B, SHIFT_A, state.lambda_a
+        return state.a_b, state.a_a, state.lambda_a
     raise ConfigError(f"which must be 'AB' or 'BA', got {which!r}")
 
 
-def _layout(dims, middle):
-    """(spin, bond charge, offset, size) slots grouped by middle charge."""
-    layout = {}
-    for (s, q), d in sorted(dims.items()):
-        slots = layout.setdefault(middle(s, q), [])
-        offset = slots[-1][2] + slots[-1][3] if slots else 0
-        slots.append((s, q, offset, d))
-    return layout
+def _pair_products(state: MPSState, which: str):
+    """{(a, q, b): A_left(a)[q] A_right(b)}: gate-free, kept on the state till its update."""
+    prods = state._products.get(which)
+    if prods is None:
+        left, right, _lam = _pair_roles(state, which)
+        prods = state._products[which] = {}
+        for q, parts in left.parts.items():
+            for a, arr in enumerate(parts):
+                rights = right.parts.get(q + left.shifts[a], ()) if arr is not None else ()
+                for b, arr_r in enumerate(rights):
+                    if arr_r is not None:
+                        prods[a, q, b] = arr @ arr_r
+    return prods
 
 
-def _fused_pair(state: MPSState, gate: np.ndarray, which: str):
-    """The gated two-site tensor of a pair, one block per middle charge.
+_Block = namedtuple("_Block", "qm shape rows cols fill terms")
+_Fused = namedtuple("_Fused", "c blocks plan")
 
-    C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b),
-    each sector product A_left(a) A_right(b) formed once. Rows combine
-    (left spin, left bond sector), columns combine (right spin, right
-    bond sector); a row and a column belong to the same block exactly
-    when they imply the same middle-bond charge. theta is C with its
-    rows scaled by the left bond's Schmidt values.
 
-    Returns (c, theta, row_layout, col_layout): c maps each middle
-    charge to its dense block, theta is the GradedMatrix of the scaled
-    blocks, and the layouts list the (spin, bond charge, offset, size)
-    slots of each block's rows and columns.
+def _end_to_end(sizes):
+    """(spin, charge, start, end) slots of {(spin, charge): size} in key order, and their slices."""
+    slots, at, end = [], {}, 0
+    for (s, q), d in sorted(sizes.items()):
+        slots.append((s, q, end, end + d))
+        at[s, q], end = slice(end, end + d), end + d
+    return tuple(slots), at
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_plan(which, left_dims, right_dims, lam_dims, live):
+    """One _Block per middle charge of a pair's fused C, ascending.
+
+    C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b) has
+    (left spin, left sector) rows and (right spin, right sector) columns
+    in one block per middle charge, wherever a nonzero gate entry (live:
+    bytes of gate != 0) meets a product. Terms: (out slices, gate index,
+    product key, first of its slot pair); fill: some slot pair has none.
+    Plans depend on dimensions and live alone, so they are cached.
     """
-    left, right, sh_l, sh_r, lam = _pair_roles(state, which)
-    prods = []
-    for a in (UP, DN):
-        for b in (UP, DN):
-            for q_row, arr in left[a].blocks.items():
-                arr_r = right[b].blocks.get(q_row + sh_l[a])
-                if arr_r is not None:
-                    prods.append((a, b, q_row, arr @ arr_r))
-    # one summed block per (left spin, row charge, right spin, col charge)
-    terms = {}
-    for sl in (UP, DN):
-        for sr in (UP, DN):
-            for a, b, q_row, p in prods:
-                coeff = gate[2 * sl + sr, 2 * a + b]
-                if coeff != 0.0:
-                    key = (sl, q_row, sr, q_row + sh_l[a] + sh_r[b])
-                    term = p * coeff
-                    terms[key] = terms[key] + term if key in terms else term
+    sh_l, sh_r = (SHIFT_A, SHIFT_B) if which == "AB" else (SHIFT_B, SHIFT_A)
+    right, lam = {q: widths for q, _rows, *widths in right_dims}, dict(lam_dims)
+    # gate index k = 8 s_l + 4 s_r + 2 a + b: the live (k, s_l, s_r) of each 2 a + b
+    entries = [[(k, k >> 3, k >> 2 & 1) for k in range(ab, 16, 4) if live[k]] for ab in range(4)]
+    sizes, terms = defaultdict(lambda: ({}, {})), defaultdict(lambda: defaultdict(list))
+    for q, n_rows, *widths in left_dims:
+        if lam.get(q) != n_rows:
+            raise ConfigError(f"state inconsistent: bond sector {q} has {lam.get(q, 0)}"
+                              f" Schmidt values but tensor rows {n_rows}")
+        for a, w_a in enumerate(widths):
+            for b, w_b in enumerate(right.get(q + sh_l[a], ()) if w_a else ()):
+                for k, sl, sr in entries[2 * a + b] if w_b else ():
+                    qm, q_col = q + sh_l[sl], q + sh_l[a] + sh_r[b]
+                    row_sizes, col_sizes = sizes[qm]
+                    row_sizes[sl, q], col_sizes[sr, q_col] = n_rows, w_b
+                    terms[qm][sl, q, sr, q_col].append((k, (a, q, b)))
     if not terms:
         raise ConfigError("pair produced an empty theta; state is inconsistent")
-    row_layout = _layout(
-        {(sl, q_row): t.shape[0] for (sl, q_row, _sr, _qc), t in terms.items()},
-        lambda sl, q_row: q_row + sh_l[sl],
-    )
-    col_layout = _layout(
-        {(sr, q_col): t.shape[1] for (_sl, _qr, sr, q_col), t in terms.items()},
-        lambda sr, q_col: q_col - sh_r[sr],
-    )
+    plan = []
+    for qm in sorted(terms):
+        (rows, r_at), (cols, c_at) = (_end_to_end(slots) for slots in sizes[qm])
+        plan.append(_Block(
+            qm, (rows[-1][3], cols[-1][3]), rows, cols, len(terms[qm]) < len(rows) * len(cols),
+            tuple(((r_at[sl, q], c_at[sr, qc]), k, prod, i == 0)
+                  for (sl, q, sr, qc), t in terms[qm].items() for i, (k, prod) in enumerate(t)),
+        ))
+    return tuple(plan)
 
+
+def _fused_pair(state: MPSState, gate: np.ndarray, which: str) -> _Fused:
+    """The gated two-site tensor of a pair, one block per middle charge.
+
+    C is filled from the state's products as its plan says; theta, C with
+    rows scaled by the left bond's Schmidt values, is what block_svd takes.
+    """
+    left, right, lam = _pair_roles(state, which)
+    prods = _pair_products(state, which)
+    lam_dims = tuple((q, v.size) for q, v in lam.blocks.items())
+    plan = _pair_plan(which, left.dims, right.dims, lam_dims, (gate != 0).tobytes())
+    coeff = gate.ravel().tolist()
     c, theta = {}, {}
-    for qm in sorted(row_layout):
-        rows, cols = row_layout[qm], col_layout[qm]
-        dense = np.zeros(
-            (rows[-1][2] + rows[-1][3], cols[-1][2] + cols[-1][3]), dtype=complex
-        )
-        lam_rows = []
-        for sl, q_row, r0, rd in rows:
-            lam_vals = lam.blocks.get(q_row)
-            if lam_vals is None or lam_vals.size != rd:
-                raise ConfigError(
-                    f"state inconsistent: bond sector {q_row} has "
-                    f"{0 if lam_vals is None else lam_vals.size} Schmidt values "
-                    f"but tensor rows {rd}"
-                )
-            lam_rows.append(lam_vals)
-            for sr, q_col, c0, cd in cols:
-                term = terms.get((sl, q_row, sr, q_col))
-                if term is not None:
-                    dense[r0 : r0 + rd, c0 : c0 + cd] = term
-        c[qm] = dense
-        theta[qm] = dense * np.concatenate(lam_rows)[:, None]
-    return c, GradedMatrix(0, theta), row_layout, col_layout
+    for block in plan:
+        dense = c[block.qm] = (np.zeros if block.fill else np.empty)(block.shape, dtype=complex)
+        # array times scalar: numpy may round scalar times array differently
+        for out, k, prod, first in block.terms:
+            if first:
+                np.multiply(prods[prod], coeff[k], out=dense[out])
+            else:
+                dense[out] += prods[prod] * coeff[k]
+        lam_rows = np.concatenate([lam.blocks[q] for _s, q, _b, _e in block.rows], dtype=complex)
+        theta[block.qm] = dense * lam_rows[:, None]
+    return _Fused(c, theta, plan)
 
 
 def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
@@ -236,40 +249,33 @@ def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     Decomposes the pair's fused theta (see _fused_pair) and returns
     (new_state, report). The untouched bond's Schmidt values are
     unchanged; the decomposed bond keeps the k_max globally largest
-    values over all charge sectors. The rebuilt left tensor is C times
-    the conjugate of the rebuilt right tensor, so no Schmidt value is
-    inverted anywhere.
+    values over all charge sectors. The new right blocks are the kept
+    rows of Y; the new left tensor is C Y-dagger, whose row slots are
+    its up and down halves. No Schmidt value is inverted anywhere.
     """
-    _left, _right, sh_l, sh_r, _lam = _pair_roles(state, which)
-    c, theta, row_layout, col_layout = _fused_pair(state, gate, which)
-    largest_block = max(max(b.shape) for b in c.values())
-
-    spec_raw, y = block_svd(theta)
-    norm2_before = spec_raw.total_weight
+    left, right, _lam = _pair_roles(state, which)
+    pair = _fused_pair(state, gate, which)
+    del state._products[which]  # used up: the update needs only C from here
+    spec_raw, factors = block_svd(pair)
     spec_new, report = merged_truncate(spec_raw, k_max)
-    report.largest_block_dim = largest_block
-    renorm = math.sqrt(norm2_before - report.discarded_weight)
+    report.largest_block_dim = max(max(block.shape) for block in pair.plan)
+    scale = 1.0 / math.sqrt(spec_raw.total_weight - report.discarded_weight)
 
-    left_blocks, right_blocks = {UP: {}, DN: {}}, {UP: {}, DN: {}}
-    for qm, kept in report.kept_per_sector.items():
-        vh = y.block(qm)[:kept, :]
-        for sr, q_col, c0, cd in col_layout[qm]:
-            right_blocks[sr][(qm, q_col)] = vh[:, c0 : c0 + cd]
-        rebuilt = c[qm] @ vh.conj().T * (1.0 / renorm)
-        for sl, q_row, r0, rd in row_layout[qm]:
-            left_blocks[sl][(q_row, qm)] = rebuilt[r0 : r0 + rd]
-    left_new = tuple(GradedMatrix(sh_l[s], left_blocks[s]) for s in (UP, DN))
-    right_new = tuple(GradedMatrix(sh_r[s], right_blocks[s]) for s in (UP, DN))
-
+    right_blocks, right_split, halves = {}, {}, ({}, {})
+    for block in pair.plan:
+        kept = report.kept_per_sector.get(block.qm)
+        if kept:
+            vh = right_blocks[block.qm] = gauged_rows(*factors.pop(block.qm), kept)
+            right_split[block.qm] = block.cols[0][3] if block.cols[0][0] == UP else 0
+            rebuilt = pair.c[block.qm] @ vh.conj().T
+            rebuilt *= scale
+            for s, q, start, end in block.rows:
+                halves[s][q] = rebuilt[start:end]
+    left_new = SiteTensor.from_spins(left.shifts, *halves)
+    right_new = SiteTensor(right.shifts, right_blocks, right_split)
     if which == "AB":
-        new_state = dataclasses.replace(
-            state, a_a=left_new, a_b=right_new, lambda_a=spec_new
-        )
-    else:
-        new_state = dataclasses.replace(
-            state, a_b=left_new, a_a=right_new, lambda_b=spec_new
-        )
-    return new_state, report
+        return dataclasses.replace(state, a_a=left_new, a_b=right_new, lambda_a=spec_new), report
+    return dataclasses.replace(state, a_b=left_new, a_a=right_new, lambda_b=spec_new), report
 
 
 def expect_sz(state: MPSState, sublattice: str = "A") -> float:
@@ -287,7 +293,7 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
         raise ConfigError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
     val = 0.0
     for s, sign in ((UP, 0.5), (DN, -0.5)):
-        for q_row, arr in tensors[s].blocks.items():
+        for q_row, arr in tensors.spin(s).items():
             w2 = lam.blocks[q_row] ** 2
             val += sign * float(w2 @ np.sum(np.abs(arr) ** 2, axis=1))
     return val
@@ -302,15 +308,15 @@ def expect_pair_observable(state: MPSState, gate: np.ndarray):
     each value is a sum of squared row or column norms of theta, signed
     by the spin of the row or column.
     """
-    _c, theta, row_layout, col_layout = _fused_pair(state, gate, "AB")
+    pair = _fused_pair(state, gate, "AB")
     sz_left = sz_right = 0.0
-    for qm, block in theta.blocks.items():
-        w2 = np.abs(block) ** 2
+    for block in pair.plan:
+        w2 = np.abs(pair.blocks[block.qm]) ** 2
         row_w, col_w = w2.sum(axis=1), w2.sum(axis=0)
-        for s, _q, r0, rd in row_layout[qm]:
-            sz_left += (0.5 if s == UP else -0.5) * float(row_w[r0 : r0 + rd].sum())
-        for s, _q, c0, cd in col_layout[qm]:
-            sz_right += (0.5 if s == UP else -0.5) * float(col_w[c0 : c0 + cd].sum())
+        for s, _q, r0, r1 in block.rows:
+            sz_left += (0.5 if s == UP else -0.5) * float(row_w[r0:r1].sum())
+        for s, _q, c0, c1 in block.cols:
+            sz_right += (0.5 if s == UP else -0.5) * float(col_w[c0:c1].sum())
     return sz_left, sz_right
 
 
@@ -361,10 +367,6 @@ def evolve_to(
             step_weight += rep.discarded_weight
             state = dataclasses.replace(state, time=t_end)
             if observer is not None:
-                observer(
-                    _record(
-                        t_k, expect_sz(state, "A"), expect_sz(state, "B"),
-                        step_weight, state,
-                    )
-                )
+                sz0, sz1 = expect_sz(state, "A"), expect_sz(state, "B")
+                observer(_record(t_k, sz0, sz1, step_weight, state))
     return state

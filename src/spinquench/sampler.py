@@ -83,7 +83,7 @@ import numpy as np
 
 from .errors import ConfigError, SamplingError
 from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState
-from .window import L_MAX, WindowState, _sector_basis
+from .window import WindowState, _sector_basis, check_half_width
 
 #: A candidate branch whose squared norm falls below this times its
 #: sibling's is treated as an exact zero of the conditional.
@@ -101,8 +101,7 @@ class WindowSpec:
     l: int
 
     def __post_init__(self):
-        if not 1 <= self.l <= L_MAX:
-            raise ConfigError(f"l must be in [1, {L_MAX}], got {self.l}")
+        check_half_width(self.l)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class BoundarySample:
 
 
 def site_tensors(state: MPSState, site: int):
-    """(up, down) site matrices at a chain position (even = A sublattice)."""
+    """Site tensor at a chain position (even = A sublattice)."""
     return state.a_a if site % 2 == 0 else state.a_b
 
 
@@ -245,7 +244,7 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
             q, rows = groups.pop(0)  # popped, so a level holds rows or candidates
             cands.append([None, None])
             for s in (UP, DN):
-                block = tensors[s].block(q)
+                block = tensors.block(s, q)
                 if block is not None:
                     c = cands[-1][s] = rows @ block
                     norms[s, lo:lo + rows.shape[0]] = np.einsum("ij,ij->i", c.conj(), c).real
@@ -363,7 +362,7 @@ def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool)
                     # A(s) maps row sector q to column sector q + shift; beta's
                     # rows cross it from the right, through its transpose
                     kid = q - shifts[s] if right else q + shifts[s]
-                    block = tensors[s].block(kid if right else q)
+                    block = tensors.block(s, kid if right else q)
                     if block is not None:
                         kid_codes = codes | bit << (top - site) if bit else codes
                         kid_rows = np.matmul(rows, block.T if right else block)

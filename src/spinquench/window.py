@@ -41,8 +41,37 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NormDriftError, step_count
 
-#: Hard validation bound on the window half-width.
-L_MAX = 14
+#: Most bytes the largest sector Hamiltonian of a window may need, by
+#: sector_bytes' estimate; it sets the half-width bound L_MAX.
+SECTOR_BYTES_MAX = 1 << 31
+
+
+def sector_bytes(l: int) -> int:
+    """Estimated bytes of the largest sector Hamiltonian of sites -l..+l.
+
+    The n_up = l sector of the 2l+1 sites has dim = C(2l+1, l) states,
+    and its CSR matrix about dim * (l + 1) nonzeros (the diagonal and
+    about half of the 2l bonds' hops per row), each a float64 value and
+    an int64 column index. Computed from l alone, before anything is
+    allocated.
+    """
+    return 16 * math.comb(2 * l + 1, l) * (l + 1)
+
+
+#: Hard validation bound on the window half-width: the widest window
+#: whose largest sector Hamiltonian fits SECTOR_BYTES_MAX (l = 12 needs
+#: 1.0 GiB; l = 13 would need 4.2 GiB).
+L_MAX = max(l for l in range(1, 32) if sector_bytes(l) <= SECTOR_BYTES_MAX)
+
+
+def check_half_width(l: int) -> None:
+    """ConfigError unless 1 <= l <= L_MAX; allocates nothing."""
+    if not 1 <= l <= L_MAX:
+        raise ConfigError(
+            f"l must be in [1, {L_MAX}], got {l}: the largest sector Hamiltonian "
+            f"of l = {L_MAX + 1} needs an estimated {sector_bytes(L_MAX + 1) / 2**30:.1f} "
+            f"GiB, over the {SECTOR_BYTES_MAX / 2**30:.0f} GiB bound"
+        )
 
 #: Pre-renormalization norm drift above which a Taylor step is rejected.
 NORM_DRIFT_TOL = 1e-9
@@ -93,9 +122,21 @@ class EvolverParams:
 
 @functools.cache
 def _sector_basis(n_sites: int, n_up: int) -> np.ndarray:
-    """Ascending configurations with n_up up spins; shared and read-only."""
-    states = np.arange(1 << n_sites, dtype=np.int64)
-    basis = states[np.bitwise_count(states) == n_up]
+    """Ascending configurations with n_up up spins; shared and read-only.
+
+    Built in O(dim) by unranking: in the combinatorial number system the
+    up-spin bit positions c_k > ... > c_1 of rank r satisfy r = sum_i
+    C(c_i, i), and rank order is ascending integer order. Each c_i is
+    the largest c with C(c, i) at most what is left of r.
+    """
+    dim = math.comb(n_sites, n_up) if 0 <= n_up <= n_sites else 0
+    rank = np.arange(dim, dtype=np.int64)
+    basis = np.zeros(dim, dtype=np.int64)
+    for i in range(n_up, 0, -1):
+        table = np.array([math.comb(c, i) for c in range(n_sites)], dtype=np.int64)
+        c = np.searchsorted(table, rank, side="right") - 1
+        basis |= np.left_shift(1, c, dtype=np.int64)
+        rank -= table[c]
     basis.flags.writeable = False
     return basis
 
@@ -142,8 +183,7 @@ class SparseWindowHamiltonian:
     """Window Hamiltonian with lazily built per-sector sparse blocks."""
 
     def __init__(self, l: int, delta: float):
-        if not 1 <= l <= L_MAX:
-            raise ConfigError(f"l must be in [1, {L_MAX}], got {l}")
+        check_half_width(l)
         if not math.isfinite(delta):
             raise ConfigError("delta must be finite")
         self.l = int(l)

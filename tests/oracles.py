@@ -14,8 +14,10 @@ A few are bit-exact pins instead: earlier, simpler routes of a kernel
 the package now batches or builds another way (scipy's COO route to a
 sector Hamiltonian, the complex Taylor product, window assembly one
 pair at a time, the spin walk one charge group and spin at a time, the
-dedup of boundary pairs through a dict). The batched kernel must equal
-its pin bit for bit.
+dedup of boundary pairs through a dict, the bond update as four graded
+C matrices fused afterwards). The batched kernel must equal its pin bit
+for bit. GradedMatrix, the per-spin form of a site's matrices, lives
+here because only those routes compute with it.
 """
 
 import math
@@ -27,12 +29,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from spinquench.circuit import _boundary_matrices
 from spinquench.errors import ConfigError
-from spinquench.graded import (
-    SINGULAR_VALUE_FLOOR,
-    GradedMatrix,
-    SchmidtSpectrum,
-    TruncationReport,
-)
+from spinquench.graded import SINGULAR_VALUE_FLOOR, SchmidtSpectrum, TruncationReport
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
     BoundarySample,
@@ -46,6 +43,66 @@ from spinquench.sampler import (
     site_tensors,
 )
 from spinquench.window import WindowState, _sector_basis, _site_bits
+
+
+def _sorted_block_dict(blocks):
+    return {q: blocks[q] for q in sorted(blocks)}
+
+
+class GradedMatrix:
+    """A charge-conserving linear map between bond spaces.
+
+    Blocks are keyed by (row charge, column charge) on input and every
+    key must satisfy col = row + charge_shift; anything else is rejected.
+    Internally one dense block is kept per row charge. Instances are
+    treated as immutable after construction. The package stores site
+    matrices as SiteTensors; this is the per-spin form the reference
+    routes below compute with.
+    """
+
+    __slots__ = ("charge_shift", "blocks")
+
+    def __init__(self, charge_shift: int, blocks=None):
+        self.charge_shift = int(charge_shift)
+        stored = {}
+        for key, arr in (blocks or {}).items():
+            if isinstance(key, tuple):
+                q_row, q_col = key
+                if q_col != q_row + self.charge_shift:
+                    raise ValueError(
+                        f"block ({q_row}, {q_col}) violates the selection rule "
+                        f"for charge_shift {self.charge_shift}"
+                    )
+            else:
+                q_row = key
+            arr = np.asarray(arr, dtype=complex)
+            if arr.ndim != 2:
+                raise ValueError("graded matrix blocks must be 2d")
+            if arr.size:
+                stored[int(q_row)] = arr
+        self.blocks = _sorted_block_dict(stored)
+
+    def block(self, q_row):
+        return self.blocks.get(q_row)
+
+    def items(self):
+        """Yield ((row charge, col charge), block) in sorted row order."""
+        for q, arr in self.blocks.items():
+            yield (q, q + self.charge_shift), arr
+
+    @property
+    def col_dims(self):
+        return {q + self.charge_shift: b.shape[1] for q, b in self.blocks.items()}
+
+
+def spin_matrix(tensor, s):
+    """One spin's matrices of a SiteTensor as a GradedMatrix of views."""
+    return GradedMatrix(tensor.shifts[s], tensor.spin(s))
+
+
+def spin_matrices(tensor):
+    """(up, down) GradedMatrix views of a SiteTensor."""
+    return spin_matrix(tensor, UP), spin_matrix(tensor, DN)
 
 
 class SectorLayout:
@@ -94,7 +151,7 @@ def right_normalization_deviation(state) -> float:
     for tensors, bond in ((state.a_a, state.lambda_b), (state.a_b, state.lambda_a)):
         acc = {}
         for s in (UP, DN):
-            for q_row, arr in tensors[s].blocks.items():
+            for q_row, arr in tensors.spin(s).items():
                 g = arr @ arr.conj().T
                 acc[q_row] = acc.get(q_row, 0.0) + g
         for q, dim in bond.sector_dims.items():
@@ -205,7 +262,7 @@ def _bond_layouts(state, spec):
         tensors = site_tensors(state, site)
         dims = {}
         for s in (UP, DN):
-            dims.update(tensors[s].col_dims)
+            dims.update(spin_matrix(tensors, s).col_dims)
         layouts[site + 1] = SectorLayout(dims)
     return layouts
 
@@ -220,7 +277,8 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     for site in range(-l, 1):
         tensors = site_tensors(state, site)
         dense = {
-            s: to_dense(tensors[s], layouts[site], layouts[site + 1]) for s in (UP, DN)
+            s: to_dense(spin_matrix(tensors, s), layouts[site], layouts[site + 1])
+            for s in (UP, DN)
         }
         nxt = []
         for vec in lefts:
@@ -238,7 +296,8 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     for site in range(l, 0, -1):
         tensors = site_tensors(state, site)
         dense = {
-            s: to_dense(tensors[s], layouts[site], layouts[site + 1]) for s in (UP, DN)
+            s: to_dense(spin_matrix(tensors, s), layouts[site], layouts[site + 1])
+            for s in (UP, DN)
         }
         depth = l - site
         nxt = [None] * (2 * len(level))
@@ -325,7 +384,7 @@ def per_pair_partials(state, spec, boundary, right):
         for q, (codes, rows) in groups.items():
             for s, bit in ((UP, 1), (DN, 0)):
                 kid = q - shifts[s] if right else q + shifts[s]
-                block = tensors[s].block(kid if right else q)
+                block = tensors.block(s, kid if right else q)
                 if block is not None:
                     kid_codes = codes | bit << (top - site) if bit else codes
                     kids.setdefault(kid, []).append((kid_codes, rows @ (block.T if right else block)))
@@ -379,7 +438,7 @@ def enumerate_boundary_pairs(state, spec):
     """
     spectrum = boundary_spectrum(state, spec)
     tensors = site_tensors(state, spec.l)
-    right_dims = {**tensors[UP].col_dims, **tensors[DN].col_dims}
+    right_dims = {**spin_matrix(tensors, UP).col_dims, **spin_matrix(tensors, DN).col_dims}
     memo = {}
     for q_a, lam_vals in spectrum.blocks.items():
         for i_a, lam in enumerate(lam_vals):
@@ -438,7 +497,7 @@ def _walk_step(state, site, q, vec):
     tensors, shifts = site_tensors(state, site), site_shifts(site)
     cands, norms = {}, {}
     for s in (UP, DN):
-        block = tensors[s].block(q)
+        block = tensors.block(s, q)
         cands[s] = None if block is None else (q + shifts[s], vec @ block)
         norms[s] = 0.0 if block is None else float(np.vdot(cands[s][1], cands[s][1]).real)
     return cands, norms
@@ -527,7 +586,7 @@ def per_group_walk_chunk(state, spec, alphas, u):
             start += rows.shape[0]
             cands, norms = [None, None], np.zeros((2, rows.shape[0]))
             for s in (UP, DN):
-                block = tensors[s].block(q)
+                block = tensors.block(s, q)
                 if block is not None:
                     c = cands[s] = rows @ block
                     norms[s] = np.einsum("ij,ij->i", c.conj(), c).real
@@ -718,7 +777,9 @@ def _fuse(c, shifts_left, shifts_right):
 def fused_pair_reference(state, gate, which):
     """(C blocks, theta, row layout, col layout) of a pair, formed as
     four graded C matrices, fused, then scaled row sector by row sector."""
-    left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
+    left, right, lam_mult = _pair_roles(state, which)
+    sh_l, sh_r = left.shifts, right.shifts
+    left, right = spin_matrices(left), spin_matrices(right)
     fused_c, row_layout, col_layout = _fuse(
         _gate_contraction(gate, left, right, sh_l, sh_r), sh_l, sh_r
     )
@@ -739,7 +800,7 @@ def expect_pair_observable_reference(state, op4):
     prods = {}
     for sa in (UP, DN):
         for sb in (UP, DN):
-            p = _matmul(state.a_a[sa], state.a_b[sb])
+            p = _matmul(spin_matrix(state.a_a, sa), spin_matrix(state.a_b, sb))
             if p.blocks:
                 prods[(sa, sb)] = p
     val = 0.0j
@@ -766,8 +827,9 @@ def update_bond_reference(state, gate, which, k_max):
 
     Returns (left tensors, right tensors, spectrum, report).
     """
-    left, right, sh_l, sh_r, lam_mult = _pair_roles(state, which)
-    c = _gate_contraction(gate, left, right, sh_l, sh_r)
+    left, right, lam_mult = _pair_roles(state, which)
+    sh_l, sh_r = left.shifts, right.shifts
+    c = _gate_contraction(gate, spin_matrices(left), spin_matrices(right), sh_l, sh_r)
     theta = {
         key: GradedMatrix(
             mat.charge_shift,

@@ -118,9 +118,8 @@ def test_criterion_04_division_free_stability(acceptance_log, k16_t1):
         state, _report = update_bond(state, gate, which, 256)
         which = "AB" if which == "BA" else "BA"
         for tensors in (state.a_a, state.a_b):
-            for s in (UP, DN):
-                for arr in tensors[s].blocks.values():
-                    finite = finite and bool(np.all(np.isfinite(arr)))
+            for arr in tensors.blocks.values():
+                finite = finite and bool(np.all(np.isfinite(arr)))
     dev = right_normalization_deviation(state)
     _record(
         acceptance_log, 4, "division-free-stability",
@@ -245,8 +244,8 @@ def test_criterion_09_checkpoint_integrity(acceptance_log, k256_run, work_dir):
     identical = loaded.time == state.time
     for orig, back in ((state.a_a, loaded.a_a), (state.a_b, loaded.a_b)):
         for s in (UP, DN):
-            for q, arr in orig[s].blocks.items():
-                identical = identical and np.array_equal(arr, back[s].blocks[q])
+            for q, arr in orig.spin(s).items():
+                identical = identical and np.array_equal(arr, back.block(s, q))
     for orig, back in (
         (state.lambda_a, loaded.lambda_a),
         (state.lambda_b, loaded.lambda_b),

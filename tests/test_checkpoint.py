@@ -33,11 +33,11 @@ def test_round_trip_bit_identical(tmp_path):
     assert loaded_config.t_init == state.time
     assert loaded.time == state.time
     for orig, back in ((state.a_a, loaded.a_a), (state.a_b, loaded.a_b)):
+        assert orig.shifts == back.shifts
         for s in (UP, DN):
-            assert set(orig[s].blocks) == set(back[s].blocks)
-            assert orig[s].charge_shift == back[s].charge_shift
-            for q, arr in orig[s].blocks.items():
-                assert np.array_equal(arr, back[s].blocks[q])
+            assert set(orig.spin(s)) == set(back.spin(s))
+            for q, arr in orig.spin(s).items():
+                assert np.array_equal(arr, back.block(s, q))
     for orig, back in (
         (state.lambda_a, loaded.lambda_a),
         (state.lambda_b, loaded.lambda_b),

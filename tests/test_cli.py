@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spinquench.cli import main
+from spinquench import window
 from spinquench.harness import read_aggregate_curve, read_table
 
 
@@ -209,6 +210,23 @@ def test_validation_error_exit_code(pipeline_dir):
         ]
     )
     assert rc == 2
+
+
+def test_window_over_the_memory_bound_exit_code(pipeline_dir, monkeypatch, capsys):
+    # a half-width past the bound is a validation error before anything
+    # is allocated; the bound is lowered so that no wide window is tried
+    monkeypatch.setattr(window, "L_MAX", 2)
+    rc = main(
+        [
+            "sample",
+            "--checkpoint", str(pipeline_dir / "t1.mpsc1"),
+            "--l", "3",
+            "--t-fin", "2.0",
+            "--out", str(pipeline_dir / "junk.csv"),
+        ]
+    )
+    assert rc == 2
+    assert "GiB" in capsys.readouterr().err
 
 
 def test_missing_checkpoint_exit_code(tmp_path):

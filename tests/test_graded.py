@@ -6,12 +6,12 @@ import pytest
 from spinquench.errors import SvdError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
-    GradedMatrix,
     SchmidtSpectrum,
     block_svd,
+    gauged_rows,
     merged_truncate,
 )
-from oracles import block_svd_reference, merged_truncate_reference, to_dense
+from oracles import GradedMatrix, block_svd_reference, merged_truncate_reference, to_dense
 
 
 def random_graded(rng, shift, row_dims):
@@ -32,8 +32,8 @@ def test_selection_rule_rejected():
 def test_block_svd_matches_dense_svd():
     rng = np.random.default_rng(11)
     theta = random_graded(rng, 1, {-1: 3, 0: 4, 1: 2})
-    spec, y = block_svd(theta)
-    assert y.charge_shift == theta.charge_shift
+    spec, factors = block_svd(theta)
+    assert list(factors) == list(theta.blocks)
     # singular values of the blocked decomposition, merged, must equal
     # the singular values of the dense block-diagonal embedding
     dense = to_dense(theta)
@@ -44,7 +44,8 @@ def test_block_svd_matches_dense_svd():
     # y has orthonormal rows, theta y^dagger = x diag(spectrum) has the
     # singular values as column norms, and (theta y^dagger) y = theta
     for q, arr in theta.blocks.items():
-        vh = y.block(q)
+        u, vh = factors[q]
+        vh = gauged_rows(u, vh, vh.shape[0])
         assert np.allclose(vh @ vh.conj().T, np.eye(vh.shape[0]), atol=1e-12)
         xs = arr @ vh.conj().T
         assert np.allclose(np.linalg.norm(xs, axis=0), spec.blocks[q], atol=1e-12)
@@ -54,8 +55,9 @@ def test_block_svd_matches_dense_svd():
 def test_block_svd_phase_gauge():
     rng = np.random.default_rng(12)
     theta = random_graded(rng, 0, {0: 4})
-    spec, y = block_svd(theta)
-    u = theta.block(0) @ y.block(0).conj().T / spec.blocks[0]
+    spec, factors = block_svd(theta)
+    vh = gauged_rows(*factors[0], spec.blocks[0].size)
+    u = theta.block(0) @ vh.conj().T / spec.blocks[0]
     for col in u.T:
         lead = col[np.argmax(np.abs(col))]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
@@ -77,13 +79,15 @@ def test_block_svd_matches_reference_bit_for_bit(kind):
         else:
             blocks[(q, q + 1)] = _complex(rng, 7, 2) @ _complex(rng, 2, 6)
     theta = GradedMatrix(1, blocks)
-    spec, y = block_svd(theta)
+    spec, factors = block_svd(theta)
     _x, ref_spec, ref_y = block_svd_reference(theta)
     assert list(spec.blocks) == list(ref_spec.blocks)
-    assert list(y.blocks) == list(ref_y.blocks)
+    assert list(factors) == list(ref_y.blocks)
     for q in theta.blocks:
         assert np.array_equal(spec.blocks[q], ref_spec.blocks[q])
-        assert np.array_equal(y.block(q), ref_y.block(q))
+        ref_rows = ref_y.block(q)
+        for n in (1, ref_rows.shape[0]):
+            assert np.array_equal(gauged_rows(*factors[q], n), ref_rows[:n])
 
 
 def test_block_svd_reports_failure():

@@ -13,9 +13,11 @@ from oracles import (
     expect_pair_observable_reference,
     fused_pair_reference,
     right_normalization_deviation,
+    spin_matrix,
     to_dense,
     update_bond_reference,
 )
+from spinquench import itebd
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
 from spinquench.graded import SchmidtSpectrum
@@ -185,12 +187,12 @@ def test_update_matches_graded_rebuild(which, k_max):
     for q, vals in ref_spec.blocks.items():
         assert np.array_equal(spec.blocks[q], vals)
     for s in (UP, DN):
-        assert list(right[s].blocks) == list(ref_right[s].blocks)
+        assert list(right.spin(s)) == list(ref_right[s].blocks)
         for q, arr in ref_right[s].blocks.items():
-            assert np.array_equal(right[s].blocks[q], arr)
-        assert list(left[s].blocks) == list(ref_left[s].blocks)
+            assert np.array_equal(right.block(s, q), arr)
+        assert list(left.spin(s)) == list(ref_left[s].blocks)
         for q, arr in ref_left[s].blocks.items():
-            assert np.max(np.abs(left[s].blocks[q] - arr)) <= 1e-13
+            assert np.max(np.abs(left.block(s, q) - arr)) <= 1e-13
 
 
 def test_update_rejects_schmidt_values_that_miss_the_rows():
@@ -225,9 +227,8 @@ def test_division_free_with_tiny_schmidt_value():
         state, _report = update_bond(state, gate, which, 256)
         which = "AB" if which == "BA" else "BA"
     for tensors in (state.a_a, state.a_b):
-        for s in (UP, DN):
-            for arr in tensors[s].blocks.values():
-                assert np.all(np.isfinite(arr))
+        for arr in tensors.blocks.values():
+            assert np.all(np.isfinite(arr))
     assert right_normalization_deviation(state) < 1e-6
 
 
@@ -238,16 +239,20 @@ def test_fused_pair_matches_old_route(request, run, which):
     # graded C matrices fused afterwards: the same blocks bit for bit
     state, config = load_checkpoint(request.getfixturevalue(run)["checkpoint"])
     gate = build_gate(config.delta, config.dt)
-    c, theta, row_layout, col_layout = _fused_pair(state, gate, which)
+    pair = _fused_pair(state, gate, which)
+    blocks = pair.plan
     ref_c, ref_theta, ref_rows, ref_cols = fused_pair_reference(state, gate, which)
-    assert (row_layout, col_layout) == (ref_rows, ref_cols)
-    assert list(c) == list(ref_c) == list(theta.blocks) == list(ref_theta.blocks)
-    for qm in ref_c:
-        assert np.array_equal(c[qm], ref_c[qm])
-        assert np.array_equal(theta.blocks[qm], ref_theta.blocks[qm])
+    assert [b.qm for b in blocks] == list(pair.c) == list(pair.blocks)
+    assert list(pair.c) == list(ref_c) == list(ref_theta.blocks)
+    for b in blocks:
+        assert [(s, q, r0, r1 - r0) for s, q, r0, r1 in b.rows] == ref_rows[b.qm]
+        assert [(s, q, c0, c1 - c0) for s, q, c0, c1 in b.cols] == ref_cols[b.qm]
+        assert np.array_equal(pair.c[b.qm], ref_c[b.qm])
+        assert np.array_equal(pair.blocks[b.qm], ref_theta.blocks[b.qm])
 
     # and C against dense products of the site matrices, the grading forgotten
-    left, right, _sh_l, _sh_r, lam = _pair_roles(state, which)
+    left, right, lam = _pair_roles(state, which)
+    left, right = ([spin_matrix(t, s) for s in (UP, DN)] for t in (left, right))
     outer = SectorLayout(lam.sector_dims)
     middle = SectorLayout({**left[UP].col_dims, **left[DN].col_dims})
     inner = SectorLayout({**right[UP].col_dims, **right[DN].col_dims})
@@ -261,13 +266,11 @@ def test_fused_pair_matches_old_route(request, run, which):
                 for b in (UP, DN)
             )
             got = np.zeros_like(expected)
-            for qm, block in c.items():
-                rows = [row for row in row_layout[qm] if row[0] == sl]
-                cols = [col for col in col_layout[qm] if col[0] == sr]
-                for _s, q_row, r0, rd in rows:
-                    for _s, q_col, c0, cd in cols:
+            for b in blocks:
+                for _s, q_row, r0, r1 in (row for row in b.rows if row[0] == sl):
+                    for _s, q_col, c0, c1 in (col for col in b.cols if col[0] == sr):
                         r, k = outer.offset(q_row), inner.offset(q_col)
-                        got[r : r + rd, k : k + cd] = block[r0 : r0 + rd, c0 : c0 + cd]
+                        got[r : r + r1 - r0, k : k + c1 - c0] = pair.c[b.qm][r0:r1, c0:c1]
             assert np.max(np.abs(got - expected)) < 1e-13
 
 
@@ -289,3 +292,69 @@ def test_pair_observable_matches_site_observable():
     sz0, sz1 = expect_pair_observable(state, build_gate(0.5, 0.0))
     assert sz0 == pytest.approx(expect_sz(state, "A"), abs=1e-12)
     assert sz1 == pytest.approx(expect_sz(state, "B"), abs=1e-12)
+
+
+@pytest.mark.parametrize("k_max, t_end", [(16, 1.0), (32, 2.0)])
+def test_svd_work_matches_the_reference_route(monkeypatch, k_max, t_end):
+    # every update decomposes blocks of exactly the shapes that the
+    # reference route (four graded C matrices, then fused) gives on the
+    # same state, so the benchmark's svd_blocks, svd_largest_block and
+    # svd_gflop count the same work
+    seen, expected = [], []
+    block_svd, update = itebd.block_svd, itebd.update_bond
+
+    def watched_update(state, gate, which, k):
+        _c, theta, _rows, _cols = fused_pair_reference(state, gate, which)
+        expected.append([block.shape for block in theta.blocks.values()])
+        return update(state, gate, which, k)
+
+    def watched_svd(theta):
+        seen.append([block.shape for block in theta.blocks.values()])
+        return block_svd(theta)
+
+    monkeypatch.setattr(itebd, "update_bond", watched_update)
+    monkeypatch.setattr(itebd, "block_svd", watched_svd)
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=k_max)
+    evolve_to(neel_init(), t_end, config, observer=lambda record: None)
+    assert len(seen) == 2 * round(t_end / config.dt) + 1
+    assert seen == expected
+
+
+def test_shared_products_never_outlive_their_state():
+    # evolve_to lets the pair observable and the AB update after it share
+    # one state's products. Replaying its schedule with every call on a
+    # fresh copy of the state, which keeps no products, gives the same
+    # records and the same final state bit for bit.
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16)
+    records = []
+    final = evolve_to(neel_init(), 0.5, config, observer=records.append)
+
+    def fresh(state):
+        copy = dataclasses.replace(state)
+        assert not copy._products
+        return copy
+
+    g_half, g_full = build_gate(0.5, 0.03125), build_gate(0.5, 0.0625)
+    state, _report = update_bond(fresh(neel_init()), g_half, "AB", 16)
+    observed = []
+    for k in range(1, 9):
+        state, _report = update_bond(fresh(state), g_full, "BA", 16)
+        if k < 8:
+            observed.append(expect_pair_observable(fresh(state), g_half))
+            state, _report = update_bond(fresh(state), g_full, "AB", 16)
+        else:
+            state, _report = update_bond(fresh(state), g_half, "AB", 16)
+    assert [(r.sz0, r.sz1) for r in records[:-1]] == observed
+    for got, want in ((final.a_a, state.a_a), (final.a_b, state.a_b)):
+        assert got.dims == want.dims
+        assert all(np.array_equal(got.blocks[q], want.blocks[q]) for q in want.blocks)
+    for got, want in ((final.lambda_a, state.lambda_a), (final.lambda_b, state.lambda_b)):
+        assert list(got.blocks) == list(want.blocks)
+        assert all(np.array_equal(got.blocks[q], want.blocks[q]) for q in want.blocks)
+    # the observable leaves its products on the state for the update,
+    # which uses them up; the state it returns starts without
+    shared = fresh(state)
+    expect_pair_observable(shared, g_half)
+    assert list(shared._products) == ["AB"]
+    new, _report = update_bond(shared, g_full, "AB", 16)
+    assert not shared._products and not new._products

@@ -18,7 +18,7 @@ from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, SamplingError
 from spinquench.harness import sample_uniforms
-from spinquench.itebd import QuenchConfig, evolve_to, expect_sz, neel_init
+from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
     BoundarySample,
     WindowSpec,
@@ -391,7 +391,11 @@ def test_boundary_spectrum_follows_sublattice_parity(quench_state):
     for l, right in ((2, quench_state.lambda_a), (1, quench_state.lambda_b)):
         assert sampler._bond_spectrum(quench_state, l) is right
         tensors = sampler.site_tensors(quench_state, l)
-        assert right.sector_dims == {**tensors[0].col_dims, **tensors[1].col_dims}
+        assert right.sector_dims == {
+            q + tensors.shifts[s]: block.shape[1]
+            for s in (UP, DN)
+            for q, block in tensors.spin(s).items()
+        }
 
 
 def test_window_spec_validation():

@@ -11,14 +11,17 @@ from oracles import (
     dense_reference_evolve,
 )
 from spinquench.errors import ConfigError, NormDriftError
+from spinquench.sampler import WindowSpec
 from spinquench.window import (
-    EvolverParams,
     L_MAX,
+    SECTOR_BYTES_MAX,
+    EvolverParams,
     WindowState,
     _chain_hamiltonian,
     _sector_basis,
     build_hloc,
     evolve_and_measure,
+    sector_bytes,
     spin_wave_velocity,
     sz_center,
     taylor_step,
@@ -287,6 +290,32 @@ def test_window_size_limits():
         build_hloc(0, 0.5)
     with pytest.raises(ConfigError):
         build_hloc(L_MAX + 1, 0.5)
+
+
+def test_half_width_bound_is_the_memory_estimate():
+    # checked through the estimate alone: no window of l >= 13 is built.
+    # The largest sector of 2l+1 sites has C(2l+1, l) states and about
+    # l+1 nonzeros per row, 16 bytes each; l = 12 fits the bound, l = 13
+    # (4.2 GiB) and l = 14 (17 GiB) do not
+    assert sector_bytes(4) == 16 * 126 * 5
+    assert sector_bytes(L_MAX) <= SECTOR_BYTES_MAX < sector_bytes(L_MAX + 1)
+    assert L_MAX == 12
+    for l in (L_MAX + 1, 14):
+        with pytest.raises(ConfigError, match="GiB"):
+            WindowSpec(l=l)
+        with pytest.raises(ConfigError, match="GiB"):
+            build_hloc(l, 0.5)
+
+
+@pytest.mark.parametrize("n_sites", [1, 5, 9, 12])
+def test_sector_basis_lists_each_sector_in_order(n_sites):
+    # against a filter of all 2^n configurations, for every up-spin count
+    # and for counts no configuration has
+    states = np.arange(1 << n_sites, dtype=np.int64)
+    for n_up in range(-1, n_sites + 2):
+        expected = states[np.bitwise_count(states) == n_up]
+        basis = _sector_basis(n_sites, n_up)
+        assert basis.dtype == expected.dtype and np.array_equal(basis, expected)
 
 
 def test_sz_center_on_product_state():
