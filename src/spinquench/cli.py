@@ -65,6 +65,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-fin", type=float, required=True)
     p.add_argument("--delta-t", type=float, default=None, help="window time step")
     p.add_argument("--nmax", type=int, default=None, help="Taylor order")
+    p.add_argument(
+        "--p-star", type=float, default=None,
+        help="semistochastic threshold: boundary pairs whose two Schmidt "
+        "weights are both at least this are summed exactly, the rest sampled",
+    )
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -115,6 +120,7 @@ def _cmd_sample(args) -> int:
         master_seed=args.seed,
         n_workers=args.workers,
         out=args.out,
+        p_star=prof["p_star"] if args.p_star is None else args.p_star,
     )
     return 0
 

@@ -69,10 +69,12 @@ from .sampler import (  # noqa: F401
     WindowSpec,
     assemble_window_stacks,
     assemble_window_state,
+    boundary_spectrum,
     distinct_rows,
     pair_sector,
     sample_alpha,
     sample_spins_and_beta,
+    semistochastic_split,
 )
 from .window import (
     EvolverParams,
@@ -84,14 +86,16 @@ from .window import (
 
 #: Named parameter bundles. The full set is production scale and far
 #: beyond interactive use; the desk sets finish on a laptop and are the
-#: ones exercised by the test suite.
+#: ones exercised by the test suite. p_star is the semistochastic
+#: threshold (None: S is empty); the desk set's 0.01 sits in the gap of
+#: its k=128, t=4 checkpoint's spectra (lambda^2 0.0315 -> 0.0049).
 PROFILES = {
     "full": {"delta": 0.5, "dt": 0.0625, "k_max": 4096, "l": 10,
-             "delta_t": 1.0 / 3.0, "n_max": 20},
+             "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": None},
     "desk": {"delta": 0.5, "dt": 0.0625, "k_max": 128, "l": 4,
-             "delta_t": 1.0 / 3.0, "n_max": 20},
+             "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": 0.01},
     "desk-small": {"delta": 0.5, "dt": 0.0625, "k_max": 16, "l": 2,
-                   "delta_t": 1.0 / 3.0, "n_max": 20},
+                   "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": None},
 }
 
 #: Most amplitudes (rows x sector dimension) one propagated stack holds.
@@ -345,11 +349,11 @@ class _Run:
 
 
 def _evolve_share(run, stacks):
-    """Round two: the (rows, points) series of each (n_up, pairs) stack."""
+    """Round two: the (rows, points) series and raw squared norms of each (n_up, pairs) stack."""
     out = []
-    for stack in assemble_window_stacks(run.state, run.spec, stacks):
+    for stack, norms in assemble_window_stacks(run.state, run.spec, stacks):
         values = evolve_and_measure(stack, run.h, run.params, t_init=run.state.time)
-        out.append(np.array([v for _t, v in values]).T)
+        out.append((np.array([v for _t, v in values]).T, norms))
     return out
 
 
@@ -375,6 +379,8 @@ def _first_occurrences(pairs):
     order the pairs first occur, as a dict filled in sample order
     numbers them.
     """
+    if not len(pairs):
+        return pairs, np.zeros(0, dtype=np.int64)
     first, inverse = distinct_rows(pairs)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -417,26 +423,32 @@ def _shares(spec, pairs, n_shares, products):
     return [share for share in shares if share]
 
 
-def _two_rounds(run, master_seed, n_samples, evolve, n_shares, n_points):
-    """Value rows of every sample, in sample_id order.
+def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares, n_points):
+    """(tail value rows in sample_id order, S value rows, S raw squared norms).
 
-    Round one draws every sample's pair in this process; round two
-    evolves each distinct pair of the whole run once, in at most
-    n_shares shares, through evolve(shares), which takes each share as
-    a list of (n_up, pair rows) stacks and returns the series of each
-    share in order.
+    Round one draws every sample's pair in this process, from the tail
+    of the split; round two evolves the pairs of S and each distinct
+    drawn pair of the whole run once, in at most n_shares shares,
+    through evolve(shares), which takes each share as a list of (n_up,
+    pair rows) stacks and returns the (series, norms) of each share in
+    order. A split whose tail weight is zero draws no sample.
     """
     state, spec = run.state, run.spec
-    u = sample_uniforms(master_seed, np.arange(n_samples), 2 * spec.l + 3)
-    alphas = sample_alpha(state, spec, u[:, 0])
-    pairs, ids = _first_occurrences(sample_spins_and_beta(state, spec, alphas, u[:, 1:]))
+    drawn = np.empty((0, 4), dtype=np.int64)
+    if split.tail_weight > 0.0:
+        u = sample_uniforms(master_seed, np.arange(n_samples), 2 * spec.l + 3)
+        alphas = sample_alpha(state, spec, u[:, 0], split)
+        drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
+    pairs, ids = _first_occurrences(drawn)
+    pairs = np.concatenate([split.pairs, pairs])
     shares = _shares(spec, pairs, n_shares, run.params.n_max * (n_points - 1))
     series = evolve([[(n_up, pairs[at]) for n_up, at in share] for share in shares])
-    table = np.empty((len(pairs), n_points))
-    for share, values in zip(shares, series):
-        for (_n_up, at), rows in zip(share, values):
-            table[at] = rows
-    return table[ids]
+    table, norms = np.empty((len(pairs), n_points)), np.empty(len(pairs))
+    for share, results in zip(shares, series):
+        for (_n_up, at), (rows, norm2) in zip(share, results):
+            table[at], norms[at] = rows, norm2
+    n_s = len(split.pairs)
+    return table[n_s + ids], table[:n_s], norms[:n_s]
 
 
 def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
@@ -460,18 +472,27 @@ def run_mc(
     master_seed: int,
     n_workers: int,
     out=None,
+    p_star=None,
 ) -> AggregateCurve:
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
     The checkpoint is referenced by path so each worker process loads
-    it independently. Aggregation is a two-pass mean and standard error
-    over all value rows, stacked in ascending sample_id order.
+    it independently. p_star sets the semistochastic split (see
+    sampler.semistochastic_split; None, the default, leaves S empty).
+    With Z the total lambda^2 of the left boundary, T the tail weight
+    and p the pair weights, the estimate is sum_S (p/Z) x + (T/Z) mean_i
+    x_i, and its stderr (T/Z) std_i / sqrt(n), over all tail value rows
+    stacked in ascending sample_id order. With S empty, T is Z and this
+    is the plain mean and stderr, bit for bit; with T zero no sample is
+    drawn, and the estimate is the exact sum over S with stderr 0.
     """
     state, config = load_checkpoint(checkpoint)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+    if p_star is not None and not p_star >= 0.0:
+        raise ConfigError(f"p_star must be a nonnegative number, got {p_star}")
     if not t_fin > state.time:
         raise ConfigError(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
@@ -493,6 +514,7 @@ def run_mc(
                 f"horizon l/v = {horizon:.4f}; late grid points are unreliable",
                 stacklevel=2,
             )
+    split = semistochastic_split(state, run.spec, p_star)
 
     def evolve(shares):
         """Round two: one share runs here, more on one process per share."""
@@ -506,14 +528,26 @@ def run_mc(
             return list(pool.map(_evolve_in_worker, shares))
 
     n_shares = min(n_workers, _cpu_count())
-    values = _two_rounds(run, master_seed, n_samples, evolve, n_shares, n_points)
-    if values.shape[0] != n_samples:
-        raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
-    mean = values.mean(axis=0)
-    if n_samples > 1:
-        stderr = values.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    else:
-        stderr = np.full(n_points, np.nan)
+    values, s_values, s_norms = _two_rounds(
+        run, split, master_seed, n_samples, evolve, n_shares, n_points
+    )
+    spectrum = boundary_spectrum(state, run.spec)
+    z = float(spectrum.weights.sum())
+    ratio = split.tail_weight / z
+    s_weights = np.array(
+        [spectrum.blocks[qa][ia] ** 2 for qa, ia in split.pairs[:, :2].tolist()]
+    ).reshape(-1) * s_norms / z
+    # -0.0 starts the sum, so with S empty the estimate is the tail's bits
+    mean = np.sum(s_weights[:, None] * s_values, axis=0, initial=-0.0)
+    stderr = np.zeros(n_points)
+    if ratio > 0.0:
+        if values.shape[0] != n_samples:
+            raise ConfigError(f"aggregated {values.shape[0]} samples, expected {n_samples}")
+        mean = mean + ratio * values.mean(axis=0)
+        if n_samples > 1:
+            stderr = ratio * values.std(axis=0, ddof=1) / math.sqrt(n_samples)
+        else:
+            stderr = np.full(n_points, np.nan)
 
     times = state.time + delta_t * np.arange(n_points)
     curve = AggregateCurve(times=times, mean=mean, stderr=stderr, n_samples=n_samples)
@@ -531,6 +565,14 @@ def run_mc(
             "n_samples": n_samples,
             "master_seed": master_seed,
         }
+        if len(split.pairs):
+            meta.update({
+                "p_star": p_star,
+                "n_a": sum(int(m.sum()) for m in split.heavy_left.values()),
+                "n_b": sum(int(m.sum()) for m in split.heavy_right.values()),
+                "p_s": float(s_weights.sum()),
+                "clamps": split.clamps,
+            })
         header = ("t", "mean_sz0", "stderr", "n_samples")
         rows_out = [
             (_fmt(t), _fmt(m), _fmt(s), str(n_samples))

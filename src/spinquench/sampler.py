@@ -93,6 +93,22 @@ BRANCH_FLOOR = 1e-28
 #: partials one batch of window assembly may hold.
 WALK_MEMO_BYTES = 1 << 25
 
+#: Floor of a tail weight. A weight p - m, the mass p of a spin branch
+#: less the mass m of its completions in S, that comes out at or below
+#: TAIL_FLOOR * p is round-off of a zero and is clamped to zero; so is
+#: the tail weight of a left-boundary state at or below TAIL_FLOOR times
+#: the spectrum's total weight. The states of tiny lambda are the least
+#: canonical (the k=16, t=1 checkpoint's (E_B)_aa leaves 1 by up to 4e-6
+#: where lambda^2 < 1e-10), so their leftover is relative noise far
+#: above round-off, but never above 1e-15 of the total.
+TAIL_FLOOR = 1e-12
+
+#: Largest canonical-form residual (canonical_residuals) of a state that
+#: a run with S nonempty accepts. Checkpoints of this package read
+#: about 2e-15 (k=16 at t=1, k=128 at t=4); k=16 at t=4 reads 7e-6 and
+#: is refused.
+CANONICAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -140,14 +156,16 @@ def boundary_spectrum(state: MPSState, spec: WindowSpec):
     return _bond_spectrum(state, -spec.l - 1)
 
 
-def sample_alpha(state: MPSState, spec: WindowSpec, u) -> np.ndarray:
+def sample_alpha(state: MPSState, spec: WindowSpec, u, split=None) -> np.ndarray:
     """Draw left-boundary Schmidt states with probability lambda^2.
 
     u holds one uniform in [0, 1) per sample; the result holds one
-    (sector charge, index-within-sector) row per sample.
+    (sector charge, index-within-sector) row per sample. With a
+    TailSplit the weights are its tail weights, lambda^2 less the mass
+    of each state's pairs in S.
     """
     spectrum = boundary_spectrum(state, spec)
-    weights = spectrum.weights
+    weights = spectrum.weights if split is None else split.alpha_weights
     total = float(weights.sum())
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
@@ -218,7 +236,172 @@ def distinct_rows(rows: np.ndarray):
     return first, inverse
 
 
-def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.ndarray):
+def _members(masks, rows: np.ndarray) -> np.ndarray:
+    """Whether each (charge, index) row is in the set of {charge: bool mask}."""
+    inside = np.zeros(rows.shape[0], dtype=bool)
+    for q, mask in masks.items():
+        at = np.flatnonzero(rows[:, 0] == q)
+        inside[at] = mask[rows[at, 1]]
+    return inside
+
+
+def _environment_step(tensors, env, leftward: bool):
+    """An environment carried across one site: {charge: matrix} to {charge: matrix}.
+
+    Leftward, env lives on the site's right bond and the result is
+    sum_s A(s) env A(s)^dagger on its left bond; rightward, env lives on
+    the left bond and the result is sum_s A(s)^dagger env A(s) on the
+    right bond. Absent charges are zero blocks, in env and in the result.
+    """
+    out = {}
+    for q, halves in tensors.parts.items():
+        for s, block in zip((UP, DN), halves):
+            kid = q + tensors.shifts[s]
+            e = None if block is None else env.get(kid if leftward else q)
+            if e is not None:
+                term = block @ e @ block.conj().T if leftward else block.conj().T @ e @ block
+                at = q if leftward else kid
+                out[at] = term if at not in out else out[at] + term
+    return {q: out[q] for q in sorted(out)}
+
+
+def canonical_residuals(state: MPSState):
+    """(right, marginal): how far the state is from the form the walk needs.
+
+    For each site tensor, with lambda the spectra of its left and right
+    bonds: right is sum_alpha lambda_alpha^2 |(sum_s A(s) A(s)^dagger)_aa - 1|,
+    the lambda-weighted right-canonical residual, and marginal is
+    sum_beta |(sum_s A(s)^dagger Lambda^2 A(s))_bb - lambda_beta^2|, the
+    beta marginal of a left environment against the spectrum it must
+    reproduce. Each is the worse of the two sublattices; both are zero
+    in exact canonical form, where the walk's conditionals are exact.
+    """
+    right = marginal = 0.0
+    for tensors, left_bond, right_bond in (
+        (state.a_a, state.lambda_b, state.lambda_a),
+        (state.a_b, state.lambda_a, state.lambda_b),
+    ):
+        ident = {q: np.eye(d) for q, d in right_bond.sector_dims.items()}
+        gram = _environment_step(tensors, ident, leftward=True)
+        right = max(right, sum(
+            float(v**2 @ np.abs(np.diagonal(gram[q]).real - 1.0)) if q in gram else float(v @ v)
+            for q, v in left_bond.blocks.items()
+        ))
+        rho = {q: np.diag(v**2) for q, v in left_bond.blocks.items()}
+        out = _environment_step(tensors, rho, leftward=False)
+        marginal = max(marginal, sum(
+            float(np.abs(np.diagonal(out[q]).real - v**2).sum()) if q in out else float(v @ v)
+            for q, v in right_bond.blocks.items()
+        ))
+    return right, marginal
+
+
+def _central_charges(state: MPSState, spec: WindowSpec, q0: int, right: bool) -> set:
+    """Central-bond charges the partials of a boundary state of charge q0 reach."""
+    reach = {q0}
+    for site in (range(spec.l, 0, -1) if right else range(-spec.l, 1)):
+        tensors = site_tensors(state, site)
+        reach = {
+            q - shift if right else q + shift
+            for q in reach
+            for s, shift in zip((UP, DN), tensors.shifts)
+            if tensors.block(s, q - shift if right else q) is not None
+        }
+    return reach
+
+
+@dataclass(frozen=True)
+class TailSplit:
+    """The semistochastic split of the boundary pairs at a threshold p_star.
+
+    S = A x B, with A the left-boundary states and B the right-boundary
+    states whose lambda^2 is at least p_star, held as {charge: bool
+    mask} (heavy_left, heavy_right). pairs holds the rows of S whose
+    windows are not zero by charge alone, which are summed exactly;
+    envs[d] is E_B, sum over beta in B and over the spins right of the
+    bond of R R^dagger, on the bond left of window site d - l (envs[0]
+    on the left boundary, envs[2l+1] the projector onto B on the right
+    one). alpha_weights are the tail weights in the left spectrum's
+    rank order: lambda_alpha^2 - m(alpha) for alpha in A, with
+    m(alpha) = lambda_alpha^2 (E_B)_aa the mass of alpha's pairs in S,
+    clamped to zero at TAIL_FLOOR times the total weight (clamps counts
+    those), and lambda_alpha^2 itself elsewhere. With S empty, A, B and every
+    environment are empty and alpha_weights is the spectrum's weights.
+    """
+
+    p_star: object
+    heavy_left: dict
+    heavy_right: dict
+    pairs: np.ndarray
+    envs: tuple
+    alpha_weights: np.ndarray
+    clamps: int
+
+    @property
+    def tail_weight(self) -> float:
+        """T, the total of the tail weights the alpha draw uses."""
+        return float(self.alpha_weights.sum())
+
+
+def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=None) -> TailSplit:
+    """The split S = A x B at threshold p_star; S is empty when p_star is None.
+
+    A nonempty S needs the canonical form the conditioned walk relies
+    on: a state whose canonical_residuals exceed CANONICAL_TOL raises
+    ConfigError. When no pair of A x B can reach a window, S is empty.
+    """
+    spectrum = boundary_spectrum(state, spec)
+    empty = TailSplit(p_star, {}, {}, np.empty((0, 4), dtype=np.int64),
+                      ({},) * (2 * spec.l + 2), spectrum.weights, 0)
+    if p_star is None:
+        return empty
+    heavy = [
+        {q: v * v >= p_star for q, v in lam.blocks.items() if np.any(v * v >= p_star)}
+        for lam in (spectrum, _bond_spectrum(state, spec.l))
+    ]
+    reach = [
+        {q: _central_charges(state, spec, q, right) for q in masks}
+        for masks, right in zip(heavy, (False, True))
+    ]
+    pairs = [
+        (qa, ia, qb, ib)
+        for qa, a_mask in heavy[0].items()
+        for ia in np.flatnonzero(a_mask).tolist()
+        for qb, b_mask in heavy[1].items()
+        if reach[0][qa] & reach[1][qb]
+        for ib in np.flatnonzero(b_mask).tolist()
+    ]
+    if not pairs:
+        return empty
+    worst = max(canonical_residuals(state))
+    if worst > CANONICAL_TOL:
+        raise ConfigError(
+            f"canonical-form residual {worst:.2e} exceeds {CANONICAL_TOL:g}: the "
+            f"conditioned tail draw would be biased; run with S empty (no p_star)"
+        )
+    env = {q: np.diag(mask.astype(complex)) for q, mask in heavy[1].items()}
+    envs = [env]
+    for site in range(spec.l, -spec.l - 1, -1):
+        env = _environment_step(site_tensors(state, site), env, leftward=True)
+        envs.append(env)
+    envs.reverse()
+    charges, _values, index = spectrum._ranked
+    ranked = np.column_stack([charges, index])
+    weights = spectrum.weights.copy()
+    floor = TAIL_FLOOR * float(weights.sum())
+    clamps = 0
+    for at in np.flatnonzero(_members(heavy[0], ranked)).tolist():
+        q, i = ranked[at].tolist()
+        if q in envs[0]:
+            weights[at] -= weights[at] * float(envs[0][q][i, i].real)
+        if weights[at] <= floor:
+            weights[at] = 0.0
+            clamps += 1
+    return TailSplit(p_star, heavy[0], heavy[1], np.array(pairs, dtype=np.int64),
+                     tuple(envs), weights, clamps)
+
+
+def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.ndarray, split):
     """(beta charges, beta indices) of one chunk of samples.
 
     A node is a distinct (alpha, spin prefix) of the chunk, and its row
@@ -232,28 +415,46 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     kid charge, then the UP slots (whose parents have the lower charge)
     before the DN slots, then by parent, so a group's rows are the
     same matrix in the same order however the samples are laid out.
+
+    A node whose alpha is in the split's A (heavy) walks conditioned on
+    leaving S: a candidate row c weighs |c|^2 - c E_B c^dagger, with
+    E_B the split's environment on the candidate's bond, clamped at the
+    TAIL_FLOOR, and its beta draw skips B. Rows are still renormalized
+    by |c|, so the subtraction is the only change, and with S empty
+    (no environment blocks) every weight is |c|^2 exactly.
     """
     first, node = distinct_rows(alphas)
-    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, alphas[first])
+    roots = alphas[first]
+    groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
+    heavy = _members(split.heavy_left, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
         tensors, shifts = site_tensors(state, site), site_shifts(site)
+        env = split.envs[depth + 1]
         charges = [q for q, _rows in groups]
         starts = np.cumsum([0] + [rows.shape[0] for _q, rows in groups])
         cands, norms = [], np.zeros((2, starts[-1]))
+        excluded = np.zeros_like(norms)
         for lo in starts[:-1]:
             q, rows = groups.pop(0)  # popped, so a level holds rows or candidates
             cands.append([None, None])
+            mine = lo + np.flatnonzero(heavy[lo:lo + rows.shape[0]])
             for s in (UP, DN):
                 block = tensors.block(s, q)
                 if block is not None:
                     c = cands[-1][s] = rows @ block
                     norms[s, lo:lo + rows.shape[0]] = np.einsum("ij,ij->i", c.conj(), c).real
-        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
+                    e_b = env.get(q + shifts[s])
+                    if e_b is not None and mine.size:
+                        ch = c[mine - lo]
+                        excluded[s, mine] = np.einsum("ij,ij->i", ch @ e_b, ch.conj()).real
+        weights = norms - excluded
+        weights[weights <= TAIL_FLOOR * norms] = 0.0
+        p_up, _p_dn = _branch_probabilities(weights[UP], weights[DN])
         spin = np.where(u[:, depth] < p_up[node], UP, DN)
         taken = np.zeros(norms.shape, dtype=bool)
         taken[spin, node] = True
         kid = np.zeros(norms.shape, dtype=np.int64)
-        kids, count = {}, 0
+        kids, kid_heavy, count = {}, [], 0
         for kq, s, g in sorted((q + shifts[s], s, g) for g, q in enumerate(charges) for s in (UP, DN)):
             lo = starts[g]
             picked = np.flatnonzero(taken[s, lo:starts[g + 1]])
@@ -262,8 +463,10 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
                 count += picked.size
                 scale = 1.0 / np.sqrt(norms[s, lo + picked])
                 kids.setdefault(kq, []).append(cands[g][s][picked] * scale[:, None])
+                kid_heavy.append(heavy[lo + picked])
             cands[g][s] = None  # its kids are taken
         node = kid[spin, node]
+        heavy = np.concatenate(kid_heavy)
         groups = [
             (q, parts[0] if len(parts) == 1 else np.concatenate(parts))
             for q, parts in kids.items()
@@ -272,9 +475,12 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     group = np.searchsorted(starts, node, side="right") - 1
     beta_q = np.array([q for q, _rows in groups], dtype=np.int64)[group]
     beta_i = np.empty(node.size, dtype=np.int64)
-    for g, (_q, rows) in enumerate(groups):
+    for g, (q, rows) in enumerate(groups):
         mine = group == g
-        beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - starts[g], u[mine, -1])
+        weights = np.abs(rows) ** 2
+        if q in split.heavy_right:
+            weights[np.ix_(heavy[starts[g]:starts[g + 1]], split.heavy_right[q])] = 0.0
+        beta_i[mine] = _draw_rows(weights, node[mine] - starts[g], u[mine, -1])
     return beta_q, beta_i
 
 
@@ -295,7 +501,7 @@ def _chunk_size(state: MPSState) -> int:
     return max(1, WALK_MEMO_BYTES // (3 * 16 * _widest(state)))
 
 
-def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> np.ndarray:
+def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u, split=None) -> np.ndarray:
     """Chain-sample the window spins, then the right boundary state, of every sample.
 
     alphas holds one (charge, index) row per sample and u one row of
@@ -308,7 +514,9 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> np.nd
     contiguous chunks of at most _chunk_size samples. The spins
     themselves are not returned: only the boundary pairs matter, as an
     (n, 4) int64 array of (q_alpha, i_alpha, q_beta, i_beta) rows, one
-    per sample, in order; no samples give a (0, 4) array.
+    per sample, in order; no samples give a (0, 4) array. With a
+    TailSplit, the samples whose alpha is in its A walk conditioned on
+    leaving S (see _walk_chunk); without one, S is empty.
     """
     alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, 2)
     u = np.asarray(u, dtype=float)
@@ -319,9 +527,11 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u) -> np.nd
         )
     if not alphas.size:
         return np.empty((0, 4), dtype=np.int64)
+    if split is None:
+        split = semistochastic_split(state, spec)
     chunk = _chunk_size(state)
     betas = [
-        _walk_chunk(state, spec, alphas[lo:lo + chunk], u[lo:lo + chunk])
+        _walk_chunk(state, spec, alphas[lo:lo + chunk], u[lo:lo + chunk], split)
         for lo in range(0, alphas.shape[0], chunk)
     ]
     beta_q = np.concatenate([q for q, _i in betas])
@@ -469,12 +679,14 @@ def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positio
 
 
 def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
-    """Yield the normalized window states of (n_up, pairs) stacks, one stack at a time.
+    """Yield (normalized window states, raw squared norms) of (n_up, pairs) stacks.
 
     pairs is an (m, 4) int array of (q_alpha, i_alpha, q_beta, i_beta)
     rows, as sample_spins_and_beta returns them, all reaching the
-    stack's n_up-up-spin sector; the stack is yielded as a WindowState
-    of one amplitude row per pair, in order.
+    stack's n_up-up-spin sector; each stack is yielded, one at a time,
+    as a WindowState of one amplitude row per pair, in order, with the
+    squared norm of each raw row: lambda_alpha^2 times it is the pair's
+    weight p(alpha, beta).
     Every amplitude is the inner product of a left partial product of
     alpha with a right one of beta across the central bond, nonzero only
     when their middle-bond sectors agree. The pairs of all stacks are
@@ -511,12 +723,13 @@ def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
         done = rows[hi, 0] if hi < rows.shape[0] else len(stacks)
         for j in range(ready, done):
             n_up, pairs = stacks[j]
-            for pair, row in zip(pairs, begun(j)):
-                norm2 = float(np.vdot(row, row).real)
-                if not norm2 > 0.0:
+            norms = np.empty(len(pairs))
+            for r, (pair, row) in enumerate(zip(pairs, begun(j))):
+                norms[r] = float(np.vdot(row, row).real)
+                if not norms[r] > 0.0:
                     raise SamplingError(f"window state of {_pair_name(pair)} has zero norm")
-                row /= math.sqrt(norm2)
-            yield WindowState(amps[j], n_sites, n_up)
+                row /= math.sqrt(norms[r])
+            yield WindowState(amps[j], n_sites, n_up), norms
             amps[j] = None
         ready = done
 
@@ -530,5 +743,5 @@ def assemble_window_state(state: MPSState, spec: WindowSpec, sample: BoundarySam
     """
     n_up = int(pair_sector(spec, sample.alpha, sample.beta))
     pairs = np.array([[*sample.alpha, *sample.beta]])
-    (psi,) = assemble_window_stacks(state, spec, [(n_up, pairs)])
+    ((psi, _norms),) = assemble_window_stacks(state, spec, [(n_up, pairs)])
     return WindowState(psi.amplitudes[0], psi.n_sites, n_up)

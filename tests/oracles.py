@@ -32,6 +32,7 @@ from spinquench.errors import ConfigError
 from spinquench.graded import SINGULAR_VALUE_FLOOR, SchmidtSpectrum, TruncationReport
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
+    TAIL_FLOOR,
     BoundarySample,
     _bond_spectrum,
     _branch_probabilities,
@@ -521,6 +522,97 @@ def fresh_walk(state, spec, rng):
     return alpha, (q, _pick(np.abs(vec) ** 2, rng.random()))
 
 
+def _tail_step(state, spec, split, depth, q, vec, heavy):
+    """(candidates, norms, tail weights) of both spins at window depth `depth`.
+
+    A heavy node (its alpha in A) weighs a candidate c by |c|^2 less
+    c E_B c^dagger, one quadratic form per candidate, clamped at the
+    TAIL_FLOOR; any other node by |c|^2.
+    """
+    cands, norms = _walk_step(state, depth - spec.l, q, vec)
+    weights = dict(norms)
+    env = split.envs[depth + 1]
+    for s in (UP, DN):
+        if heavy and cands[s] is not None and cands[s][0] in env:
+            kq, c = cands[s]
+            w = norms[s] - float(np.real(c @ env[kq] @ c.conj()))
+            weights[s] = 0.0 if w <= TAIL_FLOOR * norms[s] else w
+    return cands, norms, weights
+
+
+def _tail_beta_weights(split, q, vec, heavy):
+    """Squared moduli of a last row, with B's entries zeroed for a heavy node."""
+    weights = np.abs(vec) ** 2
+    if heavy and q in split.heavy_right:
+        weights[split.heavy_right[q]] = 0.0
+    return weights
+
+
+def _tail_roots(state, spec, split):
+    """[(alpha, tail weight, heavy)] of the left boundary in rank order."""
+    charges, _values, index = boundary_spectrum(state, spec)._ranked
+    return [
+        ((q, i), w, q in split.heavy_left and bool(split.heavy_left[q][i]))
+        for q, i, w in zip(charges.tolist(), index.tolist(), split.alpha_weights.tolist())
+    ]
+
+
+def tail_walk(state, spec, split, u):
+    """(alpha, beta) of one sample of the tail draw from its 2l+3 uniforms.
+
+    One sample at a time with dense quadratic forms: alpha by the
+    split's tail weights, then each spin and beta from the conditionals
+    of _tail_step and _tail_beta_weights.
+    """
+    roots = _tail_roots(state, spec, split)
+    u_alpha, *spins, u_beta = np.asarray(u).tolist()
+    (q, i), _w, heavy = roots[_pick(np.array([w for _a, w, _h in roots]), u_alpha)]
+    alpha = (q, i)
+    vec = np.zeros(boundary_spectrum(state, spec).sector_dims[q], dtype=complex)
+    vec[i] = 1.0
+    for depth, x in enumerate(spins):
+        cands, norms, weights = _tail_step(state, spec, split, depth, q, vec, heavy)
+        p_up, _p_dn = _branch_probabilities(weights[UP], weights[DN])
+        pick = UP if x < p_up else DN
+        q, vec = cands[pick]
+        vec = vec * (1.0 / math.sqrt(norms[pick]))
+    return alpha, (q, _pick(_tail_beta_weights(split, q, vec, heavy), u_beta))
+
+
+def tail_pair_distribution(state, spec, split):
+    """{(alpha, beta): probability} of the tail draw, every branch followed.
+
+    The exact law of tail_walk: the product of the alpha weight over the
+    total and of every conditional on the way, summed over the spin
+    paths that end in each pair.
+    """
+    roots = _tail_roots(state, spec, split)
+    total = sum(w for _a, w, _h in roots)
+    n_sites = 2 * spec.l + 1
+    out = {}
+
+    def follow(alpha, heavy, q, vec, depth, prob):
+        if depth == n_sites:
+            weights = _tail_beta_weights(split, q, vec, heavy)
+            for i in np.flatnonzero(weights).tolist():
+                key = (alpha, (q, i))
+                out[key] = out.get(key, 0.0) + prob * weights[i] / weights.sum()
+            return
+        cands, norms, weights = _tail_step(state, spec, split, depth, q, vec, heavy)
+        for s, p in zip((UP, DN), _branch_probabilities(weights[UP], weights[DN])):
+            if p > 0.0:
+                kq, c = cands[s]
+                follow(alpha, heavy, kq, c / math.sqrt(norms[s]), depth + 1, prob * float(p))
+
+    dims = boundary_spectrum(state, spec).sector_dims
+    for (q, i), w, heavy in roots:
+        if w > 0.0:
+            vec = np.zeros(dims[q], dtype=complex)
+            vec[i] = 1.0
+            follow((q, i), heavy, q, vec, 0, w / total)
+    return out
+
+
 class TrieWalk:
     """The boundary walk one sample at a time, through a trie of prefixes.
 
@@ -563,8 +655,8 @@ class TrieWalk:
         return [p_up, cands, norms, [None, None]]
 
 
-def per_group_walk_chunk(state, spec, alphas, u):
-    """sampler._walk_chunk numbering a level's kids group by group.
+def per_group_walk_chunk(state, spec, alphas, u, split):
+    """sampler._walk_chunk numbering a level's kids group by group, S empty.
 
     Each charge group of a level takes its own pass over the samples
     that reached it, and each spin its own np.unique of the chosen
@@ -572,6 +664,7 @@ def per_group_walk_chunk(state, spec, alphas, u):
     ascending parent charge, UP before DN. Pins the one-pass walk bit
     for bit: same roots, same rows in the same order, same products.
     """
+    assert not split.heavy_left and not split.heavy_right
     roots, node = np.unique(alphas, axis=0, return_inverse=True)
     node = node.reshape(-1)
     groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)

@@ -269,9 +269,12 @@ def test_run_mc_evolves_each_pair_once_per_run(
         # every distinct pair of the run is assembled and evolved once
         assert sorted(assembled) == sorted(set(pairs))
         assert sum(propagated) == len(assembled)
-        # and every sample's row is bit-for-bit its sample-by-sample row
+        # and every sample's row is bit-for-bit its sample-by-sample row;
+        # S is empty, so no row is summed exactly
         assert len(values) == 1
-        assert np.array_equal(values[0], rows)
+        sampled, s_rows, s_norms = values[0]
+        assert np.array_equal(sampled, rows)
+        assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
 
 
 @pytest.mark.parametrize("run", ["walk", "one-pair", "all-distinct", "mixed"])

@@ -305,7 +305,7 @@ def test_cached_assembly_matches_cache_free_assembly(
     pairs = _distinct(_draws(state, spec, _uniforms(4, range(300), l)))
     assert len(_distinct(pairs[:, :2])) < len(pairs)  # pairs share boundary states
     stacks = _sector_stacks(spec, pairs, 3)
-    got = list(assemble_window_stacks(state, spec, stacks))
+    got = [psi for psi, _norms in assemble_window_stacks(state, spec, stacks)]
     assert len(got) == len(stacks)
     for (n_up, stack), psi in zip(stacks, got):
         assert psi.total_sz_sector == n_up
@@ -330,7 +330,7 @@ def test_stack_assembly_matches_per_pair_oracle(k128_state, monkeypatch, l, budg
     pairs = _distinct(_draws(k128_state, spec, _uniforms(6, range(400), l)))
     assert len(pairs) > 10
     stacks = _sector_stacks(spec, pairs, 7)
-    for (n_up, stack), psi in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
+    for (n_up, stack), (psi, _norms) in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
         for pair, row in zip(stack, psi.amplitudes):
             ref = per_pair_window_state(k128_state, spec, _boundary_sample(pair))
             assert ref.total_sz_sector == n_up
