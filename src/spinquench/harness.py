@@ -43,6 +43,18 @@ not depend on which pairs share its stack, its assembly batch or its
 share, and how pairs are split among processes changes where the work
 runs, never a byte of the output.
 
+A run may split the boundary pairs semistochastically (see sampler):
+the pairs of S = A x B, the boundary states whose lambda^2 reach
+p_star on both sides, join round two ahead of the drawn pairs, and the
+assembler returns the raw norm of each window, so their weights p are
+exact. Round one draws only the tail, conditioned on leaving S. With Z
+the total lambda^2 of the left boundary and T the tail weight the alpha
+draw uses, the estimate is sum_S (p/Z) x + (T/Z) mean_i x_i and its
+stderr (T/Z) std_i / sqrt(n). S is empty unless p_star is given; then T
+is Z and the run is the plain one, bit for bit and byte for byte. A
+run with S nonempty records p_star, |A|, |B|, P_S and the clamp count
+in the CSV metadata; they depend on the checkpoint, l and p_star only.
+
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
 precision.

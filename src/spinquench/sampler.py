@@ -64,6 +64,22 @@ change them. Batches are consecutive runs of pairs whose partials fit
 in WALK_MEMO_BYTES, and assemble_window_state is the one-pair view of
 the same assembler.
 
+The semistochastic split (semistochastic_split) sums the heaviest
+pairs exactly and leaves the walk only the rest. S = A x B, where A
+holds the left-boundary states and B the right-boundary states whose
+lambda^2 is at least a threshold p_star. The walk then draws each
+sample conditioned on leaving S: alpha with weight lambda_alpha^2 -
+m(alpha), m(alpha) the mass of alpha's pairs in S; at every node of an
+alpha in A, each candidate row c with weight |c|^2 - c E_B c^dagger,
+the mass of its completions outside S, where E_B is a right
+environment, one matrix per bond charge and site, grown from the
+projector onto B at the right boundary; and beta with B's entries
+zeroed. Weights that fall to round-off are clamped to zero. With S
+empty there is no environment block and nothing is subtracted, so the
+walk is the plain one bit for bit. The conditionals are exact only in
+canonical form, which canonical_residuals measures with the same
+environment step the split grows E_B with.
+
 An alternative formulation propagates a density operator on the window
 through the completely positive map defined by the site matrices and
 samples from its diagonal, which avoids boundary vectors altogether;

@@ -41,26 +41,35 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, NormDriftError, step_count
 
-#: Most bytes the largest sector Hamiltonian of a window may need, by
-#: sector_bytes' estimate; it sets the half-width bound L_MAX.
+#: Most bytes building the largest sector Hamiltonian of a window may
+#: take, by sector_bytes' estimate; it sets the half-width bound L_MAX.
 SECTOR_BYTES_MAX = 1 << 31
+
+#: Rows of a sector Hamiltonian built at a time (_chain_hamiltonian).
+BUILD_ROWS = 1 << 12
 
 
 def sector_bytes(l: int) -> int:
-    """Estimated bytes of the largest sector Hamiltonian of sites -l..+l.
+    """Bytes that building the largest sector Hamiltonian of sites -l..+l may take.
 
-    The n_up = l sector of the 2l+1 sites has dim = C(2l+1, l) states,
-    and its CSR matrix about dim * (l + 1) nonzeros (the diagonal and
-    about half of the 2l bonds' hops per row), each a float64 value and
-    an int64 column index. Computed from l alone, before anything is
-    allocated.
+    The n_up = l sector of the 2l+1 sites has dim = C(2l+1, l) states.
+    Its CSR matrix has at most nnz = dim + 4l C(2l-1, l-1) entries: a
+    diagonal per row and a hop for every bond with antiparallel spins,
+    which each of the 2l bonds has in 2 C(2l-1, l-1) configurations.
+    The build holds a float64 value and an int32 column index per entry,
+    the int64 basis, the int64 row counts and then the int32 index
+    pointers (20 bytes per state), and the temporaries of one chunk of
+    BUILD_ROWS rows, at most 64 (l + 2) bytes a row (measured: about
+    520 at l = 8). Computed from l alone, before anything is allocated.
     """
-    return 16 * math.comb(2 * l + 1, l) * (l + 1)
+    dim = math.comb(2 * l + 1, l)
+    nnz = dim + 4 * l * math.comb(2 * l - 1, l - 1)
+    return 12 * nnz + 20 * dim + 64 * (l + 2) * min(dim, BUILD_ROWS)
 
 
 #: Hard validation bound on the window half-width: the widest window
-#: whose largest sector Hamiltonian fits SECTOR_BYTES_MAX (l = 12 needs
-#: 1.0 GiB; l = 13 would need 4.2 GiB).
+#: whose largest sector Hamiltonian's build fits SECTOR_BYTES_MAX (l = 12
+#: needs 0.9 GiB; l = 13 would need 3.6 GiB).
 L_MAX = max(l for l in range(1, 32) if sector_bytes(l) <= SECTOR_BYTES_MAX)
 
 
@@ -151,15 +160,14 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_
 
     Built directly in canonical CSR form, with the bits scipy's sum of a
     hopping and a diagonal part gives: columns ascend within each row, a
-    diagonal entry that sums to exactly zero is left out, and scipy picks
-    the index dtype.
+    diagonal entry that sums to exactly zero is left out, and the index
+    dtype is the smallest that holds nnz and the dimension, as scipy
+    picks it. The rows are built BUILD_ROWS at a time, once to count
+    each row's entries and once to write them into arrays of their
+    final size, so the build holds the matrix and one chunk's
+    temporaries, never temporaries of the whole sector.
     """
     dim = basis.size
-    bits = np.stack([_site_bits(basis, n_sites, j) for j in range(n_sites)])
-    szs = bits.astype(float) - 0.5
-    diag = np.zeros(dim)
-    for j in range(n_sites - 1):
-        diag += delta * szs[j] * szs[j + 1]
     # A hop across bond j lowers a configuration whose site j is up and
     # raises one whose site j+1 is, by less the further right the bond,
     # so listing a row's entries kind by kind (its lowering hops by bond,
@@ -169,13 +177,35 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_
     bonds = np.arange(n_sites - 1)
     flips = (1 << (n_sites - 1 - bonds)) | (1 << (n_sites - 2 - bonds))
     flips = np.concatenate([flips, [0], flips[::-1]])
-    present = np.concatenate([bits[:-1] > bits[1:], [diag != 0.0], (bits[:-1] < bits[1:])[::-1]])
-    # present.T is (rows, kinds), so its nonzeros come row by row, kind by kind
-    row, kind = np.divmod(np.flatnonzero(present.T), flips.size)
+
+    def chunk(lo):
+        """(diagonal, present) of rows lo .. lo + BUILD_ROWS; present is (kinds, rows)."""
+        rows = basis[lo:lo + BUILD_ROWS]
+        bits = np.stack([_site_bits(rows, n_sites, j) for j in range(n_sites)]).astype(np.int8)
+        diag = np.zeros(rows.size)
+        for j in range(n_sites - 1):
+            diag += delta * (bits[j] - 0.5) * (bits[j + 1] - 0.5)
+        present = np.concatenate([bits[:-1] > bits[1:], [diag != 0.0], (bits[:-1] < bits[1:])[::-1]])
+        return diag, present
+
+    starts = range(0, dim, BUILD_ROWS)
     indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=dim), out=indptr[1:])
-    indices = np.searchsorted(basis, basis[row] ^ flips[kind])
-    data = np.where(kind == n_sites - 1, diag[row], 0.5)
+    for lo in starts:
+        present = chunk(lo)[1]
+        indptr[lo + 1:lo + 1 + present.shape[1]] = np.count_nonzero(present, axis=0)
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    index = np.int32 if max(nnz, dim) < 2**31 else np.int64
+    indptr = indptr.astype(index, copy=False)
+    indices = np.empty(nnz, dtype=index)
+    data = np.empty(nnz)
+    for lo in starts:
+        diag, present = chunk(lo)
+        # present.T is (rows, kinds), so its nonzeros come row by row, kind by kind
+        row, kind = np.divmod(np.flatnonzero(present.T), flips.size)
+        at = slice(indptr[lo], indptr[lo + diag.size])
+        indices[at] = np.searchsorted(basis, basis[lo + row] ^ flips[kind])
+        data[at] = np.where(kind == n_sites - 1, diag[row], 0.5)
     return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     complex_taylor_step,
     dense_reference_evolve,
 )
+from spinquench import window
 from spinquench.errors import ConfigError, NormDriftError
 from spinquench.sampler import WindowSpec
 from spinquench.window import (
@@ -179,6 +181,23 @@ def test_direct_csr_matches_coo_route(delta):
                 assert not got.diagonal().any()
 
 
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_chunked_build_matches_coo_route(monkeypatch, rows):
+    # bit-exact pin: a build in chunks of a few rows, which splits the
+    # sectors of every l below at many points, gives the COO route's
+    # matrices; the default chunk covers all of them in one
+    monkeypatch.setattr(window, "BUILD_ROWS", rows)
+    for l in range(1, 5):
+        n = 2 * l + 1
+        for n_up in range(n + 1):
+            basis = _sector_basis(n, n_up)
+            got = _chain_hamiltonian(n, 0.5, basis)
+            ref = coo_chain_hamiltonian(n, 0.5, basis)
+            for field in ("indptr", "indices", "data"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (l, n_up, field)
+
+
 @pytest.mark.parametrize("l,n_up,height", [(2, 2, 1), (2, 2, 6), (5, 5, 1), (5, 5, 9)])
 def test_real_taylor_product_matches_complex_product(l, n_up, height):
     # bit-exact pin: the real-view product of each Taylor order gives a
@@ -294,10 +313,11 @@ def test_window_size_limits():
 
 def test_half_width_bound_is_the_memory_estimate():
     # checked through the estimate alone: no window of l >= 13 is built.
-    # The largest sector of 2l+1 sites has C(2l+1, l) states and about
-    # l+1 nonzeros per row, 16 bytes each; l = 12 fits the bound, l = 13
-    # (4.2 GiB) and l = 14 (17 GiB) do not
-    assert sector_bytes(4) == 16 * 126 * 5
+    # The largest sector of 2l+1 sites has C(2l+1, l) states, at most
+    # dim + 4l C(2l-1, l-1) entries of 12 bytes, 20 bytes per state and
+    # one chunk's temporaries; l = 12 fits the bound, l = 13 (3.6 GiB)
+    # and l = 14 (14 GiB) do not
+    assert sector_bytes(4) == 12 * (126 + 16 * 35) + 20 * 126 + 64 * 6 * 126
     assert sector_bytes(L_MAX) <= SECTOR_BYTES_MAX < sector_bytes(L_MAX + 1)
     assert L_MAX == 12
     for l in (L_MAX + 1, 14):
@@ -305,6 +325,26 @@ def test_half_width_bound_is_the_memory_estimate():
             WindowSpec(l=l)
         with pytest.raises(ConfigError, match="GiB"):
             build_hloc(l, 0.5)
+
+
+@pytest.mark.parametrize("l", [6, 8])
+def test_sector_build_peak_is_within_the_estimate(l):
+    # tracemalloc's peak over the build of the largest sector, its basis
+    # included, stays within sector_bytes; at l = 8 the matrix is 3.0 MB
+    # of the 5.9 MB estimate, and the build holds one chunk of
+    # temporaries (a whole-sector build peaked at 17.3 MB). Below about
+    # l = 4 fixed Python and scipy overheads of some 20 kB dominate.
+    _sector_basis.cache_clear()
+    h = build_hloc(l, 0.5)
+    tracemalloc.start()
+    try:
+        basis, matrix = h.sector(l)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = basis.nbytes + matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    assert held <= peak <= sector_bytes(l)
+    assert matrix.nnz <= basis.size + 4 * l * math.comb(2 * l - 1, l - 1)
 
 
 @pytest.mark.parametrize("n_sites", [1, 5, 9, 12])
