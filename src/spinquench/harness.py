@@ -548,7 +548,7 @@ def run_mc(
     ratio = split.tail_weight / z
     s_weights = np.array(
         [spectrum.blocks[qa][ia] ** 2 for qa, ia in split.pairs[:, :2].tolist()]
-    ).reshape(-1) * s_norms / z
+    ) * s_norms / z
     # -0.0 starts the sum, so with S empty the estimate is the tail's bits
     mean = np.sum(s_weights[:, None] * s_values, axis=0, initial=-0.0)
     stderr = np.zeros(n_points)
