@@ -75,9 +75,11 @@ L_MAX = max(l for l in range(1, 32) if sector_bytes(l) <= SECTOR_BYTES_MAX)
 
 def check_half_width(l: int) -> None:
     """ConfigError unless 1 <= l <= L_MAX; allocates nothing."""
-    if not 1 <= l <= L_MAX:
+    if l < 1:
+        raise ConfigError(f"l must be >= 1, got {l}")
+    if l > L_MAX:
         raise ConfigError(
-            f"l must be in [1, {L_MAX}], got {l}: the largest sector Hamiltonian "
+            f"l must be <= {L_MAX}, got {l}: the largest sector Hamiltonian "
             f"of l = {L_MAX + 1} needs an estimated {sector_bytes(L_MAX + 1) / 2**30:.1f} "
             f"GiB, over the {SECTOR_BYTES_MAX / 2**30:.0f} GiB bound"
         )

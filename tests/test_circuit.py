@@ -8,6 +8,8 @@ from spinquench import circuit as circuit_module
 from spinquench.errors import ConfigError
 from spinquench.circuit import (
     BrickworkCircuit,
+    _fused,
+    _fusion_groups,
     apply_gate,
     build_regions,
     direct_expectation,
@@ -253,8 +255,10 @@ def test_validation_errors():
         BrickworkCircuit(4, [[(0, np.ones((4, 4)))]])  # not unitary
     with pytest.raises(ConfigError):
         BrickworkCircuit.random(4, 0, np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        product_state((0, 2, 0))
+    # any bit that is not exactly 0 or 1, also one that int() would round
+    for bits in ((0, 2, 0), (0.5, 1.7), (1, -1), ("1", 0), (0.0, 1.0000001)):
+        with pytest.raises(ConfigError):
+            product_state(bits)
     with pytest.raises(ConfigError):
         direct_expectation(BrickworkCircuit.random(22, 1, np.random.default_rng(0)))
     # input bits of the wrong length, on every estimator
@@ -265,3 +269,88 @@ def test_validation_errors():
         lightcone_expectation_sum(small, bits=(0, 1, 0))
     with pytest.raises(ConfigError):
         lightcone_expectation_sampled(small, 10, np.random.default_rng(0), bits=(0, 1, 0))
+
+
+def _gate_sequence(width, n_gates, rng):
+    """Random nearest-neighbour gate positions, including both ends."""
+    ends = [0, width - 2]
+    return ends + list(rng.integers(0, width - 1, size=n_gates - 2)) + ends
+
+
+@pytest.mark.parametrize("fused_qubits", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("width", [2, 3, 5, 8, 12])
+def test_fusion_groups_keep_every_gate_and_each_qubits_order(monkeypatch, fused_qubits, width):
+    monkeypatch.setattr(circuit_module, "FUSED_QUBITS", fused_qubits)
+    rng = np.random.default_rng(width)
+    positions = _gate_sequence(width, 40, rng)
+    brickwork = [i for t in range(8) for i in range(t % 2, width - 1, 2)]
+    for sequence in (positions, brickwork):
+        # the gate "matrix" is the gate's time index: grouping never reads it
+        groups = _fusion_groups((i, k) for k, i in enumerate(sequence))
+        applied = [k for _lo, _hi, members in groups for _i, k in members]
+        assert sorted(applied) == list(range(len(sequence)))
+        for lo, hi, members in groups:
+            assert hi - lo + 1 <= fused_qubits
+            assert lo == min(i for i, _k in members)
+            assert hi == max(i for i, _k in members) + 1
+            assert [k for _i, k in members] == sorted(k for _i, k in members)
+        for q in range(width):
+            on_q = [k for _lo, _hi, members in groups for i, k in members if q in (i, i + 1)]
+            assert on_q == sorted(on_q)
+
+
+def _einsum_gates(psi, gates):
+    """One 4x4 gate at a time, by einsum on a (2^w, columns) stack."""
+    for i, u in gates:
+        shaped = psi.reshape(1 << i, 4, -1)
+        psi = np.einsum("st,atb->asb", u, shaped).reshape(psi.shape)
+    return psi
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 6, 7, 8, 10, 12])
+def test_fused_gates_match_unfused(width):
+    rng = np.random.default_rng(100 + width)
+    gates = [(int(i), haar_gate(rng)) for i in _gate_sequence(width, 3 * width, rng)]
+    stack = rng.standard_normal((1 << width, 3)) + 1j * rng.standard_normal((1 << width, 3))
+    expected = _einsum_gates(stack, gates)
+    fused = list(_fused(gates))
+    assert len(fused) < len(gates)
+    for i, u in fused:
+        assert i + u.shape[0].bit_length() - 1 <= width
+        stack = apply_gate(stack, i, u)
+    assert np.max(np.abs(stack - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_apply_gate_wide_block_matches_kron_embedding(q):
+    rng = np.random.default_rng(q)
+    width = 7
+    z = rng.standard_normal((1 << q, 1 << q)) + 1j * rng.standard_normal((1 << q, 1 << q))
+    u = np.linalg.qr(z)[0]
+    psi = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
+    stack = rng.standard_normal((1 << width, 4)) + 1j * rng.standard_normal((1 << width, 4))
+    for i in range(width - q + 1):
+        full = np.kron(np.kron(np.eye(1 << i), u), np.eye(1 << (width - q - i)))
+        assert np.allclose(apply_gate(psi, i, u), full @ psi, rtol=0.0, atol=1e-13)
+        assert np.allclose(apply_gate(stack, i, u), full @ stack, rtol=0.0, atol=1e-13)
+
+
+def test_wide_halves_rejected_before_allocation(monkeypatch):
+    # a 3-qubit limit makes the 4-qubit halves of n = 8 too wide, as the
+    # 32-qubit halves of n = 64 are for the real limit
+    circuit = BrickworkCircuit.random(8, 4, np.random.default_rng(2))
+    small = BrickworkCircuit.random(6, 4, np.random.default_rng(3))
+    summed = lightcone_expectation_sum(small)
+    monkeypatch.setattr(circuit_module, "DIRECT_QUBIT_LIMIT", 3)
+
+    def refuse(bits):
+        raise AssertionError("a half state was built")
+
+    monkeypatch.setattr(circuit_module, "product_state", refuse)
+    with pytest.raises(ConfigError, match="half states of 4 qubits"):
+        lightcone_expectation_sum(circuit)
+    with pytest.raises(ConfigError, match="half states of 4 qubits"):
+        lightcone_expectation_sampled(circuit, 10, np.random.default_rng(0))
+    monkeypatch.setattr(circuit_module, "product_state", product_state)
+    # 3-qubit halves still fit, and the window stack goes one column a block
+    assert abs(lightcone_expectation_sum(small) - summed) <= 1e-14

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinquench.cli import main
-from spinquench import window
+from spinquench import circuit, window
 from spinquench.harness import read_aggregate_curve, read_table
 
 
@@ -199,7 +199,17 @@ def test_circuit_demo_sample_mode(capsys):
     assert np.isfinite(stderr)
 
 
-def test_validation_error_exit_code(pipeline_dir):
+def test_circuit_demo_wide_halves_exit_code(monkeypatch, capsys):
+    # with the limit lowered to 3 qubits, the 4-qubit halves of an n = 8
+    # circuit stand for the 2^32-amplitude halves of n = 64
+    monkeypatch.setattr(circuit, "DIRECT_QUBIT_LIMIT", 3)
+    for mode in ("sum", "sample"):
+        rc = main(["circuit-demo", "--n", "8", "--depth", "4", "--mode", mode])
+        assert rc == 2
+        assert "half states of 4 qubits" in capsys.readouterr().err
+
+
+def test_validation_error_exit_code(pipeline_dir, capsys):
     rc = main(
         [
             "sample",
@@ -210,6 +220,9 @@ def test_validation_error_exit_code(pipeline_dir):
         ]
     )
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "l must be >= 1, got 0" in err
+    assert "GiB" not in err
 
 
 def test_window_over_the_memory_bound_exit_code(pipeline_dir, monkeypatch, capsys):

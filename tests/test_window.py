@@ -327,6 +327,19 @@ def test_half_width_bound_is_the_memory_estimate():
             build_hloc(l, 0.5)
 
 
+@pytest.mark.parametrize("l", [0, -3])
+def test_half_width_below_one_is_not_a_memory_error(l):
+    # the memory estimate explains only a window that is too wide
+    for build in (lambda: WindowSpec(l=l), lambda: build_hloc(l, 0.5)):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == f"l must be >= 1, got {l}"
+    with pytest.raises(ConfigError) as err:
+        WindowSpec(l=L_MAX + 1)
+    assert str(err.value).startswith(f"l must be <= {L_MAX}, got {L_MAX + 1}: ")
+    assert "GiB" in str(err.value)
+
+
 @pytest.mark.parametrize("l", [6, 8])
 def test_sector_build_peak_is_within_the_estimate(l):
     # tracemalloc's peak over the build of the largest sector, its basis
