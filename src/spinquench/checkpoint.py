@@ -36,54 +36,35 @@ from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState, QuenchConfig
 MAGIC = b"MPSCHKP1"
 FORMAT_VERSION = 1
 
-#: The stored tensors in file order, each with the charge shift its name
-#: implies; the spectra are diagonal.
-_TENSOR_SHIFTS = {
-    "A_A_up": SHIFT_A[UP],
-    "A_A_dn": SHIFT_A[DN],
-    "A_B_up": SHIFT_B[UP],
-    "A_B_dn": SHIFT_B[DN],
-    "lambda_A": 0,
-    "lambda_B": 0,
+def _columns(spectrum: SchmidtSpectrum):
+    """A spectrum as {charge: one-column block}."""
+    return {q: v.reshape(-1, 1) for q, v in spectrum.blocks.items()}
+
+
+#: The stored tensors in file order: {name: (charge shift, bonds, blocks)}.
+#: The shift is the one the name implies. bonds names the (left, right)
+#: bond spectra of a site tensor (A_A maps the B bond to the A bond, A_B
+#: the A bond to the B bond) and is None for a Schmidt spectrum, which is
+#: diagonal and stored real. blocks(state) gives {row charge: 2-d block}:
+#: a site tensor's per-spin view, or a spectrum's one column per sector.
+_TENSORS = {
+    "A_A_up": (SHIFT_A[UP], ("lambda_B", "lambda_A"), lambda state: state.a_a.spin(UP)),
+    "A_A_dn": (SHIFT_A[DN], ("lambda_B", "lambda_A"), lambda state: state.a_a.spin(DN)),
+    "A_B_up": (SHIFT_B[UP], ("lambda_A", "lambda_B"), lambda state: state.a_b.spin(UP)),
+    "A_B_dn": (SHIFT_B[DN], ("lambda_A", "lambda_B"), lambda state: state.a_b.spin(DN)),
+    "lambda_A": (0, None, lambda state: _columns(state.lambda_a)),
+    "lambda_B": (0, None, lambda state: _columns(state.lambda_b)),
 }
-
-#: The stored tensors that are Schmidt spectra, stored real.
-_SPECTRA = ("lambda_A", "lambda_B")
-
-#: The (left, right) bond spectra of each site tensor: A_A maps the B
-#: bond to the A bond and A_B the A bond to the B bond.
-_BONDS = {
-    "A_A_up": ("lambda_B", "lambda_A"),
-    "A_A_dn": ("lambda_B", "lambda_A"),
-    "A_B_up": ("lambda_A", "lambda_B"),
-    "A_B_dn": ("lambda_A", "lambda_B"),
-}
-
-
-def _tensor_table(state: MPSState):
-    """{name: {row charge: 2-d block}} of the stored tensors.
-
-    Site tensors give their per-spin views, spectra one column each.
-    """
-    return {
-        "A_A_up": state.a_a.spin(UP),
-        "A_A_dn": state.a_a.spin(DN),
-        "A_B_up": state.a_b.spin(UP),
-        "A_B_dn": state.a_b.spin(DN),
-        "lambda_A": {q: v.reshape(-1, 1) for q, v in state.lambda_a.blocks.items()},
-        "lambda_B": {q: v.reshape(-1, 1) for q, v in state.lambda_b.blocks.items()},
-    }
 
 
 def save_checkpoint(path, state: MPSState, config: QuenchConfig) -> None:
     """Write the state and its run parameters to an MPSC1 file."""
-    tensors = _tensor_table(state)
     manifest_tensors = []
     payload = bytearray()
-    for name, shift in _TENSOR_SHIFTS.items():
-        real = name in _SPECTRA
+    for name, (shift, bonds, blocks) in _TENSORS.items():
+        real = bonds is None
         sectors = []
-        for q_row, arr in tensors[name].items():
+        for q_row, arr in blocks(state).items():
             raw = np.ascontiguousarray(arr, dtype="<f8" if real else "<c16").tobytes()
             sectors.append(
                 {
@@ -141,9 +122,10 @@ def _tensor(entry):
     """
     name = entry["name"]
     shift = _int(entry["charge_shift"])
-    if shift != _TENSOR_SHIFTS[name]:
+    expected, bonds, _blocks = _TENSORS[name]
+    if shift != expected:
         raise ValueError(f"tensor {name!r} has charge shift {shift}")
-    real = name in _SPECTRA
+    real = bonds is None
     sectors = [
         (
             _int(sec["q"]),
@@ -173,7 +155,7 @@ def _check_bond_dims(tensors):
     for name, shift, real, sectors in tensors:
         if real:
             continue
-        left, right = (dims[bond] for bond in _BONDS[name])
+        left, right = (dims[bond] for bond in _TENSORS[name][1])
         for q, rows, cols, _off in sectors:
             bonds = (left.get(q, 0), right.get(q + shift, 0))
             if (rows, cols) != bonds:
@@ -247,7 +229,7 @@ def load_checkpoint(path):
         else:
             parsed[name] = blocks
 
-    missing = [n for n in _TENSOR_SHIFTS if n not in parsed]
+    missing = [n for n in _TENSORS if n not in parsed]
     if missing:
         raise CheckpointVersionError(f"{path}: manifest missing tensors {missing}")
 

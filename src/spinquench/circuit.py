@@ -326,29 +326,30 @@ def _boundary_matrices(circuit, bits):
     return regions, lmat, rmat, lw, rw
 
 
-def _window_values(circuit, regions, lcols, rcols) -> np.ndarray:
+def _window_values(circuit, regions, lmat, rmat, alphas, betas) -> np.ndarray:
     """<Sz> on the measured qubit of each boundary product window.
 
-    Column p of lcols (the qubits w_lo..m-1) and of rcols (m..w_hi) are
-    the two halves of window p; every column must have a nonzero norm.
-    The normalized windows kron(lcols[:, p], rcols[:, p]) go through the
-    fused core and late gates as one (2^w, columns) stack, in blocks of at
-    most 2^DIRECT_QUBIT_LIMIT amplitudes (one column if a window is
-    wider). Distinct pairs hold at most 2^n amplitudes together, so up
-    to n = DIRECT_QUBIT_LIMIT the stack is a single block.
+    Window p pairs row alphas[p] of lmat (the qubits w_lo..m-1) with
+    column betas[p] of rmat (m..w_hi); every such row and column must
+    have a nonzero norm. The normalized windows go through the fused
+    core and late gates as one (2^w, pairs) stack, in blocks of at most
+    2^DIRECT_QUBIT_LIMIT amplitudes (one pair if a window is wider), and
+    each block gathers and normalizes its own halves, so no more than a
+    block's halves are held at once. Distinct pairs hold at most 2^n
+    amplitudes together, so up to n = DIRECT_QUBIT_LIMIT the stack is a
+    single block.
     """
     w_lo = regions.w_lo
     width = regions.w_hi - w_lo + 1
     cone = regions.core + regions.late
     gates = list(_fused((i - w_lo, circuit.gate(t, i)) for t, i in cone))
-    lcols = lcols / np.linalg.norm(lcols, axis=0)
-    rcols = rcols / np.linalg.norm(rcols, axis=0)
-    n_cols = lcols.shape[1]
     step = max(1, (1 << DIRECT_QUBIT_LIMIT) >> width)
-    values = np.empty(n_cols)
-    for start in range(0, n_cols, step):
+    values = np.empty(alphas.size)
+    for start in range(0, alphas.size, step):
         cols = slice(start, start + step)
-        lc, rc = lcols[:, cols], rcols[:, cols]
+        lc, rc = lmat[alphas[cols]].T, rmat[:, betas[cols]]
+        lc = lc / np.linalg.norm(lc, axis=0)
+        rc = rc / np.linalg.norm(rc, axis=0)
         psi = np.empty((lc.shape[0], rc.shape[0], lc.shape[1]), dtype=complex)
         np.multiply(lc[:, None, :], rc[None, :, :], out=psi)
         psi = psi.reshape(1 << width, -1)
@@ -362,7 +363,7 @@ def lightcone_expectation_sum(circuit: BrickworkCircuit, bits=None) -> float:
     """Exact central <Sz> as a weighted sum over boundary configurations."""
     regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
     alphas, betas = np.nonzero(np.outer(lw > 0.0, rw > 0.0))
-    values = _window_values(circuit, regions, lmat[alphas].T, rmat[:, betas])
+    values = _window_values(circuit, regions, lmat, rmat, alphas, betas)
     return float((lw[alphas] * rw[betas]) @ values)
 
 
@@ -383,7 +384,7 @@ def lightcone_expectation_sampled(
     betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
     keys, inverse = np.unique(alphas * rw.size + betas, return_inverse=True)
     alpha, beta = np.divmod(keys, rw.size)
-    vals = _window_values(circuit, regions, lmat[alpha].T, rmat[:, beta])[inverse]
+    vals = _window_values(circuit, regions, lmat, rmat, alpha, beta)[inverse]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("nan")
     return mean, stderr

@@ -20,19 +20,20 @@ over all samples, in sample_id order, turns them into boundary pairs
 (see sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per
 sample. The walk runs in one process whatever the worker count, so the
 pairs cannot depend on it. One np.unique over a packed int64 key per
-row finds the distinct pairs of the run, which are kept in order of
-first occurrence, and round two evolves each of them exactly once: the
-pairs are grouped by total-Sz sector, by a stable sort, into row stacks
-of at most STACK_ENTRIES amplitudes, one sparse-times-dense product per
-Taylor order. The worker count is an upper bound: a round whose work
-(stack amplitudes x Taylor orders x grid steps) is below POOL_WORK is
-one share, and otherwise the stacks are dealt into at most one share
-per worker and per CPU this process may run on. One share runs in this
-process; more run on a pool of one process per share, whose
-initializer loads the checkpoint once per process. The dedup is exact
-because a pair's series depends only on the pair, the checkpoint state,
-the window Hamiltonian (fixed by h) and the time grid, never on the
-sample that drew it. Stacking is exact too. A share's windows are
+row finds the distinct pairs of the run, in ascending order, and round
+two evolves each of them exactly once: the pairs are grouped by
+ascending total-Sz sector, by one stable sort, into row stacks that
+hold at most sampler.WALK_MEMO_BYTES of amplitudes, the budget of the
+walk and of assembly too; a stack takes one sparse-times-dense product
+per Taylor order. The worker count is an upper bound: a round whose
+work (stack amplitudes x Taylor orders x grid steps) is below
+POOL_WORK is one share, and otherwise the stacks are dealt into at
+most one share per worker and per CPU this process may run on. One
+share runs in this process; more run on a pool of one process per
+share, whose initializer loads the checkpoint once per process. The
+dedup is exact because a pair's series depends only on the pair, the
+checkpoint state, the window Hamiltonian (fixed by h) and the time
+grid, never on the sample that drew it. Stacking is exact too. A share's windows are
 assembled by one stack assembler whose batched products make one
 product per boundary state and per pair, exactly the product a pair
 assembled alone makes (see sampler), so a window's amplitudes do not
@@ -72,6 +73,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import sampler
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
@@ -109,9 +111,6 @@ PROFILES = {
     "desk-small": {"delta": 0.5, "dt": 0.0625, "k_max": 16, "l": 2,
                    "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": None},
 }
-
-#: Most amplitudes (rows x sector dimension) one propagated stack holds.
-STACK_ENTRIES = 1 << 21
 
 #: Least round-two work for which the stacks are dealt to a process
 #: pool. Work is the amplitudes of all stacks times Taylor orders times
@@ -362,11 +361,10 @@ class _Run:
 
 def _evolve_share(run, stacks):
     """Round two: the (rows, points) series and raw squared norms of each (n_up, pairs) stack."""
-    out = []
-    for stack, norms in assemble_window_stacks(run.state, run.spec, stacks):
-        values = evolve_and_measure(stack, run.h, run.params, t_init=run.state.time)
-        out.append((np.array([v for _t, v in values]).T, norms))
-    return out
+    return [
+        (evolve_and_measure(stack, run.h, run.params, t_init=run.state.time), norms)
+        for stack, norms in assemble_window_stacks(run.state, run.spec, stacks)
+    ]
 
 
 #: The run a pool worker process serves, set once by the pool initializer.
@@ -384,43 +382,25 @@ def _evolve_in_worker(stacks):
     return _evolve_share(_WORKER_RUN, stacks)
 
 
-def _first_occurrences(pairs):
-    """(distinct pairs, ids): the distinct rows of pairs in order of first occurrence.
-
-    pairs[j] is distinct[ids[j]], and the ids count up from 0 in the
-    order the pairs first occur, as a dict filled in sample order
-    numbers them.
-    """
-    if not len(pairs):
-        return pairs, np.zeros(0, dtype=np.int64)
-    first, inverse = distinct_rows(pairs)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return pairs[first[order]], rank[inverse]
-
-
 def _shares(spec, pairs, n_shares, products):
     """The distinct pairs as per-sector stacks, dealt into <= n_shares lists.
 
     pairs holds one (q_alpha, i_alpha, q_beta, i_beta) row per distinct
     pair, and a stack is an (n_up, ids) of rows of pairs that reach one
-    sector, in pairs order, with the sectors in order of first
-    occurrence. A stack holds at most STACK_ENTRIES amplitudes. If the
+    sector, in pairs order, with the sectors ascending. A stack holds at
+    most sampler.WALK_MEMO_BYTES of complex128 amplitudes. If the
     amplitudes of all stacks times products (Taylor orders x grid steps)
     fall short of POOL_WORK, every stack goes to one share. Otherwise
     each stack, largest first, goes to the share with the fewest
     amplitudes so far.
     """
     sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
-    _n_ups, first, at = np.unique(sectors, return_index=True, return_inverse=True)
-    leader = first[at]  # the first pair of each pair's sector
-    by_sector = np.argsort(leader, kind="stable")
+    by_sector = np.argsort(sectors, kind="stable")
     stacks = []
-    for group in np.split(by_sector, np.flatnonzero(np.diff(leader[by_sector])) + 1):
+    for group in np.split(by_sector, np.flatnonzero(np.diff(sectors[by_sector])) + 1):
         n_up = int(sectors[group[0]])
         dim = math.comb(2 * spec.l + 1, n_up)
-        height = max(1, STACK_ENTRIES // dim)
+        height = max(1, sampler.WALK_MEMO_BYTES // (16 * dim))
         for lo in range(0, group.size, height):
             chunk = group[lo:lo + height]
             stacks.append((dim * chunk.size, n_up, chunk))
@@ -447,12 +427,13 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares, n_points):
     """
     state, spec = run.state, run.spec
     drawn = np.empty((0, 4), dtype=np.int64)
+    first = ids = np.zeros(0, dtype=np.int64)
     if split.tail_weight > 0.0:
         u = sample_uniforms(master_seed, np.arange(n_samples), 2 * spec.l + 3)
         alphas = sample_alpha(state, spec, u[:, 0], split)
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
-    pairs, ids = _first_occurrences(drawn)
-    pairs = np.concatenate([split.pairs, pairs])
+        first, ids = distinct_rows(drawn)
+    pairs = np.concatenate([split.pairs, drawn[first]])
     shares = _shares(spec, pairs, n_shares, run.params.n_max * (n_points - 1))
     series = evolve([[(n_up, pairs[at]) for n_up, at in share] for share in shares])
     table, norms = np.empty((len(pairs), n_points)), np.empty(len(pairs))

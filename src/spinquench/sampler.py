@@ -34,8 +34,8 @@ rounding of its conditional. Samples are walked in contiguous chunks
 whose node rows fit in WALK_MEMO_BYTES; the chunks depend on the state
 and the sample count, never on how many processes a run uses. The walk
 returns each sample's boundary pair as an int row (q_alpha, i_alpha,
-q_beta, i_beta), and the pairs stay int rows through dedup and stacking
-to the assembler.
+q_beta, i_beta), and a pair is such a row everywhere: through dedup
+and stacking to the assembler, and as the one-pair view's argument.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
@@ -61,8 +61,8 @@ changes a bit: a window's amplitudes do not depend on the pairs
 assembled beside it, on how pairs are batched or on the stack they sit
 in. Folding the batch axis into the rows of one 2-D product would
 change them. Batches are consecutive runs of pairs whose partials fit
-in WALK_MEMO_BYTES, and assemble_window_state is the one-pair view of
-the same assembler.
+in WALK_MEMO_BYTES. Every window state is a stack, and
+assemble_window_state assembles one pair row as a stack of one.
 
 The semistochastic split (semistochastic_split) sums the heaviest
 pairs exactly and leaves the walk only the rest. S = A x B, where A
@@ -105,8 +105,9 @@ from .window import WindowState, _sector_basis, check_half_width
 #: sibling's is treated as an exact zero of the conditional.
 BRANCH_FLOOR = 1e-28
 
-#: Bytes of node rows one chunk of the batched walk may hold, and of
-#: partials one batch of window assembly may hold.
+#: The memory budget of the Monte Carlo phase: bytes of node rows one
+#: chunk of the batched walk may hold, of partials one batch of window
+#: assembly may hold, and of amplitudes one propagated stack may hold.
 WALK_MEMO_BYTES = 1 << 25
 
 #: Floor of a tail weight. A weight p - m, the mass p of a spin branch
@@ -137,18 +138,6 @@ class WindowSpec:
 
     def __post_init__(self):
         check_half_width(self.l)
-
-
-@dataclass(frozen=True)
-class BoundarySample:
-    """One boundary pair, the argument of the one-pair assemble_window_state.
-
-    alpha and beta are (sector charge, index-within-sector) pairs. Runs
-    keep their pairs as (q_alpha, i_alpha, q_beta, i_beta) int rows.
-    """
-
-    alpha: tuple
-    beta: tuple
 
 
 def site_tensors(state: MPSState, site: int):
@@ -754,14 +743,18 @@ def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
         ready = done
 
 
-def assemble_window_state(state: MPSState, spec: WindowSpec, sample: BoundarySample) -> WindowState:
-    """Build the normalized window state of a sampled boundary pair.
+def assemble_window_state(state: MPSState, spec: WindowSpec, pair) -> WindowState:
+    """The normalized window state of one (q_alpha, i_alpha, q_beta, i_beta) row.
 
     The one-row view of assemble_window_stacks: the pair alone, as a
     stack of one in its own sector, so a pair assembles to the same bits
-    on its own as in any stack.
+    on its own as in any stack. A row that is not four integers raises
+    ConfigError.
     """
-    n_up = int(pair_sector(spec, sample.alpha, sample.beta))
-    pairs = np.array([[*sample.alpha, *sample.beta]])
-    ((psi, _norms),) = assemble_window_stacks(state, spec, [(n_up, pairs)])
-    return WindowState(psi.amplitudes[0], psi.n_sites, n_up)
+    row = np.asarray(pair)
+    if row.shape != (4,) or row.dtype.kind not in "iu":
+        raise ConfigError(f"a boundary pair is a row of four integers, got {pair!r}")
+    row = row.astype(np.int64)
+    n_up = int(pair_sector(spec, row[:2], row[2:]))
+    ((psi, _norms),) = assemble_window_stacks(state, spec, [(n_up, row[None, :])])
+    return psi

@@ -8,10 +8,11 @@ matrix is built and applied on that basis only.
 
 The propagator is a plain truncated Taylor series of exp(-i H dt),
 renormalized after each step with the pre-renormalization norm drift
-checked against a hard guard. It runs on a stack of states that share
-one sector, one sparse-times-dense product per Taylor order; a single
-state is a stack of one. Each column of that product is accumulated in
-the order a single matrix-vector product uses, and norms and <Sz> are
+checked against a hard guard. A window state is always a stack of
+states that share one sector, one row each, and a single state is a
+stack of one. Each Taylor order is one sparse-times-dense product over
+the whole stack. Each column of that product is accumulated in the
+order a single matrix-vector product uses, and norms and <Sz> are
 reduced row by row, so a state evolves to the same bits whatever else
 shares its stack.
 
@@ -90,12 +91,11 @@ NORM_DRIFT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WindowState:
-    """State on a window of n_sites sites, stored on one total-Sz sector.
+    """A stack of states on a window of n_sites sites, on one total-Sz sector.
 
     total_sz_sector counts the up spins in the window (total Sz is
-    n_up - n_sites/2), and amplitudes[j] belongs to configuration
-    basis[j]. Amplitudes of shape (B, D) hold a stack of B states on the
-    same sector, one per row.
+    n_up - n_sites/2). The amplitudes are (rows, dim), one state per
+    row, and amplitudes[:, j] belongs to configuration basis[j].
     """
 
     amplitudes: np.ndarray
@@ -105,7 +105,7 @@ class WindowState:
     def __post_init__(self):
         n, n_up = self.n_sites, self.total_sz_sector
         shape = np.shape(self.amplitudes)
-        if not 0 <= n_up <= n or len(shape) not in (1, 2) or shape[-1] != math.comb(n, n_up):
+        if not 0 <= n_up <= n or len(shape) != 2 or shape[1] != math.comb(n, n_up):
             raise ConfigError(
                 f"amplitudes of shape {shape} do not fit the "
                 f"{n_up}-up-spin sector of {n} sites"
@@ -238,14 +238,11 @@ def build_hloc(l: int, delta: float) -> SparseWindowHamiltonian:
     return SparseWindowHamiltonian(l, delta)
 
 
-def sz_center(psi: WindowState):
-    """<Sz> of the central window site; for a stack, an array of one per row."""
+def sz_center(psi: WindowState) -> np.ndarray:
+    """<Sz> of the central window site, one value per row of the stack."""
     n = psi.n_sites
     sign = _site_bits(psi.basis, n, n // 2) - 0.5
-    p = np.abs(psi.amplitudes) ** 2
-    if p.ndim == 1:
-        return float(p @ sign)
-    return np.array([row @ sign for row in p])
+    return np.array([row @ sign for row in np.abs(psi.amplitudes) ** 2])
 
 
 def taylor_step(
@@ -256,11 +253,10 @@ def taylor_step(
 ) -> WindowState:
     """One step of exp(-i H delta_t) by truncated Taylor series.
 
-    The series runs to order n_max on the total-Sz sector of the state,
-    or of every row of a stack at once, and each row is renormalized; if
-    any row's norm drifted by more than NORM_DRIFT_TOL beforehand the
-    step is rejected, since that means the series was nowhere near
-    converged.
+    The series runs to order n_max on the total-Sz sector of every row
+    of the stack at once, and each row is renormalized; if any row's
+    norm drifted by more than NORM_DRIFT_TOL beforehand the step is
+    rejected, since that means the series was nowhere near converged.
     """
     if n_max < 1:
         raise ConfigError(f"n_max must be >= 1, got {n_max}")
@@ -269,11 +265,10 @@ def taylor_step(
             f"state on {psi.n_sites} sites but Hamiltonian on {h.n_sites}"
         )
     _basis, h_sec = h.sector(psi.total_sz_sector)
-    shape = psi.amplitudes.shape
     # One column per state, so each Taylor order is one CSR x dense
     # product, made on the real view: one real and one imaginary column
     # per state.
-    acc = psi.amplitudes.reshape(-1, shape[-1]).T.astype(complex, order="C")
+    acc = psi.amplitudes.T.astype(complex, order="C")
     term = acc
     for order in range(1, n_max + 1):
         term = (h_sec @ term.view(float)).view(complex)
@@ -289,7 +284,7 @@ def taylor_step(
                 f"increase n_max or decrease delta_t"
             )
         row /= norm
-    return WindowState(rows.reshape(shape), psi.n_sites, psi.total_sz_sector)
+    return WindowState(rows, psi.n_sites, psi.total_sz_sector)
 
 
 def evolve_and_measure(
@@ -297,17 +292,18 @@ def evolve_and_measure(
     h: SparseWindowHamiltonian,
     params: EvolverParams,
     t_init: float,
-) -> list:
-    """Series of (t, central <Sz>) from t_init to params.t_fin inclusive.
+) -> np.ndarray:
+    """(rows, points) central <Sz> of the stack on the grid t_init + k * delta_t.
 
-    For a stack each <Sz> is an array with one entry per row.
+    The grid runs from t_init to params.t_fin inclusive.
     """
     n = step_count(params.t_fin - t_init, params.delta_t, "t_fin - t_init")
-    series = [(t_init, sz_center(psi))]
+    values = np.empty((psi.amplitudes.shape[0], n + 1))
+    values[:, 0] = sz_center(psi)
     for j in range(1, n + 1):
         psi = taylor_step(psi, h, params.delta_t, params.n_max)
-        series.append((t_init + j * params.delta_t, sz_center(psi)))
-    return series
+        values[:, j] = sz_center(psi)
+    return values
 
 
 def spin_wave_velocity(delta: float) -> float:

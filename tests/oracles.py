@@ -14,8 +14,7 @@ A few are bit-exact pins instead: earlier, simpler routes of a kernel
 the package now batches or builds another way (scipy's COO route to a
 sector Hamiltonian, the complex Taylor product, window assembly one
 pair at a time, the spin walk one charge group and spin at a time, the
-dedup of boundary pairs through a dict, the bond update as four graded
-C matrices fused afterwards). The batched kernel must equal its pin bit
+bond update as four graded C matrices fused afterwards). The batched kernel must equal its pin bit
 for bit. GradedMatrix, the per-spin form of a site's matrices, lives
 here because only those routes compute with it.
 """
@@ -33,7 +32,6 @@ from spinquench.graded import SINGULAR_VALUE_FLOOR, SchmidtSpectrum, TruncationR
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
     TAIL_FLOOR,
-    BoundarySample,
     _bond_spectrum,
     _branch_probabilities,
     _draw_rows,
@@ -250,9 +248,9 @@ def free_fermion_window_sz0(l, t_init, times, margin=60):
 
 
 def full_amplitudes(psi):
-    """A sector-stored window state scattered into the full 2^n space."""
-    amps = np.zeros(1 << psi.n_sites, dtype=complex)
-    amps[psi.basis] = psi.amplitudes
+    """A sector-stored stack scattered into the full 2^n space, one row per state."""
+    amps = np.zeros((psi.amplitudes.shape[0], 1 << psi.n_sites), dtype=complex)
+    amps[:, psi.basis] = psi.amplitudes
     return amps
 
 
@@ -351,8 +349,7 @@ def complex_taylor_step(psi, h, delta_t, n_max):
     renormalized as taylor_step renormalizes them, with no drift guard.
     """
     _basis, h_sec = h.sector(psi.total_sz_sector)
-    shape = psi.amplitudes.shape
-    acc = psi.amplitudes.reshape(-1, shape[-1]).T.astype(complex, order="C")
+    acc = psi.amplitudes.T.astype(complex, order="C")
     term = acc
     for order in range(1, n_max + 1):
         term = h_sec @ term
@@ -361,7 +358,7 @@ def complex_taylor_step(psi, h, delta_t, n_max):
     rows = acc.T.copy()
     for row in rows:
         row /= float(np.linalg.norm(row))
-    return WindowState(rows.reshape(shape), psi.n_sites, psi.total_sz_sector)
+    return WindowState(rows, psi.n_sites, psi.total_sz_sector)
 
 
 def per_pair_partials(state, spec, boundary, right):
@@ -420,14 +417,17 @@ def per_pair_window_amplitudes(state, spec, alpha, beta, memo=None):
 
 
 def per_pair_window_state(state, spec, pair):
-    """The normalized window state of one pair, assembled on its own."""
-    n_up, amps = per_pair_window_amplitudes(state, spec, pair.alpha, pair.beta)
+    """The normalized window state of one (q_alpha, i_alpha, q_beta, i_beta) row, alone.
+
+    A stack of one, as the package stores every window state.
+    """
+    n_up, amps = per_pair_window_amplitudes(state, spec, pair[:2], pair[2:])
     amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return WindowState(amps, 2 * spec.l + 1, n_up)
+    return WindowState(amps[None, :], 2 * spec.l + 1, n_up)
 
 
 def enumerate_boundary_pairs(state, spec):
-    """Yield (alpha, beta, weight, WindowState) over all boundary pairs.
+    """Yield (alpha, beta, weight, WindowState stack of one) over all boundary pairs.
 
     The weight is lambda_alpha^2 times the squared norm of the raw
     window amplitudes; summed over all pairs the weights give the norm
@@ -450,7 +450,7 @@ def enumerate_boundary_pairs(state, spec):
                     norm2 = float(np.vdot(amps, amps).real)
                     weight = float(lam * lam) * norm2
                     if weight > 0.0:
-                        psi = WindowState(amps / math.sqrt(norm2), 2 * spec.l + 1, n_up)
+                        psi = WindowState((amps / math.sqrt(norm2))[None, :], 2 * spec.l + 1, n_up)
                         yield alpha, beta, weight, psi
 
 
@@ -707,21 +707,6 @@ def per_group_walk_chunk(state, spec, alphas, u, split):
         beta_i[mine] = _draw_rows(np.abs(rows) ** 2, node[mine] - start, u[mine, -1])
         start += rows.shape[0]
     return beta_q, beta_i
-
-
-def dict_first_occurrences(pairs):
-    """(distinct BoundarySamples, ids) of (q_alpha, i_alpha, q_beta, i_beta) rows.
-
-    Each row becomes a BoundarySample and a dict numbers them in order
-    of first occurrence: the dedup the package made before it kept
-    pairs as int rows.
-    """
-    index = {}
-    ids = [
-        index.setdefault(BoundarySample(alpha=(qa, ia), beta=(qb, ib)), len(index))
-        for qa, ia, qb, ib in np.asarray(pairs).tolist()
-    ]
-    return list(index), ids
 
 
 def block_svd_reference(theta):

@@ -134,7 +134,7 @@ def test_criterion_05_sampler_unbiased(acceptance_log, k16_t1):
     spec = WindowSpec(l=2)
     acc = 0.0
     for _a, _b, weight, psi in enumerate_boundary_pairs(state, spec):
-        amps = full_amplitudes(psi)
+        (amps,) = full_amplitudes(psi)
         bit = (np.arange(amps.size) >> spec.l) & 1
         acc += weight * float(np.abs(amps) ** 2 @ (bit - 0.5))
     direct = expect_sz(state, "A")
@@ -200,7 +200,7 @@ def test_criterion_07_symmetry_economy(acceptance_log, k256_run, k16_t1):
     for alpha, beta, _w, psi in enumerate_boundary_pairs(small_state, spec):
         dense = dense_window_amplitudes(small_state, spec, alpha, beta)
         dense /= np.linalg.norm(dense)
-        full = full_amplitudes(psi)
+        (full,) = full_amplitudes(psi)
         worst = max(worst, float(np.max(np.abs(dense - full))))
     _record(
         acceptance_log, 7, "symmetry-economy",

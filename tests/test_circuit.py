@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -239,6 +240,33 @@ def test_column_blocks_match_one_block(monkeypatch):
         assert len(calls) > 1
         assert abs(mean - sampled[0]) <= 1e-14
         assert abs(stderr - sampled[1]) <= 1e-14
+
+
+def test_window_halves_are_gathered_block_by_block(monkeypatch):
+    # with the limit at the half width, every block of the n = 20,
+    # depth-10 window stack holds one pair; the routes must gather each
+    # block's halves as they go, never the halves of all pairs at once
+    circuit = BrickworkCircuit.random(20, 10, np.random.default_rng(0))
+    summed = lightcone_expectation_sum(circuit)
+    sampled = lightcone_expectation_sampled(circuit, 4000, np.random.default_rng(4))
+    regions, _lmat, _rmat, lw, rw = circuit_module._boundary_matrices(circuit, None)
+    m = circuit.measured
+    pair_bytes = 16 * (2 ** (m - regions.w_lo) + 2 ** (regions.w_hi + 1 - m))
+    gathered = int(np.count_nonzero(lw)) * int(np.count_nonzero(rw)) * pair_bytes
+    assert regions.w_hi - regions.w_lo + 1 == 10 and gathered == 2**20
+    monkeypatch.setattr(circuit_module, "DIRECT_QUBIT_LIMIT", 10)
+    tracemalloc.start()
+    try:
+        blocked = lightcone_expectation_sum(circuit)
+        sum_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        mean, stderr = lightcone_expectation_sampled(circuit, 4000, np.random.default_rng(4))
+        sampled_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum_peak < gathered and sampled_peak < gathered
+    assert abs(blocked - summed) <= 1e-14
+    assert abs(mean - sampled[0]) <= 1e-14 and abs(stderr - sampled[1]) <= 1e-14
 
 
 def test_neel_bits():

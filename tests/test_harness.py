@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import dict_first_occurrences, numpy_uniforms
+from oracles import numpy_uniforms
 from spinquench import harness, sampler
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError
@@ -26,7 +26,6 @@ from spinquench.harness import (
 )
 from spinquench.itebd import QuenchConfig, expect_sz
 from spinquench.sampler import (
-    BoundarySample,
     WindowSpec,
     assemble_window_state,
     pair_sector,
@@ -217,9 +216,9 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
         (qa, ia, qb, ib), = sample_spins_and_beta(
             state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:]
         ).tolist()
-        psi = assemble_window_state(state, spec, BoundarySample(alpha=(qa, ia), beta=(qb, ib)))
+        psi = assemble_window_state(state, spec, (qa, ia, qb, ib))
         pairs.append((qa, ia, qb, ib))
-        rows.append([v for _t, v in evolve_and_measure(psi, h, params, state.time)])
+        rows.append(evolve_and_measure(psi, h, params, state.time)[0])
     return pairs, np.array(rows)
 
 
@@ -275,41 +274,6 @@ def test_run_mc_evolves_each_pair_once_per_run(
         sampled, s_rows, s_norms = values[0]
         assert np.array_equal(sampled, rows)
         assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
-
-
-@pytest.mark.parametrize("run", ["walk", "one-pair", "all-distinct", "mixed"])
-def test_first_occurrences_match_dict_dedup(k128_t2, run):
-    # the packed-key dedup gives the distinct pairs of a dict filled in
-    # sample order, in the same order and with the same per-sample ids:
-    # on walk-drawn pairs, on samples that all hit one pair, on pairs
-    # that are all distinct, and on pairs with charges of both signs
-    rng = np.random.default_rng(17)
-    if run == "walk":
-        state, _config = load_checkpoint(k128_t2["checkpoint"])
-        spec = WindowSpec(l=4)
-        u = sample_uniforms(7, np.arange(2000), 11)
-        pairs = sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0]), u[:, 1:])
-    elif run == "one-pair":
-        pairs = np.tile(np.array([-1, 3, 2, 0], dtype=np.int64), (500, 1))
-    elif run == "all-distinct":
-        pairs = np.column_stack([
-            rng.integers(-3, 4, 400), rng.permutation(400), rng.integers(-3, 4, 400),
-            rng.integers(0, 5, 400),
-        ])
-    else:
-        pairs = rng.integers(-2, 3, size=(1000, 4))
-    distinct, ids = harness._first_occurrences(pairs)
-    ref, ref_ids = dict_first_occurrences(pairs)
-    assert distinct.dtype == np.int64 and distinct.shape == (len(ref), 4)
-    assert distinct.tolist() == [[*p.alpha, *p.beta] for p in ref]
-    assert ids.tolist() == ref_ids
-    assert np.array_equal(distinct[ids], pairs)
-    if run == "one-pair":
-        assert len(ref) == 1
-    elif run == "all-distinct":
-        assert len(ref) == len(pairs)
-    else:
-        assert 1 < len(ref) < len(pairs)
 
 
 def _usable_cpus():
@@ -461,6 +425,62 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
     # the one-process run made several batches, neither one nor one per pair
     ((n_pairs, n_batches),) = batches
     assert 2 < n_batches < n_pairs
+
+
+@pytest.mark.parametrize("p_star", [None, 0.01], ids=["plain", "semistochastic"])
+def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, monkeypatch, p_star):
+    # sampler.WALK_MEMO_BYTES bounds the walk chunks, the assembly batches
+    # and the propagated stacks alike; a budget of one amplitude puts one
+    # sample in every chunk and one pair in every batch and stack, so each
+    # sector spans as many stacks as it has pairs, and writes the bytes of
+    # the default budget, where each sector is one stack
+    kw = dict(
+        checkpoint=k128_t2["checkpoint"],
+        l=2,
+        t_fin=2.0 + 2.0 / 3.0,
+        delta_t=1.0 / 3.0,
+        n_max=20,
+        n_samples=300,
+        master_seed=7,
+        n_workers=1,
+        p_star=p_star,
+    )
+    assemble, split, walk = harness.assemble_window_stacks, sampler._partial_batches, sampler._walk_chunk
+    stacks, batches, chunks = [], [], []
+
+    def counted_assemble(state, spec, share):
+        stacks.extend((n_up, len(pairs)) for n_up, pairs in share)
+        return assemble(state, spec, share)
+
+    def counted_split(state, spec, pairs):
+        ends = split(state, spec, pairs)
+        batches.append((len(pairs), len(ends)))
+        return ends
+
+    def counted_walk(state, spec, alphas, *args):
+        chunks.append(len(alphas))
+        return walk(state, spec, alphas, *args)
+
+    monkeypatch.setattr(harness, "assemble_window_stacks", counted_assemble)
+    monkeypatch.setattr(sampler, "_partial_batches", counted_split)
+    monkeypatch.setattr(sampler, "_walk_chunk", counted_walk)
+    outs = []
+    for budget in (sampler.WALK_MEMO_BYTES, 16):
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", budget)
+        for log in (stacks, batches, chunks):
+            log.clear()
+        outs.append(tmp_path / f"budget{budget}.csv")
+        run_mc(out=outs[-1], **kw)
+        ((n_pairs, n_batches),) = batches
+        n_ups = [n_up for n_up, _height in stacks]
+        if budget == 16:
+            assert chunks == [1] * 300 and n_batches == n_pairs
+            assert [height for _n_up, height in stacks] == [1] * n_pairs
+        else:
+            assert chunks == [300] and n_batches == 1
+            assert len(set(n_ups)) == len(n_ups) and sum(h for _n, h in stacks) == n_pairs
+    assert len(set(n_ups)) < len(n_ups)  # some sector spans several stacks
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_run_mc_single_share_starts_no_pool(

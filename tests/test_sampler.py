@@ -20,12 +20,12 @@ from spinquench.errors import ConfigError, SamplingError
 from spinquench.harness import sample_uniforms
 from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, expect_sz, neel_init
 from spinquench.sampler import (
-    BoundarySample,
     WindowSpec,
     _branch_probabilities,
     assemble_window_stacks,
     assemble_window_state,
     boundary_spectrum,
+    distinct_rows,
     pair_sector,
     sample_alpha,
     sample_spins_and_beta,
@@ -46,7 +46,7 @@ def test_exhaustive_pair_sum_reproduces_direct_observable(quench_state, l):
     total_weight = 0.0
     acc = 0.0
     for _alpha, _beta, weight, psi in enumerate_boundary_pairs(quench_state, spec):
-        amps = full_amplitudes(psi)
+        (amps,) = full_amplitudes(psi)
         bit = (np.arange(amps.size) >> l) & 1
         sz0 = float(np.abs(amps) ** 2 @ (bit - 0.5))
         acc += weight * sz0
@@ -68,8 +68,8 @@ def test_window_weight_matches_assembled_state(quench_state):
         n_up, raw = per_pair_window_amplitudes(quench_state, spec, alpha, beta)
         assert n_up == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
-        sample = BoundarySample(alpha=alpha, beta=beta)
-        psi2 = assemble_window_state(quench_state, spec, sample)
+        psi2 = assemble_window_state(quench_state, spec, (*alpha, *beta))
+        assert psi2.amplitudes.shape == psi.amplitudes.shape == (1, psi.basis.size)
         assert np.array_equal(psi.amplitudes, psi2.amplitudes)
         assert psi.total_sz_sector == psi2.total_sz_sector
         assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
@@ -101,7 +101,7 @@ def test_blocked_assembly_matches_dense_route(quench_state, k128_state):
         for pair in pairs:
             dense = dense_window_amplitudes(k128_state, spec, pair[:2], pair[2:])
             dense_psi = dense / np.linalg.norm(dense)
-            psi = assemble_window_state(k128_state, spec, _boundary_sample(pair))
+            psi = assemble_window_state(k128_state, spec, pair)
             assert np.max(np.abs(dense_psi - full_amplitudes(psi))) < 1e-10
 
 
@@ -116,12 +116,6 @@ def _distinct(rows):
     return rows[np.sort(first)]
 
 
-def _boundary_sample(row):
-    """A (q_alpha, i_alpha, q_beta, i_beta) row as assemble_window_state's argument."""
-    qa, ia, qb, ib = row.tolist()
-    return BoundarySample(alpha=(qa, ia), beta=(qb, ib))
-
-
 def _uniforms(master_seed, sample_ids, l):
     return np.array([numpy_uniforms(master_seed, sid, 2 * l + 3) for sid in sample_ids])
 
@@ -132,7 +126,7 @@ def test_sampling_is_deterministic_per_seed(quench_state):
     for _ in range(2):
         u = np.random.default_rng(1234).random((5, 7))
         pairs = _draws(quench_state, spec, u)
-        psi = assemble_window_state(quench_state, spec, _boundary_sample(pairs[0]))
+        psi = assemble_window_state(quench_state, spec, pairs[0])
         draws.append((pairs, psi.amplitudes.copy()))
     assert np.array_equal(draws[0][0], draws[1][0])
     assert np.array_equal(draws[0][1], draws[1][1])
@@ -146,9 +140,9 @@ def test_sampled_pairs_have_positive_weight(quench_state):
         for alpha, beta, weight, _psi in enumerate_boundary_pairs(quench_state, spec)
     }
     for pair in _draws(quench_state, spec, np.random.default_rng(5).random((20, 7))):
-        sample = _boundary_sample(pair)
-        assert weights[(sample.alpha, sample.beta)] > 0.0
-        assemble_window_state(quench_state, spec, sample)
+        qa, ia, qb, ib = pair.tolist()
+        assert weights[((qa, ia), (qb, ib))] > 0.0
+        assemble_window_state(quench_state, spec, pair)
 
 
 @pytest.fixture(scope="module")
@@ -311,9 +305,9 @@ def test_cached_assembly_matches_cache_free_assembly(
         assert psi.total_sz_sector == n_up
         assert psi.amplitudes.shape[0] == len(stack)
         for pair, row in zip(stack, psi.amplitudes):
-            alone = assemble_window_state(state, spec, _boundary_sample(pair))
+            alone = assemble_window_state(state, spec, pair)
             assert alone.total_sz_sector == n_up
-            assert np.array_equal(row, alone.amplitudes)
+            assert np.array_equal(row, alone.amplitudes[0])
     expected = {"kept": 1, "cleared-once": 2, "no-budget": len(pairs)}[clearing]
     assert len(batches[0]) == expected
 
@@ -332,12 +326,11 @@ def test_stack_assembly_matches_per_pair_oracle(k128_state, monkeypatch, l, budg
     stacks = _sector_stacks(spec, pairs, 7)
     for (n_up, stack), (psi, _norms) in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
         for pair, row in zip(stack, psi.amplitudes):
-            ref = per_pair_window_state(k128_state, spec, _boundary_sample(pair))
+            ref = per_pair_window_state(k128_state, spec, pair)
             assert ref.total_sz_sector == n_up
-            assert np.array_equal(row, ref.amplitudes), (pair, l)
-    first = _boundary_sample(pairs[0])
-    psi = assemble_window_state(k128_state, spec, first)
-    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, first).amplitudes)
+            assert np.array_equal(row, ref.amplitudes[0]), (pair, l)
+    psi = assemble_window_state(k128_state, spec, pairs[0])
+    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, pairs[0]).amplitudes)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 14, 1 << 16, 1 << 25])
@@ -420,19 +413,61 @@ def test_unknown_right_boundary_index_rejected(quench_state):
     spec = WindowSpec(l=2)
     dims = quench_state.lambda_a.sector_dims  # the bond right of site 2
     q = max(dims)
-    bad = BoundarySample(alpha=(0, 0), beta=(q, dims[q] + 7))
     with pytest.raises(ConfigError):
-        assemble_window_state(quench_state, spec, bad)
+        assemble_window_state(quench_state, spec, (0, 0, q, dims[q] + 7))
     # so is a charge the right bond does not carry
-    bad = BoundarySample(alpha=(0, 0), beta=(q + 1, 0))
     with pytest.raises(ConfigError):
-        assemble_window_state(quench_state, spec, bad)
+        assemble_window_state(quench_state, spec, (0, 0, q + 1, 0))
     # an out-of-range left boundary index is a configuration error too,
     # on the assembly path and on the spin walk alike
     left = boundary_spectrum(quench_state, spec).sector_dims
     q = max(left)
-    bad = BoundarySample(alpha=(q, left[q] + 7), beta=(0, 0))
     with pytest.raises(ConfigError):
-        assemble_window_state(quench_state, spec, bad)
+        assemble_window_state(quench_state, spec, (q, left[q] + 7, 0, 0))
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, spec, [bad.alpha], np.zeros((1, 6)))
+        sample_spins_and_beta(quench_state, spec, [(q, left[q] + 7)], np.zeros((1, 6)))
+
+
+@pytest.mark.parametrize(
+    "pair", [(0, 0, 0), (0, 0, 0, 0, 0), [[0, 0, 0, 0]], (0.0, 0, 0, 0), np.ones(4, dtype=bool), "0000"],
+    ids=["three", "five", "two-d", "float", "bool", "string"],
+)
+def test_one_pair_view_takes_four_integers(quench_state, pair):
+    # the one-pair view's argument is one (q_alpha, i_alpha, q_beta, i_beta) row
+    with pytest.raises(ConfigError, match="four integers"):
+        assemble_window_state(quench_state, WindowSpec(l=2), pair)
+
+
+@pytest.mark.parametrize("run", ["walk", "one-pair", "all-distinct", "mixed"])
+def test_distinct_rows_ascend_and_invert(k128_t2, run):
+    # the packed-key dedup gives the distinct rows in ascending
+    # lexicographic order, each at its first occurrence, and an inverse
+    # that gives the rows back, as np.unique over whole rows does: on
+    # walk-drawn pairs, on samples that all hit one pair, on pairs that
+    # are all distinct, and on pairs with charges of both signs
+    rng = np.random.default_rng(17)
+    if run == "walk":
+        state, _config = load_checkpoint(k128_t2["checkpoint"])
+        spec = WindowSpec(l=4)
+        pairs = _draws(state, spec, sample_uniforms(7, np.arange(2000), 11))
+    elif run == "one-pair":
+        pairs = np.tile(np.array([-1, 3, 2, 0], dtype=np.int64), (500, 1))
+    elif run == "all-distinct":
+        pairs = np.column_stack([
+            rng.integers(-3, 4, 400), rng.permutation(400), rng.integers(-3, 4, 400),
+            rng.integers(0, 5, 400),
+        ])
+    else:
+        pairs = rng.integers(-2, 3, size=(1000, 4))
+    first, inverse = distinct_rows(pairs)
+    distinct = pairs[first]
+    assert np.array_equal(distinct[inverse], pairs)
+    ref, ref_first, ref_inverse = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(distinct, ref)
+    assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse.ravel())
+    if run == "one-pair":
+        assert len(first) == 1
+    elif run == "all-distinct":
+        assert len(first) == len(pairs)
+    else:
+        assert 1 < len(first) < len(pairs)

@@ -62,7 +62,7 @@ def _case(request, name, l, p_star):
 def _exhaustive(state, spec):
     """{(alpha, beta): (weight, <Sz_0>)} over every pair of nonzero weight."""
     return {
-        (alpha, beta): (weight, sz_center(psi))
+        (alpha, beta): (weight, float(sz_center(psi)[0]))
         for alpha, beta, weight, psi in enumerate_boundary_pairs(state, spec)
     }
 

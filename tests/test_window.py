@@ -82,7 +82,7 @@ def test_sector_bases_partition_full_space():
 def test_sector_basis_is_shared_and_read_only():
     h = build_hloc(2, 0.5)
     basis, _h_sec = h.sector(2)
-    psi = WindowState(np.zeros(basis.size, dtype=complex), h.n_sites, 2)
+    psi = WindowState(np.zeros((1, basis.size), dtype=complex), h.n_sites, 2)
     assert psi.basis is basis
     assert not basis.flags.writeable
     with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ def _random_sector_state(l, n_up, seed):
     n = 2 * l + 1
     dim = math.comb(n, n_up)
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return WindowState(amps / np.linalg.norm(amps), n, n_up)
+    return WindowState((amps / np.linalg.norm(amps))[None, :], n, n_up)
 
 
 def test_taylor_step_matches_exponential():
@@ -102,9 +102,9 @@ def test_taylor_step_matches_exponential():
     psi = _random_sector_state(l, n_up, seed=7)
     h = build_hloc(l, 0.5)
     _basis, h_sec = h.sector(n_up)
-    expected = expm_multiply(-1j * (1.0 / 3.0) * h_sec, psi.amplitudes)
+    expected = expm_multiply(-1j * (1.0 / 3.0) * h_sec, psi.amplitudes[0])
     stepped = taylor_step(psi, h, 1.0 / 3.0, 20)
-    assert np.max(np.abs(stepped.amplitudes - expected)) < 1e-12
+    assert np.max(np.abs(stepped.amplitudes[0] - expected)) < 1e-12
     assert abs(np.linalg.norm(stepped.amplitudes) - 1.0) < 1e-14
     assert stepped.total_sz_sector == n_up
 
@@ -118,7 +118,7 @@ def test_taylor_step_rejects_diverged_series():
 
 def _stack(states):
     return WindowState(
-        np.stack([s.amplitudes for s in states]),
+        np.concatenate([s.amplitudes for s in states]),
         states[0].n_sites,
         states[0].total_sz_sector,
     )
@@ -147,17 +147,16 @@ def test_stacked_propagation_matches_stacks_of_one(duplicate):
     assert stepped.amplitudes.shape == (5, 462)
     _basis, h_sec = h.sector(5)
     for j, psi in enumerate(states):
-        ref = _single_vector_step(psi.amplitudes, h_sec, 1.0 / 3.0, 20)
+        ref = _single_vector_step(psi.amplitudes[0], h_sec, 1.0 / 3.0, 20)
         assert np.array_equal(stepped.amplitudes[j], ref)
     params = EvolverParams(1.0 / 3.0, 20, 2.0)
     series = evolve_and_measure(_stack(states), h, params, 1.0)
-    for j, psi in enumerate(states):
-        for alone in (_stack([psi]), psi):  # a stack of one, and the bare state
-            out = taylor_step(alone, h, 1.0 / 3.0, 20).amplitudes
-            assert out.shape == alone.amplitudes.shape
-            assert np.array_equal(stepped.amplitudes[j], out.reshape(-1))
-            one = evolve_and_measure(alone, h, params, 1.0)
-            assert [(t, np.ravel(v)[0]) for t, v in one] == [(t, v[j]) for t, v in series]
+    assert series.shape == (5, 4)
+    for j, psi in enumerate(states):  # each state alone is a stack of one
+        out = taylor_step(psi, h, 1.0 / 3.0, 20).amplitudes
+        assert out.shape == (1, 462)
+        assert np.array_equal(stepped.amplitudes[j], out[0])
+        assert np.array_equal(evolve_and_measure(psi, h, params, 1.0), series[j:j + 1])
     if duplicate:
         assert np.array_equal(stepped.amplitudes[1], stepped.amplitudes[3])
 
@@ -218,7 +217,7 @@ def test_stack_with_one_diverging_row_is_rejected():
     _basis, h_sec = h.sector(2)
     energies, vecs = np.linalg.eigh(h_sec.toarray())
     order = np.argsort(np.abs(energies))
-    calm, wild = (WindowState(vecs[:, k].astype(complex), 5, 2) for k in order[[0, -1]])
+    calm, wild = (WindowState(vecs[:, [k]].T.astype(complex), 5, 2) for k in order[[0, -1]])
     delta_t, n_max = 1.0, 6
     taylor_step(calm, h, delta_t, n_max)
     with pytest.raises(NormDriftError):
@@ -228,16 +227,18 @@ def test_stack_with_one_diverging_row_is_rejected():
 
 
 def test_window_state_rejects_length_mismatch():
-    # amplitudes must match the declared sector: C(5, 2) = 10 on 5 sites
+    # amplitudes must be a stack on the declared sector: C(5, 2) = 10 on 5 sites
     amps = _random_sector_state(2, 2, seed=5).amplitudes
     with pytest.raises(ConfigError):
-        WindowState(amps[:-1], 5, 2)
+        WindowState(amps[:, :-1], 5, 2)
     with pytest.raises(ConfigError):
-        WindowState(np.zeros(32, dtype=complex), 5, 2)  # full-space vector
+        WindowState(np.zeros((1, 32), dtype=complex), 5, 2)  # full-space vector
     with pytest.raises(ConfigError):
         WindowState(amps, 5, 1)  # C(5, 1) = 5
     with pytest.raises(ConfigError):
-        WindowState(np.zeros(1, dtype=complex), 5, 6)
+        WindowState(np.zeros((1, 1), dtype=complex), 5, 6)
+    with pytest.raises(ConfigError):
+        WindowState(amps[0], 5, 2)  # a single state is a stack of one
     with pytest.raises(ConfigError):
         WindowState(np.zeros((2, 9), dtype=complex), 5, 2)  # stack rows too short
     with pytest.raises(ConfigError):
@@ -248,9 +249,8 @@ def test_evolve_and_measure_grid_inclusive():
     psi = _random_sector_state(1, 2, seed=1)
     h = build_hloc(1, 0.5)
     series = evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 2.0), 1.0)
-    times = [t for t, _ in series]
-    assert times == pytest.approx([1.0, 4.0 / 3.0, 5.0 / 3.0, 2.0])
-    assert series[0][1] == pytest.approx(sz_center(psi))
+    assert series.shape == (1, 4)  # t = 1, 4/3, 5/3 and 2
+    assert np.array_equal(series[:, 0], sz_center(psi))
 
 
 def test_evolve_and_measure_rejects_nonintegral_span():
@@ -372,8 +372,8 @@ def test_sector_basis_lists_each_sector_in_order(n_sites):
 
 
 def test_sz_center_on_product_state():
-    amps = np.array([0.0, 1.0, 0.0], dtype=complex)
+    amps = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
     psi = WindowState(amps, 3, 1)
     assert list(psi.basis) == [0b001, 0b010, 0b100]  # down, up, down at 1
-    assert sz_center(psi) == pytest.approx(0.5)
+    assert sz_center(psi).tolist() == [0.5, -0.5]
     assert psi.n_sites == 3
