@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplingError
-from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState
+from .itebd import DN, UP, MPSState
 from .window import WindowState, _sector_basis, check_half_width
 
 #: A candidate branch whose squared norm falls below this times its
@@ -145,10 +145,6 @@ def site_tensors(state: MPSState, site: int):
     return state.a_a if site % 2 == 0 else state.a_b
 
 
-def site_shifts(site: int):
-    return SHIFT_A if site % 2 == 0 else SHIFT_B
-
-
 def _bond_spectrum(state: MPSState, site: int):
     """Schmidt spectrum of the bond right of a site: lambda of its sublattice."""
     return state.lambda_a if site % 2 == 0 else state.lambda_b
@@ -164,16 +160,16 @@ def boundary_spectrum(state: MPSState, spec: WindowSpec):
     return _bond_spectrum(state, -spec.l - 1)
 
 
-def sample_alpha(state: MPSState, spec: WindowSpec, u, split=None) -> np.ndarray:
-    """Draw left-boundary Schmidt states with probability lambda^2.
+def sample_alpha(state: MPSState, spec: WindowSpec, u, split: TailSplit) -> np.ndarray:
+    """Draw left-boundary Schmidt states with the split's tail weights.
 
     u holds one uniform in [0, 1) per sample; the result holds one
-    (sector charge, index-within-sector) row per sample. With a
-    TailSplit the weights are its tail weights, lambda^2 less the mass
-    of each state's pairs in S.
+    (sector charge, index-within-sector) row per sample. The weights are
+    lambda^2 less the mass of each state's pairs in S, so with S empty
+    (semistochastic_split(state, spec)) they are lambda^2.
     """
     spectrum = boundary_spectrum(state, spec)
-    weights = spectrum.weights if split is None else split.alpha_weights
+    weights = split.alpha_weights
     total = float(weights.sum())
     if not total > 0.0:
         raise SamplingError("cannot draw from weights that sum to zero")
@@ -385,8 +381,8 @@ def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=None) -> Tail
     if worst > CANONICAL_TOL:
         raise ConfigError(
             f"canonical-form residual {worst:.2e} exceeds {CANONICAL_TOL:g}: the "
-            f"conditioned tail draw would be biased; run with S empty (no p_star, "
-            f"or --p-star above 1)"
+            f"conditioned tail draw would be biased; run with S empty (p_star None, "
+            f"or --p-star inf on the command line)"
         )
     env = {q: np.diag(mask.astype(complex)) for q, mask in heavy[1].items()}
     envs = [env]
@@ -437,8 +433,8 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
     heavy = _members(split.heavy_left, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
-        env = split.envs[depth + 1]
+        tensors = site_tensors(state, site)
+        shifts, env = tensors.shifts, split.envs[depth + 1]
         charges = [q for q, _rows in groups]
         starts = np.cumsum([0] + [rows.shape[0] for _q, rows in groups])
         cands, norms = [], np.zeros((2, starts[-1]))
@@ -510,7 +506,7 @@ def _chunk_size(state: MPSState) -> int:
     return max(1, WALK_MEMO_BYTES // (3 * 16 * _widest(state)))
 
 
-def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u, split=None) -> np.ndarray:
+def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u, split: TailSplit) -> np.ndarray:
     """Chain-sample the window spins, then the right boundary state, of every sample.
 
     alphas holds one (charge, index) row per sample and u one row of
@@ -523,9 +519,9 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u, split=No
     contiguous chunks of at most _chunk_size samples. The spins
     themselves are not returned: only the boundary pairs matter, as an
     (n, 4) int64 array of (q_alpha, i_alpha, q_beta, i_beta) rows, one
-    per sample, in order; no samples give a (0, 4) array. With a
-    TailSplit, the samples whose alpha is in its A walk conditioned on
-    leaving S (see _walk_chunk); without one, S is empty.
+    per sample, in order; no samples give a (0, 4) array. The samples
+    whose alpha is in the split's A walk conditioned on leaving S (see
+    _walk_chunk); with S empty, every sample walks the plain chain.
     """
     alphas = np.asarray(alphas, dtype=np.int64).reshape(-1, 2)
     u = np.asarray(u, dtype=float)
@@ -536,8 +532,6 @@ def sample_spins_and_beta(state: MPSState, spec: WindowSpec, alphas, u, split=No
         )
     if not alphas.size:
         return np.empty((0, 4), dtype=np.int64)
-    if split is None:
-        split = semistochastic_split(state, spec)
     chunk = _chunk_size(state)
     betas = [
         _walk_chunk(state, spec, alphas[lo:lo + chunk], u[lo:lo + chunk], split)
@@ -574,8 +568,8 @@ def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool)
     for q0, units in _root_groups(dims, roots):
         groups = {q0: (np.zeros(1, dtype=np.int64), units.reshape(units.shape[0], 1, -1))}
         for site in sites:
-            tensors, shifts = site_tensors(state, site), site_shifts(site)
-            kids = {}
+            tensors = site_tensors(state, site)
+            shifts, kids = tensors.shifts, {}
             for q, (codes, rows) in groups.items():
                 for s, bit in ((UP, 1), (DN, 0)):
                     # A(s) maps row sector q to column sector q + shift; beta's

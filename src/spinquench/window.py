@@ -85,6 +85,17 @@ def check_half_width(l: int) -> None:
             f"GiB, over the {SECTOR_BYTES_MAX / 2**30:.0f} GiB bound"
         )
 
+
+#: Lowest Taylor order a window step may be cut at.
+N_MAX_MIN = 4
+
+
+def check_taylor_order(n_max: int) -> None:
+    """ConfigError unless the Taylor series runs to order N_MAX_MIN or more."""
+    if n_max < N_MAX_MIN:
+        raise ConfigError(f"n_max must be >= {N_MAX_MIN}, got {n_max}")
+
+
 #: Pre-renormalization norm drift above which a Taylor step is rejected.
 NORM_DRIFT_TOL = 1e-9
 
@@ -127,8 +138,7 @@ class EvolverParams:
     def __post_init__(self):
         if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
-        if self.n_max < 4:
-            raise ConfigError(f"n_max must be >= 4, got {self.n_max}")
+        check_taylor_order(self.n_max)
 
 
 @functools.cache
@@ -258,8 +268,7 @@ def taylor_step(
     norm drifted by more than NORM_DRIFT_TOL beforehand the step is
     rejected, since that means the series was nowhere near converged.
     """
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    check_taylor_order(n_max)
     if psi.n_sites != h.n_sites:
         raise ConfigError(
             f"state on {psi.n_sites} sites but Hamiltonian on {h.n_sites}"

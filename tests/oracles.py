@@ -6,17 +6,21 @@ total-Sz sector, scipy's sparse exponential instead of the Taylor
 series, one circuit window at a time instead of a stack of them, and
 at delta = 0 the exact free-fermion window instead of any sampling,
 a Python sort instead of the spectrum's ranking, every boundary pair
-instead of the sampled ones, and numpy's own generator per sample
+instead of the sampled ones, one sample walked at a time instead of
+all samples level by level, and numpy's own generator per sample
 instead of one stream pass over all samples. A test that compares the
-package against one of these checks the structure itself.
+package against one of these checks the structure itself. The
+boundary-pair enumeration assembles its windows with the package's
+stack assembler, so a test that sums over it checks that assembler.
 
 A few are bit-exact pins instead: earlier, simpler routes of a kernel
 the package now batches or builds another way (scipy's COO route to a
-sector Hamiltonian, the complex Taylor product, window assembly one
-pair at a time, the spin walk one charge group and spin at a time, the
-bond update as four graded C matrices fused afterwards). The batched kernel must equal its pin bit
-for bit. GradedMatrix, the per-spin form of a site's matrices, lives
-here because only those routes compute with it.
+sector Hamiltonian, the complex Taylor product, the spin walk one
+charge group and spin at a time, the bond update as four graded C
+matrices fused afterwards, the circuit's boundary sum and sampled
+estimator one pair at a time). The batched kernel must equal its pin
+bit for bit. GradedMatrix, the per-spin form of a site's matrices,
+lives here because only those routes compute with it.
 """
 
 import math
@@ -34,11 +38,12 @@ from spinquench.sampler import (
     TAIL_FLOOR,
     _bond_spectrum,
     _branch_probabilities,
+    _central_charges,
     _draw_rows,
     _root_groups,
+    assemble_window_stacks,
     boundary_spectrum,
     pair_sector,
-    site_shifts,
     site_tensors,
 )
 from spinquench.window import WindowState, _sector_basis, _site_bits
@@ -361,97 +366,41 @@ def complex_taylor_step(psi, h, delta_t, n_max):
     return WindowState(rows, psi.n_sites, psi.total_sz_sector)
 
 
-def per_pair_partials(state, spec, boundary, right):
-    """{central charge: (codes, rows)} of one boundary state's partials, alone.
-
-    The partials of sampler._partials for a single root, each level a
-    2-D rows @ A(s) (or A(s).T for beta) product per charge and spin.
-    """
-    l = spec.l
-    q, index = boundary
-    dims = _bond_spectrum(state, l if right else -l - 1).sector_dims
-    if not 0 <= index < dims.get(q, 0):
-        raise ConfigError(f"no boundary state (q={q}, index={index})")
-    rows = np.zeros((1, dims[q]), dtype=complex)
-    rows[0, index] = 1.0
-    groups = {q: (np.zeros(1, dtype=np.int64), rows)}
-    top, sites = (l, range(l, 0, -1)) if right else (0, range(-l, 1))
-    for site in sites:
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
-        kids = {}
-        for q, (codes, rows) in groups.items():
-            for s, bit in ((UP, 1), (DN, 0)):
-                kid = q - shifts[s] if right else q + shifts[s]
-                block = tensors.block(s, kid if right else q)
-                if block is not None:
-                    kid_codes = codes | bit << (top - site) if bit else codes
-                    kids.setdefault(kid, []).append((kid_codes, rows @ (block.T if right else block)))
-        groups = {
-            q: parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-            for q, parts in sorted(kids.items())
-        }
-    return groups
-
-
-def per_pair_window_amplitudes(state, spec, alpha, beta, memo=None):
-    """(n_up, unnormalized sector amplitudes) of one pair, met on its own.
-
-    Each central-bond charge's amplitudes are one 2-D lmat @ rmat.T of
-    the pair's own partials; memo, a dict, keeps partials per boundary.
-    """
-    l = spec.l
-    memo = {} if memo is None else memo
-    for right, b in ((False, tuple(alpha)), (True, tuple(beta))):
-        if (right, b) not in memo:
-            memo[right, b] = per_pair_partials(state, spec, b, right)
-    lefts, rights = memo[False, tuple(alpha)], memo[True, tuple(beta)]
-    n_up = pair_sector(spec, alpha, beta)
-    basis = _sector_basis(2 * l + 1, n_up)
-    amps = np.zeros(basis.size, dtype=complex)
-    for q, (cl, lmat) in lefts.items():
-        if q in rights:
-            cr, rmat = rights[q]
-            codes = ((cl[:, None] << l) | cr[None, :]).ravel()
-            amps[np.searchsorted(basis, codes)] = (lmat @ rmat.T).ravel()
-    return n_up, amps
-
-
-def per_pair_window_state(state, spec, pair):
-    """The normalized window state of one (q_alpha, i_alpha, q_beta, i_beta) row, alone.
-
-    A stack of one, as the package stores every window state.
-    """
-    n_up, amps = per_pair_window_amplitudes(state, spec, pair[:2], pair[2:])
-    amps /= math.sqrt(float(np.vdot(amps, amps).real))
-    return WindowState(amps[None, :], 2 * spec.l + 1, n_up)
-
-
 def enumerate_boundary_pairs(state, spec):
     """Yield (alpha, beta, weight, WindowState stack of one) over all boundary pairs.
 
-    The weight is lambda_alpha^2 times the squared norm of the raw
-    window amplitudes; summed over all pairs the weights give the norm
-    of the chain state, i.e. one up to truncation residue. Pairs with
-    zero weight are skipped. The right boundary states are read off the
-    column sectors of site l's tensors. Exhaustive, so only sensible at
-    small l and bond dimension; the Monte Carlo path exists precisely
-    because this loop is exponential in the boundary entropy.
+    Every left x right boundary pair whose partials share a central-bond
+    charge is assembled by the package's stack assembler, one stack per
+    sector; the weight is lambda_alpha^2 times the raw squared norm the
+    assembler returns. Summed over all pairs the weights give the norm
+    of the chain state, i.e. one up to truncation residue. Pairs come in
+    ascending (alpha, beta). The right boundary states are those of the
+    bond right of site l. Exhaustive, so only sensible at small l and
+    bond dimension; the Monte Carlo path exists precisely because this
+    loop is exponential in the boundary entropy.
     """
     spectrum = boundary_spectrum(state, spec)
-    tensors = site_tensors(state, spec.l)
-    right_dims = {**spin_matrix(tensors, UP).col_dims, **spin_matrix(tensors, DN).col_dims}
-    memo = {}
-    for q_a, lam_vals in spectrum.blocks.items():
-        for i_a, lam in enumerate(lam_vals):
-            for q_b, d_b in sorted(right_dims.items()):
-                for i_b in range(d_b):
-                    alpha, beta = (q_a, i_a), (q_b, i_b)
-                    n_up, amps = per_pair_window_amplitudes(state, spec, alpha, beta, memo)
-                    norm2 = float(np.vdot(amps, amps).real)
-                    weight = float(lam * lam) * norm2
-                    if weight > 0.0:
-                        psi = WindowState((amps / math.sqrt(norm2))[None, :], 2 * spec.l + 1, n_up)
-                        yield alpha, beta, weight, psi
+    right_dims = _bond_spectrum(state, spec.l).sector_dims
+    left_reach = {qa: _central_charges(state, spec, qa, False) for qa in spectrum.blocks}
+    right_reach = {qb: _central_charges(state, spec, qb, True) for qb in right_dims}
+    pairs = np.array([
+        (qa, ia, qb, ib)
+        for qa, lam in spectrum.blocks.items()
+        for ia in range(lam.size)
+        for qb, d_b in right_dims.items()
+        if left_reach[qa] & right_reach[qb]
+        for ib in range(d_b)
+    ], dtype=np.int64).reshape(-1, 4)
+    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
+    n_ups = np.unique(sectors).tolist()
+    stacks = [(n_up, pairs[sectors == n_up]) for n_up in n_ups]
+    assembled = [None] * len(pairs)
+    for n_up, (psi, norms) in zip(n_ups, assemble_window_stacks(state, spec, stacks)):
+        for j, r in enumerate(np.flatnonzero(sectors == n_up).tolist()):
+            assembled[r] = WindowState(psi.amplitudes[j:j + 1], psi.n_sites, n_up), float(norms[j])
+    for (qa, ia, qb, ib), (psi, norm2) in zip(pairs.tolist(), assembled):
+        lam = spectrum.blocks[qa][ia]
+        yield (qa, ia), (qb, ib), float(lam * lam) * norm2, psi
 
 
 def ranked_entries(spectrum):
@@ -481,45 +430,15 @@ def _pick(weights, u):
     return min(k, weights.size - 1)
 
 
-class _AlphaDraw:
-    """Left boundary states drawn with probability lambda^2 from a Python ranking."""
-
-    def __init__(self, spectrum):
-        self.entries = ranked_entries(spectrum)
-        self.weights = np.array([w * w for _q, w, _i in self.entries])
-
-    def __call__(self, u):
-        q, _w, i = self.entries[_pick(self.weights, u)]
-        return q, i
-
-
 def _walk_step(state, site, q, vec):
     """(candidates, norms) of both spins at a site for the row vec in sector q."""
-    tensors, shifts = site_tensors(state, site), site_shifts(site)
+    tensors = site_tensors(state, site)
     cands, norms = {}, {}
     for s in (UP, DN):
         block = tensors.block(s, q)
-        cands[s] = None if block is None else (q + shifts[s], vec @ block)
+        cands[s] = None if block is None else (q + tensors.shifts[s], vec @ block)
         norms[s] = 0.0 if block is None else float(np.vdot(cands[s][1], cands[s][1]).real)
     return cands, norms
-
-
-def fresh_walk(state, spec, rng):
-    """(alpha, beta) drawn with no reuse: every conditional computed anew.
-
-    Takes one rng.random() per draw: alpha, each window spin, beta.
-    """
-    spectrum = boundary_spectrum(state, spec)
-    q, i = alpha = _AlphaDraw(spectrum)(rng.random())
-    vec = np.zeros(spectrum.sector_dims[q], dtype=complex)
-    vec[i] = 1.0
-    for site in range(-spec.l, spec.l + 1):
-        cands, norms = _walk_step(state, site, q, vec)
-        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
-        pick = UP if rng.random() < p_up else DN
-        q, vec = cands[pick]
-        vec = vec * (1.0 / math.sqrt(norms[pick]))
-    return alpha, (q, _pick(np.abs(vec) ** 2, rng.random()))
 
 
 def _tail_step(state, spec, split, depth, q, vec, heavy):
@@ -549,12 +468,18 @@ def _tail_beta_weights(split, q, vec, heavy):
 
 
 def _tail_roots(state, spec, split):
-    """[(alpha, tail weight, heavy)] of the left boundary in rank order."""
-    charges, _values, index = boundary_spectrum(state, spec)._ranked
-    return [
-        ((q, i), w, q in split.heavy_left and bool(split.heavy_left[q][i]))
-        for q, i, w in zip(charges.tolist(), index.tolist(), split.alpha_weights.tolist())
-    ]
+    """[(alpha, tail weight, heavy)] of the left boundary, ranked by ranked_entries.
+
+    A state outside A weighs lambda^2; one in A takes the split's tail
+    weight at its rank, so a ranking that differs from the package's
+    misplaces it.
+    """
+    roots = []
+    entries = ranked_entries(boundary_spectrum(state, spec))
+    for (q, w, i), tail in zip(entries, split.alpha_weights.tolist()):
+        heavy = q in split.heavy_left and bool(split.heavy_left[q][i])
+        roots.append(((q, i), tail if heavy else w * w, heavy))
+    return roots
 
 
 def tail_walk(state, spec, split, u):
@@ -562,7 +487,9 @@ def tail_walk(state, spec, split, u):
 
     One sample at a time with dense quadratic forms: alpha by the
     split's tail weights, then each spin and beta from the conditionals
-    of _tail_step and _tail_beta_weights.
+    of _tail_step and _tail_beta_weights, every one computed anew. With
+    S empty (semistochastic_split(state, spec)) it is the plain walk:
+    alpha by lambda^2, each spin by |c|^2, beta by the last row's moduli.
     """
     roots = _tail_roots(state, spec, split)
     u_alpha, *spins, u_beta = np.asarray(u).tolist()
@@ -613,48 +540,6 @@ def tail_pair_distribution(state, spec, split):
     return out
 
 
-class TrieWalk:
-    """The boundary walk one sample at a time, through a trie of prefixes.
-
-    A node is built on the first visit to its (alpha, spin prefix),
-    exactly as a fresh walk computes it, and looked up by every later
-    sample that reaches it.
-    """
-
-    def __init__(self, state, spec):
-        self.state, self.spec = state, spec
-        self.spectrum = boundary_spectrum(state, spec)
-        self.draw_alpha = _AlphaDraw(self.spectrum)
-        self.roots = {}
-
-    def draw(self, u):
-        """(alpha, beta) of one sample from its 2l+3 uniforms, alpha first."""
-        u_alpha, *spins, u_beta = np.asarray(u).tolist()
-        q, i = alpha = self.draw_alpha(u_alpha)
-        node = self.roots.get(alpha)
-        if node is None:
-            vec = np.zeros(self.spectrum.sector_dims[q], dtype=complex)
-            vec[i] = 1.0
-            node = self.roots[alpha] = self._node(q, vec, 0)
-        for depth, x in enumerate(spins, start=1):
-            p_up, cands, norms, kids = node
-            pick = UP if x < p_up else DN
-            if kids[pick] is None:
-                q, vec = cands[pick]
-                kids[pick] = self._node(q, vec * (1.0 / math.sqrt(norms[pick])), depth)
-            node = kids[pick]
-        q, probs = node
-        return alpha, (q, _pick(probs, u_beta))
-
-    def _node(self, q, vec, depth):
-        """[p_up, candidates, norms, kids] after depth spins, or (q, beta weights)."""
-        if depth == 2 * self.spec.l + 1:
-            return q, np.abs(vec) ** 2
-        cands, norms = _walk_step(self.state, depth - self.spec.l, q, vec)
-        p_up, _p_dn = _branch_probabilities(norms[UP], norms[DN])
-        return [p_up, cands, norms, [None, None]]
-
-
 def per_group_walk_chunk(state, spec, alphas, u, split):
     """sampler._walk_chunk numbering a level's kids group by group, S empty.
 
@@ -669,7 +554,7 @@ def per_group_walk_chunk(state, spec, alphas, u, split):
     node = node.reshape(-1)
     groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
-        tensors, shifts = site_tensors(state, site), site_shifts(site)
+        tensors = site_tensors(state, site)
         kids = {}
         start = 0
         while groups:
@@ -690,7 +575,7 @@ def per_group_walk_chunk(state, spec, alphas, u, split):
                 if took.any():
                     picked, kid = np.unique(at[took], return_inverse=True)
                     kid_rows = cands[s][picked] * (1.0 / np.sqrt(norms[s, picked]))[:, None]
-                    kids.setdefault(q + shifts[s], []).append((mine[took], kid, kid_rows))
+                    kids.setdefault(q + tensors.shifts[s], []).append((mine[took], kid, kid_rows))
         start = 0
         for q in sorted(kids):
             parts = kids.pop(q)

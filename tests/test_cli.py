@@ -138,6 +138,24 @@ def test_profile_fills_defaults(tmp_path):
     assert meta["delta"] == 0.5
 
 
+def test_semistochastic_refusal_names_its_remedy(tmp_path, capsys):
+    # the default desk profile's p_star refuses a k=16 checkpoint at t=4,
+    # which is off canonical form; the message names --p-star inf, which
+    # empties S and writes the bytes of the profile that leaves S empty
+    chk = tmp_path / "t4.mpsc1"
+    rc = main(["itebd", "--kmax", "16", "--t-end", "4.0",
+               "--out-checkpoint", str(chk), "--out-curve", str(tmp_path / "direct.csv")])
+    assert rc == 0
+    argv = ["sample", "--checkpoint", str(chk), "--l", "2", "--t-fin", "5.0", "--out"]
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "refused.csv")]) == 2
+    assert "--p-star inf" in capsys.readouterr().err
+    assert not (tmp_path / "refused.csv").exists()
+    assert main(argv + [str(tmp_path / "inf.csv"), "--p-star", "inf"]) == 0
+    assert main(argv + [str(tmp_path / "small.csv"), "--profile", "desk-small"]) == 0
+    assert (tmp_path / "inf.csv").read_bytes() == (tmp_path / "small.csv").read_bytes()
+
+
 def test_sample_beyond_planar_regime(tmp_path):
     # at |delta| > 1 there is no spin-wave velocity: sampling still runs
     # and warns that the horizon is unknown

@@ -31,6 +31,7 @@ from spinquench.sampler import (
     pair_sector,
     sample_alpha,
     sample_spins_and_beta,
+    semistochastic_split,
 )
 from spinquench.window import L_MAX, EvolverParams, build_hloc, evolve_and_measure
 
@@ -210,11 +211,12 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     spec = WindowSpec(l=l)
     h = build_hloc(l, config.delta)
     params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, t_fin=t_fin)
+    split = semistochastic_split(state, spec)
     pairs, rows = [], []
     for sid in sample_ids:
         u = numpy_uniforms(master_seed, sid, 2 * l + 3)
         (qa, ia, qb, ib), = sample_spins_and_beta(
-            state, spec, sample_alpha(state, spec, u[:1]), u[None, 1:]
+            state, spec, sample_alpha(state, spec, u[:1], split), u[None, 1:], split
         ).tolist()
         psi = assemble_window_state(state, spec, (qa, ia, qb, ib))
         pairs.append((qa, ia, qb, ib))

@@ -3,16 +3,12 @@ import pytest
 
 import oracles
 from oracles import (
-    TrieWalk,
     dense_window_amplitudes,
     enumerate_boundary_pairs,
-    fresh_walk,
     full_amplitudes,
     numpy_uniforms,
     per_group_walk_chunk,
-    per_pair_partials,
-    per_pair_window_amplitudes,
-    per_pair_window_state,
+    tail_walk,
 )
 from spinquench import sampler
 from spinquench.checkpoint import load_checkpoint
@@ -29,6 +25,7 @@ from spinquench.sampler import (
     pair_sector,
     sample_alpha,
     sample_spins_and_beta,
+    semistochastic_split,
 )
 
 
@@ -62,11 +59,12 @@ def test_window_weight_matches_assembled_state(quench_state):
     assert pairs
     spectrum = boundary_spectrum(quench_state, spec)
     for alpha, beta, weight, psi in pairs[:10]:
-        # the pair weight is lambda_alpha^2 times the raw window norm, and
-        # the enumerated state is the one the sampling path assembles
+        # the pair weight is lambda_alpha^2 times the raw window norm of
+        # the dense route, and the enumerated state is the one the
+        # sampling path assembles
         lam = spectrum.blocks[alpha[0]][alpha[1]]
-        n_up, raw = per_pair_window_amplitudes(quench_state, spec, alpha, beta)
-        assert n_up == psi.total_sz_sector
+        raw = dense_window_amplitudes(quench_state, spec, alpha, beta)
+        assert pair_sector(spec, alpha, beta) == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
         psi2 = assemble_window_state(quench_state, spec, (*alpha, *beta))
         assert psi2.amplitudes.shape == psi.amplitudes.shape == (1, psi.basis.size)
@@ -106,8 +104,9 @@ def test_blocked_assembly_matches_dense_route(quench_state, k128_state):
 
 
 def _draws(state, spec, u):
-    """The batched walk's (q_alpha, i_alpha, q_beta, i_beta) rows for rows of 2l+3 uniforms."""
-    return sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0]), u[:, 1:])
+    """The batched walk's (q_alpha, i_alpha, q_beta, i_beta) rows for rows of 2l+3 uniforms, S empty."""
+    split = semistochastic_split(state, spec)
+    return sample_spins_and_beta(state, spec, sample_alpha(state, spec, u[:, 0], split), u[:, 1:], split)
 
 
 def _distinct(rows):
@@ -155,11 +154,12 @@ def k128_state(k128_t2):
 @pytest.mark.parametrize("l", [2, 4])
 def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch, l, clearing):
     # the batched walk computes each distinct prefix once per chunk; its
-    # pairs are the ones a walk with no reuse returns, whether the 500
-    # samples go in one call, in two, one at a time or in many small
-    # chunks. numpy_uniforms takes the 2l+3 uniforms of a sample in
-    # one call and the reference one rng.random() per draw, so both must
-    # read the same doubles and leave the same stream behind
+    # pairs are the ones the per-sample walk with S empty, which reuses
+    # nothing, returns, whether the 500 samples go in one call, in two,
+    # one at a time or in many small chunks. numpy_uniforms takes the
+    # 2l+3 uniforms of a sample in one call and the reference one
+    # rng.random() per draw, so both must read the same doubles and
+    # leave the same stream behind
     state = quench_state if l == 2 else k128_state
     spec = WindowSpec(l=l)
     if clearing == "small-budget":
@@ -173,10 +173,12 @@ def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch,
     else:
         cut = 250 if clearing == "cleared-once" else 500
         got = np.concatenate([_draws(state, spec, u[:cut]), _draws(state, spec, u[cut:])])
+    split = semistochastic_split(state, spec)
     for sid, (qa, ia, qb, ib) in enumerate(got.tolist()):
         seed = np.random.SeedSequence((11, sid))
         ref = np.random.default_rng(seed)
-        assert ((qa, ia), (qb, ib)) == fresh_walk(state, spec, ref)
+        draws = [ref.random() for _ in range(2 * l + 3)]
+        assert ((qa, ia), (qb, ib)) == tail_walk(state, spec, split, draws)
         assert ref.random() == np.random.default_rng(seed).random(2 * l + 4)[-1]
     assert 1 < len(_distinct(got)) < 500  # pairs and prefixes do repeat
 
@@ -185,8 +187,9 @@ def test_memoized_walk_matches_fresh_walk(quench_state, k128_state, monkeypatch,
 @pytest.mark.parametrize("l", [2, 4])
 def test_batched_draws_match_trie_oracle(k16_t1, k128_t2, monkeypatch, l, budget):
     # the level-by-level walk over all samples returns, sample for
-    # sample, the pair of the per-sample trie walk on the same uniforms,
-    # also when a small budget splits the samples into many chunks
+    # sample, the pair of the per-sample walk with S empty on the same
+    # uniforms, also when a small budget splits the samples into many
+    # chunks
     state, _config = load_checkpoint((k16_t1 if l == 2 else k128_t2)["checkpoint"])
     spec = WindowSpec(l=l)
     if budget == "small":
@@ -194,9 +197,9 @@ def test_batched_draws_match_trie_oracle(k16_t1, k128_t2, monkeypatch, l, budget
         assert sampler._chunk_size(state) * 5 < 500
     u = _uniforms(3, range(500), l)
     got = _draws(state, spec, u)
-    trie = TrieWalk(state, spec)
+    split = semistochastic_split(state, spec)
     pairs = [((qa, ia), (qb, ib)) for qa, ia, qb, ib in got.tolist()]
-    assert pairs == [trie.draw(row) for row in u]
+    assert pairs == [tail_walk(state, spec, split, row) for row in u]
     assert 1 < len(_distinct(got)) < 500
 
 
@@ -224,20 +227,21 @@ def test_one_pass_walk_matches_per_group_pin(k128_state, k128_t3_state, monkeypa
         return draw_rows
 
     for state in (k128_state, k128_t3_state):
+        split = semistochastic_split(state, spec)
         if budget == "split":
             monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 3 * 16 * sampler._widest(state) * 450)
             assert 2000 // sampler._chunk_size(state) >= 4
         for seed in (7, 3, 3 * 2**32 + 5):
             u = sample_uniforms(seed, np.arange(2000), 2 * l + 3)
-            alphas = sample_alpha(state, spec, u[:, 0])
+            alphas = sample_alpha(state, spec, u[:, 0], split)
             got_rows, want_rows = [], []
             with monkeypatch.context() as m:
                 m.setattr(sampler, "_draw_rows", recorded(got_rows))
-                got = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
+                got = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
             with monkeypatch.context() as m:
                 m.setattr(sampler, "_walk_chunk", per_group_walk_chunk)
                 m.setattr(oracles, "_draw_rows", recorded(want_rows))
-                want = sample_spins_and_beta(state, spec, alphas, u[:, 1:])
+                want = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
             assert got.dtype == np.int64 and got.shape == (2000, 4)
             assert np.array_equal(got[:, :2], alphas)
             assert np.array_equal(got[:, 2], want[:, 2]), (l, seed)
@@ -252,12 +256,13 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
     # and one row per alpha
     spec = WindowSpec(l=2)
     u = np.random.default_rng(0).random((3, 7))
-    alphas = sample_alpha(quench_state, spec, u[:, 0])
+    split = semistochastic_split(quench_state, spec)
+    alphas = sample_alpha(quench_state, spec, u[:, 0], split)
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, WindowSpec(l=1), alphas, u[:, 1:])
+        sample_spins_and_beta(quench_state, WindowSpec(l=1), alphas, u[:, 1:], split)
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, spec, alphas[:2], u[:, 1:])
-    none = sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:])
+        sample_spins_and_beta(quench_state, spec, alphas[:2], u[:, 1:], split)
+    none = sample_spins_and_beta(quench_state, spec, alphas[:0], u[:0, 1:], split)
     assert none.shape == (0, 4) and none.dtype == np.int64
 
 
@@ -272,17 +277,30 @@ def _sector_stacks(spec, pairs, height):
     ]
 
 
-@pytest.mark.parametrize("clearing", ["kept", "cleared-once", "no-budget"])
-@pytest.mark.parametrize("l", [2, 4])
+#: (state fixture, l, budget, uniforms seed, samples, stack height) of
+#: the stacked-assembly cases: the three budgets on 300 samples at l = 2
+#: and l = 4, and every l of 1-7 on 400 samples of the k=128 state, at
+#: the default budget and with none
+ASSEMBLY_CASES = [
+    pytest.param("quench_state" if l == 2 else "k128_state", l, clearing, 4, 300, 3,
+                 id=f"{l}-{clearing}")
+    for l in (2, 4) for clearing in ("kept", "cleared-once", "no-budget")
+] + [
+    pytest.param("k128_state", l, clearing, 6, 400, 7, id=f"{l}-{clearing}-400")
+    for l in range(1, 8) for clearing in ("kept", "no-budget")
+]
+
+
+@pytest.mark.parametrize("name,l,clearing,seed,samples,height", ASSEMBLY_CASES)
 def test_cached_assembly_matches_cache_free_assembly(
-    quench_state, k128_state, monkeypatch, l, clearing
+    request, monkeypatch, name, l, clearing, seed, samples, height
 ):
     # pairs assembled in stacks, whose boundary states' partials are
-    # built once per batch, are bit for bit the pairs assembled each on
-    # its own: in one batch; when the store starts over once in the
-    # middle of a stack and a 1-byte budget meets each pair on its own;
-    # and with no budget (one pair per batch)
-    state = quench_state if l == 2 else k128_state
+    # built once per batch and grown on a batch axis, are bit for bit
+    # the pairs assembled each on its own: in one batch; when the store
+    # starts over once in the middle of a stack and a 1-byte budget
+    # meets each pair on its own; and with no budget (one pair per batch)
+    state = request.getfixturevalue(name)
     spec = WindowSpec(l=l)
     if clearing != "kept":
         monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0 if clearing == "no-budget" else 1)
@@ -296,9 +314,10 @@ def test_cached_assembly_matches_cache_free_assembly(
         return ends
 
     monkeypatch.setattr(sampler, "_partial_batches", recorded_split)
-    pairs = _distinct(_draws(state, spec, _uniforms(4, range(300), l)))
+    pairs = _distinct(_draws(state, spec, _uniforms(seed, range(samples), l)))
+    assert len(pairs) > (10 if samples == 400 else 5)
     assert len(_distinct(pairs[:, :2])) < len(pairs)  # pairs share boundary states
-    stacks = _sector_stacks(spec, pairs, 3)
+    stacks = _sector_stacks(spec, pairs, height)
     got = [psi for psi, _norms in assemble_window_stacks(state, spec, stacks)]
     assert len(got) == len(stacks)
     for (n_up, stack), psi in zip(stacks, got):
@@ -307,30 +326,9 @@ def test_cached_assembly_matches_cache_free_assembly(
         for pair, row in zip(stack, psi.amplitudes):
             alone = assemble_window_state(state, spec, pair)
             assert alone.total_sz_sector == n_up
-            assert np.array_equal(row, alone.amplitudes[0])
+            assert np.array_equal(row, alone.amplitudes[0]), (pair, l)
     expected = {"kept": 1, "cleared-once": 2, "no-budget": len(pairs)}[clearing]
     assert len(batches[0]) == expected
-
-
-@pytest.mark.parametrize("budget", ["default", "none"])
-@pytest.mark.parametrize("l", range(1, 8))
-def test_stack_assembly_matches_per_pair_oracle(k128_state, monkeypatch, l, budget):
-    # bit-exact pin: the batch-axis partials and the batched meet give
-    # every walk-drawn pair of the k=128 state the bits of the per-pair
-    # route, partials and meet one pair at a time as 2-D products
-    spec = WindowSpec(l=l)
-    if budget == "none":
-        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 0)
-    pairs = _distinct(_draws(k128_state, spec, _uniforms(6, range(400), l)))
-    assert len(pairs) > 10
-    stacks = _sector_stacks(spec, pairs, 7)
-    for (n_up, stack), (psi, _norms) in zip(stacks, assemble_window_stacks(k128_state, spec, stacks)):
-        for pair, row in zip(stack, psi.amplitudes):
-            ref = per_pair_window_state(k128_state, spec, pair)
-            assert ref.total_sz_sector == n_up
-            assert np.array_equal(row, ref.amplitudes[0]), (pair, l)
-    psi = assemble_window_state(k128_state, spec, pairs[0])
-    assert np.array_equal(psi.amplitudes, per_pair_window_state(k128_state, spec, pairs[0]).amplitudes)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 14, 1 << 16, 1 << 25])
@@ -347,9 +345,11 @@ def test_partial_batches_fit_the_budget(k128_state, monkeypatch, budget):
     for hi in ends:
         held = sum(
             codes.nbytes + part.nbytes
-            for side, cols in ((False, slice(0, 2)), (True, slice(2, 4)))
-            for b in map(tuple, _distinct(pairs[lo:hi, cols]).tolist())
-            for codes, part in per_pair_partials(k128_state, spec, b, side).values()
+            for right, cols in ((False, slice(0, 2)), (True, slice(2, 4)))
+            for groups in sampler._partials(
+                k128_state, spec, np.unique(pairs[lo:hi, cols], axis=0), right
+            ).values()
+            for codes, part in groups.values()
         )
         assert held <= budget or hi - lo == 1
         lo = hi
@@ -373,6 +373,29 @@ def test_window_states_live_in_one_sector(quench_state):
             sectors.add(psi.total_sz_sector)
         # different boundary pairs do reach different sectors
         assert len(sectors) > 1
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_enumerated_pairs_are_the_dense_nonzero_windows(k16_t1, l):
+    # the enumeration's central-charge filter keeps exactly the boundary
+    # pairs whose window the dense route, which knows nothing of
+    # charges, finds nonzero, each pair once
+    state, _config = load_checkpoint(k16_t1["checkpoint"])
+    spec = WindowSpec(l=l)
+    lefts, rights = (
+        [(q, i) for q, d in lam.sector_dims.items() for i in range(d)]
+        for lam in (boundary_spectrum(state, spec), sampler._bond_spectrum(state, l))
+    )
+    nonzero = {
+        (alpha, beta)
+        for alpha in lefts
+        for beta in rights
+        if np.any(dense_window_amplitudes(state, spec, alpha, beta))
+    }
+    got = [(alpha, beta) for alpha, beta, _w, _psi in enumerate_boundary_pairs(state, spec)]
+    assert len(got) == len(set(got))
+    assert set(got) == nonzero
+    assert len(nonzero) < len(lefts) * len(rights)  # the filter drops pairs
 
 
 def test_boundary_spectrum_follows_sublattice_parity(quench_state):
@@ -425,7 +448,9 @@ def test_unknown_right_boundary_index_rejected(quench_state):
     with pytest.raises(ConfigError):
         assemble_window_state(quench_state, spec, (q, left[q] + 7, 0, 0))
     with pytest.raises(ConfigError):
-        sample_spins_and_beta(quench_state, spec, [(q, left[q] + 7)], np.zeros((1, 6)))
+        sample_spins_and_beta(
+            quench_state, spec, [(q, left[q] + 7)], np.zeros((1, 6)), semistochastic_split(quench_state, spec)
+        )
 
 
 @pytest.mark.parametrize(

@@ -116,6 +116,17 @@ def test_taylor_step_rejects_diverged_series():
         taylor_step(psi, h, 5.0, 4)
 
 
+def test_taylor_order_has_one_bound():
+    # the evolver's parameters, which every run goes through, and the
+    # step itself reject and accept the same orders
+    psi = _random_sector_state(2, 2, seed=3)
+    h = build_hloc(2, 0.5)
+    for route in (lambda n: EvolverParams(n_max=n), lambda n: taylor_step(psi, h, 0.01, n)):
+        with pytest.raises(ConfigError, match="n_max must be >= 4, got 3"):
+            route(3)
+        route(4)
+
+
 def _stack(states):
     return WindowState(
         np.concatenate([s.amplitudes for s in states]),
