@@ -28,6 +28,7 @@ from .circuit import (
 )
 from .errors import CheckpointError, ConfigError, NumericalError, check_seed
 from .harness import (
+    OVERLAP_FRAC,
     PROFILES,
     _fmt,
     extract_peaks,
@@ -49,11 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option that overrides a profile setting has the setting's key as
+    # its dest and stays out of the namespace unless given (see _settings)
+    unset = argparse.SUPPRESS
     p = sub.add_parser("itebd", help="evolve the infinite chain and checkpoint")
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
-    p.add_argument("--delta", type=float, default=None, help="anisotropy")
-    p.add_argument("--dt", type=float, default=None, help="Trotter step")
-    p.add_argument("--kmax", type=int, default=None, help="bond dimension cap")
+    p.add_argument("--delta", type=float, default=unset, help="anisotropy")
+    p.add_argument("--dt", type=float, default=unset, help="Trotter step")
+    p.add_argument("--kmax", dest="k_max", type=int, default=unset, help="bond dimension cap")
     p.add_argument("--t-end", type=float, required=True, help="checkpoint time")
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-curve", required=True)
@@ -61,14 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo window sampling")
     p.add_argument("--profile", choices=sorted(PROFILES), default="desk")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--l", type=int, default=None, help="window half-width")
+    p.add_argument("--l", type=int, default=unset, help="window half-width")
     p.add_argument("--t-fin", type=float, required=True)
-    p.add_argument("--delta-t", type=float, default=None, help="window time step")
-    p.add_argument("--nmax", type=int, default=None, help="Taylor order")
+    p.add_argument("--delta-t", type=float, default=unset, help="window time step")
+    p.add_argument("--nmax", dest="n_max", type=int, default=unset, help="Taylor order")
     p.add_argument(
-        "--p-star", type=float, default=None,
-        help="semistochastic threshold: boundary pairs whose two Schmidt "
-        "weights are both at least this are summed exactly, the rest sampled",
+        "--p-star", type=float, default=unset,
+        help="semistochastic threshold: boundary pairs whose two Schmidt weights "
+        "are both at least this are summed exactly, the rest sampled; inf sums none",
     )
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -85,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference", default=None,
         help="trusted early-time curve; the peaks are shift-corrected against it",
     )
-    p.add_argument("--overlap-frac", type=float, default=0.25)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("circuit-demo", help="light-cone contraction check")
@@ -97,30 +100,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settings(args) -> dict:
+    """The profile's settings, overridden by the options given."""
+    return {**PROFILES[args.profile], **vars(args)}
+
+
 def _cmd_itebd(args) -> int:
-    prof = PROFILES[args.profile]
-    config = QuenchConfig(
-        delta=prof["delta"] if args.delta is None else args.delta,
-        dt=prof["dt"] if args.dt is None else args.dt,
-        k_max=prof["k_max"] if args.kmax is None else args.kmax,
-        t_init=args.t_end,
-    )
+    s = _settings(args)
+    config = QuenchConfig(delta=s["delta"], dt=s["dt"], k_max=s["k_max"], t_init=args.t_end)
     return run_itebd(config, args.out_checkpoint, args.out_curve)
 
 
 def _cmd_sample(args) -> int:
-    prof = PROFILES[args.profile]
+    s = _settings(args)
     run_mc(
         args.checkpoint,
-        l=prof["l"] if args.l is None else args.l,
+        l=s["l"],
         t_fin=args.t_fin,
-        delta_t=prof["delta_t"] if args.delta_t is None else args.delta_t,
-        n_max=prof["n_max"] if args.nmax is None else args.nmax,
+        delta_t=s["delta_t"],
+        n_max=s["n_max"],
         n_samples=args.samples,
         master_seed=args.seed,
         n_workers=args.workers,
         out=args.out,
-        p_star=prof["p_star"] if args.p_star is None else args.p_star,
+        p_star=s["p_star"],
     )
     return 0
 
@@ -141,9 +144,9 @@ def _cmd_peaks(args) -> int:
     out_meta = {"source": meta.get("checkpoint"), "shift_constant": None}
     if args.reference is not None:
         ref_t, ref_v = _reference_columns(args.reference)
-        curve = shift_correction(curve, ref_t, ref_v, overlap_frac=args.overlap_frac)
+        curve = shift_correction(curve, ref_t, ref_v)
         out_meta["shift_constant"] = curve.shift_constant
-        out_meta["overlap_frac"] = args.overlap_frac
+        out_meta["overlap_frac"] = OVERLAP_FRAC
     series = extract_peaks(curve)
     if args.out is not None:
         write_peaks(args.out, series, out_meta)

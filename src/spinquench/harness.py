@@ -51,10 +51,11 @@ assembler returns the raw norm of each window, so their weights p are
 exact. Round one draws only the tail, conditioned on leaving S. With Z
 the total lambda^2 of the left boundary and T the tail weight the alpha
 draw uses, the estimate is sum_S (p/Z) x + (T/Z) mean_i x_i and its
-stderr (T/Z) std_i / sqrt(n). S is empty unless p_star is given; then T
-is Z and the run is the plain one, bit for bit and byte for byte. A
-run with S nonempty records p_star, |A|, |B|, P_S and the clamp count
-in the CSV metadata; they depend on the checkpoint, l and p_star only.
+stderr (T/Z) std_i / sqrt(n). At p_star = inf, the default, S is
+empty; then T is Z and the run is the plain one, bit for bit and byte
+for byte. A run with S nonempty records p_star, |A|, |B|, P_S and the
+clamp count in the CSV metadata; they depend on the checkpoint, l and
+p_star only.
 
 All data files are CSV with a '#'-prefixed JSON metadata line followed
 by a column header; floats are written with shortest round-trip
@@ -66,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -101,15 +103,15 @@ from .window import (
 #: Named parameter bundles. The full set is production scale and far
 #: beyond interactive use; the desk sets finish on a laptop and are the
 #: ones exercised by the test suite. p_star is the semistochastic
-#: threshold (None: S is empty); the desk set's 0.01 sits in the gap of
+#: threshold (inf: S is empty); the desk set's 0.01 sits in the gap of
 #: its k=128, t=4 checkpoint's spectra (lambda^2 0.0315 -> 0.0049).
 PROFILES = {
     "full": {"delta": 0.5, "dt": 0.0625, "k_max": 4096, "l": 10,
-             "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": None},
+             "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": math.inf},
     "desk": {"delta": 0.5, "dt": 0.0625, "k_max": 128, "l": 4,
              "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": 0.01},
     "desk-small": {"delta": 0.5, "dt": 0.0625, "k_max": 16, "l": 2,
-                   "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": None},
+                   "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": math.inf},
 }
 
 #: Least round-two work for which the stacks are dealt to a process
@@ -120,6 +122,10 @@ PROFILES = {
 #: desk checkpoint (k=128, t=4), a 2-process pool lost to one process at
 #: every measured work up to 6.9e6 (l=5) and won from 8.7e6 (l=6) up.
 POOL_WORK = 1 << 23
+
+#: Leading share of a curve's time span over which shift_correction
+#: matches it to the reference.
+OVERLAP_FRAC = 0.25
 
 
 @dataclass(frozen=True)
@@ -215,7 +221,6 @@ def read_aggregate_curve(path) -> tuple:
         mean=cols["mean_sz0"],
         stderr=cols["stderr"],
         n_samples=n,
-        shift_constant=float(meta.get("shift_constant", 0.0)),
     )
 
 
@@ -355,14 +360,16 @@ class _Run:
 
     @classmethod
     def of(cls, state, config, l, t_fin, delta_t, n_max):
-        params = EvolverParams(delta_t=delta_t, n_max=n_max, t_fin=t_fin)
+        """The run from t_init = state.time to t_fin; the one check of the span."""
+        n_steps = step_count(t_fin - state.time, delta_t, "t_fin - t_init")
+        params = EvolverParams(delta_t=delta_t, n_max=n_max, n_steps=n_steps)
         return cls(state, WindowSpec(l=l), build_hloc(l, config.delta), params)
 
 
 def _evolve_share(run, stacks):
     """Round two: the (rows, points) series and raw squared norms of each (n_up, pairs) stack."""
     return [
-        (evolve_and_measure(stack, run.h, run.params, t_init=run.state.time), norms)
+        (evolve_and_measure(stack, run.h, run.params), norms)
         for stack, norms in assemble_window_stacks(run.state, run.spec, stacks)
     ]
 
@@ -415,7 +422,7 @@ def _shares(spec, pairs, n_shares, products):
     return [share for share in shares if share]
 
 
-def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares, n_points):
+def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares):
     """(tail value rows in sample_id order, S value rows, S raw squared norms).
 
     Round one draws every sample's pair in this process, from the tail
@@ -425,7 +432,7 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares, n_points):
     pair rows) stacks and returns the (series, norms) of each share in
     order. A split whose tail weight is zero draws no sample.
     """
-    state, spec = run.state, run.spec
+    state, spec, n_steps = run.state, run.spec, run.params.n_steps
     drawn = np.empty((0, 4), dtype=np.int64)
     first = ids = np.zeros(0, dtype=np.int64)
     if split.tail_weight > 0.0:
@@ -434,18 +441,14 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares, n_points):
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
         first, ids = distinct_rows(drawn)
     pairs = np.concatenate([split.pairs, drawn[first]])
-    shares = _shares(spec, pairs, n_shares, run.params.n_max * (n_points - 1))
+    shares = _shares(spec, pairs, n_shares, run.params.n_max * n_steps)
     series = evolve([[(n_up, pairs[at]) for n_up, at in share] for share in shares])
-    table, norms = np.empty((len(pairs), n_points)), np.empty(len(pairs))
+    table, norms = np.empty((len(pairs), n_steps + 1)), np.empty(len(pairs))
     for share, results in zip(shares, series):
         for (_n_up, at), (rows, norm2) in zip(share, results):
             table[at], norms[at] = rows, norm2
     n_s = len(split.pairs)
     return table[n_s + ids], table[:n_s], norms[:n_s]
-
-
-def _grid_size(t_init: float, t_fin: float, delta_t: float) -> int:
-    return step_count(t_fin - t_init, delta_t, "t_fin - t_init") + 1
 
 
 def _cpu_count() -> int:
@@ -465,13 +468,14 @@ def run_mc(
     master_seed: int,
     n_workers: int,
     out=None,
-    p_star=None,
+    p_star=math.inf,
 ) -> AggregateCurve:
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
     The checkpoint is referenced by path so each worker process loads
     it independently. p_star sets the semistochastic split (see
-    sampler.semistochastic_split; None, the default, leaves S empty).
+    sampler.semistochastic_split): a nonnegative number, where inf, the
+    default, is the one spelling of S empty.
     With Z the total lambda^2 of the left boundary, T the tail weight
     and p the pair weights, the estimate is sum_S (p/Z) x + (T/Z) mean_i
     x_i, and its stderr (T/Z) std_i / sqrt(n), over all tail value rows
@@ -484,7 +488,7 @@ def run_mc(
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
-    if p_star is not None and not p_star >= 0.0:
+    if not (isinstance(p_star, numbers.Real) and p_star >= 0.0):
         raise ConfigError(f"p_star must be a nonnegative number, got {p_star}")
     if not t_fin > state.time:
         raise ConfigError(
@@ -493,7 +497,7 @@ def run_mc(
     run_args = (l, t_fin, delta_t, n_max)
     run = _Run.of(state, config, *run_args)
     check_seed(master_seed)
-    n_points = _grid_size(state.time, t_fin, delta_t)
+    n_points = run.params.n_steps + 1
     if abs(config.delta) > 1.0:
         warnings.warn(
             "no spin-wave velocity at |delta| > 1; the window horizon is unknown",
@@ -521,9 +525,7 @@ def run_mc(
             return list(pool.map(_evolve_in_worker, shares))
 
     n_shares = min(n_workers, _cpu_count())
-    values, s_values, s_norms = _two_rounds(
-        run, split, master_seed, n_samples, evolve, n_shares, n_points
-    )
+    values, s_values, s_norms = _two_rounds(run, split, master_seed, n_samples, evolve, n_shares)
     spectrum = boundary_spectrum(state, run.spec)
     z = float(spectrum.weights.sum())
     ratio = split.tail_weight / z
@@ -589,27 +591,20 @@ def extract_peaks(curve: AggregateCurve) -> PeakSeries:
     return PeakSeries(peaks=tuple(peaks))
 
 
-def shift_correction(
-    curve: AggregateCurve,
-    reference_times,
-    reference_values,
-    overlap_frac: float = 0.25,
-) -> AggregateCurve:
+def shift_correction(curve: AggregateCurve, reference_times, reference_values) -> AggregateCurve:
     """Add a constant so the curve matches the reference at early times.
 
     The constant is the mean of (reference - curve) over the grid
-    points in the first overlap_frac of the curve's time span that the
+    points in the first OVERLAP_FRAC of the curve's time span that the
     reference also covers; at least 3 such points are required. The
     stderr is unchanged and the constant is recorded on the result.
     """
-    if not 0.0 < overlap_frac <= 1.0:
-        raise ConfigError(f"overlap_frac must be in (0, 1], got {overlap_frac}")
     ref_t = np.asarray(reference_times, dtype=float)
     ref_v = np.asarray(reference_values, dtype=float)
     if ref_t.shape != ref_v.shape:
         raise ConfigError("reference times and values differ in length")
     span = curve.times[-1] - curve.times[0]
-    t_cut = curve.times[0] + overlap_frac * span
+    t_cut = curve.times[0] + OVERLAP_FRAC * span
     diffs = []
     for t, m in zip(curve.times, curve.mean):
         if t > t_cut + 1e-9:

@@ -347,18 +347,14 @@ class TailSplit:
         return float(self.alpha_weights.sum())
 
 
-def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=None) -> TailSplit:
-    """The split S = A x B at threshold p_star; S is empty when p_star is None.
+def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=math.inf) -> TailSplit:
+    """The split S = A x B at threshold p_star; at inf, the default, S is empty.
 
     A nonempty S needs the canonical form the conditioned walk relies
     on: a state whose canonical_residuals exceed CANONICAL_TOL raises
     ConfigError. When no pair of A x B can reach a window, S is empty.
     """
     spectrum = boundary_spectrum(state, spec)
-    empty = TailSplit({}, {}, np.empty((0, 4), dtype=np.int64),
-                      ({},) * (2 * spec.l + 2), spectrum.weights, 0)
-    if p_star is None:
-        return empty
     heavy = [
         {q: v * v >= p_star for q, v in lam.blocks.items() if np.any(v * v >= p_star)}
         for lam in (spectrum, _bond_spectrum(state, spec.l))
@@ -376,13 +372,14 @@ def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=None) -> Tail
         for ib in np.flatnonzero(b_mask).tolist()
     ]
     if not pairs:
-        return empty
+        return TailSplit({}, {}, np.empty((0, 4), dtype=np.int64),
+                         ({},) * (2 * spec.l + 2), spectrum.weights, 0)
     worst = max(canonical_residuals(state))
     if worst > CANONICAL_TOL:
         raise ConfigError(
             f"canonical-form residual {worst:.2e} exceeds {CANONICAL_TOL:g}: the "
-            f"conditioned tail draw would be biased; run with S empty (p_star None, "
-            f"or --p-star inf on the command line)"
+            f"conditioned tail draw would be biased; run with S empty (p_star = inf; "
+            f"--p-star inf on the command line)"
         )
     env = {q: np.diag(mask.astype(complex)) for q, mask in heavy[1].items()}
     envs = [env]
@@ -390,20 +387,20 @@ def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=None) -> Tail
         env = _environment_step(site_tensors(state, site), env, leftward=True)
         envs.append(env)
     envs.reverse()
+    # A is the prefix of the ranking whose weight reaches p_star; a state
+    # of A loses lambda^2 (E_B)_aa, nothing where E_B has no block
     charges, _values, index = spectrum._ranked
-    ranked = np.column_stack([charges, index])
     weights = spectrum.weights.copy()
-    floor = TAIL_FLOOR * float(weights.sum())
-    clamps = 0
-    for at in np.flatnonzero(_members(heavy[0], ranked)).tolist():
-        q, i = ranked[at].tolist()
-        if q in envs[0]:
-            weights[at] -= weights[at] * float(envs[0][q][i, i].real)
-        if weights[at] <= floor:
-            weights[at] = 0.0
-            clamps += 1
+    head = weights[:np.count_nonzero(weights >= p_star)]
+    diag = np.zeros(head.size)
+    for q, e_b in envs[0].items():
+        at = np.flatnonzero(charges[:head.size] == q)
+        diag[at] = np.diagonal(e_b).real[index[at]]
+    head -= head * diag
+    clamped = head <= TAIL_FLOOR * float(spectrum.weights.sum())
+    head[clamped] = 0.0
     return TailSplit(heavy[0], heavy[1], np.array(pairs, dtype=np.int64),
-                     tuple(envs), weights, clamps)
+                     tuple(envs), weights, int(clamped.sum()))
 
 
 def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.ndarray, split):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, NormDriftError, step_count
+from .errors import ConfigError, NormDriftError
 
 #: Most bytes building the largest sector Hamiltonian of a window may
 #: take, by sector_bytes' estimate; it sets the half-width bound L_MAX.
@@ -129,16 +129,18 @@ class WindowState:
 
 @dataclass(frozen=True)
 class EvolverParams:
-    """Window propagation controls."""
+    """Window propagation controls: n_steps steps of delta_t, Taylor order n_max."""
 
     delta_t: float = 1.0 / 3.0
     n_max: int = 20
-    t_fin: float = 0.0
+    n_steps: int = 0
 
     def __post_init__(self):
         if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
         check_taylor_order(self.n_max)
+        if self.n_steps < 0:
+            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
 
 
 @functools.cache
@@ -300,13 +302,12 @@ def evolve_and_measure(
     psi: WindowState,
     h: SparseWindowHamiltonian,
     params: EvolverParams,
-    t_init: float,
 ) -> np.ndarray:
-    """(rows, points) central <Sz> of the stack on the grid t_init + k * delta_t.
+    """(rows, n_steps + 1) central <Sz> of the stack after k = 0 .. n_steps steps.
 
-    The grid runs from t_init to params.t_fin inclusive.
+    The caller counts the steps in its grid's span (errors.step_count).
     """
-    n = step_count(params.t_fin - t_init, params.delta_t, "t_fin - t_init")
+    n = params.n_steps
     values = np.empty((psi.amplitudes.shape[0], n + 1))
     values[:, 0] = sz_center(psi)
     for j in range(1, n + 1):

@@ -104,27 +104,30 @@ def test_garbled_manifest_rejected(tmp_path):
 
 
 def test_missing_tensor_rejected(tmp_path):
+    # a missing spectrum fails the bond check of the site tensors beside
+    # it; a missing site tensor, which no bond check needs, is named
     state, config = _small_state()
     path = tmp_path / "state.mpsc1"
     save_checkpoint(path, state, config)
     raw = path.read_bytes()
     (manifest_len,) = struct.unpack("<I", raw[8:12])
-    manifest = json.loads(raw[12 : 12 + manifest_len])
-    manifest["tensors"] = [
-        t for t in manifest["tensors"] if t["name"] != "lambda_B"
-    ]
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    payload = raw[12 + manifest_len : -4]
-    kept_len = max(
-        sec["byte_offset"] + sec["rows"] * sec["cols"] * (8 if t["real"] else 16)
-        for t in manifest["tensors"]
-        for sec in t["sectors"]
-    )
-    payload = payload[:kept_len]
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload + crc)
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(path)
+    for dropped, match in (("lambda_B", None), ("A_B_dn", r"missing tensors \['A_B_dn'\]")):
+        manifest = json.loads(raw[12 : 12 + manifest_len])
+        manifest["tensors"] = [
+            t for t in manifest["tensors"] if t["name"] != dropped
+        ]
+        blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        payload = raw[12 + manifest_len : -4]
+        kept_len = max(
+            sec["byte_offset"] + sec["rows"] * sec["cols"] * (8 if t["real"] else 16)
+            for t in manifest["tensors"]
+            for sec in t["sectors"]
+        )
+        payload = payload[:kept_len]
+        crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload + crc)
+        with pytest.raises(CheckpointVersionError, match=match):
+            load_checkpoint(path)
 
 
 def _drop(key):

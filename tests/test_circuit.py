@@ -297,6 +297,8 @@ def test_validation_errors():
         lightcone_expectation_sum(small, bits=(0, 1, 0))
     with pytest.raises(ConfigError):
         lightcone_expectation_sampled(small, 10, np.random.default_rng(0), bits=(0, 1, 0))
+    with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
+        lightcone_expectation_sampled(small, 0, np.random.default_rng(0))
 
 
 def _gate_sequence(width, n_gates, rng):

@@ -103,6 +103,12 @@ def test_shift_correct_against_reference(pipeline_dir):
     meta, _cols = read_table(out)
     assert meta["shift_constant"] is not None
     assert abs(meta["shift_constant"]) < 0.1
+    assert meta["overlap_frac"] == 0.25
+    # a sampled curve is a reference by its mean_sz0 column; against
+    # itself the shift is exactly zero
+    mc = str(pipeline_dir / "mc.csv")
+    assert main(["peaks", "--in", mc, "--reference", mc, "--out", str(out)]) == 0
+    assert read_table(out)[0]["shift_constant"] == 0.0
 
 
 def test_peaks_bad_input_exit_codes(pipeline_dir, tmp_path, capsys):
@@ -113,6 +119,12 @@ def test_peaks_bad_input_exit_codes(pipeline_dir, tmp_path, capsys):
     rc = main(["peaks", "--in", str(pipeline_dir / "mc.csv"), "--reference", str(no_t)])
     assert rc == 2
     assert "no_t.csv" in capsys.readouterr().err
+    # a reference with t but neither value column
+    no_value = tmp_path / "no_value.csv"
+    no_value.write_text("# {}\nt,stderr\n1.0,0.1\n")
+    rc = main(["peaks", "--in", str(pipeline_dir / "mc.csv"), "--reference", str(no_value)])
+    assert rc == 2
+    assert "no_value.csv: no mean_sz0 or sz0 column" in capsys.readouterr().err
     for name, first in (("not_json.csv", "# {bad"), ("not_object.csv", "# 3")):
         bad = tmp_path / name
         bad.write_text(first + "\nt,mean_sz0,stderr,n_samples\n")

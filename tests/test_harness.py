@@ -8,7 +8,7 @@ import pytest
 from oracles import numpy_uniforms
 from spinquench import harness, sampler
 from spinquench.checkpoint import load_checkpoint
-from spinquench.errors import ConfigError
+from spinquench.errors import ConfigError, step_count
 from spinquench.harness import (
     PROFILES,
     AggregateCurve,
@@ -210,7 +210,8 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
     state, config = load_checkpoint(checkpoint)
     spec = WindowSpec(l=l)
     h = build_hloc(l, config.delta)
-    params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, t_fin=t_fin)
+    n_steps = step_count(t_fin - state.time, 1.0 / 3.0, "t_fin - t_init")
+    params = EvolverParams(delta_t=1.0 / 3.0, n_max=20, n_steps=n_steps)
     split = semistochastic_split(state, spec)
     pairs, rows = [], []
     for sid in sample_ids:
@@ -220,7 +221,7 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, sample_ids):
         ).tolist()
         psi = assemble_window_state(state, spec, (qa, ia, qb, ib))
         pairs.append((qa, ia, qb, ib))
-        rows.append(evolve_and_measure(psi, h, params, state.time)[0])
+        rows.append(evolve_and_measure(psi, h, params)[0])
     return pairs, np.array(rows)
 
 
@@ -429,7 +430,7 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
     assert 2 < n_batches < n_pairs
 
 
-@pytest.mark.parametrize("p_star", [None, 0.01], ids=["plain", "semistochastic"])
+@pytest.mark.parametrize("p_star", [math.inf, 0.01], ids=["plain", "semistochastic"])
 def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, monkeypatch, p_star):
     # sampler.WALK_MEMO_BYTES bounds the walk chunks, the assembly batches
     # and the propagated stacks alike; a budget of one amplitude puts one
@@ -564,10 +565,12 @@ def test_run_mc_validation(short_run):
         run_mc(l=2, t_fin=0.5, n_workers=1, **common)  # before checkpoint time
     with pytest.raises(ConfigError):
         run_mc(l=2, t_fin=2.0, n_workers=0, **common)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="t_fin - t_init = 0.5 is not"):
         run_mc(l=2, t_fin=1.5, n_workers=1, **common)  # non-integral steps
     with pytest.raises(ConfigError):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "master_seed": -1})
+    with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
+        run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "n_samples": 0})
 
 
 def test_run_mc_warns_outside_horizon(short_run):
@@ -610,6 +613,13 @@ def test_mc_agrees_with_direct_evolution_within_errors(short_run, tmp_path):
         if s > 0:
             pulls.append(abs(m - direct[key]) / s)
     assert max(pulls) < 3.0
+    # the samples estimate the window's exact sum (p_star = 0 puts every
+    # pair in S), which at t = 2 is off the direct curve by the window's
+    # bias, 3.0 of this run's stderr; against the sum every point holds
+    exact = run_mc(checkpoint=short_run["checkpoint"], l=3, t_fin=2.0, delta_t=0.25, n_max=20,
+                   n_samples=1, master_seed=5, n_workers=1, p_star=0.0)
+    assert np.all(exact.stderr == 0.0)
+    assert np.all(np.abs(curve.mean - exact.mean) < 3.0 * curve.stderr)
 
 
 def test_extract_peaks_on_analytic_curve():
@@ -662,8 +672,6 @@ def test_shift_correction_needs_overlap():
     curve = AggregateCurve(t, np.zeros(9), np.zeros(9), 5)
     with pytest.raises(ConfigError):
         shift_correction(curve, t + 100.0, np.zeros(9))
-    with pytest.raises(ConfigError):
-        shift_correction(curve, t, np.zeros(9), overlap_frac=0.0)
 
 
 def test_write_peaks_round_trip(tmp_path):

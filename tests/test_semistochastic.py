@@ -263,6 +263,7 @@ def test_canonical_guard_refuses_a_doctored_checkpoint(k16_t1, tmp_path):
 
 
 def test_p_star_validation(k16_t1):
-    for bad in (-0.1, float("nan")):
+    # S = empty is spelled p_star = inf only; None is refused too
+    for bad in (-0.1, float("nan"), None):
         with pytest.raises(ConfigError, match="p_star"):
             _mc(k16_t1["checkpoint"], p_star=bad)

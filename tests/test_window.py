@@ -127,6 +127,12 @@ def test_taylor_order_has_one_bound():
         route(4)
 
 
+def test_taylor_step_rejects_another_windows_hamiltonian():
+    psi = _random_sector_state(2, 2, seed=3)
+    with pytest.raises(ConfigError, match="state on 5 sites but Hamiltonian on 3"):
+        taylor_step(psi, build_hloc(1, 0.5), 0.01, 20)
+
+
 def _stack(states):
     return WindowState(
         np.concatenate([s.amplitudes for s in states]),
@@ -160,14 +166,14 @@ def test_stacked_propagation_matches_stacks_of_one(duplicate):
     for j, psi in enumerate(states):
         ref = _single_vector_step(psi.amplitudes[0], h_sec, 1.0 / 3.0, 20)
         assert np.array_equal(stepped.amplitudes[j], ref)
-    params = EvolverParams(1.0 / 3.0, 20, 2.0)
-    series = evolve_and_measure(_stack(states), h, params, 1.0)
+    params = EvolverParams(1.0 / 3.0, 20, 3)
+    series = evolve_and_measure(_stack(states), h, params)
     assert series.shape == (5, 4)
     for j, psi in enumerate(states):  # each state alone is a stack of one
         out = taylor_step(psi, h, 1.0 / 3.0, 20).amplitudes
         assert out.shape == (1, 462)
         assert np.array_equal(stepped.amplitudes[j], out[0])
-        assert np.array_equal(evolve_and_measure(psi, h, params, 1.0), series[j:j + 1])
+        assert np.array_equal(evolve_and_measure(psi, h, params), series[j:j + 1])
     if duplicate:
         assert np.array_equal(stepped.amplitudes[1], stepped.amplitudes[3])
 
@@ -259,18 +265,17 @@ def test_window_state_rejects_length_mismatch():
 def test_evolve_and_measure_grid_inclusive():
     psi = _random_sector_state(1, 2, seed=1)
     h = build_hloc(1, 0.5)
-    series = evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 2.0), 1.0)
-    assert series.shape == (1, 4)  # t = 1, 4/3, 5/3 and 2
+    series = evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 3))
+    assert series.shape == (1, 4)  # after 0, 1, 2 and 3 steps
     assert np.array_equal(series[:, 0], sz_center(psi))
+    assert evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 0)).shape == (1, 1)
 
 
-def test_evolve_and_measure_rejects_nonintegral_span():
-    psi = _random_sector_state(1, 1, seed=2)
-    h = build_hloc(1, 0.5)
-    with pytest.raises(ConfigError):
-        evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 1.5), 1.0)
-    with pytest.raises(ConfigError):
-        evolve_and_measure(psi, h, EvolverParams(1.0 / 3.0, 20, 0.5), 1.0)
+def test_evolver_params_reject_negative_step_count():
+    # the span's step count is checked where a run derives it
+    # (test_run_mc_validation); the window refuses only a negative count
+    with pytest.raises(ConfigError, match="n_steps must be >= 0, got -1"):
+        EvolverParams(1.0 / 3.0, 20, -1)
 
 
 def test_two_site_chain_is_analytic():
