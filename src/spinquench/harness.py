@@ -7,19 +7,19 @@ once, on a process pool only when that work is large enough to pay for
 one, and reduces the results to a mean/stderr curve on the fixed grid
 t_init + k * delta_t.
 
-Determinism contract: each sample's uniforms are numpy's PCG64 stream
-of SeedSequence((master_seed, sample_id)), a function of that pair
-alone, drawn for all samples in one pass (sample_uniforms), and the
-reduction runs over all value rows stacked in ascending sample_id
-order, so the output files are byte-identical for any worker count.
-Output metadata deliberately excludes worker counts and timestamps.
+Determinism contract: a run's uniforms are one numpy stream,
+default_rng(master_seed), drawn in this process one row per sample_id
+(sample_uniforms), and the reduction runs over all value rows stacked
+in ascending sample_id order, so the output files are byte-identical
+for any worker count. Output metadata deliberately excludes worker
+counts and timestamps.
 
-A run takes two rounds. Round one runs in this process: one vectorized
-pass draws the 2l+3 uniforms of every sample, and one batched walk
-over all samples, in sample_id order, turns them into boundary pairs
-(see sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per
-sample. The walk runs in one process whatever the worker count, so the
-pairs cannot depend on it. One np.unique over a packed int64 key per
+A run takes two rounds. Round one runs in this process: one call draws
+the 2l+3 uniforms of every sample, and one batched walk over all
+samples, in sample_id order, turns them into boundary pairs (see
+sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per sample.
+The walk runs in one process whatever the worker count, so the pairs
+cannot depend on it. One np.unique over a packed int64 key per
 row finds the distinct pairs of the run, in ascending order, and round
 two evolves each of them exactly once: the pairs are grouped by
 ascending total-Sz sector, by one stable sort, into row stacks that
@@ -252,101 +252,26 @@ def run_itebd(config: QuenchConfig, out_checkpoint, out_curve) -> int:
     return 0
 
 
-#: numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-#: and PCG64's 128-bit multiplier as (high, low) 64-bit halves.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-_M32 = 0xFFFFFFFF
+def sample_uniforms(master_seed: int, n_samples: int, n: int) -> np.ndarray:
+    """The (n_samples, n) uniforms of a run, one row per sample.
 
-
-def _hashmix(words, h, mult):
-    """SeedSequence's hash of 32-bit words under constant h, and the next h."""
-    after = h * mult & _M32
-    v = (words ^ h) * after & _M32
-    return v ^ v >> 16, after
-
-
-def _seed_state(words):
-    """SeedSequence(words).generate_state(4, uint64) for 4 word arrays.
-
-    Entropy shorter than numpy's pool of 4 words is padded with zeros,
-    so trailing zero words hash exactly like the padding.
+    They are default_rng(master_seed)'s doubles in row-major order, so
+    row i depends only on the seed and i, and a run of fewer samples
+    draws the first rows of a larger one. A walk uses each row in
+    order: alpha, the 2l+1 window spins, then beta.
     """
-    h = _INIT_A
-    pool = []
-    for w in words:
-        v, h = _hashmix(w, h, _MULT_A)
-        pool.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(pool[src], h, _MULT_A)
-                mixed = (_MIX_L * pool[dst] - _MIX_R * v) & _M32
-                pool[dst] = mixed ^ mixed >> 16
-    h = _INIT_B
-    out = []
-    for i in range(8):
-        v, h = _hashmix(pool[i % 4], h, _MULT_B)
-        out.append(v)
-    return [out[2 * j] | out[2 * j + 1] << 32 for j in range(4)]
-
-
-def _mulhi(x, y):
-    """High 64 bits of the 128-bit product x * y, from 32-bit halves."""
-    x0, x1, y0, y1 = x & _M32, x >> 32, y & _M32, y >> 32
-    hl = x1 * y0
-    cross = (x0 * y0 >> 32) + (hl & _M32) + x0 * y1
-    return (hl >> 32) + (cross >> 32) + x1 * y1
-
-
-def _step(state, inc):
-    """One PCG64 step, state * multiplier + inc mod 2^128, on (high, low)."""
-    (sh, sl), (mh, ml), (ih, il) = state, _PCG_MULT, inc
-    lo = sl * ml + il
-    return _mulhi(sl, ml) + sh * ml + sl * mh + ih + (lo < il), lo
-
-
-def sample_uniforms(master_seed: int, sample_ids, n: int) -> np.ndarray:
-    """The (len(sample_ids), n) uniforms of the samples, one row each.
-
-    Row i is bit for bit default_rng(SeedSequence((master_seed,
-    sample_ids[i]))).random(n): numpy's PCG64 stream, drawn for all
-    samples at once on uint64 arrays. The seed and each id are at most
-    two 32-bit entropy words, so the entropy never outgrows SeedSequence's
-    4-word pool, and an id's high word, when zero, hashes like numpy's
-    padding. A walk uses each row in order: alpha, the 2l+1 window
-    spins, then beta.
-    """
-    master_seed = check_seed(int(master_seed))
-    ids = np.asarray(sample_ids, dtype=np.uint64)
-    head = [master_seed & _M32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    words = [np.full(ids.shape, w, dtype=np.uint64) for w in head] + [ids & _M32, ids >> 32]
-    words += [np.zeros_like(ids)] * (4 - len(words))
-    seed_hi, seed_lo, seq_hi, seq_lo = _seed_state(words)
-    # PCG64 set_seed: inc = 2 seq + 1; from state 0, step, add the seed, step
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
-    lo = seed_lo + inc[1]
-    state = _step((seed_hi + inc[0] + (lo < seed_lo), lo), inc)
-    u = np.empty((ids.size, n))
-    for k in range(n):
-        # each draw steps, then rotates high ^ low right by the top 6 bits
-        state = _step(state, inc)
-        hi, lo = state
-        xored, rot = hi ^ lo, hi >> 58
-        u[:, k] = (xored >> rot | xored << (-rot & 63)) >> 11
-    return u * 2.0**-53
+    return np.random.default_rng(check_seed(master_seed)).random((n_samples, n))
 
 
 def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
-    """The n uniforms of one sample: its row of sample_uniforms.
+    """The n uniforms of one sample: row sample_id of sample_uniforms.
 
-    They are the first n doubles of numpy's PCG64 stream of
-    SeedSequence((master_seed, sample_id)); run_mc draws the rows of
-    all samples in one sample_uniforms pass and does not call this.
+    PCG64 takes one step per double, so the row starts sample_id * n
+    steps into the run's stream; run_mc draws all rows at once and does
+    not call this.
     """
-    return sample_uniforms(master_seed, [sample_id], n)[0]
+    bits = np.random.PCG64(check_seed(master_seed)).advance(sample_id * n)
+    return np.random.Generator(bits).random(n)
 
 
 @dataclass(frozen=True)
@@ -436,7 +361,7 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares):
     drawn = np.empty((0, 4), dtype=np.int64)
     first = ids = np.zeros(0, dtype=np.int64)
     if split.tail_weight > 0.0:
-        u = sample_uniforms(master_seed, np.arange(n_samples), 2 * spec.l + 3)
+        u = sample_uniforms(master_seed, n_samples, 2 * spec.l + 3)
         alphas = sample_alpha(state, spec, u[:, 0], split)
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
         first, ids = distinct_rows(drawn)

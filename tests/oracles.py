@@ -7,8 +7,9 @@ series, one circuit window at a time instead of a stack of them, and
 at delta = 0 the exact free-fermion window instead of any sampling,
 a Python sort instead of the spectrum's ranking, every boundary pair
 instead of the sampled ones, one sample walked at a time instead of
-all samples level by level, and numpy's own generator per sample
-instead of one stream pass over all samples. A test that compares the
+all samples level by level. numpy_uniforms, numpy's generator of
+(master_seed, sample_id), is no route of the package: it only makes
+uniforms that tests feed to the sampler. A test that compares the
 package against one of these checks the structure itself. The
 boundary-pair enumeration assembles its windows with the package's
 stack assembler, so a test that sums over it checks that assembler.
@@ -420,7 +421,7 @@ def ranked_entries(spectrum):
 
 
 def numpy_uniforms(master_seed, sample_id, n):
-    """The n uniforms of one sample from numpy's generator of (master_seed, sample_id)."""
+    """n test uniforms from numpy's generator of (master_seed, sample_id)."""
     return np.random.default_rng(np.random.SeedSequence((master_seed, sample_id))).random(n)
 
 

@@ -39,6 +39,21 @@ def pipeline_dir(tmp_path_factory):
         ]
     )
     assert rc == 0
+    # the sampled curve that the peaks tests read
+    rc = main(
+        [
+            "sample",
+            "--checkpoint", str(chk),
+            "--l", "2",
+            "--t-fin", "2.0",
+            "--delta-t", "0.0625",
+            "--samples", "50",
+            "--seed", "3",
+            "--workers", "1",
+            "--out", str(base / "mc.csv"),
+        ]
+    )
+    assert rc == 0
     return base
 
 
@@ -51,20 +66,6 @@ def test_itebd_writes_outputs(pipeline_dir):
 
 def test_sample_then_peaks(pipeline_dir, capsys):
     mc_out = pipeline_dir / "mc.csv"
-    rc = main(
-        [
-            "sample",
-            "--checkpoint", str(pipeline_dir / "t1.mpsc1"),
-            "--l", "2",
-            "--t-fin", "2.0",
-            "--delta-t", "0.0625",
-            "--samples", "50",
-            "--seed", "3",
-            "--workers", "1",
-            "--out", str(mc_out),
-        ]
-    )
-    assert rc == 0
     meta, curve = read_aggregate_curve(mc_out)
     assert curve.times[0] == pytest.approx(1.0)
     assert curve.times[-1] == pytest.approx(2.0)

@@ -232,7 +232,7 @@ def test_one_pass_walk_matches_per_group_pin(k128_state, k128_t3_state, monkeypa
             monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 3 * 16 * sampler._widest(state) * 450)
             assert 2000 // sampler._chunk_size(state) >= 4
         for seed in (7, 3, 3 * 2**32 + 5):
-            u = sample_uniforms(seed, np.arange(2000), 2 * l + 3)
+            u = sample_uniforms(seed, 2000, 2 * l + 3)
             alphas = sample_alpha(state, spec, u[:, 0], split)
             got_rows, want_rows = [], []
             with monkeypatch.context() as m:
@@ -474,7 +474,7 @@ def test_distinct_rows_ascend_and_invert(k128_t2, run):
     if run == "walk":
         state, _config = load_checkpoint(k128_t2["checkpoint"])
         spec = WindowSpec(l=4)
-        pairs = _draws(state, spec, sample_uniforms(7, np.arange(2000), 11))
+        pairs = _draws(state, spec, sample_uniforms(7, 2000, 11))
     elif run == "one-pair":
         pairs = np.tile(np.array([-1, 3, 2, 0], dtype=np.int64), (500, 1))
     elif run == "all-distinct":

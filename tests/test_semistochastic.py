@@ -109,7 +109,7 @@ def test_batched_tail_walk_matches_per_sample_oracle(request, name, l, p_star):
     # draws the pair of the one-sample oracle walk on the same uniforms,
     # and never a pair of S
     _path, state, spec, split = _case(request, name, l, p_star)
-    u = sample_uniforms(5, np.arange(600), 2 * l + 3)
+    u = sample_uniforms(5, 600, 2 * l + 3)
     alphas = sample_alpha(state, spec, u[:, 0], split)
     got = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
     want = [tail_walk(state, spec, split, row) for row in u]
