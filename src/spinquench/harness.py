@@ -266,12 +266,9 @@ def sample_uniforms(master_seed: int, n_samples: int, n: int) -> np.ndarray:
 def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
     """The n uniforms of one sample: row sample_id of sample_uniforms.
 
-    PCG64 takes one step per double, so the row starts sample_id * n
-    steps into the run's stream; run_mc draws all rows at once and does
-    not call this.
+    run_mc draws all rows at once and does not call this.
     """
-    bits = np.random.PCG64(check_seed(master_seed)).advance(sample_id * n)
-    return np.random.Generator(bits).random(n)
+    return sample_uniforms(master_seed, sample_id + 1, n)[sample_id]
 
 
 @dataclass(frozen=True)

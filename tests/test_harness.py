@@ -274,18 +274,14 @@ def test_run_mc_evolves_each_pair_once_per_run(
         assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool):
     # a huge --workers must not start a process per requested worker;
     # the pool is faked so no process is started here at all. p_star = 0
-    # puts every reachable pair in S, so the round reaches more than one
-    # sector stack whatever the 3 samples draw
+    # puts every reachable pair in S, so the round holds more than 4
+    # sector stacks whatever the 3 samples draw, and on 4 usable CPUs
+    # the pool has 4 processes, not 64
     monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
     out1 = tmp_path / "w1.csv"
     out64 = tmp_path / "w64.csv"
     kw = dict(
@@ -300,8 +296,7 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool
     )
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
-    assert len(in_process_pool) == 1
-    assert 1 <= in_process_pool[0] <= min(3, _usable_cpus())
+    assert in_process_pool == [4]
     assert out1.read_bytes() == out64.read_bytes()
 
 
