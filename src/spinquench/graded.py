@@ -10,12 +10,18 @@ blocked operations never touch entries forbidden by the selection rule.
 
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
-unblocked decomposition would keep.
+unblocked decomposition would keep. Inside sector_threads() the sectors
+of one matrix are dealt to helper threads, each still one LAPACK call,
+so where a sector runs never changes its bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +31,44 @@ from .errors import SvdError
 #: Relative floor under which singular values are treated as round-off
 #: and dropped before any truncation counting.
 SINGULAR_VALUE_FLOOR = 1e-14
+
+#: Total work, sum of rows * cols * min(rows, cols) over sectors, below
+#: which block_svd decomposes inline even with helpers open: waking a
+#: helper costs about 70 us, more than it saves on smaller matrices
+#: (ROADMAP, Baseline: sector threads).
+THREAD_WORK = 20_000
+
+#: (helper pool, shares per matrix) of the sector_threads() block this
+#: context runs in; a new thread starts without one.
+_helpers = contextvars.ContextVar("sector_helpers", default=None)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def sector_threads():
+    """Let block_svd in this context deal sectors to helper threads.
+
+    One helper per usable CPU beyond the first, none on one CPU; they
+    are joined when the block exits, however it exits. Blocks opened on
+    other threads have helpers of their own.
+    """
+    n_cpus = usable_cpus()
+    if n_cpus < 2:
+        yield
+        return
+    pool = ThreadPoolExecutor(max_workers=n_cpus - 1, thread_name_prefix="sector-svd")
+    token = _helpers.set((pool, n_cpus))
+    try:
+        yield
+    finally:
+        _helpers.reset(token)
+        pool.shutdown()
 
 
 class SiteTensor:
@@ -144,21 +188,62 @@ class TruncationReport:
     largest_block_dim: int = 0
 
 
+def _decompose(arrays):
+    """The thin (u, s, vh) of each array, or the LinAlgError it raised."""
+    out = []
+    for arr in arrays:
+        try:
+            out.append(np.linalg.svd(arr, full_matrices=False))
+        except np.linalg.LinAlgError as exc:
+            out.append(exc)
+    return out
+
+
+def _deal(works, n_shares):
+    """Indices of works, longest first, each to the share with least work so far."""
+    shares, loads = [[] for _ in range(n_shares)], [0] * n_shares
+    for i in sorted(range(len(works)), key=lambda i: -works[i]):
+        least = loads.index(min(loads))
+        shares[least].append(i)
+        loads[least] += works[i]
+    return shares
+
+
+def _decompose_all(arrays):
+    """_decompose(arrays), share 0 here and the others on the helpers."""
+    helpers = _helpers.get()
+    works = [r * c * min(r, c) for r, c in (arr.shape for arr in arrays)]
+    if helpers is None or sum(works) < THREAD_WORK:
+        return _decompose(arrays)
+    pool, n_cpus = helpers
+    shares = _deal(works, min(n_cpus, len(arrays)))
+    futures = [pool.submit(_decompose, [arrays[i] for i in share]) for share in shares[1:]]
+    outs = [_decompose([arrays[i] for i in shares[0]])]
+    outs += [future.result() for future in futures]
+    results = [None] * len(arrays)
+    for share, out in zip(shares, outs):
+        for i, result in zip(share, out):
+            results[i] = result
+    return results
+
+
 def block_svd(theta):
     """Sector-by-sector singular values and factors of a blocked matrix.
 
     theta.blocks maps each charge, ascending, to a 2-d block. Returns
     (spectrum, factors): block = u diag(spectrum) vh for (u, vh) =
     factors[charge] as LAPACK gives them; gauged_rows fixes the phases
-    of the rows a caller keeps.
+    of the rows a caller keeps. Inside sector_threads() the sectors are
+    decomposed on several threads, one LAPACK call each as inline, so
+    the result is the same bit for bit.
     """
     s_blocks, factors = {}, {}
-    for q_row, arr in theta.blocks.items():
-        try:
-            u, s, vh = np.linalg.svd(arr, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
+    results = _decompose_all(list(theta.blocks.values()))
+    for (q_row, arr), result in zip(theta.blocks.items(), results):
+        if isinstance(result, np.linalg.LinAlgError):
             raise SvdError(f"SVD did not converge in sector {q_row} "
-                           f"({arr.shape[0]}x{arr.shape[1]})") from exc
+                           f"({arr.shape[0]}x{arr.shape[1]})") from result
+        u, s, vh = result
         s_blocks[q_row], factors[q_row] = s, (u, vh)
     # LAPACK returns each sector's values descending
     return SchmidtSpectrum.from_sorted(s_blocks), factors

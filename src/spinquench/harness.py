@@ -78,6 +78,7 @@ import numpy as np
 from . import sampler
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
+from .graded import usable_cpus
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 # assemble_window_state is not called here; perfbench patches its name in
 # this module as in sampler, so the name stays importable from both.
@@ -373,13 +374,6 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares):
     return table[n_s + ids], table[:n_s], norms[:n_s]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_mc(
     checkpoint,
     l: int,
@@ -446,7 +440,7 @@ def run_mc(
         ) as pool:
             return list(pool.map(_evolve_in_worker, shares))
 
-    n_shares = min(n_workers, _cpu_count())
+    n_shares = min(n_workers, usable_cpus())
     values, s_values, s_norms = _two_rounds(run, split, master_seed, n_samples, evolve, n_shares)
     spectrum = boundary_spectrum(state, run.spec)
     z = float(spectrum.weights.sum())

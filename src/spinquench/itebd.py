@@ -22,6 +22,16 @@ Tiny Schmidt values therefore pass through updates harmlessly, which is
 what lets the bond dimension be pushed hard without the usual blow-up
 from inverting a near-singular bond.
 
+The sector SVDs run where evolve_to puts them: it opens one
+graded.sector_threads() block for its whole run, so each update's
+theta is dealt, longest sector first, to the calling thread and one
+helper per further usable CPU, and the helpers are joined on every
+exit. update_bond called on its own decomposes inline. The bits cannot
+move with the CPU count: every sector is one np.linalg.svd call on its
+own block whichever thread makes it, and the factors are read back in
+charge order, so the kept set, the gauge and the rebuilt tensors are
+those of the inline route.
+
 The interior observations read <Sz> of both sites off the same theta:
 Sz is diagonal in its rows and columns, so each value is a signed sum
 of squared row or column norms.
@@ -44,7 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
+from .graded import (
+    SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate, sector_threads,
+)
 
 UP, DN = 0, 1
 
@@ -350,23 +362,24 @@ def evolve_to(
     g_full = build_gate(config.delta, config.dt)
 
     t0 = state.time
-    state, rep = update_bond(state, g_half, "AB", config.k_max)
-    step_weight = rep.discarded_weight
-    for k in range(1, n + 1):
-        state, rep = update_bond(state, g_full, "BA", config.k_max)
-        step_weight += rep.discarded_weight
-        t_k = t0 + k * config.dt
-        if k < n:
-            if observer is not None:
-                sz0, sz1 = expect_pair_observable(state, g_half)
-                observer(_record(t_k, sz0, sz1, step_weight, state))
-            state, rep = update_bond(state, g_full, "AB", config.k_max)
-            step_weight = rep.discarded_weight
-        else:
-            state, rep = update_bond(state, g_half, "AB", config.k_max)
+    with sector_threads():
+        state, rep = update_bond(state, g_half, "AB", config.k_max)
+        step_weight = rep.discarded_weight
+        for k in range(1, n + 1):
+            state, rep = update_bond(state, g_full, "BA", config.k_max)
             step_weight += rep.discarded_weight
-            state = dataclasses.replace(state, time=t_end)
-            if observer is not None:
-                sz0, sz1 = expect_sz(state, "A"), expect_sz(state, "B")
-                observer(_record(t_k, sz0, sz1, step_weight, state))
-    return state
+            t_k = t0 + k * config.dt
+            if k < n:
+                if observer is not None:
+                    sz0, sz1 = expect_pair_observable(state, g_half)
+                    observer(_record(t_k, sz0, sz1, step_weight, state))
+                state, rep = update_bond(state, g_full, "AB", config.k_max)
+                step_weight = rep.discarded_weight
+            else:
+                state, rep = update_bond(state, g_half, "AB", config.k_max)
+                step_weight += rep.discarded_weight
+                state = dataclasses.replace(state, time=t_end)
+                if observer is not None:
+                    sz0, sz1 = expect_sz(state, "A"), expect_sz(state, "B")
+                    observer(_record(t_k, sz0, sz1, step_weight, state))
+        return state

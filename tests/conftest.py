@@ -5,10 +5,13 @@ reference curve, checkpoint files) are built once per session and
 shared; everything else is cheap enough to rebuild per test.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from oracles import alternating_config, dense_reference_evolve
+from spinquench import graded
 from spinquench.harness import run_itebd
 from spinquench.itebd import QuenchConfig, evolve_to, neel_init
 
@@ -25,6 +28,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs and no crossover, on any machine.
+
+    sector_threads() then opens two helpers and block_svd deals every
+    matrix of two or more sectors into shares. Returns the list of
+    (thread, arrays) of every share decomposed from here on.
+    """
+    monkeypatch.setattr(graded, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(graded, "THREAD_WORK", 0)
+    shares, decompose = [], graded._decompose
+
+    def watched(arrays):
+        shares.append((threading.current_thread(), arrays))
+        return decompose(arrays)
+
+    monkeypatch.setattr(graded, "_decompose", watched)
+    return shares
 
 
 @pytest.fixture(scope="session")

@@ -287,19 +287,21 @@ def test_missing_checkpoint_exit_code(tmp_path):
 
 
 def test_norm_drift_exit_code(pipeline_dir, tmp_path):
-    # delta_t far too large for a low Taylor order
-    rc = main(
-        [
-            "sample",
-            "--checkpoint", str(pipeline_dir / "t1.mpsc1"),
-            "--l", "2",
-            "--t-fin", "9.0",
-            "--delta-t", "8.0",
-            "--nmax", "4",
-            "--samples", "2",
-            "--out", str(tmp_path / "junk.csv"),
-        ]
-    )
+    # delta_t far too large for a low Taylor order; t_fin is past the
+    # window horizon l/v, so the run warns before it drifts
+    with pytest.warns(UserWarning, match="window horizon"):
+        rc = main(
+            [
+                "sample",
+                "--checkpoint", str(pipeline_dir / "t1.mpsc1"),
+                "--l", "2",
+                "--t-fin", "9.0",
+                "--delta-t", "8.0",
+                "--nmax", "4",
+                "--samples", "2",
+                "--out", str(tmp_path / "junk.csv"),
+            ]
+        )
     assert rc == 3
 
 

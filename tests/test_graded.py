@@ -1,8 +1,11 @@
 """Charge-blocked linear algebra against dense references."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from spinquench import itebd
 from spinquench.errors import SvdError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
@@ -10,7 +13,9 @@ from spinquench.graded import (
     block_svd,
     gauged_rows,
     merged_truncate,
+    sector_threads,
 )
+from spinquench.itebd import QuenchConfig, evolve_to, neel_init
 from oracles import GradedMatrix, block_svd_reference, merged_truncate_reference, to_dense
 
 
@@ -67,8 +72,8 @@ def _complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient"])
-def test_block_svd_matches_reference_bit_for_bit(kind):
+def _shaped(kind):
+    """A three-sector matrix of tall, wide or rank-deficient blocks."""
     rng = np.random.default_rng(21)
     blocks = {}
     for q in (-1, 0, 2):
@@ -78,7 +83,12 @@ def test_block_svd_matches_reference_bit_for_bit(kind):
             blocks[(q, q + 1)] = _complex(rng, 4, 9)
         else:
             blocks[(q, q + 1)] = _complex(rng, 7, 2) @ _complex(rng, 2, 6)
-    theta = GradedMatrix(1, blocks)
+    return GradedMatrix(1, blocks)
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient"])
+def test_block_svd_matches_reference_bit_for_bit(kind):
+    theta = _shaped(kind)
     spec, factors = block_svd(theta)
     _x, ref_spec, ref_y = block_svd_reference(theta)
     assert list(spec.blocks) == list(ref_spec.blocks)
@@ -94,6 +104,66 @@ def test_block_svd_reports_failure():
     bad = GradedMatrix(0, {(0, 0): np.full((2, 2), np.nan)})
     with pytest.raises(SvdError):
         block_svd(bad)
+
+
+def _k32_thetas(monkeypatch):
+    """Every theta a k=32 evolution to t=2 decomposes."""
+    thetas, decompose = [], itebd.block_svd
+
+    def recorded(theta):
+        thetas.append(theta)
+        return decompose(theta)
+
+    monkeypatch.setattr(itebd, "block_svd", recorded)
+    evolve_to(neel_init(), 2.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=32))
+    monkeypatch.setattr(itebd, "block_svd", decompose)
+    return thetas
+
+
+@pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient", "k32-evolution"])
+def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch, kind):
+    # with helpers open the sectors of a matrix are dealt into a share
+    # per CPU, at most one per sector, of which this thread decomposes
+    # one; each sector decomposes to the bits it has inline
+    thetas = _k32_thetas(monkeypatch) if kind == "k32-evolution" else [_shaped(kind)]
+    for theta in thetas:
+        spec, factors = block_svd(theta)
+        three_cpus.clear()
+        with sector_threads():
+            spec_t, factors_t = block_svd(theta)
+        threads = [thread for thread, _arrays in three_cpus]
+        assert len(threads) == min(3, len(theta.blocks))
+        assert threads.count(threading.current_thread()) == 1
+        assert sum(len(arrays) for _thread, arrays in three_cpus) == len(theta.blocks)
+        assert list(spec_t.blocks) == list(spec.blocks)
+        assert list(factors_t) == list(factors)
+        for q in spec.blocks:
+            assert np.array_equal(spec_t.blocks[q], spec.blocks[q])
+            u, vh = factors[q]
+            u_t, vh_t = factors_t[q]
+            assert np.array_equal(u_t, u) and np.array_equal(vh_t, vh)
+
+
+def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus):
+    # a sector that does not converge on a helper raises from the calling
+    # thread with the message it raises inline; the deal is longest
+    # first, so the smallest of three sectors goes to the second helper
+    rng = np.random.default_rng(22)
+    theta = GradedMatrix(0, {
+        (0, 0): _complex(rng, 6, 6),
+        (1, 1): _complex(rng, 5, 5),
+        (2, 2): np.full((2, 3), np.nan),
+    })
+    with pytest.raises(SvdError) as inline:
+        block_svd(theta)
+    assert str(inline.value) == "SVD did not converge in sector 2 (2x3)"
+    three_cpus.clear()
+    with sector_threads(), pytest.raises(SvdError) as threaded:
+        block_svd(theta)
+    assert str(threaded.value) == str(inline.value)
+    assert isinstance(threaded.value.__cause__, np.linalg.LinAlgError)
+    (failed_on,) = [t for t, arrays in three_cpus if np.isnan(arrays[0]).any()]
+    assert failed_on is not threading.current_thread()
 
 
 def test_merged_truncate_hand_case():

@@ -281,7 +281,7 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool
     # sector stacks whatever the 3 samples draw, and on 4 usable CPUs
     # the pool has 4 processes, not 64
     monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
     out1 = tmp_path / "w1.csv"
     out64 = tmp_path / "w64.csv"
     kw = dict(
@@ -329,7 +329,7 @@ def test_run_mc_below_pool_work_starts_no_pool(
     # a round with less work than POOL_WORK runs in this process at any
     # --workers and writes the same bytes; CPUs are faked so the pool
     # could start on any machine
-    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
     t_fin = 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -369,7 +369,7 @@ def test_run_mc_real_pool_writes_same_bytes(short_run, tmp_path, monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -411,7 +411,7 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
         return ends
 
     monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
     monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 14)
     monkeypatch.setattr(sampler, "_partial_batches", counted_split)
     for workers in (1, 2, 3):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from oracles import (
     to_dense,
     update_bond_reference,
 )
-from spinquench import itebd
-from spinquench.checkpoint import load_checkpoint
-from spinquench.errors import ConfigError
+from spinquench import graded, itebd
+from spinquench.checkpoint import load_checkpoint, save_checkpoint
+from spinquench.errors import ConfigError, SvdError
 from spinquench.graded import SchmidtSpectrum
 from spinquench.itebd import (
     DN,
@@ -320,6 +321,16 @@ def test_svd_work_matches_the_reference_route(monkeypatch, k_max, t_end):
     assert seen == expected
 
 
+def _assert_same_state(got, want):
+    """Both states hold the same tensors and spectra, bit for bit."""
+    for g, w in ((got.a_a, want.a_a), (got.a_b, want.a_b)):
+        assert g.dims == w.dims
+        assert all(np.array_equal(g.blocks[q], w.blocks[q]) for q in w.blocks)
+    for g, w in ((got.lambda_a, want.lambda_a), (got.lambda_b, want.lambda_b)):
+        assert list(g.blocks) == list(w.blocks)
+        assert all(np.array_equal(g.blocks[q], w.blocks[q]) for q in w.blocks)
+
+
 def test_shared_products_never_outlive_their_state():
     # evolve_to lets the pair observable and the AB update after it share
     # one state's products. Replaying its schedule with every call on a
@@ -345,12 +356,7 @@ def test_shared_products_never_outlive_their_state():
         else:
             state, _report = update_bond(fresh(state), g_half, "AB", 16)
     assert [(r.sz0, r.sz1) for r in records[:-1]] == observed
-    for got, want in ((final.a_a, state.a_a), (final.a_b, state.a_b)):
-        assert got.dims == want.dims
-        assert all(np.array_equal(got.blocks[q], want.blocks[q]) for q in want.blocks)
-    for got, want in ((final.lambda_a, state.lambda_a), (final.lambda_b, state.lambda_b)):
-        assert list(got.blocks) == list(want.blocks)
-        assert all(np.array_equal(got.blocks[q], want.blocks[q]) for q in want.blocks)
+    _assert_same_state(final, state)
     # the observable leaves its products on the state for the update,
     # which uses them up; the state it returns starts without
     shared = fresh(state)
@@ -358,3 +364,50 @@ def test_shared_products_never_outlive_their_state():
     assert list(shared._products) == ["AB"]
     new, _report = update_bond(shared, g_full, "AB", 16)
     assert not shared._products and not new._products
+
+
+def test_evolve_to_is_bit_identical_on_one_and_three_cpus(three_cpus, monkeypatch, tmp_path):
+    # a k=32 run to t=2 decomposes every sector inline on one CPU and
+    # deals every theta of two or more sectors on three; the records,
+    # the state and its checkpoint are the same bit for bit
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=32)
+    runs = []
+    for n_cpus in (1, 3):
+        monkeypatch.setattr(graded, "usable_cpus", lambda n=n_cpus: n)
+        three_cpus.clear()
+        records = []
+        state = evolve_to(neel_init(), 2.0, config, observer=records.append)
+        path = tmp_path / f"cpus{n_cpus}.mpsc1"
+        save_checkpoint(path, state, config)
+        helpers = {thread for thread, _arrays in three_cpus} - {threading.current_thread()}
+        runs.append((records, state, path.read_bytes(), len(helpers)))
+    (records_1, state_1, bytes_1, helpers_1), (records_3, state_3, bytes_3, helpers_3) = runs
+    assert (helpers_1, helpers_3) == (0, 2)
+    assert records_3 == records_1
+    _assert_same_state(state_3, state_1)
+    assert bytes_3 == bytes_1
+
+
+def test_evolve_to_leaves_no_helper_thread(three_cpus, monkeypatch):
+    # the helpers live only inside evolve_to: as many threads run after
+    # it as before, whether it returns or raises SvdError
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16)
+    before, during = threading.active_count(), []
+    evolve_to(neel_init(), 0.5, config, observer=lambda _r: during.append(threading.active_count()))
+    assert max(during) == before + 2
+    assert threading.active_count() == before
+
+    decompose, during = graded._decompose, []
+
+    def failing(arrays):
+        # from the 20th share on, every sector fails to converge
+        during.append(threading.active_count())
+        if len(during) >= 20:
+            arrays = [np.full(arr.shape, np.nan) for arr in arrays]
+        return decompose(arrays)
+
+    monkeypatch.setattr(graded, "_decompose", failing)
+    with pytest.raises(SvdError):
+        evolve_to(neel_init(), 0.5, config)
+    assert max(during) == before + 2
+    assert threading.active_count() == before
