@@ -164,9 +164,14 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
     """Apply a 2^q x 2^q gate to qubits i..i+q-1 of a statevector.
 
     psi may carry a trailing stack axis, (2^n, columns), C-contiguous;
-    the gate acts on every column alike.
+    the gate acts on every column alike. A gate on the last qubits of a
+    single state leaves a trailing axis of 1, where the batched matmul
+    would make 2^i matrix-vector products; there it is one GEMM.
     """
-    return np.matmul(u, psi.reshape(1 << i, u.shape[0], -1)).reshape(psi.shape)
+    d = u.shape[0]
+    if psi.size >> i == d:
+        return (psi.reshape(-1, d) @ u.T).reshape(psi.shape)
+    return np.matmul(u, psi.reshape(1 << i, d, -1)).reshape(psi.shape)
 
 
 def _fusion_groups(gates):

@@ -25,6 +25,12 @@ zero, which a row sum starting from zero erases, and it sums a row's
 entries in the same order; so the real product gives the same bits
 with half the multiplications.
 
+scipy is imported inside _chain_hamiltonian, the one place a CSR
+matrix is made, not at the top of this module: the iTEBD phase, the
+circuit demonstrator and a bare `import spinquench` need numpy alone,
+and scipy.sparse would be most of their import time. A run that
+samples windows loads it on its first sector build.
+
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
 an integer's binary digits left to right. A sector basis lists the
@@ -38,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, NormDriftError
 
@@ -169,7 +174,7 @@ def _site_bits(basis: np.ndarray, n_sites: int, site: int) -> np.ndarray:
     return (basis >> (n_sites - 1 - site)) & 1
 
 
-def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_matrix:
+def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> "scipy.sparse.csr_matrix":
     """Open XXZ chain on the given basis (must be closed under hopping).
 
     Built directly in canonical CSR form, with the bits scipy's sum of a
@@ -181,6 +186,8 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_
     final size, so the build holds the matrix and one chunk's
     temporaries, never temporaries of the whole sector.
     """
+    import scipy.sparse  # loaded by the first sector build; see the module docstring
+
     dim = basis.size
     # A hop across bond j lowers a configuration whose site j is up and
     # raises one whose site j+1 is, by less the further right the bond,
@@ -220,7 +227,7 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> sp.csr_
         at = slice(indptr[lo], indptr[lo + diag.size])
         indices[at] = np.searchsorted(basis, basis[lo + row] ^ flips[kind])
         data[at] = np.where(kind == n_sites - 1, diag[row], 0.5)
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 class SparseWindowHamiltonian:

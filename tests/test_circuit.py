@@ -365,6 +365,21 @@ def test_apply_gate_wide_block_matches_kron_embedding(q):
         assert np.allclose(apply_gate(stack, i, u), full @ stack, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_apply_gate_on_the_last_qubits_matches_the_batched_route(q):
+    # a gate on the last q qubits of one state leaves a trailing axis of
+    # 1, which apply_gate makes one GEMM instead of 2^i batched products
+    rng = np.random.default_rng(40 + q)
+    width = 9
+    z = rng.standard_normal((1 << q, 1 << q)) + 1j * rng.standard_normal((1 << q, 1 << q))
+    u = np.linalg.qr(z)[0]
+    i = width - q
+    for _ in range(3):
+        psi = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
+        batched = np.matmul(u, psi.reshape(1 << i, 1 << q, 1)).reshape(psi.shape)
+        assert np.max(np.abs(apply_gate(psi, i, u) - batched)) <= 1e-14
+
+
 def test_wide_halves_rejected_before_allocation(monkeypatch):
     # a 3-qubit limit makes the 4-qubit halves of n = 8 too wide, as the
     # 32-qubit halves of n = 64 are for the real limit

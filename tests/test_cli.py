@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -329,3 +330,45 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "itebd" in proc.stdout
+
+
+#: Runs a JSON list of argv lists through cli.main in a fresh interpreter
+#: where any import of scipy raises, and prints their exit codes.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import spinquench, spinquench.cli
+print(json.dumps([spinquench.cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_numpy_only_commands_run_without_scipy(pipeline_dir, tmp_path):
+    # scipy is loaded where a window Hamiltonian is built, so every
+    # command but sample runs where it cannot be imported at all
+    runs = [
+        ["itebd", "--profile", "desk-small", "--t-end", "1.0",
+         "--out-checkpoint", str(tmp_path / "t1.mpsc1"), "--out-curve", str(tmp_path / "itebd.csv")],
+        ["peaks", "--in", str(pipeline_dir / "mc.csv"), "--out", str(tmp_path / "peaks.csv")],
+        ["circuit-demo", "--n", "12", "--depth", "6", "--mode", "sum"],
+        ["circuit-demo", "--n", "12", "--depth", "6", "--mode", "sample"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0], proc.stderr
+
+
+def test_scipy_loads_with_the_first_sector_build():
+    code = (
+        "import sys\n"
+        "import spinquench.cli\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+        "spinquench.window.build_hloc(2, 0.5).sector(2)\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
