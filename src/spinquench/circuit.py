@@ -45,6 +45,18 @@ applied to the identity, and apply_gate applies it in one pass over
 the state; on an n = 18, depth-10 circuit the direct route makes 23
 passes instead of 85, and the window 5 instead of 30.
 
+Each route opens threads.helper_threads() once per call, and its
+helpers are joined when it returns or raises. Inside, apply_gate deals
+a pass of THREAD_AMPLITUDES or more into near-equal contiguous shares,
+one per usable CPU, the calling thread making the first: the batched
+form by its 2^i products (by columns where there are fewer products
+than shares), the last-qubits GEMM by rows. Each share is one
+np.matmul into its part of a single output. A product share makes each
+product as inline does, and a row or column run starts on a multiple
+of SPLIT_GRANULE, a kernel boundary of the whole product, so every
+amplitude comes out of the same kernel from the same inputs: the routes
+return the same bits at any CPU count (on a fixed BLAS thread count).
+
 Bit convention: qubit 0 is the most significant bit of a configuration
 index, bit value 0 means spin up, so a two-qubit basis index is
 2 b_left + b_right in the gate basis (up-up, up-down, down-up,
@@ -58,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import threads
 from .errors import ConfigError
 
 #: Maximum statevector width, in qubits. It bounds the direct route's
@@ -70,6 +83,20 @@ DIRECT_QUBIT_LIMIT = 20
 #: depth 10 (table in CHANGES.md): 5 qubits beat 3 and 4 on both, and
 #: 6 gained nothing more.
 FUSED_QUBITS = 5
+
+#: Amplitudes of a pass below which apply_gate runs it inline even with
+#: helpers open: handing a share to a helper and joining it costs about
+#: 60 us, and passes below 2^16 amplitudes lost more often than they
+#: won at every block width (ROADMAP, Baseline: gate passes on threads).
+THREAD_AMPLITUDES = 1 << 16
+
+#: A split GEMM's rows or columns are dealt in runs of whole multiples
+#: of this many, so each run starts on a kernel boundary of the whole
+#: matrix. A BLAS kernel rounds a tail shorter than its unroll width
+#: differently: with OpenBLAS 0.3.31 on AVX-512, column runs that were
+#: not a multiple of 4 moved bits, and so did a single row, which numpy
+#: hands to gemv.
+SPLIT_GRANULE = 16
 
 #: Allowed deviation from unitarity for supplied gates.
 UNITARITY_TOL = 1e-12
@@ -160,6 +187,12 @@ def neel_bits(n_qubits: int):
     return tuple(i % 2 for i in range(n_qubits))
 
 
+def _product(operands):
+    """One share of a pass: np.matmul of its (left, right, out) views."""
+    left, right, out = operands
+    np.matmul(left, right, out=out)
+
+
 def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
     """Apply a 2^q x 2^q gate to qubits i..i+q-1 of a statevector.
 
@@ -167,11 +200,48 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
     the gate acts on every column alike. A gate on the last qubits of a
     single state leaves a trailing axis of 1, where the batched matmul
     would make 2^i matrix-vector products; there it is one GEMM.
+
+    Inside threads.helper_threads() a pass of THREAD_AMPLITUDES or more
+    is dealt into near-equal contiguous shares, one per usable CPU, each
+    one np.matmul into its part of one output: the batched form by its
+    2^i products (by columns, in SPLIT_GRANULE runs, where there are
+    fewer products than shares), the GEMM by rows, in SPLIT_GRANULE
+    runs. Every output entry is then made by the same kernel from the
+    same inputs as inline, so the bits do not depend on the CPU count.
     """
     d = u.shape[0]
-    if psi.size >> i == d:
-        return (psi.reshape(-1, d) @ u.T).reshape(psi.shape)
-    return np.matmul(u, psi.reshape(1 << i, d, -1)).reshape(psi.shape)
+    rows = psi.size >> i == d
+    if rows:
+        left, right = psi.reshape(-1, d), u.T
+    else:
+        left, right = u, psi.reshape(1 << i, d, -1)
+    n_shares = threads.share_count() if psi.size >= THREAD_AMPLITUDES else 1
+    if n_shares < 2:
+        return np.matmul(left, right).reshape(psi.shape)
+    out = np.empty(psi.shape, dtype=np.result_type(psi, u))
+    if rows:
+        parts = _split(left, out.reshape(left.shape), 0, n_shares, SPLIT_GRANULE)
+        shares = [(part, right, part_out) for part, part_out in parts]
+    else:
+        axis, granule = (0, 1) if right.shape[0] >= n_shares else (2, SPLIT_GRANULE)
+        parts = _split(right, out.reshape(right.shape), axis, n_shares, granule)
+        shares = [(left, part, part_out) for part, part_out in parts]
+    threads.run_shares(_product, shares)
+    return out
+
+
+def _split(operand, out, axis, n_shares, granule):
+    """(operand, out) views of at most n_shares near-equal runs along axis.
+
+    Every run but the last is a whole number of granules long, and
+    there are no more runs than whole granules in the axis.
+    """
+    length = operand.shape[axis]
+    n_shares = max(1, min(n_shares, length // granule))
+    bounds = [length * k // n_shares // granule * granule for k in range(n_shares)] + [length]
+    key = (slice(None),) * axis
+    return [(operand[key + (slice(lo, hi),)], out[key + (slice(lo, hi),)])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _fusion_groups(gates):
@@ -228,8 +298,9 @@ def direct_expectation(circuit: BrickworkCircuit, bits=None) -> float:
             f"direct route limited to {DIRECT_QUBIT_LIMIT} qubits, got {n}"
         )
     psi = product_state(_input_bits(circuit, bits))
-    for i, u in _fused(gate for layer in circuit.layers for gate in layer):
-        psi = apply_gate(psi, i, u)
+    with threads.helper_threads():
+        for i, u in _fused(gate for layer in circuit.layers for gate in layer):
+            psi = apply_gate(psi, i, u)
     return float(_sz_at(psi, circuit.measured))
 
 
@@ -366,9 +437,10 @@ def _window_values(circuit, regions, lmat, rmat, alphas, betas) -> np.ndarray:
 
 def lightcone_expectation_sum(circuit: BrickworkCircuit, bits=None) -> float:
     """Exact central <Sz> as a weighted sum over boundary configurations."""
-    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
-    alphas, betas = np.nonzero(np.outer(lw > 0.0, rw > 0.0))
-    values = _window_values(circuit, regions, lmat, rmat, alphas, betas)
+    with threads.helper_threads():
+        regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
+        alphas, betas = np.nonzero(np.outer(lw > 0.0, rw > 0.0))
+        values = _window_values(circuit, regions, lmat, rmat, alphas, betas)
     return float((lw[alphas] * rw[betas]) @ values)
 
 
@@ -384,12 +456,13 @@ def lightcone_expectation_sampled(
     """
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
-    alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())
-    betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
-    keys, inverse = np.unique(alphas * rw.size + betas, return_inverse=True)
-    alpha, beta = np.divmod(keys, rw.size)
-    vals = _window_values(circuit, regions, lmat, rmat, alpha, beta)[inverse]
+    with threads.helper_threads():
+        regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
+        alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())
+        betas = rng.choice(rw.size, size=n_samples, p=rw / rw.sum())
+        keys, inverse = np.unique(alphas * rw.size + betas, return_inverse=True)
+        alpha, beta = np.divmod(keys, rw.size)
+        vals = _window_values(circuit, regions, lmat, rmat, alpha, beta)[inverse]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("nan")
     return mean, stderr

@@ -10,22 +10,19 @@ blocked operations never touch entries forbidden by the selection rule.
 
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
-unblocked decomposition would keep. Inside sector_threads() the sectors
-of one matrix are dealt to helper threads, each still one LAPACK call,
-so where a sector runs never changes its bits.
+unblocked decomposition would keep. Inside threads.helper_threads()
+the sectors of one matrix are dealt to helper threads, each still one
+LAPACK call, so where a sector runs never changes its bits.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import threads
 from .errors import SvdError
 
 #: Relative floor under which singular values are treated as round-off
@@ -37,38 +34,6 @@ SINGULAR_VALUE_FLOOR = 1e-14
 #: helper costs about 70 us, more than it saves on smaller matrices
 #: (ROADMAP, Baseline: sector threads).
 THREAD_WORK = 20_000
-
-#: (helper pool, shares per matrix) of the sector_threads() block this
-#: context runs in; a new thread starts without one.
-_helpers = contextvars.ContextVar("sector_helpers", default=None)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def sector_threads():
-    """Let block_svd in this context deal sectors to helper threads.
-
-    One helper per usable CPU beyond the first, none on one CPU; they
-    are joined when the block exits, however it exits. Blocks opened on
-    other threads have helpers of their own.
-    """
-    n_cpus = usable_cpus()
-    if n_cpus < 2:
-        yield
-        return
-    pool = ThreadPoolExecutor(max_workers=n_cpus - 1, thread_name_prefix="sector-svd")
-    token = _helpers.set((pool, n_cpus))
-    try:
-        yield
-    finally:
-        _helpers.reset(token)
-        pool.shutdown()
 
 
 class SiteTensor:
@@ -211,15 +176,12 @@ def _deal(works, n_shares):
 
 def _decompose_all(arrays):
     """_decompose(arrays), share 0 here and the others on the helpers."""
-    helpers = _helpers.get()
     works = [r * c * min(r, c) for r, c in (arr.shape for arr in arrays)]
-    if helpers is None or sum(works) < THREAD_WORK:
+    n_shares = min(threads.share_count(), len(arrays))
+    if n_shares < 2 or sum(works) < THREAD_WORK:
         return _decompose(arrays)
-    pool, n_cpus = helpers
-    shares = _deal(works, min(n_cpus, len(arrays)))
-    futures = [pool.submit(_decompose, [arrays[i] for i in share]) for share in shares[1:]]
-    outs = [_decompose([arrays[i] for i in shares[0]])]
-    outs += [future.result() for future in futures]
+    shares = _deal(works, n_shares)
+    outs = threads.run_shares(lambda share: _decompose([arrays[i] for i in share]), shares)
     results = [None] * len(arrays)
     for share, out in zip(shares, outs):
         for i, result in zip(share, out):
@@ -233,9 +195,9 @@ def block_svd(theta):
     theta.blocks maps each charge, ascending, to a 2-d block. Returns
     (spectrum, factors): block = u diag(spectrum) vh for (u, vh) =
     factors[charge] as LAPACK gives them; gauged_rows fixes the phases
-    of the rows a caller keeps. Inside sector_threads() the sectors are
-    decomposed on several threads, one LAPACK call each as inline, so
-    the result is the same bit for bit.
+    of the rows a caller keeps. Inside threads.helper_threads() the
+    sectors are decomposed on several threads, one LAPACK call each as
+    inline, so the result is the same bit for bit.
     """
     s_blocks, factors = {}, {}
     results = _decompose_all(list(theta.blocks.values()))

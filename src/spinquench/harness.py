@@ -78,7 +78,6 @@ import numpy as np
 from . import sampler
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, check_seed, step_count
-from .graded import usable_cpus
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 # assemble_window_state is not called here; perfbench patches its name in
 # this module as in sampler, so the name stays importable from both.
@@ -93,11 +92,13 @@ from .sampler import (  # noqa: F401
     sample_spins_and_beta,
     semistochastic_split,
 )
+from .threads import usable_cpus
 from .window import (
     EvolverParams,
     SparseWindowHamiltonian,
     build_hloc,
     evolve_and_measure,
+    load_sparse,
     spin_wave_velocity,
 )
 
@@ -399,6 +400,7 @@ def run_mc(
     is the plain mean and stderr, bit for bit; with T zero no sample is
     drawn, and the estimate is the exact sum over S with stderr 0.
     """
+    load_sparse()
     state, config = load_checkpoint(checkpoint)
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")

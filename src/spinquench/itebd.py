@@ -23,7 +23,7 @@ what lets the bond dimension be pushed hard without the usual blow-up
 from inverting a near-singular bond.
 
 The sector SVDs run where evolve_to puts them: it opens one
-graded.sector_threads() block for its whole run, so each update's
+threads.helper_threads() block for its whole run, so each update's
 theta is dealt, longest sector first, to the calling thread and one
 helper per further usable CPU, and the helpers are joined on every
 exit. update_bond called on its own decomposes inline. The bits cannot
@@ -54,9 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, step_count
-from .graded import (
-    SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate, sector_threads,
-)
+from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
+from .threads import helper_threads
 
 UP, DN = 0, 1
 
@@ -362,7 +361,7 @@ def evolve_to(
     g_full = build_gate(config.delta, config.dt)
 
     t0 = state.time
-    with sector_threads():
+    with helper_threads():
         state, rep = update_bond(state, g_half, "AB", config.k_max)
         step_weight = rep.discarded_weight
         for k in range(1, n + 1):

@@ -25,11 +25,12 @@ zero, which a row sum starting from zero erases, and it sums a row's
 entries in the same order; so the real product gives the same bits
 with half the multiplications.
 
-scipy is imported inside _chain_hamiltonian, the one place a CSR
-matrix is made, not at the top of this module: the iTEBD phase, the
-circuit demonstrator and a bare `import spinquench` need numpy alone,
-and scipy.sparse would be most of their import time. A run that
-samples windows loads it on its first sector build.
+scipy is imported by load_sparse, not at the top of this module: the
+iTEBD phase, the circuit demonstrator and a bare `import spinquench`
+need numpy alone, and scipy.sparse would be most of their import time.
+_chain_hamiltonian, the one place a CSR matrix is made, calls it, and
+harness.run_mc calls it first, so a run that samples windows without
+scipy stops with a ConfigError before it loads its checkpoint.
 
 Basis convention: computational spin configurations with site -l as the
 most significant bit and up = 1, so a window configuration is read off
@@ -174,6 +175,15 @@ def _site_bits(basis: np.ndarray, n_sites: int, site: int) -> np.ndarray:
     return (basis >> (n_sites - 1 - site)) & 1
 
 
+def load_sparse():
+    """scipy.sparse, imported on first use; ConfigError where it cannot be."""
+    try:
+        import scipy.sparse
+    except ImportError as exc:
+        raise ConfigError(f"window sampling needs scipy, which cannot be imported: {exc}") from exc
+    return scipy.sparse
+
+
 def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> "scipy.sparse.csr_matrix":
     """Open XXZ chain on the given basis (must be closed under hopping).
 
@@ -186,7 +196,7 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> "scipy.
     final size, so the build holds the matrix and one chunk's
     temporaries, never temporaries of the whole sector.
     """
-    import scipy.sparse  # loaded by the first sector build; see the module docstring
+    sparse = load_sparse()
 
     dim = basis.size
     # A hop across bond j lowers a configuration whose site j is up and
@@ -227,7 +237,7 @@ def _chain_hamiltonian(n_sites: int, delta: float, basis: np.ndarray) -> "scipy.
         at = slice(indptr[lo], indptr[lo + diag.size])
         indices[at] = np.searchsorted(basis, basis[lo + row] ^ flips[kind])
         data[at] = np.where(kind == n_sites - 1, diag[row], 0.5)
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 class SparseWindowHamiltonian:

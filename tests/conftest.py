@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import alternating_config, dense_reference_evolve
-from spinquench import graded
+from spinquench import circuit, graded, threads
 from spinquench.harness import run_itebd
 from spinquench.itebd import QuenchConfig, evolve_to, neel_init
 
@@ -32,14 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Three usable CPUs and no crossover, on any machine.
+    """Three usable CPUs and no crossovers, on any machine.
 
-    sector_threads() then opens two helpers and block_svd deals every
-    matrix of two or more sectors into shares. Returns the list of
-    (thread, arrays) of every share decomposed from here on.
+    helper_threads() then opens two helpers, block_svd deals every
+    matrix of two or more sectors into shares and apply_gate deals
+    every pass. Returns the list of (thread, arrays) of every SVD share
+    decomposed from here on.
     """
-    monkeypatch.setattr(graded, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     monkeypatch.setattr(graded, "THREAD_WORK", 0)
+    monkeypatch.setattr(circuit, "THREAD_AMPLITUDES", 0)
     shares, decompose = [], graded._decompose
 
     def watched(arrays):
@@ -47,6 +49,22 @@ def three_cpus(monkeypatch):
         return decompose(arrays)
 
     monkeypatch.setattr(graded, "_decompose", watched)
+    return shares
+
+
+@pytest.fixture
+def gate_shares(three_cpus, monkeypatch):
+    """three_cpus, and the list of (thread, out) of every gate share from here on.
+
+    out is the share's part of the pass's output array.
+    """
+    shares, product = [], circuit._product
+
+    def watched(operands):
+        shares.append((threading.current_thread(), operands[2]))
+        return product(operands)
+
+    monkeypatch.setattr(circuit, "_product", watched)
     return shares
 
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import lightcone_sampled_per_pair, lightcone_sum_per_pair
-from spinquench import circuit as circuit_module
+from spinquench import circuit as circuit_module, threads
 from spinquench.errors import ConfigError
 from spinquench.circuit import (
     BrickworkCircuit,
@@ -20,6 +21,7 @@ from spinquench.circuit import (
     neel_bits,
     product_state,
 )
+from spinquench.threads import helper_threads
 
 
 def _identity_circuit():
@@ -399,3 +401,98 @@ def test_wide_halves_rejected_before_allocation(monkeypatch):
     monkeypatch.setattr(circuit_module, "product_state", product_state)
     # 3-qubit halves still fit, and the window stack goes one column a block
     assert abs(lightcone_expectation_sum(small) - summed) <= 1e-14
+
+
+def _split_kind(outs, products):
+    """How a pass of the given 2^i products was dealt, read off its output parts."""
+    if outs[0].ndim == 2:
+        return "rows"
+    return "columns" if outs[0].shape[0] == products else "products"
+
+
+@pytest.mark.parametrize("q", [2, 5])
+@pytest.mark.parametrize("shape", [(1 << 12,), (1 << 8, 16)], ids=["state", "stack"])
+def test_apply_gate_on_helpers_matches_inline_bit_for_bit(gate_shares, shape, q):
+    # on three CPUs every pass is dealt into three shares, the first on
+    # this thread: by its 2^i products, by columns where 2^i < 3, and by
+    # rows for the last qubits of one state; each output entry is the
+    # one inline makes, bit for bit, also where the shares are uneven
+    rng = np.random.default_rng(60 + q)
+    d = 1 << q
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    width = shape[0].bit_length() - 1
+    kinds, sizes = [], {}
+    for i in range(width - q + 1):
+        inline = apply_gate(psi, i, u)
+        gate_shares.clear()
+        with helper_threads():
+            dealt = apply_gate(psi, i, u)
+        assert np.array_equal(dealt, inline)
+        ran_on, outs = zip(*gate_shares)
+        assert len(outs) == 3 and sum(out.size for out in outs) == psi.size
+        assert ran_on.count(threading.current_thread()) == 1
+        here = outs[ran_on.index(threading.current_thread())]
+        assert here.ctypes.data == dealt.ctypes.data
+        kinds.append(_split_kind(outs, 1 << i))
+        sizes[i] = sorted(out.shape[0] for out in outs)
+    last = width - q
+    expected = ["columns", "columns"] + ["products"] * (last - 1)
+    if len(shape) == 1:
+        expected[last] = "rows"
+    assert kinds == expected
+    assert sizes[2] == [1, 1, 2]
+
+
+#: The three routes by name, each a function of the circuit alone.
+_ROUTES = {
+    "direct": direct_expectation,
+    "sum": lightcone_expectation_sum,
+    "sampled": lambda circuit: lightcone_expectation_sampled(circuit, 500, np.random.default_rng(6)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_circuit_routes_on_helpers_equal_their_one_cpu_values(gate_shares, monkeypatch, route):
+    circuit = BrickworkCircuit.random(12, 8, np.random.default_rng(5))
+    run = _ROUTES[route]
+    values, helpers = [], []
+    for n_cpus in (1, 3):
+        monkeypatch.setattr(threads, "usable_cpus", lambda n=n_cpus: n)
+        gate_shares.clear()
+        values.append(run(circuit))
+        helpers.append({thread for thread, _out in gate_shares} - {threading.current_thread()})
+    assert not helpers[0] and helpers[1]
+    assert values[1] == values[0]
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_circuit_routes_leave_no_helper_thread(three_cpus, monkeypatch, route):
+    # each route opens its helpers for one call: as many threads run
+    # after it as before, whether it returns or a pass raises on a helper
+    circuit = BrickworkCircuit.random(12, 8, np.random.default_rng(5))
+    run = _ROUTES[route]
+    product, during, caller = circuit_module._product, [], threading.current_thread()
+
+    def counted(operands):
+        during.append(threading.active_count())
+        return product(operands)
+
+    def failing(operands):
+        # from the fifth share on, a share on a helper raises
+        during.append(threading.active_count())
+        if len(during) >= 5 and threading.current_thread() is not caller:
+            raise FloatingPointError("a helper's share failed")
+        return product(operands)
+
+    before = threading.active_count()
+    monkeypatch.setattr(circuit_module, "_product", counted)
+    run(circuit)
+    assert before < max(during) <= before + 2
+    assert threading.active_count() == before
+    during.clear()
+    monkeypatch.setattr(circuit_module, "_product", failing)
+    with pytest.raises(FloatingPointError, match="a helper's share failed"):
+        run(circuit)
+    assert before < max(during) <= before + 2
+    assert threading.active_count() == before

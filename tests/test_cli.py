@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spinquench.cli import main
-from spinquench import circuit, window
+from spinquench import circuit, harness, window
 from spinquench.harness import read_aggregate_curve, read_table
 
 
@@ -359,6 +359,31 @@ def test_numpy_only_commands_run_without_scipy(pipeline_dir, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0, 0], proc.stderr
+
+
+def test_sample_without_scipy_is_a_config_error_before_the_checkpoint_loads(
+    pipeline_dir, tmp_path, monkeypatch, capsys
+):
+    # sample imports scipy.sparse first, so a partial install stops with
+    # one error line and exit code 2, before the load and the walk
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    loads = []
+    monkeypatch.setattr(harness, "load_checkpoint", loads.append)
+    out = tmp_path / "mc.csv"
+    rc = main(
+        [
+            "sample",
+            "--checkpoint", str(pipeline_dir / "t1.mpsc1"),
+            "--l", "2",
+            "--t-fin", "2.0",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 2
+    assert not loads and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: window sampling needs scipy")
 
 
 def test_scipy_loads_with_the_first_sector_build():

@@ -13,9 +13,9 @@ from spinquench.graded import (
     block_svd,
     gauged_rows,
     merged_truncate,
-    sector_threads,
 )
 from spinquench.itebd import QuenchConfig, evolve_to, neel_init
+from spinquench.threads import helper_threads
 from oracles import GradedMatrix, block_svd_reference, merged_truncate_reference, to_dense
 
 
@@ -129,7 +129,7 @@ def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch
     for theta in thetas:
         spec, factors = block_svd(theta)
         three_cpus.clear()
-        with sector_threads():
+        with helper_threads():
             spec_t, factors_t = block_svd(theta)
         threads = [thread for thread, _arrays in three_cpus]
         assert len(threads) == min(3, len(theta.blocks))
@@ -158,7 +158,7 @@ def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus):
         block_svd(theta)
     assert str(inline.value) == "SVD did not converge in sector 2 (2x3)"
     three_cpus.clear()
-    with sector_threads(), pytest.raises(SvdError) as threaded:
+    with helper_threads(), pytest.raises(SvdError) as threaded:
         block_svd(theta)
     assert str(threaded.value) == str(inline.value)
     assert isinstance(threaded.value.__cause__, np.linalg.LinAlgError)

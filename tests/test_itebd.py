@@ -18,7 +18,7 @@ from oracles import (
     to_dense,
     update_bond_reference,
 )
-from spinquench import graded, itebd
+from spinquench import graded, itebd, threads
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.errors import ConfigError, SvdError
 from spinquench.graded import SchmidtSpectrum
@@ -373,7 +373,7 @@ def test_evolve_to_is_bit_identical_on_one_and_three_cpus(three_cpus, monkeypatc
     config = QuenchConfig(delta=0.5, dt=0.0625, k_max=32)
     runs = []
     for n_cpus in (1, 3):
-        monkeypatch.setattr(graded, "usable_cpus", lambda n=n_cpus: n)
+        monkeypatch.setattr(threads, "usable_cpus", lambda n=n_cpus: n)
         three_cpus.clear()
         records = []
         state = evolve_to(neel_init(), 2.0, config, observer=records.append)
