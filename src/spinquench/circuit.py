@@ -46,16 +46,19 @@ the state; on an n = 18, depth-10 circuit the direct route makes 23
 passes instead of 85, and the window 5 instead of 30.
 
 Each route opens threads.helper_threads() once per call, and its
-helpers are joined when it returns or raises. Inside, apply_gate deals
-a pass of THREAD_AMPLITUDES or more into near-equal contiguous shares,
-one per usable CPU, the calling thread making the first: the batched
+helpers are joined when it returns or raises; there are helpers only
+where numpy's BLAS runs on one thread. Inside, apply_gate deals a pass
+into near-equal contiguous shares, one per usable CPU but none smaller
+than SHARE_AMPLITUDES, the calling thread making the first: the batched
 form by its 2^i products (by columns where there are fewer products
 than shares), the last-qubits GEMM by rows. Each share is one
 np.matmul into its part of a single output. A product share makes each
-product as inline does, and a row or column run starts on a multiple
-of SPLIT_GRANULE, a kernel boundary of the whole product, so every
-amplitude comes out of the same kernel from the same inputs: the routes
-return the same bits at any CPU count (on a fixed BLAS thread count).
+product as inline does, so it cannot move a bit. A row or column run
+starts on a multiple of SPLIT_GRANULE, a kernel boundary of the whole
+product, so each amplitude comes out of the kernel that makes it
+inline; that part was checked by brute force on OpenBLAS 0.3.31, whose
+kernels' unroll widths divide SPLIT_GRANULE, not derived for every
+BLAS build.
 
 Bit convention: qubit 0 is the most significant bit of a configuration
 index, bit value 0 means spin up, so a two-qubit basis index is
@@ -84,11 +87,13 @@ DIRECT_QUBIT_LIMIT = 20
 #: 6 gained nothing more.
 FUSED_QUBITS = 5
 
-#: Amplitudes of a pass below which apply_gate runs it inline even with
-#: helpers open: handing a share to a helper and joining it costs about
-#: 60 us, and passes below 2^16 amplitudes lost more often than they
-#: won at every block width (ROADMAP, Baseline: gate passes on threads).
-THREAD_AMPLITUDES = 1 << 16
+#: Fewest amplitudes apply_gate deals to one share: a pass is split
+#: into at most psi.size // SHARE_AMPLITUDES shares, so below twice this
+#: it runs inline even with helpers open. Handing a share to a helper
+#: and joining it costs about 60 us; split in two, passes of 2^14
+#: amplitudes or fewer lost at every block width and passes of 2^16 won
+#: (ROADMAP, Baseline: gate passes on threads).
+SHARE_AMPLITUDES = 1 << 15
 
 #: A split GEMM's rows or columns are dealt in runs of whole multiples
 #: of this many, so each run starts on a kernel boundary of the whole
@@ -201,13 +206,14 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
     single state leaves a trailing axis of 1, where the batched matmul
     would make 2^i matrix-vector products; there it is one GEMM.
 
-    Inside threads.helper_threads() a pass of THREAD_AMPLITUDES or more
-    is dealt into near-equal contiguous shares, one per usable CPU, each
-    one np.matmul into its part of one output: the batched form by its
-    2^i products (by columns, in SPLIT_GRANULE runs, where there are
-    fewer products than shares), the GEMM by rows, in SPLIT_GRANULE
-    runs. Every output entry is then made by the same kernel from the
-    same inputs as inline, so the bits do not depend on the CPU count.
+    Inside threads.helper_threads() a pass is dealt into near-equal
+    contiguous shares, one per usable CPU but none of fewer than
+    SHARE_AMPLITUDES, each one np.matmul into its part of one output:
+    the batched form by its 2^i products (by columns, in SPLIT_GRANULE
+    runs, where there are fewer products than shares), the GEMM by rows,
+    in SPLIT_GRANULE runs. Each output entry is then made from the same
+    inputs as inline, and by the same kernel where the BLAS's kernel
+    boundaries fall on SPLIT_GRANULE multiples (module docstring).
     """
     d = u.shape[0]
     rows = psi.size >> i == d
@@ -215,7 +221,7 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
         left, right = psi.reshape(-1, d), u.T
     else:
         left, right = u, psi.reshape(1 << i, d, -1)
-    n_shares = threads.share_count() if psi.size >= THREAD_AMPLITUDES else 1
+    n_shares = min(threads.share_count(), psi.size // SHARE_AMPLITUDES)
     if n_shares < 2:
         return np.matmul(left, right).reshape(psi.shape)
     out = np.empty(psi.shape, dtype=np.result_type(psi, u))

@@ -25,8 +25,8 @@ from inverting a near-singular bond.
 The sector SVDs run where evolve_to puts them: it opens one
 threads.helper_threads() block for its whole run, so each update's
 theta is dealt, longest sector first, to the calling thread and one
-helper per further usable CPU, and the helpers are joined on every
-exit. update_bond called on its own decomposes inline. The bits cannot
+helper per further usable CPU (where BLAS runs on one thread), and the
+helpers are joined on every exit. update_bond called on its own decomposes inline. The bits cannot
 move with the CPU count: every sector is one np.linalg.svd call on its
 own block whichever thread makes it, and the factors are read back in
 charge order, so the kept set, the gauge and the rebuilt tensors are

@@ -31,17 +31,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def three_cpus(monkeypatch):
-    """Three usable CPUs and no crossovers, on any machine.
+def one_blas_thread(monkeypatch):
+    """numpy's BLAS reads as one thread, whatever it runs on, so helper_threads() opens helpers."""
+    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
+
+
+@pytest.fixture
+def three_cpus(one_blas_thread, monkeypatch):
+    """Three usable CPUs, one BLAS thread and no crossovers, on any machine.
 
     helper_threads() then opens two helpers, block_svd deals every
     matrix of two or more sectors into shares and apply_gate deals
-    every pass. Returns the list of (thread, arrays) of every SVD share
-    decomposed from here on.
+    every pass of three or more amplitudes into three. Returns the list
+    of (thread, arrays) of every SVD share decomposed from here on.
     """
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     monkeypatch.setattr(graded, "THREAD_WORK", 0)
-    monkeypatch.setattr(circuit, "THREAD_AMPLITUDES", 0)
+    monkeypatch.setattr(circuit, "SHARE_AMPLITUDES", 1)
     shares, decompose = [], graded._decompose
 
     def watched(arrays):

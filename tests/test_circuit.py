@@ -444,6 +444,23 @@ def test_apply_gate_on_helpers_matches_inline_bit_for_bit(gate_shares, shape, q)
     assert sizes[2] == [1, 1, 2]
 
 
+def test_apply_gate_deals_no_share_below_share_amplitudes(gate_shares, monkeypatch):
+    # three CPUs, the real crossover: a pass below twice SHARE_AMPLITUDES
+    # runs inline, and a larger one gets only as many shares as hold
+    # SHARE_AMPLITUDES each, up to one per CPU
+    monkeypatch.setattr(circuit_module, "SHARE_AMPLITUDES", 1 << 15)
+    u = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    counts = []
+    for n in (15, 16, 17, 18):
+        psi = np.random.default_rng(n).standard_normal(1 << n)
+        gate_shares.clear()
+        with helper_threads():
+            dealt = apply_gate(psi, 2, u)
+        assert np.array_equal(dealt, apply_gate(psi, 2, u))
+        counts.append(len(gate_shares))
+    assert counts == [0, 2, 3, 3]
+
+
 #: The three routes by name, each a function of the circuit alone.
 _ROUTES = {
     "direct": direct_expectation,
