@@ -7,6 +7,7 @@ helpers shared by several modules live here too.
 """
 
 import math
+import numbers
 
 
 class SpinQuenchError(Exception):
@@ -17,11 +18,25 @@ class ConfigError(SpinQuenchError):
     """Invalid parameter or inconsistent configuration."""
 
 
+def check_int(value, what: str, least: int) -> int:
+    """value as an int if it is an integer >= least, else ConfigError.
+
+    A bool is not taken for an integer, nor is an integral float; what
+    names the value in the error message.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
 def check_seed(value: int) -> int:
-    """The seed itself if it fits in 64 unsigned bits, else ConfigError."""
-    if not 0 <= value <= 0xFFFFFFFFFFFFFFFF:
-        raise ConfigError(f"seed must be an unsigned 64-bit value, got {value}")
-    return value
+    """The seed as an int if it is an integer in 64 unsigned bits, else ConfigError."""
+    seed = check_int(value, "seed", 0)
+    if seed > 0xFFFFFFFFFFFFFFFF:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def step_count(span: float, step: float, what: str) -> int:

@@ -3,8 +3,8 @@
 Phase one runs the infinite-chain evolution to a chosen time and writes
 a checkpoint plus a per-step observable curve. Phase two draws
 independent boundary samples, evolves each distinct sampled window
-once, on a process pool only when that work is large enough to pay for
-one, and reduces the results to a mean/stderr curve on the fixed grid
+once, on helper threads only when that work is large enough to pay for
+them, and reduces the results to a mean/stderr curve on the fixed grid
 t_init + k * delta_t.
 
 Determinism contract: a run's uniforms are one numpy stream,
@@ -14,11 +14,11 @@ in ascending sample_id order, so the output files are byte-identical
 for any worker count. Output metadata deliberately excludes worker
 counts and timestamps.
 
-A run takes two rounds. Round one runs in this process: one call draws
-the 2l+3 uniforms of every sample, and one batched walk over all
+A run takes two rounds. Round one runs on the calling thread: one call
+draws the 2l+3 uniforms of every sample, and one batched walk over all
 samples, in sample_id order, turns them into boundary pairs (see
 sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per sample.
-The walk runs in one process whatever the worker count, so the pairs
+The walk runs on one thread whatever the worker count, so the pairs
 cannot depend on it. One np.unique over a packed int64 key per
 row finds the distinct pairs of the run, in ascending order, and round
 two evolves each of them exactly once: the pairs are grouped by
@@ -27,10 +27,10 @@ hold at most sampler.WALK_MEMO_BYTES of amplitudes, the budget of the
 walk and of assembly too; a stack takes one sparse-times-dense product
 per Taylor order. The worker count is an upper bound: a round whose
 work (stack amplitudes x Taylor orders x grid steps) is below
-POOL_WORK is one share, and otherwise the stacks are dealt into at
-most one share per worker and per CPU this process may run on. One
-share runs in this process; more run on a pool of one process per
-share, whose initializer loads the checkpoint once per process. The
+SHARE_WORK is one share, and otherwise the stacks are dealt into at
+most one share per worker and per share the helper threads allow
+(threads.share_count). Share 0 runs on the calling thread and the
+others on helper threads, all reading the one in-memory run. The
 dedup is exact because a pair's series depends only on the pair, the
 checkpoint state, the window Hamiltonian (fixed by h) and the time
 grid, never on the sample that drew it. Stacking is exact too. A share's windows are
@@ -41,7 +41,7 @@ depend on what is assembled beside it. Every column of the Taylor
 product accumulates in the order of a single matrix-vector product, and
 norms, the drift guard and <Sz> are taken row by row. So a series does
 not depend on which pairs share its stack, its assembly batch or its
-share, and how pairs are split among processes changes where the work
+share, and how pairs are split among threads changes where the work
 runs, never a byte of the output.
 
 A run may split the boundary pairs semistochastically (see sampler):
@@ -68,16 +68,14 @@ import hashlib
 import json
 import math
 import numbers
-import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import sampler
+from . import sampler, threads
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, check_seed, step_count
+from .errors import ConfigError, check_int, check_seed, step_count
 from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
 # assemble_window_state is not called here; perfbench patches its name in
 # this module as in sampler, so the name stays importable from both.
@@ -92,7 +90,6 @@ from .sampler import (  # noqa: F401
     sample_spins_and_beta,
     semistochastic_split,
 )
-from .threads import usable_cpus
 from .window import (
     EvolverParams,
     SparseWindowHamiltonian,
@@ -116,14 +113,16 @@ PROFILES = {
                    "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": math.inf},
 }
 
-#: Least round-two work for which the stacks are dealt to a process
-#: pool. Work is the amplitudes of all stacks times Taylor orders times
-#: grid steps: the entries of every sparse-times-dense product the round
-#: makes. Below it, starting and feeding a pool costs more than it saves,
-#: so the whole round runs in this process. On a 2-vCPU Xeon with the
-#: desk checkpoint (k=128, t=4), a 2-process pool lost to one process at
-#: every measured work up to 6.9e6 (l=5) and won from 8.7e6 (l=6) up.
-POOL_WORK = 1 << 23
+#: Least round-two work for which the stacks are dealt to helper
+#: threads. Work is the amplitudes of all stacks times Taylor orders
+#: times grid steps: the entries of every sparse-times-dense product the
+#: round makes. Below it, handing shares to helpers costs more than it
+#: saves, so the whole round runs on the calling thread. On a 2-vCPU
+#: Xeon with one BLAS thread and the desk checkpoint (k=128, t=4), two
+#: shares lost to one up to 2.2e6 (l=5), tied at 3.5e6 (l=5 and l=6)
+#: and won from 4.8e6 (l=6) up. The desk profile's run (l=4, 2000
+#: samples) does 1.3e6, 5.8e5 at p_star = inf, and stays one share.
+SHARE_WORK = 1 << 22
 
 #: Leading share of a curve's time span over which shift_correction
 #: matches it to the reference.
@@ -275,7 +274,7 @@ def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Run:
-    """What round two of one Monte Carlo run needs in every process."""
+    """What round two of one Monte Carlo run needs; every share reads the one run."""
 
     state: MPSState
     spec: WindowSpec
@@ -298,21 +297,6 @@ def _evolve_share(run, stacks):
     ]
 
 
-#: The run a pool worker process serves, set once by the pool initializer.
-_WORKER_RUN = None
-
-
-def _init_worker(path, *args):
-    """Pool initializer: load the checkpoint once per worker process."""
-    global _WORKER_RUN
-    _WORKER_RUN = _Run.of(*load_checkpoint(path), *args)
-
-
-def _evolve_in_worker(stacks):
-    """_evolve_share in a pool worker, on the run it serves."""
-    return _evolve_share(_WORKER_RUN, stacks)
-
-
 def _shares(spec, pairs, n_shares, products):
     """The distinct pairs as per-sector stacks, dealt into <= n_shares lists.
 
@@ -321,7 +305,7 @@ def _shares(spec, pairs, n_shares, products):
     sector, in pairs order, with the sectors ascending. A stack holds at
     most sampler.WALK_MEMO_BYTES of complex128 amplitudes. If the
     amplitudes of all stacks times products (Taylor orders x grid steps)
-    fall short of POOL_WORK, every stack goes to one share. Otherwise
+    fall short of SHARE_WORK, every stack goes to one share. Otherwise
     each stack, largest first, goes to the share with the fewest
     amplitudes so far.
     """
@@ -335,7 +319,7 @@ def _shares(spec, pairs, n_shares, products):
         for lo in range(0, group.size, height):
             chunk = group[lo:lo + height]
             stacks.append((dim * chunk.size, n_up, chunk))
-    if sum(size for size, _n_up, _chunk in stacks) * products < POOL_WORK:
+    if sum(size for size, _n_up, _chunk in stacks) * products < SHARE_WORK:
         n_shares = 1
     shares = [[] for _ in range(n_shares)]
     loads = [0] * n_shares
@@ -346,15 +330,14 @@ def _shares(spec, pairs, n_shares, products):
     return [share for share in shares if share]
 
 
-def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares):
+def _two_rounds(run, split, master_seed, n_samples, n_workers):
     """(tail value rows in sample_id order, S value rows, S raw squared norms).
 
-    Round one draws every sample's pair in this process, from the tail
-    of the split; round two evolves the pairs of S and each distinct
-    drawn pair of the whole run once, in at most n_shares shares,
-    through evolve(shares), which takes each share as a list of (n_up,
-    pair rows) stacks and returns the (series, norms) of each share in
-    order. A split whose tail weight is zero draws no sample.
+    Round one draws every sample's pair on this thread, from the tail of
+    the split; round two evolves the pairs of S and each distinct drawn
+    pair of the whole run once, in at most n_workers shares and no more
+    than the helper threads allow, share 0 on this thread and the others
+    on helpers. A split whose tail weight is zero draws no sample.
     """
     state, spec, n_steps = run.state, run.spec, run.params.n_steps
     drawn = np.empty((0, 4), dtype=np.int64)
@@ -365,8 +348,14 @@ def _two_rounds(run, split, master_seed, n_samples, evolve, n_shares):
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
         first, ids = distinct_rows(drawn)
     pairs = np.concatenate([split.pairs, drawn[first]])
-    shares = _shares(spec, pairs, n_shares, run.params.n_max * n_steps)
-    series = evolve([[(n_up, pairs[at]) for n_up, at in share] for share in shares])
+    with threads.helper_threads():
+        n_shares = min(n_workers, threads.share_count())
+        shares = _shares(spec, pairs, n_shares, run.params.n_max * n_steps)
+        stacks = [[(n_up, pairs[at]) for n_up, at in share] for share in shares]
+        if len(stacks) == 1:
+            series = [_evolve_share(run, stacks[0])]
+        else:
+            series = threads.run_shares(lambda share: _evolve_share(run, share), stacks)
     table, norms = np.empty((len(pairs), n_steps + 1)), np.empty(len(pairs))
     for share, results in zip(shares, series):
         for (_n_up, at), (rows, norm2) in zip(share, results):
@@ -389,8 +378,8 @@ def run_mc(
 ) -> AggregateCurve:
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
-    The checkpoint is referenced by path so each worker process loads
-    it independently. p_star sets the semistochastic split (see
+    The checkpoint is loaded once, by path, and every share of round two
+    reads that one state. p_star sets the semistochastic split (see
     sampler.semistochastic_split): a nonnegative number, where inf, the
     default, is the one spelling of S empty.
     With Z the total lambda^2 of the left boundary, T the tail weight
@@ -402,19 +391,16 @@ def run_mc(
     """
     load_sparse()
     state, config = load_checkpoint(checkpoint)
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
-    if n_workers < 1:
-        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+    n_samples = check_int(n_samples, "n_samples", 1)
+    n_workers = check_int(n_workers, "n_workers", 1)
     if not (isinstance(p_star, numbers.Real) and p_star >= 0.0):
         raise ConfigError(f"p_star must be a nonnegative number, got {p_star}")
     if not t_fin > state.time:
         raise ConfigError(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
         )
-    run_args = (l, t_fin, delta_t, n_max)
-    run = _Run.of(state, config, *run_args)
-    check_seed(master_seed)
+    run = _Run.of(state, config, l, t_fin, delta_t, n_max)
+    master_seed = check_seed(master_seed)
     n_points = run.params.n_steps + 1
     if abs(config.delta) > 1.0:
         warnings.warn(
@@ -430,20 +416,7 @@ def run_mc(
                 stacklevel=2,
             )
     split = semistochastic_split(state, run.spec, p_star)
-
-    def evolve(shares):
-        """Round two: one share runs here, more on one process per share."""
-        if len(shares) == 1:
-            return [_evolve_share(run, shares[0])]
-        with ProcessPoolExecutor(
-            max_workers=len(shares),
-            initializer=_init_worker,
-            initargs=(os.fspath(checkpoint), *run_args),
-        ) as pool:
-            return list(pool.map(_evolve_in_worker, shares))
-
-    n_shares = min(n_workers, usable_cpus())
-    values, s_values, s_norms = _two_rounds(run, split, master_seed, n_samples, evolve, n_shares)
+    values, s_values, s_norms = _two_rounds(run, split, master_seed, n_samples, n_workers)
     spectrum = boundary_spectrum(state, run.spec)
     z = float(spectrum.weights.sum())
     ratio = split.tail_weight / z

@@ -32,7 +32,7 @@ as a walk of its own; only the last bits of a product may depend on
 the stack it is computed in, which matters for a uniform within
 rounding of its conditional. Samples are walked in contiguous chunks
 whose node rows fit in WALK_MEMO_BYTES; the chunks depend on the state
-and the sample count, never on how many processes a run uses. The walk
+and the sample count, never on the worker count of a run. The walk
 returns each sample's boundary pair as an int row (q_alpha, i_alpha,
 q_beta, i_beta), and a pair is such a row everywhere: through dedup
 and stacking to the assembler, and as the one-pair view's argument.

@@ -4,9 +4,10 @@ Inside helper_threads() a caller may deal one piece of work into
 shares: run_shares runs the first share on the calling thread and each
 other share on a helper, waits for all of them, and hands the results
 back in share order, so a share's result never depends on where it ran.
-The block SVD (graded) and the fused-gate passes (circuit) use it;
-each share is a whole LAPACK or BLAS call on its own operands, so what
-a share computes is the same bits inline or on a helper.
+The block SVD (graded), the fused-gate passes (circuit) and round two
+of the window sampler (harness) use it; each share is whole LAPACK,
+BLAS or sparse-product calls on its own operands, so what a share
+computes is the same bits inline or on a helper.
 
 There is one helper per usable CPU beyond the first, none on one CPU,
 and none unless numpy's BLAS runs on one thread (blas_threads): a

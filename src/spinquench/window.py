@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,14 +252,21 @@ class SparseWindowHamiltonian:
         self.delta = float(delta)
         self.n_sites = 2 * self.l + 1
         self._sectors: dict = {}
+        self._building = threading.Lock()
 
     def sector(self, n_up: int):
-        """(read-only shared basis, csr matrix) of the n_up-up-spins sector."""
+        """(read-only shared basis, csr matrix) of the n_up-up-spins sector.
+
+        Built on first use, once: the shares of a run's round two ask for
+        sectors from several threads, and one asking while another builds
+        waits for that build.
+        """
         if not 0 <= n_up <= self.n_sites:
             raise ConfigError(f"n_up must be in [0, {self.n_sites}], got {n_up}")
-        if n_up not in self._sectors:
-            basis = _sector_basis(self.n_sites, n_up)
-            self._sectors[n_up] = (basis, _chain_hamiltonian(self.n_sites, self.delta, basis))
+        with self._building:
+            if n_up not in self._sectors:
+                basis = _sector_basis(self.n_sites, n_up)
+                self._sectors[n_up] = (basis, _chain_hamiltonian(self.n_sites, self.delta, basis))
         return self._sectors[n_up]
 
 

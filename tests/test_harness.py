@@ -1,11 +1,11 @@
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import threading
 
 import numpy as np
 import pytest
 
-from spinquench import harness, sampler
+from spinquench import harness, sampler, threads
 from spinquench.checkpoint import load_checkpoint
 from spinquench.errors import ConfigError, step_count
 from spinquench.harness import (
@@ -32,6 +32,7 @@ from spinquench.sampler import (
     sample_spins_and_beta,
     semistochastic_split,
 )
+from spinquench.threads import usable_cpus
 from spinquench.window import L_MAX, EvolverParams, build_hloc, evolve_and_measure
 
 
@@ -47,32 +48,28 @@ def short_run(tmp_path_factory):
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Run run_mc's pool rounds in this process; returns the pool sizes.
+def dealt_shares(one_blas_thread, monkeypatch):
+    """Round two may deal shares on 3 faked CPUs; returns the rounds dealt.
 
-    No process is started, so tests can count calls inside the rounds.
-    The initializer runs once, in this process, as a one-process pool
-    would run it.
+    Each round that goes through threads.run_shares is recorded as the
+    list of the names of the threads its shares ran on, in share order.
     """
-    sizes = []
+    rounds, run_shares = [], threads.run_shares
 
-    class InProcessPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            sizes.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
+    def recorded(work, shares):
+        names = [None] * len(shares)
 
-        def __enter__(self):
-            return self
+        def watched(indexed):
+            i, share = indexed
+            names[i] = threading.current_thread().name
+            return work(share)
 
-        def __exit__(self, *exc):
-            return False
+        rounds.append(names)
+        return run_shares(watched, list(enumerate(shares)))
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(threads, "run_shares", recorded)
+    return rounds
 
 
 def test_run_itebd_curve_layout(short_run):
@@ -175,9 +172,9 @@ def test_sample_uniforms_are_rows_of_one_stream(master_seed):
 
 
 def test_run_mc_identical_across_worker_counts(
-    short_run, tmp_path, monkeypatch, in_process_pool
+    short_run, tmp_path, monkeypatch, dealt_shares
 ):
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -191,7 +188,8 @@ def test_run_mc_identical_across_worker_counts(
     for workers in (1, 2, 3):
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
-    assert len(in_process_pool) == 2
+    # --workers 2 and 3 deal round two into 2 and 3 shares
+    assert [len(names) for names in dealt_shares] == [2, 3]
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     _meta, cols = read_table(outs[0])
     assert cols["n_samples"].tolist() == [60] * 3
@@ -221,9 +219,9 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, n_samples):
 
 
 def test_run_mc_evolves_each_pair_once_per_run(
-    short_run, monkeypatch, in_process_pool
+    short_run, monkeypatch, dealt_shares
 ):
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
     assembled, propagated, values = [], [], []
     assemble, evolve, two_rounds = (
         harness.assemble_window_stacks, harness.evolve_and_measure, harness._two_rounds
@@ -274,14 +272,13 @@ def test_run_mc_evolves_each_pair_once_per_run(
         assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
 
 
-def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool):
-    # a huge --workers must not start a process per requested worker;
-    # the pool is faked so no process is started here at all. p_star = 0
-    # puts every reachable pair in S, so the round holds more than 4
+def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_shares):
+    # a huge --workers must not deal a share per requested worker. p_star
+    # = 0 puts every reachable pair in S, so the round holds more than 4
     # sector stacks whatever the 3 samples draw, and on 4 usable CPUs
-    # the pool has 4 processes, not 64
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
+    # the round is dealt into 4 shares, not 64
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 4)
     out1 = tmp_path / "w1.csv"
     out64 = tmp_path / "w64.csv"
     kw = dict(
@@ -296,13 +293,14 @@ def test_run_mc_caps_pool_size(short_run, tmp_path, monkeypatch, in_process_pool
     )
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
-    assert in_process_pool == [4]
+    assert [len(names) for names in dealt_shares] == [4]
     assert out1.read_bytes() == out64.read_bytes()
 
 
-def test_run_mc_pool_respects_cpu_affinity(short_run, monkeypatch, in_process_pool):
-    # a process pinned to one CPU starts no pool, as under taskset -c 0
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
+def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_shares):
+    # a process pinned to one CPU deals no shares, as under taskset -c 0
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
+    monkeypatch.setattr(threads, "usable_cpus", usable_cpus)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     kw = dict(
@@ -316,20 +314,19 @@ def test_run_mc_pool_respects_cpu_affinity(short_run, monkeypatch, in_process_po
         n_workers=3,
     )
     run_mc(**kw)
-    assert in_process_pool == []
-    # where the OS has no affinity call, the CPU count caps the pool
+    assert dealt_shares == []
+    # where the OS has no affinity call, the CPU count caps the shares
     monkeypatch.delattr(os, "sched_getaffinity")
     run_mc(**kw)
-    assert in_process_pool == [2]
+    assert [len(names) for names in dealt_shares] == [2]
 
 
-def test_run_mc_below_pool_work_starts_no_pool(
-    short_run, tmp_path, monkeypatch, in_process_pool
+def test_run_mc_below_share_work_deals_no_shares(
+    short_run, tmp_path, monkeypatch, dealt_shares
 ):
-    # a round with less work than POOL_WORK runs in this process at any
-    # --workers and writes the same bytes; CPUs are faked so the pool
-    # could start on any machine
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+    # a round with less work than SHARE_WORK runs on the calling thread
+    # at any --workers and writes the same bytes, though 3 CPUs and one
+    # BLAS thread would let it deal shares
     t_fin = 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -343,34 +340,26 @@ def test_run_mc_below_pool_work_starts_no_pool(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert in_process_pool == []
+    assert dealt_shares == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
     # the work is every distinct pair's sector dimension times Taylor
-    # orders times grid steps, and a pool starts from POOL_WORK up
+    # orders times grid steps, and shares are dealt from SHARE_WORK up
     pairs, _rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, 60)
     spec = WindowSpec(l=2)
     work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p[:2], p[2:])) for p in set(pairs))
-    monkeypatch.setattr(harness, "POOL_WORK", work + 1)
+    monkeypatch.setattr(harness, "SHARE_WORK", work + 1)
     run_mc(n_workers=3, **kw)
-    assert in_process_pool == []
-    monkeypatch.setattr(harness, "POOL_WORK", work)
+    assert dealt_shares == []
+    monkeypatch.setattr(harness, "SHARE_WORK", work)
     run_mc(n_workers=3, **kw)
-    assert len(in_process_pool) == 1 and in_process_pool[0] > 1
+    assert len(dealt_shares) == 1 and len(dealt_shares[0]) > 1
 
 
-def test_run_mc_real_pool_writes_same_bytes(short_run, tmp_path, monkeypatch):
-    # the one test that starts real worker processes: the pool is forced
-    # by POOL_WORK = 0 and CPUs are faked so it starts on any machine
-    sizes = []
-
-    class CountedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountedPool)
+def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch, dealt_shares):
+    # shares are forced by SHARE_WORK = 0 on 3 faked CPUs: share 0 runs
+    # on the calling thread and the others on helper threads, and the
+    # bytes are those of one share
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -384,14 +373,19 @@ def test_run_mc_real_pool_writes_same_bytes(short_run, tmp_path, monkeypatch):
     for workers in (1, 2, 3):
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
-    assert sizes == [2, 3]
+    caller = threading.current_thread().name
+    assert [names[0] for names in dealt_shares] == [caller, caller]
+    helpers = [name for names in dealt_shares for name in names[1:]]
+    assert len(helpers) == 3 and all(name.startswith("spinquench-helper") for name in helpers)
+    # and the helpers were joined when round two ended
+    assert not any(t.name.startswith("spinquench-helper") for t in threading.enumerate())
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
-def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
+def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, dealt_shares):
     # a partial budget that splits every share into several assembly
-    # batches, on a real pool of 2 and 3 processes (forked, so they keep
-    # the budget), writes the bytes of one batch per run in one process
+    # batches, on 1, 2 and 3 shares, writes the bytes of one batch per
+    # run on one share
     kw = dict(
         checkpoint=k128_t2["checkpoint"],
         l=2,
@@ -410,17 +404,21 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch):
         batches.append((len(pairs), len(ends)))
         return ends
 
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
-    monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
     monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", 1 << 14)
     monkeypatch.setattr(sampler, "_partial_batches", counted_split)
     for workers in (1, 2, 3):
+        batches.clear()
         out = tmp_path / f"w{workers}.csv"
         run_mc(n_workers=workers, out=out, **kw)
         assert out.read_bytes() == ref.read_bytes()
-    # the one-process run made several batches, neither one nor one per pair
-    ((n_pairs, n_batches),) = batches
-    assert 2 < n_batches < n_pairs
+        # one batching per share
+        assert len(batches) == workers
+        if workers == 1:
+            # the one-share run made several batches, neither one nor one per pair
+            ((n_pairs, n_batches),) = batches
+            assert 2 < n_batches < n_pairs
+    assert [len(names) for names in dealt_shares] == [2, 3]
 
 
 @pytest.mark.parametrize("p_star", [math.inf, 0.01], ids=["plain", "semistochastic"])
@@ -479,13 +477,13 @@ def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, m
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-def test_run_mc_single_share_starts_no_pool(
-    short_run, tmp_path, monkeypatch, in_process_pool
+def test_run_mc_single_share_deals_no_shares(
+    short_run, tmp_path, monkeypatch, dealt_shares
 ):
     # one sample has one distinct pair, which is one share however many
-    # workers are asked for, so round two runs in this process even
-    # when any work would pay for a pool
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    # workers are asked for, so round two runs on the calling thread even
+    # when any work would pay for helpers
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
         l=2,
@@ -498,7 +496,7 @@ def test_run_mc_single_share_starts_no_pool(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert in_process_pool == []
+    assert dealt_shares == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
@@ -564,6 +562,14 @@ def test_run_mc_validation(short_run):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "master_seed": -1})
     with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "n_samples": 0})
+    # counts and the seed must be integers, not bools or integral floats
+    for name, bad in (
+        ("n_workers", 2.5), ("n_workers", True), ("n_workers", 2.0),
+        ("n_samples", 50.0), ("n_samples", True), ("master_seed", 7.0),
+        ("master_seed", False), ("master_seed", 2**64),
+    ):
+        with pytest.raises(ConfigError, match="seed|n_samples|n_workers"):
+            run_mc(l=2, t_fin=2.0, **{**common, "n_workers": 1, name: bad})
 
 
 def test_run_mc_warns_outside_horizon(short_run):

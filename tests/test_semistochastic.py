@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_boundary_pairs, tail_pair_distribution, tail_walk
-from spinquench import harness
+from spinquench import harness, threads
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.cli import main
 from spinquench.errors import ConfigError
@@ -174,11 +174,13 @@ def test_empty_s_changes_no_byte(k16_t1, tmp_path):
 
 
 def test_semistochastic_run_is_identical_across_worker_counts(
-    k16_t1, tmp_path, monkeypatch
+    k16_t1, tmp_path, monkeypatch, one_blas_thread
 ):
     # the split runs its S pairs beside the drawn ones in round two, on
-    # one share or on a pool, and the file does not change
-    monkeypatch.setattr(harness, "POOL_WORK", 0)
+    # one share or dealt to helper threads (3 faked CPUs), and the file
+    # does not change
+    monkeypatch.setattr(harness, "SHARE_WORK", 0)
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     outs = []
     for workers in (1, 2, 3):
         outs.append(tmp_path / f"w{workers}.csv")

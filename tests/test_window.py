@@ -1,5 +1,8 @@
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -87,6 +90,34 @@ def test_sector_basis_is_shared_and_read_only():
     assert not basis.flags.writeable
     with pytest.raises(ValueError):
         basis[0] = 0
+
+
+def test_concurrent_requests_build_a_sector_once(monkeypatch):
+    # the shares of round two read one Hamiltonian from several threads;
+    # eight threads asking for one sector at once get one build
+    builds, chain = [], window._chain_hamiltonian
+
+    def counted(n_sites, delta, basis):
+        builds.append(basis.size)
+        return chain(n_sites, delta, basis)
+
+    monkeypatch.setattr(window, "_chain_hamiltonian", counted)
+    h = build_hloc(4, 0.5)
+    start = threading.Barrier(8)
+
+    def ask():
+        start.wait(timeout=10)
+        return h.sector(4)[1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(ask) for _ in range(8)]
+            mats = [future.result(timeout=30) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1 and all(m is mats[0] for m in mats)
 
 
 def _random_sector_state(l, n_up, seed):
