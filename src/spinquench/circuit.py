@@ -60,6 +60,21 @@ inline; that part was checked by brute force on OpenBLAS 0.3.31, whose
 kernels' unroll widths divide SPLIT_GRANULE, not derived for every
 BLAS build.
 
+Every route keeps its large arrays in one workspace per thread: two
+flat complex buffers, held in a threading.local, grown to the largest
+size asked for on that thread and never shrunk. The direct route
+writes its product state into one buffer and a window route builds
+each stack block in one; every gate pass then writes into the other,
+so the passes ping-pong between the two buffers, within a call and
+from one call to the next. A fresh array of a few MB costs its first
+write one page fault per 4 kB page (about 2 us each), which a reused
+buffer does not; the gain is for repeated calls in one process
+(sweeps, tests, the benchmark), as a one-shot circuit-demo process
+still touches its buffers once. So every thread that ran a route keeps
+two buffers after it returns: at most 2 x 2^DIRECT_QUBIT_LIMIT x 16 B
+= 32 MB, unless one window pair is wider than DIRECT_QUBIT_LIMIT.
+Nothing a route returns points into them.
+
 Bit convention: qubit 0 is the most significant bit of a configuration
 index, bit value 0 means spin up, so a two-qubit basis index is
 2 b_left + b_right in the gate basis (up-up, up-down, down-up,
@@ -69,16 +84,19 @@ down-down).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import threads
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 #: Maximum statevector width, in qubits. It bounds the direct route's
 #: state, each column block of a window stack, and each half state of
-#: the window routes (checked before either half is built).
+#: the window routes (checked before either half is built), and so the
+#: workspace buffers, 2 x 2^DIRECT_QUBIT_LIMIT x 16 B = 32 MB per
+#: thread, where no window pair is wider than this.
 DIRECT_QUBIT_LIMIT = 20
 
 #: Widest block of adjacent qubits that the gate fuser builds. Chosen
@@ -129,7 +147,8 @@ class BrickworkCircuit:
     """An even-width brickwork circuit; layers[t] holds (left qubit, gate)."""
 
     def __init__(self, n_qubits: int, layers):
-        if n_qubits < 2 or n_qubits % 2:
+        n_qubits = check_int(n_qubits, "n_qubits", 2)
+        if n_qubits % 2:
             raise ConfigError(f"n_qubits must be even and >= 2, got {n_qubits}")
         self.n_qubits = n_qubits
         checked = []
@@ -162,26 +181,31 @@ class BrickworkCircuit:
 
     @classmethod
     def random(cls, n_qubits: int, depth: int, rng) -> "BrickworkCircuit":
-        """Full brickwork of independent Haar gates."""
-        if depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {depth}")
-        layers = []
-        for t in range(depth):
-            start = t % 2
-            layers.append(
-                [(i, haar_gate(rng)) for i in range(start, n_qubits - 1, 2)]
-            )
+        """Full brickwork of independent Haar gates.
+
+        The layers are drawn as __init__ reads them, after it has
+        checked n_qubits.
+        """
+        layers = (
+            [(i, haar_gate(rng)) for i in range(t % 2, n_qubits - 1, 2)]
+            for t in range(check_int(depth, "depth", 1))
+        )
         return cls(n_qubits, layers)
+
+
+def _config_index(bits) -> int:
+    """Basis index of a computational configuration, qubit 0 the top bit."""
+    if any(b not in (0, 1) for b in bits):
+        raise ConfigError(f"product state bits must be 0 (up) or 1 (down), got {bits}")
+    idx = 0
+    for b in bits:
+        idx = (idx << 1) | int(b)
+    return idx
 
 
 def product_state(bits) -> np.ndarray:
     """Statevector of a computational product configuration."""
-    if any(b not in (0, 1) for b in bits):
-        raise ConfigError(f"product state bits must be 0 (up) or 1 (down), got {bits}")
-    bits = [int(b) for b in bits]
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
+    idx = _config_index(bits)
     psi = np.zeros(1 << len(bits), dtype=complex)
     psi[idx] = 1.0
     return psi
@@ -198,13 +222,17 @@ def _product(operands):
     np.matmul(left, right, out=out)
 
 
-def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
+def apply_gate(psi: np.ndarray, i: int, u: np.ndarray, out=None) -> np.ndarray:
     """Apply a 2^q x 2^q gate to qubits i..i+q-1 of a statevector.
 
     psi may carry a trailing stack axis, (2^n, columns), C-contiguous;
     the gate acts on every column alike. A gate on the last qubits of a
     single state leaves a trailing axis of 1, where the batched matmul
     would make 2^i matrix-vector products; there it is one GEMM.
+
+    The result is written into out and out returned, where out is
+    given: a C-contiguous array of psi's shape that shares no memory
+    with psi (ValueError otherwise). Without it, a new array is.
 
     Inside threads.helper_threads() a pass is dealt into near-equal
     contiguous shares, one per usable CPU but none of fewer than
@@ -215,22 +243,26 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray) -> np.ndarray:
     inputs as inline, and by the same kernel where the BLAS's kernel
     boundaries fall on SPLIT_GRANULE multiples (module docstring).
     """
+    if out is None:
+        out = np.empty(psi.shape, dtype=np.result_type(psi, u))
+    elif out.shape != psi.shape or not out.flags.c_contiguous or np.may_share_memory(psi, out):
+        raise ValueError("out must be a C-contiguous array of psi's shape, apart from psi")
     d = u.shape[0]
     rows = psi.size >> i == d
     if rows:
-        left, right = psi.reshape(-1, d), u.T
+        left, right, target = psi.reshape(-1, d), u.T, out.reshape(-1, d)
     else:
-        left, right = u, psi.reshape(1 << i, d, -1)
+        left, right, target = u, psi.reshape(1 << i, d, -1), out.reshape(1 << i, d, -1)
     n_shares = min(threads.share_count(), psi.size // SHARE_AMPLITUDES)
     if n_shares < 2:
-        return np.matmul(left, right).reshape(psi.shape)
-    out = np.empty(psi.shape, dtype=np.result_type(psi, u))
+        np.matmul(left, right, out=target)
+        return out
     if rows:
-        parts = _split(left, out.reshape(left.shape), 0, n_shares, SPLIT_GRANULE)
+        parts = _split(left, target, 0, n_shares, SPLIT_GRANULE)
         shares = [(part, right, part_out) for part, part_out in parts]
     else:
         axis, granule = (0, 1) if right.shape[0] >= n_shares else (2, SPLIT_GRANULE)
-        parts = _split(right, out.reshape(right.shape), axis, n_shares, granule)
+        parts = _split(right, target, axis, n_shares, granule)
         shares = [(left, part, part_out) for part, part_out in parts]
     threads.run_shares(_product, shares)
     return out
@@ -280,10 +312,46 @@ def _fused(gates):
         yield lo, block
 
 
+#: Each thread's pair of workspace buffers, once it has asked for one.
+_workspace = threading.local()
+
+
+def _buffers(size: int):
+    """The calling thread's two flat complex buffers, of at least size amplitudes each.
+
+    They are replaced by larger ones when size outgrows them, never by
+    smaller ones, and hold whatever the thread's last pass left there.
+    """
+    pair = getattr(_workspace, "pair", None)
+    if pair is None or pair[0].size < size:
+        _workspace.pair = None  # the old pair is freed before the new one is made
+        pair = _workspace.pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return pair
+
+
+def _run_passes(psi: np.ndarray, spare: np.ndarray, gates) -> np.ndarray:
+    """psi after the (lowest qubit, unitary) gates, in psi's memory or spare's.
+
+    Each pass reads one of the two and writes into the other.
+    """
+    for i, u in gates:
+        psi, spare = apply_gate(psi, i, u, out=spare), psi
+    return psi
+
+
 def _sz_at(psi: np.ndarray, i: int) -> np.ndarray:
-    """<Sz> of qubit i, one value per column of a stack (0-d for a state)."""
-    up = psi.reshape(1 << i, 2, -1, *psi.shape[1:])[:, 0]
-    return (up.real**2 + up.imag**2).sum(axis=(0, 1)) - 0.5
+    """<Sz> of qubit i, one value per column of a stack (0-d for a state).
+
+    The squares of the real and imaginary parts of the up amplitudes
+    are summed by einsum straight from psi, with no temporary of psi's
+    size.
+    """
+    columns = psi.shape[1:]
+    parts = psi.view(np.float64).reshape(1 << i, 2, -1, 2 * math.prod(columns))[:, 0]
+    if not columns:  # one reduction over contiguous runs, not a loop over (re, im)
+        return np.einsum("abc,abc->", parts, parts) - 0.5
+    squares = np.einsum("abc,abc->c", parts, parts)
+    return squares.reshape(*columns, 2).sum(axis=-1) - 0.5
 
 
 def _input_bits(circuit: BrickworkCircuit, bits):
@@ -303,10 +371,12 @@ def direct_expectation(circuit: BrickworkCircuit, bits=None) -> float:
         raise ConfigError(
             f"direct route limited to {DIRECT_QUBIT_LIMIT} qubits, got {n}"
         )
-    psi = product_state(_input_bits(circuit, bits))
+    index = _config_index(_input_bits(circuit, bits))
+    psi, spare = (buffer[: 1 << n] for buffer in _buffers(1 << n))
+    psi.fill(0.0)
+    psi[index] = 1.0
     with threads.helper_threads():
-        for i, u in _fused(gate for layer in circuit.layers for gate in layer):
-            psi = apply_gate(psi, i, u)
+        psi = _run_passes(psi, spare, _fused(gate for layer in circuit.layers for gate in layer))
     return float(_sz_at(psi, circuit.measured))
 
 
@@ -419,24 +489,26 @@ def _window_values(circuit, regions, lmat, rmat, alphas, betas) -> np.ndarray:
     each block gathers and normalizes its own halves, so no more than a
     block's halves are held at once. Distinct pairs hold at most 2^n
     amplitudes together, so up to n = DIRECT_QUBIT_LIMIT the stack is a
-    single block.
+    single block. Each block is built in the first workspace buffer and
+    its passes ping-pong with the second.
     """
     w_lo = regions.w_lo
     width = regions.w_hi - w_lo + 1
     cone = regions.core + regions.late
     gates = list(_fused((i - w_lo, circuit.gate(t, i)) for t, i in cone))
     step = max(1, (1 << DIRECT_QUBIT_LIMIT) >> width)
+    first, second = _buffers(min(step, alphas.size) << width)
     values = np.empty(alphas.size)
     for start in range(0, alphas.size, step):
         cols = slice(start, start + step)
         lc, rc = lmat[alphas[cols]].T, rmat[:, betas[cols]]
         lc = lc / np.linalg.norm(lc, axis=0)
         rc = rc / np.linalg.norm(rc, axis=0)
-        psi = np.empty((lc.shape[0], rc.shape[0], lc.shape[1]), dtype=complex)
+        size = lc.size * rc.shape[0]
+        psi = first[:size].reshape(lc.shape[0], rc.shape[0], lc.shape[1])
         np.multiply(lc[:, None, :], rc[None, :, :], out=psi)
         psi = psi.reshape(1 << width, -1)
-        for i, u in gates:
-            psi = apply_gate(psi, i, u)
+        psi = _run_passes(psi, second[:size].reshape(psi.shape), gates)
         values[cols] = _sz_at(psi, circuit.measured - w_lo)
     return values
 
@@ -460,8 +532,7 @@ def lightcone_expectation_sampled(
     one stack, so the cost is bounded by the number of distinct pairs,
     and their windows never hold more amplitudes than the statevector.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = check_int(n_samples, "n_samples", 1)
     with threads.helper_threads():
         regions, lmat, rmat, lw, rw = _boundary_matrices(circuit, bits)
         alphas = rng.choice(lw.size, size=n_samples, p=lw / lw.sum())

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -301,6 +302,18 @@ def test_validation_errors():
         lightcone_expectation_sampled(small, 10, np.random.default_rng(0), bits=(0, 1, 0))
     with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
         lightcone_expectation_sampled(small, 0, np.random.default_rng(0))
+    # widths, depths and sample counts are integers, not floats or bools
+    for n_samples in (2.5, True, 10.0):
+        with pytest.raises(ConfigError, match="n_samples must be an integer"):
+            lightcone_expectation_sampled(small, n_samples, np.random.default_rng(0))
+    for n_qubits, depth, what in ((8, 4.0, "depth"), (8.0, 4, "n_qubits"), (8, True, "depth"),
+                                  (True, 4, "n_qubits")):
+        with pytest.raises(ConfigError, match=f"{what} must be an integer"):
+            BrickworkCircuit.random(n_qubits, depth, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="n_qubits must be >= 2, got 0"):
+        BrickworkCircuit.random(0, 4, np.random.default_rng(0))
+    numpy_ints = BrickworkCircuit.random(np.int64(8), np.int64(4), np.random.default_rng(0))
+    assert numpy_ints.n_qubits == 8 and numpy_ints.depth == 4
 
 
 def _gate_sequence(width, n_gates, rng):
@@ -403,6 +416,14 @@ def test_wide_halves_rejected_before_allocation(monkeypatch):
     assert abs(lightcone_expectation_sum(small) - summed) <= 1e-14
 
 
+def _plain_matmul(psi, i, u):
+    """One np.matmul into a new array, the GEMM on a state's last qubits, else batched."""
+    d = u.shape[0]
+    if psi.size >> i == d:
+        return np.matmul(psi.reshape(-1, d), u.T).reshape(psi.shape)
+    return np.matmul(u, psi.reshape(1 << i, d, -1)).reshape(psi.shape)
+
+
 def _split_kind(outs, products):
     """How a pass of the given 2^i products was dealt, read off its output parts."""
     if outs[0].ndim == 2:
@@ -423,17 +444,25 @@ def test_apply_gate_on_helpers_matches_inline_bit_for_bit(gate_shares, shape, q)
     psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     width = shape[0].bit_length() - 1
     kinds, sizes = [], {}
+    given = np.empty(shape, dtype=complex)
     for i in range(width - q + 1):
         inline = apply_gate(psi, i, u)
-        gate_shares.clear()
-        with helper_threads():
-            dealt = apply_gate(psi, i, u)
-        assert np.array_equal(dealt, inline)
-        ran_on, outs = zip(*gate_shares)
-        assert len(outs) == 3 and sum(out.size for out in outs) == psi.size
-        assert ran_on.count(threading.current_thread()) == 1
-        here = outs[ran_on.index(threading.current_thread())]
-        assert here.ctypes.data == dealt.ctypes.data
+        assert np.array_equal(inline, _plain_matmul(psi, i, u))
+        given.fill(np.nan)
+        assert apply_gate(psi, i, u, out=given) is given
+        assert np.array_equal(given, inline)
+        for target in (None, given):
+            given.fill(np.nan)
+            gate_shares.clear()
+            with helper_threads():
+                dealt = apply_gate(psi, i, u, out=target)
+            assert np.array_equal(dealt, inline)
+            ran_on, outs = zip(*gate_shares)
+            assert len(outs) == 3 and sum(out.size for out in outs) == psi.size
+            assert ran_on.count(threading.current_thread()) == 1
+            here = outs[ran_on.index(threading.current_thread())]
+            assert here.ctypes.data == dealt.ctypes.data
+        assert dealt is given
         kinds.append(_split_kind(outs, 1 << i))
         sizes[i] = sorted(out.shape[0] for out in outs)
     last = width - q
@@ -513,3 +542,109 @@ def test_circuit_routes_leave_no_helper_thread(three_cpus, monkeypatch, route):
         run(circuit)
     assert before < max(during) <= before + 2
     assert threading.active_count() == before
+
+
+def test_apply_gate_refuses_an_out_it_cannot_write_apart_from_psi():
+    u = haar_gate(np.random.default_rng(1))
+    memory = np.zeros(1 << 8, dtype=complex)
+    psi = memory[: 1 << 7]
+    psi[0] = 1.0
+    overlapping, short = memory[1 << 6 : 3 << 6], np.empty(1 << 6, dtype=complex)
+    strided = np.empty(1 << 8, dtype=complex)[::2]
+    for out in (psi, overlapping, short, strided):
+        with pytest.raises(ValueError, match="apart from psi"):
+            apply_gate(psi, 2, u, out=out)
+    assert np.array_equal(apply_gate(psi, 2, u, out=memory[1 << 7 :]), apply_gate(psi, 2, u))
+
+
+def _workspace():
+    """The calling thread's workspace buffers, or None before it asked for any."""
+    return getattr(circuit_module._workspace, "pair", None)
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_second_call_reuses_the_threads_buffers_and_bits(route):
+    circuit = BrickworkCircuit.random(12, 8, np.random.default_rng(5))
+    run = _ROUTES[route]
+    first = run(circuit)
+    pair = _workspace()
+    addresses = [buffer.ctypes.data for buffer in pair]
+    for buffer in pair:
+        buffer.fill(np.nan)
+    assert run(circuit) == first
+    assert all(a is b for a, b in zip(_workspace(), pair))
+    assert [buffer.ctypes.data for buffer in _workspace()] == addresses
+
+
+def test_results_do_not_change_when_later_calls_overwrite_the_buffers():
+    circuit = BrickworkCircuit.random(12, 8, np.random.default_rng(5))
+    other = BrickworkCircuit.random(12, 8, np.random.default_rng(6))
+    regions, lmat, rmat, lw, rw = circuit_module._boundary_matrices(circuit, None)
+    alphas, betas = np.nonzero(np.outer(lw > 0.0, rw > 0.0))
+    values = circuit_module._window_values(circuit, regions, lmat, rmat, alphas, betas)
+    kept = values.copy()
+    direct, summed = direct_expectation(circuit), lightcone_expectation_sum(circuit)
+    sampled = lightcone_expectation_sampled(circuit, 500, np.random.default_rng(6))
+    assert not any(np.may_share_memory(values, buffer) for buffer in _workspace())
+    for run in _ROUTES.values():
+        run(other)
+    for buffer in _workspace():
+        buffer.fill(np.nan)
+    assert np.array_equal(values, kept)
+    assert (direct, summed) == (direct_expectation(circuit), lightcone_expectation_sum(circuit))
+    assert sampled == lightcone_expectation_sampled(circuit, 500, np.random.default_rng(6))
+
+
+def test_threads_running_routes_at_once_have_buffers_of_their_own():
+    # three threads, more than the CPUs of a small runner, run all three
+    # routes on different circuits in step and switch every microsecond,
+    # so their passes overlap; each gets buffers of its own and the values
+    # this thread gets alone
+    circuits = [BrickworkCircuit.random(12, 8, np.random.default_rng(seed)) for seed in (5, 6, 7)]
+    alone = [[run(circuit) for run in _ROUTES.values()] for circuit in circuits]
+    barrier = threading.Barrier(len(circuits), timeout=60)
+    got, pairs, errors = {}, {}, []
+
+    def work(k):
+        try:
+            values = []
+            for _ in range(3):
+                barrier.wait()
+                values.append([run(circuits[k]) for run in _ROUTES.values()])
+            got[k], pairs[k] = values, _workspace()
+        except BaseException as exc:  # reported on the test's thread
+            errors.append(exc)
+            barrier.abort()
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(len(circuits))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not errors
+    buffers = [buffer for pair in [_workspace(), *pairs.values()] for buffer in pair]
+    assert len(buffers) == 2 * (len(circuits) + 1)
+    assert not any(np.may_share_memory(a, b) for k, a in enumerate(buffers) for b in buffers[:k])
+    for k in range(len(circuits)):
+        assert got[k] == [alone[k]] * 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="minor faults as Linux counts them")
+def test_second_n18_sum_call_faults_in_no_fresh_state():
+    # a fresh 2^18-amplitude state is about a thousand 4 kB pages, each
+    # faulted in on its first write; the second call writes the same buffers
+    import resource
+
+    circuit = BrickworkCircuit.random(18, 10, np.random.default_rng(0))
+    first = lightcone_expectation_sum(circuit)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    second = lightcone_expectation_sum(circuit)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert second == first
+    assert faults < 256
