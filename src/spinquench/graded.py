@@ -11,8 +11,10 @@ blocked operations never touch entries forbidden by the selection rule.
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
 unblocked decomposition would keep. Inside threads.helper_threads()
-the sectors of one matrix are dealt to helper threads, each still one
-LAPACK call, so where a sector runs never changes its bits.
+threads.deal, the one dealing rule that all but circuit.apply_gate's
+contiguous split use, deals the sectors of one matrix to helper
+threads, each still one LAPACK call, so where a sector runs never
+changes its bits.
 """
 
 from __future__ import annotations
@@ -164,31 +166,6 @@ def _decompose(arrays):
     return out
 
 
-def _deal(works, n_shares):
-    """Indices of works, longest first, each to the share with least work so far."""
-    shares, loads = [[] for _ in range(n_shares)], [0] * n_shares
-    for i in sorted(range(len(works)), key=lambda i: -works[i]):
-        least = loads.index(min(loads))
-        shares[least].append(i)
-        loads[least] += works[i]
-    return shares
-
-
-def _decompose_all(arrays):
-    """_decompose(arrays), share 0 here and the others on the helpers."""
-    works = [r * c * min(r, c) for r, c in (arr.shape for arr in arrays)]
-    n_shares = min(threads.share_count(), len(arrays))
-    if n_shares < 2 or sum(works) < THREAD_WORK:
-        return _decompose(arrays)
-    shares = _deal(works, n_shares)
-    outs = threads.run_shares(lambda share: _decompose([arrays[i] for i in share]), shares)
-    results = [None] * len(arrays)
-    for share, out in zip(shares, outs):
-        for i, result in zip(share, out):
-            results[i] = result
-    return results
-
-
 def block_svd(theta):
     """Sector-by-sector singular values and factors of a blocked matrix.
 
@@ -200,7 +177,10 @@ def block_svd(theta):
     inline, so the result is the same bit for bit.
     """
     s_blocks, factors = {}, {}
-    results = _decompose_all(list(theta.blocks.values()))
+    arrays = list(theta.blocks.values())
+    works = [r * c * min(r, c) for r, c in (arr.shape for arr in arrays)]
+    # _decompose is looked up per share, so a test may watch it
+    results = threads.deal(lambda share: _decompose(share), arrays, works, THREAD_WORK)
     for (q_row, arr), result in zip(theta.blocks.items(), results):
         if isinstance(result, np.linalg.LinAlgError):
             raise SvdError(f"SVD did not converge in sector {q_row} "

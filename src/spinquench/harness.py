@@ -25,24 +25,25 @@ two evolves each of them exactly once: the pairs are grouped by
 ascending total-Sz sector, by one stable sort, into row stacks that
 hold at most sampler.WALK_MEMO_BYTES of amplitudes, the budget of the
 walk and of assembly too; a stack takes one sparse-times-dense product
-per Taylor order. The worker count is an upper bound: a round whose
-work (stack amplitudes x Taylor orders x grid steps) is below
-SHARE_WORK is one share, and otherwise the stacks are dealt into at
-most one share per worker and per share the helper threads allow
-(threads.share_count). Share 0 runs on the calling thread and the
-others on helper threads, all reading the one in-memory run. The
-dedup is exact because a pair's series depends only on the pair, the
-checkpoint state, the window Hamiltonian (fixed by h) and the time
-grid, never on the sample that drew it. Stacking is exact too. A share's windows are
-assembled by one stack assembler whose batched products make one
-product per boundary state and per pair, exactly the product a pair
-assembled alone makes (see sampler), so a window's amplitudes do not
-depend on what is assembled beside it. Every column of the Taylor
-product accumulates in the order of a single matrix-vector product, and
-norms, the drift guard and <Sz> are taken row by row. So a series does
-not depend on which pairs share its stack, its assembly batch or its
-share, and how pairs are split among threads changes where the work
-runs, never a byte of the output.
+per Taylor order. threads.deal, the one dealing rule (only
+circuit.apply_gate splits its passes into contiguous views itself),
+deals the stacks: a round whose work (stack amplitudes x Taylor orders
+x grid steps) is below SHARE_WORK runs on the calling thread, and
+otherwise the stacks go longest first into at most one share per
+worker and per share the helper threads allow. Share 0 runs on the
+calling thread and the others on helper threads, all reading the one
+in-memory run. The dedup is exact because a pair's series depends only
+on the pair, the checkpoint state, the window Hamiltonian (fixed by h)
+and the time grid, never on the sample that drew it. Stacking is exact
+too. A share's windows are assembled by one stack assembler whose
+batched products make one product per boundary state and per pair,
+exactly the product a pair assembled alone makes (see sampler), so a
+window's amplitudes do not depend on what is assembled beside it.
+Every column of the Taylor product accumulates in the order of a
+single matrix-vector product, and norms, the drift guard and <Sz> are
+taken row by row. So a series does not depend on which pairs share its
+stack, its assembly batch or its share, and how pairs are split among
+threads changes where the work runs, never a byte of the output.
 
 A run may split the boundary pairs semistochastically (see sampler):
 the pairs of S = A x B, the boundary states whose lambda^2 reach
@@ -297,17 +298,13 @@ def _evolve_share(run, stacks):
     ]
 
 
-def _shares(spec, pairs, n_shares, products):
-    """The distinct pairs as per-sector stacks, dealt into <= n_shares lists.
+def _stacks(spec, pairs):
+    """The distinct pairs as per-sector stacks: (amplitudes, n_up, ids) triples.
 
     pairs holds one (q_alpha, i_alpha, q_beta, i_beta) row per distinct
-    pair, and a stack is an (n_up, ids) of rows of pairs that reach one
-    sector, in pairs order, with the sectors ascending. A stack holds at
-    most sampler.WALK_MEMO_BYTES of complex128 amplitudes. If the
-    amplitudes of all stacks times products (Taylor orders x grid steps)
-    fall short of SHARE_WORK, every stack goes to one share. Otherwise
-    each stack, largest first, goes to the share with the fewest
-    amplitudes so far.
+    pair, and a stack is the ids of rows of pairs that reach sector
+    n_up, in pairs order, with the sectors ascending. A stack holds at
+    most sampler.WALK_MEMO_BYTES of complex128 amplitudes.
     """
     sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
     by_sector = np.argsort(sectors, kind="stable")
@@ -319,15 +316,7 @@ def _shares(spec, pairs, n_shares, products):
         for lo in range(0, group.size, height):
             chunk = group[lo:lo + height]
             stacks.append((dim * chunk.size, n_up, chunk))
-    if sum(size for size, _n_up, _chunk in stacks) * products < SHARE_WORK:
-        n_shares = 1
-    shares = [[] for _ in range(n_shares)]
-    loads = [0] * n_shares
-    for size, n_up, chunk in sorted(stacks, key=lambda st: -st[0]):
-        j = loads.index(min(loads))
-        shares[j].append((n_up, chunk))
-        loads[j] += size
-    return [share for share in shares if share]
+    return stacks
 
 
 def _two_rounds(run, split, master_seed, n_samples, n_workers):
@@ -335,9 +324,9 @@ def _two_rounds(run, split, master_seed, n_samples, n_workers):
 
     Round one draws every sample's pair on this thread, from the tail of
     the split; round two evolves the pairs of S and each distinct drawn
-    pair of the whole run once, in at most n_workers shares and no more
-    than the helper threads allow, share 0 on this thread and the others
-    on helpers. A split whose tail weight is zero draws no sample.
+    pair of the whole run once, its stacks dealt by threads.deal into at
+    most n_workers shares. A split whose tail weight is zero draws no
+    sample.
     """
     state, spec, n_steps = run.state, run.spec, run.params.n_steps
     drawn = np.empty((0, 4), dtype=np.int64)
@@ -348,18 +337,19 @@ def _two_rounds(run, split, master_seed, n_samples, n_workers):
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
         first, ids = distinct_rows(drawn)
     pairs = np.concatenate([split.pairs, drawn[first]])
+    stacks = _stacks(spec, pairs)
+    products = run.params.n_max * n_steps
     with threads.helper_threads():
-        n_shares = min(n_workers, threads.share_count())
-        shares = _shares(spec, pairs, n_shares, run.params.n_max * n_steps)
-        stacks = [[(n_up, pairs[at]) for n_up, at in share] for share in shares]
-        if len(stacks) == 1:
-            series = [_evolve_share(run, stacks[0])]
-        else:
-            series = threads.run_shares(lambda share: _evolve_share(run, share), stacks)
+        series = threads.deal(
+            lambda share: _evolve_share(run, share),
+            [(n_up, pairs[at]) for _size, n_up, at in stacks],
+            [size * products for size, _n_up, _at in stacks],
+            SHARE_WORK,
+            n_workers,
+        )
     table, norms = np.empty((len(pairs), n_steps + 1)), np.empty(len(pairs))
-    for share, results in zip(shares, series):
-        for (_n_up, at), (rows, norm2) in zip(share, results):
-            table[at], norms[at] = rows, norm2
+    for (_size, _n_up, at), (rows, norm2) in zip(stacks, series):
+        table[at], norms[at] = rows, norm2
     n_s = len(split.pairs)
     return table[n_s + ids], table[:n_s], norms[:n_s]
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, step_count
+from .errors import ConfigError, check_int, step_count
 from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
 from .threads import helper_threads
 
@@ -78,8 +78,7 @@ class QuenchConfig:
             raise ConfigError("delta must be finite")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.k_max < 2:
-            raise ConfigError(f"k_max must be >= 2, got {self.k_max}")
+        check_int(self.k_max, "k_max", 2)
         if self.t_init < 0.0:
             raise ConfigError("t_init must be >= 0")
         step_count(self.t_init, self.dt, "t_init")

@@ -4,10 +4,12 @@ Inside helper_threads() a caller may deal one piece of work into
 shares: run_shares runs the first share on the calling thread and each
 other share on a helper, waits for all of them, and hands the results
 back in share order, so a share's result never depends on where it ran.
-The block SVD (graded), the fused-gate passes (circuit) and round two
-of the window sampler (harness) use it; each share is whole LAPACK,
-BLAS or sparse-product calls on its own operands, so what a share
-computes is the same bits inline or on a helper.
+deal is the one rule for work that is a list of items of known cost:
+the block SVD (graded) and round two of the window sampler (harness)
+call it. The fused-gate passes (circuit) split their output into
+contiguous views instead and call run_shares themselves. Each share is
+whole LAPACK, BLAS or sparse-product calls on its own operands, so what
+a share computes is the same bits inline or on a helper.
 
 There is one helper per usable CPU beyond the first, none on one CPU,
 and none unless numpy's BLAS runs on one thread (blas_threads): a
@@ -123,3 +125,30 @@ def run_shares(work, shares) -> list:
     except BaseException:
         wait(futures)
         raise
+
+
+def deal(work, items, costs, least, most=None) -> list:
+    """work(items), one result per item in items order, dealt where that pays.
+
+    Outside helper_threads(), for one item, for most = 1 or for a total
+    cost below least, work(items) runs once here. Otherwise each item,
+    largest cost first (ties in items order), goes to the share of least
+    cost so far among min(share_count(), most, len(items)) shares; empty
+    shares are dropped, and a single share runs here.
+    """
+    n_shares = min(share_count(), len(items), len(items) if most is None else most)
+    if n_shares < 2 or sum(costs) < least:
+        return work(items)
+    shares, loads = [[] for _ in range(n_shares)], [0] * n_shares
+    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
+        j = loads.index(min(loads))
+        shares[j].append(i)
+        loads[j] += costs[i]
+    shares = [share for share in shares if share]
+    dealt = [[items[i] for i in share] for share in shares]
+    outs = [work(dealt[0])] if len(dealt) == 1 else run_shares(work, dealt)
+    results = [None] * len(items)
+    for share, out in zip(shares, outs):
+        for i, result in zip(share, out):
+            results[i] = result
+    return results

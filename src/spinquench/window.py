@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NormDriftError
+from .errors import ConfigError, NormDriftError, check_int
 
 #: Most bytes building the largest sector Hamiltonian of a window may
 #: take, by sector_bytes' estimate; it sets the half-width bound L_MAX.
@@ -82,9 +82,8 @@ L_MAX = max(l for l in range(1, 32) if sector_bytes(l) <= SECTOR_BYTES_MAX)
 
 
 def check_half_width(l: int) -> None:
-    """ConfigError unless 1 <= l <= L_MAX; allocates nothing."""
-    if l < 1:
-        raise ConfigError(f"l must be >= 1, got {l}")
+    """ConfigError unless l is an integer, 1 <= l <= L_MAX; allocates nothing."""
+    check_int(l, "l", 1)
     if l > L_MAX:
         raise ConfigError(
             f"l must be <= {L_MAX}, got {l}: the largest sector Hamiltonian "
@@ -98,9 +97,8 @@ N_MAX_MIN = 4
 
 
 def check_taylor_order(n_max: int) -> None:
-    """ConfigError unless the Taylor series runs to order N_MAX_MIN or more."""
-    if n_max < N_MAX_MIN:
-        raise ConfigError(f"n_max must be >= {N_MAX_MIN}, got {n_max}")
+    """ConfigError unless the Taylor series runs to an integer order N_MAX_MIN or more."""
+    check_int(n_max, "n_max", N_MAX_MIN)
 
 
 #: Pre-renormalization norm drift above which a Taylor step is rejected.
@@ -146,8 +144,7 @@ class EvolverParams:
         if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
         check_taylor_order(self.n_max)
-        if self.n_steps < 0:
-            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
+        check_int(self.n_steps, "n_steps", 0)
 
 
 @functools.cache

@@ -562,14 +562,14 @@ def test_run_mc_validation(short_run):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "master_seed": -1})
     with pytest.raises(ConfigError, match="n_samples must be >= 1, got 0"):
         run_mc(l=2, t_fin=2.0, n_workers=1, **{**common, "n_samples": 0})
-    # counts and the seed must be integers, not bools or integral floats
+    # counts, sizes and the seed must be integers, not bools or integral floats
     for name, bad in (
         ("n_workers", 2.5), ("n_workers", True), ("n_workers", 2.0),
         ("n_samples", 50.0), ("n_samples", True), ("master_seed", 7.0),
-        ("master_seed", False), ("master_seed", 2**64),
+        ("master_seed", False), ("master_seed", 2**64), ("l", 2.0), ("n_max", 20.0),
     ):
-        with pytest.raises(ConfigError, match="seed|n_samples|n_workers"):
-            run_mc(l=2, t_fin=2.0, **{**common, "n_workers": 1, name: bad})
+        with pytest.raises(ConfigError, match="^(seed|n_samples|n_workers|l|n_max) must be"):
+            run_mc(t_fin=2.0, **{**common, "l": 2, "n_workers": 1, name: bad})
 
 
 def test_run_mc_warns_outside_horizon(short_run):

@@ -83,6 +83,9 @@ def test_config_validation():
         QuenchConfig(dt=0.0)
     with pytest.raises(ConfigError):
         QuenchConfig(k_max=1)
+    for k_max in (3.0, 128.5, True):  # a bond dimension is an integer
+        with pytest.raises(ConfigError, match="k_max must be an integer"):
+            QuenchConfig(k_max=k_max)
     with pytest.raises(ConfigError):
         QuenchConfig(t_init=0.1, dt=0.0625)  # not a step multiple
     for t_init in (float("inf"), float("nan")):  # no step count at all

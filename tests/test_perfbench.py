@@ -69,7 +69,7 @@ def test_tracer_sees_every_sampling_layer(k16_t1):
     assert calls.get("sampler.assemble_window_state", 0) == 0
     # run_mc draws every sample's uniforms in one sample_uniforms pass,
     # so the per-sample harness.sample_one span the tracer still counts
-    # samples by never opens (ROADMAP item 1(a))
+    # samples by never opens (ROADMAP item 3)
     assert calls.get("harness.sample_one", 0) == 0
 
 

@@ -156,6 +156,10 @@ def test_taylor_order_has_one_bound():
         with pytest.raises(ConfigError, match="n_max must be >= 4, got 3"):
             route(3)
         route(4)
+        # an integral float or a bool is not an order
+        for bad in (20.0, 4.5, True):
+            with pytest.raises(ConfigError, match="n_max must be an integer"):
+                route(bad)
 
 
 def test_taylor_step_rejects_another_windows_hamiltonian():
@@ -307,6 +311,9 @@ def test_evolver_params_reject_negative_step_count():
     # (test_run_mc_validation); the window refuses only a negative count
     with pytest.raises(ConfigError, match="n_steps must be >= 0, got -1"):
         EvolverParams(1.0 / 3.0, 20, -1)
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(ConfigError, match="n_steps must be an integer"):
+            EvolverParams(1.0 / 3.0, 20, bad)
 
 
 def test_two_site_chain_is_analytic():
@@ -356,6 +363,10 @@ def test_window_size_limits():
         build_hloc(0, 0.5)
     with pytest.raises(ConfigError):
         build_hloc(L_MAX + 1, 0.5)
+    for l in (2.0, 2.5, True):  # a half-width is an integer
+        for build in (lambda: WindowSpec(l=l), lambda: build_hloc(l, 0.5)):
+            with pytest.raises(ConfigError, match="l must be an integer"):
+                build()
 
 
 def test_half_width_bound_is_the_memory_estimate():
