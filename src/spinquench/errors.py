@@ -31,6 +31,13 @@ def check_int(value, what: str, least: int) -> int:
     return int(value)
 
 
+def check_real(value, what: str) -> float:
+    """value as a float if it is a real number other than a bool, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def check_seed(value: int) -> int:
     """The seed as an int if it is an integer in 64 unsigned bits, else ConfigError."""
     seed = check_int(value, "seed", 0)

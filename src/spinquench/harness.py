@@ -19,31 +19,33 @@ draws the 2l+3 uniforms of every sample, and one batched walk over all
 samples, in sample_id order, turns them into boundary pairs (see
 sampler), one (q_alpha, i_alpha, q_beta, i_beta) int row per sample.
 The walk runs on one thread whatever the worker count, so the pairs
-cannot depend on it. One np.unique over a packed int64 key per
-row finds the distinct pairs of the run, in ascending order, and round
-two evolves each of them exactly once: the pairs are grouped by
-ascending total-Sz sector, by one stable sort, into row stacks that
-hold at most sampler.WALK_MEMO_BYTES of amplitudes, the budget of the
-walk and of assembly too; a stack takes one sparse-times-dense product
-per Taylor order. threads.deal, the one dealing rule (only
-circuit.apply_gate splits its passes into contiguous views itself),
-deals the stacks: a round whose work (stack amplitudes x Taylor orders
-x grid steps) is below SHARE_WORK runs on the calling thread, and
-otherwise the stacks go longest first into at most one share per
-worker and per share the helper threads allow. Share 0 runs on the
-calling thread and the others on helper threads, all reading the one
-in-memory run. The dedup is exact because a pair's series depends only
-on the pair, the checkpoint state, the window Hamiltonian (fixed by h)
-and the time grid, never on the sample that drew it. Stacking is exact
-too. A share's windows are assembled by one stack assembler whose
-batched products make one product per boundary state and per pair,
-exactly the product a pair assembled alone makes (see sampler), so a
-window's amplitudes do not depend on what is assembled beside it.
-Every column of the Taylor product accumulates in the order of a
-single matrix-vector product, and norms, the drift guard and <Sz> are
-taken row by row. So a series does not depend on which pairs share its
-stack, its assembly batch or its share, and how pairs are split among
-threads changes where the work runs, never a byte of the output.
+cannot depend on it. One np.unique over a packed int64 key per row
+finds the distinct pairs of the run, in ascending order, and round two
+evolves each of them exactly once. Its pairs are one table of int
+rows. sampler.sector_stacks, the one stacking rule, cuts the table
+into per-sector stacks, index arrays into it, that hold at most
+sampler.WALK_MEMO_BYTES of amplitudes, the budget of the walk and of
+assembly too; a stack takes one sparse-times-dense product per Taylor
+order. threads.deal, the one dealing rule (only circuit.apply_gate
+splits its passes into contiguous views itself), deals the stacks: a
+round whose work (stack amplitudes x Taylor orders x grid steps) is
+below SHARE_WORK runs on the calling thread, and otherwise the stacks
+go longest first into at most one share per worker and per share the
+helper threads allow. Share 0 runs on the calling thread and the
+others on helper threads, all reading the one in-memory run, and each
+writes its windows' series into the round's table by row. The dedup is
+exact because a pair's series depends only on the pair, the checkpoint
+state, the window Hamiltonian (fixed by h) and the time grid, never on
+the sample that drew it. Stacking is exact too. A share's windows are
+assembled by one stack assembler whose batched products make one
+product per boundary state and per pair, exactly the product a pair
+assembled alone makes (see sampler), so a window's amplitudes do not
+depend on what is assembled beside it. Every column of the Taylor
+product accumulates in the order of a single matrix-vector product,
+and norms, the drift guard and <Sz> are taken row by row. So a series
+does not depend on which pairs share its stack, its assembly batch or
+its share, and how pairs are split among threads changes where the
+work runs, never a byte of the output.
 
 A run may split the boundary pairs semistochastically (see sampler):
 the pairs of S = A x B, the boundary states whose lambda^2 reach
@@ -68,7 +70,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -76,8 +77,8 @@ import numpy as np
 
 from . import sampler, threads
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigError, check_int, check_seed, step_count
-from .itebd import MPSState, QuenchConfig, evolve_to, neel_init
+from .errors import ConfigError, check_int, check_real, check_seed, step_count
+from .itebd import QuenchConfig, evolve_to, neel_init
 # assemble_window_state is not called here; perfbench patches its name in
 # this module as in sampler, so the name stays importable from both.
 from .sampler import (  # noqa: F401
@@ -93,7 +94,6 @@ from .sampler import (  # noqa: F401
 )
 from .window import (
     EvolverParams,
-    SparseWindowHamiltonian,
     build_hloc,
     evolve_and_measure,
     load_sparse,
@@ -273,85 +273,42 @@ def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
     return sample_uniforms(master_seed, sample_id + 1, n)[sample_id]
 
 
-@dataclass(frozen=True)
-class _Run:
-    """What round two of one Monte Carlo run needs; every share reads the one run."""
-
-    state: MPSState
-    spec: WindowSpec
-    h: SparseWindowHamiltonian
-    params: EvolverParams
-
-    @classmethod
-    def of(cls, state, config, l, t_fin, delta_t, n_max):
-        """The run from t_init = state.time to t_fin; the one check of the span."""
-        n_steps = step_count(t_fin - state.time, delta_t, "t_fin - t_init")
-        params = EvolverParams(delta_t=delta_t, n_max=n_max, n_steps=n_steps)
-        return cls(state, WindowSpec(l=l), build_hloc(l, config.delta), params)
-
-
-def _evolve_share(run, stacks):
-    """Round two: the (rows, points) series and raw squared norms of each (n_up, pairs) stack."""
-    return [
-        (evolve_and_measure(stack, run.h, run.params), norms)
-        for stack, norms in assemble_window_stacks(run.state, run.spec, stacks)
-    ]
-
-
-def _stacks(spec, pairs):
-    """The distinct pairs as per-sector stacks: (amplitudes, n_up, ids) triples.
-
-    pairs holds one (q_alpha, i_alpha, q_beta, i_beta) row per distinct
-    pair, and a stack is the ids of rows of pairs that reach sector
-    n_up, in pairs order, with the sectors ascending. A stack holds at
-    most sampler.WALK_MEMO_BYTES of complex128 amplitudes.
-    """
-    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
-    by_sector = np.argsort(sectors, kind="stable")
-    stacks = []
-    for group in np.split(by_sector, np.flatnonzero(np.diff(sectors[by_sector])) + 1):
-        n_up = int(sectors[group[0]])
-        dim = math.comb(2 * spec.l + 1, n_up)
-        height = max(1, sampler.WALK_MEMO_BYTES // (16 * dim))
-        for lo in range(0, group.size, height):
-            chunk = group[lo:lo + height]
-            stacks.append((dim * chunk.size, n_up, chunk))
-    return stacks
-
-
-def _two_rounds(run, split, master_seed, n_samples, n_workers):
+def _two_rounds(state, spec, h, params, split, master_seed, n_samples, n_workers):
     """(tail value rows in sample_id order, S value rows, S raw squared norms).
 
     Round one draws every sample's pair on this thread, from the tail of
-    the split; round two evolves the pairs of S and each distinct drawn
-    pair of the whole run once, its stacks dealt by threads.deal into at
-    most n_workers shares. A split whose tail weight is zero draws no
-    sample.
+    the split; round two evolves the pairs of S, then each distinct drawn
+    pair of the run, once. sampler.sector_stacks cuts that pair table
+    into stacks, threads.deal deals them by their Taylor products into at
+    most n_workers shares, and a share writes each pair's series and raw
+    squared norm at the pair's row. A split whose tail weight is zero
+    draws no sample.
     """
-    state, spec, n_steps = run.state, run.spec, run.params.n_steps
     drawn = np.empty((0, 4), dtype=np.int64)
-    first = ids = np.zeros(0, dtype=np.int64)
+    first = of_sample = np.zeros(0, dtype=np.int64)
     if split.tail_weight > 0.0:
         u = sample_uniforms(master_seed, n_samples, 2 * spec.l + 3)
         alphas = sample_alpha(state, spec, u[:, 0], split)
         drawn = sample_spins_and_beta(state, spec, alphas, u[:, 1:], split)
-        first, ids = distinct_rows(drawn)
+        first, of_sample = distinct_rows(drawn)
     pairs = np.concatenate([split.pairs, drawn[first]])
-    stacks = _stacks(spec, pairs)
-    products = run.params.n_max * n_steps
+    series, norms = np.empty((len(pairs), params.n_steps + 1)), np.empty(len(pairs))
+
+    def evolve(stacks):
+        """Assemble and evolve a share's stacks, writing each row's results in place."""
+        ids = np.concatenate(stacks)
+        for at, psi, norm2 in assemble_window_stacks(state, spec, pairs[ids]):
+            series[ids[at]] = evolve_and_measure(psi, h, params)
+            norms[ids[at]] = norm2
+        return [None] * len(stacks)
+
+    stacks = sampler.sector_stacks(spec, pairs)
+    dims = [math.comb(2 * spec.l + 1, int(pair_sector(spec, pairs[at[0]]))) for at in stacks]
+    costs = [at.size * dim * params.n_max * params.n_steps for at, dim in zip(stacks, dims)]
     with threads.helper_threads():
-        series = threads.deal(
-            lambda share: _evolve_share(run, share),
-            [(n_up, pairs[at]) for _size, n_up, at in stacks],
-            [size * products for size, _n_up, _at in stacks],
-            SHARE_WORK,
-            n_workers,
-        )
-    table, norms = np.empty((len(pairs), n_steps + 1)), np.empty(len(pairs))
-    for (_size, _n_up, at), (rows, norm2) in zip(stacks, series):
-        table[at], norms[at] = rows, norm2
+        threads.deal(evolve, stacks, costs, SHARE_WORK, n_workers)
     n_s = len(split.pairs)
-    return table[n_s + ids], table[:n_s], norms[:n_s]
+    return series[n_s + of_sample], series[:n_s], norms[:n_s]
 
 
 def run_mc(
@@ -369,9 +326,10 @@ def run_mc(
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
     The checkpoint is loaded once, by path, and every share of round two
-    reads that one state. p_star sets the semistochastic split (see
-    sampler.semistochastic_split): a nonnegative number, where inf, the
-    default, is the one spelling of S empty.
+    reads that one state, window Hamiltonian and grid. p_star sets the
+    semistochastic split (see sampler.semistochastic_split): a
+    nonnegative number, where inf, the default, is the one spelling of S
+    empty.
     With Z the total lambda^2 of the left boundary, T the tail weight
     and p the pair weights, the estimate is sum_S (p/Z) x + (T/Z) mean_i
     x_i, and its stderr (T/Z) std_i / sqrt(n), over all tail value rows
@@ -383,15 +341,20 @@ def run_mc(
     state, config = load_checkpoint(checkpoint)
     n_samples = check_int(n_samples, "n_samples", 1)
     n_workers = check_int(n_workers, "n_workers", 1)
-    if not (isinstance(p_star, numbers.Real) and p_star >= 0.0):
+    p_star, t_fin = check_real(p_star, "p_star"), check_real(t_fin, "t_fin")
+    if not p_star >= 0.0:
         raise ConfigError(f"p_star must be a nonnegative number, got {p_star}")
     if not t_fin > state.time:
         raise ConfigError(
             f"t_fin = {t_fin} must exceed the checkpoint time {state.time}"
         )
-    run = _Run.of(state, config, l, t_fin, delta_t, n_max)
+    # the span's one check, in checked steps; metadata and grid take checked values
+    params = EvolverParams(delta_t=delta_t, n_max=n_max)
+    params = replace(params, n_steps=step_count(t_fin - state.time, params.delta_t, "t_fin - t_init"))
+    spec, h = WindowSpec(l=l), build_hloc(l, config.delta)
+    l, delta_t, n_max = spec.l, params.delta_t, params.n_max
     master_seed = check_seed(master_seed)
-    n_points = run.params.n_steps + 1
+    n_points = params.n_steps + 1
     if abs(config.delta) > 1.0:
         warnings.warn(
             "no spin-wave velocity at |delta| > 1; the window horizon is unknown",
@@ -405,9 +368,11 @@ def run_mc(
                 f"horizon l/v = {horizon:.4f}; late grid points are unreliable",
                 stacklevel=2,
             )
-    split = semistochastic_split(state, run.spec, p_star)
-    values, s_values, s_norms = _two_rounds(run, split, master_seed, n_samples, n_workers)
-    spectrum = boundary_spectrum(state, run.spec)
+    split = semistochastic_split(state, spec, p_star)
+    values, s_values, s_norms = _two_rounds(
+        state, spec, h, params, split, master_seed, n_samples, n_workers
+    )
+    spectrum = boundary_spectrum(state, spec)
     z = float(spectrum.weights.sum())
     ratio = split.tail_weight / z
     s_weights = np.array(

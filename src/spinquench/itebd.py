@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int, step_count
+from .errors import ConfigError, check_int, check_real, step_count
 from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
 from .threads import helper_threads
 
@@ -66,7 +66,7 @@ SHIFT_B = (1, 0)
 
 @dataclass(frozen=True)
 class QuenchConfig:
-    """Parameters of a quench run."""
+    """Parameters of a quench run, kept as the Python numbers checked."""
 
     delta: float = 0.5
     dt: float = 0.0625
@@ -74,11 +74,13 @@ class QuenchConfig:
     t_init: float = 0.0
 
     def __post_init__(self):
+        for name in ("delta", "dt", "t_init"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+        object.__setattr__(self, "k_max", check_int(self.k_max, "k_max", 2))
         if not math.isfinite(self.delta):
             raise ConfigError("delta must be finite")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        check_int(self.k_max, "k_max", 2)
         if self.t_init < 0.0:
             raise ConfigError("t_init must be >= 0")
         step_count(self.t_init, self.dt, "t_init")

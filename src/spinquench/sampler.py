@@ -34,8 +34,9 @@ rounding of its conditional. Samples are walked in contiguous chunks
 whose node rows fit in WALK_MEMO_BYTES; the chunks depend on the state
 and the sample count, never on the worker count of a run. The walk
 returns each sample's boundary pair as an int row (q_alpha, i_alpha,
-q_beta, i_beta), and a pair is such a row everywhere: through dedup
-and stacking to the assembler, and as the one-pair view's argument.
+q_beta, i_beta), and a pair is such a row everywhere: through dedup to
+the assembler, which takes one (m, 4) table of them, and as the
+one-pair view's argument.
 
 The window state for a sampled (alpha, beta) pair is assembled by
 meeting in the middle: all 2^(l+1) left partial products over sites
@@ -47,12 +48,15 @@ exactly the amplitudes of the window's total-Sz sector. This costs
 O(2^l k^2) + O(D k) flops for a sector of dimension D, never the naive
 O(2^(2l) k^2).
 
-Round two assembles whole stacks of pair rows at once
-(assemble_window_stacks) on a batch axis. The left partials depend on
-alpha alone and the right ones on beta alone, and every boundary state
-of one charge has partials of the same codes and shapes. So the distinct alphas of a batch of
-pairs are grouped by charge and grown together as one (states, rows,
-k) array, one np.matmul per charge, spin and level; likewise the betas.
+Round two hands the assembler (assemble_window_stacks) one table of
+pair rows; sector_stacks, the one stacking rule, cuts it into
+per-sector stacks within WALK_MEMO_BYTES, and each stack is yielded
+with its rows' ids and assembled on a batch axis. The left partials
+depend on alpha alone and the right ones on beta alone, and every
+boundary state of one charge has partials of the same codes and
+shapes. So the distinct alphas of a batch of pairs are grouped by
+charge and grown together as one (states, rows, k) array, one
+np.matmul per charge, spin and level; likewise the betas.
 Inside a stack, the pairs of one (q_alpha, q_beta) meet in one np.matmul
 per central-bond charge over their gathered (pairs, rows, k) partials.
 A batched np.matmul makes one product per slice of the batch axis, the
@@ -62,7 +66,7 @@ assembled beside it, on how pairs are batched or on the stack they sit
 in. Folding the batch axis into the rows of one 2-D product would
 change them. Batches are consecutive runs of pairs whose partials fit
 in WALK_MEMO_BYTES. Every window state is a stack, and
-assemble_window_state assembles one pair row as a stack of one.
+assemble_window_state assembles one pair row as a table of one.
 
 The semistochastic split (semistochastic_split) sums the heaviest
 pairs exactly and leaves the walk only the rest. S = A x B, where A
@@ -137,7 +141,7 @@ class WindowSpec:
     l: int
 
     def __post_init__(self):
-        check_half_width(self.l)
+        object.__setattr__(self, "l", check_half_width(self.l))
 
 
 def site_tensors(state: MPSState, site: int):
@@ -588,16 +592,16 @@ def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool)
     return out
 
 
-def pair_sector(spec: WindowSpec, alpha, beta):
+def pair_sector(spec: WindowSpec, pairs):
     """Up-spin count of every window configuration a boundary pair reaches.
 
-    alpha and beta are (charge, index) pairs, or arrays of them along
-    the last axis, which give an array of counts. Crossing an A site
-    (even) shifts the bond charge by bit - 1 and a B site by bit, so
-    n_up = q_beta - q_alpha + (number of A sites).
+    pairs is a (q_alpha, i_alpha, q_beta, i_beta) row, or an array of
+    them along the last axis, which gives an array of counts. Crossing
+    an A site (even) shifts the bond charge by bit - 1 and a B site by
+    bit, so n_up = q_beta - q_alpha + (number of A sites).
     """
     n_a = sum(1 for s in range(-spec.l, spec.l + 1) if s % 2 == 0)
-    return np.asarray(beta)[..., 0] - np.asarray(alpha)[..., 0] + n_a
+    return np.asarray(pairs)[..., 2] - np.asarray(pairs)[..., 0] + n_a
 
 
 def _partial_batches(state: MPSState, spec: WindowSpec, pairs: np.ndarray):
@@ -634,8 +638,9 @@ def _pair_name(pair) -> str:
     return f"boundary pair {(qa, ia)}, {(qb, ib)}"
 
 
-def _sector_positions(spec: WindowSpec, n_up: int, left_codes, right_codes, pair):
-    """Sector-basis positions of the configurations two partials' codes meet in."""
+def _sector_positions(spec: WindowSpec, left_codes, right_codes, pair):
+    """Sector-basis positions of the configurations a pair's partials' codes meet in."""
+    n_up = int(pair_sector(spec, pair))
     basis = _sector_basis(2 * spec.l + 1, n_up)
     codes = ((left_codes[:, None] << spec.l) | right_codes[None, :]).ravel()
     pos = np.searchsorted(basis, codes)
@@ -644,12 +649,33 @@ def _sector_positions(spec: WindowSpec, n_up: int, left_codes, right_codes, pair
     return pos
 
 
-def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positions):
+def sector_stacks(spec: WindowSpec, pairs: np.ndarray) -> list:
+    """The ids of a pair table's rows as per-sector stacks, sectors ascending.
+
+    pairs holds (q_alpha, i_alpha, q_beta, i_beta) rows. A stack keeps
+    its sector's rows in table order and holds at most WALK_MEMO_BYTES
+    of complex128 amplitudes, and at least one row. A row whose sector
+    lies outside 0..2l+1 raises ConfigError.
+    """
+    n_sites, sectors = 2 * spec.l + 1, pair_sector(spec, pairs)
+    bad = np.flatnonzero((sectors < 0) | (sectors > n_sites))
+    if bad.size:
+        raise ConfigError(f"{_pair_name(pairs[bad[0]])} reaches no sector of the window")
+    stacks = []
+    for n_up in np.unique(sectors).tolist():
+        group = np.flatnonzero(sectors == n_up)
+        height = max(1, WALK_MEMO_BYTES // (16 * math.comb(n_sites, n_up)))
+        stacks.extend(group[lo:lo + height] for lo in range(0, group.size, height))
+    return stacks
+
+
+def _meet_batch(state: MPSState, spec: WindowSpec, batch, begun, positions):
     """Write the raw amplitudes of a batch of pairs into the rows of their stacks.
 
     batch holds one (stack, row, q_alpha, i_alpha, q_beta, i_beta) row
     per pair; begun(j) returns stack j's amplitudes, and positions keeps
-    the sector positions of each (n_up, q_alpha, q_beta, central charge).
+    the sector positions of each (q_alpha, q_beta, central charge), which
+    fix the sector.
     """
     a_first, a_at = distinct_rows(batch[:, 2:4])
     b_first, b_at = distinct_rows(batch[:, 4:6])
@@ -661,15 +687,13 @@ def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positio
     firsts, group = distinct_rows(batch[:, [0, 2, 4]])
     for g, (j, qa, qb) in enumerate(batch[firsts][:, [0, 2, 4]].tolist()):
         mine = np.flatnonzero(group == g)
-        n_up, pairs = stacks[j]
         for q, (cl, lmat) in lefts[qa].items():
             if q not in rights[qb]:
                 continue
             cr, rmat = rights[qb][q]
-            if (n_up, qa, qb, q) not in positions:
-                pair = pairs[batch[mine[0], 1]]
-                positions[n_up, qa, qb, q] = _sector_positions(spec, n_up, cl, cr, pair)
-            pos = positions[n_up, qa, qb, q]
+            if (qa, qb, q) not in positions:
+                positions[qa, qb, q] = _sector_positions(spec, cl, cr, batch[mine[0], 2:])
+            pos = positions[qa, qb, q]
             # the gathered slabs are partials too, so they keep the budget
             step = max(1, WALK_MEMO_BYTES // (lmat[0].nbytes + rmat[0].nbytes))
             for at in range(0, mine.size, step):
@@ -678,13 +702,13 @@ def _meet_batch(state: MPSState, spec: WindowSpec, stacks, batch, begun, positio
                 begun(j)[batch[part, 1][:, None], pos] = meet.reshape(part.size, -1)
 
 
-def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
-    """Yield (normalized window states, raw squared norms) of (n_up, pairs) stacks.
+def assemble_window_stacks(state: MPSState, spec: WindowSpec, pairs: np.ndarray):
+    """Yield (ids, normalized window states, raw squared norms) of a pair table.
 
     pairs is an (m, 4) int array of (q_alpha, i_alpha, q_beta, i_beta)
-    rows, as sample_spins_and_beta returns them, all reaching the
-    stack's n_up-up-spin sector; each stack is yielded, one at a time,
-    as a WindowState of one amplitude row per pair, in order, with the
+    rows, as sample_spins_and_beta returns them; each stack of
+    sector_stacks is yielded, one at a time, with ids, its rows' indices
+    into pairs, as a WindowState of one amplitude row per id, with the
     squared norm of each raw row: lambda_alpha^2 times it is the pair's
     weight p(alpha, beta).
     Every amplitude is the inner product of a left partial product of
@@ -700,36 +724,38 @@ def assemble_window_stacks(state: MPSState, spec: WindowSpec, stacks):
     its last pair is assembled.
     """
     n_sites = 2 * spec.l + 1
-    heights = [len(pairs) for _n_up, pairs in stacks]
+    stacks = sector_stacks(spec, pairs)
+    if not stacks:
+        return
+    n_ups = [int(pair_sector(spec, pairs[at[0]])) for at in stacks]
     rows = np.column_stack([
-        np.repeat(np.arange(len(stacks)), heights),
-        np.concatenate([np.arange(h) for h in heights]),
-        np.concatenate([pairs for _n_up, pairs in stacks]),
+        np.repeat(np.arange(len(stacks)), [at.size for at in stacks]),
+        np.concatenate([np.arange(at.size) for at in stacks]),
+        pairs[np.concatenate(stacks)],
     ])
     amps = [None] * len(stacks)
 
     def begun(j):
         """The amplitudes of stack j, zero until its pairs are met."""
         if amps[j] is None:
-            n_up, pairs = stacks[j]
-            amps[j] = np.zeros((len(pairs), _sector_basis(n_sites, n_up).size), dtype=complex)
+            dim = _sector_basis(n_sites, n_ups[j]).size
+            amps[j] = np.zeros((stacks[j].size, dim), dtype=complex)
         return amps[j]
 
     positions = {}
     lo = ready = 0
     for hi in _partial_batches(state, spec, rows[:, 2:]):
-        _meet_batch(state, spec, stacks, rows[lo:hi], begun, positions)
+        _meet_batch(state, spec, rows[lo:hi], begun, positions)
         lo = hi
         done = rows[hi, 0] if hi < rows.shape[0] else len(stacks)
         for j in range(ready, done):
-            n_up, pairs = stacks[j]
-            norms = np.empty(len(pairs))
-            for r, (pair, row) in enumerate(zip(pairs, begun(j))):
+            norms = np.empty(stacks[j].size)
+            for r, (pair, row) in enumerate(zip(pairs[stacks[j]], begun(j))):
                 norms[r] = float(np.vdot(row, row).real)
                 if not norms[r] > 0.0:
                     raise SamplingError(f"window state of {_pair_name(pair)} has zero norm")
                 row /= math.sqrt(norms[r])
-            yield WindowState(amps[j], n_sites, n_up), norms
+            yield stacks[j], WindowState(amps[j], n_sites, n_ups[j]), norms
             amps[j] = None
         ready = done
 
@@ -738,14 +764,12 @@ def assemble_window_state(state: MPSState, spec: WindowSpec, pair) -> WindowStat
     """The normalized window state of one (q_alpha, i_alpha, q_beta, i_beta) row.
 
     The one-row view of assemble_window_stacks: the pair alone, as a
-    stack of one in its own sector, so a pair assembles to the same bits
-    on its own as in any stack. A row that is not four integers raises
-    ConfigError.
+    table of one row, so a pair assembles to the same bits on its own as
+    in any stack. A row that is not four integers, or that reaches no
+    sector of the window, raises ConfigError.
     """
     row = np.asarray(pair)
     if row.shape != (4,) or row.dtype.kind not in "iu":
         raise ConfigError(f"a boundary pair is a row of four integers, got {pair!r}")
-    row = row.astype(np.int64)
-    n_up = int(pair_sector(spec, row[:2], row[2:]))
-    ((psi, _norms),) = assemble_window_stacks(state, spec, [(n_up, row[None, :])])
+    ((_ids, psi, _norms),) = assemble_window_stacks(state, spec, row.astype(np.int64)[None, :])
     return psi

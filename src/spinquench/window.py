@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NormDriftError, check_int
+from .errors import ConfigError, NormDriftError, check_int, check_real
 
 #: Most bytes building the largest sector Hamiltonian of a window may
 #: take, by sector_bytes' estimate; it sets the half-width bound L_MAX.
@@ -81,24 +81,25 @@ def sector_bytes(l: int) -> int:
 L_MAX = max(l for l in range(1, 32) if sector_bytes(l) <= SECTOR_BYTES_MAX)
 
 
-def check_half_width(l: int) -> None:
-    """ConfigError unless l is an integer, 1 <= l <= L_MAX; allocates nothing."""
-    check_int(l, "l", 1)
+def check_half_width(l: int) -> int:
+    """l as an int if it is an integer, 1 <= l <= L_MAX, else ConfigError; allocates nothing."""
+    l = check_int(l, "l", 1)
     if l > L_MAX:
         raise ConfigError(
             f"l must be <= {L_MAX}, got {l}: the largest sector Hamiltonian "
             f"of l = {L_MAX + 1} needs an estimated {sector_bytes(L_MAX + 1) / 2**30:.1f} "
             f"GiB, over the {SECTOR_BYTES_MAX / 2**30:.0f} GiB bound"
         )
+    return l
 
 
 #: Lowest Taylor order a window step may be cut at.
 N_MAX_MIN = 4
 
 
-def check_taylor_order(n_max: int) -> None:
-    """ConfigError unless the Taylor series runs to an integer order N_MAX_MIN or more."""
-    check_int(n_max, "n_max", N_MAX_MIN)
+def check_taylor_order(n_max: int) -> int:
+    """n_max as an int if it is an integer order N_MAX_MIN or more, else ConfigError."""
+    return check_int(n_max, "n_max", N_MAX_MIN)
 
 
 #: Pre-renormalization norm drift above which a Taylor step is rejected.
@@ -134,17 +135,18 @@ class WindowState:
 
 @dataclass(frozen=True)
 class EvolverParams:
-    """Window propagation controls: n_steps steps of delta_t, Taylor order n_max."""
+    """n_steps steps of delta_t at Taylor order n_max, kept as the Python numbers checked."""
 
     delta_t: float = 1.0 / 3.0
     n_max: int = 20
     n_steps: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "delta_t", check_real(self.delta_t, "delta_t"))
         if not (self.delta_t > 0.0 and math.isfinite(self.delta_t)):
             raise ConfigError(f"delta_t must be positive, got {self.delta_t}")
-        check_taylor_order(self.n_max)
-        check_int(self.n_steps, "n_steps", 0)
+        object.__setattr__(self, "n_max", check_taylor_order(self.n_max))
+        object.__setattr__(self, "n_steps", check_int(self.n_steps, "n_steps", 0))
 
 
 @functools.cache
@@ -242,10 +244,9 @@ class SparseWindowHamiltonian:
     """Window Hamiltonian with lazily built per-sector sparse blocks."""
 
     def __init__(self, l: int, delta: float):
-        check_half_width(l)
+        self.l = check_half_width(l)
         if not math.isfinite(delta):
             raise ConfigError("delta must be finite")
-        self.l = int(l)
         self.delta = float(delta)
         self.n_sites = 2 * self.l + 1
         self._sectors: dict = {}

@@ -44,7 +44,6 @@ from spinquench.sampler import (
     _root_groups,
     assemble_window_stacks,
     boundary_spectrum,
-    pair_sector,
     site_tensors,
 )
 from spinquench.window import WindowState, _sector_basis, _site_bits
@@ -371,9 +370,9 @@ def enumerate_boundary_pairs(state, spec):
     """Yield (alpha, beta, weight, WindowState stack of one) over all boundary pairs.
 
     Every left x right boundary pair whose partials share a central-bond
-    charge is assembled by the package's stack assembler, one stack per
-    sector; the weight is lambda_alpha^2 times the raw squared norm the
-    assembler returns. Summed over all pairs the weights give the norm
+    charge is assembled by one call of the package's stack assembler, in
+    the stacks a run makes; the weight is lambda_alpha^2 times the raw
+    squared norm the assembler returns. Summed over all pairs the weights give the norm
     of the chain state, i.e. one up to truncation residue. Pairs come in
     ascending (alpha, beta). The right boundary states are those of the
     bond right of site l. Exhaustive, so only sensible at small l and
@@ -392,13 +391,11 @@ def enumerate_boundary_pairs(state, spec):
         if left_reach[qa] & right_reach[qb]
         for ib in range(d_b)
     ], dtype=np.int64).reshape(-1, 4)
-    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
-    n_ups = np.unique(sectors).tolist()
-    stacks = [(n_up, pairs[sectors == n_up]) for n_up in n_ups]
     assembled = [None] * len(pairs)
-    for n_up, (psi, norms) in zip(n_ups, assemble_window_stacks(state, spec, stacks)):
-        for j, r in enumerate(np.flatnonzero(sectors == n_up).tolist()):
-            assembled[r] = WindowState(psi.amplitudes[j:j + 1], psi.n_sites, n_up), float(norms[j])
+    for ids, psi, norms in assemble_window_stacks(state, spec, pairs):
+        for j, r in enumerate(ids.tolist()):
+            one = WindowState(psi.amplitudes[j:j + 1], psi.n_sites, psi.total_sz_sector)
+            assembled[r] = one, float(norms[j])
     for (qa, ia, qb, ib), (psi, norm2) in zip(pairs.tolist(), assembled):
         lam = spectrum.blocks[qa][ia]
         yield (qa, ia), (qb, ib), float(lam * lam) * norm2, psi

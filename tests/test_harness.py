@@ -227,10 +227,10 @@ def test_run_mc_evolves_each_pair_once_per_run(
         harness.assemble_window_stacks, harness.evolve_and_measure, harness._two_rounds
     )
 
-    def counted_assemble(state, spec, stacks):
+    def counted_assemble(state, spec, pairs):
         # every row the stack assembler is given, in every share
-        assembled.extend(tuple(p) for _n_up, pairs in stacks for p in pairs.tolist())
-        return assemble(state, spec, stacks)
+        assembled.extend(map(tuple, pairs.tolist()))
+        return assemble(state, spec, pairs)
 
     def counted_evolve(psi, *args, **kwargs):
         propagated.append(psi.amplitudes.shape[0])
@@ -346,7 +346,7 @@ def test_run_mc_below_share_work_deals_no_shares(
     # orders times grid steps, and shares are dealt from SHARE_WORK up
     pairs, _rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, 60)
     spec = WindowSpec(l=2)
-    work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p[:2], p[2:])) for p in set(pairs))
+    work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p)) for p in set(pairs))
     monkeypatch.setattr(harness, "SHARE_WORK", work + 1)
     run_mc(n_workers=3, **kw)
     assert dealt_shares == []
@@ -442,9 +442,10 @@ def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, m
     assemble, split, walk = harness.assemble_window_stacks, sampler._partial_batches, sampler._walk_chunk
     stacks, batches, chunks = [], [], []
 
-    def counted_assemble(state, spec, share):
-        stacks.extend((n_up, len(pairs)) for n_up, pairs in share)
-        return assemble(state, spec, share)
+    def counted_assemble(state, spec, pairs):
+        for ids, psi, norms in assemble(state, spec, pairs):
+            stacks.append((psi.total_sz_sector, len(ids)))
+            yield ids, psi, norms
 
     def counted_split(state, spec, pairs):
         ends = split(state, spec, pairs)
@@ -570,6 +571,26 @@ def test_run_mc_validation(short_run):
     ):
         with pytest.raises(ConfigError, match="^(seed|n_samples|n_workers|l|n_max) must be"):
             run_mc(t_fin=2.0, **{**common, "l": 2, "n_workers": 1, name: bad})
+    for name, bad in (("delta_t", 0.0), ("delta_t", "0.25"), ("t_fin", "2.0")):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            run_mc(**{**common, "l": 2, "t_fin": 2.0, "n_workers": 1, name: bad})
+
+
+@pytest.mark.parametrize("p_star", [math.inf, 0.01])
+def test_run_mc_writes_numpy_settings_as_python_numbers(short_run, tmp_path, p_star):
+    # every setting is written as the Python number its check returned,
+    # so numpy-typed settings write the bytes of the Python-typed run
+    plain = dict(l=2, t_fin=2.0, delta_t=0.25, n_max=20, n_samples=50, master_seed=3,
+                 n_workers=1, p_star=float(np.float32(p_star)))
+    typed = dict(l=np.int64(2), t_fin=np.float32(2.0), delta_t=np.float32(0.25), n_max=np.int64(20),
+                 n_samples=np.int32(50), master_seed=np.uint64(3), n_workers=np.int64(1),
+                 p_star=np.float32(p_star))
+    outs = [tmp_path / "plain.csv", tmp_path / "typed.csv"]
+    for kw, out in zip((plain, typed), outs):
+        run_mc(checkpoint=short_run["checkpoint"], out=out, **kw)
+    meta, _cols = read_table(outs[1])
+    assert ("p_star" in meta) == (p_star < 1.0)  # S is nonempty at 0.01
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_run_mc_warns_outside_horizon(short_run):

@@ -22,6 +22,7 @@ from spinquench import graded, itebd, threads
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.errors import ConfigError, SvdError
 from spinquench.graded import SchmidtSpectrum
+from spinquench.harness import run_itebd
 from spinquench.itebd import (
     DN,
     UP,
@@ -78,9 +79,23 @@ def test_first_update_hand_oracle():
     assert right_normalization_deviation(new) < 1e-13
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         QuenchConfig(dt=0.0)
+    for name, bad in (("delta", "0.5"), ("dt", True), ("t_init", None)):
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            QuenchConfig(**{name: bad})
+    # numpy scalars are kept as the Python numbers they were checked as,
+    # so the run writes the bytes of the Python-typed one
+    typed = QuenchConfig(delta=np.float32(0.5), dt=np.float32(0.0625), k_max=np.int64(8),
+                         t_init=np.float64(0.125))
+    plain = QuenchConfig(delta=0.5, dt=0.0625, k_max=8, t_init=0.125)
+    assert typed == plain
+    assert [type(getattr(typed, f.name)) for f in dataclasses.fields(typed)] == [float, float, int, float]
+    for name, config in (("typed", typed), ("plain", plain)):
+        run_itebd(config, tmp_path / f"{name}.mpsc1", tmp_path / f"{name}.csv")
+    for suffix in ("mpsc1", "csv"):
+        assert (tmp_path / f"typed.{suffix}").read_bytes() == (tmp_path / f"plain.{suffix}").read_bytes()
     with pytest.raises(ConfigError):
         QuenchConfig(k_max=1)
     for k_max in (3.0, 128.5, True):  # a bond dimension is an integer

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -64,7 +66,7 @@ def test_window_weight_matches_assembled_state(quench_state):
         # sampling path assembles
         lam = spectrum.blocks[alpha[0]][alpha[1]]
         raw = dense_window_amplitudes(quench_state, spec, alpha, beta)
-        assert pair_sector(spec, alpha, beta) == psi.total_sz_sector
+        assert pair_sector(spec, (*alpha, *beta)) == psi.total_sz_sector
         assert weight == pytest.approx(lam * lam * np.vdot(raw, raw).real, rel=1e-12)
         psi2 = assemble_window_state(quench_state, spec, (*alpha, *beta))
         assert psi2.amplitudes.shape == psi.amplitudes.shape == (1, psi.basis.size)
@@ -266,15 +268,61 @@ def test_walk_memo_belongs_to_one_state_and_window(quench_state):
     assert none.shape == (0, 4) and none.dtype == np.int64
 
 
-def _sector_stacks(spec, pairs, height):
-    """The pair rows as (n_up, rows) stacks of at most height rows, sector by sector."""
-    sectors = pair_sector(spec, pairs[:, :2], pairs[:, 2:])
-    return [
-        (n_up, group[lo:lo + height])
-        for n_up in dict.fromkeys(sectors.tolist())
-        for group in [pairs[sectors == n_up]]
-        for lo in range(0, len(group), height)
-    ]
+def _rows_by_id(stacks):
+    """{id: amplitude row} of the (ids, WindowState, norms) stacks the assembler yields."""
+    return {i: row for ids, psi, _norms in stacks for i, row in zip(ids.tolist(), psi.amplitudes)}
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 10, 1 << 14, None])
+def test_sector_stacks_cut_each_sector_in_table_order(k128_state, monkeypatch, budget):
+    # every row is in exactly one stack; a stack is one sector, the
+    # sectors ascend, a sector's rows keep the table's order, and a stack
+    # holds at most the budget (None: the default) of complex128
+    # amplitudes, or one row
+    if budget is not None:
+        monkeypatch.setattr(sampler, "WALK_MEMO_BYTES", budget)
+    budget = sampler.WALK_MEMO_BYTES
+    spec = WindowSpec(l=3)
+    pairs = _distinct(_draws(k128_state, spec, _uniforms(9, range(300), 3)))
+    stacks = sampler.sector_stacks(spec, pairs)
+    assert np.array_equal(np.sort(np.concatenate(stacks)), np.arange(len(pairs)))
+    sectors = pair_sector(spec, pairs)
+    n_ups = []
+    for at in stacks:
+        assert at.size >= 1 and np.unique(sectors[at]).size == 1
+        n_ups.append(int(sectors[at[0]]))
+        assert at.size == 1 or at.size * 16 * math.comb(2 * spec.l + 1, n_ups[-1]) <= budget
+    assert n_ups == sorted(n_ups)
+    for n_up in set(n_ups):
+        rows = np.concatenate([at for at in stacks if sectors[at[0]] == n_up])
+        assert np.array_equal(rows, np.flatnonzero(sectors == n_up))
+    if budget > 1 << 14:
+        assert len(set(n_ups)) == len(n_ups)  # each sector is one stack
+    if budget == 1 << 10:
+        assert len(set(n_ups)) < len(n_ups)  # some sector spans several stacks
+    if budget == 0:
+        assert len(stacks) == len(pairs)
+    # the assembler yields those stacks, so every row once
+    got = [ids for ids, _psi, _norms in assemble_window_stacks(k128_state, spec, pairs)]
+    assert [ids.tolist() for ids in got] == [at.tolist() for at in stacks]
+
+
+def test_empty_pair_table_has_no_stacks(quench_state):
+    spec = WindowSpec(l=2)
+    empty = np.empty((0, 4), dtype=np.int64)
+    assert sampler.sector_stacks(spec, empty) == []
+    assert list(assemble_window_stacks(quench_state, spec, empty)) == []
+
+
+def test_pair_outside_the_window_sectors_rejected(quench_state):
+    # a row whose sector is not one of 0..2l+1 has no stack height
+    spec = WindowSpec(l=2)
+    n_a = 3  # A sites (even) among -2..2
+    for n_up in (-1, 2 * spec.l + 2):
+        pair = np.array([[0, 0, n_up - n_a, 0]], dtype=np.int64)
+        assert pair_sector(spec, pair) == n_up
+        with pytest.raises(ConfigError, match="no sector"):
+            sampler.sector_stacks(spec, pair)
 
 
 #: (state fixture, l, budget, uniforms seed, samples, stack height) of
@@ -297,9 +345,11 @@ def test_cached_assembly_matches_cache_free_assembly(
 ):
     # pairs assembled in stacks, whose boundary states' partials are
     # built once per batch and grown on a batch axis, are bit for bit
-    # the pairs assembled each on its own: in one batch; when the store
-    # starts over once in the middle of a stack and a 1-byte budget
-    # meets each pair on its own; and with no budget (one pair per batch)
+    # the pairs assembled each on its own and in sector_stacks' own
+    # stacks when sector_stacks is cut to stacks of at most height rows:
+    # in one batch; when the store starts over once in the middle of a
+    # stack and a 1-byte budget meets each pair on its own; and with no
+    # budget (one pair per batch)
     state = request.getfixturevalue(name)
     spec = WindowSpec(l=l)
     if clearing != "kept":
@@ -317,15 +367,23 @@ def test_cached_assembly_matches_cache_free_assembly(
     pairs = _distinct(_draws(state, spec, _uniforms(seed, range(samples), l)))
     assert len(pairs) > (10 if samples == 400 else 5)
     assert len(_distinct(pairs[:, :2])) < len(pairs)  # pairs share boundary states
-    stacks = _sector_stacks(spec, pairs, height)
-    got = [psi for psi, _norms in assemble_window_stacks(state, spec, stacks)]
-    assert len(got) == len(stacks)
-    for (n_up, stack), psi in zip(stacks, got):
-        assert psi.total_sz_sector == n_up
-        assert psi.amplitudes.shape[0] == len(stack)
-        for pair, row in zip(stack, psi.amplitudes):
+    default = sampler.sector_stacks
+    want = _rows_by_id(assemble_window_stacks(state, spec, pairs))
+
+    def short_stacks(spec, pairs):
+        return [at[lo:lo + height] for at in default(spec, pairs) for lo in range(0, at.size, height)]
+
+    monkeypatch.setattr(sampler, "sector_stacks", short_stacks)
+    got = list(assemble_window_stacks(state, spec, pairs))
+    assert [ids.tolist() for ids, _psi, _norms in got] == [at.tolist() for at in short_stacks(spec, pairs)]
+    have = _rows_by_id(got)
+    assert sorted(have) == sorted(want) == list(range(len(pairs)))
+    assert all(np.array_equal(have[i], want[i]) for i in want)
+    for ids, psi, _norms in got:
+        assert psi.amplitudes.shape[0] == len(ids)
+        for pair, row in zip(pairs[ids], psi.amplitudes):
             alone = assemble_window_state(state, spec, pair)
-            assert alone.total_sz_sector == n_up
+            assert alone.total_sz_sector == psi.total_sz_sector == pair_sector(spec, pair)
             assert np.array_equal(row, alone.amplitudes[0]), (pair, l)
     expected = {"kept": 1, "cleared-once": 2, "no-budget": len(pairs)}[clearing]
     assert len(batches[0]) == expected

@@ -31,7 +31,6 @@ from spinquench.sampler import (
     WindowSpec,
     assemble_window_stacks,
     canonical_residuals,
-    pair_sector,
     sample_alpha,
     sample_spins_and_beta,
     semistochastic_split,
@@ -74,14 +73,13 @@ def _in_s(split, alpha, beta):
 
 
 def _s_weights(state, spec, split):
-    """(pair weights, <Sz_0>) of S's rows from the stack assembler."""
+    """(pair weights, <Sz_0>) of S's rows, in order, from one stack assembler call."""
     lam = harness.boundary_spectrum(state, spec)
-    stacks = [(int(pair_sector(spec, p[:2], p[2:])), p[None, :]) for p in split.pairs]
-    weights, values = [], []
-    for (psi, norms), pair in zip(assemble_window_stacks(state, spec, stacks), split.pairs):
-        weights.append(float(lam.blocks[pair[0]][pair[1]] ** 2 * norms[0]))
-        values.append(float(sz_center(psi)[0]))
-    return np.array(weights), np.array(values)
+    weights, values = np.empty(len(split.pairs)), np.empty(len(split.pairs))
+    for ids, psi, norms in assemble_window_stacks(state, spec, split.pairs):
+        weights[ids] = [lam.blocks[qa][ia] ** 2 for qa, ia in split.pairs[ids, :2].tolist()] * norms
+        values[ids] = sz_center(psi)
+    return weights, values
 
 
 @pytest.mark.parametrize("name,l,p_star", CASES)

@@ -314,6 +314,10 @@ def test_evolver_params_reject_negative_step_count():
     for bad in (1.5, 2.0, True):
         with pytest.raises(ConfigError, match="n_steps must be an integer"):
             EvolverParams(1.0 / 3.0, 20, bad)
+    # numpy scalars are kept as the Python numbers they were checked as
+    typed = EvolverParams(np.float32(0.25), np.int64(20), np.uint8(3))
+    assert typed == EvolverParams(0.25, 20, 3)
+    assert [type(v) for v in (typed.delta_t, typed.n_max, typed.n_steps)] == [float, int, int]
 
 
 def test_two_site_chain_is_analytic():
@@ -363,6 +367,7 @@ def test_window_size_limits():
         build_hloc(0, 0.5)
     with pytest.raises(ConfigError):
         build_hloc(L_MAX + 1, 0.5)
+    assert type(WindowSpec(l=np.int64(3)).l) is int and build_hloc(np.int8(3), 0.5).l == 3
     for l in (2.0, 2.5, True):  # a half-width is an integer
         for build in (lambda: WindowSpec(l=l), lambda: build_hloc(l, 0.5)):
             with pytest.raises(ConfigError, match="l must be an integer"):
