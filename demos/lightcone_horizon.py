@@ -5,12 +5,18 @@ the true dynamics until information from outside crosses the boundary,
 roughly at t_init + l / v_sw. Past that the window curve drifts away;
 the deviation collapses quickly as l grows. Expect a warning from the
 l=1 and l=2 runs, which is the harness pointing at exactly this.
+
+    python demos/lightcone_horizon.py [OUT_DIR]
+
+The files are written to a temporary directory that is removed on
+exit; given OUT_DIR, they are written and kept there, with a plot where
+matplotlib is installed.
 """
 
+import contextlib
 import pathlib
+import sys
 import tempfile
-
-import numpy as np
 
 from spinquench import QuenchConfig, read_table, run_itebd, run_mc, spin_wave_velocity
 
@@ -19,8 +25,18 @@ T_INIT = 1.0
 T_FINAL = 3.0
 
 
-def main():
-    work = pathlib.Path(tempfile.mkdtemp(prefix="lightcone_horizon_"))
+def main(out=None):
+    with contextlib.nullcontext(out) if out else tempfile.TemporaryDirectory() as work:
+        work = pathlib.Path(work)
+        work.mkdir(parents=True, exist_ok=True)
+        reference, curves = run(work)
+        if out:
+            print(f"artifacts kept under {work}")
+            plot(work, reference, curves)
+
+
+def run(work):
+    """The direct curve and windows l = 1..4 in work: ({t: direct sz0}, {l: curve})."""
     v = spin_wave_velocity(DELTA)
     print(f"spin-wave velocity at delta={DELTA}: {v:.4f}")
 
@@ -61,7 +77,11 @@ def main():
             dev = abs(by_time[t] - reference[t])
             cells.append(f"{dev:11.1e}" + ("|" if t > horizon else " "))
         print(f"l={l} (t<{horizon:4.2f})" + "".join(cells))
+    return reference, curves
 
+
+def plot(work, reference, curves):
+    v = spin_wave_velocity(DELTA)
     try:
         import matplotlib
 
@@ -84,4 +104,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 2:
+        sys.exit(f"usage: {sys.argv[0]} [OUT_DIR]")
+    main(sys.argv[1] if len(sys.argv) == 2 else None)

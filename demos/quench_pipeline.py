@@ -3,12 +3,18 @@
 Phase 1 evolves the infinite chain to t=1 and writes a checkpoint.
 Phase 2 samples finite windows from the checkpoint, continues them to
 t=2, and compares the Monte Carlo curve against the direct evolution.
+
+    python demos/quench_pipeline.py [OUT_DIR]
+
+The files are written to a temporary directory that is removed on
+exit; given OUT_DIR, they are written and kept there, with a plot where
+matplotlib is installed.
 """
 
+import contextlib
 import pathlib
+import sys
 import tempfile
-
-import numpy as np
 
 from spinquench import QuenchConfig, read_table, run_itebd, run_mc
 
@@ -21,10 +27,18 @@ WINDOW_L = 4  # smaller windows drift at this precision; see lightcone_horizon.p
 N_SAMPLES = 2000
 
 
-def main():
-    work = pathlib.Path(tempfile.mkdtemp(prefix="quench_pipeline_"))
-    print(f"writing artifacts under {work}")
+def main(out=None):
+    with contextlib.nullcontext(out) if out else tempfile.TemporaryDirectory() as work:
+        work = pathlib.Path(work)
+        work.mkdir(parents=True, exist_ok=True)
+        reference, curve = run(work)
+        if out:
+            print(f"artifacts kept under {work}")
+            plot(work, reference, curve)
 
+
+def run(work):
+    """Both phases in work: ({t: direct sz0}, the Monte Carlo curve)."""
     config = QuenchConfig(delta=DELTA, dt=DT, k_max=K_MAX, t_init=T_CHECKPOINT)
     checkpoint = work / "t1.mpsc1"
     run_itebd(config, checkpoint, work / "phase1.csv")
@@ -54,7 +68,10 @@ def main():
         ref = reference[round(float(t), 10)]
         pull = abs(m - ref) / s if s > 0 else float("nan")
         print(f"{t:6.3f} {ref:10.6f} {m:12.6f} +- {s:8.2e} {pull:6.2f}")
+    return reference, curve
 
+
+def plot(work, reference, curve):
     try:
         import matplotlib
 
@@ -78,4 +95,6 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if len(sys.argv) > 2:
+        sys.exit(f"usage: {sys.argv[0]} [OUT_DIR]")
+    main(sys.argv[1] if len(sys.argv) == 2 else None)

@@ -13,7 +13,9 @@ The manifest records format_version, the quench parameters (delta, dt,
 k_max, t_init), and for each of the six tensors its charge shift, the
 real-only flag, and a sector table of (charge, rows, cols, byte offset
 into the payload). Loading verifies the checksum before any state is
-constructed, so a corrupt file never yields a partial state.
+constructed, so a corrupt file never yields a partial state. A loaded
+state's matrices and spectra are read-only views of the payload (the
+complex tensors come first, so every view is aligned).
 """
 
 from __future__ import annotations
@@ -165,6 +167,17 @@ def _check_bond_dims(tensors):
                 )
 
 
+def _spectrum(path, name, blocks):
+    """The spectrum of {charge: one-column block}, taken as it is once every
+    sector is finite, positive and non-increasing, as merged_truncate writes it."""
+    values = {q: blocks[q][:, 0] for q in sorted(blocks) if blocks[q].size}
+    for q, v in values.items():
+        if not (np.all(np.isfinite(v) & (v > 0.0)) and np.all(v[1:] <= v[:-1])):
+            raise CheckpointVersionError(
+                f"{path}: {name} sector {q} is not finite, positive and non-increasing")
+    return SchmidtSpectrum.from_sorted(values)
+
+
 def load_checkpoint(path):
     """Read an MPSC1 file; returns (MPSState, QuenchConfig).
 
@@ -174,7 +187,8 @@ def load_checkpoint(path):
     size or offset must also be nonnegative), an unknown tensor name, a
     charge shift other than the one the name implies, a real flag that
     does not fit the tensor, or a site block whose rows or columns do
-    not match the Schmidt values on its bonds. Raises
+    not match the Schmidt values on its bonds, or a Schmidt spectrum
+    sector that is not finite, positive and non-increasing. Raises
     CheckpointChecksumError on CRC mismatch and CheckpointTruncatedError
     when the file is shorter than declared.
     """
@@ -224,10 +238,7 @@ def load_checkpoint(path):
             .reshape(rows, cols)
             for q, rows, cols, off in sectors
         }
-        if real:
-            parsed[name] = SchmidtSpectrum({q: b[:, 0] for q, b in blocks.items()})
-        else:
-            parsed[name] = blocks
+        parsed[name] = _spectrum(path, name, blocks) if real else blocks
 
     missing = [n for n in _TENSORS if n not in parsed]
     if missing:
@@ -235,8 +246,8 @@ def load_checkpoint(path):
 
     config = QuenchConfig(**params)
     state = MPSState(
-        a_a=SiteTensor.from_spins(SHIFT_A, parsed["A_A_up"], parsed["A_A_dn"]),
-        a_b=SiteTensor.from_spins(SHIFT_B, parsed["A_B_up"], parsed["A_B_dn"]),
+        a_a=SiteTensor(SHIFT_A, parsed["A_A_up"], parsed["A_A_dn"]),
+        a_b=SiteTensor(SHIFT_B, parsed["A_B_up"], parsed["A_B_dn"]),
         lambda_a=parsed["lambda_A"],
         lambda_b=parsed["lambda_B"],
         time=params["t_init"],

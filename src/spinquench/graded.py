@@ -2,11 +2,12 @@
 
 Bond states carry an integer charge: the total spin to the left of the
 bond minus its value in the initial antiferromagnetic configuration,
-counted in units of single spin flips. Site tensors and Schmidt spectra
-over bond spaces are stored as one dense block per charge sector. A
-site matrix A(s) with charge shift d maps column sector q + d to row
-sector q, so each row sector pairs with exactly one column sector and
-blocked operations never touch entries forbidden by the selection rule.
+counted in units of single spin flips. A site tensor is stored once,
+as its two spin matrices, one dense matrix per spin and row charge, and
+a Schmidt spectrum as one vector per charge. A site matrix A(s) with
+charge shift d maps column sector q + d to row sector q, so each row
+sector pairs with exactly one column sector and blocked operations
+never touch entries forbidden by the selection rule.
 
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
@@ -39,44 +40,34 @@ THREAD_WORK = 20_000
 
 
 class SiteTensor:
-    """The (up, down) matrices of one site, one dense block per row charge.
+    """The (up, down) matrices of one site, one dense matrix per spin and row charge.
 
-    A(s) maps column sector q + shifts[s] to row sector q. blocks[q] is
-    [A(up) | A(down)] of row charge q, parts[q] their views (None for a
-    spin without columns), dims the hashable slot table (q, rows, up
-    columns, down columns). Instances are treated as immutable.
+    A(s) maps column sector q + shifts[s] to row sector q. parts[q] is
+    (A(up), A(down)) of row charge q, None for a spin without columns,
+    in ascending q; dims is the hashable slot table (q, rows, up
+    columns, down columns). The matrices are kept as given, not copied,
+    and instances are treated as immutable.
     """
 
-    __slots__ = ("shifts", "blocks", "parts", "dims")
+    __slots__ = ("shifts", "parts", "dims")
 
-    def __init__(self, shifts, blocks, split):
-        """Take complex blocks and their up widths as they are."""
-        self.shifts, self.blocks, self.parts = tuple(shifts), blocks, {}
-        for q, arr in blocks.items():
-            halves = arr[:, : split[q]], arr[:, split[q] :]
-            self.parts[q] = tuple(half if half.shape[1] else None for half in halves)
-        self.dims = tuple((q, b.shape[0], split[q], b.shape[1] - split[q]) for q, b in blocks.items())
-
-    @classmethod
-    def from_spins(cls, shifts, up, down):
-        """The tensor of {row charge: complex A(s)} dicts of the two spins.
-
-        The matrices are copied into the blocks; empty ones are absent.
-        """
-        blocks, split = {}, {}
+    def __init__(self, shifts, up, down):
+        """The tensor of {row charge: A(s)} dicts of the two spins, None and empty A(s) left out."""
+        self.shifts, self.parts, dims = tuple(shifts), {}, []
         for q in sorted(up.keys() | down.keys()):
-            a, b = (m[q] if q in m and np.size(m[q]) else None for m in (up, down))
+            a, b = (m if m is not None and m.size else None for m in (up.get(q), down.get(q)))
             if a is not None or b is not None:
-                blocks[q] = np.concatenate([x for x in (a, b) if x is not None], axis=1)
-                split[q] = 0 if a is None else a.shape[1]
-        return cls(shifts, blocks, split)
+                self.parts[q] = a, b
+                rows = (a if a is not None else b).shape[0]
+                dims.append((q, rows, *(0 if m is None else m.shape[1] for m in (a, b))))
+        self.dims = tuple(dims)
 
     def block(self, s, q):
-        """A(s) of row charge q, a view of the stored block, or None."""
+        """A(s) of row charge q, or None."""
         return self.parts.get(q, (None, None))[s]
 
     def spin(self, s):
-        """{row charge: A(s)} of one spin as views, ascending."""
+        """{row charge: A(s)} of one spin, ascending."""
         return {q: pair[s] for q, pair in self.parts.items() if pair[s] is not None}
 
 

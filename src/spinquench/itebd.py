@@ -5,17 +5,19 @@ and B-sites (odd positions, down initially). The state is stored as
 right-normalized site matrices A(s) together with the Schmidt values of
 both bond types, and every amplitude of the wavefunction is a plain
 product of A matrices; no Schmidt value is ever divided out.
+MPSState.site(i) and bond(i), the unit cell's one parity rule, are the
+tensor at chain position i (A at even i) and the bond to its right.
 
-Each site is one SiteTensor, the layout the bond update reads and
-writes: one block per left-bond charge, A(up) and A(down) side by side.
-A bond update forms the gate-independent products A_left(a) A_right(b)
-once per state (the pair observable and the update after it share
-them), fills the fused C tensor, one block per middle-bond charge, as a
-plan cached per sector dimensions says, multiplies the left bond's
-Schmidt values on to form theta, decomposes theta sector by sector, and
-rebuilds the right blocks from the kept rows of the right singular
-factor Y, exactly isometric even after truncation, and the left tensor
-as C Y-dagger, which re-embeds the new Schmidt values without any
+Each site is one SiteTensor, its A(up) and A(down) matrices per
+left-bond charge. A bond update forms the gate-independent products
+A_left(a) A_right(b) once per state (the pair observable and the update
+after it share them), fills the fused C tensor, one block per
+middle-bond charge, as a plan cached per sector dimensions says,
+multiplies the left bond's Schmidt values on to form theta, decomposes
+theta sector by sector, and takes the new right matrices as column
+views of the kept rows of the right singular factor Y, exactly
+isometric even after truncation, and the new left matrices as row views
+of C Y-dagger, which re-embeds the new Schmidt values without any
 reciprocal.
 
 Tiny Schmidt values therefore pass through updates harmlessly, which is
@@ -92,8 +94,9 @@ class MPSState:
 
     a_a and a_b hold the site tensors of the A and B sublattices;
     lambda_a and lambda_b are the Schmidt values of the bonds to the
-    right of A-sites and B-sites respectively. Instances are immutable;
-    updates return new states, which start without _products.
+    right of A-sites and B-sites; site and bond read them by position.
+    Instances are immutable; updates return new states, which start
+    without _products.
     """
 
     a_a: SiteTensor
@@ -102,6 +105,14 @@ class MPSState:
     lambda_b: SchmidtSpectrum
     time: float = 0.0
     _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def site(self, i: int) -> SiteTensor:
+        """The site tensor at chain position i: a_a at even i, a_b at odd i."""
+        return self.a_a if i % 2 == 0 else self.a_b
+
+    def bond(self, i: int) -> SchmidtSpectrum:
+        """The spectrum of the bond right of position i: lambda_a at even i."""
+        return self.lambda_a if i % 2 == 0 else self.lambda_b
 
 
 @dataclass(frozen=True)
@@ -120,8 +131,8 @@ def neel_init() -> MPSState:
     """Product state up-down-up-down with site 0 up; all bonds trivial."""
     one = np.ones((1, 1), dtype=complex)
     return MPSState(
-        a_a=SiteTensor.from_spins(SHIFT_A, {0: one}, {}),
-        a_b=SiteTensor.from_spins(SHIFT_B, {}, {0: one}),
+        a_a=SiteTensor(SHIFT_A, {0: one}, {}),
+        a_b=SiteTensor(SHIFT_B, {}, {0: one}),
         lambda_a=SchmidtSpectrum({0: [1.0]}),
         lambda_b=SchmidtSpectrum({0: [1.0]}),
         time=0.0,
@@ -154,12 +165,11 @@ def build_gate(delta: float, step: float) -> np.ndarray:
 
 
 def _pair_roles(state: MPSState, which: str):
-    """Left and right site tensors of a pair, and the multiplier bond."""
-    if which == "AB":
-        return state.a_a, state.a_b, state.lambda_b
-    if which == "BA":
-        return state.a_b, state.a_a, state.lambda_a
-    raise ConfigError(f"which must be 'AB' or 'BA', got {which!r}")
+    """Site tensors at i and i + 1 (i = 0 for AB, 1 for BA), and the multiplier bond left of i."""
+    if which not in ("AB", "BA"):
+        raise ConfigError(f"which must be 'AB' or 'BA', got {which!r}")
+    i = 0 if which == "AB" else 1
+    return state.site(i), state.site(i + 1), state.bond(i - 1)
 
 
 def _pair_products(state: MPSState, which: str):
@@ -261,9 +271,9 @@ def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     Decomposes the pair's fused theta (see _fused_pair) and returns
     (new_state, report). The untouched bond's Schmidt values are
     unchanged; the decomposed bond keeps the k_max globally largest
-    values over all charge sectors. The new right blocks are the kept
-    rows of Y; the new left tensor is C Y-dagger, whose row slots are
-    its up and down halves. No Schmidt value is inverted anywhere.
+    values over all charge sectors. The new right matrices are column
+    views of the kept rows of Y, the new left ones row views of C
+    Y-dagger. No Schmidt value is inverted anywhere.
     """
     left, right, _lam = _pair_roles(state, which)
     pair = _fused_pair(state, gate, which)
@@ -273,18 +283,19 @@ def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     report.largest_block_dim = max(max(block.shape) for block in pair.plan)
     scale = 1.0 / math.sqrt(spec_raw.total_weight - report.discarded_weight)
 
-    right_blocks, right_split, halves = {}, {}, ({}, {})
+    lefts, rights = ({}, {}), ({}, {})
     for block in pair.plan:
         kept = report.kept_per_sector.get(block.qm)
         if kept:
-            vh = right_blocks[block.qm] = gauged_rows(*factors.pop(block.qm), kept)
-            right_split[block.qm] = block.cols[0][3] if block.cols[0][0] == UP else 0
+            vh = gauged_rows(*factors.pop(block.qm), kept)
             rebuilt = pair.c[block.qm] @ vh.conj().T
             rebuilt *= scale
             for s, q, start, end in block.rows:
-                halves[s][q] = rebuilt[start:end]
-    left_new = SiteTensor.from_spins(left.shifts, *halves)
-    right_new = SiteTensor(right.shifts, right_blocks, right_split)
+                lefts[s][q] = rebuilt[start:end]
+            for s, _q, start, end in block.cols:
+                rights[s][block.qm] = vh[:, start:end]
+    left_new = SiteTensor(left.shifts, *lefts)
+    right_new = SiteTensor(right.shifts, *rights)
     if which == "AB":
         return dataclasses.replace(state, a_a=left_new, a_b=right_new, lambda_a=spec_new), report
     return dataclasses.replace(state, a_b=left_new, a_a=right_new, lambda_b=spec_new), report
@@ -297,12 +308,10 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
     right-normalization of everything to its right:
     <Sz> = sum_s sign(s) tr(lambda^2 A(s) A(s)^dagger).
     """
-    if sublattice == "A":
-        lam, tensors = state.lambda_b, state.a_a
-    elif sublattice == "B":
-        lam, tensors = state.lambda_a, state.a_b
-    else:
+    if sublattice not in ("A", "B"):
         raise ConfigError(f"sublattice must be 'A' or 'B', got {sublattice!r}")
+    i = 0 if sublattice == "A" else 1
+    lam, tensors = state.bond(i - 1), state.site(i)
     val = 0.0
     for s, sign in ((UP, 0.5), (DN, -0.5)):
         for q_row, arr in tensors.spin(s).items():

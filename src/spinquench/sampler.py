@@ -144,16 +144,6 @@ class WindowSpec:
         object.__setattr__(self, "l", check_half_width(self.l))
 
 
-def site_tensors(state: MPSState, site: int):
-    """Site tensor at a chain position (even = A sublattice)."""
-    return state.a_a if site % 2 == 0 else state.a_b
-
-
-def _bond_spectrum(state: MPSState, site: int):
-    """Schmidt spectrum of the bond right of a site: lambda of its sublattice."""
-    return state.lambda_a if site % 2 == 0 else state.lambda_b
-
-
 def boundary_spectrum(state: MPSState, spec: WindowSpec):
     """Schmidt spectrum of the left boundary bond (between -l-1 and -l).
 
@@ -161,7 +151,7 @@ def boundary_spectrum(state: MPSState, spec: WindowSpec):
     even l (site -l-1 odd), lambda_A for odd l. The right boundary bond
     (between l and l+1) carries the other one.
     """
-    return _bond_spectrum(state, -spec.l - 1)
+    return state.bond(-spec.l - 1)
 
 
 def sample_alpha(state: MPSState, spec: WindowSpec, u, split: TailSplit) -> np.ndarray:
@@ -285,10 +275,8 @@ def canonical_residuals(state: MPSState):
     in exact canonical form, where the walk's conditionals are exact.
     """
     right = marginal = 0.0
-    for tensors, left_bond, right_bond in (
-        (state.a_a, state.lambda_b, state.lambda_a),
-        (state.a_b, state.lambda_a, state.lambda_b),
-    ):
+    for i in (0, 1):
+        tensors, left_bond, right_bond = state.site(i), state.bond(i - 1), state.bond(i)
         ident = {q: np.eye(d) for q, d in right_bond.sector_dims.items()}
         gram = _environment_step(tensors, ident, leftward=True)
         right = max(right, sum(
@@ -308,7 +296,7 @@ def _central_charges(state: MPSState, spec: WindowSpec, q0: int, right: bool) ->
     """Central-bond charges the partials of a boundary state of charge q0 reach."""
     reach = {q0}
     for site in (range(spec.l, 0, -1) if right else range(-spec.l, 1)):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         reach = {
             q - shift if right else q + shift
             for q in reach
@@ -361,7 +349,7 @@ def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=math.inf) -> 
     spectrum = boundary_spectrum(state, spec)
     heavy = [
         {q: v * v >= p_star for q, v in lam.blocks.items() if np.any(v * v >= p_star)}
-        for lam in (spectrum, _bond_spectrum(state, spec.l))
+        for lam in (spectrum, state.bond(spec.l))
     ]
     reach = [
         {q: _central_charges(state, spec, q, right) for q in masks}
@@ -388,7 +376,7 @@ def semistochastic_split(state: MPSState, spec: WindowSpec, p_star=math.inf) -> 
     env = {q: np.diag(mask.astype(complex)) for q, mask in heavy[1].items()}
     envs = [env]
     for site in range(spec.l, -spec.l - 1, -1):
-        env = _environment_step(site_tensors(state, site), env, leftward=True)
+        env = _environment_step(state.site(site), env, leftward=True)
         envs.append(env)
     envs.reverse()
     # A is the prefix of the ranking whose weight reaches p_star; a state
@@ -434,7 +422,7 @@ def _walk_chunk(state: MPSState, spec: WindowSpec, alphas: np.ndarray, u: np.nda
     groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
     heavy = _members(split.heavy_left, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         shifts, env = tensors.shifts, split.envs[depth + 1]
         charges = [q for q, _rows in groups]
         starts = np.cumsum([0] + [rows.shape[0] for _q, rows in groups])
@@ -563,13 +551,13 @@ def _partials(state: MPSState, spec: WindowSpec, roots: np.ndarray, right: bool)
     change them.
     """
     l = spec.l
-    dims = _bond_spectrum(state, l if right else -l - 1).sector_dims
+    dims = state.bond(l if right else -l - 1).sector_dims
     top, sites = (l, range(l, 0, -1)) if right else (0, range(-l, 1))
     out = {}
     for q0, units in _root_groups(dims, roots):
         groups = {q0: (np.zeros(1, dtype=np.int64), units.reshape(units.shape[0], 1, -1))}
         for site in sites:
-            tensors = site_tensors(state, site)
+            tensors = state.site(site)
             shifts, kids = tensors.shifts, {}
             for q, (codes, rows) in groups.items():
                 for s, bit in ((UP, 1), (DN, 0)):

@@ -37,14 +37,12 @@ from spinquench.graded import SINGULAR_VALUE_FLOOR, SchmidtSpectrum, TruncationR
 from spinquench.itebd import DN, UP, _pair_roles
 from spinquench.sampler import (
     TAIL_FLOOR,
-    _bond_spectrum,
     _branch_probabilities,
     _central_charges,
     _draw_rows,
     _root_groups,
     assemble_window_stacks,
     boundary_spectrum,
-    site_tensors,
 )
 from spinquench.window import WindowState, _sector_basis, _site_bits
 
@@ -152,7 +150,7 @@ def to_dense(matrix, row_layout=None, col_layout=None):
 def right_normalization_deviation(state) -> float:
     """Max-norm deviation of sum_s A(s) A(s)^dagger from the identity."""
     worst = 0.0
-    for tensors, bond in ((state.a_a, state.lambda_b), (state.a_b, state.lambda_a)):
+    for tensors, bond in ((state.site(i), state.bond(i - 1)) for i in (0, 1)):
         acc = {}
         for s in (UP, DN):
             for q_row, arr in tensors.spin(s).items():
@@ -263,7 +261,7 @@ def _bond_layouts(state, spec):
     """SectorLayout for every bond from the left boundary to the right."""
     layouts = {-spec.l: SectorLayout(boundary_spectrum(state, spec).sector_dims)}
     for site in range(-spec.l, spec.l + 1):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         dims = {}
         for s in (UP, DN):
             dims.update(spin_matrix(tensors, s).col_dims)
@@ -279,7 +277,7 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     start[layouts[-l].position(*alpha)] = 1.0
     lefts = [start]
     for site in range(-l, 1):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         dense = {
             s: to_dense(spin_matrix(tensors, s), layouts[site], layouts[site + 1])
             for s in (UP, DN)
@@ -298,7 +296,7 @@ def dense_window_amplitudes(state, spec, alpha, beta):
     end[layouts[l + 1].position(*beta)] = 1.0
     level = [end]
     for site in range(l, 0, -1):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         dense = {
             s: to_dense(spin_matrix(tensors, s), layouts[site], layouts[site + 1])
             for s in (UP, DN)
@@ -380,7 +378,7 @@ def enumerate_boundary_pairs(state, spec):
     loop is exponential in the boundary entropy.
     """
     spectrum = boundary_spectrum(state, spec)
-    right_dims = _bond_spectrum(state, spec.l).sector_dims
+    right_dims = state.bond(spec.l).sector_dims
     left_reach = {qa: _central_charges(state, spec, qa, False) for qa in spectrum.blocks}
     right_reach = {qb: _central_charges(state, spec, qb, True) for qb in right_dims}
     pairs = np.array([
@@ -430,7 +428,7 @@ def _pick(weights, u):
 
 def _walk_step(state, site, q, vec):
     """(candidates, norms) of both spins at a site for the row vec in sector q."""
-    tensors = site_tensors(state, site)
+    tensors = state.site(site)
     cands, norms = {}, {}
     for s in (UP, DN):
         block = tensors.block(s, q)
@@ -552,7 +550,7 @@ def per_group_walk_chunk(state, spec, alphas, u, split):
     node = node.reshape(-1)
     groups = _root_groups(boundary_spectrum(state, spec).sector_dims, roots)
     for depth, site in enumerate(range(-spec.l, spec.l + 1)):
-        tensors = site_tensors(state, site)
+        tensors = state.site(site)
         kids = {}
         start = 0
         while groups:
@@ -757,11 +755,11 @@ def expect_pair_observable_reference(state, op4):
     <O> = sum O[t,s] tr(lambda^2 P(s) P(t)^+) with P(s) = A_A(s_left)
     A_B(s_right), summed term by term with einsum.
     """
-    lam = state.lambda_b
+    lam = state.bond(-1)
     prods = {}
     for sa in (UP, DN):
         for sb in (UP, DN):
-            p = _matmul(spin_matrix(state.a_a, sa), spin_matrix(state.a_b, sb))
+            p = _matmul(spin_matrix(state.site(0), sa), spin_matrix(state.site(1), sb))
             if p.blocks:
                 prods[(sa, sb)] = p
     val = 0.0j

@@ -118,8 +118,9 @@ def test_criterion_04_division_free_stability(acceptance_log, k16_t1):
         state, _report = update_bond(state, gate, which, 256)
         which = "AB" if which == "BA" else "BA"
         for tensors in (state.a_a, state.a_b):
-            for arr in tensors.blocks.values():
-                finite = finite and bool(np.all(np.isfinite(arr)))
+            for s in (UP, DN):
+                for arr in tensors.spin(s).values():
+                    finite = finite and bool(np.all(np.isfinite(arr)))
     dev = right_normalization_deviation(state)
     _record(
         acceptance_log, 4, "division-free-stability",

@@ -12,7 +12,18 @@ from spinquench.errors import (
     CheckpointTruncatedError,
     CheckpointVersionError,
 )
-from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, neel_init
+from spinquench.graded import SchmidtSpectrum, SiteTensor
+from spinquench.itebd import (
+    DN,
+    UP,
+    QuenchConfig,
+    MPSState,
+    build_gate,
+    evolve_to,
+    expect_pair_observable,
+    neel_init,
+)
+from spinquench.sampler import canonical_residuals
 
 
 def _small_state():
@@ -254,3 +265,72 @@ def test_config_fields_survive(tmp_path):
     assert loaded_config.delta == 0.75
     assert loaded_config.dt == 0.03125
     assert loaded_config.k_max == 12
+
+
+@pytest.mark.parametrize("run", ["k16_t1", "k128_t2", "k128_t3"])
+def test_package_checkpoints_load_as_views_and_resave_byte_for_byte(request, run, tmp_path):
+    path = request.getfixturevalue(run)["checkpoint"]
+    state, config = load_checkpoint(path)
+    # the loader hands over the payload's blocks as they are: read-only
+    # views, a spectrum's sectors unsorted
+    arrays = [arr for t in (state.a_a, state.a_b) for s in (UP, DN) for arr in t.spin(s).values()]
+    arrays += [v for lam in (state.lambda_a, state.lambda_b) for v in lam.blocks.values()]
+    assert not any(arr.flags.writeable or arr.flags.owndata for arr in arrays)
+    again = tmp_path / "again.mpsc1"
+    save_checkpoint(again, state, config)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _doctored_spectrum(path, how):
+    """(original state, doctored state, config): one lambda_A sector of a
+    checkpoint reversed (with the A_A columns and A_B rows on its bond
+    permuted to match, a gauge-equivalent state), negated, or given a NaN,
+    a leading infinity or a trailing zero."""
+    state, config = load_checkpoint(path)
+    blocks = dict(state.lambda_a.blocks)
+    q = max(blocks, key=lambda c: blocks[c].size)
+    a_a, a_b = state.a_a, state.a_b
+    if how == "reversed":
+        blocks[q] = blocks[q][::-1]
+        a_a = SiteTensor(a_a.shifts, *(
+            {r: m[:, ::-1] if r + a_a.shifts[s] == q else m for r, m in a_a.spin(s).items()}
+            for s in (UP, DN)
+        ))
+        a_b = SiteTensor(a_b.shifts, *(
+            {r: m[::-1] if r == q else m for r, m in a_b.spin(s).items()} for s in (UP, DN)
+        ))
+    elif how == "negated":
+        blocks[q] = -blocks[q]
+    elif how == "nan":
+        blocks[q] = blocks[q].copy()
+        blocks[q][1] = np.nan
+    elif how == "inf":
+        blocks[q] = np.concatenate([[np.inf], blocks[q][1:]])
+    else:
+        blocks[q] = np.concatenate([blocks[q][:-1], [0.0]])
+    doctored = MPSState(a_a, a_b, SchmidtSpectrum.from_sorted(blocks), state.lambda_b, state.time)
+    return state, doctored, config
+
+
+@pytest.mark.parametrize("how", ["reversed", "negated", "nan", "inf", "zero"])
+def test_spectrum_out_of_form_refused(k16_t1, tmp_path, how):
+    # the loader takes a spectrum as merged_truncate writes it: every
+    # sector finite, positive and non-increasing; it refuses any other
+    # rather than sort it away from the tensor rows and columns it labels
+    state, doctored, config = _doctored_spectrum(k16_t1["checkpoint"], how)
+    if how == "reversed":  # the same physical state, in canonical form
+        gate = build_gate(config.delta, config.dt)
+        same = expect_pair_observable(doctored, gate), expect_pair_observable(state, gate)
+        assert np.allclose(*same, rtol=0.0, atol=1e-14)
+        assert max(canonical_residuals(doctored)) < 1e-13
+    path = tmp_path / f"{how}.mpsc1"
+    save_checkpoint(path, doctored, config)
+    with pytest.raises(CheckpointVersionError, match="lambda_A"):
+        load_checkpoint(path)
+    rc = main(
+        [
+            "sample", "--profile", "desk-small", "--checkpoint", str(path), "--p-star", "inf",
+            "--t-fin", "2.0", "--samples", "4", "--out", str(tmp_path / "mc.csv"),
+        ]
+    )
+    assert rc == 4

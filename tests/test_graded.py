@@ -10,11 +10,12 @@ from spinquench.errors import SvdError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
     SchmidtSpectrum,
+    SiteTensor,
     block_svd,
     gauged_rows,
     merged_truncate,
 )
-from spinquench.itebd import QuenchConfig, evolve_to, neel_init
+from spinquench.itebd import DN, UP, QuenchConfig, evolve_to, neel_init
 from spinquench.threads import helper_threads
 from oracles import GradedMatrix, block_svd_reference, merged_truncate_reference, to_dense
 
@@ -32,6 +33,45 @@ def random_graded(rng, shift, row_dims):
 def test_selection_rule_rejected():
     with pytest.raises(ValueError):
         GradedMatrix(1, {(0, 0): np.ones((1, 1))})
+
+
+def test_site_tensor_keeps_the_matrices_it_is_given():
+    rng = np.random.default_rng(5)
+    up = {2: rng.standard_normal((2, 3)) + 0j, -1: rng.standard_normal((1, 2)) + 0j,
+          0: np.zeros((3, 0), dtype=complex), 5: None}
+    down = {0: rng.standard_normal((3, 2)) + 0j, 2: None,
+            -1: np.zeros((0, 4), dtype=complex), 7: np.zeros((2, 0), dtype=complex)}
+    tensor = SiteTensor([0, -1], up, down)
+    # None, empty and column-less matrices are left out, charges ascend
+    assert tensor.shifts == (0, -1)
+    assert list(tensor.parts) == [-1, 0, 2]
+    assert tensor.parts[-1][0] is up[-1] and tensor.parts[-1][1] is None
+    assert tensor.parts[0][0] is None and tensor.parts[0][1] is down[0]
+    assert tensor.parts[2][0] is up[2] and tensor.parts[2][1] is None
+    assert tensor.block(UP, 2) is up[2] and tensor.block(DN, 2) is None
+    assert tensor.block(UP, 5) is None and tensor.block(DN, 7) is None
+    assert list(tensor.spin(UP)) == [-1, 2] and list(tensor.spin(DN)) == [0]
+    assert tensor.dims == ((-1, 1, 2, 0), (0, 3, 0, 2), (2, 2, 3, 0))
+
+
+def test_site_tensor_dims_of_the_desk_state():
+    # the slot table the pair plans are cached by, as the side-by-side
+    # layout gave it for the desk profile's k=128 state at t=4
+    state = evolve_to(neel_init(), 4.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=128))
+    assert state.a_a.dims == (
+        (-3, 1, 4, 0), (-2, 9, 17, 4), (-1, 25, 34, 17), (0, 38, 38, 34),
+        (1, 34, 25, 38), (2, 17, 9, 25), (3, 4, 1, 9),
+    )
+    assert state.a_b.dims == (
+        (-3, 4, 9, 1), (-2, 17, 25, 9), (-1, 34, 38, 25), (0, 38, 34, 38),
+        (1, 25, 17, 34), (2, 9, 4, 17), (3, 1, 0, 4),
+    )
+    # rows are the left bond's sector sizes, columns the right bond's
+    for i in (0, 1):
+        tensor, left, right = state.site(i), state.bond(i - 1), state.bond(i)
+        for q, rows, *cols in tensor.dims:
+            assert rows == left.sector_dims[q]
+            assert cols == [right.sector_dims.get(q + d, 0) for d in tensor.shifts]
 
 
 def test_block_svd_matches_dense_svd():

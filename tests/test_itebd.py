@@ -246,8 +246,9 @@ def test_division_free_with_tiny_schmidt_value():
         state, _report = update_bond(state, gate, which, 256)
         which = "AB" if which == "BA" else "BA"
     for tensors in (state.a_a, state.a_b):
-        for arr in tensors.blocks.values():
-            assert np.all(np.isfinite(arr))
+        for s in (UP, DN):
+            for arr in tensors.spin(s).values():
+                assert np.all(np.isfinite(arr))
     assert right_normalization_deviation(state) < 1e-6
 
 
@@ -343,7 +344,8 @@ def _assert_same_state(got, want):
     """Both states hold the same tensors and spectra, bit for bit."""
     for g, w in ((got.a_a, want.a_a), (got.a_b, want.a_b)):
         assert g.dims == w.dims
-        assert all(np.array_equal(g.blocks[q], w.blocks[q]) for q in w.blocks)
+        assert all(np.array_equal(g.block(s, q), w.block(s, q))
+                   for s in (UP, DN) for q in w.spin(s))
     for g, w in ((got.lambda_a, want.lambda_a), (got.lambda_b, want.lambda_b)):
         assert list(g.blocks) == list(w.blocks)
         assert all(np.array_equal(g.blocks[q], w.blocks[q]) for q in w.blocks)

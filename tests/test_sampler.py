@@ -442,7 +442,7 @@ def test_enumerated_pairs_are_the_dense_nonzero_windows(k16_t1, l):
     spec = WindowSpec(l=l)
     lefts, rights = (
         [(q, i) for q, d in lam.sector_dims.items() for i in range(d)]
-        for lam in (boundary_spectrum(state, spec), sampler._bond_spectrum(state, l))
+        for lam in (boundary_spectrum(state, spec), state.bond(l))
     )
     nonzero = {
         (alpha, beta)
@@ -460,11 +460,18 @@ def test_boundary_spectrum_follows_sublattice_parity(quench_state):
     # bond between -l-1 and -l carries the lambda of site -l-1's sublattice
     assert boundary_spectrum(quench_state, WindowSpec(l=2)) is quench_state.lambda_b
     assert boundary_spectrum(quench_state, WindowSpec(l=1)) is quench_state.lambda_a
+    # site(i) and bond(i), the bond right of i, at the window's edges and
+    # centre: i = -l-1, -l, 0, l, l+1 are A (even) or B (odd) positions
+    state = quench_state
+    a, b = (state.a_a, state.lambda_a), (state.a_b, state.lambda_b)
+    for l, roles in ((1, (a, b, a, b, a)), (2, (b, a, a, a, b))):
+        for i, (tensors, bond) in zip((-l - 1, -l, 0, l, l + 1), roles):
+            assert state.site(i) is tensors and state.bond(i) is bond
     # and the bond right of site l the other one, whose sectors are the
     # column sectors of site l's tensors
-    for l, right in ((2, quench_state.lambda_a), (1, quench_state.lambda_b)):
-        assert sampler._bond_spectrum(quench_state, l) is right
-        tensors = sampler.site_tensors(quench_state, l)
+    for l, right in ((2, state.lambda_a), (1, state.lambda_b)):
+        assert state.bond(l) is right
+        tensors = state.site(l)
         assert right.sector_dims == {
             q + tensors.shifts[s]: block.shape[1]
             for s in (UP, DN)

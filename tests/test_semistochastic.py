@@ -25,7 +25,7 @@ from spinquench.cli import main
 from spinquench.errors import ConfigError
 from spinquench.graded import SiteTensor
 from spinquench.harness import read_table, run_itebd, run_mc, sample_uniforms
-from spinquench.itebd import QuenchConfig, expect_sz
+from spinquench.itebd import DN, UP, QuenchConfig, expect_sz
 from spinquench.sampler import (
     CANONICAL_TOL,
     WindowSpec,
@@ -237,9 +237,9 @@ def _doctored(path, tmp_path):
     """A copy of a checkpoint with one site block scaled off canonical form."""
     state, config = load_checkpoint(path)
     q = max(state.lambda_b.blocks, key=lambda c: state.lambda_b.blocks[c][0])  # heaviest rows
-    blocks = {k: b * (1.01 if k == q else 1.0) for k, b in state.a_a.blocks.items()}
-    split = {q: up for q, _rows, up, _dn in state.a_a.dims}
-    state = dataclasses.replace(state, a_a=SiteTensor(state.a_a.shifts, blocks, split))
+    up, down = ({k: b * (1.01 if k == q else 1.0) for k, b in state.a_a.spin(s).items()}
+                for s in (UP, DN))
+    state = dataclasses.replace(state, a_a=SiteTensor(state.a_a.shifts, up, down))
     out = tmp_path / "doctored.mpsc1"
     save_checkpoint(out, state, config)
     return out
