@@ -178,6 +178,14 @@ def _spectrum(path, name, blocks):
     return SchmidtSpectrum.from_sorted(values)
 
 
+def _site_blocks(path, name, blocks):
+    """{charge: block} of a site tensor, once every entry is finite."""
+    for q, block in blocks.items():
+        if not np.all(np.isfinite(block)):
+            raise CheckpointVersionError(f"{path}: {name} sector {q} is not finite")
+    return blocks
+
+
 def load_checkpoint(path):
     """Read an MPSC1 file; returns (MPSState, QuenchConfig).
 
@@ -187,8 +195,9 @@ def load_checkpoint(path):
     size or offset must also be nonnegative), an unknown tensor name, a
     charge shift other than the one the name implies, a real flag that
     does not fit the tensor, or a site block whose rows or columns do
-    not match the Schmidt values on its bonds, or a Schmidt spectrum
-    sector that is not finite, positive and non-increasing. Raises
+    not match the Schmidt values on its bonds, a site block that is not
+    finite, or a Schmidt spectrum sector that is not finite, positive
+    and non-increasing. Raises
     CheckpointChecksumError on CRC mismatch and CheckpointTruncatedError
     when the file is shorter than declared.
     """
@@ -238,7 +247,7 @@ def load_checkpoint(path):
             .reshape(rows, cols)
             for q, rows, cols, off in sectors
         }
-        parsed[name] = _spectrum(path, name, blocks) if real else blocks
+        parsed[name] = (_spectrum if real else _site_blocks)(path, name, blocks)
 
     missing = [n for n in _TENSORS if n not in parsed]
     if missing:

@@ -10,8 +10,7 @@ tensor at chain position i (A at even i) and the bond to its right.
 
 Each site is one SiteTensor, its A(up) and A(down) matrices per
 left-bond charge. A bond update forms the gate-independent products
-A_left(a) A_right(b) once per state (the pair observable and the update
-after it share them), fills the fused C tensor, one block per
+A_left(a) A_right(b), fills the fused C tensor, one block per
 middle-bond charge, as a plan cached per sector dimensions says,
 multiplies the left bond's Schmidt values on to form theta, decomposes
 theta sector by sector, and takes the new right matrices as column
@@ -28,15 +27,16 @@ The sector SVDs run where evolve_to puts them: it opens one
 threads.helper_threads() block for its whole run, so each update's
 theta is dealt, longest sector first, to the calling thread and one
 helper per further usable CPU (where BLAS runs on one thread), and the
-helpers are joined on every exit. update_bond called on its own decomposes inline. The bits cannot
-move with the CPU count: every sector is one np.linalg.svd call on its
-own block whichever thread makes it, and the factors are read back in
-charge order, so the kept set, the gauge and the rebuilt tensors are
-those of the inline route.
+helpers are joined on every exit; update_bond called on its own
+decomposes inline. The bits cannot move with the CPU count: every
+sector is one np.linalg.svd call on its own block whichever thread
+makes it, and the factors are read back in charge order, so the kept
+set, the gauge and the rebuilt tensors are those of the inline route.
 
-The interior observations read <Sz> of both sites off the same theta:
-Sz is diagonal in its rows and columns, so each value is a signed sum
-of squared row or column norms.
+The interior observations read <Sz> of both sites off the AB pair's
+4x4 density matrix, formed from the same gate-free products, so a
+measurement fills no C and no theta. A state never changes after
+construction: the observation and the update form their own products.
 
 Charge bookkeeping: a bond state's charge is the number of up spins to
 its left minus the initial count. Crossing a site changes the charge by
@@ -51,7 +51,7 @@ import dataclasses
 import functools
 import math
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,8 +95,8 @@ class MPSState:
     a_a and a_b hold the site tensors of the A and B sublattices;
     lambda_a and lambda_b are the Schmidt values of the bonds to the
     right of A-sites and B-sites; site and bond read them by position.
-    Instances are immutable; updates return new states, which start
-    without _products.
+    Instances are immutable and hold nothing but these fields; updates
+    return new states.
     """
 
     a_a: SiteTensor
@@ -104,7 +104,6 @@ class MPSState:
     lambda_a: SchmidtSpectrum
     lambda_b: SchmidtSpectrum
     time: float = 0.0
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def site(self, i: int) -> SiteTensor:
         """The site tensor at chain position i: a_a at even i, a_b at odd i."""
@@ -172,18 +171,22 @@ def _pair_roles(state: MPSState, which: str):
     return state.site(i), state.site(i + 1), state.bond(i - 1)
 
 
-def _pair_products(state: MPSState, which: str):
-    """{(a, q, b): A_left(a)[q] A_right(b)}: gate-free, kept on the state till its update."""
-    prods = state._products.get(which)
-    if prods is None:
-        left, right, _lam = _pair_roles(state, which)
-        prods = state._products[which] = {}
-        for q, parts in left.parts.items():
-            for a, arr in enumerate(parts):
-                rights = right.parts.get(q + left.shifts[a], ()) if arr is not None else ()
-                for b, arr_r in enumerate(rights):
-                    if arr_r is not None:
-                        prods[a, q, b] = arr @ arr_r
+def _pair_products(left: SiteTensor, right: SiteTensor, lam: SchmidtSpectrum):
+    """{(a, q, b): A_left(a)[q] A_right(b)}, the gate-free products of a pair.
+
+    Raises ConfigError where lam, the bond left of the pair, has a sector
+    whose Schmidt count differs from left's rows.
+    """
+    n_lam, prods = lam.sector_dims, {}
+    for q, n_rows, *_widths in left.dims:
+        if n_lam.get(q, 0) != n_rows:
+            raise ConfigError(f"state inconsistent: bond sector {q} has {n_lam.get(q, 0)}"
+                              f" Schmidt values but tensor rows {n_rows}")
+        for a, arr in enumerate(left.parts[q]):
+            rights = right.parts.get(q + left.shifts[a], ()) if arr is not None else ()
+            for b, arr_r in enumerate(rights):
+                if arr_r is not None:
+                    prods[a, q, b] = arr @ arr_r
     return prods
 
 
@@ -201,7 +204,7 @@ def _end_to_end(sizes):
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_plan(which, left_dims, right_dims, lam_dims, live):
+def _pair_plan(which, left_dims, right_dims, live):
     """One _Block per middle charge of a pair's fused C, ascending.
 
     C(s_l, s_r) = sum_{a,b} U[(s_l,s_r),(a,b)] A_left(a) A_right(b) has
@@ -212,14 +215,11 @@ def _pair_plan(which, left_dims, right_dims, lam_dims, live):
     Plans depend on dimensions and live alone, so they are cached.
     """
     sh_l, sh_r = (SHIFT_A, SHIFT_B) if which == "AB" else (SHIFT_B, SHIFT_A)
-    right, lam = {q: widths for q, _rows, *widths in right_dims}, dict(lam_dims)
+    right = {q: widths for q, _rows, *widths in right_dims}
     # gate index k = 8 s_l + 4 s_r + 2 a + b: the live (k, s_l, s_r) of each 2 a + b
     entries = [[(k, k >> 3, k >> 2 & 1) for k in range(ab, 16, 4) if live[k]] for ab in range(4)]
     sizes, terms = defaultdict(lambda: ({}, {})), defaultdict(lambda: defaultdict(list))
     for q, n_rows, *widths in left_dims:
-        if lam.get(q) != n_rows:
-            raise ConfigError(f"state inconsistent: bond sector {q} has {lam.get(q, 0)}"
-                              f" Schmidt values but tensor rows {n_rows}")
         for a, w_a in enumerate(widths):
             for b, w_b in enumerate(right.get(q + sh_l[a], ()) if w_a else ()):
                 for k, sl, sr in entries[2 * a + b] if w_b else ():
@@ -243,13 +243,12 @@ def _pair_plan(which, left_dims, right_dims, lam_dims, live):
 def _fused_pair(state: MPSState, gate: np.ndarray, which: str) -> _Fused:
     """The gated two-site tensor of a pair, one block per middle charge.
 
-    C is filled from the state's products as its plan says; theta, C with
+    C is filled from the pair's products as its plan says; theta, C with
     rows scaled by the left bond's Schmidt values, is what block_svd takes.
     """
     left, right, lam = _pair_roles(state, which)
-    prods = _pair_products(state, which)
-    lam_dims = tuple((q, v.size) for q, v in lam.blocks.items())
-    plan = _pair_plan(which, left.dims, right.dims, lam_dims, (gate != 0).tobytes())
+    prods = _pair_products(left, right, lam)
+    plan = _pair_plan(which, left.dims, right.dims, (gate != 0).tobytes())
     coeff = gate.ravel().tolist()
     c, theta = {}, {}
     for block in plan:
@@ -277,7 +276,6 @@ def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     """
     left, right, _lam = _pair_roles(state, which)
     pair = _fused_pair(state, gate, which)
-    del state._products[which]  # used up: the update needs only C from here
     spec_raw, factors = block_svd(pair)
     spec_new, report = merged_truncate(spec_raw, k_max)
     report.largest_block_dim = max(max(block.shape) for block in pair.plan)
@@ -323,22 +321,23 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
 def expect_pair_observable(state: MPSState, gate: np.ndarray):
     """(<Sz> left, <Sz> right) of one A-B pair of the unit cell after gate.
 
-    Sz is diagonal in the rows (left spin) and columns (right spin) of
-    the pair's theta, the Schmidt values of its left bond are already in
-    the rows, and everything right of the pair is right-normalized, so
-    each value is a sum of squared row or column norms of theta, signed
-    by the spin of the row or column.
+    Everything right of the pair is right-normalized, so the pair's
+    4x4 density matrix, indexed 2 a + b as in build_gate, is
+    rho[x, y] = sum_q sum_i lambda_{q,i}^2 sum_j P_x[q][i, j] conj(P_y[q][i, j])
+    over the gate-free products P_(a,b)[q] = A_A(a)[q] A_B(b); only
+    products of one column sector meet. Each value is then
+    Re tr(G rho G^dagger Sz), and Sz is diagonal in the pair basis.
     """
-    pair = _fused_pair(state, gate, "AB")
-    sz_left = sz_right = 0.0
-    for block in pair.plan:
-        w2 = np.abs(pair.blocks[block.qm]) ** 2
-        row_w, col_w = w2.sum(axis=1), w2.sum(axis=0)
-        for s, _q, r0, r1 in block.rows:
-            sz_left += (0.5 if s == UP else -0.5) * float(row_w[r0:r1].sum())
-        for s, _q, c0, c1 in block.cols:
-            sz_right += (0.5 if s == UP else -0.5) * float(col_w[c0:c1].sum())
-    return sz_left, sz_right
+    left, right, lam = _pair_roles(state, "AB")
+    rho, sectors = np.zeros((4, 4), dtype=complex), defaultdict(dict)
+    for (a, q, b), prod in _pair_products(left, right, lam).items():
+        sectors[q, left.shifts[a] + right.shifts[b]][2 * a + b] = prod * lam.blocks[q][:, None]
+    for terms in sectors.values():
+        for x, p_x in terms.items():
+            for y, p_y in terms.items():
+                rho[x, y] += np.vdot(p_y, p_x)
+    uu, ud, du, dd = (gate @ rho @ gate.conj().T).diagonal().real.tolist()
+    return 0.5 * (uu + ud - du - dd), 0.5 * (uu - ud + du - dd)
 
 
 def _record(t, sz0, sz1, discarded_weight, state) -> ObserverRecord:

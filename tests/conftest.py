@@ -93,6 +93,12 @@ def k256_run():
 
 
 @pytest.fixture(scope="session")
+def k128_t4_state():
+    """The desk profile's state at t=4 (k=128)."""
+    return evolve_to(neel_init(), 4.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=128))
+
+
+@pytest.fixture(scope="session")
 def dense16_curve():
     """{time: central-site <Sz>} for the 16-site dense reference."""
     grid = [k * 0.0625 for k in range(65)]

@@ -334,3 +334,28 @@ def test_spectrum_out_of_form_refused(k16_t1, tmp_path, how):
         ]
     )
     assert rc == 4
+
+
+def test_site_block_not_finite_refused(tmp_path):
+    # a NaN in a site block, stored under a valid CRC, is refused on load
+    # with the tensor and sector named, and sample exits 4 with no CSV
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16, t_init=1.0)
+    state = evolve_to(neel_init(), 1.0, config)
+    up = {q: arr.copy() for q, arr in state.a_a.spin(UP).items()}
+    q = max(up, key=lambda c: up[c].size)
+    up[q][0, 0] = np.nan
+    a_a = SiteTensor(state.a_a.shifts, up, state.a_a.spin(DN))
+    path = tmp_path / "nan.mpsc1"
+    doctored = MPSState(a_a, state.a_b, state.lambda_a, state.lambda_b, state.time)
+    save_checkpoint(path, doctored, config)
+    with pytest.raises(CheckpointVersionError, match=f"A_A_up sector {q} is not finite"):
+        load_checkpoint(path)
+    out = tmp_path / "mc.csv"
+    rc = main(
+        [
+            "sample", "--profile", "desk-small", "--checkpoint", str(path),
+            "--t-fin", "2.0", "--samples", "4", "--out", str(out),
+        ]
+    )
+    assert rc == 4
+    assert not out.exists()

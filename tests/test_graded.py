@@ -54,10 +54,10 @@ def test_site_tensor_keeps_the_matrices_it_is_given():
     assert tensor.dims == ((-1, 1, 2, 0), (0, 3, 0, 2), (2, 2, 3, 0))
 
 
-def test_site_tensor_dims_of_the_desk_state():
+def test_site_tensor_dims_of_the_desk_state(k128_t4_state):
     # the slot table the pair plans are cached by, as the side-by-side
     # layout gave it for the desk profile's k=128 state at t=4
-    state = evolve_to(neel_init(), 4.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=128))
+    state = k128_t4_state
     assert state.a_a.dims == (
         (-3, 1, 4, 0), (-2, 9, 17, 4), (-1, 25, 34, 17), (0, 38, 38, 34),
         (1, 34, 25, 38), (2, 17, 9, 25), (3, 4, 1, 9),

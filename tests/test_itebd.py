@@ -22,10 +22,11 @@ from spinquench import graded, itebd, threads
 from spinquench.checkpoint import load_checkpoint, save_checkpoint
 from spinquench.errors import ConfigError, SvdError
 from spinquench.graded import SchmidtSpectrum
-from spinquench.harness import run_itebd
+from spinquench.harness import PROFILES, read_table, run_itebd
 from spinquench.itebd import (
     DN,
     UP,
+    MPSState,
     QuenchConfig,
     _fused_pair,
     _pair_roles,
@@ -294,17 +295,30 @@ def test_fused_pair_matches_old_route(request, run, which):
             assert np.max(np.abs(got - expected)) < 1e-13
 
 
-@pytest.mark.parametrize("step", [0.0, 0.03125, 0.0625])
-def test_pair_observable_matches_reference(step):
-    # the signed row and column norms of theta against <u+ Sz u> summed
-    # over pairs of transfer matrices, for the identity, half and full gates
-    state = evolve_to(neel_init(), 1.0, QuenchConfig(delta=0.5, dt=0.0625, k_max=32))
-    u = build_gate(0.5, step)
-    sz0, sz1 = expect_pair_observable(state, u)
-    ref0 = expect_pair_observable_reference(state, u.conj().T @ SZ_LEFT @ u)
-    ref1 = expect_pair_observable_reference(state, u.conj().T @ SZ_RIGHT @ u)
-    assert abs(sz0 - ref0) < 1e-14
-    assert abs(sz1 - ref1) < 1e-14
+@pytest.mark.parametrize("step", [0.0, 0.03125, -0.03125, 0.0625])
+def test_pair_observable_matches_reference(k128_t4_state, step):
+    # the pair's 4x4 density matrix against <u+ Sz u> summed over pairs of
+    # transfer matrices, for the identity, half (either way) and full gates,
+    # at three anisotropies and on the desk k=128, t=4 state
+    states = [(delta, evolve_to(neel_init(), 1.0, QuenchConfig(delta=delta, dt=0.0625, k_max=32)))
+              for delta in (0.0, 0.5, 1.5)]
+    for delta, state in [*states, (0.5, k128_t4_state)]:
+        u = build_gate(delta, step)
+        sz0, sz1 = expect_pair_observable(state, u)
+        ref0 = expect_pair_observable_reference(state, u.conj().T @ SZ_LEFT @ u)
+        ref1 = expect_pair_observable_reference(state, u.conj().T @ SZ_RIGHT @ u)
+        assert abs(sz0 - ref0) < 1e-14
+        assert abs(sz1 - ref1) < 1e-14
+
+
+def test_curve_conserves_total_sz(tmp_path):
+    # every gate commutes with total Sz, which is 0 in the Neel start, so
+    # each row of the desk-small curve has sz1 = -sz0 up to round-off
+    desk_small = {k: PROFILES["desk-small"][k] for k in ("delta", "dt", "k_max")}
+    run_itebd(QuenchConfig(**desk_small, t_init=4.0), tmp_path / "t4.mpsc1", tmp_path / "t4.csv")
+    _meta, cols = read_table(tmp_path / "t4.csv")
+    assert cols["t"].size == 65
+    assert np.max(np.abs(cols["sz0"] + cols["sz1"])) <= 1e-13
 
 
 def test_pair_observable_matches_site_observable():
@@ -351,39 +365,40 @@ def _assert_same_state(got, want):
         assert all(np.array_equal(g.blocks[q], w.blocks[q]) for q in w.blocks)
 
 
-def test_shared_products_never_outlive_their_state():
-    # evolve_to lets the pair observable and the AB update after it share
-    # one state's products. Replaying its schedule with every call on a
-    # fresh copy of the state, which keeps no products, gives the same
-    # records and the same final state bit for bit.
+def test_states_never_change_after_construction(tmp_path):
+    # a state holds its init fields and nothing else: replaying evolve_to's
+    # schedule with every update on a copy of the state gives the same
+    # records and the same final state bit for bit, observing a state adds
+    # nothing to it, and observing a run leaves its checkpoint unchanged
+    assert all(f.init for f in dataclasses.fields(MPSState))
+    fields = {f.name for f in dataclasses.fields(MPSState)}
     config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16)
     records = []
     final = evolve_to(neel_init(), 0.5, config, observer=records.append)
 
-    def fresh(state):
-        copy = dataclasses.replace(state)
-        assert not copy._products
-        return copy
+    def copy(state):
+        return dataclasses.replace(state)
 
     g_half, g_full = build_gate(0.5, 0.03125), build_gate(0.5, 0.0625)
-    state, _report = update_bond(fresh(neel_init()), g_half, "AB", 16)
+    state, _report = update_bond(copy(neel_init()), g_half, "AB", 16)
     observed = []
     for k in range(1, 9):
-        state, _report = update_bond(fresh(state), g_full, "BA", 16)
+        state, _report = update_bond(copy(state), g_full, "BA", 16)
         if k < 8:
-            observed.append(expect_pair_observable(fresh(state), g_half))
-            state, _report = update_bond(fresh(state), g_full, "AB", 16)
+            observed.append(expect_pair_observable(state, g_half))
+            assert set(vars(state)) == fields
+            state, _report = update_bond(copy(state), g_full, "AB", 16)
         else:
-            state, _report = update_bond(fresh(state), g_half, "AB", 16)
+            state, _report = update_bond(copy(state), g_half, "AB", 16)
     assert [(r.sz0, r.sz1) for r in records[:-1]] == observed
     _assert_same_state(final, state)
-    # the observable leaves its products on the state for the update,
-    # which uses them up; the state it returns starts without
-    shared = fresh(state)
-    expect_pair_observable(shared, g_half)
-    assert list(shared._products) == ["AB"]
-    new, _report = update_bond(shared, g_full, "AB", 16)
-    assert not shared._products and not new._products
+
+    config = QuenchConfig(delta=0.5, dt=0.0625, k_max=32)
+    for name, observer in (("seen", lambda _record: None), ("unseen", None)):
+        state = evolve_to(neel_init(), 2.0, config, observer=observer)
+        assert set(vars(state)) == fields
+        save_checkpoint(tmp_path / f"{name}.mpsc1", state, config)
+    assert (tmp_path / "seen.mpsc1").read_bytes() == (tmp_path / "unseen.mpsc1").read_bytes()
 
 
 def test_evolve_to_is_bit_identical_on_one_and_three_cpus(three_cpus, monkeypatch, tmp_path):
