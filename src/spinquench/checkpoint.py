@@ -31,6 +31,7 @@ from .errors import (
     CheckpointChecksumError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ConfigError,
 )
 from .graded import SchmidtSpectrum, SiteTensor
 from .itebd import DN, SHIFT_A, SHIFT_B, UP, MPSState, QuenchConfig
@@ -191,7 +192,9 @@ def load_checkpoint(path):
 
     Raises CheckpointVersionError for a foreign magic, an unsupported
     version, or a manifest with a missing key, a run parameter that is
-    not a number, a charge, size or offset that is not an integer (a
+    not a number or that QuenchConfig refuses (a dt that is not
+    positive, a t_init off the dt grid, a delta that is not finite, a
+    k_max below 2), a charge, size or offset that is not an integer (a
     size or offset must also be nonnegative), an unknown tensor name, a
     charge shift other than the one the name implies, a real flag that
     does not fit the tensor, or a site block whose rows or columns do
@@ -223,9 +226,10 @@ def load_checkpoint(path):
             if any(type(v) not in (int, float) for v in params.values()):
                 raise ValueError(f"run parameters {params} are not numbers")
             params["k_max"] = _int(manifest["k_max"])
+            config = QuenchConfig(**params)
             tensors = [_tensor(entry) for entry in manifest["tensors"]]
             _check_bond_dims(tensors)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
             raise CheckpointVersionError(
                 f"{path}: malformed manifest ({exc!r})"
             ) from exc
@@ -253,7 +257,6 @@ def load_checkpoint(path):
     if missing:
         raise CheckpointVersionError(f"{path}: manifest missing tensors {missing}")
 
-    config = QuenchConfig(**params)
     state = MPSState(
         a_a=SiteTensor(SHIFT_A, parsed["A_A_up"], parsed["A_A_dn"]),
         a_b=SiteTensor(SHIFT_B, parsed["A_B_up"], parsed["A_B_dn"]),

@@ -78,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--workers", type=int, default=1,
-        help="most shares of the window propagation, each on its own thread; a run "
-        "below the share crossover uses one; never changes the output",
+        help="most threads of the window propagation; a run below the helper "
+        "crossover uses one; never changes the output",
     )
     p.add_argument("--out", required=True)
 

@@ -12,10 +12,12 @@ never touch entries forbidden by the selection rule.
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
 unblocked decomposition would keep. Inside threads.helper_threads()
-threads.deal, the one dealing rule that all but circuit.apply_gate's
-contiguous split use, deals the sectors of one matrix to helper
-threads, each still one LAPACK call, so where a sector runs never
-changes its bits.
+the sectors of one matrix go on a threads.queue (sector_svds): a
+helper starts each as soon as it is put, longest first, and the
+calling thread decomposes the rest when block_svd collects them. The
+bond update puts theta's sectors on it as it fills them. Each sector
+is still one LAPACK call, so where a sector runs never changes its
+bits.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from .errors import SvdError
 #: and dropped before any truncation counting.
 SINGULAR_VALUE_FLOOR = 1e-14
 
-#: Total work, sum of rows * cols * min(rows, cols) over sectors, below
-#: which block_svd decomposes inline even with helpers open: waking a
-#: helper costs about 70 us, more than it saves on smaller matrices
-#: (ROADMAP, Baseline: sector threads).
+#: Total work, sum of svd_work over a matrix's sectors, below which
+#: its sectors are decomposed on the calling thread even with helpers
+#: open: waking a helper costs about 70 us, more than it saves on
+#: smaller matrices (ROADMAP, Baseline: sector threads).
 THREAD_WORK = 20_000
 
 
@@ -146,15 +148,32 @@ class TruncationReport:
     largest_block_dim: int = 0
 
 
-def _decompose(arrays):
-    """The thin (u, s, vh) of each array, or the LinAlgError it raised."""
-    out = []
-    for arr in arrays:
-        try:
-            out.append(np.linalg.svd(arr, full_matrices=False))
-        except np.linalg.LinAlgError as exc:
-            out.append(exc)
-    return out
+def _decompose(arr):
+    """The thin (u, s, vh) of one sector, or the LinAlgError it raised."""
+    try:
+        return np.linalg.svd(arr, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def svd_work(shape) -> int:
+    """rows * cols * min(rows, cols), the cost by which a sector's SVD is queued."""
+    rows, cols = shape
+    return rows * cols * min(rows, cols)
+
+
+def sector_svds(works) -> threads.Queue:
+    """A threads.queue for the SVDs of one matrix's sectors, of these works.
+
+    Put each sector as (charge, block, work); block_svd collects them.
+    Its helpers, where threads.helper_threads() opened some, are used
+    as threads.deal would use them: only for two or more sectors of
+    total work at least THREAD_WORK.
+    """
+    works = list(works)
+    most = 1 if sum(works) < THREAD_WORK else len(works)
+    # _decompose is looked up per sector, so a test may watch it
+    return threads.queue(lambda arr: _decompose(arr), most)
 
 
 def block_svd(theta):
@@ -163,15 +182,22 @@ def block_svd(theta):
     theta.blocks maps each charge, ascending, to a 2-d block. Returns
     (spectrum, factors): block = u diag(spectrum) vh for (u, vh) =
     factors[charge] as LAPACK gives them; gauged_rows fixes the phases
-    of the rows a caller keeps. Inside threads.helper_threads() the
-    sectors are decomposed on several threads, one LAPACK call each as
-    inline, so the result is the same bit for bit.
+    of the rows a caller keeps. A theta that carries svds, the
+    sector_svds queue its blocks were put on as they were filled, has
+    its results collected; any other has its sectors dealt here
+    (threads.deal, by svd_work from THREAD_WORK up). Either way each
+    sector is one LAPACK call, whichever thread makes it, so the result
+    is the same bit for bit.
     """
+    if getattr(theta, "svds", None) is None:
+        arrays = list(theta.blocks.values())
+        works = [svd_work(arr.shape) for arr in arrays]
+        # _decompose is looked up per sector, so a test may watch it
+        results = threads.deal(lambda arr: _decompose(arr), arrays, works, THREAD_WORK)
+    else:
+        done = theta.svds.results()
+        results = [done[q] for q in theta.blocks]
     s_blocks, factors = {}, {}
-    arrays = list(theta.blocks.values())
-    works = [r * c * min(r, c) for r, c in (arr.shape for arr in arrays)]
-    # _decompose is looked up per share, so a test may watch it
-    results = threads.deal(lambda share: _decompose(share), arrays, works, THREAD_WORK)
     for (q_row, arr), result in zip(theta.blocks.items(), results):
         if isinstance(result, np.linalg.LinAlgError):
             raise SvdError(f"SVD did not converge in sector {q_row} "

@@ -26,26 +26,27 @@ rows. sampler.sector_stacks, the one stacking rule, cuts the table
 into per-sector stacks, index arrays into it, that hold at most
 sampler.WALK_MEMO_BYTES of amplitudes, the budget of the walk and of
 assembly too; a stack takes one sparse-times-dense product per Taylor
-order. threads.deal, the one dealing rule (only circuit.apply_gate
-splits its passes into contiguous views itself), deals the stacks: a
-round whose work (stack amplitudes x Taylor orders x grid steps) is
-below SHARE_WORK runs on the calling thread, and otherwise the stacks
-go longest first into at most one share per worker and per share the
-helper threads allow. Share 0 runs on the calling thread and the
-others on helper threads, all reading the one in-memory run, and each
-writes its windows' series into the round's table by row. The dedup is
-exact because a pair's series depends only on the pair, the checkpoint
-state, the window Hamiltonian (fixed by h) and the time grid, never on
-the sample that drew it. Stacking is exact too. A share's windows are
+order. The calling thread assembles the stacks in one pass and puts
+the propagation of each on a threads.queue as soon as it is assembled:
+a round whose work (stack amplitudes x Taylor orders x grid steps) is
+below SHARE_WORK runs on the calling thread, one stack after another,
+and otherwise on at most one thread per worker and per usable CPU, the
+helpers taking each stack as it comes and the calling thread running
+any that would wait for a busy helper, so no more assembled stacks
+wait than there are helpers. All read the one in-memory run, and each
+stack writes its windows' series into the round's table by row. The
+dedup is exact because a pair's series depends only on the pair, the
+checkpoint state, the window Hamiltonian (fixed by h) and the time
+grid, never on the sample that drew it. Stacking is exact too. A stack's windows are
 assembled by one stack assembler whose batched products make one
 product per boundary state and per pair, exactly the product a pair
 assembled alone makes (see sampler), so a window's amplitudes do not
 depend on what is assembled beside it. Every column of the Taylor
 product accumulates in the order of a single matrix-vector product,
 and norms, the drift guard and <Sz> are taken row by row. So a series
-does not depend on which pairs share its stack, its assembly batch or
-its share, and how pairs are split among threads changes where the
-work runs, never a byte of the output.
+does not depend on which pairs share its stack or its assembly batch,
+and which thread takes a stack changes where the work runs, never a
+byte of the output.
 
 A run may split the boundary pairs semistochastically (see sampler):
 the pairs of S = A x B, the boundary states whose lambda^2 reach
@@ -117,12 +118,12 @@ PROFILES = {
 #: Least round-two work for which the stacks are dealt to helper
 #: threads. Work is the amplitudes of all stacks times Taylor orders
 #: times grid steps: the entries of every sparse-times-dense product the
-#: round makes. Below it, handing shares to helpers costs more than it
+#: round makes. Below it, handing stacks to helpers costs more than it
 #: saves, so the whole round runs on the calling thread. On a 2-vCPU
 #: Xeon with one BLAS thread and the desk checkpoint (k=128, t=4), two
 #: shares lost to one up to 2.2e6 (l=5), tied at 3.5e6 (l=5 and l=6)
 #: and won from 4.8e6 (l=6) up. The desk profile's run (l=4, 2000
-#: samples) does 1.3e6, 5.8e5 at p_star = inf, and stays one share.
+#: samples) does 1.3e6, 5.8e5 at p_star = inf, and stays on one thread.
 SHARE_WORK = 1 << 22
 
 #: Leading share of a curve's time span over which shift_correction
@@ -279,10 +280,10 @@ def _two_rounds(state, spec, h, params, split, master_seed, n_samples, n_workers
     Round one draws every sample's pair on this thread, from the tail of
     the split; round two evolves the pairs of S, then each distinct drawn
     pair of the run, once. sampler.sector_stacks cuts that pair table
-    into stacks, threads.deal deals them by their Taylor products into at
-    most n_workers shares, and a share writes each pair's series and raw
-    squared norm at the pair's row. A split whose tail weight is zero
-    draws no sample.
+    into stacks; this thread assembles them and queues each one's
+    propagation, by its Taylor products, for at most n_workers threads,
+    and a stack writes each pair's series and raw squared norm at the
+    pair's row. A split whose tail weight is zero draws no sample.
     """
     drawn = np.empty((0, 4), dtype=np.int64)
     first = of_sample = np.zeros(0, dtype=np.int64)
@@ -294,19 +295,22 @@ def _two_rounds(state, spec, h, params, split, master_seed, n_samples, n_workers
     pairs = np.concatenate([split.pairs, drawn[first]])
     series, norms = np.empty((len(pairs), params.n_steps + 1)), np.empty(len(pairs))
 
-    def evolve(stacks):
-        """Assemble and evolve a share's stacks, writing each row's results in place."""
-        ids = np.concatenate(stacks)
-        for at, psi, norm2 in assemble_window_stacks(state, spec, pairs[ids]):
-            series[ids[at]] = evolve_and_measure(psi, h, params)
-            norms[ids[at]] = norm2
-        return [None] * len(stacks)
+    def evolve(stack):
+        """Evolve one assembled stack, writing each row's series and raw squared norm in place."""
+        at, psi, norm2 = stack
+        series[at] = evolve_and_measure(psi, h, params)
+        norms[at] = norm2
 
     stacks = sampler.sector_stacks(spec, pairs)
     dims = [math.comb(2 * spec.l + 1, int(pair_sector(spec, pairs[at[0]]))) for at in stacks]
     costs = [at.size * dim * params.n_max * params.n_steps for at, dim in zip(stacks, dims)]
-    with threads.helper_threads():
-        threads.deal(evolve, stacks, costs, SHARE_WORK, n_workers)
+    most = 1 if sum(costs) < SHARE_WORK else min(n_workers, len(stacks))
+    with threads.helper_threads(), threads.queue(evolve, most) as round_two:
+        # the assembler yields the stacks of sector_stacks in order
+        for j, stack in enumerate(assemble_window_stacks(state, spec, pairs)):
+            round_two.put(j, stack, costs[j])
+            round_two.keep_up()
+        round_two.results()
     n_s = len(split.pairs)
     return series[n_s + of_sample], series[:n_s], norms[:n_s]
 
@@ -325,7 +329,7 @@ def run_mc(
 ) -> AggregateCurve:
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
-    The checkpoint is loaded once, by path, and every share of round two
+    The checkpoint is loaded once, by path, and every thread of round two
     reads that one state, window Hamiltonian and grid. p_star sets the
     semistochastic split (see sampler.semistochastic_split): a
     nonnegative number, where inf, the default, is the one spelling of S

@@ -24,19 +24,25 @@ what lets the bond dimension be pushed hard without the usual blow-up
 from inverting a near-singular bond.
 
 The sector SVDs run where evolve_to puts them: it opens one
-threads.helper_threads() block for its whole run, so each update's
-theta is dealt, longest sector first, to the calling thread and one
-helper per further usable CPU (where BLAS runs on one thread), and the
-helpers are joined on every exit; update_bond called on its own
-decomposes inline. The bits cannot move with the CPU count: every
+threads.helper_threads() block for its whole run, with one helper per
+further usable CPU (where BLAS runs on one thread), joined on every
+exit; update_bond called on its own decomposes inline. An update fills
+theta's blocks largest first and puts each on a queue as soon as it is
+filled, so a helper decomposes the first sectors while the calling
+thread fills the rest; the calling thread then decomposes what no
+helper has started. The bits cannot move with the CPU count: every
 sector is one np.linalg.svd call on its own block whichever thread
 makes it, and the factors are read back in charge order, so the kept
 set, the gauge and the rebuilt tensors are those of the inline route.
 
 The interior observations read <Sz> of both sites off the AB pair's
 4x4 density matrix, formed from the same gate-free products, so a
-measurement fills no C and no theta. A state never changes after
-construction: the observation and the update form their own products.
+measurement fills no C and no theta. The AB update that follows an
+observation forms those products anyway, so evolve_to observes inside
+it: update_bond hands its products to the observation once theta's
+sectors are queued, and the calling thread measures while the helpers
+decompose. Products are formed once per update, and a state never
+changes after construction.
 
 Charge bookkeeping: a bond state's charge is the number of up spins to
 its left minus the initial count. Crossing a site changes the charge by
@@ -47,6 +53,7 @@ B-sublattice shifts are (+1, 0).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -56,7 +63,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_int, check_real, step_count
-from .graded import SchmidtSpectrum, SiteTensor, block_svd, gauged_rows, merged_truncate
+from .graded import (
+    SchmidtSpectrum,
+    SiteTensor,
+    block_svd,
+    gauged_rows,
+    merged_truncate,
+    sector_svds,
+    svd_work,
+)
 from .threads import helper_threads
 
 UP, DN = 0, 1
@@ -191,7 +206,7 @@ def _pair_products(left: SiteTensor, right: SiteTensor, lam: SchmidtSpectrum):
 
 
 _Block = namedtuple("_Block", "qm shape rows cols fill terms")
-_Fused = namedtuple("_Fused", "c blocks plan")
+_Fused = namedtuple("_Fused", "c blocks plan products svds")
 
 
 def _end_to_end(sizes):
@@ -243,28 +258,40 @@ def _pair_plan(which, left_dims, right_dims, live):
 def _fused_pair(state: MPSState, gate: np.ndarray, which: str) -> _Fused:
     """The gated two-site tensor of a pair, one block per middle charge.
 
-    C is filled from the pair's products as its plan says; theta, C with
-    rows scaled by the left bond's Schmidt values, is what block_svd takes.
+    C is filled from the pair's products as its plan says, largest block
+    first (graded.svd_work); theta, C with rows scaled by the left
+    bond's Schmidt values, is what block_svd takes. Each theta block is
+    put on svds, a graded.sector_svds queue, as soon as it is filled, so
+    a helper may decompose it while the rest are filled. The caller
+    closes svds, in a with block; a fill that raises closes it here.
     """
     left, right, lam = _pair_roles(state, which)
     prods = _pair_products(left, right, lam)
     plan = _pair_plan(which, left.dims, right.dims, (gate != 0).tobytes())
     coeff = gate.ravel().tolist()
-    c, theta = {}, {}
-    for block in plan:
-        dense = c[block.qm] = (np.zeros if block.fill else np.empty)(block.shape, dtype=complex)
-        # array times scalar: numpy may round scalar times array differently
-        for out, k, prod, first in block.terms:
-            if first:
-                np.multiply(prods[prod], coeff[k], out=dense[out])
-            else:
-                dense[out] += prods[prod] * coeff[k]
-        lam_rows = np.concatenate([lam.blocks[q] for _s, q, _b, _e in block.rows], dtype=complex)
-        theta[block.qm] = dense * lam_rows[:, None]
-    return _Fused(c, theta, plan)
+    works = [svd_work(block.shape) for block in plan]
+    # C and theta keep the plan's ascending charges whatever the fill order
+    charges = [block.qm for block in plan]
+    c, theta = dict.fromkeys(charges), dict.fromkeys(charges)
+    with contextlib.ExitStack() as on_error:
+        svds = on_error.enter_context(sector_svds(works))
+        for i in sorted(range(len(plan)), key=lambda i: -works[i]):
+            block = plan[i]
+            dense = c[block.qm] = (np.zeros if block.fill else np.empty)(block.shape, dtype=complex)
+            # array times scalar: numpy may round scalar times array differently
+            for out, k, prod, first in block.terms:
+                if first:
+                    np.multiply(prods[prod], coeff[k], out=dense[out])
+                else:
+                    dense[out] += prods[prod] * coeff[k]
+            lam_rows = np.concatenate([lam.blocks[q] for _s, q, *_span in block.rows], dtype=complex)
+            theta[block.qm] = dense * lam_rows[:, None]
+            svds.put(block.qm, theta[block.qm], works[i])
+        on_error.pop_all()
+    return _Fused(c, theta, plan, prods, svds)
 
 
-def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
+def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int, meanwhile=None):
     """Apply a two-site gate to an AB or BA pair and re-factorize.
 
     Decomposes the pair's fused theta (see _fused_pair) and returns
@@ -272,11 +299,20 @@ def update_bond(state: MPSState, gate: np.ndarray, which: str, k_max: int):
     unchanged; the decomposed bond keeps the k_max globally largest
     values over all charge sectors. The new right matrices are column
     views of the kept rows of Y, the new left ones row views of C
-    Y-dagger. No Schmidt value is inverted anywhere.
+    Y-dagger. No Schmidt value is inverted anywhere. meanwhile, where
+    given, is called with the pair's products once every theta block
+    is queued and before block_svd collects them: work for this thread
+    while helpers decompose.
     """
     left, right, _lam = _pair_roles(state, which)
     pair = _fused_pair(state, gate, which)
-    spec_raw, factors = block_svd(pair)
+    with pair.svds:
+        if meanwhile is not None:
+            meanwhile(pair.products)
+        spec_raw, factors = block_svd(pair)
+    # the rebuild reads C and the plan alone: free the products and the
+    # queue's copies of the factors, which the rebuild frees as it goes
+    pair = pair._replace(products=None, svds=None)
     spec_new, report = merged_truncate(spec_raw, k_max)
     report.largest_block_dim = max(max(block.shape) for block in pair.plan)
     scale = 1.0 / math.sqrt(spec_raw.total_weight - report.discarded_weight)
@@ -318,7 +354,7 @@ def expect_sz(state: MPSState, sublattice: str = "A") -> float:
     return val
 
 
-def expect_pair_observable(state: MPSState, gate: np.ndarray):
+def expect_pair_observable(state: MPSState, gate: np.ndarray, products=None):
     """(<Sz> left, <Sz> right) of one A-B pair of the unit cell after gate.
 
     Everything right of the pair is right-normalized, so the pair's
@@ -327,10 +363,14 @@ def expect_pair_observable(state: MPSState, gate: np.ndarray):
     over the gate-free products P_(a,b)[q] = A_A(a)[q] A_B(b); only
     products of one column sector meet. Each value is then
     Re tr(G rho G^dagger Sz), and Sz is diagonal in the pair basis.
+    products, where given, are those _pair_products forms for the pair,
+    as an AB update of the state hands them over.
     """
     left, right, lam = _pair_roles(state, "AB")
+    if products is None:
+        products = _pair_products(left, right, lam)
     rho, sectors = np.zeros((4, 4), dtype=complex), defaultdict(dict)
-    for (a, q, b), prod in _pair_products(left, right, lam).items():
+    for (a, q, b), prod in products.items():
         sectors[q, left.shifts[a] + right.shifts[b]][2 * a + b] = prod * lam.blocks[q][:, None]
     for terms in sectors.values():
         for x, p_x in terms.items():
@@ -361,6 +401,9 @@ def evolve_to(
     equals measuring the completed symmetric step without applying (and
     truncating) the extra half layer; the final step's trailing half
     layer is applied for real so the returned state is the physical one.
+    An interior observation, observer call included, runs inside the
+    next AB update, on its products, while that update's sectors
+    decompose.
     """
     n = step_count(t_end - state.time, config.dt, "t_end - t")
     if n == 0:
@@ -378,10 +421,12 @@ def evolve_to(
             step_weight += rep.discarded_weight
             t_k = t0 + k * config.dt
             if k < n:
+                observe = None
                 if observer is not None:
-                    sz0, sz1 = expect_pair_observable(state, g_half)
-                    observer(_record(t_k, sz0, sz1, step_weight, state))
-                state, rep = update_bond(state, g_full, "AB", config.k_max)
+                    def observe(products, state=state, t_k=t_k, weight=step_weight):
+                        sz0, sz1 = expect_pair_observable(state, g_half, products)
+                        observer(_record(t_k, sz0, sz1, weight, state))
+                state, rep = update_bond(state, g_full, "AB", config.k_max, observe)
                 step_weight = rep.discarded_weight
             else:
                 state, rep = update_bond(state, g_half, "AB", config.k_max)

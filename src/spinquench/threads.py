@@ -1,22 +1,29 @@
-"""Helper threads for work that splits into independent shares.
+"""Helper threads for work that splits into independent pieces.
 
-Inside helper_threads() a caller may deal one piece of work into
-shares: run_shares runs the first share on the calling thread and each
-other share on a helper, waits for all of them, and hands the results
-back in share order, so a share's result never depends on where it ran.
-deal is the one rule for work that is a list of items of known cost:
-the block SVD (graded) and round two of the window sampler (harness)
-call it. The fused-gate passes (circuit) split their output into
-contiguous views instead and call run_shares themselves. Each share is
-whole LAPACK, BLAS or sparse-product calls on its own operands, so what
-a share computes is the same bits inline or on a helper.
+Inside helper_threads() a caller may hand work to helper threads in two
+ways. queue() is for a list of items of known cost: a helper free when
+an item is put starts it at once, each helper takes the longest item
+still pending, and the calling thread runs what is left when it asks
+for the results, which come back in put order. So a caller can go on
+filling items, or doing other work, while the helpers run the first
+ones; keep_up lets a caller that makes items faster than the helpers
+take them run the surplus itself. deal is the one rule for a list
+known all at once: it puts the items longest first and collects them.
+The bond update queues theta's sectors as it fills them, block_svd
+deals the sectors of a matrix given whole (graded), and round two of
+the window sampler queues the propagation of each sector stack as it
+is assembled (harness). The fused-gate passes (circuit) split their
+output into contiguous views instead and call run_shares, which runs
+share 0 here and the others on helpers. Each item or share is whole LAPACK, BLAS or
+sparse-product calls on its own operands, so what it computes is the
+same bits inline or on a helper, whichever thread takes it.
 
 There is one helper per usable CPU beyond the first, none on one CPU,
 and none unless numpy's BLAS runs on one thread (blas_threads): a
 BLAS on several threads already spreads each call over the CPUs, and
 helpers calling it at once only compete with its threads. A helper runs
-outside the block's context, so the work it is given never deals
-shares of its own.
+outside the block's context, so the work it is given never hands work
+on to helpers of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +32,9 @@ import contextlib
 import contextvars
 import ctypes
 import functools
+import heapq
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy  # noqa: F401  (loads the BLAS that blas_threads asks)
@@ -127,28 +136,124 @@ def run_shares(work, shares) -> list:
         raise
 
 
-def deal(work, items, costs, least, most=None) -> list:
-    """work(items), one result per item in items order, dealt where that pays.
+class Queue:
+    """Items of one work function, started longest first, some on helpers as they are put.
 
-    Outside helper_threads(), for one item, for most = 1 or for a total
-    cost below least, work(items) runs once here. Otherwise each item,
-    largest cost first (ties in items order), goes to the share of least
-    cost so far among min(share_count(), most, len(items)) shares; empty
-    shares are dropped, and a single share runs here.
+    A helper free when an item is put starts at once, and each helper
+    takes the longest pending item (ties in put order) until none is
+    left; results() runs the ones still pending here. n_helpers is the
+    most helpers it uses at once. Make one with queue().
     """
-    n_shares = min(share_count(), len(items), len(items) if most is None else most)
-    if n_shares < 2 or sum(costs) < least:
-        return work(items)
-    shares, loads = [[] for _ in range(n_shares)], [0] * n_shares
-    for i in sorted(range(len(items)), key=lambda i: -costs[i]):
-        j = loads.index(min(loads))
-        shares[j].append(i)
-        loads[j] += costs[i]
-    shares = [share for share in shares if share]
-    dealt = [[items[i] for i in share] for share in shares]
-    outs = [work(dealt[0])] if len(dealt) == 1 else run_shares(work, dealt)
-    results = [None] * len(items)
-    for share, out in zip(shares, outs):
-        for i, result in zip(share, out):
-            results[i] = result
-    return results
+
+    def __init__(self, work, pool, n_helpers):
+        self._work, self._pool, self.n_helpers = work, pool, n_helpers
+        self._keys, self._items, self._outcomes = [], [], []
+        self._pending, self._serving, self._helpers = [], 0, []
+        self._lock = threading.Lock()
+
+    def put(self, key, item, cost):
+        """Queue work(item) of the given cost, to be returned under key."""
+        with self._lock:
+            heapq.heappush(self._pending, (-cost, len(self._items)))
+            self._keys.append(key)
+            self._items.append(item)
+            self._outcomes.append(None)
+            if self._serving < self.n_helpers:
+                self._serving += 1
+                self._helpers.append(self._pool.submit(self._serve))
+
+    def _take(self, leave=0):
+        """The longest pending item's index, taken off, if more than leave are pending."""
+        with self._lock:
+            if len(self._pending) > leave:
+                return heapq.heappop(self._pending)[1]
+            return None
+
+    def _run(self, i):
+        # the queue lets go of an item once it runs, so a stack's
+        # amplitudes are freed as soon as it is evolved
+        item, self._items[i] = self._items[i], None
+        try:
+            self._outcomes[i] = True, self._work(item)
+        except BaseException as exc:
+            self._outcomes[i] = False, exc
+
+    def _serve(self):
+        """A helper's loop: run the longest pending item until none is left."""
+        while True:
+            with self._lock:
+                if not self._pending:
+                    self._serving -= 1
+                    return
+                i = heapq.heappop(self._pending)[1]
+            self._run(i)
+
+    def keep_up(self):
+        """Run the longest pending items here until no more wait than there are helpers.
+
+        A caller that puts items faster than the helpers take them calls
+        it after each put, so that at most n_helpers items wait: with no
+        helpers, each item runs as soon as it is put.
+        """
+        while (i := self._take(self.n_helpers)) is not None:
+            self._run(i)
+
+    def results(self) -> dict:
+        """{key: work(item)} in put order, once every item has finished.
+
+        The items no helper has started run here, longest first. Where
+        items raised, the exception of the first in put order is raised
+        here, after all of them have finished.
+        """
+        while (i := self._take()) is not None:
+            self._run(i)
+        wait(self._helpers)
+        for ok, value in self._outcomes:
+            if not ok:
+                raise value
+        return {key: value for key, (_ok, value) in zip(self._keys, self._outcomes)}
+
+    def close(self):
+        """Drop the items no thread has started and wait for the running ones."""
+        with self._lock:
+            self._pending.clear()
+        wait(self._helpers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def queue(work, most=None) -> Queue:
+    """A Queue of work on at most most threads, this one included; None: no cap.
+
+    Inside helper_threads() it may use as many helpers as that block
+    opened, one per usable CPU beyond the first; elsewhere, or for most
+    = 1, none, and results() runs every item here. Use it as a context
+    manager, so that leaving the block, however it is left, drops what
+    no thread has started and waits for what is running.
+    """
+    helpers = _helpers.get()
+    if helpers is None:
+        return Queue(work, None, 0)
+    pool, n_cpus = helpers
+    return Queue(work, pool, min(n_cpus, n_cpus if most is None else most) - 1)
+
+
+def deal(work, items, costs, least, most=None) -> list:
+    """[work(item) for item in items], on helpers where that pays.
+
+    The items are put on one queue() longest first (ties in items
+    order), so they start in that order, on at most most threads and
+    one per item; a total cost below least, or a single item, runs
+    here.
+    """
+    order = sorted(range(len(items)), key=lambda i: -costs[i])
+    most = 1 if len(items) < 2 or sum(costs) < least else min(len(items), most or len(items))
+    with queue(work, most) as dealt:
+        for i in order:
+            dealt.put(i, items[i], costs[i])
+        results = dealt.results()
+    return [results[i] for i in range(len(items))]

@@ -255,7 +255,7 @@ class SparseWindowHamiltonian:
     def sector(self, n_up: int):
         """(read-only shared basis, csr matrix) of the n_up-up-spins sector.
 
-        Built on first use, once: the shares of a run's round two ask for
+        Built on first use, once: the threads of a run's round two ask for
         sectors from several threads, and one asking while another builds
         waits for that build.
         """

@@ -40,22 +40,22 @@ def one_blas_thread(monkeypatch):
 def three_cpus(one_blas_thread, monkeypatch):
     """Three usable CPUs, one BLAS thread and no crossovers, on any machine.
 
-    helper_threads() then opens two helpers, block_svd deals every
-    matrix of two or more sectors into shares and apply_gate deals
-    every pass of three or more amplitudes into three. Returns the list
-    of (thread, arrays) of every SVD share decomposed from here on.
+    helper_threads() then opens two helpers, block_svd queues every
+    matrix of two or more sectors for them and apply_gate deals every
+    pass of three or more amplitudes into three. Returns the list of
+    (thread, array) of every sector decomposed from here on.
     """
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     monkeypatch.setattr(graded, "THREAD_WORK", 0)
     monkeypatch.setattr(circuit, "SHARE_AMPLITUDES", 1)
-    shares, decompose = [], graded._decompose
+    sectors, decompose = [], graded._decompose
 
-    def watched(arrays):
-        shares.append((threading.current_thread(), arrays))
-        return decompose(arrays)
+    def watched(arr):
+        sectors.append((threading.current_thread(), arr))
+        return decompose(arr)
 
     monkeypatch.setattr(graded, "_decompose", watched)
-    return shares
+    return sectors
 
 
 @pytest.fixture

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 import zlib
 
@@ -196,6 +198,14 @@ def _unknown_tensor(manifest):
     manifest["tensors"].append({**manifest["tensors"][0], "name": "A_C_up"})
 
 
+def _param(key, value):
+    # a run parameter of the right type that QuenchConfig refuses
+    def edit(manifest):
+        manifest[key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -205,6 +215,8 @@ def _unknown_tensor(manifest):
         _shift("A_B_up", -1), _shift("lambda_A", 2), _unknown_tensor,
         _resize("A_A_up", "rows", -1), _resize("A_B_dn", "cols", 1),
         _resize("lambda_A", "rows", -1),
+        _param("dt", -0.0625), _param("t_init", 1.01), _param("delta", math.nan),
+        _param("k_max", 1),
     ],
     ids=[
         "no-tensors", "no-delta", "negative-rows", "float-offset",
@@ -212,6 +224,7 @@ def _unknown_tensor(manifest):
         "shift-A_B_dn", "shift-A_A_dn", "shift-A_A_up", "shift-A_B_up",
         "shift-lambda_A", "unknown-tensor",
         "rows-A_A_up", "cols-A_B_dn", "rows-lambda_A",
+        "negative-dt", "t_init-off-grid", "nan-delta", "k_max-1",
     ],
 )
 def test_malformed_manifest_rejected(tmp_path, edit):
@@ -226,7 +239,7 @@ def test_malformed_manifest_rejected(tmp_path, edit):
     blob = json.dumps(manifest).encode()
     payload_and_crc = raw[12 + manifest_len :]
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload_and_crc)
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointVersionError, match=re.escape(str(path))):
         load_checkpoint(path)
     rc = main(
         [

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from spinquench import itebd
+from spinquench import graded, itebd, threads
 from spinquench.errors import SvdError
 from spinquench.graded import (
     SINGULAR_VALUE_FLOOR,
@@ -147,11 +147,12 @@ def test_block_svd_reports_failure():
 
 
 def _k32_thetas(monkeypatch):
-    """Every theta a k=32 evolution to t=2 decomposes."""
+    """Every theta a k=32 evolution to t=2 decomposes, as plain blocked matrices."""
     thetas, decompose = [], itebd.block_svd
 
     def recorded(theta):
-        thetas.append(theta)
+        # the same blocks without the queue the update put them on
+        thetas.append(GradedMatrix(0, theta.blocks))
         return decompose(theta)
 
     monkeypatch.setattr(itebd, "block_svd", recorded)
@@ -162,19 +163,19 @@ def _k32_thetas(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["tall", "wide", "rank-deficient", "k32-evolution"])
 def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch, kind):
-    # with helpers open the sectors of a matrix are dealt into a share
-    # per CPU, at most one per sector, of which this thread decomposes
-    # one; each sector decomposes to the bits it has inline
+    # with helpers open the sectors of a matrix are queued for this
+    # thread and the two helpers, each decomposed exactly once, on at
+    # most one thread per sector; each decomposes to the bits it has
+    # inline
     thetas = _k32_thetas(monkeypatch) if kind == "k32-evolution" else [_shaped(kind)]
     for theta in thetas:
         spec, factors = block_svd(theta)
         three_cpus.clear()
         with helper_threads():
             spec_t, factors_t = block_svd(theta)
-        threads = [thread for thread, _arrays in three_cpus]
-        assert len(threads) == min(3, len(theta.blocks))
-        assert threads.count(threading.current_thread()) == 1
-        assert sum(len(arrays) for _thread, arrays in three_cpus) == len(theta.blocks)
+        ran_on = {thread for thread, _arr in three_cpus}
+        assert len(ran_on) <= min(3, len(theta.blocks))
+        assert sorted(id(arr) for _thread, arr in three_cpus) == sorted(map(id, theta.blocks.values()))
         assert list(spec_t.blocks) == list(spec.blocks)
         assert list(factors_t) == list(factors)
         for q in spec.blocks:
@@ -184,10 +185,13 @@ def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch
             assert np.array_equal(u_t, u) and np.array_equal(vh_t, vh)
 
 
-def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus):
+def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus, monkeypatch):
     # a sector that does not converge on a helper raises from the calling
-    # thread with the message it raises inline; the deal is longest
-    # first, so the smallest of three sectors goes to the second helper
+    # thread with the message it raises inline. With one helper, each
+    # thread holds its first sector: the helper until this thread has
+    # started one, this thread until the failing sector is decomposed.
+    # The sectors start longest first, so the failing one, the smallest
+    # of three, is neither thread's first and is left to the helper
     rng = np.random.default_rng(22)
     theta = GradedMatrix(0, {
         (0, 0): _complex(rng, 6, 6),
@@ -197,13 +201,31 @@ def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus):
     with pytest.raises(SvdError) as inline:
         block_svd(theta)
     assert str(inline.value) == "SVD did not converge in sector 2 (2x3)"
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    here, watched = threading.current_thread(), graded._decompose
+    started, failed = threading.Event(), threading.Event()
+
+    def held(arr):
+        if np.isnan(arr).any():
+            out = watched(arr)
+            failed.set()
+            return out
+        if threading.current_thread() is here:
+            started.set()
+            assert failed.wait(10)
+        else:
+            assert started.wait(10)
+        return watched(arr)
+
+    monkeypatch.setattr(graded, "_decompose", held)
     three_cpus.clear()
     with helper_threads(), pytest.raises(SvdError) as threaded:
         block_svd(theta)
     assert str(threaded.value) == str(inline.value)
     assert isinstance(threaded.value.__cause__, np.linalg.LinAlgError)
-    (failed_on,) = [t for t, arrays in three_cpus if np.isnan(arrays[0]).any()]
-    assert failed_on is not threading.current_thread()
+    (failed_on,) = [t for t, arr in three_cpus if np.isnan(arr).any()]
+    assert failed_on is not here
+    assert len(three_cpus) == 3
 
 
 def test_merged_truncate_hand_case():

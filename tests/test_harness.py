@@ -48,27 +48,35 @@ def short_run(tmp_path_factory):
 
 
 @pytest.fixture
-def dealt_shares(one_blas_thread, monkeypatch):
-    """Round two may deal shares on 3 faked CPUs; returns the rounds dealt.
+def dealt_rounds(one_blas_thread, monkeypatch):
+    """Round two may be queued for helpers on 3 faked CPUs; returns the rounds that were.
 
-    Each round that goes through threads.run_shares is recorded as the
-    list of the names of the threads its shares ran on, in share order.
+    Each queue opened with helpers is recorded as (threads it may use,
+    this one included, names of the threads its items ran on, in start
+    order). This thread holds its first item until a helper has started
+    one, so a helper runs part of every recorded round.
     """
-    rounds, run_shares = [], threads.run_shares
+    rounds, queue, caller = [], threads.queue, threading.current_thread()
 
-    def recorded(work, shares):
-        names = [None] * len(shares)
+    def recorded(work, most=None):
+        if not queue(work, most).n_helpers:
+            return queue(work, most)
+        names, helped = [], threading.Event()
 
-        def watched(indexed):
-            i, share = indexed
-            names[i] = threading.current_thread().name
-            return work(share)
+        def watched(item):
+            names.append(threading.current_thread().name)
+            if threading.current_thread() is caller:
+                assert helped.wait(10)
+            else:
+                helped.set()
+            return work(item)
 
-        rounds.append(names)
-        return run_shares(watched, list(enumerate(shares)))
+        dealt = queue(watched, most)
+        rounds.append((dealt.n_helpers + 1, names))
+        return dealt
 
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(threads, "run_shares", recorded)
+    monkeypatch.setattr(threads, "queue", recorded)
     return rounds
 
 
@@ -172,7 +180,7 @@ def test_sample_uniforms_are_rows_of_one_stream(master_seed):
 
 
 def test_run_mc_identical_across_worker_counts(
-    short_run, tmp_path, monkeypatch, dealt_shares
+    short_run, tmp_path, monkeypatch, dealt_rounds
 ):
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
@@ -188,8 +196,8 @@ def test_run_mc_identical_across_worker_counts(
     for workers in (1, 2, 3):
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
-    # --workers 2 and 3 deal round two into 2 and 3 shares
-    assert [len(names) for names in dealt_shares] == [2, 3]
+    # --workers 2 and 3 queue round two for 2 and 3 threads
+    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     _meta, cols = read_table(outs[0])
     assert cols["n_samples"].tolist() == [60] * 3
@@ -219,7 +227,7 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, n_samples):
 
 
 def test_run_mc_evolves_each_pair_once_per_run(
-    short_run, monkeypatch, dealt_shares
+    short_run, monkeypatch, dealt_rounds
 ):
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     assembled, propagated, values = [], [], []
@@ -228,7 +236,7 @@ def test_run_mc_evolves_each_pair_once_per_run(
     )
 
     def counted_assemble(state, spec, pairs):
-        # every row the stack assembler is given, in every share
+        # every row the stack assembler is given, on every thread
         assembled.extend(map(tuple, pairs.tolist()))
         return assemble(state, spec, pairs)
 
@@ -272,11 +280,11 @@ def test_run_mc_evolves_each_pair_once_per_run(
         assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
 
 
-def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_shares):
-    # a huge --workers must not deal a share per requested worker. p_star
+def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_rounds):
+    # a huge --workers must not open a thread per requested worker. p_star
     # = 0 puts every reachable pair in S, so the round holds more than 4
     # sector stacks whatever the 3 samples draw, and on 4 usable CPUs
-    # the round is dealt into 4 shares, not 64
+    # the round is queued for 4 threads, not 64
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 4)
     out1 = tmp_path / "w1.csv"
@@ -293,12 +301,12 @@ def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_shares)
     )
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
-    assert [len(names) for names in dealt_shares] == [4]
+    assert [n_threads for n_threads, _names in dealt_rounds] == [4]
     assert out1.read_bytes() == out64.read_bytes()
 
 
-def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_shares):
-    # a process pinned to one CPU deals no shares, as under taskset -c 0
+def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_rounds):
+    # a process pinned to one CPU queues nothing for helpers, as under taskset -c 0
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     monkeypatch.setattr(threads, "usable_cpus", usable_cpus)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -314,19 +322,19 @@ def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_shares
         n_workers=3,
     )
     run_mc(**kw)
-    assert dealt_shares == []
-    # where the OS has no affinity call, the CPU count caps the shares
+    assert dealt_rounds == []
+    # where the OS has no affinity call, the CPU count caps the threads
     monkeypatch.delattr(os, "sched_getaffinity")
     run_mc(**kw)
-    assert [len(names) for names in dealt_shares] == [2]
+    assert [n_threads for n_threads, _names in dealt_rounds] == [2]
 
 
 def test_run_mc_below_share_work_deals_no_shares(
-    short_run, tmp_path, monkeypatch, dealt_shares
+    short_run, tmp_path, monkeypatch, dealt_rounds
 ):
     # a round with less work than SHARE_WORK runs on the calling thread
     # at any --workers and writes the same bytes, though 3 CPUs and one
-    # BLAS thread would let it deal shares
+    # BLAS thread would let it use helpers
     t_fin = 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -340,25 +348,26 @@ def test_run_mc_below_share_work_deals_no_shares(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert dealt_shares == []
+    assert dealt_rounds == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
     # the work is every distinct pair's sector dimension times Taylor
-    # orders times grid steps, and shares are dealt from SHARE_WORK up
+    # orders times grid steps, and helpers are used from SHARE_WORK up
     pairs, _rows = _fresh_rows(short_run["checkpoint"], 2, t_fin, 7, 60)
     spec = WindowSpec(l=2)
     work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p)) for p in set(pairs))
     monkeypatch.setattr(harness, "SHARE_WORK", work + 1)
     run_mc(n_workers=3, **kw)
-    assert dealt_shares == []
+    assert dealt_rounds == []
     monkeypatch.setattr(harness, "SHARE_WORK", work)
     run_mc(n_workers=3, **kw)
-    assert len(dealt_shares) == 1 and len(dealt_shares[0]) > 1
+    assert len(dealt_rounds) == 1 and dealt_rounds[0][0] > 1
 
 
-def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch, dealt_shares):
-    # shares are forced by SHARE_WORK = 0 on 3 faked CPUs: share 0 runs
-    # on the calling thread and the others on helper threads, and the
-    # bytes are those of one share
+def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch, dealt_rounds):
+    # helpers are forced by SHARE_WORK = 0 on 3 faked CPUs, and the
+    # fixture has a helper start a stack of every round: each stack runs
+    # on the calling thread or a helper, and the bytes are those of one
+    # thread
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
         checkpoint=short_run["checkpoint"],
@@ -374,18 +383,20 @@ def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
     caller = threading.current_thread().name
-    assert [names[0] for names in dealt_shares] == [caller, caller]
-    helpers = [name for names in dealt_shares for name in names[1:]]
-    assert len(helpers) == 3 and all(name.startswith("spinquench-helper") for name in helpers)
+    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
+    for n_threads, names in dealt_rounds:
+        helpers = {name for name in names if name != caller}
+        assert helpers and all(name.startswith("spinquench-helper") for name in helpers)
+        assert len(helpers) < n_threads
     # and the helpers were joined when round two ended
     assert not any(t.name.startswith("spinquench-helper") for t in threading.enumerate())
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
-def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, dealt_shares):
-    # a partial budget that splits every share into several assembly
-    # batches, on 1, 2 and 3 shares, writes the bytes of one batch per
-    # run on one share
+def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, dealt_rounds):
+    # a partial budget that splits the run's assembly into several
+    # batches, on 1, 2 and 3 threads, writes the bytes of one batch per
+    # run on one thread
     kw = dict(
         checkpoint=k128_t2["checkpoint"],
         l=2,
@@ -412,13 +423,12 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, d
         out = tmp_path / f"w{workers}.csv"
         run_mc(n_workers=workers, out=out, **kw)
         assert out.read_bytes() == ref.read_bytes()
-        # one batching per share
-        assert len(batches) == workers
-        if workers == 1:
-            # the one-share run made several batches, neither one nor one per pair
-            ((n_pairs, n_batches),) = batches
-            assert 2 < n_batches < n_pairs
-    assert [len(names) for names in dealt_shares] == [2, 3]
+        # one batching per run: this thread assembles every stack
+        # and the helpers only evolve them; several batches, neither one
+        # nor one per pair
+        ((n_pairs, n_batches),) = batches
+        assert 2 < n_batches < n_pairs
+    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
 
 
 @pytest.mark.parametrize("p_star", [math.inf, 0.01], ids=["plain", "semistochastic"])
@@ -479,9 +489,9 @@ def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, m
 
 
 def test_run_mc_single_share_deals_no_shares(
-    short_run, tmp_path, monkeypatch, dealt_shares
+    short_run, tmp_path, monkeypatch, dealt_rounds
 ):
-    # one sample has one distinct pair, which is one share however many
+    # one sample has one distinct pair, which is one stack however many
     # workers are asked for, so round two runs on the calling thread even
     # when any work would pay for helpers
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
@@ -497,7 +507,7 @@ def test_run_mc_single_share_deals_no_shares(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert dealt_shares == []
+    assert dealt_rounds == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

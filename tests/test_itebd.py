@@ -337,10 +337,10 @@ def test_svd_work_matches_the_reference_route(monkeypatch, k_max, t_end):
     seen, expected = [], []
     block_svd, update = itebd.block_svd, itebd.update_bond
 
-    def watched_update(state, gate, which, k):
+    def watched_update(state, gate, which, k, *meanwhile):
         _c, theta, _rows, _cols = fused_pair_reference(state, gate, which)
         expected.append([block.shape for block in theta.blocks.values()])
-        return update(state, gate, which, k)
+        return update(state, gate, which, k, *meanwhile)
 
     def watched_svd(theta):
         seen.append([block.shape for block in theta.blocks.values()])
@@ -403,46 +403,100 @@ def test_states_never_change_after_construction(tmp_path):
 
 def test_evolve_to_is_bit_identical_on_one_and_three_cpus(three_cpus, monkeypatch, tmp_path):
     # a k=32 run to t=2 decomposes every sector inline on one CPU and
-    # deals every theta of two or more sectors on three; the records,
-    # the state and its checkpoint are the same bit for bit
+    # queues every theta of two or more sectors for two helpers on
+    # three, where which thread takes which sector changes from run to
+    # run; five runs on three CPUs give the records, the state and the
+    # checkpoint of the one-CPU run bit for bit
     config = QuenchConfig(delta=0.5, dt=0.0625, k_max=32)
     runs = []
-    for n_cpus in (1, 3):
+    for run, n_cpus in enumerate((1, 3, 3, 3, 3, 3)):
         monkeypatch.setattr(threads, "usable_cpus", lambda n=n_cpus: n)
         three_cpus.clear()
         records = []
         state = evolve_to(neel_init(), 2.0, config, observer=records.append)
-        path = tmp_path / f"cpus{n_cpus}.mpsc1"
+        path = tmp_path / f"run{run}.mpsc1"
         save_checkpoint(path, state, config)
-        helpers = {thread for thread, _arrays in three_cpus} - {threading.current_thread()}
+        helpers = {thread for thread, _arr in three_cpus} - {threading.current_thread()}
         runs.append((records, state, path.read_bytes(), len(helpers)))
-    (records_1, state_1, bytes_1, helpers_1), (records_3, state_3, bytes_3, helpers_3) = runs
-    assert (helpers_1, helpers_3) == (0, 2)
-    assert records_3 == records_1
-    _assert_same_state(state_3, state_1)
-    assert bytes_3 == bytes_1
+    records_1, state_1, bytes_1, helpers_1 = runs[0]
+    assert helpers_1 == 0
+    for records, state, raw, n_helpers in runs[1:]:
+        assert 1 <= n_helpers <= 2
+        assert records == records_1
+        _assert_same_state(state, state_1)
+        assert raw == bytes_1
 
 
 def test_evolve_to_leaves_no_helper_thread(three_cpus, monkeypatch):
     # the helpers live only inside evolve_to: as many threads run after
-    # it as before, whether it returns or raises SvdError
+    # it as before, whether it returns or raises, from a sector's SVD,
+    # from the fill after a sector was queued or from the observation
+    # while the sectors are queued
     config = QuenchConfig(delta=0.5, dt=0.0625, k_max=16)
     before, during = threading.active_count(), []
     evolve_to(neel_init(), 0.5, config, observer=lambda _r: during.append(threading.active_count()))
-    assert max(during) == before + 2
+    assert before < max(during) <= before + 2
     assert threading.active_count() == before
 
     decompose, during = graded._decompose, []
 
-    def failing(arrays):
-        # from the 20th share on, every sector fails to converge
+    def failing(arr):
+        # from the 20th sector on, every sector fails to converge
         during.append(threading.active_count())
-        if len(during) >= 20:
-            arrays = [np.full(arr.shape, np.nan) for arr in arrays]
-        return decompose(arrays)
+        return decompose(np.full(arr.shape, np.nan) if len(during) >= 20 else arr)
 
     monkeypatch.setattr(graded, "_decompose", failing)
     with pytest.raises(SvdError):
         evolve_to(neel_init(), 0.5, config)
-    assert max(during) == before + 2
+    assert before < max(during) <= before + 2
     assert threading.active_count() == before
+    monkeypatch.setattr(graded, "_decompose", decompose)
+
+    queue, puts = graded.sector_svds, []
+
+    def failing_fill(works):
+        # the fill raises right after queueing the run's 40th sector
+        svds = queue(works)
+        put = svds.put
+
+        def put_then_fail(*args):
+            put(*args)
+            puts.append(args)
+            if len(puts) == 40:
+                raise RuntimeError("fill")
+
+        svds.put = put_then_fail
+        return svds
+
+    monkeypatch.setattr(itebd, "sector_svds", failing_fill)
+    with pytest.raises(RuntimeError, match="fill"):
+        evolve_to(neel_init(), 0.5, config)
+    assert threading.active_count() == before
+    monkeypatch.setattr(itebd, "sector_svds", queue)
+
+    def failing_observer(record):
+        if record.time >= 0.25:
+            raise RuntimeError("observation")
+
+    with pytest.raises(RuntimeError, match="observation"):
+        evolve_to(neel_init(), 0.5, config, observer=failing_observer)
+    assert threading.active_count() == before
+
+
+def test_one_products_formation_per_update(monkeypatch):
+    # a desk-small run to t=1 makes 33 updates (16 steps, half layers
+    # merged) and 15 interior observations; the observations read the
+    # products of the AB update that follows them, so products are
+    # formed once per update
+    calls, products = [], itebd._pair_products
+
+    def counted(*args):
+        calls.append(args)
+        return products(*args)
+
+    monkeypatch.setattr(itebd, "_pair_products", counted)
+    desk_small = {k: PROFILES["desk-small"][k] for k in ("delta", "dt", "k_max")}
+    records = []
+    evolve_to(neel_init(), 1.0, QuenchConfig(**desk_small), observer=records.append)
+    assert len(records) == 16
+    assert len(calls) == 33

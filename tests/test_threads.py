@@ -1,4 +1,4 @@
-"""The shared helper-thread step: shares dealt, joined in order, errors raised here."""
+"""The shared helper-thread steps: shares run, items queued longest first, errors raised here."""
 
 import contextlib
 import os
@@ -88,10 +88,10 @@ def test_blas_threads_reads_the_count_openblas_started_with():
 
 
 def _watched(calls):
-    """A deal work that records (thread, items) of each call and returns each item doubled."""
-    def work(items):
-        calls.append((threading.current_thread(), list(items)))
-        return [2 * item for item in items]
+    """A deal work that records (thread, item) of each call and returns the item doubled."""
+    def work(item):
+        calls.append((threading.current_thread(), item))
+        return 2 * item
     return work
 
 
@@ -99,37 +99,86 @@ def _helpers_alive():
     return [t for t in threading.enumerate() if t.name.startswith("spinquench-helper")]
 
 
-def test_deal_deals_longest_first_to_the_least_loaded_share(one_blas_thread, monkeypatch):
-    # costs 5, 4, 3, 2, 1 in turn go to the share with least cost so far,
-    # the first such share on a tie; the results come back in items order
+def test_queue_starts_items_longest_first_on_a_helper(one_blas_thread, monkeypatch):
+    # a helper busy with a first item leaves the next five pending; freed,
+    # it takes them longest first, ties in put order, while this thread
+    # waits, and results() hands them back in put order
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    started, release, calls = threading.Event(), threading.Event(), []
+
+    def work(item):
+        calls.append((threading.current_thread(), item))
+        if item == "first":
+            started.set()
+            assert release.wait(10)
+        return item
+
+    with helper_threads(), threads.queue(work) as queue:
+        queue.put("k", "first", 9)
+        assert started.wait(10)
+        for key, cost in zip("abcde", [5, 1, 4, 2, 4]):
+            queue.put(key, key, cost)
+        release.set()
+        deadline = time.monotonic() + 10
+        while len(calls) < 6 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        results = queue.results()
+    assert list(results.items()) == [("k", "first"), *((key, key) for key in "abcde")]
+    assert [item for _thread, item in calls] == ["first", "a", "c", "e", "d", "b"]
+    assert threading.current_thread() not in {thread for thread, _item in calls}
+
+
+def test_deal_starts_items_longest_first_and_returns_them_in_items_order(one_blas_thread, monkeypatch):
+    # each item runs exactly once; the results come back in items order
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
     calls = []
     with helper_threads():
         results = deal(_watched(calls), [0, 1, 2, 3, 4], [5, 1, 4, 2, 3], 0)
     assert results == [0, 2, 4, 6, 8]
-    assert [items for _thread, items in calls] in ([[0, 3, 1], [2, 4]], [[2, 4], [0, 3, 1]])
-    (here,) = [items for thread, items in calls if thread is threading.current_thread()]
-    assert here == [0, 3, 1]  # share 0 runs on the calling thread
+    assert sorted(item for _thread, item in calls) == [0, 1, 2, 3, 4]
+    # each thread starts its items in the one longest-first order
+    for thread in {thread for thread, _item in calls}:
+        mine = [item for t, item in calls if t is thread]
+        assert mine == [i for i in [0, 2, 4, 3, 1] if i in mine]
+
+
+def _concurrency(most, n_cpus, monkeypatch):
+    """The most items of six, each 30 ms long, that deal runs at once on n_cpus."""
+    monkeypatch.setattr(threads, "usable_cpus", lambda: n_cpus)
+    lock, running, peak = threading.Lock(), [0], [0]
+
+    def work(item):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.03)
+        with lock:
+            running[0] -= 1
+        return 2 * item
+
+    with helper_threads():
+        assert deal(work, list(range(6)), [1] * 6, 0, most=most) == [0, 2, 4, 6, 8, 10]
+    return peak[0]
 
 
 def test_deal_caps_the_shares_at_most(one_blas_thread, monkeypatch):
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    calls = []
-    with helper_threads():
-        assert deal(_watched(calls), list(range(6)), [1] * 6, 0) == [0, 2, 4, 6, 8, 10]
-        assert len(calls) == 3
-        calls.clear()
-        assert deal(_watched(calls), list(range(6)), [1] * 6, 0, most=2) == [0, 2, 4, 6, 8, 10]
-        assert sorted(items for _thread, items in calls) == [[0, 2, 4], [1, 3, 5]]
+    # most caps the threads, this one included, and so do the usable CPUs
+    assert 1 < _concurrency(None, 3, monkeypatch) <= 3
+    assert 1 < _concurrency(2, 3, monkeypatch) <= 2
+    assert 1 < _concurrency(None, 2, monkeypatch) <= 2
+    assert _concurrency(1, 3, monkeypatch) == 1
 
 
 @pytest.mark.parametrize("case", ["outside", "one item", "most 1", "below least", "one share"])
 def test_deal_runs_inline_without_run_shares(one_blas_thread, monkeypatch, case):
-    # the inline cases make one call of work on this thread; a deal whose
-    # costs leave one share nonempty (all zero) runs that share here too
+    # the inline cases run every item on this thread, longest first, and
+    # never submit to the helpers: outside helper_threads(), for one
+    # item, for most 1, below least, and where one usable CPU leaves
+    # helper_threads() one share
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     monkeypatch.setattr(threads, "run_shares", lambda work, shares: pytest.fail("run_shares"))
-    items, costs, least, most = [0, 1, 2], [3, 2, 1], 6, None
+    monkeypatch.setattr(threads.Queue, "_serve", lambda queue: pytest.fail("a helper served"))
+    items, costs, least, most = [0, 1, 2], [1, 3, 2], 6, None
     if case == "one item":
         items, costs = [7], [10]
     elif case == "most 1":
@@ -137,11 +186,12 @@ def test_deal_runs_inline_without_run_shares(one_blas_thread, monkeypatch, case)
     elif case == "below least":
         least = 7
     elif case == "one share":
-        costs, least = [0, 0, 0], 0
+        monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
     calls = []
     with contextlib.nullcontext() if case == "outside" else helper_threads():
         assert deal(_watched(calls), items, costs, least, most) == [2 * i for i in items]
-    assert [(thread, sorted(got)) for thread, got in calls] == [(threading.current_thread(), items)]
+    order = sorted(items, key=lambda i: -costs[items.index(i)])
+    assert calls == [(threading.current_thread(), i) for i in order]
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
@@ -149,15 +199,75 @@ def test_deal_raises_a_share_error_after_every_share_finished(one_blas_thread, m
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     finished = []
 
-    def work(items):
-        if failing in items:
+    def work(item):
+        if item == failing:
             raise ValueError(f"item {failing}")
         time.sleep(0.05)
-        finished.extend(items)
-        return items
+        finished.append(item)
+        return item
 
     with helper_threads():
         with pytest.raises(ValueError, match=f"item {failing}"):
-            deal(work, [0, 1, 2], [3, 2, 1], 0)
-        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+            deal(work, [0, 1, 2, 3], [3, 2, 1, 1], 0)
+        assert sorted(finished) == sorted({0, 1, 2, 3} - {failing})
     assert _helpers_alive() == []
+
+
+def test_queue_left_by_an_error_drops_what_no_thread_started(one_blas_thread, monkeypatch):
+    # an error inside the queue's block waits for the running item and
+    # never starts the pending ones
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    started, calls, finished = threading.Event(), [], []
+
+    def work(item):
+        calls.append(item)
+        if item == 0:
+            started.set()
+            time.sleep(0.05)
+        finished.append(item)
+
+    with helper_threads():
+        with pytest.raises(RuntimeError, match="fill"), threads.queue(work) as queue:
+            queue.put(0, 0, 5)
+            assert started.wait(10)
+            queue.put(1, 1, 4)
+            queue.put(2, 2, 3)
+            raise RuntimeError("fill")
+        assert calls == finished == [0]
+    assert _helpers_alive() == []
+
+
+def test_queue_keep_up_leaves_no_more_waiting_than_helpers(one_blas_thread, monkeypatch):
+    # with the one helper held busy, keep_up after each put runs the
+    # longest waiting items here until one waits; with no helpers it
+    # runs each item as soon as it is put
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    here, calls = threading.current_thread(), []
+    started, release = threading.Event(), threading.Event()
+
+    def work(item):
+        calls.append((threading.current_thread(), item))
+        if item == "first":
+            started.set()
+            assert release.wait(10)
+        return item
+
+    with helper_threads(), threads.queue(work) as queue:
+        queue.put("k", "first", 9)
+        assert started.wait(10)
+        for key, cost in zip("abc", [1, 3, 2]):
+            queue.put(key, key, cost)
+            queue.keep_up()
+        assert [item for _thread, item in calls] == ["first", "b", "c"]
+        assert [thread is here for thread, _item in calls] == [False, True, True]
+        release.set()
+        assert list(queue.results()) == ["k", *"abc"]
+    assert sorted(item for _thread, item in calls) == ["a", "b", "c", "first"]
+
+    calls.clear()
+    with threads.queue(work) as queue:
+        for key in "abc":
+            queue.put(key, key, 1)
+            queue.keep_up()
+            assert calls[-1] == (here, key)
+        assert queue.results() == {key: key for key in "abc"}
