@@ -47,10 +47,12 @@ passes instead of 85, and the window 5 instead of 30.
 
 Each route opens threads.helper_threads() once per call, and its
 helpers are joined when it returns or raises; there are helpers only
-where numpy's BLAS runs on one thread. Inside, apply_gate deals a pass
-into near-equal contiguous shares, one per usable CPU but none smaller
-than SHARE_AMPLITUDES, the calling thread making the first: the batched
-form by its 2^i products (by columns where there are fewer products
+where numpy's BLAS runs on one thread. Inside, apply_gate splits a
+pass into near-equal contiguous shares, one per thread its
+threads.queue may use (at most one per usable CPU, none smaller than
+SHARE_AMPLITUDES), and puts them on it: the helpers start them as they
+are put and the calling thread runs what is left. The batched form is
+split by its 2^i products (by columns where there are fewer products
 than shares), the last-qubits GEMM by rows. Each share is one
 np.matmul into its part of a single output. A product share makes each
 product as inline does, so it cannot move a bit. A row or column run
@@ -105,15 +107,15 @@ DIRECT_QUBIT_LIMIT = 20
 #: 6 gained nothing more.
 FUSED_QUBITS = 5
 
-#: Fewest amplitudes apply_gate deals to one share: a pass is split
-#: into at most psi.size // SHARE_AMPLITUDES shares, so below twice this
-#: it runs inline even with helpers open. Handing a share to a helper
-#: and joining it costs about 60 us; split in two, passes of 2^14
-#: amplitudes or fewer lost at every block width and passes of 2^16 won
-#: (ROADMAP, Baseline: gate passes on threads).
+#: Fewest amplitudes apply_gate puts in one share: a pass's queue may
+#: use at most psi.size // SHARE_AMPLITUDES threads, so below twice
+#: this it runs inline and opens no queue, even with helpers open.
+#: Handing a share to a helper and joining it costs about 60 us; split
+#: in two, passes of 2^14 amplitudes or fewer lost at every block width
+#: and passes of 2^16 won (ROADMAP, Baseline: gate passes on threads).
 SHARE_AMPLITUDES = 1 << 15
 
-#: A split GEMM's rows or columns are dealt in runs of whole multiples
+#: A split GEMM's rows or columns are cut into runs of whole multiples
 #: of this many, so each run starts on a kernel boundary of the whole
 #: matrix. A BLAS kernel rounds a tail shorter than its unroll width
 #: differently: with OpenBLAS 0.3.31 on AVX-512, column runs that were
@@ -234,14 +236,17 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray, out=None) -> np.ndarray:
     given: a C-contiguous array of psi's shape that shares no memory
     with psi (ValueError otherwise). Without it, a new array is.
 
-    Inside threads.helper_threads() a pass is dealt into near-equal
-    contiguous shares, one per usable CPU but none of fewer than
-    SHARE_AMPLITUDES, each one np.matmul into its part of one output:
-    the batched form by its 2^i products (by columns, in SPLIT_GRANULE
+    A pass of at least twice SHARE_AMPLITUDES goes on a threads.queue
+    of at most one thread per SHARE_AMPLITUDES; where that queue has
+    helpers (inside threads.helper_threads()), the pass is split into
+    one near-equal contiguous share per thread it may use and each
+    share put on it, one np.matmul into its part of one output: the
+    batched form by its 2^i products (by columns, in SPLIT_GRANULE
     runs, where there are fewer products than shares), the GEMM by rows,
-    in SPLIT_GRANULE runs. Each output entry is then made from the same
-    inputs as inline, and by the same kernel where the BLAS's kernel
-    boundaries fall on SPLIT_GRANULE multiples (module docstring).
+    in SPLIT_GRANULE runs; otherwise the pass is one np.matmul here.
+    Each output entry is then made from the same inputs as inline, and
+    by the same kernel where the BLAS's kernel boundaries fall on
+    SPLIT_GRANULE multiples (module docstring).
     """
     if out is None:
         out = np.empty(psi.shape, dtype=np.result_type(psi, u))
@@ -253,7 +258,9 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray, out=None) -> np.ndarray:
         left, right, target = psi.reshape(-1, d), u.T, out.reshape(-1, d)
     else:
         left, right, target = u, psi.reshape(1 << i, d, -1), out.reshape(1 << i, d, -1)
-    n_shares = min(threads.share_count(), psi.size // SHARE_AMPLITUDES)
+    most = psi.size // SHARE_AMPLITUDES
+    queued = threads.queue(_product, most) if most > 1 else None
+    n_shares = 1 if queued is None else queued.n_helpers + 1
     if n_shares < 2:
         np.matmul(left, right, out=target)
         return out
@@ -264,7 +271,9 @@ def apply_gate(psi: np.ndarray, i: int, u: np.ndarray, out=None) -> np.ndarray:
         axis, granule = (0, 1) if right.shape[0] >= n_shares else (2, SPLIT_GRANULE)
         parts = _split(right, target, axis, n_shares, granule)
         shares = [(left, part, part_out) for part, part_out in parts]
-    threads.run_shares(_product, shares)
+    for k, share in enumerate(shares):
+        queued.put(k, share, share[2].size)
+    queued.results()
     return out
 
 

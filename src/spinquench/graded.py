@@ -11,13 +11,13 @@ never touch entries forbidden by the selection rule.
 
 SVDs decompose each sector independently; truncation merges all sectors
 into one global list before cutting, so the kept set is the same one an
-unblocked decomposition would keep. Inside threads.helper_threads()
-the sectors of one matrix go on a threads.queue (sector_svds): a
-helper starts each as soon as it is put, longest first, and the
-calling thread decomposes the rest when block_svd collects them. The
-bond update puts theta's sectors on it as it fills them. Each sector
-is still one LAPACK call, so where a sector runs never changes its
-bits.
+unblocked decomposition would keep. The sectors of one matrix go on a
+threads.queue, sector_svds: inside threads.helper_threads() a helper
+starts each as soon as it is put, longest first, and the calling
+thread decomposes the rest when block_svd collects them. The bond
+update puts theta's sectors on it as it fills them; block_svd puts
+those of a matrix given whole. Each sector is still one LAPACK call,
+so where a sector runs never changes its bits.
 """
 
 from __future__ import annotations
@@ -166,9 +166,9 @@ def sector_svds(works) -> threads.Queue:
     """A threads.queue for the SVDs of one matrix's sectors, of these works.
 
     Put each sector as (charge, block, work); block_svd collects them.
-    Its helpers, where threads.helper_threads() opened some, are used
-    as threads.deal would use them: only for two or more sectors of
-    total work at least THREAD_WORK.
+    It has helpers, where threads.helper_threads() opened some, only
+    for two or more sectors of total work at least THREAD_WORK, and at
+    most one thread per sector.
     """
     works = list(works)
     most = 1 if sum(works) < THREAD_WORK else len(works)
@@ -182,23 +182,23 @@ def block_svd(theta):
     theta.blocks maps each charge, ascending, to a 2-d block. Returns
     (spectrum, factors): block = u diag(spectrum) vh for (u, vh) =
     factors[charge] as LAPACK gives them; gauged_rows fixes the phases
-    of the rows a caller keeps. A theta that carries svds, the
-    sector_svds queue its blocks were put on as they were filled, has
-    its results collected; any other has its sectors dealt here
-    (threads.deal, by svd_work from THREAD_WORK up). Either way each
-    sector is one LAPACK call, whichever thread makes it, so the result
-    is the same bit for bit.
+    of the rows a caller keeps. The results are collected from a
+    sector_svds queue: theta.svds, where theta carries the one its
+    blocks were put on as they were filled, else one made here, on
+    which the blocks are put by svd_work, largest first (ties in
+    charge order). Either way each sector is one LAPACK call, whichever
+    thread makes it, so the result is the same bit for bit.
     """
-    if getattr(theta, "svds", None) is None:
-        arrays = list(theta.blocks.values())
-        works = [svd_work(arr.shape) for arr in arrays]
-        # _decompose is looked up per sector, so a test may watch it
-        results = threads.deal(lambda arr: _decompose(arr), arrays, works, THREAD_WORK)
-    else:
-        done = theta.svds.results()
-        results = [done[q] for q in theta.blocks]
+    svds = getattr(theta, "svds", None)
+    if svds is None:
+        works = {q: svd_work(arr.shape) for q, arr in theta.blocks.items()}
+        svds = sector_svds(works.values())
+        for q in sorted(works, key=lambda q: -works[q]):
+            svds.put(q, theta.blocks[q], works[q])
+    results = svds.results()
     s_blocks, factors = {}, {}
-    for (q_row, arr), result in zip(theta.blocks.items(), results):
+    for q_row, arr in theta.blocks.items():
+        result = results[q_row]
         if isinstance(result, np.linalg.LinAlgError):
             raise SvdError(f"SVD did not converge in sector {q_row} "
                            f"({arr.shape[0]}x{arr.shape[1]})") from result

@@ -115,7 +115,7 @@ PROFILES = {
                    "delta_t": 1.0 / 3.0, "n_max": 20, "p_star": math.inf},
 }
 
-#: Least round-two work for which the stacks are dealt to helper
+#: Least round-two work for which the stacks are queued for helper
 #: threads. Work is the amplitudes of all stacks times Taylor orders
 #: times grid steps: the entries of every sparse-times-dense product the
 #: round makes. Below it, handing stacks to helpers costs more than it
@@ -271,6 +271,7 @@ def sample_one(master_seed: int, sample_id: int, n: int) -> np.ndarray:
 
     run_mc draws all rows at once and does not call this.
     """
+    sample_id = check_int(sample_id, "sample_id", 0)
     return sample_uniforms(master_seed, sample_id + 1, n)[sample_id]
 
 
@@ -453,6 +454,8 @@ def shift_correction(curve: AggregateCurve, reference_times, reference_values) -
     ref_v = np.asarray(reference_values, dtype=float)
     if ref_t.shape != ref_v.shape:
         raise ConfigError("reference times and values differ in length")
+    if not len(curve.times):
+        raise ConfigError("shift correction needs a curve with at least one row")
     span = curve.times[-1] - curve.times[0]
     t_cut = curve.times[0] + OVERLAP_FRAC * span
     diffs = []

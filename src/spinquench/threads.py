@@ -1,20 +1,18 @@
 """Helper threads for work that splits into independent pieces.
 
-Inside helper_threads() a caller may hand work to helper threads in two
-ways. queue() is for a list of items of known cost: a helper free when
-an item is put starts it at once, each helper takes the longest item
-still pending, and the calling thread runs what is left when it asks
-for the results, which come back in put order. So a caller can go on
-filling items, or doing other work, while the helpers run the first
-ones; keep_up lets a caller that makes items faster than the helpers
-take them run the surplus itself. deal is the one rule for a list
-known all at once: it puts the items longest first and collects them.
-The bond update queues theta's sectors as it fills them, block_svd
-deals the sectors of a matrix given whole (graded), and round two of
-the window sampler queues the propagation of each sector stack as it
-is assembled (harness). The fused-gate passes (circuit) split their
-output into contiguous views instead and call run_shares, which runs
-share 0 here and the others on helpers. Each item or share is whole LAPACK, BLAS or
+Inside helper_threads() a caller hands work to helper threads in one
+way, a queue(): items of one work function and known cost. A helper
+free when an item is put starts it at once, each helper takes the
+longest item still pending, and the calling thread runs what is left
+when it asks for the results, which come back in put order. So a
+caller can go on filling items, or doing other work, while the helpers
+run the first ones; keep_up lets a caller that makes items faster than
+the helpers take them run the surplus itself. The bond update queues
+theta's sectors as it fills them and block_svd puts those of a matrix
+given whole (graded), round two of the window sampler queues the
+propagation of each sector stack as it is assembled (harness), and a
+fused-gate pass puts contiguous shares of its output, one per thread
+the queue may use (circuit). Each item is whole LAPACK, BLAS or
 sparse-product calls on its own operands, so what it computes is the
 same bits inline or on a helper, whichever thread takes it.
 
@@ -35,7 +33,7 @@ import functools
 import heapq
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy  # noqa: F401  (loads the BLAS that blas_threads asks)
 
@@ -94,7 +92,7 @@ def blas_threads() -> int | None:
 
 @contextlib.contextmanager
 def helper_threads():
-    """Let the work in this context deal shares to helper threads.
+    """Let the work in this context queue items for helper threads.
 
     One helper per usable CPU beyond the first where numpy's BLAS runs
     on one thread, none on one CPU or where it does not (or cannot be
@@ -112,28 +110,6 @@ def helper_threads():
     finally:
         _helpers.reset(token)
         pool.shutdown()
-
-
-def share_count() -> int:
-    """Shares a piece of work may be dealt into here: 1 outside helper_threads()."""
-    helpers = _helpers.get()
-    return 1 if helpers is None else helpers[1]
-
-
-def run_shares(work, shares) -> list:
-    """[work(share) for share in shares], share 0 here and the others on the helpers.
-
-    Every share has finished before this returns or raises; an exception
-    of this thread's share, else of the first helper share that raised,
-    is raised here. Call it only where share_count() > 1.
-    """
-    pool, _n_cpus = _helpers.get()
-    futures = [pool.submit(work, share) for share in shares[1:]]
-    try:
-        return [work(shares[0])] + [future.result() for future in futures]
-    except BaseException:
-        wait(futures)
-        raise
 
 
 class Queue:
@@ -207,7 +183,8 @@ class Queue:
         """
         while (i := self._take()) is not None:
             self._run(i)
-        wait(self._helpers)
+        for helper in self._helpers:
+            helper.result()  # _serve never raises: this only waits
         for ok, value in self._outcomes:
             if not ok:
                 raise value
@@ -217,7 +194,8 @@ class Queue:
         """Drop the items no thread has started and wait for the running ones."""
         with self._lock:
             self._pending.clear()
-        wait(self._helpers)
+        for helper in self._helpers:
+            helper.result()
 
     def __enter__(self):
         return self
@@ -231,29 +209,13 @@ def queue(work, most=None) -> Queue:
 
     Inside helper_threads() it may use as many helpers as that block
     opened, one per usable CPU beyond the first; elsewhere, or for most
-    = 1, none, and results() runs every item here. Use it as a context
-    manager, so that leaving the block, however it is left, drops what
-    no thread has started and waits for what is running.
+    of 1 or less, none, and results() runs every item here. A caller
+    that may leave before results() uses it as a context manager, so
+    that leaving the block, however it is left, drops what no thread
+    has started and waits for what is running.
     """
     helpers = _helpers.get()
     if helpers is None:
         return Queue(work, None, 0)
     pool, n_cpus = helpers
-    return Queue(work, pool, min(n_cpus, n_cpus if most is None else most) - 1)
-
-
-def deal(work, items, costs, least, most=None) -> list:
-    """[work(item) for item in items], on helpers where that pays.
-
-    The items are put on one queue() longest first (ties in items
-    order), so they start in that order, on at most most threads and
-    one per item; a total cost below least, or a single item, runs
-    here.
-    """
-    order = sorted(range(len(items)), key=lambda i: -costs[i])
-    most = 1 if len(items) < 2 or sum(costs) < least else min(len(items), most or len(items))
-    with queue(work, most) as dealt:
-        for i in order:
-            dealt.put(i, items[i], costs[i])
-        results = dealt.results()
-    return [results[i] for i in range(len(items))]
+    return Queue(work, pool, max(1, min(n_cpus, n_cpus if most is None else most)) - 1)

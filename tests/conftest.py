@@ -41,8 +41,8 @@ def three_cpus(one_blas_thread, monkeypatch):
     """Three usable CPUs, one BLAS thread and no crossovers, on any machine.
 
     helper_threads() then opens two helpers, block_svd queues every
-    matrix of two or more sectors for them and apply_gate deals every
-    pass of three or more amplitudes into three. Returns the list of
+    matrix of two or more sectors for them and apply_gate splits every
+    pass of three or more amplitudes into three shares on a queue. Returns the list of
     (thread, array) of every sector decomposed from here on.
     """
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)

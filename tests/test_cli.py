@@ -132,6 +132,12 @@ def test_peaks_bad_input_exit_codes(pipeline_dir, tmp_path, capsys):
         bad.write_text(first + "\nt,mean_sz0,stderr,n_samples\n")
         assert main(["peaks", "--in", str(bad)]) == 2
         assert name in capsys.readouterr().err
+    # an input with a header but no rows, shift-corrected or not
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# {}\nt,mean_sz0,stderr,n_samples\n")
+    assert main(["peaks", "--in", str(empty), "--reference", str(pipeline_dir / "mc.csv")]) == 2
+    assert "at least one row" in capsys.readouterr().err
+    assert main(["peaks", "--in", str(empty)]) == 2
 
 
 def test_profile_fills_defaults(tmp_path):

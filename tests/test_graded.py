@@ -185,6 +185,42 @@ def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch
             assert np.array_equal(u_t, u) and np.array_equal(vh_t, vh)
 
 
+@pytest.mark.parametrize("works", [[30_000], [5_000, 5_000], [10_000, 10_000], [10_000] * 5],
+                         ids=["one sector", "below THREAD_WORK", "two sectors", "five sectors"])
+def test_sector_svds_has_helpers_for_two_sectors_from_thread_work(
+    one_blas_thread, monkeypatch, works
+):
+    # on three CPUs: none for one sector or below THREAD_WORK, else at
+    # most one thread per sector
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
+    with helper_threads():
+        n_threads = graded.sector_svds(works).n_helpers + 1
+    enough = len(works) > 1 and sum(works) >= graded.THREAD_WORK
+    assert n_threads == (min(3, len(works)) if enough else 1)
+
+
+def test_block_svd_puts_a_whole_matrix_largest_first(monkeypatch):
+    # a matrix given without a queue has its sectors put by svd_work,
+    # largest first, ties in charge order; the results come back by charge
+    rng = np.random.default_rng(23)
+    shapes = {0: (2, 3), 1: (5, 5), 2: (4, 4), 3: (3, 2), 4: (4, 4)}
+    theta = GradedMatrix(0, {(q, q): _complex(rng, *shape) for q, shape in shapes.items()})
+    puts, made = [], graded.sector_svds
+
+    def recorded(works):
+        svds = made(works)
+        put = svds.put
+        svds.put = lambda q, arr, work: (puts.append(q), put(q, arr, work))
+        return svds
+
+    monkeypatch.setattr(graded, "sector_svds", recorded)
+    spec, factors = block_svd(theta)
+    assert puts == [1, 2, 4, 0, 3]
+    assert list(spec.blocks) == list(factors) == [0, 1, 2, 3, 4]
+    for q, arr in theta.blocks.items():
+        assert np.array_equal(spec.blocks[q], np.linalg.svd(arr, full_matrices=False)[1])
+
+
 def test_block_svd_failure_on_a_helper_names_its_sector(three_cpus, monkeypatch):
     # a sector that does not converge on a helper raises from the calling
     # thread with the message it raises inline. With one helper, each

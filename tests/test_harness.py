@@ -48,7 +48,7 @@ def short_run(tmp_path_factory):
 
 
 @pytest.fixture
-def dealt_rounds(one_blas_thread, monkeypatch):
+def queued_rounds(one_blas_thread, monkeypatch):
     """Round two may be queued for helpers on 3 faked CPUs; returns the rounds that were.
 
     Each queue opened with helpers is recorded as (threads it may use,
@@ -179,8 +179,14 @@ def test_sample_uniforms_are_rows_of_one_stream(master_seed):
         assert np.array_equal(harness.sample_one(master_seed, row, n), u[row])
 
 
+@pytest.mark.parametrize("sample_id", [-1, -2, 1.0, True])
+def test_sample_one_refuses_a_sample_id_that_is_not_a_row(sample_id):
+    with pytest.raises(ConfigError, match="sample_id"):
+        harness.sample_one(7, sample_id, 5)
+
+
 def test_run_mc_identical_across_worker_counts(
-    short_run, tmp_path, monkeypatch, dealt_rounds
+    short_run, tmp_path, monkeypatch, queued_rounds
 ):
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     kw = dict(
@@ -197,7 +203,7 @@ def test_run_mc_identical_across_worker_counts(
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
     # --workers 2 and 3 queue round two for 2 and 3 threads
-    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
+    assert [n_threads for n_threads, _names in queued_rounds] == [2, 3]
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
     _meta, cols = read_table(outs[0])
     assert cols["n_samples"].tolist() == [60] * 3
@@ -227,7 +233,7 @@ def _fresh_rows(checkpoint, l, t_fin, master_seed, n_samples):
 
 
 def test_run_mc_evolves_each_pair_once_per_run(
-    short_run, monkeypatch, dealt_rounds
+    short_run, monkeypatch, queued_rounds
 ):
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     assembled, propagated, values = [], [], []
@@ -280,7 +286,7 @@ def test_run_mc_evolves_each_pair_once_per_run(
         assert s_rows.shape == (0, rows.shape[1]) and s_norms.shape == (0,)
 
 
-def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_rounds):
+def test_run_mc_caps_its_queue_at_the_usable_cpus(short_run, tmp_path, monkeypatch, queued_rounds):
     # a huge --workers must not open a thread per requested worker. p_star
     # = 0 puts every reachable pair in S, so the round holds more than 4
     # sector stacks whatever the 3 samples draw, and on 4 usable CPUs
@@ -301,11 +307,11 @@ def test_run_mc_caps_share_count(short_run, tmp_path, monkeypatch, dealt_rounds)
     )
     run_mc(n_workers=1, out=out1, **kw)
     run_mc(n_workers=64, out=out64, **kw)
-    assert [n_threads for n_threads, _names in dealt_rounds] == [4]
+    assert [n_threads for n_threads, _names in queued_rounds] == [4]
     assert out1.read_bytes() == out64.read_bytes()
 
 
-def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_rounds):
+def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, queued_rounds):
     # a process pinned to one CPU queues nothing for helpers, as under taskset -c 0
     monkeypatch.setattr(harness, "SHARE_WORK", 0)
     monkeypatch.setattr(threads, "usable_cpus", usable_cpus)
@@ -322,15 +328,15 @@ def test_run_mc_shares_respect_cpu_affinity(short_run, monkeypatch, dealt_rounds
         n_workers=3,
     )
     run_mc(**kw)
-    assert dealt_rounds == []
+    assert queued_rounds == []
     # where the OS has no affinity call, the CPU count caps the threads
     monkeypatch.delattr(os, "sched_getaffinity")
     run_mc(**kw)
-    assert [n_threads for n_threads, _names in dealt_rounds] == [2]
+    assert [n_threads for n_threads, _names in queued_rounds] == [2]
 
 
 def test_run_mc_below_share_work_deals_no_shares(
-    short_run, tmp_path, monkeypatch, dealt_rounds
+    short_run, tmp_path, monkeypatch, queued_rounds
 ):
     # a round with less work than SHARE_WORK runs on the calling thread
     # at any --workers and writes the same bytes, though 3 CPUs and one
@@ -348,7 +354,7 @@ def test_run_mc_below_share_work_deals_no_shares(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert dealt_rounds == []
+    assert queued_rounds == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
     # the work is every distinct pair's sector dimension times Taylor
     # orders times grid steps, and helpers are used from SHARE_WORK up
@@ -357,13 +363,13 @@ def test_run_mc_below_share_work_deals_no_shares(
     work = 20 * 2 * sum(math.comb(5, pair_sector(spec, p)) for p in set(pairs))
     monkeypatch.setattr(harness, "SHARE_WORK", work + 1)
     run_mc(n_workers=3, **kw)
-    assert dealt_rounds == []
+    assert queued_rounds == []
     monkeypatch.setattr(harness, "SHARE_WORK", work)
     run_mc(n_workers=3, **kw)
-    assert len(dealt_rounds) == 1 and dealt_rounds[0][0] > 1
+    assert len(queued_rounds) == 1 and queued_rounds[0][0] > 1
 
 
-def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch, dealt_rounds):
+def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch, queued_rounds):
     # helpers are forced by SHARE_WORK = 0 on 3 faked CPUs, and the
     # fixture has a helper start a stack of every round: each stack runs
     # on the calling thread or a helper, and the bytes are those of one
@@ -383,8 +389,8 @@ def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch
         outs.append(tmp_path / f"w{workers}.csv")
         run_mc(n_workers=workers, out=outs[-1], **kw)
     caller = threading.current_thread().name
-    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
-    for n_threads, names in dealt_rounds:
+    assert [n_threads for n_threads, _names in queued_rounds] == [2, 3]
+    for n_threads, names in queued_rounds:
         helpers = {name for name in names if name != caller}
         assert helpers and all(name.startswith("spinquench-helper") for name in helpers)
         assert len(helpers) < n_threads
@@ -393,7 +399,7 @@ def test_run_mc_helper_threads_write_same_bytes(short_run, tmp_path, monkeypatch
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
-def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, dealt_rounds):
+def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, queued_rounds):
     # a partial budget that splits the run's assembly into several
     # batches, on 1, 2 and 3 threads, writes the bytes of one batch per
     # run on one thread
@@ -428,7 +434,7 @@ def test_run_mc_partial_batches_change_no_byte(k128_t2, tmp_path, monkeypatch, d
         # nor one per pair
         ((n_pairs, n_batches),) = batches
         assert 2 < n_batches < n_pairs
-    assert [n_threads for n_threads, _names in dealt_rounds] == [2, 3]
+    assert [n_threads for n_threads, _names in queued_rounds] == [2, 3]
 
 
 @pytest.mark.parametrize("p_star", [math.inf, 0.01], ids=["plain", "semistochastic"])
@@ -489,7 +495,7 @@ def test_run_mc_one_budget_bounds_stacks_batches_and_chunks(k128_t2, tmp_path, m
 
 
 def test_run_mc_single_share_deals_no_shares(
-    short_run, tmp_path, monkeypatch, dealt_rounds
+    short_run, tmp_path, monkeypatch, queued_rounds
 ):
     # one sample has one distinct pair, which is one stack however many
     # workers are asked for, so round two runs on the calling thread even
@@ -507,7 +513,7 @@ def test_run_mc_single_share_deals_no_shares(
     outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
     run_mc(n_workers=1, out=outs[0], **kw)
     run_mc(n_workers=3, out=outs[1], **kw)
-    assert dealt_rounds == []
+    assert queued_rounds == []
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 

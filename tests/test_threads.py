@@ -1,4 +1,4 @@
-"""The shared helper-thread steps: shares run, items queued longest first, errors raised here."""
+"""The one way to hand work to helper threads: items queued longest first, errors raised here."""
 
 import contextlib
 import os
@@ -10,51 +10,27 @@ import time
 import pytest
 
 from spinquench import threads
-from spinquench.threads import deal, helper_threads, run_shares, share_count
+from spinquench.threads import helper_threads
 
 
-def test_share_count_is_one_outside_helpers_and_the_cpu_count_inside(one_blas_thread, monkeypatch):
+def _threads():
+    """Threads a queue opened here may use, this one included."""
+    return threads.queue(str).n_helpers + 1
+
+
+def test_queue_has_no_helper_outside_helper_threads_and_one_per_cpu_beyond_the_first_inside(
+    one_blas_thread, monkeypatch
+):
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    assert share_count() == 1
+    assert _threads() == 1
     with helper_threads():
-        assert share_count() == 3
-    assert share_count() == 1
+        assert _threads() == 3
+        assert threads.queue(str, 2).n_helpers + 1 == 2
+        assert threads.queue(str, 0).n_helpers == threads.queue(str, 1).n_helpers == 0
+    assert _threads() == 1
     monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
     with helper_threads():
-        assert share_count() == 1
-
-
-def test_run_shares_returns_in_share_order_with_share_0_here(one_blas_thread, monkeypatch):
-    # the helpers finish first, yet the results come back in share order
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-
-    def work(share):
-        if share == 0:
-            time.sleep(0.05)
-        return share, threading.current_thread()
-
-    with helper_threads():
-        results = run_shares(work, [0, 1, 2])
-    assert [share for share, _thread in results] == [0, 1, 2]
-    assert results[0][1] is threading.current_thread()
-    assert threading.current_thread() not in [thread for _share, thread in results[1:]]
-
-
-@pytest.mark.parametrize("failing", [0, 1])
-def test_run_shares_raises_here_after_every_share_finished(one_blas_thread, monkeypatch, failing):
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    finished = []
-
-    def work(share):
-        if share == failing:
-            raise ValueError(f"share {share}")
-        time.sleep(0.05)
-        finished.append(share)
-
-    with helper_threads():
-        with pytest.raises(ValueError, match=f"share {failing}"):
-            run_shares(work, [0, 1, 2])
-        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+        assert _threads() == 1
 
 
 @pytest.mark.parametrize("blas", [2, 4, None])
@@ -64,10 +40,10 @@ def test_helper_threads_open_none_unless_blas_runs_one_thread(monkeypatch, blas)
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     monkeypatch.setattr(threads, "blas_threads", lambda: blas)
     with helper_threads():
-        assert share_count() == 1
+        assert _threads() == 1
     monkeypatch.setattr(threads, "blas_threads", lambda: 1)
     with helper_threads():
-        assert share_count() == 3
+        assert _threads() == 3
 
 
 def test_blas_threads_reads_the_count_openblas_started_with():
@@ -88,7 +64,7 @@ def test_blas_threads_reads_the_count_openblas_started_with():
 
 
 def _watched(calls):
-    """A deal work that records (thread, item) of each call and returns the item doubled."""
+    """A work that records (thread, item) of each call and returns the item doubled."""
     def work(item):
         calls.append((threading.current_thread(), item))
         return 2 * item
@@ -128,22 +104,8 @@ def test_queue_starts_items_longest_first_on_a_helper(one_blas_thread, monkeypat
     assert threading.current_thread() not in {thread for thread, _item in calls}
 
 
-def test_deal_starts_items_longest_first_and_returns_them_in_items_order(one_blas_thread, monkeypatch):
-    # each item runs exactly once; the results come back in items order
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
-    calls = []
-    with helper_threads():
-        results = deal(_watched(calls), [0, 1, 2, 3, 4], [5, 1, 4, 2, 3], 0)
-    assert results == [0, 2, 4, 6, 8]
-    assert sorted(item for _thread, item in calls) == [0, 1, 2, 3, 4]
-    # each thread starts its items in the one longest-first order
-    for thread in {thread for thread, _item in calls}:
-        mine = [item for t, item in calls if t is thread]
-        assert mine == [i for i in [0, 2, 4, 3, 1] if i in mine]
-
-
 def _concurrency(most, n_cpus, monkeypatch):
-    """The most items of six, each 30 ms long, that deal runs at once on n_cpus."""
+    """The most items of six, each 30 ms long, that a queue of at most most threads runs at once."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: n_cpus)
     lock, running, peak = threading.Lock(), [0], [0]
 
@@ -156,12 +118,14 @@ def _concurrency(most, n_cpus, monkeypatch):
             running[0] -= 1
         return 2 * item
 
-    with helper_threads():
-        assert deal(work, list(range(6)), [1] * 6, 0, most=most) == [0, 2, 4, 6, 8, 10]
+    with helper_threads(), threads.queue(work, most) as queue:
+        for item in range(6):
+            queue.put(item, item, 1)
+        assert queue.results() == {item: 2 * item for item in range(6)}
     return peak[0]
 
 
-def test_deal_caps_the_shares_at_most(one_blas_thread, monkeypatch):
+def test_queue_caps_its_threads_at_most(one_blas_thread, monkeypatch):
     # most caps the threads, this one included, and so do the usable CPUs
     assert 1 < _concurrency(None, 3, monkeypatch) <= 3
     assert 1 < _concurrency(2, 3, monkeypatch) <= 2
@@ -169,33 +133,30 @@ def test_deal_caps_the_shares_at_most(one_blas_thread, monkeypatch):
     assert _concurrency(1, 3, monkeypatch) == 1
 
 
-@pytest.mark.parametrize("case", ["outside", "one item", "most 1", "below least", "one share"])
-def test_deal_runs_inline_without_run_shares(one_blas_thread, monkeypatch, case):
-    # the inline cases run every item on this thread, longest first, and
-    # never submit to the helpers: outside helper_threads(), for one
-    # item, for most 1, below least, and where one usable CPU leaves
-    # helper_threads() one share
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(threads, "run_shares", lambda work, shares: pytest.fail("run_shares"))
+@pytest.mark.parametrize("case", ["outside", "most 1", "one cpu"])
+def test_queue_serves_on_no_helper(one_blas_thread, monkeypatch, case):
+    # outside helper_threads(), for most 1, and where one usable CPU
+    # leaves helper_threads() no helper, results() runs every item on
+    # this thread, longest first, and no helper ever serves
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 1 if case == "one cpu" else 3)
     monkeypatch.setattr(threads.Queue, "_serve", lambda queue: pytest.fail("a helper served"))
-    items, costs, least, most = [0, 1, 2], [1, 3, 2], 6, None
-    if case == "one item":
-        items, costs = [7], [10]
-    elif case == "most 1":
-        most = 1
-    elif case == "below least":
-        least = 7
-    elif case == "one share":
-        monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
-    calls = []
+    items, costs, calls = [0, 1, 2], [1, 3, 2], []
     with contextlib.nullcontext() if case == "outside" else helper_threads():
-        assert deal(_watched(calls), items, costs, least, most) == [2 * i for i in items]
-    order = sorted(items, key=lambda i: -costs[items.index(i)])
-    assert calls == [(threading.current_thread(), i) for i in order]
+        queue = threads.queue(_watched(calls), 1 if case == "most 1" else None)
+        assert queue.n_helpers == 0
+        for item, cost in zip(items, costs):
+            queue.put(item, item, cost)
+        assert queue.results() == {item: 2 * item for item in items}
+    assert calls == [(threading.current_thread(), item) for item in [1, 2, 0]]
 
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
-def test_deal_raises_a_share_error_after_every_share_finished(one_blas_thread, monkeypatch, failing):
+def test_queue_raises_an_item_error_after_every_item_finished(
+    one_blas_thread, monkeypatch, failing
+):
+    # the error of an item, on a helper or here, is raised by results()
+    # only once every other item has finished, and no helper outlives
+    # helper_threads()
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     finished = []
 
@@ -207,9 +168,38 @@ def test_deal_raises_a_share_error_after_every_share_finished(one_blas_thread, m
         return item
 
     with helper_threads():
+        queue = threads.queue(work)
+        for item, cost in zip([0, 1, 2, 3], [3, 2, 1, 1]):
+            queue.put(item, item, cost)
         with pytest.raises(ValueError, match=f"item {failing}"):
-            deal(work, [0, 1, 2, 3], [3, 2, 1, 1], 0)
+            queue.results()
         assert sorted(finished) == sorted({0, 1, 2, 3} - {failing})
+    assert _helpers_alive() == []
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_queue_raises_a_share_error_after_every_equal_share_finished(
+    one_blas_thread, monkeypatch, failing
+):
+    # shares of equal cost, one per thread the queue may use, as a gate
+    # pass puts them: a share's error, whether the first or a later share
+    # failed, is raised by results() only once the others have finished
+    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
+    finished = []
+
+    def work(share):
+        if share == failing:
+            raise ValueError(f"share {share}")
+        time.sleep(0.05)
+        finished.append(share)
+
+    with helper_threads():
+        queue = threads.queue(work)
+        for share in range(queue.n_helpers + 1):
+            queue.put(share, share, 1)
+        with pytest.raises(ValueError, match=f"share {failing}"):
+            queue.results()
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
     assert _helpers_alive() == []
 
 
