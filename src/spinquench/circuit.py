@@ -46,8 +46,7 @@ the state; on an n = 18, depth-10 circuit the direct route makes 23
 passes instead of 85, and the window 5 instead of 30.
 
 Each route opens threads.helper_threads() once per call, and its
-helpers are joined when it returns or raises; there are helpers only
-where numpy's BLAS runs on one thread. Inside, apply_gate splits a
+helpers are joined when it returns or raises. Inside, apply_gate splits a
 pass into near-equal contiguous shares, one per thread its
 threads.queue may use (at most one per usable CPU, none smaller than
 SHARE_AMPLITUDES), and puts them on it: the helpers start them as they

@@ -176,37 +176,41 @@ def read_table(path):
     """(metadata, columns) of a CSV written by write_table.
 
     Every column is parsed as float except n_samples, which is an
-    integer count. A metadata line that is not a JSON object, a row
-    whose field count differs from the header's, or a field that does
-    not parse raises ConfigError naming the file.
+    integer count. A file that is not UTF-8 text (a checkpoint, say), a
+    metadata line that is not a JSON object, a row whose field count
+    differs from the header's, or a field that does not parse raises
+    ConfigError naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise ConfigError(f"{path}: missing '#' metadata line")
-        try:
-            meta = json.loads(first[1:])
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: metadata line is not JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise ConfigError(f"{path}: metadata line is not a JSON object")
-        header = fh.readline().strip().split(",")
-        parsers = [int if name == "n_samples" else float for name in header]
-        cols = {name: [] for name in header}
-        for lineno, line in enumerate(fh, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != len(header):
-                raise ConfigError(
-                    f"{path}:{lineno}: {len(fields)} fields, header has {len(header)}"
-                )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            first = fh.readline()
+            if not first.startswith("#"):
+                raise ConfigError(f"{path}: missing '#' metadata line")
             try:
-                for name, parse, tok in zip(header, parsers, fields):
-                    cols[name].append(parse(tok))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                meta = json.loads(first[1:])
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: metadata line is not JSON: {exc}") from None
+            if not isinstance(meta, dict):
+                raise ConfigError(f"{path}: metadata line is not a JSON object")
+            header = fh.readline().strip().split(",")
+            parsers = [int if name == "n_samples" else float for name in header]
+            cols = {name: [] for name in header}
+            for lineno, line in enumerate(fh, start=3):
+                line = line.strip()
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != len(header):
+                    raise ConfigError(
+                        f"{path}:{lineno}: {len(fields)} fields, header has {len(header)}"
+                    )
+                try:
+                    for name, parse, tok in zip(header, parsers, fields):
+                        cols[name].append(parse(tok))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text table") from None
     return meta, {
         name: np.array(cols[name], dtype=parse) for name, parse in zip(header, parsers)
     }
@@ -282,9 +286,10 @@ def _two_rounds(state, spec, h, params, split, master_seed, n_samples, n_workers
     the split; round two evolves the pairs of S, then each distinct drawn
     pair of the run, once. sampler.sector_stacks cuts that pair table
     into stacks; this thread assembles them and queues each one's
-    propagation, by its Taylor products, for at most n_workers threads,
-    and a stack writes each pair's series and raw squared norm at the
-    pair's row. A split whose tail weight is zero draws no sample.
+    propagation, by its Taylor products, for at most n_workers threads
+    of the caller's threads.helper_threads() block, and a stack writes
+    each pair's series and raw squared norm at the pair's row. A split
+    whose tail weight is zero draws no sample.
     """
     drawn = np.empty((0, 4), dtype=np.int64)
     first = of_sample = np.zeros(0, dtype=np.int64)
@@ -306,7 +311,7 @@ def _two_rounds(state, spec, h, params, split, master_seed, n_samples, n_workers
     dims = [math.comb(2 * spec.l + 1, int(pair_sector(spec, pairs[at[0]]))) for at in stacks]
     costs = [at.size * dim * params.n_max * params.n_steps for at, dim in zip(stacks, dims)]
     most = 1 if sum(costs) < SHARE_WORK else min(n_workers, len(stacks))
-    with threads.helper_threads(), threads.queue(evolve, most) as round_two:
+    with threads.queue(evolve, most) as round_two:
         # the assembler yields the stacks of sector_stacks in order
         for j, stack in enumerate(assemble_window_stacks(state, spec, pairs)):
             round_two.put(j, stack, costs[j])
@@ -331,7 +336,9 @@ def run_mc(
     """Monte Carlo phase: sample windows, evolve, aggregate, write CSV.
 
     The checkpoint is loaded once, by path, and every thread of round two
-    reads that one state, window Hamiltonian and grid. p_star sets the
+    reads that one state, window Hamiltonian and grid. The split, the
+    walk and round two run in one threads.helper_threads() block, so on
+    one BLAS thread whatever the environment asks. p_star sets the
     semistochastic split (see sampler.semistochastic_split): a
     nonnegative number, where inf, the default, is the one spelling of S
     empty.
@@ -373,10 +380,11 @@ def run_mc(
                 f"horizon l/v = {horizon:.4f}; late grid points are unreliable",
                 stacklevel=2,
             )
-    split = semistochastic_split(state, spec, p_star)
-    values, s_values, s_norms = _two_rounds(
-        state, spec, h, params, split, master_seed, n_samples, n_workers
-    )
+    with threads.helper_threads():
+        split = semistochastic_split(state, spec, p_star)
+        values, s_values, s_norms = _two_rounds(
+            state, spec, h, params, split, master_seed, n_samples, n_workers
+        )
     spectrum = boundary_spectrum(state, spec)
     z = float(spectrum.weights.sum())
     ratio = split.tail_weight / z

@@ -25,8 +25,8 @@ from inverting a near-singular bond.
 
 The sector SVDs run where evolve_to puts them: it opens one
 threads.helper_threads() block for its whole run, with one helper per
-further usable CPU (where BLAS runs on one thread), joined on every
-exit; update_bond called on its own decomposes inline. An update fills
+further usable CPU, joined on every exit; update_bond called on its
+own decomposes inline. An update fills
 theta's blocks largest first and puts each on a queue as soon as it is
 filled, so a helper decomposes the first sectors while the calling
 thread fills the rest; the calling thread then decomposes what no

@@ -16,12 +16,19 @@ the queue may use (circuit). Each item is whole LAPACK, BLAS or
 sparse-product calls on its own operands, so what it computes is the
 same bits inline or on a helper, whichever thread takes it.
 
-There is one helper per usable CPU beyond the first, none on one CPU,
-and none unless numpy's BLAS runs on one thread (blas_threads): a
-BLAS on several threads already spreads each call over the CPUs, and
-helpers calling it at once only compete with its threads. A helper runs
-outside the block's context, so the work it is given never hands work
-on to helpers of its own.
+There is one helper per usable CPU beyond the first, none on one CPU.
+A helper runs outside the block's context, so the work it is given
+never hands work on to helpers of its own.
+
+Inside helper_threads() numpy's OpenBLAS runs each call on one thread,
+whatever the environment asked for; the caller's count comes back when
+the last open block closes. So every block computes on one path:
+OpenBLAS on several threads rounds some products differently from one
+thread, and its threads would only compete with the helpers for the
+same CPUs. The count is the process's, so the blocks open on all
+threads share one pin. Where no OpenBLAS is found (another BLAS, or no
+/proc/self/maps) nothing is pinned, and the bytes follow that BLAS's
+own threads.
 """
 
 from __future__ import annotations
@@ -35,20 +42,27 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy  # noqa: F401  (loads the BLAS that blas_threads asks)
+import numpy  # noqa: F401  (loads the OpenBLAS that helper_threads() pins)
 
-#: The names an OpenBLAS build exports its thread count under: plain,
-#: 64-bit integer, and the scipy-openblas builds of numpy's wheels.
-_OPENBLAS_GETTERS = (
-    "openblas_get_num_threads",
-    "openblas_get_num_threads64_",
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_get_num_threads64_",
+#: The names an OpenBLAS build exports its thread-count functions under
+#: ("get" or "set" filled in): plain, 64-bit integer, and the
+#: scipy-openblas builds of numpy's wheels.
+_OPENBLAS_NAMES = (
+    "openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "scipy_openblas_{}_num_threads64_",
 )
 
 #: (helper pool, usable CPUs) of the helper_threads() block this
 #: context runs in; a new thread starts without one.
 _helpers = contextvars.ContextVar("helpers", default=None)
+
+#: The helper_threads() blocks open on all threads, and the OpenBLAS
+#: thread count the first of them read, under _pin_lock.
+_pin_lock = threading.Lock()
+_open_blocks = 0
+_caller_count = None
 
 
 def usable_cpus() -> int:
@@ -59,8 +73,8 @@ def usable_cpus() -> int:
 
 
 @functools.cache
-def _openblas_getter():
-    """The thread-count function of the OpenBLAS this process loaded, or None.
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process loaded, or None.
 
     The library is found among the process's mapped files, which Linux
     lists in /proc/self/maps; elsewhere, or for another BLAS, there is
@@ -77,39 +91,58 @@ def _openblas_getter():
             library = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in _OPENBLAS_GETTERS:
-            getter = getattr(library, name, None)
-            if getter is not None:
-                return getter
+        for name in _OPENBLAS_NAMES:
+            get = getattr(library, name.format("get"), None)
+            set_ = getattr(library, name.format("set"), None)
+            if get is not None and set_ is not None:
+                return get, set_
     return None
 
 
-def blas_threads() -> int | None:
-    """Threads numpy's BLAS runs each call on now; None where it cannot be told."""
-    getter = _openblas_getter()
-    return None if getter is None else getter()
+@contextlib.contextmanager
+def _pin_openblas():
+    """Run the block on one OpenBLAS thread; the last block to close restores the count."""
+    global _open_blocks, _caller_count
+    openblas = _openblas()
+    if openblas is None:
+        yield
+        return
+    get, set_ = openblas
+    with _pin_lock:
+        if _open_blocks == 0:
+            _caller_count = get()
+            set_(1)
+        _open_blocks += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _open_blocks -= 1
+            if _open_blocks == 0:
+                set_(_caller_count)
 
 
 @contextlib.contextmanager
 def helper_threads():
-    """Let the work in this context queue items for helper threads.
+    """Let the work in this context queue items for helper threads, on one BLAS thread.
 
-    One helper per usable CPU beyond the first where numpy's BLAS runs
-    on one thread, none on one CPU or where it does not (or cannot be
-    told); they are joined when the block exits, however it exits.
-    Blocks opened on other threads have helpers of their own.
+    One helper per usable CPU beyond the first, none on one CPU; they
+    are joined when the block exits, however it exits. Blocks opened on
+    other threads have helpers of their own. numpy's OpenBLAS runs on
+    one thread until the last block open in the process closes.
     """
-    n_cpus = usable_cpus() if blas_threads() == 1 else 1
-    if n_cpus < 2:
-        yield
-        return
-    pool = ThreadPoolExecutor(max_workers=n_cpus - 1, thread_name_prefix="spinquench-helper")
-    token = _helpers.set((pool, n_cpus))
-    try:
-        yield
-    finally:
-        _helpers.reset(token)
-        pool.shutdown()
+    with _pin_openblas():
+        n_cpus = usable_cpus()
+        if n_cpus < 2:
+            yield
+            return
+        pool = ThreadPoolExecutor(max_workers=n_cpus - 1, thread_name_prefix="spinquench-helper")
+        token = _helpers.set((pool, n_cpus))
+        try:
+            yield
+        finally:
+            _helpers.reset(token)
+            pool.shutdown()
 
 
 class Queue:

@@ -31,14 +31,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture
-def one_blas_thread(monkeypatch):
-    """numpy's BLAS reads as one thread, whatever it runs on, so helper_threads() opens helpers."""
-    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
-
-
-@pytest.fixture
-def three_cpus(one_blas_thread, monkeypatch):
-    """Three usable CPUs, one BLAS thread and no crossovers, on any machine.
+def three_cpus(monkeypatch):
+    """Three usable CPUs and no crossovers, on any machine.
 
     helper_threads() then opens two helpers, block_svd queues every
     matrix of two or more sectors for them and apply_gate splits every

@@ -138,6 +138,15 @@ def test_peaks_bad_input_exit_codes(pipeline_dir, tmp_path, capsys):
     assert main(["peaks", "--in", str(empty), "--reference", str(pipeline_dir / "mc.csv")]) == 2
     assert "at least one row" in capsys.readouterr().err
     assert main(["peaks", "--in", str(empty)]) == 2
+    capsys.readouterr()
+    # a checkpoint given for a table, as input or reference, is one
+    # error line naming it, not a decoding traceback
+    chk = pipeline_dir / "t1.mpsc1"
+    mc = pipeline_dir / "mc.csv"
+    for argv in (["--in", str(chk)], ["--in", str(mc), "--reference", str(chk)]):
+        assert main(["peaks", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "t1.mpsc1" in err
 
 
 def test_profile_fills_defaults(tmp_path):

@@ -187,9 +187,7 @@ def test_block_svd_on_helpers_matches_inline_bit_for_bit(three_cpus, monkeypatch
 
 @pytest.mark.parametrize("works", [[30_000], [5_000, 5_000], [10_000, 10_000], [10_000] * 5],
                          ids=["one sector", "below THREAD_WORK", "two sectors", "five sectors"])
-def test_sector_svds_has_helpers_for_two_sectors_from_thread_work(
-    one_blas_thread, monkeypatch, works
-):
+def test_sector_svds_has_helpers_for_two_sectors_from_thread_work(monkeypatch, works):
     # on three CPUs: none for one sector or below THREAD_WORK, else at
     # most one thread per sector
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)

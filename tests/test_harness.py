@@ -48,7 +48,7 @@ def short_run(tmp_path_factory):
 
 
 @pytest.fixture
-def queued_rounds(one_blas_thread, monkeypatch):
+def queued_rounds(monkeypatch):
     """Round two may be queued for helpers on 3 faked CPUs; returns the rounds that were.
 
     Each queue opened with helpers is recorded as (threads it may use,
@@ -339,8 +339,8 @@ def test_run_mc_below_share_work_deals_no_shares(
     short_run, tmp_path, monkeypatch, queued_rounds
 ):
     # a round with less work than SHARE_WORK runs on the calling thread
-    # at any --workers and writes the same bytes, though 3 CPUs and one
-    # BLAS thread would let it use helpers
+    # at any --workers and writes the same bytes, though 3 CPUs would
+    # let it use helpers
     t_fin = 1.0 + 2.0 / 3.0
     kw = dict(
         checkpoint=short_run["checkpoint"],

@@ -171,9 +171,7 @@ def test_empty_s_changes_no_byte(k16_t1, tmp_path):
     assert "p_star" not in meta and "p_s" not in meta
 
 
-def test_semistochastic_run_is_identical_across_worker_counts(
-    k16_t1, tmp_path, monkeypatch, one_blas_thread
-):
+def test_semistochastic_run_is_identical_across_worker_counts(k16_t1, tmp_path, monkeypatch):
     # the split runs its S pairs beside the drawn ones in round two, on
     # one share or dealt to helper threads (3 faked CPUs), and the file
     # does not change

@@ -1,9 +1,12 @@
-"""The one way to hand work to helper threads: items queued longest first, errors raised here."""
+"""The one way to hand work to helper threads: items queued longest first, errors raised here,
+and every helper_threads() block on one OpenBLAS thread."""
 
+import ast
 import contextlib
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 
@@ -19,7 +22,7 @@ def _threads():
 
 
 def test_queue_has_no_helper_outside_helper_threads_and_one_per_cpu_beyond_the_first_inside(
-    one_blas_thread, monkeypatch
+    monkeypatch
 ):
     monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
     assert _threads() == 1
@@ -33,34 +36,113 @@ def test_queue_has_no_helper_outside_helper_threads_and_one_per_cpu_beyond_the_f
         assert _threads() == 1
 
 
-@pytest.mark.parametrize("blas", [2, 4, None])
-def test_helper_threads_open_none_unless_blas_runs_one_thread(monkeypatch, blas):
-    # a BLAS on several threads, or one whose count cannot be told,
-    # gets no helpers to compete with: the work runs inline
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 3)
-    monkeypatch.setattr(threads, "blas_threads", lambda: blas)
-    with helper_threads():
-        assert _threads() == 1
-    monkeypatch.setattr(threads, "blas_threads", lambda: 1)
-    with helper_threads():
-        assert _threads() == 3
+def _with_openblas_on_two(script, *args):
+    """The literal script prints, run in a fresh process whose OpenBLAS starts on 2 threads.
 
-
-def test_blas_threads_reads_the_count_openblas_started_with():
-    if threads.blas_threads() is None:
+    The script sees threads and blas, the count OpenBLAS runs each call
+    on now. The count is the process's, so only a fresh process can
+    start it at 2 whatever this one runs on.
+    """
+    if threads._openblas() is None:
         pytest.skip("numpy's BLAS here is not an OpenBLAS this process can find")
-    counts = []
-    for n in (1, 2):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["OPENBLAS_NUM_THREADS"] = str(n)
-        proc = subprocess.run(
-            [sys.executable, "-c", "from spinquench import threads; print(threads.blas_threads())"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        counts.append(int(proc.stdout))
-    assert counts == [1, 2]
+    if threads.usable_cpus() < 2:
+        pytest.skip("OpenBLAS runs no more threads than the process has CPUs")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    prelude = "from spinquench import threads\nblas = threads._openblas()[0]\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + textwrap.dedent(script), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
+@pytest.mark.parametrize("leave", ["normal", "exception", "nested", "one cpu"])
+def test_helper_threads_pin_openblas_to_one_thread_and_restore_the_count(leave):
+    # the count reads 2 outside a block and 1 inside it, also where one
+    # CPU opens no helper, and 2 again however the block is left
+    counts = _with_openblas_on_two(f"""
+        import contextlib
+        counts = [blas()]
+        if {leave!r} == "one cpu":
+            threads.usable_cpus = lambda: 1
+        with contextlib.suppress(ValueError), threads.helper_threads():
+            counts.append(blas())
+            if {leave!r} == "nested":
+                with threads.helper_threads():
+                    counts.append(blas())
+                counts.append(blas())
+            if {leave!r} == "exception":
+                raise ValueError
+        counts.append(blas())
+        print(counts)
+    """)
+    assert counts == ([2, 1, 1, 1, 2] if leave == "nested" else [2, 1, 2])
+
+
+def test_overlapping_blocks_on_three_threads_restore_the_count_when_the_last_closes():
+    # three threads open blocks one after another and close them in
+    # another order: the count reads 1 until the last block closes
+    counts = _with_openblas_on_two("""
+        import threading
+        opened = [threading.Event() for _ in range(3)]
+        close = [threading.Event() for _ in range(3)]
+        closed = [threading.Event() for _ in range(3)]
+
+        def block(i):
+            with threads.helper_threads():
+                opened[i].set()
+                assert close[i].wait(10)
+            closed[i].set()
+
+        counts, workers = [blas()], [threading.Thread(target=block, args=(i,)) for i in range(3)]
+        for worker, event in zip(workers, opened):
+            worker.start()
+            assert event.wait(10)
+            counts.append(blas())
+        for i in (1, 0, 2):
+            close[i].set()
+            assert closed[i].wait(10)
+            counts.append(blas())
+        for worker in workers:
+            worker.join()
+        print(counts)
+    """)
+    assert counts == [2, 1, 1, 1, 1, 1, 2]
+
+
+def test_helper_threads_open_one_helper_per_cpu_beyond_the_first_whatever_the_blas_count():
+    before, n_helpers, n_cpus = _with_openblas_on_two("""
+        before = blas()
+        with threads.helper_threads():
+            print((before, threads.queue(str).n_helpers, threads.usable_cpus()))
+    """)
+    assert before == 2 and n_helpers == n_cpus - 1 >= 1
+
+
+def test_run_mc_splits_walks_and_evolves_with_openblas_on_one_thread(k16_t1):
+    # the count each of them reads, recorded through harness's names
+    split, walk, evolve, after = _with_openblas_on_two("""
+        import sys
+        from spinquench import harness
+        seen = {"split": set(), "walk": set(), "evolve": set()}
+
+        def recorded(name, work):
+            def wrapped(*args, **kwargs):
+                seen[name].add(blas())
+                return work(*args, **kwargs)
+            return wrapped
+
+        harness.semistochastic_split = recorded("split", harness.semistochastic_split)
+        harness.sample_spins_and_beta = recorded("walk", harness.sample_spins_and_beta)
+        harness.evolve_and_measure = recorded("evolve", harness.evolve_and_measure)
+        harness.run_mc(checkpoint=sys.argv[1], l=2, t_fin=1.5, delta_t=0.25, n_max=20,
+                       n_samples=20, master_seed=7, n_workers=2)
+        print((seen["split"], seen["walk"], seen["evolve"], blas()))
+    """, k16_t1["checkpoint"])
+    assert split == walk == evolve == {1} and after == 2
 
 
 def _watched(calls):
@@ -75,7 +157,7 @@ def _helpers_alive():
     return [t for t in threading.enumerate() if t.name.startswith("spinquench-helper")]
 
 
-def test_queue_starts_items_longest_first_on_a_helper(one_blas_thread, monkeypatch):
+def test_queue_starts_items_longest_first_on_a_helper(monkeypatch):
     # a helper busy with a first item leaves the next five pending; freed,
     # it takes them longest first, ties in put order, while this thread
     # waits, and results() hands them back in put order
@@ -125,7 +207,7 @@ def _concurrency(most, n_cpus, monkeypatch):
     return peak[0]
 
 
-def test_queue_caps_its_threads_at_most(one_blas_thread, monkeypatch):
+def test_queue_caps_its_threads_at_most(monkeypatch):
     # most caps the threads, this one included, and so do the usable CPUs
     assert 1 < _concurrency(None, 3, monkeypatch) <= 3
     assert 1 < _concurrency(2, 3, monkeypatch) <= 2
@@ -134,7 +216,7 @@ def test_queue_caps_its_threads_at_most(one_blas_thread, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["outside", "most 1", "one cpu"])
-def test_queue_serves_on_no_helper(one_blas_thread, monkeypatch, case):
+def test_queue_serves_on_no_helper(monkeypatch, case):
     # outside helper_threads(), for most 1, and where one usable CPU
     # leaves helper_threads() no helper, results() runs every item on
     # this thread, longest first, and no helper ever serves
@@ -152,7 +234,7 @@ def test_queue_serves_on_no_helper(one_blas_thread, monkeypatch, case):
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_queue_raises_an_item_error_after_every_item_finished(
-    one_blas_thread, monkeypatch, failing
+    monkeypatch, failing
 ):
     # the error of an item, on a helper or here, is raised by results()
     # only once every other item has finished, and no helper outlives
@@ -179,7 +261,7 @@ def test_queue_raises_an_item_error_after_every_item_finished(
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_queue_raises_a_share_error_after_every_equal_share_finished(
-    one_blas_thread, monkeypatch, failing
+    monkeypatch, failing
 ):
     # shares of equal cost, one per thread the queue may use, as a gate
     # pass puts them: a share's error, whether the first or a later share
@@ -203,7 +285,7 @@ def test_queue_raises_a_share_error_after_every_equal_share_finished(
     assert _helpers_alive() == []
 
 
-def test_queue_left_by_an_error_drops_what_no_thread_started(one_blas_thread, monkeypatch):
+def test_queue_left_by_an_error_drops_what_no_thread_started(monkeypatch):
     # an error inside the queue's block waits for the running item and
     # never starts the pending ones
     monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
@@ -227,7 +309,7 @@ def test_queue_left_by_an_error_drops_what_no_thread_started(one_blas_thread, mo
     assert _helpers_alive() == []
 
 
-def test_queue_keep_up_leaves_no_more_waiting_than_helpers(one_blas_thread, monkeypatch):
+def test_queue_keep_up_leaves_no_more_waiting_than_helpers(monkeypatch):
     # with the one helper held busy, keep_up after each put runs the
     # longest waiting items here until one waits; with no helpers it
     # runs each item as soon as it is put
